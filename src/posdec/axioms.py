@@ -1,19 +1,27 @@
 """Exhaustive desk-scale verification of preference axioms.
 
-Preference relations are materialized as explicit boolean matrices over a
-complete universe of lotteries; every axiom is a decidable predicate over
-such a matrix, and every violated predicate returns a concrete witness
-that can be replayed.  Entailment sweeps run the axiom batteries across
-enumerated or seeded-sampled configuration families and report one line
-per axiom per configuration.
+A preference relation over a complete universe of lotteries is held both
+as a boolean matrix (``holds``) and as one bitset per row (``rows``); the
+checks run on the bitsets.  Lotteries are thermometer-coded, one run of
+low ones per prize, so the max-min mixture of two lotteries is two masks
+and an ``|`` on their codes.  Every axiom is a decidable predicate over
+the relation and every check stays complete: it skips only cases whose
+result repeats one already decided (members with equal rows, companions
+or class members with equal masked codes), so a violated predicate still
+returns the first concrete witness, which can be replayed.  A1-/B1 and
+A3-/B3 name the same predicates and share one evaluation per relation.
+Entailment sweeps run the axiom batteries across enumerated or
+seeded-sampled configuration families and report one line per axiom per
+configuration.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from typing import Iterable, Sequence
 
 from .lotteries import (
@@ -43,11 +51,17 @@ from .utilities import (
 DEFAULT_UNIVERSE_LIMIT = 200_000
 
 
+def _lowest_bit(bits: int) -> int:
+    """Position of the lowest set bit of a nonzero bitset."""
+    return (bits & -bits).bit_length() - 1
+
+
 class LotteryUniverse:
     """Every normalized lottery over one outcome set and scale, indexed.
 
     Precomputes the raw value tuples, a reverse index for mixture lookups,
     the point masses, and the standard-lottery members with their weights.
+    The bit encodings the axiom checks run on are built on first use.
     """
 
     def __init__(self, outcomes: OutcomeSet, scale: Scale, limit: int = DEFAULT_UNIVERSE_LIMIT):
@@ -80,9 +94,70 @@ class LotteryUniverse:
     def describe(self, index: int) -> str:
         return f"#{index}{self.members[index]}"
 
+    @cached_property
+    def codes(self) -> tuple[int, ...]:
+        """Thermometer code per member: ``top`` bits per prize, level v as v low ones.
+
+        On these codes the level min is ``&`` and the level max is ``|``, so
+        the mixture with weights (wa, wb) of members i and k has the code
+        ``(codes[i] & weight_masks[wa]) | (codes[k] & weight_masks[wb])``.
+        """
+        top = len(self.scale) - 1
+        return tuple(
+            sum(((1 << v) - 1) << (pos * top) for pos, v in enumerate(vt))
+            for vt in self.value_tuples
+        )
+
+    @cached_property
+    def weight_masks(self) -> tuple[int, ...]:
+        """The code of level w at every prize, per level w."""
+        top = len(self.scale) - 1
+        prizes = len(self.outcomes.labels)
+        return tuple(
+            sum(((1 << w) - 1) << (pos * top) for pos in range(prizes))
+            for w in range(top + 1)
+        )
+
+    @cached_property
+    def index_of_code(self) -> dict[int, int]:
+        return {code: i for i, code in enumerate(self.codes)}
+
+    @cached_property
+    def above(self) -> tuple[int, ...]:
+        """Bitset per member of the other members pointwise at least as high."""
+        return self._dominance(operator.ge)
+
+    @cached_property
+    def below(self) -> tuple[int, ...]:
+        """Bitset per member of the other members pointwise at most as high."""
+        return self._dominance(operator.le)
+
+    def _dominance(self, compare) -> tuple[int, ...]:
+        vts = self.value_tuples
+        levels = range(len(self.scale))
+        # by_level[pos][level]: members j with compare(vt_j[pos], level).
+        by_level = [
+            [
+                sum(1 << j for j, vt in enumerate(vts) if compare(vt[pos], level))
+                for level in levels
+            ]
+            for pos in range(len(self.outcomes.labels))
+        ]
+        out = []
+        for i, vt in enumerate(vts):
+            bits = ~(1 << i)
+            for pos, v in enumerate(vt):
+                bits &= by_level[pos][v]
+            out.append(bits)
+        return tuple(out)
+
 
 class PreferenceRelation:
-    """An explicit 'at least as good as' matrix over a lottery universe."""
+    """An 'at least as good as' relation over a lottery universe.
+
+    ``holds[i][j]`` is the matrix entry and ``rows[i]`` the same row as a
+    bitset, bit j set iff ``holds[i][j]``.
+    """
 
     def __init__(self, universe: LotteryUniverse, holds: Sequence[Sequence[bool]]):
         self.universe = universe
@@ -94,6 +169,18 @@ class PreferenceRelation:
             sum(1 << j for j, v in enumerate(row) if v) for row in self.holds
         ]
 
+    @classmethod
+    def _from_rows(
+        cls, universe: LotteryUniverse, holds: tuple[tuple[bool, ...], ...], rows: list[int]
+    ) -> "PreferenceRelation":
+        """Wrap an already consistent matrix and its bitset rows, unchecked."""
+        self = object.__new__(cls)
+        self.universe = universe
+        self.holds = holds
+        self.size = len(holds)
+        self.rows = rows
+        return self
+
     def indifferent(self, i: int, j: int) -> bool:
         return self.holds[i][j] and self.holds[j][i]
 
@@ -103,12 +190,51 @@ class PreferenceRelation:
         rows[i][j] = not rows[i][j]
         return PreferenceRelation(self.universe, rows)
 
+    @cached_property
+    def row_groups(self) -> list[tuple[int, int]]:
+        """(row, bitset of the members with that row) per distinct row, first seen first."""
+        groups: dict[int, int] = {}
+        for i, row in enumerate(self.rows):
+            groups[row] = groups.get(row, 0) | (1 << i)
+        return list(groups.items())
+
+    @cached_property
+    def columns(self) -> list[int]:
+        """Bitset per member j of the members i with ``holds[i][j]``."""
+        cols = [0] * self.size
+        for row, members in self.row_groups:
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= members
+                row ^= low
+        return cols
+
 
 def induced_relation(universe: LotteryUniverse, evaluate: Evaluator) -> PreferenceRelation:
-    """holds(i, j) iff the utility of member i is at least that of member j."""
-    values = [evaluate(m) for m in universe.members]
-    holds = [[values[i] >= values[j] for j in range(len(values))] for i in range(len(values))]
-    return PreferenceRelation(universe, holds)
+    """holds(i, j) iff the utility of member i is at least that of member j.
+
+    Each member is evaluated once and members with equal utility share one
+    row, so only the distinct utilities are compared with each other.
+    """
+    group_of: dict = {}
+    values = []
+    members: list[int] = []
+    group = []
+    for i, m in enumerate(universe.members):
+        value = evaluate(m)
+        g = group_of.get(value)
+        if g is None:
+            g = group_of[value] = len(values)
+            values.append(value)
+            members.append(0)
+        members[g] |= 1 << i
+        group.append(g)
+    ge = [[bool(a >= b) for b in values] for a in values]
+    row_of = [sum(bits for bits, at_least in zip(members, ge_g) if at_least) for ge_g in ge]
+    holds_of = [tuple([ge_g[h] for h in group]) for ge_g in ge]
+    return PreferenceRelation._from_rows(
+        universe, tuple(holds_of[g] for g in group), [row_of[g] for g in group]
+    )
 
 
 @dataclass(frozen=True)
@@ -128,37 +254,51 @@ class AxiomReport:
 
 
 def check_total_preorder(r: PreferenceRelation, axiom_id: str = "B1") -> AxiomReport:
-    """Reflexive, transitive and complete; first failure wins, in that order."""
+    """Reflexive, transitive and complete; first failure wins, in that order.
+
+    Transitivity is decided per distinct row: members with equal rows pass
+    or fail together, so each row is tested once against each other row.
+    """
     n = r.size
-    holds = r.holds
+    rows = r.rows
+    describe = r.universe.describe
     for i in range(n):
-        if not holds[i][i]:
+        if not rows[i] >> i & 1:
             return AxiomReport(
                 axiom_id, False, (i, i),
-                f"reflexivity fails at {r.universe.describe(i)}",
+                f"reflexivity fails at {describe(i)}",
             )
-    rows = r.rows
+    groups = r.row_groups
+    passed = set()
+    for i, row_i in enumerate(rows):
+        if row_i in passed:
+            continue
+        # j with holds[i][j] whose row reaches past row_i breaks transitivity.
+        bad = 0
+        for row_j, members in groups:
+            if row_j & ~row_i:
+                bad |= members
+        bad &= row_i
+        if bad:
+            j = _lowest_bit(bad)
+            k = _lowest_bit(rows[j] & ~row_i)
+            return AxiomReport(
+                axiom_id, False, (i, j, k),
+                f"transitivity fails: {describe(i)} >= {describe(j)} >= "
+                f"{describe(k)} but not {describe(i)} >= {describe(k)}",
+            )
+        passed.add(row_i)
+    cols = r.columns
+    full = (1 << n) - 1
     for i in range(n):
-        row_i = rows[i]
-        for j in range(n):
-            if holds[i][j]:
-                extra = rows[j] & ~row_i
-                if extra:
-                    k = (extra & -extra).bit_length() - 1
-                    return AxiomReport(
-                        axiom_id, False, (i, j, k),
-                        f"transitivity fails: {r.universe.describe(i)} >= "
-                        f"{r.universe.describe(j)} >= {r.universe.describe(k)} "
-                        f"but not {r.universe.describe(i)} >= {r.universe.describe(k)}",
-                    )
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not holds[i][j] and not holds[j][i]:
-                return AxiomReport(
-                    axiom_id, False, (i, j),
-                    f"completeness fails on {r.universe.describe(i)} and "
-                    f"{r.universe.describe(j)}",
-                )
+        # Unrelated members j > i, in neither direction.
+        missing = full & ~(rows[i] | cols[i]) & ~((2 << i) - 1)
+        if missing:
+            j = _lowest_bit(missing)
+            return AxiomReport(
+                axiom_id, False, (i, j),
+                f"completeness fails on {describe(i)} and {describe(j)}",
+            )
     return AxiomReport(axiom_id, True)
 
 
@@ -171,24 +311,17 @@ def check_uncertainty_attitude(r: PreferenceRelation, direction: str) -> AxiomRe
     if direction not in ("aversion", "attraction"):
         raise ValueError(f"unknown direction {direction!r}")
     axiom_id = "A2-" if direction == "aversion" else "A2+"
-    vt = r.universe.value_tuples
-    n = r.size
-    for i in range(n):
-        a = vt[i]
-        for j in range(n):
-            if i == j:
-                continue
-            b = vt[j]
-            if direction == "aversion":
-                premise = all(x <= y for x, y in zip(a, b))
-            else:
-                premise = all(x >= y for x, y in zip(a, b))
-            if premise and not r.holds[i][j]:
-                return AxiomReport(
-                    axiom_id, False, (i, j),
-                    f"{direction} fails: {r.universe.describe(i)} must be weakly "
-                    f"preferred to {r.universe.describe(j)}",
-                )
+    universe = r.universe
+    premise = universe.above if direction == "aversion" else universe.below
+    for i, row in enumerate(r.rows):
+        bad = premise[i] & ~row
+        if bad:
+            j = _lowest_bit(bad)
+            return AxiomReport(
+                axiom_id, False, (i, j),
+                f"{direction} fails: {universe.describe(i)} must be weakly "
+                f"preferred to {universe.describe(j)}",
+            )
     return AxiomReport(axiom_id, True)
 
 
@@ -201,26 +334,40 @@ def default_weight_pairs(scale: Scale) -> tuple[tuple[int, int], ...]:
 
 
 def _indifference_classes(r: PreferenceRelation) -> list[int] | None:
-    """Class index per member when indifference is an equivalence, else None."""
-    n = r.size
-    class_of = [-1] * n
-    reps: list[int] = []
-    for i in range(n):
-        if not r.holds[i][i]:
+    """Class index per member when indifference is an equivalence, else None.
+
+    Classes are numbered in order of their first member; a member without
+    ``holds[i][i]`` is indifferent to nothing and gets class -1.
+    """
+    rows, cols = r.rows, r.columns
+    class_of = [-1] * r.size
+    class_of_rep: dict[int, int] = {}
+    reps = 0
+    class_bits: list[int] = []
+    for i, row in enumerate(rows):
+        if not row >> i & 1:
             continue
-        for c, rep in enumerate(reps):
-            if r.indifferent(i, rep):
-                class_of[i] = c
-                break
+        known = row & cols[i] & reps
+        if known:
+            c = class_of_rep[_lowest_bit(known)]
         else:
-            class_of[i] = len(reps)
-            reps.append(i)
-    for i in range(n):
-        for j in range(n):
-            same = class_of[i] == class_of[j] and class_of[i] >= 0
-            if same != r.indifferent(i, j):
-                return None
+            c = class_of_rep[i] = len(class_bits)
+            reps |= 1 << i
+            class_bits.append(0)
+        class_of[i] = c
+        class_bits[c] |= 1 << i
+    for i, c in enumerate(class_of):
+        if rows[i] & cols[i] != (class_bits[c] if c >= 0 else 0):
+            return None
     return class_of
+
+
+def _distinct_parts(codes: Sequence[int], mask: int) -> list[tuple[int, int]]:
+    """(index, masked code) for the first index of each distinct masked code, in order."""
+    seen: dict[int, int] = {}
+    for i, code in enumerate(codes):
+        seen.setdefault(code & mask, i)
+    return [(i, part) for part, i in seen.items()]
 
 
 def check_substitutability(
@@ -234,6 +381,11 @@ def check_substitutability(
     indifferent pair, and every companion lottery: complete at desk scale,
     never a sample.  Mixtures that coincide as lotteries count as
     indifferent; self-indifference is the total-preorder check's job.
+
+    A mixture depends on a member only through its masked code, so a
+    companion (or class member) whose masked code repeats an earlier one's
+    gives the result already decided and is skipped; the first witness in
+    the full quantification order is still the one reported.
     """
     universe = r.universe
     scale = universe.scale
@@ -245,20 +397,13 @@ def check_substitutability(
         for a, b in pairs:
             if max(a, b) != top:
                 raise ValueError("substitutability weight pairs must be normalized")
-    vt = universe.value_tuples
-    index_of = universe.index_of
-    n = r.size
-
-    def mix(w1: int, t1: tuple[int, ...], w2: int, t2: tuple[int, ...]) -> int:
-        out = []
-        for x, y in zip(t1, t2):
-            a = x if x < w1 else w1
-            b = y if y < w2 else w2
-            out.append(a if a >= b else b)
-        return index_of[tuple(out)]
+    codes = universe.codes
+    masks = universe.weight_masks
+    companions = {wb: _distinct_parts(codes, masks[wb]) for wb in {wb for _, wb in pairs}}
 
     class_of = _indifference_classes(r)
     if class_of is not None:
+        class_of_code = dict(zip(codes, class_of))
         groups: dict[int, list[int]] = {}
         for i, c in enumerate(class_of):
             if c >= 0:
@@ -267,46 +412,66 @@ def check_substitutability(
             if len(members) < 2:
                 continue
             rep = members[0]
-            rep_t = vt[rep]
+            member_codes = [codes[m] for m in members]
             for wa, wb in pairs:
-                for k in range(n):
-                    target_id = mix(wa, rep_t, wb, vt[k])
-                    target = class_of[target_id]
-                    for m in members[1:]:
-                        got_id = mix(wa, vt[m], wb, vt[k])
-                        if got_id == target_id:
-                            continue
-                        # Distinct results must share a real class; class -1
-                        # members are indifferent to nothing.
-                        if class_of[got_id] != target or target < 0:
+                # The representative first, then each member whose masked
+                # code is new; the rest mix exactly as one before them.
+                distinct = _distinct_parts(member_codes, masks[wa])
+                if len(distinct) < 2:
+                    continue
+                rep_part = distinct[0][1]
+                k_parts = [k_part for _, k_part in companions[wb]]
+                # Fast pass: every member's mixtures land in the classes of
+                # the representative's, and none in a member without class.
+                rep_row = [class_of_code[rep_part | k_part] for k_part in k_parts]
+                if -1 not in rep_row and all(
+                    [class_of_code[part | k_part] for k_part in k_parts] == rep_row
+                    for _, part in distinct[1:]
+                ):
+                    continue
+                # Otherwise scan in quantification order for the first witness.
+                # Distinct results must share a real class; class -1 members
+                # are indifferent to nothing.
+                for k, k_part in companions[wb]:
+                    target_code = rep_part | k_part
+                    target = class_of_code[target_code]
+                    for pos, part in distinct[1:]:
+                        got = part | k_part
+                        if got != target_code and (target < 0 or class_of_code[got] != target):
                             return _substitution_violation(
-                                r, axiom_id, rep, m, k, wa, wb, mix
+                                r, axiom_id, rep, members[pos], k, wa, wb
                             )
         return AxiomReport(axiom_id, True)
 
     # Indifference is not an equivalence here (broken relation); fall back
     # to the direct quantification over indifferent pairs, with the mixed
-    # ids precomputed once per weight pair and companion.
+    # ids computed once per weight pair and companion.
+    rows, cols = r.rows, r.columns
+    indifferent = [row & col for row, col in zip(rows, cols)]
     indifferent_pairs = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if r.indifferent(i, j)
+        (i, j)
+        for i, bits in enumerate(indifferent)
+        for j in range(i + 1, r.size)
+        if bits >> j & 1
     ]
-    holds = r.holds
+    index_of_code = universe.index_of_code
     for wa, wb in pairs:
-        for k in range(n):
-            tk = vt[k]
-            mixed = [mix(wa, ti, wb, tk) for ti in vt]
+        parts = [code & masks[wa] for code in codes]
+        for k, k_part in companions[wb]:
+            mixed = [index_of_code[part | k_part] for part in parts]
             for i, j in indifferent_pairs:
                 m1, m2 = mixed[i], mixed[j]
-                if m1 != m2 and not (holds[m1][m2] and holds[m2][m1]):
-                    return _substitution_violation(r, axiom_id, i, j, k, wa, wb, mix)
+                if m1 != m2 and not indifferent[m1] >> m2 & 1:
+                    return _substitution_violation(r, axiom_id, i, j, k, wa, wb)
     return AxiomReport(axiom_id, True)
 
 
-def _substitution_violation(r, axiom_id, i, j, k, wa, wb, mix) -> AxiomReport:
+def _substitution_violation(r, axiom_id, i, j, k, wa, wb) -> AxiomReport:
     universe = r.universe
-    vt = universe.value_tuples
-    m1 = mix(wa, vt[i], wb, vt[k])
-    m2 = mix(wa, vt[j], wb, vt[k])
+    codes, masks = universe.codes, universe.weight_masks
+    k_part = codes[k] & masks[wb]
+    m1 = universe.index_of_code[(codes[i] & masks[wa]) | k_part]
+    m2 = universe.index_of_code[(codes[j] & masks[wa]) | k_part]
     labels = universe.scale.levels
     return AxiomReport(
         axiom_id, False, (i, j, k, wa, wb, m1, m2),
@@ -649,16 +814,26 @@ class EntailmentRun:
 def _run_battery(
     r: PreferenceRelation, axioms_wanted: Sequence[str]
 ) -> list[AxiomReport]:
+    # A1-/B1 and A3-/B3 state one predicate each under two names; it is
+    # evaluated once and the report relabeled (no witness or detail names
+    # the axiom).
+    done: dict = {}
+
+    def shared(check, axiom: str) -> AxiomReport:
+        if check not in done:
+            done[check] = check(r, axiom_id=axiom)
+        return replace(done[check], axiom=axiom)
+
     reports = []
     for axiom in axioms_wanted:
         if axiom in ("A1-", "B1"):
-            reports.append(check_total_preorder(r, axiom_id=axiom))
+            reports.append(shared(check_total_preorder, axiom))
         elif axiom == "A2-":
             reports.append(check_uncertainty_attitude(r, "aversion"))
         elif axiom == "A2+":
             reports.append(check_uncertainty_attitude(r, "attraction"))
         elif axiom in ("A3-", "B3"):
-            reports.append(check_substitutability(r, axiom_id=axiom))
+            reports.append(shared(check_substitutability, axiom))
         elif axiom in CONTINUITY_VARIANTS:
             reports.append(check_continuity(r, axiom))
         elif axiom == "B2":
@@ -838,19 +1013,31 @@ def search_pair_counterexample(
     """Look for two lotteries the scalar pair cannot tell apart but the
     pair-valued utility can.
 
-    Exhausts all member pairs in a fixed order and reports the first
-    witness, or an explicit none-found-at-this-scale marker.
+    Decides every member pair: only members with equal scalar values can
+    form a witness, so members are compared within their group.  Reports
+    the first witness in (i, j) order with the number of pairs up to it,
+    or an explicit none-found-at-this-scale marker.
     """
     pess = [pessimistic_utility(m, cfg) for m in universe.members]
     opt = [optimistic_utility(m, cfg) for m in universe.members]
     pairs = [binary_utility(m, assessment) for m in universe.members]
-    checked = 0
     n = len(universe)
-    for i in range(n):
-        for j in range(i + 1, n):
-            checked += 1
-            if pess[i] == pess[j] and opt[i] == opt[j] and pairs[i] != pairs[j]:
+    # Members sharing (pessimistic, optimistic) values, groups in order of
+    # their first member.  A first witness (i, j) has i first in its group:
+    # any earlier member of the group would pair with i or with j.
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (p, o) in enumerate(zip(pess, opt)):
+        groups.setdefault((p.index, o.index), []).append(i)
+    pair_key = [(u.first.index, u.second.index) for u in pairs]
+    for members in groups.values():
+        i = members[0]
+        for j in members:
+            if pair_key[j] != pair_key[i]:
+                # Pairs (a, b) with a < i come first, then (i, i+1) .. (i, j).
+                checked = i * (n - 1) - i * (i - 1) // 2 + (j - i)
                 return SearchResult(
                     (i, j), checked, len(universe.outcomes.labels), len(universe.scale)
                 )
-    return SearchResult(None, checked, len(universe.outcomes.labels), len(universe.scale))
+    return SearchResult(
+        None, n * (n - 1) // 2, len(universe.outcomes.labels), len(universe.scale)
+    )

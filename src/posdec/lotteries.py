@@ -140,20 +140,6 @@ class PossibilityDistribution:
         self.scale = scale
         self.indices = indices
 
-    @classmethod
-    def _unchecked(cls, domain: Domain, scale: Scale, indices: tuple[int, ...]):
-        """Skip validation for results whose normalization is forced.
-
-        Only the mixture operation uses this: a normalized weight vector
-        over normalized inputs cannot produce a denormalized output, and
-        the exhaustive postcondition tests cover that claim.
-        """
-        self = object.__new__(cls)
-        self.domain = domain
-        self.scale = scale
-        self.indices = indices
-        return self
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PossibilityDistribution):
             return NotImplemented
@@ -237,32 +223,10 @@ def mixture(
     domain, scale = first.domain, first.scale
     top = scale.top_index
 
-    if len(components) == 2:
-        (wa, da), (wb, db) = components
-        if (
-            (db.domain is not domain and db.domain != domain)
-            or (db.scale is not scale and db.scale != scale)
-        ):
-            raise ValueError("mixture components must share one domain and scale")
-        if wa.scale is not scale and wa.scale != scale:
-            raise ScaleMismatchError(wa.scale, scale)
-        if wb.scale is not scale and wb.scale != scale:
-            raise ScaleMismatchError(wb.scale, scale)
-        w0, w1 = wa.index, wb.index
-        if (w0 if w0 >= w1 else w1) != top:
-            raise NormalizationError(
-                f"mixture weights are not normalized: max weight is "
-                f"{scale.levels[w0 if w0 >= w1 else w1]!r}"
-            )
-        mixed = []
-        for a, b in zip(da.indices, db.indices):
-            x = a if a < w0 else w0
-            y = b if b < w1 else w1
-            mixed.append(x if x >= y else y)
-        return PossibilityDistribution._unchecked(domain, scale, tuple(mixed))
-
-    weights = []
-    rows = []
+    # Fold the components into one list: clip each to its weight, keep the
+    # pointwise max.  Levels are plain indices, so min and max are compares.
+    highest = 0
+    mixed = None
     for weight, dist in components:
         if (
             (dist.domain is not domain and dist.domain != domain)
@@ -271,22 +235,36 @@ def mixture(
             raise ValueError("mixture components must share one domain and scale")
         if weight.scale is not scale and weight.scale != scale:
             raise ScaleMismatchError(weight.scale, scale)
-        weights.append(weight.index)
-        rows.append(dist.indices)
-    if max(weights) != top:
+        w = weight.index
+        if w > highest:
+            highest = w
+        if mixed is None:
+            mixed = list(dist.indices)
+            if w != top:
+                for j, v in enumerate(mixed):
+                    if v > w:
+                        mixed[j] = w
+            continue
+        j = 0
+        for v in dist.indices:
+            if v > w:
+                v = w
+            if v > mixed[j]:
+                mixed[j] = v
+            j += 1
+    if highest != top:
         raise NormalizationError(
             f"mixture weights are not normalized: max weight is "
-            f"{scale.levels[max(weights)]!r}"
+            f"{scale.levels[highest]!r}"
         )
-    mixed = []
-    for column in zip(*rows):
-        highest = 0
-        for w, v in zip(weights, column):
-            t = v if v < w else w
-            if t > highest:
-                highest = t
-        mixed.append(highest)
-    return PossibilityDistribution._unchecked(domain, scale, tuple(mixed))
+    # A normalized weight vector over normalized inputs cannot produce a
+    # denormalized output (the exhaustive postcondition tests cover this),
+    # so the result skips the constructor's validation.
+    result = object.__new__(PossibilityDistribution)
+    result.domain = domain
+    result.scale = scale
+    result.indices = tuple(mixed)
+    return result
 
 
 def event_possibility(pi: PossibilityDistribution, event: Sequence[str]) -> Level:

@@ -1,0 +1,178 @@
+"""Reference versions of the axiom checker's hot core, as plain loops.
+
+These are the original matrix-scanning implementations of the checks that
+now run on bitsets and thermometer codes.  They read only ``holds``, the
+value tuples and the tuple index of a universe, so they share no code with
+the bitset paths they are compared against.
+"""
+
+from posdec.axioms import AxiomReport, PreferenceRelation, default_weight_pairs
+
+
+def induced_relation(universe, evaluate):
+    """holds(i, j) iff the utility of member i is at least that of member j."""
+    values = [evaluate(m) for m in universe.members]
+    holds = [[values[i] >= values[j] for j in range(len(values))] for i in range(len(values))]
+    return PreferenceRelation(universe, holds)
+
+
+def check_total_preorder(r, axiom_id="B1"):
+    n = r.size
+    holds = r.holds
+    for i in range(n):
+        if not holds[i][i]:
+            return AxiomReport(
+                axiom_id, False, (i, i),
+                f"reflexivity fails at {r.universe.describe(i)}",
+            )
+    rows = r.rows
+    for i in range(n):
+        row_i = rows[i]
+        for j in range(n):
+            if holds[i][j]:
+                extra = rows[j] & ~row_i
+                if extra:
+                    k = (extra & -extra).bit_length() - 1
+                    return AxiomReport(
+                        axiom_id, False, (i, j, k),
+                        f"transitivity fails: {r.universe.describe(i)} >= "
+                        f"{r.universe.describe(j)} >= {r.universe.describe(k)} "
+                        f"but not {r.universe.describe(i)} >= {r.universe.describe(k)}",
+                    )
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not holds[i][j] and not holds[j][i]:
+                return AxiomReport(
+                    axiom_id, False, (i, j),
+                    f"completeness fails on {r.universe.describe(i)} and "
+                    f"{r.universe.describe(j)}",
+                )
+    return AxiomReport(axiom_id, True)
+
+
+def check_uncertainty_attitude(r, direction):
+    axiom_id = "A2-" if direction == "aversion" else "A2+"
+    vt = r.universe.value_tuples
+    n = r.size
+    for i in range(n):
+        a = vt[i]
+        for j in range(n):
+            if i == j:
+                continue
+            b = vt[j]
+            if direction == "aversion":
+                premise = all(x <= y for x, y in zip(a, b))
+            else:
+                premise = all(x >= y for x, y in zip(a, b))
+            if premise and not r.holds[i][j]:
+                return AxiomReport(
+                    axiom_id, False, (i, j),
+                    f"{direction} fails: {r.universe.describe(i)} must be weakly "
+                    f"preferred to {r.universe.describe(j)}",
+                )
+    return AxiomReport(axiom_id, True)
+
+
+def _indifference_classes(r):
+    n = r.size
+    class_of = [-1] * n
+    reps = []
+    for i in range(n):
+        if not r.holds[i][i]:
+            continue
+        for c, rep in enumerate(reps):
+            if r.indifferent(i, rep):
+                class_of[i] = c
+                break
+        else:
+            class_of[i] = len(reps)
+            reps.append(i)
+    for i in range(n):
+        for j in range(n):
+            same = class_of[i] == class_of[j] and class_of[i] >= 0
+            if same != r.indifferent(i, j):
+                return None
+    return class_of
+
+
+def check_substitutability(r, weight_pairs=None, axiom_id="B3"):
+    universe = r.universe
+    scale = universe.scale
+    if weight_pairs is None:
+        pairs = default_weight_pairs(scale)
+    else:
+        pairs = tuple((a.index, b.index) for a, b in weight_pairs)
+    vt = universe.value_tuples
+    index_of = universe.index_of
+    n = r.size
+
+    def mix(w1, t1, w2, t2):
+        out = []
+        for x, y in zip(t1, t2):
+            a = x if x < w1 else w1
+            b = y if y < w2 else w2
+            out.append(a if a >= b else b)
+        return index_of[tuple(out)]
+
+    class_of = _indifference_classes(r)
+    if class_of is not None:
+        groups = {}
+        for i, c in enumerate(class_of):
+            if c >= 0:
+                groups.setdefault(c, []).append(i)
+        for members in groups.values():
+            if len(members) < 2:
+                continue
+            rep = members[0]
+            rep_t = vt[rep]
+            for wa, wb in pairs:
+                for k in range(n):
+                    target_id = mix(wa, rep_t, wb, vt[k])
+                    target = class_of[target_id]
+                    for m in members[1:]:
+                        got_id = mix(wa, vt[m], wb, vt[k])
+                        if got_id == target_id:
+                            continue
+                        if class_of[got_id] != target or target < 0:
+                            return _substitution_violation(r, axiom_id, rep, m, k, wa, wb, mix)
+        return AxiomReport(axiom_id, True)
+
+    indifferent_pairs = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if r.indifferent(i, j)
+    ]
+    holds = r.holds
+    for wa, wb in pairs:
+        for k in range(n):
+            tk = vt[k]
+            mixed = [mix(wa, ti, wb, tk) for ti in vt]
+            for i, j in indifferent_pairs:
+                m1, m2 = mixed[i], mixed[j]
+                if m1 != m2 and not (holds[m1][m2] and holds[m2][m1]):
+                    return _substitution_violation(r, axiom_id, i, j, k, wa, wb, mix)
+    return AxiomReport(axiom_id, True)
+
+
+def _substitution_violation(r, axiom_id, i, j, k, wa, wb, mix):
+    universe = r.universe
+    vt = universe.value_tuples
+    m1 = mix(wa, vt[i], wb, vt[k])
+    m2 = mix(wa, vt[j], wb, vt[k])
+    labels = universe.scale.levels
+    return AxiomReport(
+        axiom_id, False, (i, j, k, wa, wb, m1, m2),
+        f"substitutability fails: {universe.describe(i)} ~ {universe.describe(j)} "
+        f"but weights ({labels[wa]}, {labels[wb]}) with {universe.describe(k)} "
+        f"mix to {universe.describe(m1)} vs {universe.describe(m2)}",
+    )
+
+
+def search_pair_counterexample_witness(pess, opt, pairs):
+    """(witness, pairs checked) of the pairwise scan over all member pairs."""
+    checked = 0
+    n = len(pess)
+    for i in range(n):
+        for j in range(i + 1, n):
+            checked += 1
+            if pess[i] == pess[j] and opt[i] == opt[j] and pairs[i] != pairs[j]:
+                return (i, j), checked
+    return None, checked

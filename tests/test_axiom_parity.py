@@ -1,0 +1,173 @@
+"""The bitset checks against the plain-loop reference oracles.
+
+Every check must return the same report as its oracle, witness and detail
+included, on total preorders, product orders and relations with a few
+entries flipped; together these reach both the indifference-class path
+and the fallback path of the substitutability check.
+"""
+
+from functools import partial
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import axiom_oracles as oracle
+from posdec.axioms import (
+    LotteryUniverse,
+    PreferenceRelation,
+    canonical_outcomes,
+    canonical_scale,
+    check_substitutability,
+    check_total_preorder,
+    check_uncertainty_attitude,
+    enumerate_assessments,
+    enumerate_scalar_configs,
+    induced_relation,
+    search_pair_counterexample,
+)
+from posdec.utilities import binary_utility, optimistic_utility, pessimistic_utility
+
+SHAPES = ((3, 3), (3, 4), (2, 5))
+UNIVERSES = {
+    shape: LotteryUniverse(canonical_outcomes(shape[0]), canonical_scale(shape[1]))
+    for shape in SHAPES
+}
+
+
+def fields(report):
+    return report.axiom, report.satisfied, report.witness, report.detail
+
+
+def naive_matrix(universe, evaluate):
+    values = [evaluate(m) for m in universe.members]
+    return [[a >= b for b in values] for a in values]
+
+
+def rows_of(matrix):
+    return [sum(1 << j for j, v in enumerate(row) if v) for row in matrix]
+
+
+@st.composite
+def relations(draw):
+    """A relation induced by random integer keys, with 0-3 entries flipped."""
+    universe = UNIVERSES[draw(st.sampled_from(SHAPES))]
+    n = len(universe)
+    keys = draw(st.lists(st.integers(0, draw(st.integers(1, 6))), min_size=n, max_size=n))
+    evaluate = lambda m: keys[universe.index_of[m.indices]]  # noqa: E731
+    rel = induced_relation(universe, evaluate)
+    # Diagonal flips leave members indifferent to nothing (class -1).
+    entry = st.one_of(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        st.integers(0, n - 1).map(lambda i: (i, i)),
+    )
+    flips = draw(st.lists(entry, max_size=3))
+    for i, j in flips:
+        rel = rel.with_flipped(i, j)
+    return rel, evaluate, flips
+
+
+@settings(max_examples=150, deadline=None)
+@given(relations())
+def test_checks_match_oracles(case):
+    rel, evaluate, flips = case
+    if not flips:
+        reference = oracle.induced_relation(rel.universe, evaluate)
+        assert rel.holds == reference.holds
+        assert rel.rows == reference.rows
+    for axiom_id in ("A1-", "B1"):
+        assert fields(check_total_preorder(rel, axiom_id)) == fields(
+            oracle.check_total_preorder(rel, axiom_id)
+        )
+    for direction in ("aversion", "attraction"):
+        assert fields(check_uncertainty_attitude(rel, direction)) == fields(
+            oracle.check_uncertainty_attitude(rel, direction)
+        )
+    for axiom_id in ("A3-", "B3"):
+        assert fields(check_substitutability(rel, axiom_id=axiom_id)) == fields(
+            oracle.check_substitutability(rel, axiom_id=axiom_id)
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_product_orders_match_oracles(data):
+    """Reflexive and transitive but incomplete: the completeness witness."""
+    universe = UNIVERSES[data.draw(st.sampled_from(SHAPES))]
+    n = len(universe)
+    keys = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    a, b = data.draw(keys), data.draw(keys)
+    holds = [[a[i] >= a[j] and b[i] >= b[j] for j in range(n)] for i in range(n)]
+    rel = PreferenceRelation(universe, holds)
+    assert fields(check_total_preorder(rel)) == fields(oracle.check_total_preorder(rel))
+    assert fields(check_substitutability(rel)) == fields(oracle.check_substitutability(rel))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_substitutability_weight_subsets_match_oracle(data):
+    universe = UNIVERSES[data.draw(st.sampled_from(SHAPES))]
+    n = len(universe)
+    keys = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    rel = induced_relation(universe, lambda m: keys[universe.index_of[m.indices]])
+    if data.draw(st.booleans()):
+        rel = rel.with_flipped(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
+    scale = universe.scale
+    top = scale.top
+    normalized = [(scale.level(i), top) for i in range(len(scale))]
+    normalized += [(top, scale.level(j)) for j in range(len(scale) - 1)]
+    pairs = data.draw(st.lists(st.sampled_from(normalized), min_size=1, max_size=4))
+    assert fields(check_substitutability(rel, pairs)) == fields(
+        oracle.check_substitutability(rel, pairs)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_induced_relation_matches_naive_matrix(data):
+    universe = UNIVERSES[data.draw(st.sampled_from(SHAPES))]
+    kind = data.draw(st.sampled_from(("pessimistic", "optimistic", "binary")))
+    if kind == "binary":
+        assessments = enumerate_assessments(universe.outcomes, universe.scale)
+        evaluate = partial(binary_utility, a=data.draw(st.sampled_from(assessments)))
+    else:
+        configs = enumerate_scalar_configs(universe.outcomes, universe.scale)
+        criterion = pessimistic_utility if kind == "pessimistic" else optimistic_utility
+        evaluate = partial(criterion, cfg=data.draw(st.sampled_from(configs)))
+    rel = induced_relation(universe, evaluate)
+    matrix = naive_matrix(universe, evaluate)
+    assert [list(row) for row in rel.holds] == matrix
+    assert rel.rows == rows_of(matrix)
+
+
+def test_mixtures_onto_two_members_indifferent_to_nothing():
+    # Every member is in one class except 4 and 9, which lack holds[i][i]
+    # and so are indifferent to nothing (class -1).  Two class members mix
+    # onto 4 and 9: a violation, although both results carry class -1.
+    universe = UNIVERSES[(3, 3)]
+    keys = [0] * len(universe)
+    keys[4], keys[9] = 1, 2
+    rel = induced_relation(universe, lambda m: keys[universe.index_of[m.indices]])
+    rel = rel.with_flipped(4, 4).with_flipped(9, 9)
+    report = check_substitutability(rel)
+    assert fields(report) == fields(oracle.check_substitutability(rel))
+    assert report.witness == (0, 5, 4, 1, 2, 4, 9)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 5)])
+def test_counterexample_search_matches_pairwise_scan(shape):
+    universe = UNIVERSES[shape]
+    configs = enumerate_scalar_configs(universe.outcomes, universe.scale)
+    assessments = enumerate_assessments(universe.outcomes, universe.scale)
+    found = 0
+    for cfg in configs:
+        pess = [pessimistic_utility(m, cfg) for m in universe.members]
+        opt = [optimistic_utility(m, cfg) for m in universe.members]
+        for assessment in assessments:
+            pairs = [binary_utility(m, assessment) for m in universe.members]
+            witness, checked = oracle.search_pair_counterexample_witness(pess, opt, pairs)
+            result = search_pair_counterexample(universe, cfg, assessment)
+            assert (result.witness, result.pairs_checked) == (witness, checked)
+            found += witness is not None
+    # Both outcomes occur, so both branches are compared.
+    assert 0 < found < len(configs) * len(assessments)

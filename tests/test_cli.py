@@ -1,6 +1,7 @@
 """Scenario loading, the five subcommands, and exit codes."""
 
 import copy
+import hashlib
 import json
 
 import pytest
@@ -211,6 +212,33 @@ class TestVerify:
         assert "unexpected outcome" in err
         text = open(out, encoding="utf-8").read()
         assert "reflexivity fails" in text
+
+    @pytest.mark.parametrize(
+        "fault, digest",
+        [
+            (False, "aba3de91aa4b50e25757d490b8d0b2a5c28a9d49caa1d54f67eb0032d466b7da"),
+            (True, "75e277462aa8c3b5e30ea0393387f15e43610541b91b8d858ec0bffc739377f7"),
+        ],
+    )
+    def test_worked_example_reports_are_golden(self, tmp_path, fault, digest):
+        """Full default reports, pinned by the digests of the plain-loop checker."""
+        out = str(tmp_path / "report.txt")
+        argv = ["verify", "--scenario", WORKED, "--seed", "0", "--out", out]
+        if fault:
+            argv.append("--inject-fault")
+        assert main(argv) == (EXIT_VERIFICATION if fault else EXIT_OK)
+        data = open(out, "rb").read()
+        lines = data.decode("utf-8").splitlines()
+        assert len(lines) == 2394
+        violated = [line for line in lines if "\tviolated\texpected=satisfied\t" in line]
+        if fault:
+            assert violated[0] == (
+                "scenario-pessimistic\tA1-\tviolated\texpected=satisfied\t"
+                "reflexivity fails at #0(x1:0, x2:0, x3:0, x4:1)"
+            )
+        else:
+            assert violated == []
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_bound_exceeded(self, tmp_path, capsys):
         out = str(tmp_path / "report.txt")
