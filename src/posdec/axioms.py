@@ -10,9 +10,10 @@ result repeats one already decided (members with equal rows, companions
 or class members with equal masked codes), so a violated predicate still
 returns the first concrete witness, which can be replayed.  A1-/B1 and
 A3-/B3 name the same predicates and share one evaluation per relation.
-Entailment sweeps run the axiom batteries across enumerated or
-seeded-sampled configuration families and report one line per axiom per
-configuration.
+Entailment sweeps check each configuration against its family in
+``FAMILIES`` (the family's battery is the key order of its expectations)
+across enumerated or seeded-sampled configuration families and report one
+line per axiom per configuration.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Iterable, Sequence
 
 from .lotteries import (
@@ -614,33 +615,39 @@ def enumerate_scale_maps(source: Scale, target: Scale) -> list[ScaleMap]:
     return maps
 
 
+def _scalar_config(
+    outcomes: OutcomeSet, h: ScaleMap, rank_key: dict[str, int]
+) -> ScalarUtilityConfig:
+    """The configuration whose prize utilities are the rank keys on h's target.
+
+    Preference classes follow the keys; the involution is forced on a
+    finite chain.
+    """
+    u_scale = h.target
+    prize = {label: u_scale.level(rank_key[label]) for label in outcomes.labels}
+    return ScalarUtilityConfig.build(
+        _outcomes_with_ranks(outcomes, rank_key), h, Involution.order_reversal(u_scale), prize
+    )
+
+
 def enumerate_scalar_configs(
     outcomes: OutcomeSet, scale: Scale
 ) -> list[ScalarUtilityConfig]:
     """Every valid scalar configuration over canonical utility scales.
 
     Ranges over utility-scale sizes up to the uncertainty scale, every
-    valid onto map, and every anchored prize assignment; the involution is
-    forced on a finite chain, and preference classes follow the assignment.
+    valid onto map, and every anchored prize assignment.
     """
     configs = []
     interior = tuple(
         l for l in outcomes.labels if l not in (outcomes.best, outcomes.worst)
     )
     for u_size in range(2, len(scale) + 1):
-        u_scale = canonical_scale(u_size, name="U")
-        reversal = Involution.order_reversal(u_scale)
-        for h in enumerate_scale_maps(scale, u_scale):
+        for h in enumerate_scale_maps(scale, canonical_scale(u_size, name="U")):
             for combo in itertools.product(range(u_size), repeat=len(interior)):
                 rank_key = {outcomes.best: u_size - 1, outcomes.worst: 0}
-                rank_key.update(dict(zip(interior, combo)))
-                variant = _outcomes_with_ranks(outcomes, rank_key)
-                prize = {
-                    label: u_scale.level(rank_key[label]) for label in outcomes.labels
-                }
-                configs.append(
-                    ScalarUtilityConfig.build(variant, h, reversal, prize)
-                )
+                rank_key.update(zip(interior, combo))
+                configs.append(_scalar_config(outcomes, h, rank_key))
     return configs
 
 
@@ -663,16 +670,12 @@ def sample_scalar_configs(
         nu = rng.randint(2, nv)
         base = canonical_outcomes(nx)
         v_scale = canonical_scale(nv)
-        u_scale = canonical_scale(nu, name="U")
-        h = rng.choice(enumerate_scale_maps(v_scale, u_scale))
-        reversal = Involution.order_reversal(u_scale)
+        h = rng.choice(enumerate_scale_maps(v_scale, canonical_scale(nu, name="U")))
         rank_key = {base.best: nu - 1, base.worst: 0}
         for label in base.labels:
             if label not in (base.best, base.worst):
                 rank_key[label] = rng.randrange(nu)
-        variant = _outcomes_with_ranks(base, rank_key)
-        prize = {label: u_scale.level(rank_key[label]) for label in base.labels}
-        out.append((base, v_scale, ScalarUtilityConfig.build(variant, h, reversal, prize)))
+        out.append((base, v_scale, _scalar_config(base, h, rank_key)))
     return out
 
 
@@ -687,82 +690,74 @@ def enumerate_assessments(
     (anchors relaxed), best prize highest and worst prize lowest.
     """
     top = len(scale) - 1
+    interior = [l for l in outcomes.labels if l not in (outcomes.best, outcomes.worst)]
     if half is None:
-        values = binary_utilities(scale)
-        interior = tuple(
-            l for l in outcomes.labels if l not in (outcomes.best, outcomes.worst)
-        )
-        result = []
-        for combo in itertools.product(values, repeat=len(interior)):
-            table = {
-                outcomes.best: BinaryUtility.of(scale.top, scale.bottom),
-                outcomes.worst: BinaryUtility.of(scale.bottom, scale.top),
-            }
-            table.update(dict(zip(interior, combo)))
-            rank_key = {label: binary_rank(table[label]) for label in outcomes.labels}
-            variant = _outcomes_with_ranks(outcomes, rank_key)
-            result.append(
-                BinaryUtilityAssessment.from_mapping(variant, scale, table)
-            )
-        return result
-    if half == "best":
-        pool = [BinaryUtility.of(scale.top, scale.level(m)) for m in range(top, -1, -1)]
-    elif half == "worst":
-        pool = [BinaryUtility.of(scale.level(l), scale.top) for l in range(top + 1)]
+        anchors = {
+            outcomes.best: BinaryUtility.of(scale.top, scale.bottom),
+            outcomes.worst: BinaryUtility.of(scale.bottom, scale.top),
+        }
+        tables = [
+            {**anchors, **dict(zip(interior, combo))}
+            for combo in itertools.product(binary_utilities(scale), repeat=len(interior))
+        ]
     else:
-        raise ValueError(f"unknown half {half!r}")
-    # pool is ascending; draw multisets and hand the extremes to the anchors.
+        if half == "best":
+            pool = [BinaryUtility.of(scale.top, scale.level(m)) for m in range(top, -1, -1)]
+        elif half == "worst":
+            pool = [BinaryUtility.of(scale.level(l), scale.top) for l in range(top + 1)]
+        else:
+            raise ValueError(f"unknown half {half!r}")
+        # pool is ascending; draw multisets and hand the extremes to the anchors.
+        labels = [outcomes.best, *interior, outcomes.worst]
+        tables = [
+            dict(zip(labels, sorted(combo, key=binary_rank, reverse=True)))
+            for combo in itertools.combinations_with_replacement(pool, len(labels))
+        ]
     result = []
-    n = len(outcomes.labels)
-    for combo in itertools.combinations_with_replacement(pool, n):
-        ordered = sorted(combo, key=binary_rank, reverse=True)
-        table = dict(zip(_best_first_labels(outcomes), ordered))
+    for table in tables:
         rank_key = {label: binary_rank(table[label]) for label in outcomes.labels}
         variant = _outcomes_with_ranks(outcomes, rank_key)
         result.append(
             BinaryUtilityAssessment.from_mapping(
-                variant, scale, table, require_anchors=False
+                variant, scale, table, require_anchors=half is None
             )
         )
     return result
-
-
-def _best_first_labels(outcomes: OutcomeSet) -> list[str]:
-    labels = [outcomes.best]
-    labels.extend(l for l in outcomes.labels if l not in (outcomes.best, outcomes.worst))
-    labels.append(outcomes.worst)
-    return labels
 
 
 # ---------------------------------------------------------------------------
 # Entailment sweeps
 
 
-SCALAR_EXPECTATIONS_PESS = {
-    "A1-": "satisfied", "A2-": "satisfied", "A3-": "satisfied", "A4-": "satisfied",
-    "B1": "satisfied", "B2": "informational", "B3": "satisfied", "B4": "satisfied",
-}
-SCALAR_EXPECTATIONS_OPT = {
-    "A1-": "satisfied", "A2+": "satisfied", "A3-": "satisfied", "A4+": "satisfied",
-    "B1": "satisfied", "B2": "informational", "B3": "satisfied", "B4": "satisfied",
-}
-BINARY_EXPECTATIONS = {
-    "B1": "satisfied", "B2": "satisfied", "B3": "satisfied", "B4": "satisfied",
-    "A2-": "violated", "A2+": "violated",
-    "A4-": "informational", "A4+": "informational",
-    "B4-": "informational", "B4+": "informational",
-}
-BEST_HALF_EXPECTATIONS = {
-    "B1": "satisfied", "A2-": "satisfied", "A4-": "satisfied", "B4-": "satisfied",
-    "B3": "satisfied", "B4": "satisfied",
-    "A2+": "informational", "A4+": "informational", "B4+": "informational",
-    "B2": "informational",
-}
-WORST_HALF_EXPECTATIONS = {
-    "B1": "satisfied", "A2+": "satisfied", "A4+": "satisfied", "B4+": "satisfied",
-    "B3": "satisfied", "B4": "satisfied",
-    "A2-": "informational", "A4-": "informational", "B4-": "informational",
-    "B2": "informational",
+# Each family's axioms with the outcome expected of each; a family's battery
+# is the key order of its expectations, and reports follow that order.
+FAMILIES: dict[str, dict[str, str]] = {
+    "pessimistic": {
+        "A1-": "satisfied", "A2-": "satisfied", "A3-": "satisfied", "A4-": "satisfied",
+        "B1": "satisfied", "B2": "informational", "B3": "satisfied", "B4": "satisfied",
+    },
+    "optimistic": {
+        "A1-": "satisfied", "A2+": "satisfied", "A3-": "satisfied", "A4+": "satisfied",
+        "B1": "satisfied", "B2": "informational", "B3": "satisfied", "B4": "satisfied",
+    },
+    "binary": {
+        "B1": "satisfied", "B2": "satisfied", "B3": "satisfied", "B4": "satisfied",
+        "A2-": "violated", "A2+": "violated",
+        "A4-": "informational", "A4+": "informational",
+        "B4-": "informational", "B4+": "informational",
+    },
+    "binary-best-half": {
+        "B1": "satisfied", "B2": "informational", "B3": "satisfied", "B4": "satisfied",
+        "A2-": "satisfied", "A2+": "informational",
+        "A4-": "satisfied", "A4+": "informational",
+        "B4-": "satisfied", "B4+": "informational",
+    },
+    "binary-worst-half": {
+        "B1": "satisfied", "B2": "informational", "B3": "satisfied", "B4": "satisfied",
+        "A2-": "informational", "A2+": "satisfied",
+        "A4-": "informational", "A4+": "satisfied",
+        "B4-": "informational", "B4+": "satisfied",
+    },
 }
 
 
@@ -811,42 +806,35 @@ class EntailmentRun:
         return not self.unexpected() and self.anomaly_exhibited()
 
 
-def _run_battery(
-    r: PreferenceRelation, axioms_wanted: Sequence[str]
-) -> list[AxiomReport]:
-    # A1-/B1 and A3-/B3 state one predicate each under two names; it is
-    # evaluated once and the report relabeled (no witness or detail names
-    # the axiom).
+# The check behind each axiom.  Entries look their check up by module name at
+# call time, so a wrapper set on the module attribute sees every call.
+_CHECKS = {
+    "A1-": lambda r: check_total_preorder(r),
+    "A2-": lambda r: check_uncertainty_attitude(r, "aversion"),
+    "A2+": lambda r: check_uncertainty_attitude(r, "attraction"),
+    "A3-": lambda r: check_substitutability(r),
+    "A4-": lambda r: check_continuity(r, "A4-"),
+    "A4+": lambda r: check_continuity(r, "A4+"),
+    "B2": lambda r: check_qualitative_monotonicity(r),
+    "B4": lambda r: check_continuity(r, "B4"),
+    "B4-": lambda r: check_continuity(r, "B4-"),
+    "B4+": lambda r: check_continuity(r, "B4+"),
+}
+# B1 and B3 restate A1- and A3-: one entry each, so one evaluation per
+# relation, relabeled (no witness or detail names the axiom).
+_CHECKS["B1"], _CHECKS["B3"] = _CHECKS["A1-"], _CHECKS["A3-"]
+
+
+def _run_battery(r: PreferenceRelation, battery: Iterable[str]) -> list[AxiomReport]:
     done: dict = {}
-
-    def shared(check, axiom: str) -> AxiomReport:
-        if check not in done:
-            done[check] = check(r, axiom_id=axiom)
-        return replace(done[check], axiom=axiom)
-
     reports = []
-    for axiom in axioms_wanted:
-        if axiom in ("A1-", "B1"):
-            reports.append(shared(check_total_preorder, axiom))
-        elif axiom == "A2-":
-            reports.append(check_uncertainty_attitude(r, "aversion"))
-        elif axiom == "A2+":
-            reports.append(check_uncertainty_attitude(r, "attraction"))
-        elif axiom in ("A3-", "B3"):
-            reports.append(shared(check_substitutability, axiom))
-        elif axiom in CONTINUITY_VARIANTS:
-            reports.append(check_continuity(r, axiom))
-        elif axiom == "B2":
-            reports.append(check_qualitative_monotonicity(r))
-        else:
-            raise ValueError(f"unknown axiom {axiom!r}")
+    for axiom in battery:
+        check = _CHECKS[axiom]
+        if check not in done:
+            done[check] = check(r)
+        report = done[check]
+        reports.append(report if report.axiom == axiom else replace(report, axiom=axiom))
     return reports
-
-
-PESS_BATTERY = ("A1-", "A2-", "A3-", "A4-", "B1", "B2", "B3", "B4")
-OPT_BATTERY = ("A1-", "A2+", "A3-", "A4+", "B1", "B2", "B3", "B4")
-BINARY_BATTERY = ("B1", "B2", "B3", "B4", "A2-", "A2+", "A4-", "A4+", "B4-", "B4+")
-HALF_BATTERY = ("B1", "B2", "B3", "B4", "A2-", "A2+", "A4-", "A4+", "B4-", "B4+")
 
 
 def verify_entailments(
@@ -866,99 +854,61 @@ def verify_entailments(
     Families: the caller's own configuration over its universe (if given);
     fully enumerated configurations for every space within
     ``enumerate_max``; and a seeded sample of scalar configurations drawn
-    within the sample bounds.  ``fault`` flips one entry of the first
-    relation built, for exercising the failure path end to end.
+    within the sample bounds.  Each configuration runs its family's battery
+    from ``FAMILIES``, the key order of the family's expectations.
+    ``fault`` flips one entry of the first relation built, for exercising
+    the failure path end to end.
     """
-    run = EntailmentRun()
-    faulted = fault
+    for given, what in ((scalar_config, "config"), (assessment, "assessment")):
+        if given is not None and universe is None:
+            raise ValueError(f"a universe is required to check the scenario {what}")
 
-    def scalar_outcome(config_id: str, relation, optimistic: bool) -> ConfigOutcome:
-        battery = OPT_BATTERY if optimistic else PESS_BATTERY
-        expectations = SCALAR_EXPECTATIONS_OPT if optimistic else SCALAR_EXPECTATIONS_PESS
-        return ConfigOutcome(
-            config_id,
-            "optimistic" if optimistic else "pessimistic",
-            _run_battery(relation, battery),
-            dict(expectations),
-        )
-
-    def build(universe_, evaluate):
-        nonlocal faulted
-        relation = induced_relation(universe_, evaluate)
-        if faulted is not None:
-            relation = relation.with_flipped(*faulted)
-            faulted = None
-        return relation
-
-    if scalar_config is not None:
-        if universe is None:
-            raise ValueError("a universe is required to check the scenario config")
-        rel = build(universe, partial(pessimistic_utility, cfg=scalar_config))
-        run.configs.append(scalar_outcome("scenario-pessimistic", rel, optimistic=False))
-        rel = build(universe, partial(optimistic_utility, cfg=scalar_config))
-        run.configs.append(scalar_outcome("scenario-optimistic", rel, optimistic=True))
-    if assessment is not None:
-        if universe is None:
-            raise ValueError("a universe is required to check the scenario assessment")
-        rel = build(universe, partial(binary_utility, a=assessment))
-        run.configs.append(
-            ConfigOutcome(
-                "scenario-binary", "binary",
-                _run_battery(rel, BINARY_BATTERY), dict(BINARY_EXPECTATIONS),
-            )
-        )
-
-    cache: dict[tuple[int, int], LotteryUniverse] = {}
-
+    @cache
     def universe_for(nx: int, nv: int) -> LotteryUniverse:
-        if (nx, nv) not in cache:
-            cache[(nx, nv)] = LotteryUniverse(canonical_outcomes(nx), canonical_scale(nv))
-        return cache[(nx, nv)]
+        return LotteryUniverse(canonical_outcomes(nx), canonical_scale(nv))
 
-    max_x, max_v = enumerate_max
-    for nx in range(2, max_x + 1):
-        for nv in range(2, max_v + 1):
+    def scalar(pess_id: str, opt_id: str, uni: LotteryUniverse, cfg: ScalarUtilityConfig):
+        yield pess_id, "pessimistic", uni, partial(pessimistic_utility, cfg=cfg)
+        yield opt_id, "optimistic", uni, partial(optimistic_utility, cfg=cfg)
+
+    def configs():
+        """(config id, family, universe, evaluator) per configuration, in report order."""
+        if scalar_config is not None:
+            yield from scalar(
+                "scenario-pessimistic", "scenario-optimistic", universe, scalar_config
+            )
+        if assessment is not None:
+            yield "scenario-binary", "binary", universe, partial(binary_utility, a=assessment)
+        max_x, max_v = enumerate_max
+        for nx, nv in itertools.product(range(2, max_x + 1), range(2, max_v + 1)):
             uni = universe_for(nx, nv)
             for i, cfg in enumerate(enumerate_scalar_configs(uni.outcomes, uni.scale)):
-                rel = build(uni, partial(pessimistic_utility, cfg=cfg))
-                run.configs.append(
-                    scalar_outcome(f"pess-enum-{nx}x{nv}-{i:03d}", rel, optimistic=False)
-                )
-                rel = build(uni, partial(optimistic_utility, cfg=cfg))
-                run.configs.append(
-                    scalar_outcome(f"opt-enum-{nx}x{nv}-{i:03d}", rel, optimistic=True)
-                )
-            for i, a in enumerate(enumerate_assessments(uni.outcomes, uni.scale)):
-                rel = build(uni, partial(binary_utility, a=a))
-                run.configs.append(
-                    ConfigOutcome(
-                        f"binary-enum-{nx}x{nv}-{i:03d}", "binary",
-                        _run_battery(rel, BINARY_BATTERY), dict(BINARY_EXPECTATIONS),
-                    )
-                )
-            for half, family, expectations in (
-                ("best", "binary-best-half", BEST_HALF_EXPECTATIONS),
-                ("worst", "binary-worst-half", WORST_HALF_EXPECTATIONS),
+                tag = f"enum-{nx}x{nv}-{i:03d}"
+                yield from scalar(f"pess-{tag}", f"opt-{tag}", uni, cfg)
+            for prefix, family, half in (
+                ("binary-enum", "binary", None),
+                ("binary-best-half", "binary-best-half", "best"),
+                ("binary-worst-half", "binary-worst-half", "worst"),
             ):
-                for i, a in enumerate(enumerate_assessments(uni.outcomes, uni.scale, half=half)):
-                    rel = build(uni, partial(binary_utility, a=a))
-                    run.configs.append(
-                        ConfigOutcome(
-                            f"{family}-{nx}x{nv}-{i:03d}", family,
-                            _run_battery(rel, HALF_BATTERY), dict(expectations),
-                        )
-                    )
+                for i, a in enumerate(enumerate_assessments(uni.outcomes, uni.scale, half)):
+                    yield f"{prefix}-{nx}x{nv}-{i:03d}", family, uni, partial(binary_utility, a=a)
+        if sample_size > 0:
+            sampled = sample_scalar_configs(
+                seed, sample_size, sample_max_outcomes, sample_max_levels
+            )
+            for i, (base, v_scale, cfg) in enumerate(sampled):
+                uni = universe_for(len(base.labels), len(v_scale))
+                yield from scalar(f"pess-sample-{i:03d}", f"opt-sample-{i:03d}", uni, cfg)
 
-    if sample_size > 0:
-        sampled = sample_scalar_configs(
-            seed, sample_size, sample_max_outcomes, sample_max_levels
-        )
-        for i, (base, v_scale, cfg) in enumerate(sampled):
-            uni = universe_for(len(base.labels), len(v_scale))
-            rel = build(uni, partial(pessimistic_utility, cfg=cfg))
-            run.configs.append(scalar_outcome(f"pess-sample-{i:03d}", rel, optimistic=False))
-            rel = build(uni, partial(optimistic_utility, cfg=cfg))
-            run.configs.append(scalar_outcome(f"opt-sample-{i:03d}", rel, optimistic=True))
+    run = EntailmentRun()
+    for config_id, family, uni, evaluate in configs():
+        relation = induced_relation(uni, evaluate)
+        if fault is not None:
+            relation = relation.with_flipped(*fault)
+            fault = None
+        expectations = FAMILIES[family]
+        reports = _run_battery(relation, expectations)
+        run.configs.append(ConfigOutcome(config_id, family, reports, dict(expectations)))
     return run
 
 

@@ -82,16 +82,19 @@ class Scenario:
         return self.scale_u if self.scale_u is not None else self.scale_v
 
 
-def load_scenario(path: str) -> Scenario:
-    """Read and validate a scenario file."""
+def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: parse error: {exc}") from exc
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
-    return parse_scenario(data, source=path)
+
+
+def load_scenario(path: str) -> Scenario:
+    """Read and validate a scenario file."""
+    return parse_scenario(_load_json(path), source=path)
 
 
 def parse_scenario(data: Mapping, source: str = "<scenario>") -> Scenario:
@@ -100,24 +103,39 @@ def parse_scenario(data: Mapping, source: str = "<scenario>") -> Scenario:
     def fail(message: str) -> ScenarioError:
         return ScenarioError(f"{source}: {message}")
 
-    if not isinstance(data, Mapping):
-        raise fail("scenario must be a JSON object")
+    def expect_object(value, what: str) -> Mapping:
+        if not isinstance(value, Mapping):
+            raise fail(f"{what} must be a JSON object")
+        return value
+
+    def expect_labels(value, what: str) -> tuple[str, ...]:
+        if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+            raise fail(f"{what} must be a JSON array of strings")
+        return tuple(value)
+
+    def optional_object(key: str) -> Mapping:
+        value = data.get(key)
+        return {} if value is None else expect_object(value, key)
+
+    expect_object(data, "scenario")
     if "scale_v" not in data:
         raise fail("missing scale_v")
     if "outcomes" not in data:
         raise fail("missing outcomes")
-    try:
-        scale_v = Scale(tuple(data["scale_v"]), name="V")
-    except ValueError as exc:
-        raise fail(f"scale_v: {exc}") from exc
-    scale_u = None
-    if data.get("scale_u") is not None:
-        try:
-            scale_u = Scale(tuple(data["scale_u"]), name="U")
-        except ValueError as exc:
-            raise fail(f"scale_u: {exc}") from exc
 
-    decl = data["outcomes"]
+    def parse_scale(key: str, name: str) -> Scale:
+        labels = expect_labels(data[key], key)
+        try:
+            return Scale(labels, name=name)
+        except ValueError as exc:
+            raise fail(f"{key}: {exc}") from exc
+
+    scale_v = parse_scale("scale_v", "V")
+    scale_u = parse_scale("scale_u", "U") if data.get("scale_u") is not None else None
+
+    decl = expect_object(data["outcomes"], "outcomes")
+    if "labels" in decl:
+        expect_labels(decl["labels"], "outcomes labels")
     try:
         preference = decl.get("preference")
         outcomes = OutcomeSet(
@@ -131,12 +149,14 @@ def parse_scenario(data: Mapping, source: str = "<scenario>") -> Scenario:
 
     states = None
     if data.get("states") is not None:
+        labels = expect_labels(data["states"], "states")
         try:
-            states = StateSpace(tuple(data["states"]))
+            states = StateSpace(labels)
         except ValueError as exc:
             raise fail(f"states: {exc}") from exc
 
     def parse_distribution(domain, table: Mapping[str, str], what: str):
+        expect_object(table, what)
         try:
             values = {label: scale_v[level] for label, level in table.items()}
         except KeyError as exc:
@@ -155,9 +175,10 @@ def parse_scenario(data: Mapping, source: str = "<scenario>") -> Scenario:
         )
 
     decisions: dict[str, Decision] = {}
-    for name, table in (data.get("decisions") or {}).items():
+    for name, table in optional_object("decisions").items():
         if states is None:
             raise fail(f"decision {name!r} given without states")
+        expect_object(table, f"decision {name!r}")
         try:
             decision = Decision.from_mapping(states, table)
         except ValueError as exc:
@@ -169,14 +190,14 @@ def parse_scenario(data: Mapping, source: str = "<scenario>") -> Scenario:
 
     lotteries = {
         name: parse_distribution(outcomes, table, f"lottery {name!r}")
-        for name, table in (data.get("lotteries") or {}).items()
+        for name, table in optional_object("lotteries").items()
     }
 
     assessment = None
     if data.get("assessment") is not None:
         table = {}
-        for label, pair in data["assessment"].items():
-            if len(pair) != 2:
+        for label, pair in expect_object(data["assessment"], "assessment").items():
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise fail(f"assessment for {label!r} must be a two-element array")
             try:
                 table[label] = BinaryUtility.of(scale_v[pair[0]], scale_v[pair[1]])
@@ -189,7 +210,10 @@ def parse_scenario(data: Mapping, source: str = "<scenario>") -> Scenario:
 
     pessimistic_config = None
     if data.get("pessimistic_config") is not None:
-        cfg = data["pessimistic_config"]
+        cfg = expect_object(data["pessimistic_config"], "pessimistic_config")
+        for key in ("n", "h", "u"):
+            if key in cfg:
+                expect_object(cfg[key], f"pessimistic_config {key}")
         target = scale_u if scale_u is not None else scale_v
         try:
             involution = Involution.from_labels(target, cfg["n"])
@@ -378,16 +402,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"{len(unexpected)} unexpected outcomes (report: {args.out})"
     )
     return EXIT_VERIFICATION
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: parse error: {exc}") from exc
-    except OSError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def cmd_convert_spohn(args: argparse.Namespace) -> int:

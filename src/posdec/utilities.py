@@ -20,9 +20,6 @@ from .scales import (
     Scale,
     ScaleMap,
     ScaleMismatchError,
-    UtilityPair,
-    ext_max,
-    ext_min,
     validate_involution,
     validate_scale_map,
 )
@@ -247,19 +244,27 @@ class BinaryUtilityAssessment:
         return all(b == top for _, b in self.pair_indices)
 
 
+def _fold_pairs(pi: PossibilityDistribution, a: BinaryUtilityAssessment) -> tuple[int, int]:
+    """Max over prizes of min(possibility, each component of the prize's pair).
+
+    On scale indices: the extended max of extended mins, one component at
+    a time.
+    """
+    _check_domain(pi, a.outcomes, a.scale)
+    first = second = 0
+    for v_idx, (p_first, p_second) in zip(pi.indices, a.pair_indices):
+        first = max(first, min(v_idx, p_first))
+        second = max(second, min(v_idx, p_second))
+    return first, second
+
+
 def binary_utility(
     pi: PossibilityDistribution, a: BinaryUtilityAssessment
 ) -> BinaryUtility:
     """Extended max over prizes of extended min(possibility, prize pair)."""
-    _check_domain(pi, a.outcomes, a.scale)
-    scale = a.scale
-    acc: UtilityPair | None = None
-    for v_idx, label in zip(pi.indices, a.outcomes.labels):
-        term = ext_min(scale.level(v_idx), a.utility_for(label).pair)
-        acc = term if acc is None else ext_max(acc, term)
-    assert acc is not None
+    first, second = _fold_pairs(pi, a)
     # Normalization of pi guarantees the fold lands back on the binary scale.
-    return BinaryUtility(acc)
+    return BinaryUtility.of(a.scale.level(first), a.scale.level(second))
 
 
 def reduce_to_standard(
@@ -271,12 +276,7 @@ def reduce_to_standard(
     weight is max min(possibility, first component), the worst-prize
     weight is max min(possibility, second component).
     """
-    _check_domain(pi, a.outcomes, a.scale)
-    best = 0
-    worst = 0
-    for v_idx, (first, second) in zip(pi.indices, a.pair_indices):
-        best = max(best, min(v_idx, first))
-        worst = max(worst, min(v_idx, second))
+    best, worst = _fold_pairs(pi, a)
     return StandardLottery(a.scale.level(best), a.scale.level(worst))
 
 

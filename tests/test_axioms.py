@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posdec import axioms
 from posdec.axioms import (
+    CONTINUITY_VARIANTS,
+    FAMILIES,
     LotteryUniverse,
     PreferenceRelation,
     canonical_outcomes,
@@ -346,6 +349,48 @@ class TestVerifyEntailments:
         assert [cfg.scale_map.images for _, _, cfg in a] == [
             cfg.scale_map.images for _, _, cfg in b
         ]
+
+    @pytest.mark.parametrize(
+        "given, named", [("scalar_config", "config"), ("assessment", "assessment")]
+    )
+    def test_scenario_family_needs_a_universe(self, example_scenario, given, named):
+        value = {
+            "scalar_config": example_scenario.pessimistic_config,
+            "assessment": example_scenario.assessment,
+        }[given]
+        with pytest.raises(ValueError, match=f"required to check the scenario {named}$"):
+            verify_entailments(sample_size=0, enumerate_max=(2, 2), **{given: value})
+
+    def test_checks_are_reached_by_module_name(self, monkeypatch):
+        """Wrappers set on the module attributes see one call per relation and need.
+
+        A1-/B1 share one preorder call per relation; each continuity variant
+        of the family's battery is one call, in battery order.
+        """
+        calls = {"preorder": [], "continuity": []}
+
+        def counting(kind, check):
+            def wrapper(r, *args):
+                calls[kind].append((r, args))
+                return check(r, *args)
+            return wrapper
+
+        monkeypatch.setattr(
+            axioms, "check_total_preorder", counting("preorder", check_total_preorder)
+        )
+        monkeypatch.setattr(axioms, "check_continuity", counting("continuity", check_continuity))
+        run = verify_entailments(sample_size=0, enumerate_max=(2, 2))
+        # Every battery starts with the preorder check, so its calls follow the configs.
+        relations = [r for r, _ in calls["preorder"]]
+        assert len(relations) == len(run.configs) == 9
+        assert len({id(r) for r in relations}) == len(relations)
+        for relation, config in zip(relations, run.configs):
+            variants = [args[0] for r, args in calls["continuity"] if r is relation]
+            wanted = [a for a in FAMILIES[config.family] if a in CONTINUITY_VARIANTS]
+            assert variants == wanted
+        assert len(calls["continuity"]) == sum(
+            a in CONTINUITY_VARIANTS for c in run.configs for a in FAMILIES[c.family]
+        )
 
     def test_enumerated_config_counts(self):
         outcomes = canonical_outcomes(3)

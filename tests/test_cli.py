@@ -359,3 +359,60 @@ class TestScenarioParsing:
     def test_scale_u_defaults_to_scale_v(self, anomaly_scenario):
         assert anomaly_scenario.scale_u is None
         assert anomaly_scenario.utility_scale == anomaly_scenario.scale_v
+
+
+def _set(path, value):
+    """A scenario edit that sets the value at ``path`` (keys from the root)."""
+    def edit(data):
+        node = data
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+    return edit
+
+
+WRONGLY_SHAPED = [
+    pytest.param("outcomes", _set(("outcomes",), ["a", "b"]), id="outcomes-array"),
+    pytest.param("outcomes labels", _set(("outcomes", "labels"), "x1"), id="labels-string"),
+    pytest.param("scale_v", _set(("scale_v",), 5), id="scale_v-number"),
+    pytest.param("scale_u", _set(("scale_u",), 7), id="scale_u-number"),
+    pytest.param("lottery 'pi1'", _set(("lotteries", "pi1"), "x1"), id="lottery-string"),
+    pytest.param("lotteries", _set(("lotteries",), ["pi1"]), id="lotteries-array"),
+    pytest.param("assessment for 'x2'", _set(("assessment", "x2"), 3), id="assessment-entry-3"),
+    pytest.param("assessment", _set(("assessment",), [["1", "0"]]), id="assessment-array"),
+    pytest.param("states", _set(("states",), 5), id="states-number"),
+    pytest.param("states", _set(("states",), [["s1"]]), id="states-nested"),
+    pytest.param("decisions", _set(("decisions",), ["steady"]), id="decisions-array"),
+    pytest.param("decision 'steady'", _set(("decisions", "steady"), 4), id="decision-number"),
+    pytest.param("pessimistic_config", _set(("pessimistic_config",), 5), id="config-number"),
+    pytest.param(
+        "pessimistic_config n", _set(("pessimistic_config", "n"), ["0", "1"]), id="config-n-array"
+    ),
+    pytest.param(
+        "pessimistic_config u", _set(("pessimistic_config", "u"), 3), id="config-u-number"
+    ),
+]
+
+
+class TestWronglyShapedScenario:
+    """A section of the wrong JSON type is a validation error naming the section."""
+
+    @staticmethod
+    def scenario(edit):
+        data = copy.deepcopy(worked_example.SCENARIO)
+        data["states"] = ["s1", "s2"]
+        data["state_possibility"] = {"s1": "1", "s2": ".5"}
+        data["decisions"] = {"steady": {"s1": "x2", "s2": "x2"}}
+        edit(data)
+        return data
+
+    @pytest.mark.parametrize("section, edit", WRONGLY_SHAPED)
+    def test_parse_names_the_section(self, section, edit):
+        with pytest.raises(ScenarioError, match=f"^<scenario>: {section}"):
+            parse_scenario(self.scenario(edit))
+
+    @pytest.mark.parametrize("section, edit", WRONGLY_SHAPED)
+    def test_rank_exits_with_validation_error(self, tmp_path, capsys, section, edit):
+        path = write_scenario(tmp_path, self.scenario(edit))
+        assert main(["rank", "--scenario", path, "--method", "binary"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {path}: {section}")

@@ -5,7 +5,12 @@ from functools import partial
 
 import pytest
 
-from posdec.axioms import canonical_outcomes, canonical_scale, enumerate_scalar_configs
+from posdec.axioms import (
+    canonical_outcomes,
+    canonical_scale,
+    enumerate_assessments,
+    enumerate_scalar_configs,
+)
 from posdec.lotteries import (
     OutcomeSet,
     StandardLottery,
@@ -14,7 +19,7 @@ from posdec.lotteries import (
     point_mass,
     standard_lotteries,
 )
-from posdec.scales import BinaryUtility, Involution, Scale, ScaleMap
+from posdec.scales import BinaryUtility, Involution, Scale, ScaleMap, ext_max, ext_min
 from posdec.utilities import (
     BinaryUtilityAssessment,
     ScalarUtilityConfig,
@@ -36,6 +41,15 @@ def anchors_only_assessment(outcomes: OutcomeSet, scale: Scale) -> BinaryUtility
     )
     ranked = OutcomeSet(outcomes.labels, outcomes.best, outcomes.worst, classes)
     return BinaryUtilityAssessment.from_mapping(ranked, scale, table)
+
+
+def binary_utility_by_pair_algebra(pi, a: BinaryUtilityAssessment) -> BinaryUtility:
+    """Reference fold on Level and UtilityPair values: ext_max of ext_min terms."""
+    acc = None
+    for label, level in pi.items():
+        term = ext_min(level, a.utility_for(label).pair)
+        acc = term if acc is None else ext_max(acc, term)
+    return BinaryUtility(acc)
 
 
 class TestPessimistic:
@@ -189,6 +203,18 @@ class TestBinaryUtility:
         for pi in members:
             value = binary_utility(pi, s.assessment)
             assert value.first == top or value.second == top
+
+    @pytest.mark.parametrize("nx, nv", [(nx, nv) for nx in (2, 3) for nv in (2, 3, 4)])
+    @pytest.mark.parametrize("half", [None, "best", "worst"])
+    def test_index_fold_matches_pair_algebra(self, nx, nv, half):
+        outcomes, scale = canonical_outcomes(nx), canonical_scale(nv)
+        members = enumerate_distributions(outcomes, scale)
+        for a in enumerate_assessments(outcomes, scale, half=half):
+            for pi in members:
+                expected = binary_utility_by_pair_algebra(pi, a)
+                assert binary_utility(pi, a) == expected
+                sl = reduce_to_standard(pi, a)
+                assert (sl.best_weight, sl.worst_weight) == (expected.first, expected.second)
 
     def test_assessment_anchor_validation(self, example_scenario):
         s = example_scenario
