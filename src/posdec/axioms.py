@@ -1,9 +1,9 @@
 """Exhaustive desk-scale verification of preference axioms.
 
-A preference relation over a complete universe of lotteries is held both
-as a boolean matrix (``holds``) and as one bitset per row (``rows``); the
-checks run on the bitsets.  Lotteries are thermometer-coded, one run of
-low ones per prize, so the max-min mixture of two lotteries is two masks
+A preference relation over a complete universe of lotteries is its rows:
+one bitset per member (``rows``), the only form stored and the one every
+check reads.  Lotteries are thermometer-coded, one run of low ones per
+prize, so the max-min mixture of two lotteries is two masks
 and an ``|`` on their codes.  Every axiom is a decidable predicate over
 the relation and every check stays complete: it skips only cases whose
 result repeats one already decided (members with equal rows, companions
@@ -27,7 +27,6 @@ from typing import Iterable, Sequence
 
 from .lotteries import (
     OutcomeSet,
-    PossibilityDistribution,
     enumerate_distributions,
 )
 from .scales import (
@@ -88,9 +87,6 @@ class LotteryUniverse:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def member(self, index: int) -> PossibilityDistribution:
-        return self.members[index]
 
     def describe(self, index: int) -> str:
         return f"#{index}{self.members[index]}"
@@ -156,39 +152,29 @@ class LotteryUniverse:
 class PreferenceRelation:
     """An 'at least as good as' relation over a lottery universe.
 
-    ``holds[i][j]`` is the matrix entry and ``rows[i]`` the same row as a
-    bitset, bit j set iff ``holds[i][j]``.
+    The relation is its ``rows``, one bitset per member: bit j of
+    ``rows[i]`` is set iff member i is at least as good as member j.
     """
 
-    def __init__(self, universe: LotteryUniverse, holds: Sequence[Sequence[bool]]):
+    def __init__(self, universe: LotteryUniverse, rows: Sequence[int]):
         self.universe = universe
-        self.holds = tuple(tuple(bool(v) for v in row) for row in holds)
-        self.size = len(self.holds)
+        self.rows = list(rows)
+        self.size = len(self.rows)
         if self.size != len(universe):
             raise ValueError("relation size does not match the universe")
-        self.rows = [
-            sum(1 << j for j, v in enumerate(row) if v) for row in self.holds
-        ]
+        if any(row >> self.size for row in self.rows):
+            raise ValueError("relation row has bits past the universe")
 
-    @classmethod
-    def _from_rows(
-        cls, universe: LotteryUniverse, holds: tuple[tuple[bool, ...], ...], rows: list[int]
-    ) -> "PreferenceRelation":
-        """Wrap an already consistent matrix and its bitset rows, unchecked."""
-        self = object.__new__(cls)
-        self.universe = universe
-        self.holds = holds
-        self.size = len(holds)
-        self.rows = rows
-        return self
+    def at_least(self, i: int, j: int) -> bool:
+        return bool(self.rows[i] >> j & 1)
 
     def indifferent(self, i: int, j: int) -> bool:
-        return self.holds[i][j] and self.holds[j][i]
+        return bool(self.rows[i] >> j & self.rows[j] >> i & 1)
 
     def with_flipped(self, i: int, j: int) -> "PreferenceRelation":
         """Copy with one entry negated; used for fault injection."""
-        rows = [list(row) for row in self.holds]
-        rows[i][j] = not rows[i][j]
+        rows = list(self.rows)
+        rows[i] ^= 1 << j
         return PreferenceRelation(self.universe, rows)
 
     @cached_property
@@ -201,7 +187,7 @@ class PreferenceRelation:
 
     @cached_property
     def columns(self) -> list[int]:
-        """Bitset per member j of the members i with ``holds[i][j]``."""
+        """Bitset per member j of the members i at least as good as j."""
         cols = [0] * self.size
         for row, members in self.row_groups:
             while row:
@@ -212,7 +198,7 @@ class PreferenceRelation:
 
 
 def induced_relation(universe: LotteryUniverse, evaluate: Evaluator) -> PreferenceRelation:
-    """holds(i, j) iff the utility of member i is at least that of member j.
+    """Member i is at least as good as member j iff its utility is at least j's.
 
     Each member is evaluated once and members with equal utility share one
     row, so only the distinct utilities are compared with each other.
@@ -230,12 +216,8 @@ def induced_relation(universe: LotteryUniverse, evaluate: Evaluator) -> Preferen
             members.append(0)
         members[g] |= 1 << i
         group.append(g)
-    ge = [[bool(a >= b) for b in values] for a in values]
-    row_of = [sum(bits for bits, at_least in zip(members, ge_g) if at_least) for ge_g in ge]
-    holds_of = [tuple([ge_g[h] for h in group]) for ge_g in ge]
-    return PreferenceRelation._from_rows(
-        universe, tuple(holds_of[g] for g in group), [row_of[g] for g in group]
-    )
+    row_of = [sum(bits for bits, b in zip(members, values) if a >= b) for a in values]
+    return PreferenceRelation(universe, [row_of[g] for g in group])
 
 
 @dataclass(frozen=True)
@@ -274,7 +256,8 @@ def check_total_preorder(r: PreferenceRelation, axiom_id: str = "B1") -> AxiomRe
     for i, row_i in enumerate(rows):
         if row_i in passed:
             continue
-        # j with holds[i][j] whose row reaches past row_i breaks transitivity.
+        # A j that i is at least as good as, whose row reaches past row_i,
+        # breaks transitivity.
         bad = 0
         for row_j, members in groups:
             if row_j & ~row_i:
@@ -337,8 +320,8 @@ def default_weight_pairs(scale: Scale) -> tuple[tuple[int, int], ...]:
 def _indifference_classes(r: PreferenceRelation) -> list[int] | None:
     """Class index per member when indifference is an equivalence, else None.
 
-    Classes are numbered in order of their first member; a member without
-    ``holds[i][i]`` is indifferent to nothing and gets class -1.
+    Classes are numbered in order of their first member; a member not at
+    least as good as itself is indifferent to nothing and gets class -1.
     """
     rows, cols = r.rows, r.columns
     class_of = [-1] * r.size
@@ -515,6 +498,21 @@ def check_continuity(r: PreferenceRelation, variant: str) -> AxiomReport:
     return AxiomReport(variant, True)
 
 
+def _first_standard_mismatch(r: PreferenceRelation, expected) -> tuple[int, int] | None:
+    """First standard pair (ia, ib) whose entry differs from ``expected``.
+
+    ``expected(la, ma, lb, mb)`` gives the entry required of standard
+    members with weights (la, ma) and (lb, mb); pairs are scanned in
+    ``standard_info`` order, ia outer.
+    """
+    std = r.universe.standard_info
+    for ia, la, ma in std:
+        for ib, lb, mb in std:
+            if r.at_least(ia, ib) != expected(la, ma, lb, mb):
+                return ia, ib
+    return None
+
+
 def check_qualitative_monotonicity(r: PreferenceRelation, axiom_id: str = "B2") -> AxiomReport:
     """On standard lotteries, preference must equal the three-case pair order.
 
@@ -522,19 +520,17 @@ def check_qualitative_monotonicity(r: PreferenceRelation, axiom_id: str = "B2") 
     """
     universe = r.universe
     top = len(universe.scale) - 1
-    std = universe.standard_info
-    for ia, la, ma in std:
-        for ib, lb, mb in std:
-            expected = pair_ge_indices(la, ma, lb, mb, top)
-            if r.holds[ia][ib] != expected:
-                direction = "holds but the pair order denies it" if r.holds[ia][ib] \
-                    else "fails but the pair order requires it"
-                return AxiomReport(
-                    axiom_id, False, (ia, ib),
-                    f"qualitative monotonicity fails: {universe.describe(ia)} >= "
-                    f"{universe.describe(ib)} {direction}",
-                )
-    return AxiomReport(axiom_id, True)
+    bad = _first_standard_mismatch(r, partial(pair_ge_indices, top=top))
+    if bad is None:
+        return AxiomReport(axiom_id, True)
+    ia, ib = bad
+    direction = "holds but the pair order denies it" if r.at_least(ia, ib) \
+        else "fails but the pair order requires it"
+    return AxiomReport(
+        axiom_id, False, bad,
+        f"qualitative monotonicity fails: {universe.describe(ia)} >= "
+        f"{universe.describe(ib)} {direction}",
+    )
 
 
 def check_standard_order_decomposition(r: PreferenceRelation) -> AxiomReport:
@@ -546,21 +542,21 @@ def check_standard_order_decomposition(r: PreferenceRelation) -> AxiomReport:
     """
     universe = r.universe
     top = len(universe.scale) - 1
-    std = universe.standard_info
-    for ia, la, ma in std:
-        for ib, lb, mb in std:
-            union = (
-                (la == top and lb == top and ma <= mb)
-                or (ma == top and mb == top and la >= lb)
-                or (la == top and mb == top)
-            )
-            if r.holds[ia][ib] != union:
-                return AxiomReport(
-                    "B2-decomposition", False, (ia, ib),
-                    f"decomposition fails on {universe.describe(ia)} vs "
-                    f"{universe.describe(ib)}",
-                )
-    return AxiomReport("B2-decomposition", True)
+    bad = _first_standard_mismatch(
+        r,
+        lambda la, ma, lb, mb: (
+            (la == top and lb == top and ma <= mb)
+            or (ma == top and mb == top and la >= lb)
+            or (la == top and mb == top)
+        ),
+    )
+    if bad is None:
+        return AxiomReport("B2-decomposition", True)
+    ia, ib = bad
+    return AxiomReport(
+        "B2-decomposition", False, bad,
+        f"decomposition fails on {universe.describe(ia)} vs {universe.describe(ib)}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -763,12 +759,15 @@ FAMILIES: dict[str, dict[str, str]] = {
 
 @dataclass
 class ConfigOutcome:
-    """All axiom reports for one configuration, with their expectations."""
+    """All axiom reports for one configuration of a family in ``FAMILIES``."""
 
     config_id: str
     family: str
     reports: list[AxiomReport]
-    expectations: dict[str, str]
+
+    @property
+    def expectations(self) -> dict[str, str]:
+        return FAMILIES[self.family]
 
     def unexpected(self) -> list[str]:
         bad = []
@@ -906,9 +905,8 @@ def verify_entailments(
         if fault is not None:
             relation = relation.with_flipped(*fault)
             fault = None
-        expectations = FAMILIES[family]
-        reports = _run_battery(relation, expectations)
-        run.configs.append(ConfigOutcome(config_id, family, reports, dict(expectations)))
+        reports = _run_battery(relation, FAMILIES[family])
+        run.configs.append(ConfigOutcome(config_id, family, reports))
     return run
 
 

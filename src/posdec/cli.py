@@ -406,10 +406,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_convert_spohn(args: argparse.Namespace) -> int:
     data = _load_json(args.input)
-    if isinstance(data, dict) and "values" in data:
-        values = data["values"]
-    else:
-        values = data
+
+    def fail(message: str) -> ScenarioError:
+        return ScenarioError(f"{args.input}: {message}")
+
+    # The values table is the document itself or its "values" member.
+    values = data["values"] if isinstance(data, dict) and "values" in data else data
+    if not isinstance(values, dict):
+        raise fail("values must be a JSON object")
     if args.direction == "to-possibility":
         table = {}
         for label, value in values.items():
@@ -418,8 +422,8 @@ def cmd_convert_spohn(args: argparse.Namespace) -> int:
             elif isinstance(value, int) and not isinstance(value, bool):
                 table[label] = value
             else:
-                raise ScenarioError(
-                    f"disbelief value for {label!r} must be a non-negative "
+                raise fail(
+                    f"values: disbelief value for {label!r} must be a non-negative "
                     f"integer or \"infinity\""
                 )
         delta = DisbeliefFunction.from_mapping(table)
@@ -429,20 +433,39 @@ def cmd_convert_spohn(args: argparse.Namespace) -> int:
             "values": {label: level.label for label, level in pi.items()},
         }
     else:
-        if isinstance(data, dict) and "scale" in data:
-            scale = Scale(tuple(data["scale"]), name="V")
-            dist_values = {label: scale[level] for label, level in values.items()}
+        if "scale" in data:
+            labels = data["scale"]
+            if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
+                raise fail("scale must be a JSON array of strings")
+            try:
+                scale = Scale(tuple(labels), name="V")
+            except ValueError as exc:
+                raise fail(f"scale: {exc}") from exc
+            dist_values = {}
+            for label, value in values.items():
+                if value not in labels:
+                    raise fail(f"values: level {value!r} for {label!r} is not on the scale")
+                dist_values[label] = scale[value]
         else:
             # Bare label table: synthesize the scale from the values present.
-            points = sorted(
-                {Fraction(v) for v in values.values()} | {Fraction(0), Fraction(1)}
-            )
+            points = {}
+            for label, value in values.items():
+                try:
+                    points[label] = Fraction(value)
+                except (TypeError, ValueError, ArithmeticError):
+                    raise fail(
+                        f"values: level for {label!r} must be a number or a decimal "
+                        f"label, not {value!r}"
+                    ) from None
             scale = Scale(
-                tuple(format_fraction_label(p) for p in points), name="synthesized"
+                tuple(
+                    format_fraction_label(p)
+                    for p in sorted(set(points.values()) | {Fraction(0), Fraction(1)})
+                ),
+                name="synthesized",
             )
             dist_values = {
-                label: scale[format_fraction_label(Fraction(v))]
-                for label, v in values.items()
+                label: scale[format_fraction_label(p)] for label, p in points.items()
             }
         pi = make_distribution(StateSpace(tuple(values)), dist_values)
         delta = to_disbelief(pi, args.base)

@@ -1,26 +1,38 @@
 """Reference versions of the axiom checker's hot core, as plain loops.
 
 These are the original matrix-scanning implementations of the checks that
-now run on bitsets and thermometer codes.  They read only ``holds``, the
-value tuples and the tuple index of a universe, so they share no code with
-the bitset paths they are compared against.
+now run on bitsets and thermometer codes.  They read the relation one
+entry at a time through ``at_least`` and ``indifferent`` (the transitivity
+witness alone takes a row), and the universe's value tuples and tuple
+index, so they share no code with the bitset paths they are compared
+against.
 """
 
 from posdec.axioms import AxiomReport, PreferenceRelation, default_weight_pairs
 
 
+def rows_of(matrix):
+    """Bitset rows of a boolean matrix: bit j of row i set iff ``matrix[i][j]``."""
+    return [sum(1 << j for j, v in enumerate(row) if v) for row in matrix]
+
+
+def matrix_of(r):
+    """The relation as a boolean matrix, read entry by entry."""
+    return [[r.at_least(i, j) for j in range(r.size)] for i in range(r.size)]
+
+
 def induced_relation(universe, evaluate):
-    """holds(i, j) iff the utility of member i is at least that of member j."""
+    """Member i is at least as good as member j iff its utility is at least j's."""
     values = [evaluate(m) for m in universe.members]
     holds = [[values[i] >= values[j] for j in range(len(values))] for i in range(len(values))]
-    return PreferenceRelation(universe, holds)
+    return PreferenceRelation(universe, rows_of(holds))
 
 
 def check_total_preorder(r, axiom_id="B1"):
     n = r.size
-    holds = r.holds
+    at_least = r.at_least
     for i in range(n):
-        if not holds[i][i]:
+        if not at_least(i, i):
             return AxiomReport(
                 axiom_id, False, (i, i),
                 f"reflexivity fails at {r.universe.describe(i)}",
@@ -29,7 +41,7 @@ def check_total_preorder(r, axiom_id="B1"):
     for i in range(n):
         row_i = rows[i]
         for j in range(n):
-            if holds[i][j]:
+            if at_least(i, j):
                 extra = rows[j] & ~row_i
                 if extra:
                     k = (extra & -extra).bit_length() - 1
@@ -41,7 +53,7 @@ def check_total_preorder(r, axiom_id="B1"):
                     )
     for i in range(n):
         for j in range(i + 1, n):
-            if not holds[i][j] and not holds[j][i]:
+            if not at_least(i, j) and not at_least(j, i):
                 return AxiomReport(
                     axiom_id, False, (i, j),
                     f"completeness fails on {r.universe.describe(i)} and "
@@ -64,7 +76,7 @@ def check_uncertainty_attitude(r, direction):
                 premise = all(x <= y for x, y in zip(a, b))
             else:
                 premise = all(x >= y for x, y in zip(a, b))
-            if premise and not r.holds[i][j]:
+            if premise and not r.at_least(i, j):
                 return AxiomReport(
                     axiom_id, False, (i, j),
                     f"{direction} fails: {r.universe.describe(i)} must be weakly "
@@ -78,7 +90,7 @@ def _indifference_classes(r):
     class_of = [-1] * n
     reps = []
     for i in range(n):
-        if not r.holds[i][i]:
+        if not r.at_least(i, i):
             continue
         for c, rep in enumerate(reps):
             if r.indifferent(i, rep):
@@ -140,14 +152,13 @@ def check_substitutability(r, weight_pairs=None, axiom_id="B3"):
     indifferent_pairs = [
         (i, j) for i in range(n) for j in range(i + 1, n) if r.indifferent(i, j)
     ]
-    holds = r.holds
     for wa, wb in pairs:
         for k in range(n):
             tk = vt[k]
             mixed = [mix(wa, ti, wb, tk) for ti in vt]
             for i, j in indifferent_pairs:
                 m1, m2 = mixed[i], mixed[j]
-                if m1 != m2 and not (holds[m1][m2] and holds[m2][m1]):
+                if m1 != m2 and not (r.at_least(m1, m2) and r.at_least(m2, m1)):
                     return _substitution_violation(r, axiom_id, i, j, k, wa, wb, mix)
     return AxiomReport(axiom_id, True)
 

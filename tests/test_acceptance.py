@@ -348,12 +348,12 @@ def test_criterion_08_half_encoded_and_mixed(example_scenario, example_universe)
     lo = example_universe.value_tuples[worst_pm]
     hi = example_universe.value_tuples[both_id]
     assert all(x <= y for x, y in zip(lo, hi))
-    assert not rel.holds[worst_pm][both_id]
+    assert not rel.at_least(worst_pm, both_id)
     assert all(
         x >= y
         for x, y in zip(hi, example_universe.value_tuples[best_pm])
     )
-    assert not rel.holds[both_id][best_pm]
+    assert not rel.at_least(both_id, best_pm)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     report(

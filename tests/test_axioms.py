@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axiom_oracles import rows_of
 from posdec import axioms
 from posdec.axioms import (
     CONTINUITY_VARIANTS,
@@ -81,21 +82,46 @@ class TestInducedRelation:
         best = by_value[(1, 0)]
         both = by_value[(1, 1)]
         worst = by_value[(0, 1)]
-        assert rel.holds[best][both] and not rel.holds[both][best]
-        assert rel.holds[both][worst] and not rel.holds[worst][both]
-        assert rel.holds[best][worst] and not rel.holds[worst][best]
+        assert rel.at_least(best, both) and not rel.at_least(both, best)
+        assert rel.at_least(both, worst) and not rel.at_least(worst, both)
+        assert rel.at_least(best, worst) and not rel.at_least(worst, best)
 
     def test_reflexive(self, example_binary_relation):
         for i in range(example_binary_relation.size):
-            assert example_binary_relation.holds[i][i]
+            assert example_binary_relation.at_least(i, i)
 
     def test_worked_example_strict_preference(
         self, example_scenario, example_universe, example_binary_relation
     ):
         i = example_universe.index_of[example_scenario.lotteries["pi1"].indices]
         j = example_universe.index_of[example_scenario.lotteries["pi2"].indices]
-        assert example_binary_relation.holds[i][j]
-        assert not example_binary_relation.holds[j][i]
+        assert example_binary_relation.at_least(i, j)
+        assert not example_binary_relation.at_least(j, i)
+
+
+class TestPreferenceRelation:
+    def test_rows_are_the_relation(self, tiny_universe):
+        rel = PreferenceRelation(tiny_universe, (0b111, 0b110, 0b110))
+        assert rel.rows == [0b111, 0b110, 0b110]
+        assert rel.at_least(0, 2) and not rel.at_least(1, 0)
+        assert rel.indifferent(1, 2) and not rel.indifferent(0, 1)
+
+    def test_size_must_match_the_universe(self, tiny_universe):
+        with pytest.raises(ValueError, match="size"):
+            PreferenceRelation(tiny_universe, [0b111, 0b111])
+
+    @pytest.mark.parametrize("row", [0b1000, 0b1111, -1])
+    def test_no_bits_past_the_universe(self, tiny_universe, row):
+        with pytest.raises(ValueError, match="past the universe"):
+            PreferenceRelation(tiny_universe, [0b111, row, 0b111])
+
+    def test_with_flipped_negates_one_entry(self, tiny_universe):
+        rel = PreferenceRelation(tiny_universe, [0b111, 0b110, 0b110])
+        flipped = rel.with_flipped(1, 0)
+        assert flipped.rows == [0b111, 0b111, 0b110]
+        assert rel.rows == [0b111, 0b110, 0b110]
+        with pytest.raises(ValueError, match="past the universe"):
+            rel.with_flipped(0, 3)
 
 
 class TestTotalPreorder:
@@ -104,7 +130,7 @@ class TestTotalPreorder:
         assert check_total_preorder(example_pessimistic_relation).satisfied
 
     def test_empty_relation_fails_reflexivity(self, tiny_universe):
-        rel = PreferenceRelation(tiny_universe, [[False] * 3 for _ in range(3)])
+        rel = PreferenceRelation(tiny_universe, rows_of([[False] * 3 for _ in range(3)]))
         report = check_total_preorder(rel)
         assert not report.satisfied
         assert report.witness == (0, 0)
@@ -116,7 +142,7 @@ class TestTotalPreorder:
             [False, True, True],
             [True, False, True],
         ]
-        report = check_total_preorder(PreferenceRelation(tiny_universe, holds))
+        report = check_total_preorder(PreferenceRelation(tiny_universe, rows_of(holds)))
         assert not report.satisfied
         assert "transitivity" in report.detail
         i, j, k = report.witness
@@ -128,7 +154,7 @@ class TestTotalPreorder:
             [False, True, True],
             [False, True, True],
         ]
-        report = check_total_preorder(PreferenceRelation(tiny_universe, holds))
+        report = check_total_preorder(PreferenceRelation(tiny_universe, rows_of(holds)))
         assert not report.satisfied
         assert "completeness" in report.detail
 
@@ -165,7 +191,7 @@ class TestUncertaintyAttitude:
         i, j = report.witness
         a, b = example_universe.value_tuples[i], example_universe.value_tuples[j]
         assert all(x <= y for x, y in zip(a, b))
-        assert not rel.holds[i][j]
+        assert not rel.at_least(i, j)
 
 
 class TestSubstitutability:
@@ -235,7 +261,7 @@ class TestQualitativeMonotonicity:
         report = check_qualitative_monotonicity(example_pessimistic_relation)
         assert not report.satisfied
         ia, ib = report.witness
-        assert example_pessimistic_relation.holds[ia][ib]
+        assert example_pessimistic_relation.at_least(ia, ib)
 
     def test_flipped_standard_pair_violates(self, tiny_universe):
         rel = induced_relation(
@@ -392,6 +418,11 @@ class TestVerifyEntailments:
             a in CONTINUITY_VARIANTS for c in run.configs for a in FAMILIES[c.family]
         )
 
+    def test_expectations_are_the_family_table(self):
+        run = verify_entailments(seed=0, sample_size=0, enumerate_max=(2, 2))
+        for config in run.configs:
+            assert config.expectations is FAMILIES[config.family]
+
     def test_enumerated_config_counts(self):
         outcomes = canonical_outcomes(3)
         scale = canonical_scale(3)
@@ -414,18 +445,18 @@ class TestVerifyEntailments:
 def replay_witness(rel, report):
     """Re-evaluate a violated report's witness against the raw relation."""
     universe = rel.universe
-    holds = rel.holds
+    at_least = rel.at_least
     axiom = report.axiom
     w = report.witness
     if axiom in ("A1-", "B1"):
         if "reflexivity" in report.detail:
             i, j = w
-            return i == j and not holds[i][i]
+            return i == j and not at_least(i, i)
         if "transitivity" in report.detail:
             i, j, k = w
-            return holds[i][j] and holds[j][k] and not holds[i][k]
+            return at_least(i, j) and at_least(j, k) and not at_least(i, k)
         i, j = w
-        return not holds[i][j] and not holds[j][i]
+        return not at_least(i, j) and not at_least(j, i)
     if axiom in ("A2-", "A2+"):
         i, j = w
         a, b = universe.value_tuples[i], universe.value_tuples[j]
@@ -433,7 +464,7 @@ def replay_witness(rel, report):
             premise = all(x <= y for x, y in zip(a, b))
         else:
             premise = all(x >= y for x, y in zip(a, b))
-        return premise and not holds[i][j]
+        return premise and not at_least(i, j)
     if axiom in ("A3-", "B3"):
         i, j, k, wa, wb, m1, m2 = w
         vt = universe.value_tuples
@@ -466,7 +497,7 @@ def replay_witness(rel, report):
         la, ma = info[ia]
         lb, mb = info[ib]
         top = len(universe.scale) - 1
-        return holds[ia][ib] != pair_ge_indices(la, ma, lb, mb, top)
+        return at_least(ia, ib) != pair_ge_indices(la, ma, lb, mb, top)
     raise AssertionError(f"no replay rule for {axiom}")
 
 
@@ -514,9 +545,8 @@ def test_substitutability_matches_naive_oracle(data):
     assert check_substitutability(rel).satisfied == naive_substitutability_holds(rel)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_violated_reports_always_replay(data):
+def draw_flipped_relation(data):
+    """A binary-induced relation on 2x3 with one to three entries flipped."""
     universe = LotteryUniverse(canonical_outcomes(2), canonical_scale(3))
     assessment = enumerate_assessments(universe.outcomes, universe.scale)[0]
     rel = induced_relation(universe, partial(binary_utility, a=assessment))
@@ -530,6 +560,13 @@ def test_violated_reports_always_replay(data):
     )
     for i, j in flips:
         rel = rel.with_flipped(i, j)
+    return rel
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_violated_reports_always_replay(data):
+    rel = draw_flipped_relation(data)
     reports = [
         check_total_preorder(rel),
         check_uncertainty_attitude(rel, "aversion"),
@@ -544,6 +581,16 @@ def test_violated_reports_always_replay(data):
         else:
             assert report.witness is not None
             assert replay_witness(rel, report), (report.axiom, report.witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_monotonicity_and_decomposition_agree(data):
+    """B2 and B2-decomposition state one order on standard lotteries."""
+    rel = draw_flipped_relation(data)
+    b2 = check_qualitative_monotonicity(rel)
+    union = check_standard_order_decomposition(rel)
+    assert (b2.satisfied, b2.witness) == (union.satisfied, union.witness)
 
 
 class TestCounterexampleSearch:

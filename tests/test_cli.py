@@ -304,6 +304,40 @@ class TestConvertSpohn:
         assert "normalized" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "data, direction, section",
+        [
+            pytest.param([1, 2], "to-possibility", "values", id="array-to-possibility"),
+            pytest.param([1, 2], "to-disbelief", "values", id="array-to-disbelief"),
+            pytest.param(
+                {"scale": ["0", "1"], "values": 5}, "to-disbelief", "values",
+                id="values-number",
+            ),
+            pytest.param(
+                {"values": {"s1": 0, "s2": [1]}}, "to-disbelief", "values",
+                id="synthesized-level-array",
+            ),
+            pytest.param(
+                {"scale": ["0", "1"], "values": {"s1": ".5", "s2": "1"}}, "to-disbelief",
+                "values", id="level-off-the-scale",
+            ),
+            pytest.param(
+                {"scale": "01", "values": {"s1": "0", "s2": "1"}}, "to-disbelief", "scale",
+                id="scale-string",
+            ),
+        ],
+    )
+    def test_wrongly_shaped_input_names_the_section(
+        self, tmp_path, capsys, data, direction, section
+    ):
+        path = write_scenario(tmp_path, data, "input.json")
+        assert main(["convert-spohn", path, "--direction", direction]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {path}: {section}")
+
+
 class TestPaperExample:
     def test_contains_expected_rows(self, capsys):
         assert main(["paper-example"]) == EXIT_OK
