@@ -414,6 +414,8 @@ def cmd_convert_spohn(args: argparse.Namespace) -> int:
     values = data["values"] if isinstance(data, dict) and "values" in data else data
     if not isinstance(values, dict):
         raise fail("values must be a JSON object")
+    if not values:
+        raise fail("values: the table is empty")
     if args.direction == "to-possibility":
         table = {}
         for label, value in values.items():
@@ -426,7 +428,10 @@ def cmd_convert_spohn(args: argparse.Namespace) -> int:
                     f"values: disbelief value for {label!r} must be a non-negative "
                     f"integer or \"infinity\""
                 )
-        delta = DisbeliefFunction.from_mapping(table)
+        try:
+            delta = DisbeliefFunction.from_mapping(table)
+        except ValueError as exc:
+            raise fail(f"values: {exc}") from exc
         pi = from_disbelief(delta, args.base)
         payload = {
             "scale": list(pi.scale.levels),
@@ -457,6 +462,8 @@ def cmd_convert_spohn(args: argparse.Namespace) -> int:
                         f"values: level for {label!r} must be a number or a decimal "
                         f"label, not {value!r}"
                     ) from None
+                if not 0 <= points[label] <= 1:
+                    raise fail(f"values: level {value!r} for {label!r} is outside [0, 1]")
             scale = Scale(
                 tuple(
                     format_fraction_label(p)
@@ -467,7 +474,10 @@ def cmd_convert_spohn(args: argparse.Namespace) -> int:
             dist_values = {
                 label: scale[format_fraction_label(p)] for label, p in points.items()
             }
-        pi = make_distribution(StateSpace(tuple(values)), dist_values)
+        try:
+            pi = make_distribution(StateSpace(tuple(values)), dist_values)
+        except ValueError as exc:
+            raise fail(f"values: {exc}") from exc
         delta = to_disbelief(pi, args.base)
         payload = {
             "values": {

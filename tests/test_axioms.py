@@ -1,5 +1,7 @@
 """Relation materialization, axiom predicates, entailment sweeps, and the search."""
 
+import gc
+import weakref
 from functools import partial
 
 import pytest
@@ -66,6 +68,24 @@ def example_pessimistic_relation(example_scenario, example_universe):
         example_universe,
         partial(pessimistic_utility, cfg=example_scenario.pessimistic_config),
     )
+
+
+@pytest.fixture
+def fresh_canonical_spaces():
+    """Drop the canonical spaces, and their verdicts, that earlier sweeps kept."""
+    axioms._canonical_space.cache_clear()
+
+
+def counting_preorder(monkeypatch) -> list:
+    """Relations the preorder check sees through its module attribute, in call order."""
+    seen = []
+
+    def wrapper(r, *args):
+        seen.append(r)
+        return check_total_preorder(r, *args)
+
+    monkeypatch.setattr(axioms, "check_total_preorder", wrapper)
+    return seen
 
 
 def tiny_assessment(universe):
@@ -387,6 +407,7 @@ class TestVerifyEntailments:
         with pytest.raises(ValueError, match=f"required to check the scenario {named}$"):
             verify_entailments(sample_size=0, enumerate_max=(2, 2), **{given: value})
 
+    @pytest.mark.usefixtures("fresh_canonical_spaces")
     def test_checks_are_reached_by_module_name(self, monkeypatch):
         """Wrappers set on the module attributes see one call per relation and need.
 
@@ -417,6 +438,64 @@ class TestVerifyEntailments:
         assert len(calls["continuity"]) == sum(
             a in CONTINUITY_VARIANTS for c in run.configs for a in FAMILIES[c.family]
         )
+
+    @pytest.mark.usefixtures("fresh_canonical_spaces")
+    def test_warm_call_repeats_the_cold_report_without_checking(self, monkeypatch):
+        kwargs = {"seed": 3, "sample_size": 40, "enumerate_max": (3, 3)}
+        cold = format_report(verify_entailments(**kwargs))
+        seen = counting_preorder(monkeypatch)
+        assert format_report(verify_entailments(**kwargs)) == cold
+        assert seen == []
+
+    @pytest.mark.usefixtures("fresh_canonical_spaces")
+    def test_caller_universe_is_checked_on_every_call(
+        self, monkeypatch, example_scenario, example_universe
+    ):
+        kwargs = {
+            "scalar_config": example_scenario.pessimistic_config,
+            "assessment": example_scenario.assessment,
+            "sample_size": 10,
+            "enumerate_max": (2, 2),
+        }
+        cold = format_report(verify_entailments(example_universe, **kwargs))
+        seen = counting_preorder(monkeypatch)
+        assert format_report(verify_entailments(example_universe, **kwargs)) == cold
+        assert [r.universe for r in seen] == [example_universe] * 3
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_new_sample_on_a_warm_table_matches_a_cold_one(self, seed):
+        kwargs = {"sample_size": 100, "enumerate_max": (3, 3)}
+        verify_entailments(seed=0, **kwargs)
+        warm = format_report(verify_entailments(seed=seed, **kwargs))
+        axioms._canonical_space.cache_clear()
+        assert format_report(verify_entailments(seed=seed, **kwargs)) == warm
+
+    def test_fault_on_a_warm_table_still_flips_the_first_relation(self):
+        kwargs = {"sample_size": 0, "enumerate_max": (2, 2)}
+        clean = format_report(verify_entailments(**kwargs))
+        faulted = verify_entailments(fault=(0, 0), **kwargs)
+        assert not faulted.ok()
+        first = faulted.configs[0]
+        assert first.config_id == "pess-enum-2x2-000"
+        assert first.reports[0].witness == (0, 0)
+        assert ("pess-enum-2x2-000", "A1-") in faulted.unexpected()
+        again = verify_entailments(**kwargs)
+        assert again.ok()
+        assert format_report(again) == clean
+
+    def test_caller_universe_is_not_retained(self, example_scenario):
+        universe = LotteryUniverse(example_scenario.outcomes, example_scenario.scale_v)
+        alive = weakref.ref(universe)
+        verify_entailments(
+            universe,
+            scalar_config=example_scenario.pessimistic_config,
+            assessment=example_scenario.assessment,
+            sample_size=10,
+            enumerate_max=(2, 2),
+        )
+        del universe
+        gc.collect()
+        assert alive() is None
 
     def test_expectations_are_the_family_table(self):
         run = verify_entailments(seed=0, sample_size=0, enumerate_max=(2, 2))

@@ -337,6 +337,46 @@ class TestConvertSpohn:
         assert err.count("\n") == 1
         assert err.startswith(f"error: {path}: {section}")
 
+    @pytest.mark.parametrize(
+        "data, direction, named",
+        [
+            pytest.param(
+                {"values": {"s1": "2", "s2": "1"}}, "to-disbelief",
+                "level '2' for 's1' is outside [0, 1]", id="synthesized-level-above-one",
+            ),
+            pytest.param(
+                {"values": {"s1": "1", "s2": "-1/2"}}, "to-disbelief",
+                "level '-1/2' for 's2' is outside [0, 1]", id="synthesized-level-below-zero",
+            ),
+            pytest.param(
+                {"values": {"s1": "1", "s2": 3}}, "to-disbelief",
+                "level 3 for 's2' is outside [0, 1]", id="synthesized-number-above-one",
+            ),
+            pytest.param(
+                {"values": {"s1": ".5", "s2": "0"}}, "to-disbelief", "not normalized",
+                id="synthesized-without-level-one",
+            ),
+            pytest.param(
+                {"scale": ["0", ".5", "1"], "values": {"s1": ".5", "s2": "0"}},
+                "to-disbelief", "not normalized", id="scale-without-level-one",
+            ),
+            pytest.param({"values": {}}, "to-disbelief", "empty", id="empty-to-disbelief"),
+            pytest.param({"values": {}}, "to-possibility", "empty", id="empty-to-possibility"),
+            pytest.param(
+                {"s1": 1, "s2": 2}, "to-possibility", "not normalized",
+                id="disbelief-without-zero",
+            ),
+        ],
+    )
+    def test_invalid_values_name_the_file(self, tmp_path, capsys, data, direction, named):
+        path = write_scenario(tmp_path, data, "input.json")
+        assert main(["convert-spohn", path, "--direction", direction]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {path}: values: ")
+        assert named in err
+
 
 class TestPaperExample:
     def test_contains_expected_rows(self, capsys):
