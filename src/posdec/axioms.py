@@ -13,10 +13,8 @@ A3-/B3 name the same predicates and share one evaluation per relation.
 Entailment sweeps check each configuration against its family in
 ``FAMILIES`` (the family's battery is the key order of its expectations)
 across enumerated or seeded-sampled configuration families and report one
-line per axiom per configuration.  The canonical spaces a sweep builds for
-itself persist for the process with their enumerated families and their
-verdicts per (family, configuration), so each distinct configuration's
-battery runs once per process; the caller's universe is never retained.
+line per axiom per configuration; a (family, configuration) repeated within
+one sweep is checked once.
 """
 
 from __future__ import annotations
@@ -811,7 +809,8 @@ class EntailmentRun:
 
 
 # The check behind each axiom.  Entries look their check up by module name at
-# call time, so a wrapper set on the module attribute sees every call.
+# call time, so a wrapper set on the module attribute sees every check a sweep
+# runs; a (family, configuration) repeated within a sweep is not checked again.
 _CHECKS = {
     "A1-": lambda r: check_total_preorder(r),
     "A2-": lambda r: check_uncertainty_attitude(r, "aversion"),
@@ -841,51 +840,6 @@ def _run_battery(r: PreferenceRelation, battery: Iterable[str]) -> list[AxiomRep
     return reports
 
 
-class _CanonicalSpace:
-    """One canonical (outcomes, scale) space, kept for the whole process.
-
-    Holds the space's universe, its enumerated families (built on first
-    use) and ``verdicts``: the reports of each (family, configuration or
-    assessment) already checked on it.  A relation is a pure function of
-    its family's evaluator, the configuration and the universe, so a
-    verdict never goes stale.  The table stays bounded: a sampled
-    configuration is always one of the space's enumerated ones.  Two
-    sweeps in different threads may decide one verdict twice, with equal
-    results.
-    """
-
-    def __init__(self, nx: int, nv: int):
-        self.universe = LotteryUniverse(canonical_outcomes(nx), canonical_scale(nv))
-        self.verdicts: dict[tuple, tuple[AxiomReport, ...]] = {}
-
-    @cached_property
-    def scalar_configs(self) -> tuple[ScalarUtilityConfig, ...]:
-        return tuple(enumerate_scalar_configs(self.universe.outcomes, self.universe.scale))
-
-    @cached_property
-    def assessments(self) -> dict[str | None, tuple[BinaryUtilityAssessment, ...]]:
-        """The enumerated assessments per ``half`` of ``enumerate_assessments``."""
-        outcomes, scale = self.universe.outcomes, self.universe.scale
-        return {
-            half: tuple(enumerate_assessments(outcomes, scale, half))
-            for half in (None, "best", "worst")
-        }
-
-
-@cache
-def _canonical_space(nx: int, nv: int) -> _CanonicalSpace:
-    return _CanonicalSpace(nx, nv)
-
-
-def _evaluator(family: str, given) -> Evaluator:
-    """The utility a family's relation is induced by, for one config or assessment."""
-    if family == "pessimistic":
-        return partial(pessimistic_utility, cfg=given)
-    if family == "optimistic":
-        return partial(optimistic_utility, cfg=given)
-    return partial(binary_utility, a=given)
-
-
 def verify_entailments(
     universe: LotteryUniverse | None = None,
     *,
@@ -906,64 +860,68 @@ def verify_entailments(
     within the sample bounds.  Each configuration runs its family's battery
     from ``FAMILIES``, the key order of the family's expectations.
     ``fault`` flips one entry of the first relation built, for exercising
-    the failure path end to end.
-
-    The canonical spaces this sweep builds itself persist for the process,
-    with their enumerated families and their verdicts: a (family,
-    configuration) already checked on a space, in this call or an earlier
-    one, reuses its reports without building the relation again.  The
-    caller's universe and its configurations are checked on every call and
-    never retained, and neither is a faulted relation's verdict.
+    the failure path end to end.  A (family, configuration) met again on a
+    canonical space reuses its reports within the call, never across calls;
+    the caller's configurations and a faulted relation are never reused.
     """
     for given, what in ((scalar_config, "config"), (assessment, "assessment")):
         if given is not None and universe is None:
             raise ValueError(f"a universe is required to check the scenario {what}")
 
-    def scalar(pess_id: str, opt_id: str, space: _CanonicalSpace | None, cfg):
-        yield pess_id, "pessimistic", space, cfg
-        yield opt_id, "optimistic", space, cfg
+    @cache
+    def universe_for(nx: int, nv: int) -> LotteryUniverse:
+        return LotteryUniverse(canonical_outcomes(nx), canonical_scale(nv))
+
+    def scalar(pess_id: str, opt_id: str, uni: LotteryUniverse, cfg: ScalarUtilityConfig):
+        yield pess_id, "pessimistic", uni, cfg, partial(pessimistic_utility, cfg=cfg)
+        yield opt_id, "optimistic", uni, cfg, partial(optimistic_utility, cfg=cfg)
 
     def configs():
-        """(config id, family, canonical space, config or assessment) per
-        configuration, in report order; the space is None for the caller's universe."""
+        """(config id, family, universe, config or assessment, evaluator), in report order."""
         if scalar_config is not None:
-            yield from scalar("scenario-pessimistic", "scenario-optimistic", None, scalar_config)
+            yield from scalar(
+                "scenario-pessimistic", "scenario-optimistic", universe, scalar_config
+            )
         if assessment is not None:
-            yield "scenario-binary", "binary", None, assessment
+            evaluate = partial(binary_utility, a=assessment)
+            yield "scenario-binary", "binary", universe, assessment, evaluate
         max_x, max_v = enumerate_max
         for nx, nv in itertools.product(range(2, max_x + 1), range(2, max_v + 1)):
-            space = _canonical_space(nx, nv)
-            for i, cfg in enumerate(space.scalar_configs):
+            uni = universe_for(nx, nv)
+            for i, cfg in enumerate(enumerate_scalar_configs(uni.outcomes, uni.scale)):
                 tag = f"enum-{nx}x{nv}-{i:03d}"
-                yield from scalar(f"pess-{tag}", f"opt-{tag}", space, cfg)
+                yield from scalar(f"pess-{tag}", f"opt-{tag}", uni, cfg)
             for prefix, family, half in (
                 ("binary-enum", "binary", None),
                 ("binary-best-half", "binary-best-half", "best"),
                 ("binary-worst-half", "binary-worst-half", "worst"),
             ):
-                for i, a in enumerate(space.assessments[half]):
-                    yield f"{prefix}-{nx}x{nv}-{i:03d}", family, space, a
+                for i, a in enumerate(enumerate_assessments(uni.outcomes, uni.scale, half)):
+                    evaluate = partial(binary_utility, a=a)
+                    yield f"{prefix}-{nx}x{nv}-{i:03d}", family, uni, a, evaluate
         if sample_size > 0:
             sampled = sample_scalar_configs(
                 seed, sample_size, sample_max_outcomes, sample_max_levels
             )
             for i, (base, v_scale, cfg) in enumerate(sampled):
-                space = _canonical_space(len(base.labels), len(v_scale))
-                yield from scalar(f"pess-sample-{i:03d}", f"opt-sample-{i:03d}", space, cfg)
+                uni = universe_for(len(base.labels), len(v_scale))
+                yield from scalar(f"pess-sample-{i:03d}", f"opt-sample-{i:03d}", uni, cfg)
 
+    # Reports per (family, configuration) on the canonical universes, which a
+    # configuration fixes; the caller's universe is whatever was passed.
+    verdicts: dict[tuple, list[AxiomReport]] = {}
     run = EntailmentRun()
-    for config_id, family, space, given in configs():
-        # Verdicts on the caller's universe, or on a faulted relation, are not kept.
-        verdicts = space.verdicts if space is not None and fault is None else {}
-        reports = verdicts.get((family, given))
+    for config_id, family, uni, given, evaluate in configs():
+        reusable = uni is not universe and fault is None
+        reports = verdicts.get((family, given)) if reusable else None
         if reports is None:
-            relation = induced_relation(
-                universe if space is None else space.universe, _evaluator(family, given)
-            )
+            relation = induced_relation(uni, evaluate)
             if fault is not None:
                 relation = relation.with_flipped(*fault)
                 fault = None
-            reports = verdicts[family, given] = tuple(_run_battery(relation, FAMILIES[family]))
+            reports = _run_battery(relation, FAMILIES[family])
+            if reusable:
+                verdicts[family, given] = reports
         run.configs.append(ConfigOutcome(config_id, family, list(reports)))
     return run
 

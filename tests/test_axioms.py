@@ -1,6 +1,7 @@
 """Relation materialization, axiom predicates, entailment sweeps, and the search."""
 
 import gc
+import itertools
 import weakref
 from functools import partial
 
@@ -68,12 +69,6 @@ def example_pessimistic_relation(example_scenario, example_universe):
         example_universe,
         partial(pessimistic_utility, cfg=example_scenario.pessimistic_config),
     )
-
-
-@pytest.fixture
-def fresh_canonical_spaces():
-    """Drop the canonical spaces, and their verdicts, that earlier sweeps kept."""
-    axioms._canonical_space.cache_clear()
 
 
 def counting_preorder(monkeypatch) -> list:
@@ -407,7 +402,6 @@ class TestVerifyEntailments:
         with pytest.raises(ValueError, match=f"required to check the scenario {named}$"):
             verify_entailments(sample_size=0, enumerate_max=(2, 2), **{given: value})
 
-    @pytest.mark.usefixtures("fresh_canonical_spaces")
     def test_checks_are_reached_by_module_name(self, monkeypatch):
         """Wrappers set on the module attributes see one call per relation and need.
 
@@ -439,15 +433,43 @@ class TestVerifyEntailments:
             a in CONTINUITY_VARIANTS for c in run.configs for a in FAMILIES[c.family]
         )
 
-    @pytest.mark.usefixtures("fresh_canonical_spaces")
-    def test_warm_call_repeats_the_cold_report_without_checking(self, monkeypatch):
-        kwargs = {"seed": 3, "sample_size": 40, "enumerate_max": (3, 3)}
-        cold = format_report(verify_entailments(**kwargs))
+    def test_repeated_configurations_are_checked_once_per_call(self, monkeypatch):
+        seed, sample_size = 3, 100
+        keys = set()
+        for nx, nv in itertools.product((2, 3), (2, 3)):
+            outcomes, scale = canonical_outcomes(nx), canonical_scale(nv)
+            for cfg in enumerate_scalar_configs(outcomes, scale):
+                keys |= {("pessimistic", cfg), ("optimistic", cfg)}
+            for family, half in (
+                ("binary", None), ("binary-best-half", "best"), ("binary-worst-half", "worst")
+            ):
+                keys |= {(family, a) for a in enumerate_assessments(outcomes, scale, half)}
+        for _, _, cfg in sample_scalar_configs(seed, sample_size):
+            keys |= {("pessimistic", cfg), ("optimistic", cfg)}
+        kwargs = {"seed": seed, "sample_size": sample_size, "enumerate_max": (3, 3)}
         seen = counting_preorder(monkeypatch)
-        assert format_report(verify_entailments(**kwargs)) == cold
-        assert seen == []
+        run = verify_entailments(**kwargs)
+        assert len(seen) == len(keys) < len(run.configs)
+        # A reused verdict is copied, never shared between two outcomes.
+        assert len({id(c.reports) for c in run.configs}) == len(run.configs)
+        # Nothing is kept across calls: the same sweep checks as many relations again.
+        assert format_report(verify_entailments(**kwargs)) == format_report(run)
+        assert len(seen) == 2 * len(keys)
 
-    @pytest.mark.usefixtures("fresh_canonical_spaces")
+    def test_reused_reports_match_a_fresh_check(self):
+        seed, sample_size = 3, 100
+        run = verify_entailments(seed=seed, sample_size=sample_size, enumerate_max=(3, 3))
+        by_id = {c.config_id: c.reports for c in run.configs}
+        for i, (base, v_scale, cfg) in enumerate(sample_scalar_configs(seed, sample_size)):
+            universe = LotteryUniverse(base, v_scale)
+            for prefix, family, utility in (
+                ("pess", "pessimistic", pessimistic_utility),
+                ("opt", "optimistic", optimistic_utility),
+            ):
+                relation = induced_relation(universe, partial(utility, cfg=cfg))
+                fresh = axioms._run_battery(relation, FAMILIES[family])
+                assert by_id[f"{prefix}-sample-{i:03d}"] == fresh
+
     def test_caller_universe_is_checked_on_every_call(
         self, monkeypatch, example_scenario, example_universe
     ):
@@ -457,31 +479,22 @@ class TestVerifyEntailments:
             "sample_size": 10,
             "enumerate_max": (2, 2),
         }
-        cold = format_report(verify_entailments(example_universe, **kwargs))
         seen = counting_preorder(monkeypatch)
-        assert format_report(verify_entailments(example_universe, **kwargs)) == cold
-        assert [r.universe for r in seen] == [example_universe] * 3
+        for _ in range(2):
+            verify_entailments(example_universe, **kwargs)
+        assert sum(r.universe is example_universe for r in seen) == 6
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_new_sample_on_a_warm_table_matches_a_cold_one(self, seed):
-        kwargs = {"sample_size": 100, "enumerate_max": (3, 3)}
-        verify_entailments(seed=0, **kwargs)
-        warm = format_report(verify_entailments(seed=seed, **kwargs))
-        axioms._canonical_space.cache_clear()
-        assert format_report(verify_entailments(seed=seed, **kwargs)) == warm
-
-    def test_fault_on_a_warm_table_still_flips_the_first_relation(self):
-        kwargs = {"sample_size": 0, "enumerate_max": (2, 2)}
-        clean = format_report(verify_entailments(**kwargs))
-        faulted = verify_entailments(fault=(0, 0), **kwargs)
-        assert not faulted.ok()
+    def test_fault_is_not_reused_by_a_repeat_of_the_first_configuration(self):
+        kwargs = {"sample_size": 30, "sample_max_outcomes": 2, "sample_max_levels": 2}
+        first_cfg = enumerate_scalar_configs(canonical_outcomes(2), canonical_scale(2))[0]
+        assert first_cfg in [cfg for _, _, cfg in sample_scalar_configs(0, 30, 2, 2)]
+        clean = verify_entailments(enumerate_max=(2, 2), **kwargs)
+        faulted = verify_entailments(enumerate_max=(2, 2), fault=(0, 0), **kwargs)
         first = faulted.configs[0]
         assert first.config_id == "pess-enum-2x2-000"
         assert first.reports[0].witness == (0, 0)
-        assert ("pess-enum-2x2-000", "A1-") in faulted.unexpected()
-        again = verify_entailments(**kwargs)
-        assert again.ok()
-        assert format_report(again) == clean
+        assert {cid for cid, _ in faulted.unexpected()} == {"pess-enum-2x2-000"}
+        assert faulted.configs[1:] == clean.configs[1:]
 
     def test_caller_universe_is_not_retained(self, example_scenario):
         universe = LotteryUniverse(example_scenario.outcomes, example_scenario.scale_v)
