@@ -1,67 +1,3 @@
 """posdec: ordinal max-min decision making over possibility distributions."""
 
-from .axioms import (
-    AxiomReport,
-    EntailmentRun,
-    LotteryUniverse,
-    PreferenceRelation,
-    SearchResult,
-    check_continuity,
-    check_qualitative_monotonicity,
-    check_standard_order_decomposition,
-    check_substitutability,
-    check_total_preorder,
-    check_uncertainty_attitude,
-    induced_relation,
-    search_pair_counterexample,
-    verify_entailments,
-)
-from .lotteries import (
-    INFINITY,
-    Decision,
-    DisbeliefFunction,
-    OutcomeSet,
-    PossibilityDistribution,
-    StandardLottery,
-    StateSpace,
-    enumerate_distributions,
-    event_possibility,
-    from_disbelief,
-    induced_distribution,
-    make_distribution,
-    mixture,
-    point_mass,
-    standard_lotteries,
-    to_disbelief,
-)
-from .scales import (
-    BinaryUtility,
-    Involution,
-    Level,
-    Scale,
-    ScaleMap,
-    ScaleMismatchError,
-    UtilityPair,
-    binary_rank,
-    binary_utilities,
-    compare_binary,
-    ext_max,
-    ext_min,
-    level_max,
-    level_min,
-    validate_involution,
-    validate_scale_map,
-)
-from .utilities import (
-    BinaryUtilityAssessment,
-    Ranking,
-    ScalarUtilityConfig,
-    binary_utility,
-    optimistic_utility,
-    pessimistic_utility,
-    pessimistic_utility_decomposed,
-    rank_decisions,
-    reduce_to_standard,
-)
-
 __version__ = "0.1.0"

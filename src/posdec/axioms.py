@@ -36,6 +36,7 @@ from .scales import (
     Level,
     Scale,
     ScaleMap,
+    ScaleMismatchError,
     binary_rank,
     binary_utilities,
     pair_ge_indices,
@@ -174,6 +175,9 @@ class PreferenceRelation:
 
     def with_flipped(self, i: int, j: int) -> "PreferenceRelation":
         """Copy with one entry negated; used for fault injection."""
+        # A column past the last member is caught by the constructor.
+        if min(i, j) < 0 or i >= self.size:
+            raise ValueError(f"entry ({i}, {j}) is outside a relation of {self.size} members")
         rows = list(self.rows)
         rows[i] ^= 1 << j
         return PreferenceRelation(self.universe, rows)
@@ -319,13 +323,15 @@ def default_weight_pairs(scale: Scale) -> tuple[tuple[int, int], ...]:
 
 
 def _indifference_classes(r: PreferenceRelation) -> list[int] | None:
-    """Class index per member when indifference is an equivalence, else None.
+    """Class id per member when indifference is an equivalence, else None.
 
-    Classes are numbered in order of their first member; a member not at
-    least as good as itself is indifferent to nothing and gets class -1.
+    Classes are numbered from 0 in order of their first member; a member i
+    not at least as good as itself is indifferent to nothing and gets its
+    own id, ``-1 - i``.  So two members share an id iff they are equal or
+    indifferent.
     """
     rows, cols = r.rows, r.columns
-    class_of = [-1] * r.size
+    class_of = [-1 - i for i in range(r.size)]
     class_of_rep: dict[int, int] = {}
     reps = 0
     class_bits: list[int] = []
@@ -347,12 +353,12 @@ def _indifference_classes(r: PreferenceRelation) -> list[int] | None:
     return class_of
 
 
-def _distinct_parts(codes: Sequence[int], mask: int) -> list[tuple[int, int]]:
-    """(index, masked code) for the first index of each distinct masked code, in order."""
+def _distinct_parts(codes: Sequence[int], mask: int) -> dict[int, int]:
+    """First index of each distinct masked code, keyed by that code, in order."""
     seen: dict[int, int] = {}
     for i, code in enumerate(codes):
         seen.setdefault(code & mask, i)
-    return [(i, part) for part, i in seen.items()]
+    return seen
 
 
 def check_substitutability(
@@ -369,34 +375,43 @@ def check_substitutability(
 
     A mixture depends on a member only through its masked code, so a
     companion (or class member) whose masked code repeats an earlier one's
-    gives the result already decided and is skipped; the first witness in
-    the full quantification order is still the one reported.
+    gives the result already decided and is skipped.  When indifference is
+    an equivalence, each indifference class is scanned once per weight
+    pair: every member's mixtures become a row of class ids, one per
+    companion, and the class passes iff every row equals its
+    representative's.  Otherwise the first witness in the full
+    quantification order is read from those rows.  A relation whose
+    indifference is not an equivalence falls back to the direct
+    quantification over indifferent pairs.
     """
     universe = r.universe
     scale = universe.scale
     if weight_pairs is None:
         pairs = default_weight_pairs(scale)
     else:
-        pairs = tuple((a.index, b.index) for a, b in weight_pairs)
         top = len(scale) - 1
-        for a, b in pairs:
-            if max(a, b) != top:
+        pairs = []
+        for a, b in weight_pairs:
+            for level in (a, b):
+                if level.scale != scale:
+                    raise ScaleMismatchError(level.scale, scale)
+            if max(a.index, b.index) != top:
                 raise ValueError("substitutability weight pairs must be normalized")
+            pairs.append((a.index, b.index))
     codes = universe.codes
     masks = universe.weight_masks
     companions = {wb: _distinct_parts(codes, masks[wb]) for wb in {wb for _, wb in pairs}}
 
     class_of = _indifference_classes(r)
     if class_of is not None:
+        # Equal ids: the mixtures are equal or indifferent.
         class_of_code = dict(zip(codes, class_of))
         groups: dict[int, list[int]] = {}
         for i, c in enumerate(class_of):
-            if c >= 0:
-                groups.setdefault(c, []).append(i)
+            groups.setdefault(c, []).append(i)
         for members in groups.values():
             if len(members) < 2:
                 continue
-            rep = members[0]
             member_codes = [codes[m] for m in members]
             for wa, wb in pairs:
                 # The representative first, then each member whose masked
@@ -404,27 +419,19 @@ def check_substitutability(
                 distinct = _distinct_parts(member_codes, masks[wa])
                 if len(distinct) < 2:
                     continue
-                rep_part = distinct[0][1]
-                k_parts = [k_part for _, k_part in companions[wb]]
-                # Fast pass: every member's mixtures land in the classes of
-                # the representative's, and none in a member without class.
-                rep_row = [class_of_code[rep_part | k_part] for k_part in k_parts]
-                if -1 not in rep_row and all(
-                    [class_of_code[part | k_part] for k_part in k_parts] == rep_row
-                    for _, part in distinct[1:]
-                ):
+                k_parts = companions[wb]
+                rep_row, *member_rows = (
+                    [class_of_code[part | k_part] for k_part in k_parts]
+                    for part in distinct
+                )
+                if all(row == rep_row for row in member_rows):
                     continue
-                # Otherwise scan in quantification order for the first witness.
-                # Distinct results must share a real class; class -1 members
-                # are indifferent to nothing.
-                for k, k_part in companions[wb]:
-                    target_code = rep_part | k_part
-                    target = class_of_code[target_code]
-                    for pos, part in distinct[1:]:
-                        got = part | k_part
-                        if got != target_code and (target < 0 or class_of_code[got] != target):
+                positions = list(distinct.values())[1:]
+                for col, k in enumerate(k_parts.values()):
+                    for pos, row in zip(positions, member_rows):
+                        if row[col] != rep_row[col]:
                             return _substitution_violation(
-                                r, axiom_id, rep, members[pos], k, wa, wb
+                                r, axiom_id, members[0], members[pos], k, wa, wb
                             )
         return AxiomReport(axiom_id, True)
 
@@ -442,7 +449,7 @@ def check_substitutability(
     index_of_code = universe.index_of_code
     for wa, wb in pairs:
         parts = [code & masks[wa] for code in codes]
-        for k, k_part in companions[wb]:
+        for k_part, k in companions[wb].items():
             mixed = [index_of_code[part | k_part] for part in parts]
             for i, j in indifferent_pairs:
                 m1, m2 = mixed[i], mixed[j]
@@ -663,13 +670,16 @@ def sample_scalar_configs(
     """
     rng = random.Random(seed)
     out = []
+    scale_maps: dict[tuple[int, int], list[ScaleMap]] = {}
     for _ in range(count):
         nx = rng.randint(2, max_outcomes)
         nv = rng.randint(2, max_levels)
         nu = rng.randint(2, nv)
         base = canonical_outcomes(nx)
         v_scale = canonical_scale(nv)
-        h = rng.choice(enumerate_scale_maps(v_scale, canonical_scale(nu, name="U")))
+        if (nv, nu) not in scale_maps:
+            scale_maps[nv, nu] = enumerate_scale_maps(v_scale, canonical_scale(nu, name="U"))
+        h = rng.choice(scale_maps[nv, nu])
         rank_key = {base.best: nu - 1, base.worst: 0}
         for label in base.labels:
             if label not in (base.best, base.worst):

@@ -18,11 +18,11 @@ from functools import partial
 from typing import Mapping
 
 from . import worked_example
-from .axioms import LotteryUniverse, format_report, verify_entailments
 from .lotteries import (
     INFINITY,
     BoundExceededError,
     Decision,
+    DisbeliefBoundError,
     DisbeliefFunction,
     OutcomeSet,
     PossibilityDistribution,
@@ -233,62 +233,6 @@ def parse_scenario(data: Mapping, source: str = "<scenario>") -> Scenario:
     )
 
 
-def serialize_scenario(scenario: Scenario) -> dict:
-    """Rebuild the JSON document for a scenario; loading it back compares equal."""
-    data: dict = {
-        "scale_v": list(scenario.scale_v.levels),
-        "outcomes": {
-            "labels": list(scenario.outcomes.outcomes),
-            "best": scenario.outcomes.best,
-            "worst": scenario.outcomes.worst,
-            "preference": [list(c) for c in scenario.outcomes.preference_classes],
-        },
-    }
-    if scenario.scale_u is not None:
-        data["scale_u"] = list(scenario.scale_u.levels)
-    if scenario.states is not None:
-        data["states"] = list(scenario.states.states)
-    if scenario.state_possibility is not None:
-        data["state_possibility"] = {
-            label: level.label for label, level in scenario.state_possibility.items()
-        }
-    if scenario.decisions:
-        data["decisions"] = {
-            name: dict(zip(d.states.states, d.moves))
-            for name, d in scenario.decisions.items()
-        }
-    if scenario.lotteries:
-        data["lotteries"] = {
-            name: {label: level.label for label, level in dist.items()}
-            for name, dist in scenario.lotteries.items()
-        }
-    if scenario.assessment is not None:
-        data["assessment"] = {
-            label: [
-                scenario.assessment.utility_for(label).first.label,
-                scenario.assessment.utility_for(label).second.label,
-            ]
-            for label in scenario.outcomes.outcomes
-        }
-    if scenario.pessimistic_config is not None:
-        cfg = scenario.pessimistic_config
-        data["pessimistic_config"] = {
-            "u": {
-                label: cfg.prize_utility_for(label).label
-                for label in scenario.outcomes.outcomes
-            },
-            "n": {
-                cfg.utility_scale.levels[i]: cfg.utility_scale.levels[img]
-                for i, img in enumerate(cfg.involution.images)
-            },
-            "h": {
-                cfg.uncertainty_scale.levels[i]: cfg.utility_scale.levels[img]
-                for i, img in enumerate(cfg.scale_map.images)
-            },
-        }
-    return data
-
-
 def _resolve_evaluator(scenario: Scenario, method: str) -> Evaluator:
     if method in ("pessimistic", "optimistic"):
         if scenario.pessimistic_config is None:
@@ -356,6 +300,9 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # Only verify needs the checker; the other commands never load it.
+    from .axioms import LotteryUniverse, format_report, verify_entailments
+
     for flag, value in (("--max-outcomes", args.max_outcomes), ("--max-levels", args.max_levels)):
         if value > HARD_CAP and not args.unsafe_bounds:
             raise BoundExceededError(
@@ -478,7 +425,10 @@ def cmd_convert_spohn(args: argparse.Namespace) -> int:
             pi = make_distribution(StateSpace(tuple(values)), dist_values)
         except ValueError as exc:
             raise fail(f"values: {exc}") from exc
-        delta = to_disbelief(pi, args.base)
+        try:
+            delta = to_disbelief(pi, args.base)
+        except DisbeliefBoundError as exc:
+            raise fail(f"values: {exc}") from exc
         payload = {
             "values": {
                 label: ("infinity" if value == INFINITY else value)
@@ -550,7 +500,7 @@ def paper_example_lines() -> list[str]:
         dist = scenario.lotteries[name]
         terms = []
         for label, level in dist.items():
-            pair = encoded.utility_for(label).pair
+            pair = encoded.utility_for(label)
             terms.append((level, pair, ext_min(level, pair)))
         term_text = ", ".join(f"min({lv},{pr})={cut}" for lv, pr, cut in terms)
         lines.append(f"  {name} terms: {term_text}")

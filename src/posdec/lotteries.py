@@ -20,6 +20,11 @@ INFINITY = float("inf")
 
 DEFAULT_ENUMERATION_LIMIT = 500_000
 
+# The largest disbelief rank converted either way.  Building c**-rank costs
+# time and digits that grow with the rank, so a rank over this is rejected,
+# given or computed, before its power is built.
+MAX_DISBELIEF = 64
+
 
 class NormalizationError(ValueError):
     """A distribution or weight vector fails max-is-top normalization."""
@@ -27,6 +32,10 @@ class NormalizationError(ValueError):
 
 class BoundExceededError(RuntimeError):
     """A desk-scale enumeration would blow past its configured limit."""
+
+
+class DisbeliefBoundError(ValueError):
+    """A disbelief rank, given or computed, is over ``MAX_DISBELIEF``."""
 
 
 @dataclass(frozen=True)
@@ -299,9 +308,6 @@ class Decision:
             raise ValueError(f"decision mentions unknown state {sorted(unknown)[0]!r}")
         return cls(states, tuple(table[s] for s in states.states))
 
-    def outcome_for(self, state: str) -> str:
-        return self.moves[self.states.states.index(state)]
-
 
 def induced_distribution(
     pi_states: PossibilityDistribution, d: Decision, outcomes: OutcomeSet
@@ -376,14 +382,6 @@ class StandardLottery:
     def scale(self) -> Scale:
         return self.best_weight.scale
 
-    def best_fully_possible(self) -> bool:
-        """Membership in the half where the best prize has full possibility."""
-        return self.best_weight.is_top()
-
-    def worst_fully_possible(self) -> bool:
-        """Membership in the half where the worst prize has full possibility."""
-        return self.worst_weight.is_top()
-
     def as_distribution(self, outcomes: OutcomeSet) -> PossibilityDistribution:
         values = {label: self.scale.bottom for label in outcomes.outcomes}
         values[outcomes.best] = self.best_weight
@@ -415,11 +413,15 @@ class DisbeliefFunction:
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.values):
             raise ValueError("disbelief function labels and values differ in length")
-        for v in self.values:
+        for label, v in zip(self.labels, self.values):
             if v is INFINITY or v == INFINITY:
                 continue
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"disbelief values must be non-negative integers, got {v!r}")
+            if v > MAX_DISBELIEF:
+                raise DisbeliefBoundError(
+                    f"disbelief value {v} for {label!r} is over the bound of {MAX_DISBELIEF}"
+                )
         if min(self.values) != 0:
             raise NormalizationError(
                 f"disbelief function is not normalized: min value is {min(self.values)}"
@@ -493,11 +495,12 @@ def to_disbelief(
     """Convert a possibility distribution to its integer disbelief ranking.
 
     Each value v becomes the integer part of -log_c(v), computed exactly on
-    rationals; v = 0 becomes INFINITY.
+    rationals; v = 0 becomes INFINITY.  A rank over ``MAX_DISBELIEF`` raises
+    before the next power is built.
     """
     base = _as_base(c)
     values: list[Union[int, float]] = []
-    for idx in pi.indices:
+    for label, idx in zip(pi.domain.labels, pi.indices):
         v = pi.scale.numeric(idx)
         if v == 0:
             values.append(INFINITY)
@@ -506,6 +509,11 @@ def to_disbelief(
         k = 0
         power = Fraction(1)
         while power * base <= inverse:
+            if k == MAX_DISBELIEF:
+                raise DisbeliefBoundError(
+                    f"disbelief of level {pi.scale.levels[idx]!r} for {label!r} at base "
+                    f"{c} is over the bound of {MAX_DISBELIEF}"
+                )
             power *= base
             k += 1
         values.append(k)

@@ -112,9 +112,6 @@ class Level:
     def label(self) -> str:
         return self.scale.levels[self.index]
 
-    def is_bottom(self) -> bool:
-        return self.index == 0
-
     def is_top(self) -> bool:
         return self.index == len(self.scale) - 1
 
@@ -176,7 +173,7 @@ class UtilityPair:
 
 
 @dataclass(frozen=True)
-class BinaryUtility:
+class BinaryUtility(UtilityPair):
     """A utility pair whose larger component is the top of its scale.
 
     These are the values of the pair-valued utility scale: one component
@@ -184,30 +181,17 @@ class BinaryUtility:
     at the bottom.
     """
 
-    pair: UtilityPair
-
     def __post_init__(self) -> None:
-        if not (self.pair.first.is_top() or self.pair.second.is_top()):
+        super().__post_init__()
+        if not (self.first.is_top() or self.second.is_top()):
             raise ValueError(
-                f"not a binary utility: max component of {self.pair} is not "
-                f"the top of scale {self.pair.scale.name!r}"
+                f"not a binary utility: max component of {self} is not "
+                f"the top of scale {self.scale.name!r}"
             )
 
     @classmethod
     def of(cls, first: Level, second: Level) -> "BinaryUtility":
-        return cls(UtilityPair(first, second))
-
-    @property
-    def first(self) -> Level:
-        return self.pair.first
-
-    @property
-    def second(self) -> Level:
-        return self.pair.second
-
-    @property
-    def scale(self) -> Scale:
-        return self.pair.scale
+        return cls(first, second)
 
     def __lt__(self, other: "BinaryUtility") -> bool:
         return compare_binary(self, other) < 0
@@ -220,9 +204,6 @@ class BinaryUtility:
 
     def __ge__(self, other: "BinaryUtility") -> bool:
         return compare_binary(self, other) >= 0
-
-    def __str__(self) -> str:
-        return str(self.pair)
 
 
 def pair_ge_indices(first: int, second: int, first2: int, second2: int, top: int) -> bool:

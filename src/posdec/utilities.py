@@ -233,16 +233,6 @@ class BinaryUtilityAssessment:
         a, b = self.pair_indices[self.outcomes.labels.index(label)]
         return BinaryUtility.of(self.scale.level(a), self.scale.level(b))
 
-    def all_in_best_half(self) -> bool:
-        """True when every prize sits where the best prize is fully possible."""
-        top = len(self.scale) - 1
-        return all(a == top for a, _ in self.pair_indices)
-
-    def all_in_worst_half(self) -> bool:
-        """True when every prize sits where the worst prize is fully possible."""
-        top = len(self.scale) - 1
-        return all(b == top for _, b in self.pair_indices)
-
 
 def _fold_pairs(pi: PossibilityDistribution, a: BinaryUtilityAssessment) -> tuple[int, int]:
     """Max over prizes of min(possibility, each component of the prize's pair).
@@ -286,12 +276,6 @@ class Ranking:
 
     classes: tuple[tuple[str, ...], ...]
     utilities: tuple[UtilityValue, ...]
-
-    def position_of(self, item_id: str) -> int:
-        for i, cls in enumerate(self.classes):
-            if item_id in cls:
-                return i
-        raise KeyError(f"unknown item {item_id!r}")
 
 
 def rank_decisions(

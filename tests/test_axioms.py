@@ -32,6 +32,7 @@ from posdec.axioms import (
     search_pair_counterexample,
     verify_entailments,
 )
+from posdec.scales import Scale, ScaleMismatchError
 from posdec.utilities import (
     binary_utility,
     optimistic_utility,
@@ -138,6 +139,12 @@ class TestPreferenceRelation:
         with pytest.raises(ValueError, match="past the universe"):
             rel.with_flipped(0, 3)
 
+    @pytest.mark.parametrize("entry", [(-1, 0), (0, -1), (-3, -3), (3, 0)])
+    def test_with_flipped_rejects_indices_outside_the_relation(self, tiny_universe, entry):
+        rel = PreferenceRelation(tiny_universe, [0b111, 0b110, 0b110])
+        with pytest.raises(ValueError, match="outside a relation of 3 members"):
+            rel.with_flipped(*entry)
+
 
 class TestTotalPreorder:
     def test_induced_relations_pass(self, example_binary_relation, example_pessimistic_relation):
@@ -235,6 +242,16 @@ class TestSubstitutability:
         scale = small_universe.scale
         with pytest.raises(ValueError, match="normalized"):
             check_substitutability(rel, weight_pairs=[(scale["0"], scale[".5"])])
+
+    def test_weight_pairs_from_another_scale_raise(self, small_universe):
+        rel = induced_relation(
+            small_universe, partial(binary_utility, a=tiny_assessment(small_universe))
+        )
+        other = Scale(("0", ".4", "1"), name="W")
+        scale = small_universe.scale
+        for pair in [(other["1"], other[".4"]), (scale["1"], other["0"])]:
+            with pytest.raises(ScaleMismatchError):
+                check_substitutability(rel, weight_pairs=[pair])
 
 
 class TestContinuity:
@@ -366,6 +383,13 @@ class TestVerifyEntailments:
         )
         assert not run.ok()
         assert ("scenario-pessimistic", "A1-") in run.unexpected()
+
+    def test_fault_outside_the_relation_is_rejected(self, tiny_universe):
+        cfg = enumerate_scalar_configs(tiny_universe.outcomes, tiny_universe.scale)[0]
+        with pytest.raises(ValueError, match="outside a relation"):
+            verify_entailments(
+                tiny_universe, scalar_config=cfg, sample_size=0, fault=(-1, 0)
+            )
 
     def test_report_format(self, example_scenario, example_universe):
         run = verify_entailments(

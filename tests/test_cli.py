@@ -3,9 +3,15 @@
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import posdec
 from posdec import worked_example
 from posdec.cli import (
     EXIT_BOUND,
@@ -16,7 +22,6 @@ from posdec.cli import (
     load_scenario,
     main,
     parse_scenario,
-    serialize_scenario,
 )
 
 WORKED = "scenarios/worked_example.json"
@@ -79,12 +84,6 @@ class TestLoadScenario:
     def test_missing_file(self):
         with pytest.raises(ScenarioError):
             load_scenario("no-such-file.json")
-
-    def test_round_trip(self, decision_scenario_path, tmp_path):
-        first = load_scenario(decision_scenario_path)
-        rewritten = write_scenario(tmp_path, serialize_scenario(first), "again.json")
-        second = load_scenario(rewritten)
-        assert first == second
 
     def test_unknown_level_label(self, tmp_path):
         data = copy.deepcopy(worked_example.SCENARIO)
@@ -376,6 +375,56 @@ class TestConvertSpohn:
         assert err.count("\n") == 1
         assert err.startswith(f"error: {path}: values: ")
         assert named in err
+
+    @pytest.mark.parametrize(
+        "data, direction, base, named",
+        [
+            pytest.param(
+                {"values": {"s1": 0, "s2": 3000000}}, "to-possibility", "2",
+                "disbelief value 3000000 for 's2' is over the bound", id="rank-3000000",
+            ),
+            pytest.param(
+                {"values": {"s1": 0, "s2": 100000}}, "to-possibility", "2",
+                "disbelief value 100000 for 's2' is over the bound", id="rank-100000",
+            ),
+            pytest.param(
+                {"values": {"s1": "1", "s2": ".5"}}, "to-disbelief", "1.00001",
+                "level '.5' for 's2' at base 1.00001 is over the bound", id="computed-rank",
+            ),
+        ],
+    )
+    def test_disbelief_rank_is_bounded(self, tmp_path, capsys, data, direction, base, named):
+        path = write_scenario(tmp_path, data, "input.json")
+        start = time.perf_counter()
+        code = main(["convert-spohn", path, "--direction", direction, "--base", base])
+        # Unbounded, each ran for seconds to minutes; bounded, milliseconds.
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {path}: values: ")
+        assert named in err
+
+
+class TestColdStart:
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "import posdec.cli",
+            f"from posdec.cli import main; main(['rank', '--scenario', {WORKED!r}, "
+            "'--method', 'binary'])",
+        ],
+        ids=["import", "rank"],
+    )
+    def test_checker_is_not_loaded(self, statement):
+        code = f"import sys; {statement}; print('posdec.axioms' in sys.modules)"
+        # A fresh interpreter importing the package this test run imports.
+        env = {**os.environ, "PYTHONPATH": str(Path(posdec.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestPaperExample:

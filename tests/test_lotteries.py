@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from posdec.lotteries import (
     INFINITY,
+    MAX_DISBELIEF,
     BoundExceededError,
     Decision,
+    DisbeliefBoundError,
     DisbeliefFunction,
     NormalizationError,
     OutcomeSet,
@@ -296,8 +298,8 @@ class TestStandardLotteries:
     def test_count_and_halves(self):
         lots = standard_lotteries(V4)
         assert len(lots) == 7
-        assert sum(1 for s in lots if s.best_fully_possible()) == 4
-        assert sum(1 for s in lots if s.worst_fully_possible()) == 4
+        assert sum(1 for s in lots if s.best_weight.is_top()) == 4
+        assert sum(1 for s in lots if s.worst_weight.is_top()) == 4
 
     def test_needs_top_weight(self):
         with pytest.raises(ValueError, match="standard lottery"):
@@ -354,6 +356,16 @@ class TestDisbeliefBridge:
                 continue
             delta = DisbeliefFunction(("s1", "s2", "s3"), combo)
             assert to_disbelief(from_disbelief(delta, 2), 2) == delta
+
+    def test_ranks_are_bounded_both_ways(self):
+        delta = DisbeliefFunction.from_mapping({"s1": 0, "s2": MAX_DISBELIEF})
+        assert to_disbelief(from_disbelief(delta, 5), 5) == delta
+        with pytest.raises(DisbeliefBoundError, match="3000000 for 's2' is over the bound"):
+            DisbeliefFunction.from_mapping({"s1": 0, "s2": 3_000_000})
+        tiny = f"1/{2 ** (MAX_DISBELIEF + 1)}"
+        pi = dist(StateSpace(("s1", "s2")), Scale(("0", tiny, "1")), "1", tiny)
+        with pytest.raises(DisbeliefBoundError, match="for 's2' at base 2 is over the bound"):
+            to_disbelief(pi, 2)
 
     def test_round_trip_non_terminating_base(self):
         # Base 3 yields 1/3 and 1/9, which have no finite decimal form.

@@ -47,9 +47,9 @@ def binary_utility_by_pair_algebra(pi, a: BinaryUtilityAssessment) -> BinaryUtil
     """Reference fold on Level and UtilityPair values: ext_max of ext_min terms."""
     acc = None
     for label, level in pi.items():
-        term = ext_min(level, a.utility_for(label).pair)
+        term = ext_min(level, a.utility_for(label))
         acc = term if acc is None else ext_max(acc, term)
-    return BinaryUtility(acc)
+    return BinaryUtility(acc.first, acc.second)
 
 
 class TestPessimistic:
@@ -80,7 +80,7 @@ class TestPessimistic:
         cfg = s.pessimistic_config
         worst = point_mass(s.outcomes, "x4", s.scale_v)
         for sl in standard_lotteries(s.scale_v):
-            if not sl.worst_fully_possible():
+            if not sl.worst_weight.is_top():
                 continue
             value = pessimistic_utility(sl.as_distribution(s.outcomes), cfg)
             assert value == pessimistic_utility(worst, cfg)
@@ -122,7 +122,7 @@ class TestOptimistic:
     def test_best_fully_possible_dominates(self, example_scenario):
         s = example_scenario
         for sl in standard_lotteries(s.scale_v):
-            if not sl.best_fully_possible():
+            if not sl.best_weight.is_top():
                 continue
             value = optimistic_utility(sl.as_distribution(s.outcomes), s.pessimistic_config)
             assert value.label == "1"
@@ -228,7 +228,8 @@ class TestBinaryUtility:
         relaxed = BinaryUtilityAssessment.from_mapping(
             s.outcomes, s.scale_v, table, require_anchors=False
         )
-        assert relaxed.all_in_best_half()
+        top = len(s.scale_v) - 1
+        assert all(first == top for first, _ in relaxed.pair_indices)
 
 
 class TestReduceToStandard:
