@@ -8,7 +8,9 @@ and an ``|`` on their codes.  Every axiom is a decidable predicate over
 the relation and every check stays complete: it skips only cases whose
 result repeats one already decided (members with equal rows, companions
 or class members with equal masked codes), so a violated predicate still
-returns the first concrete witness, which can be replayed.  A1-/B1 and
+returns the first concrete witness, which can be replayed.  The mixtures
+with a point mass generate every other, so substitutability is decided
+on those and scans for its witness only after a violation.  A1-/B1 and
 A3-/B3 name the same predicates and share one evaluation per relation.
 Entailment sweeps check each configuration against its family in
 ``FAMILIES`` (the family's battery is the key order of its expectations)
@@ -56,6 +58,24 @@ DEFAULT_UNIVERSE_LIMIT = 200_000
 def _lowest_bit(bits: int) -> int:
     """Position of the lowest set bit of a nonzero bitset."""
     return (bits & -bits).bit_length() - 1
+
+
+def _bits(bits: int) -> list[int]:
+    """Positions of the set bits, lowest first."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def _row_groups(rows: Iterable[int]) -> dict[int, int]:
+    """Bitset of the members with each distinct row, keyed by row, first seen first."""
+    groups: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        groups[row] = groups.get(row, 0) | 1 << i
+    return groups
 
 
 class LotteryUniverse:
@@ -122,6 +142,25 @@ class LotteryUniverse:
         return {code: i for i, code in enumerate(self.codes)}
 
     @cached_property
+    def generator_maps(self) -> tuple[tuple[int, ...], ...]:
+        """Member maps of the mixtures with a point mass, 2 * top per prize.
+
+        Weights (top, v), v >= 1, raise the prize to at least v; weights
+        (wa, top), wa < top, cap every prize at wa and raise the prize to
+        the top.  Under a default weight pair (wa, wb) the mixture with k is
+        a chain of these: a cap at wa raising one of k's top prizes if
+        wa < top, then a raise to k's level, capped at wb, per prize.
+        """
+        top = len(self.scale) - 1
+        codes, masks, index_of_code = self.codes, self.weight_masks, self.index_of_code
+        weights = [(top, v) for v in range(1, top + 1)] + [(wa, top) for wa in range(top)]
+        return tuple(
+            tuple(index_of_code[(code & masks[wa]) | (codes[k] & masks[wb])] for code in codes)
+            for k in self.point_mass_index.values()
+            for wa, wb in weights
+        )
+
+    @cached_property
     def above(self) -> tuple[int, ...]:
         """Bitset per member of the other members pointwise at least as high."""
         return self._dominance(operator.ge)
@@ -185,20 +224,15 @@ class PreferenceRelation:
     @cached_property
     def row_groups(self) -> list[tuple[int, int]]:
         """(row, bitset of the members with that row) per distinct row, first seen first."""
-        groups: dict[int, int] = {}
-        for i, row in enumerate(self.rows):
-            groups[row] = groups.get(row, 0) | (1 << i)
-        return list(groups.items())
+        return list(_row_groups(self.rows).items())
 
     @cached_property
     def columns(self) -> list[int]:
         """Bitset per member j of the members i at least as good as j."""
         cols = [0] * self.size
         for row, members in self.row_groups:
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] |= members
-                row ^= low
+            for j in _bits(row):
+                cols[j] |= members
         return cols
 
 
@@ -322,37 +356,6 @@ def default_weight_pairs(scale: Scale) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _indifference_classes(r: PreferenceRelation) -> list[int] | None:
-    """Class id per member when indifference is an equivalence, else None.
-
-    Classes are numbered from 0 in order of their first member; a member i
-    not at least as good as itself is indifferent to nothing and gets its
-    own id, ``-1 - i``.  So two members share an id iff they are equal or
-    indifferent.
-    """
-    rows, cols = r.rows, r.columns
-    class_of = [-1 - i for i in range(r.size)]
-    class_of_rep: dict[int, int] = {}
-    reps = 0
-    class_bits: list[int] = []
-    for i, row in enumerate(rows):
-        if not row >> i & 1:
-            continue
-        known = row & cols[i] & reps
-        if known:
-            c = class_of_rep[_lowest_bit(known)]
-        else:
-            c = class_of_rep[i] = len(class_bits)
-            reps |= 1 << i
-            class_bits.append(0)
-        class_of[i] = c
-        class_bits[c] |= 1 << i
-    for i, c in enumerate(class_of):
-        if rows[i] & cols[i] != (class_bits[c] if c >= 0 else 0):
-            return None
-    return class_of
-
-
 def _distinct_parts(codes: Sequence[int], mask: int) -> dict[int, int]:
     """First index of each distinct masked code, keyed by that code, in order."""
     seen: dict[int, int] = {}
@@ -368,21 +371,23 @@ def check_substitutability(
 ) -> AxiomReport:
     """Mixing two indifferent lotteries with any third must stay indifferent.
 
-    Checked over every normalized weight pair drawn from the scale, every
-    indifferent pair, and every companion lottery: complete at desk scale,
-    never a sample.  Mixtures that coincide as lotteries count as
-    indifferent; self-indifference is the total-preorder check's job.
+    Complete over every normalized weight pair, indifferent pair and
+    companion, never a sample; mixtures that coincide count as indifferent,
+    and self-indifference is the total-preorder check's job.  So each
+    mixture's member map must keep ``same`` ("equal or indifferent"), and
+    maps that keep it compose.  Under the default weight pairs every
+    mixture is a chain of ``universe.generator_maps``, each a mixture too,
+    so the axiom holds iff each generator sends the members of every
+    distinct ``same`` row into one row or, failing that, into the row of
+    each image of a member with that row.  Caller-given pairs may miss
+    generators, so they skip this test.
 
-    A mixture depends on a member only through its masked code, so a
-    companion (or class member) whose masked code repeats an earlier one's
-    gives the result already decided and is skipped.  When indifference is
-    an equivalence, each indifference class is scanned once per weight
-    pair: every member's mixtures become a row of class ids, one per
-    companion, and the class passes iff every row equals its
-    representative's.  Otherwise the first witness in the full
-    quantification order is read from those rows.  A relation whose
-    indifference is not an equivalence falls back to the direct
-    quantification over indifferent pairs.
+    After a violation, or for caller-given pairs, a scan in the order of
+    quantification returns the first witness: per class when indifference
+    is an equivalence of members at least as good as themselves, else per
+    weight pair and companion, scanning indifferent pairs only under a
+    mixture that fails the test.  Companions and class members whose
+    masked code repeats an earlier one's are skipped.
     """
     universe = r.universe
     scale = universe.scale
@@ -398,63 +403,67 @@ def check_substitutability(
             if max(a.index, b.index) != top:
                 raise ValueError("substitutability weight pairs must be normalized")
             pairs.append((a.index, b.index))
+    rows = r.rows
+    same = [row & col | 1 << i for i, (row, col) in enumerate(zip(rows, r.columns))]
+    groups = _row_groups(same)
+    gathers = [
+        (operator.itemgetter(*_bits(row)), members)
+        for row, members in groups.items()
+        if row & (row - 1)
+    ]
+
+    def keeps_same(f: Sequence[int]) -> bool:
+        images = operator.itemgetter(*f)(same)
+        for gather, members in gathers:
+            ids = gather(images)
+            if ids.count(ids[0]) == len(ids):
+                continue
+            image = sum({1 << m for m in gather(f)})
+            if any(image & ~same[f[i]] for i in _bits(members)):
+                return False
+        return True
+
+    if weight_pairs is None and all(map(keeps_same, universe.generator_maps)):
+        return AxiomReport(axiom_id, True)
+
     codes = universe.codes
     masks = universe.weight_masks
     companions = {wb: _distinct_parts(codes, masks[wb]) for wb in {wb for _, wb in pairs}}
-
-    class_of = _indifference_classes(r)
-    if class_of is not None:
-        # Equal ids: the mixtures are equal or indifferent.
-        class_of_code = dict(zip(codes, class_of))
-        groups: dict[int, list[int]] = {}
-        for i, c in enumerate(class_of):
-            groups.setdefault(c, []).append(i)
-        for members in groups.values():
-            if len(members) < 2:
-                continue
+    # Indifference is an equivalence of the members at least as good as
+    # themselves, and the rest are indifferent to nothing: scan per class.
+    if all(row == members for row, members in groups.items()) and all(
+        same[i] == 1 << i for i, row in enumerate(rows) if not row >> i & 1
+    ):
+        same_of_code = dict(zip(codes, same))
+        for row in groups:
+            members = _bits(row)
             member_codes = [codes[m] for m in members]
             for wa, wb in pairs:
-                # The representative first, then each member whose masked
-                # code is new; the rest mix exactly as one before them.
-                distinct = _distinct_parts(member_codes, masks[wa])
-                if len(distinct) < 2:
+                # The first member, then each member whose masked code is
+                # new; the rest mix exactly as one before them.
+                (first, _), *others = _distinct_parts(member_codes, masks[wa]).items()
+                if not others:
                     continue
-                k_parts = companions[wb]
-                rep_row, *member_rows = (
-                    [class_of_code[part | k_part] for k_part in k_parts]
-                    for part in distinct
-                )
-                if all(row == rep_row for row in member_rows):
-                    continue
-                positions = list(distinct.values())[1:]
-                for col, k in enumerate(k_parts.values()):
-                    for pos, row in zip(positions, member_rows):
-                        if row[col] != rep_row[col]:
+                for k_part, k in companions[wb].items():
+                    want = same_of_code[first | k_part]
+                    for part, pos in others:
+                        if same_of_code[part | k_part] != want:
                             return _substitution_violation(
                                 r, axiom_id, members[0], members[pos], k, wa, wb
                             )
         return AxiomReport(axiom_id, True)
 
-    # Indifference is not an equivalence here (broken relation); fall back
-    # to the direct quantification over indifferent pairs, with the mixed
-    # ids computed once per weight pair and companion.
-    rows, cols = r.rows, r.columns
-    indifferent = [row & col for row, col in zip(rows, cols)]
-    indifferent_pairs = [
-        (i, j)
-        for i, bits in enumerate(indifferent)
-        for j in range(i + 1, r.size)
-        if bits >> j & 1
-    ]
     index_of_code = universe.index_of_code
     for wa, wb in pairs:
         parts = [code & masks[wa] for code in codes]
         for k_part, k in companions[wb].items():
             mixed = [index_of_code[part | k_part] for part in parts]
-            for i, j in indifferent_pairs:
-                m1, m2 = mixed[i], mixed[j]
-                if m1 != m2 and not indifferent[m1] >> m2 & 1:
-                    return _substitution_violation(r, axiom_id, i, j, k, wa, wb)
+            if keeps_same(mixed):
+                continue
+            for i, m1 in enumerate(mixed):
+                for j in _bits(same[i] >> i + 1 << i + 1):
+                    if not same[m1] >> mixed[j] & 1:
+                        return _substitution_violation(r, axiom_id, i, j, k, wa, wb)
     return AxiomReport(axiom_id, True)
 
 

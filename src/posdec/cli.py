@@ -24,6 +24,7 @@ from .lotteries import (
     Decision,
     DisbeliefBoundError,
     DisbeliefFunction,
+    LevelBoundError,
     OutcomeSet,
     PossibilityDistribution,
     StateSpace,
@@ -379,7 +380,10 @@ def cmd_convert_spohn(args: argparse.Namespace) -> int:
             delta = DisbeliefFunction.from_mapping(table)
         except ValueError as exc:
             raise fail(f"values: {exc}") from exc
-        pi = from_disbelief(delta, args.base)
+        try:
+            pi = from_disbelief(delta, args.base)
+        except LevelBoundError as exc:
+            raise fail(f"values: {exc}") from exc
         payload = {
             "scale": list(pi.scale.levels),
             "values": {label: level.label for label, level in pi.items()},
@@ -411,13 +415,16 @@ def cmd_convert_spohn(args: argparse.Namespace) -> int:
                     ) from None
                 if not 0 <= points[label] <= 1:
                     raise fail(f"values: level {value!r} for {label!r} is outside [0, 1]")
-            scale = Scale(
-                tuple(
-                    format_fraction_label(p)
-                    for p in sorted(set(points.values()) | {Fraction(0), Fraction(1)})
-                ),
-                name="synthesized",
-            )
+            try:
+                scale = Scale(
+                    tuple(
+                        format_fraction_label(p)
+                        for p in sorted(set(points.values()) | {Fraction(0), Fraction(1)})
+                    ),
+                    name="synthesized",
+                )
+            except LevelBoundError as exc:
+                raise fail(f"values: {exc}") from exc
             dist_values = {
                 label: scale[format_fraction_label(p)] for label, p in points.items()
             }

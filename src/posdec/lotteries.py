@@ -25,6 +25,11 @@ DEFAULT_ENUMERATION_LIMIT = 500_000
 # given or computed, before its power is built.
 MAX_DISBELIEF = 64
 
+# The most bits a level's denominator may have to be written as a label.
+# Writing costs time and digits that grow with the denominator, so a finer
+# level is rejected before it is written.
+MAX_LEVEL_BITS = 4096
+
 
 class NormalizationError(ValueError):
     """A distribution or weight vector fails max-is-top normalization."""
@@ -36,6 +41,10 @@ class BoundExceededError(RuntimeError):
 
 class DisbeliefBoundError(ValueError):
     """A disbelief rank, given or computed, is over ``MAX_DISBELIEF``."""
+
+
+class LevelBoundError(ValueError):
+    """A level's denominator has more than ``MAX_LEVEL_BITS`` bits."""
 
 
 @dataclass(frozen=True)
@@ -447,17 +456,22 @@ def format_fraction_label(value: Fraction) -> str:
     """Render an exact rational in [0, 1] as a scale label.
 
     Terminating decimals come out in the ".25" house style; anything else
-    falls back to a "p/q" label, which the scale parser also accepts.
+    falls back to a "p/q" label, which the scale parser also accepts.  A
+    denominator over ``MAX_LEVEL_BITS`` bits raises ``LevelBoundError``.
     """
     if value == 0:
         return "0"
     if value == 1:
         return "1"
     den = value.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
+    if den.bit_length() > MAX_LEVEL_BITS:
+        raise LevelBoundError(
+            f"a level with a {den.bit_length()}-bit denominator is over the bound "
+            f"of {MAX_LEVEL_BITS} bits"
+        )
+    twos = (den & -den).bit_length() - 1
+    den >>= twos
+    fives = 0
     while den % 5 == 0:
         den //= 5
         fives += 1
@@ -475,7 +489,8 @@ def from_disbelief(
     """Convert a disbelief ranking to a possibility distribution via c**-value.
 
     The result lives on a freshly synthesized scale holding 0, 1 and every
-    distinct image value; INFINITY maps to 0.
+    distinct image value; INFINITY maps to 0.  An image too fine to label
+    raises ``LevelBoundError``.
     """
     base = _as_base(c)
     images = []

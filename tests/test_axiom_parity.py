@@ -2,10 +2,13 @@
 
 Every check must return the same report as its oracle, witness and detail
 included, on total preorders, product orders and relations with a few
-entries flipped; together these reach both the indifference-class path
-and the fallback path of the substitutability check.
+entries flipped; together these reach both the per-class scan and the
+pair-order scan of the substitutability check.  Substitutability is also
+compared on faulted relations over the 4x4 and 4x5 universes, and its
+generator test against the scan over every default weight pair.
 """
 
+import random
 from functools import partial
 
 import pytest
@@ -21,6 +24,7 @@ from posdec.axioms import (
     check_substitutability,
     check_total_preorder,
     check_uncertainty_attitude,
+    default_weight_pairs,
     enumerate_assessments,
     enumerate_scalar_configs,
     induced_relation,
@@ -168,3 +172,38 @@ def test_counterexample_search_matches_pairwise_scan(shape):
             found += witness is not None
     # Both outcomes occur, so both branches are compared.
     assert 0 < found < len(configs) * len(assessments)
+
+
+@settings(max_examples=150, deadline=None)
+@given(relations())
+def test_generator_test_matches_the_scan(case):
+    """Every default pair given by the caller skips the test for the scan."""
+    rel = case[0]
+    scale = rel.universe.scale
+    every_pair = [(scale.level(a), scale.level(b)) for a, b in default_weight_pairs(scale)]
+    assert fields(check_substitutability(rel, every_pair)) == fields(check_substitutability(rel))
+
+
+@pytest.mark.parametrize(
+    "shape, seed, off_diagonal",
+    [pytest.param((4, 4), seed, 3, id=f"4x4-seed{seed}") for seed in range(3)]
+    + [pytest.param((4, 5), 0, 0, id="4x5")],
+)
+def test_faulted_binary_relations_match_oracles(shape, seed, off_diagonal):
+    """A binary relation with (0, 0) and a few seeded off-diagonal entries flipped.
+
+    Member 0 is then not at least as good as itself but stays indifferent
+    to its class, so the oracle takes its direct scan.
+    """
+    universe = LotteryUniverse(canonical_outcomes(shape[0]), canonical_scale(shape[1]))
+    rng = random.Random(seed)
+    assessment = rng.choice(enumerate_assessments(universe.outcomes, universe.scale))
+    rel = induced_relation(universe, partial(binary_utility, a=assessment)).with_flipped(0, 0)
+    for _ in range(off_diagonal):
+        rel = rel.with_flipped(*rng.sample(range(len(universe)), 2))
+    assert fields(check_total_preorder(rel)) == fields(oracle.check_total_preorder(rel))
+    for direction in ("aversion", "attraction"):
+        assert fields(check_uncertainty_attitude(rel, direction)) == fields(
+            oracle.check_uncertainty_attitude(rel, direction)
+        )
+    assert fields(check_substitutability(rel)) == fields(oracle.check_substitutability(rel))

@@ -391,6 +391,14 @@ class TestConvertSpohn:
                 {"values": {"s1": "1", "s2": ".5"}}, "to-disbelief", "1.00001",
                 "level '.5' for 's2' at base 1.00001 is over the bound", id="computed-rank",
             ),
+            pytest.param(
+                {"values": {"s1": 0, "s2": 64}}, "to-possibility", "1e5000",
+                "1063017-bit denominator is over the bound", id="level-of-huge-base",
+            ),
+            pytest.param(
+                {"values": {"s1": "1", "s2": "1e-100000"}}, "to-disbelief", "2",
+                "332193-bit denominator is over the bound", id="tiny-level",
+            ),
         ],
     )
     def test_disbelief_rank_is_bounded(self, tmp_path, capsys, data, direction, base, named):
