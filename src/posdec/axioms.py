@@ -10,13 +10,16 @@ result repeats one already decided (members with equal rows, companions
 or class members with equal masked codes), so a violated predicate still
 returns the first concrete witness, which can be replayed.  The mixtures
 with a point mass generate every other, so substitutability is decided
-on those and scans for its witness only after a violation.  A1-/B1 and
-A3-/B3 name the same predicates and share one evaluation per relation.
-Entailment sweeps check each configuration against its family in
-``FAMILIES`` (the family's battery is the key order of its expectations)
-across enumerated or seeded-sampled configuration families and report one
-line per axiom per configuration; a (family, configuration) repeated within
-one sweep is checked once.
+on those and scans for its witness only after a violation.  Continuity
+tests each source's row, column and target set with one ``&``.  A1-/B1
+and A3-/B3 name the same predicates and share one evaluation per relation.
+Entailment sweeps check each configuration's domain and scale once
+against its universe and build its relation from the criterion's integer
+key core, so no value object is built per member.  Each configuration is
+checked against its family in ``FAMILIES`` (the family's battery is the
+key order of its expectations) across enumerated or seeded-sampled
+configuration families, with one report line per axiom per configuration;
+a (family, configuration) repeated within one sweep is checked once.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import operator
 import random
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .lotteries import (
     OutcomeSet,
@@ -45,11 +48,11 @@ from .scales import (
 )
 from .utilities import (
     BinaryUtilityAssessment,
-    Evaluator,
     ScalarUtilityConfig,
-    binary_utility,
-    optimistic_utility,
-    pessimistic_utility,
+    binary_key,
+    check_domain,
+    optimistic_key,
+    pessimistic_key,
 )
 
 DEFAULT_UNIVERSE_LIMIT = 200_000
@@ -236,11 +239,13 @@ class PreferenceRelation:
         return cols
 
 
-def induced_relation(universe: LotteryUniverse, evaluate: Evaluator) -> PreferenceRelation:
+def induced_relation(universe: LotteryUniverse, evaluate: Callable) -> PreferenceRelation:
     """Member i is at least as good as member j iff its utility is at least j's.
 
-    Each member is evaluated once and members with equal utility share one
-    row, so only the distinct utilities are compared with each other.
+    ``evaluate`` maps a member to anything hashable that ``>=`` compares: a
+    public evaluator's value, or a key core's integer.  Each member is
+    evaluated once and members with equal utility share one row, so only
+    the distinct utilities are compared with each other.
     """
     group_of: dict = {}
     values = []
@@ -505,8 +510,12 @@ def check_continuity(r: PreferenceRelation, variant: str) -> AxiomReport:
         targets = universe.worst_half_ids
     else:
         targets = tuple(i for i, _, _ in universe.standard_info)
+    target_bits = sum(1 << t for t in targets)
+    rows, cols = r.rows, r.columns
     for src in sources:
-        if not any(r.indifferent(src, t) for t in targets):
+        # The targets src is indifferent to: at least as good as src, and src
+        # at least as good as them.
+        if not rows[src] & cols[src] & target_bits:
             return AxiomReport(
                 variant, False, (src,),
                 f"continuity fails: no indifferent standard lottery for "
@@ -891,19 +900,26 @@ def verify_entailments(
     def universe_for(nx: int, nv: int) -> LotteryUniverse:
         return LotteryUniverse(canonical_outcomes(nx), canonical_scale(nv))
 
+    # Every member of a universe shares its domain and scale, so one check per
+    # (universe, configuration) stands for the public evaluators' check per
+    # member, and the relation is built from the integer key cores.
     def scalar(pess_id: str, opt_id: str, uni: LotteryUniverse, cfg: ScalarUtilityConfig):
-        yield pess_id, "pessimistic", uni, cfg, partial(pessimistic_utility, cfg=cfg)
-        yield opt_id, "optimistic", uni, cfg, partial(optimistic_utility, cfg=cfg)
+        check_domain(uni.outcomes, uni.scale, cfg.outcomes, cfg.uncertainty_scale)
+        yield pess_id, "pessimistic", uni, cfg, partial(pessimistic_key, cfg=cfg)
+        yield opt_id, "optimistic", uni, cfg, partial(optimistic_key, cfg=cfg)
+
+    def binary(config_id: str, family: str, uni: LotteryUniverse, a: BinaryUtilityAssessment):
+        check_domain(uni.outcomes, uni.scale, a.outcomes, a.scale)
+        yield config_id, family, uni, a, partial(binary_key, a=a)
 
     def configs():
-        """(config id, family, universe, config or assessment, evaluator), in report order."""
+        """(config id, family, universe, config or assessment, key core), in report order."""
         if scalar_config is not None:
             yield from scalar(
                 "scenario-pessimistic", "scenario-optimistic", universe, scalar_config
             )
         if assessment is not None:
-            evaluate = partial(binary_utility, a=assessment)
-            yield "scenario-binary", "binary", universe, assessment, evaluate
+            yield from binary("scenario-binary", "binary", universe, assessment)
         max_x, max_v = enumerate_max
         for nx, nv in itertools.product(range(2, max_x + 1), range(2, max_v + 1)):
             uni = universe_for(nx, nv)
@@ -916,8 +932,7 @@ def verify_entailments(
                 ("binary-worst-half", "binary-worst-half", "worst"),
             ):
                 for i, a in enumerate(enumerate_assessments(uni.outcomes, uni.scale, half)):
-                    evaluate = partial(binary_utility, a=a)
-                    yield f"{prefix}-{nx}x{nv}-{i:03d}", family, uni, a, evaluate
+                    yield from binary(f"{prefix}-{nx}x{nv}-{i:03d}", family, uni, a)
         if sample_size > 0:
             sampled = sample_scalar_configs(
                 seed, sample_size, sample_max_outcomes, sample_max_levels
@@ -1001,17 +1016,16 @@ def search_pair_counterexample(
     the first witness in (i, j) order with the number of pairs up to it,
     or an explicit none-found-at-this-scale marker.
     """
-    pess = [pessimistic_utility(m, cfg) for m in universe.members]
-    opt = [optimistic_utility(m, cfg) for m in universe.members]
-    pairs = [binary_utility(m, assessment) for m in universe.members]
+    check_domain(universe.outcomes, universe.scale, cfg.outcomes, cfg.uncertainty_scale)
+    check_domain(universe.outcomes, universe.scale, assessment.outcomes, assessment.scale)
     n = len(universe)
     # Members sharing (pessimistic, optimistic) values, groups in order of
     # their first member.  A first witness (i, j) has i first in its group:
     # any earlier member of the group would pair with i or with j.
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, (p, o) in enumerate(zip(pess, opt)):
-        groups.setdefault((p.index, o.index), []).append(i)
-    pair_key = [(u.first.index, u.second.index) for u in pairs]
+    for i, m in enumerate(universe.members):
+        groups.setdefault((pessimistic_key(m, cfg), optimistic_key(m, cfg)), []).append(i)
+    pair_key = [binary_key(m, assessment) for m in universe.members]
     for members in groups.values():
         i = members[0]
         for j in members:

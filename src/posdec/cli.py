@@ -41,6 +41,7 @@ from .scales import (
     ScaleMap,
     ext_min,
     level_max,
+    parse_rational,
 )
 from .utilities import (
     BinaryUtilityAssessment,
@@ -407,12 +408,9 @@ def cmd_convert_spohn(args: argparse.Namespace) -> int:
             points = {}
             for label, value in values.items():
                 try:
-                    points[label] = Fraction(value)
-                except (TypeError, ValueError, ArithmeticError):
-                    raise fail(
-                        f"values: level for {label!r} must be a number or a decimal "
-                        f"label, not {value!r}"
-                    ) from None
+                    points[label] = parse_rational(value, f"level {value!r} for {label!r}")
+                except ValueError as exc:
+                    raise fail(f"values: {exc}") from None
                 if not 0 <= points[label] <= 1:
                     raise fail(f"values: level {value!r} for {label!r} is outside [0, 1]")
             try:

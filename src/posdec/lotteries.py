@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Union
 
-from .scales import Level, Scale, ScaleMismatchError
+from .scales import Level, Scale, ScaleMismatchError, parse_rational
 
 INFINITY = float("inf")
 
@@ -446,7 +446,7 @@ class DisbeliefFunction:
 
 
 def _as_base(c: Union[int, str, Fraction]) -> Fraction:
-    base = Fraction(c)
+    base = parse_rational(c, f"conversion base {c!r}")
     if base <= 1:
         raise ValueError(f"conversion base must be a rational > 1, got {c!r}")
     return base

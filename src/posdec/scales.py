@@ -10,7 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
+
+# The largest decimal exponent a rational may be written with.  Fraction
+# builds 10**|exponent| before any other bound applies, in time that grows
+# faster than the exponent (about 2 s at 3,000,000).  Any exponent past a few
+# thousand already gives a level over the MAX_LEVEL_BITS bound of
+# ``lotteries``, which rejects it once built; this bound keeps that build
+# to milliseconds and rejects a larger exponent unparsed.
+MAX_DECIMAL_EXPONENT = 2**18
 
 
 class ScaleMismatchError(ValueError):
@@ -25,12 +34,31 @@ class ScaleMismatchError(ValueError):
         self.second = second
 
 
+def parse_rational(text, what: str) -> Fraction:
+    """``Fraction(text)``, with a decimal exponent over ``MAX_DECIMAL_EXPONENT``
+    rejected before its power is built.
+
+    Every failure is a ``ValueError`` whose message starts with ``what``.
+    """
+    if isinstance(text, str):
+        _, marker, exponent = text.upper().rpartition("E")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        # Fraction reads any Unicode decimal digits, and so does int.
+        if marker and digits.isdecimal() and (
+            len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits) > MAX_DECIMAL_EXPONENT
+        ):
+            raise ValueError(
+                f"{what} has a decimal exponent over the bound of {MAX_DECIMAL_EXPONENT}"
+            )
+    try:
+        return Fraction(text)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ValueError(f"{what} is not a rational number") from exc
+
+
 def parse_label(label: str) -> Fraction:
     """Parse a level label into an exact rational (no floats anywhere)."""
-    try:
-        return Fraction(label)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"level label {label!r} is not a rational number") from exc
+    return parse_rational(label, f"level label {label!r}")
 
 
 @dataclass(frozen=True)
@@ -91,7 +119,22 @@ class Scale:
         return parse_label(self.levels[index])
 
     def all_levels(self) -> tuple["Level", ...]:
+        return self.level_values
+
+    # Built once per scale so evaluators return values without building them;
+    # not fields, so equality and hashing ignore them.
+    @cached_property
+    def level_values(self) -> tuple["Level", ...]:
+        """Each level, by index."""
         return tuple(Level(self, i) for i in range(len(self.levels)))
+
+    @cached_property
+    def binary_values(self) -> tuple["BinaryUtility", ...]:
+        """Each binary utility over the scale, by ``binary_rank``."""
+        top = self.level_values[-1]
+        out = [BinaryUtility.of(level, top) for level in self.level_values]
+        out.extend(BinaryUtility.of(top, level) for level in self.level_values[-2::-1])
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -241,6 +284,11 @@ def compare_binary(u: BinaryUtility, u2: BinaryUtility) -> int:
     raise AssertionError(f"pair order failed to compare {u} and {u2}")
 
 
+def pair_rank(first: int, second: int, top: int) -> int:
+    """``binary_rank`` of the top-normalized pair (first, second), on raw indices."""
+    return first if second == top else 2 * top - second
+
+
 def binary_rank(u: BinaryUtility) -> int:
     """Integer sort key agreeing with compare_binary.
 
@@ -248,20 +296,12 @@ def binary_rank(u: BinaryUtility) -> int:
     three-case comparison stays the normative definition; tests prove the
     two agree exhaustively.
     """
-    top = len(u.scale) - 1
-    if u.second.is_top():
-        return u.first.index
-    return 2 * top - u.second.index
+    return pair_rank(u.first.index, u.second.index, u.scale.top_index)
 
 
 def binary_utilities(scale: Scale) -> tuple[BinaryUtility, ...]:
     """All binary utilities over ``scale``, ascending.  There are 2|V|-1."""
-    top = len(scale) - 1
-    out = [BinaryUtility.of(scale.level(i), scale.top) for i in range(top + 1)]
-    out.extend(
-        BinaryUtility.of(scale.top, scale.level(j)) for j in range(top - 1, -1, -1)
-    )
-    return tuple(out)
+    return scale.binary_values
 
 
 def ext_min(alpha: Level, p: UtilityPair) -> UtilityPair:

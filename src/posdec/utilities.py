@@ -5,14 +5,23 @@ prizes of max(reversed mapped possibility, prize utility); the optimistic
 criterion is its max-min dual; the pair-valued criterion folds the
 extended max of extended mins into the binary utility scale and needs no
 auxiliary maps at all.
+
+All three are ordinal, so each has an integer key core that reads only the
+lottery's level indices: the pessimistic and optimistic ones give a
+position on the utility scale, the pair-valued one the ``binary_rank`` of
+its value.  The cores check nothing; the public evaluators check the
+lottery's domain and scale, then return the scale's cached value for the
+key.  Hot paths check a whole universe once and run the cores, and
+rankings group and order the keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence, Union
 
-from .lotteries import OutcomeSet, PossibilityDistribution, StandardLottery
+from .lotteries import Domain, OutcomeSet, PossibilityDistribution, StandardLottery
 from .scales import (
     BinaryUtility,
     Involution,
@@ -20,6 +29,8 @@ from .scales import (
     Scale,
     ScaleMap,
     ScaleMismatchError,
+    binary_rank,
+    pair_rank,
     validate_involution,
     validate_scale_map,
 )
@@ -28,14 +39,16 @@ UtilityValue = Union[Level, BinaryUtility]
 Evaluator = Callable[[PossibilityDistribution], UtilityValue]
 
 
-def _check_domain(dist: PossibilityDistribution, outcomes: OutcomeSet, scale: Scale) -> None:
-    if dist.domain.labels != outcomes.labels:
+def check_domain(domain: Domain, scale: Scale, outcomes: OutcomeSet, expected: Scale) -> None:
+    """Raise unless lotteries over ``domain`` on ``scale`` fit a criterion
+    configured for ``outcomes`` on ``expected``."""
+    if domain.labels != outcomes.labels:
         raise ValueError(
-            f"distribution domain {dist.domain.labels} does not match the "
+            f"distribution domain {domain.labels} does not match the "
             f"configured outcomes {outcomes.labels}"
         )
-    if dist.scale != scale:
-        raise ScaleMismatchError(dist.scale, scale)
+    if scale != expected:
+        raise ScaleMismatchError(scale, expected)
 
 
 @dataclass(frozen=True)
@@ -106,7 +119,7 @@ class ScalarUtilityConfig:
     def utility_scale(self) -> Scale:
         return self.scale_map.target
 
-    @property
+    @cached_property
     def reversed_map(self) -> tuple[int, ...]:
         """Composition n∘h as target-scale indices per uncertainty level."""
         return tuple(self.involution.images[i] for i in self.scale_map.images)
@@ -117,28 +130,42 @@ class ScalarUtilityConfig:
         )
 
 
-def pessimistic_utility(pi: PossibilityDistribution, cfg: ScalarUtilityConfig) -> Level:
-    """Min over prizes of max(reversed mapped possibility, prize utility)."""
-    _check_domain(pi, cfg.outcomes, cfg.uncertainty_scale)
+def pessimistic_key(pi: PossibilityDistribution, cfg: ScalarUtilityConfig) -> int:
+    """Index of the pessimistic utility; no domain check."""
     nh = cfg.reversed_map
-    worst = len(cfg.utility_scale) - 1
+    worst = cfg.utility_scale.top_index
     for v_idx, u_idx in zip(pi.indices, cfg.prize_indices):
-        term = max(nh[v_idx], u_idx)
+        term = nh[v_idx]
+        if term < u_idx:
+            term = u_idx
         if term < worst:
             worst = term
-    return cfg.utility_scale.level(worst)
+    return worst
+
+
+def optimistic_key(pi: PossibilityDistribution, cfg: ScalarUtilityConfig) -> int:
+    """Index of the optimistic utility; no domain check."""
+    h = cfg.scale_map.images
+    best = 0
+    for v_idx, u_idx in zip(pi.indices, cfg.prize_indices):
+        term = h[v_idx]
+        if term > u_idx:
+            term = u_idx
+        if term > best:
+            best = term
+    return best
+
+
+def pessimistic_utility(pi: PossibilityDistribution, cfg: ScalarUtilityConfig) -> Level:
+    """Min over prizes of max(reversed mapped possibility, prize utility)."""
+    check_domain(pi.domain, pi.scale, cfg.outcomes, cfg.uncertainty_scale)
+    return cfg.utility_scale.level_values[pessimistic_key(pi, cfg)]
 
 
 def optimistic_utility(pi: PossibilityDistribution, cfg: ScalarUtilityConfig) -> Level:
     """Max over prizes of min(mapped possibility, prize utility)."""
-    _check_domain(pi, cfg.outcomes, cfg.uncertainty_scale)
-    h = cfg.scale_map.images
-    best = 0
-    for v_idx, u_idx in zip(pi.indices, cfg.prize_indices):
-        term = min(h[v_idx], u_idx)
-        if term > best:
-            best = term
-    return cfg.utility_scale.level(best)
+    check_domain(pi.domain, pi.scale, cfg.outcomes, cfg.uncertainty_scale)
+    return cfg.utility_scale.level_values[optimistic_key(pi, cfg)]
 
 
 def pessimistic_utility_decomposed(
@@ -155,8 +182,9 @@ def pessimistic_utility_decomposed(
     cross-checked; the mixture route stays normative.
     """
     scale = cfg.uncertainty_scale
-    if weight1.scale != scale or weight2.scale != scale:
-        raise ScaleMismatchError(weight1.scale, scale)
+    for weight in (weight1, weight2):
+        if weight.scale != scale:
+            raise ScaleMismatchError(weight.scale, scale)
     if max(weight1.index, weight2.index) != len(scale) - 1:
         raise ValueError("mixture weights must include the top level")
     nh = cfg.reversed_map
@@ -203,9 +231,10 @@ class BinaryUtilityAssessment:
                     f"worst outcome {self.outcomes.worst!r} must be assessed at "
                     f"'0',{self.scale.levels[top]!r}"
                 )
+        rank = {label: binary_rank(u) for label, u in by_label.items()}
         for x in labels:
             for y in labels:
-                if self.outcomes.prefers(x, y) != (by_label[x] >= by_label[y]):
+                if self.outcomes.prefers(x, y) != (rank[x] >= rank[y]):
                     raise ValueError(
                         f"assessment is inconsistent with the preference order "
                         f"on {x!r} and {y!r}"
@@ -238,23 +267,31 @@ def _fold_pairs(pi: PossibilityDistribution, a: BinaryUtilityAssessment) -> tupl
     """Max over prizes of min(possibility, each component of the prize's pair).
 
     On scale indices: the extended max of extended mins, one component at
-    a time.
+    a time.  No domain check.
     """
-    _check_domain(pi, a.outcomes, a.scale)
     first = second = 0
     for v_idx, (p_first, p_second) in zip(pi.indices, a.pair_indices):
-        first = max(first, min(v_idx, p_first))
-        second = max(second, min(v_idx, p_second))
+        term = v_idx if v_idx < p_first else p_first
+        if term > first:
+            first = term
+        term = v_idx if v_idx < p_second else p_second
+        if term > second:
+            second = term
     return first, second
+
+
+def binary_key(pi: PossibilityDistribution, a: BinaryUtilityAssessment) -> int:
+    """``binary_rank`` of the pair-valued utility; no domain check."""
+    # Normalization of pi guarantees the fold lands back on the binary scale.
+    return pair_rank(*_fold_pairs(pi, a), a.scale.top_index)
 
 
 def binary_utility(
     pi: PossibilityDistribution, a: BinaryUtilityAssessment
 ) -> BinaryUtility:
     """Extended max over prizes of extended min(possibility, prize pair)."""
-    first, second = _fold_pairs(pi, a)
-    # Normalization of pi guarantees the fold lands back on the binary scale.
-    return BinaryUtility.of(a.scale.level(first), a.scale.level(second))
+    check_domain(pi.domain, pi.scale, a.outcomes, a.scale)
+    return a.scale.binary_values[binary_key(pi, a)]
 
 
 def reduce_to_standard(
@@ -266,8 +303,10 @@ def reduce_to_standard(
     weight is max min(possibility, first component), the worst-prize
     weight is max min(possibility, second component).
     """
+    check_domain(pi.domain, pi.scale, a.outcomes, a.scale)
+    levels = a.scale.level_values
     best, worst = _fold_pairs(pi, a)
-    return StandardLottery(a.scale.level(best), a.scale.level(worst))
+    return StandardLottery(levels[best], levels[worst])
 
 
 @dataclass(frozen=True)
@@ -283,8 +322,9 @@ def rank_decisions(
 ) -> Ranking:
     """Group items by exact utility equality and sort classes best-first.
 
-    Within a class the input order is preserved, so output is fully
-    deterministic.
+    Items are grouped and ordered by the value's integer key: a level's
+    index, or a binary utility's ``binary_rank``.  Within a class the input
+    order is preserved, so output is fully deterministic.
     """
     if not items:
         raise ValueError("nothing to rank")
@@ -293,11 +333,17 @@ def rank_decisions(
     for _, dist in items:
         if dist.domain.labels != domain.labels or dist.scale != scale:
             raise ValueError("ranked lotteries must share one domain and scale")
-    groups: dict[UtilityValue, list[str]] = {}
+    groups: dict[int, list[str]] = {}
+    values: dict[int, UtilityValue] = {}
     for item_id, dist in items:
-        groups.setdefault(evaluate(dist), []).append(item_id)
+        value = evaluate(dist)
+        key = value.index if isinstance(value, Level) else binary_rank(value)
+        if key not in groups:
+            groups[key] = []
+            values[key] = value
+        groups[key].append(item_id)
     ordered = sorted(groups, reverse=True)
     return Ranking(
-        tuple(tuple(groups[value]) for value in ordered),
-        tuple(ordered),
+        tuple(tuple(groups[key]) for key in ordered),
+        tuple(values[key] for key in ordered),
     )

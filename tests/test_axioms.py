@@ -426,6 +426,30 @@ class TestVerifyEntailments:
         with pytest.raises(ValueError, match=f"required to check the scenario {named}$"):
             verify_entailments(sample_size=0, enumerate_max=(2, 2), **{given: value})
 
+    @pytest.mark.parametrize("given", ["scalar_config", "assessment"])
+    @pytest.mark.parametrize(
+        "space, error, match",
+        [
+            pytest.param((2, 3), ValueError, "does not match the configured outcomes",
+                         id="other-outcomes"),
+            pytest.param((3, 4), ScaleMismatchError, "scale mismatch", id="other-scale"),
+        ],
+    )
+    def test_mismatched_configuration_is_rejected_before_a_relation(
+        self, monkeypatch, given, space, error, match
+    ):
+        universe = LotteryUniverse(canonical_outcomes(3), canonical_scale(3))
+        outcomes, scale = canonical_outcomes(space[0]), canonical_scale(space[1])
+        value = {
+            "scalar_config": enumerate_scalar_configs(outcomes, scale)[0],
+            "assessment": enumerate_assessments(outcomes, scale)[0],
+        }[given]
+        built = []
+        monkeypatch.setattr(axioms, "induced_relation", lambda *args: built.append(args))
+        with pytest.raises(error, match=match):
+            verify_entailments(universe, sample_size=0, enumerate_max=(2, 2), **{given: value})
+        assert built == []
+
     def test_checks_are_reached_by_module_name(self, monkeypatch):
         """Wrappers set on the module attributes see one call per relation and need.
 

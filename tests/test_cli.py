@@ -176,6 +176,22 @@ class TestRank:
             EXIT_VALIDATION
         assert "assessment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["1e-1000000000", "1e-3000000"])
+    def test_huge_decimal_exponent_in_a_scale_label(self, tmp_path, capsys, label):
+        data = copy.deepcopy(worked_example.SCENARIO)
+        data["scale_v"] = ["0", label, *data["scale_v"][1:]]
+        path = write_scenario(tmp_path, data)
+        start = time.perf_counter()
+        code = main(["rank", "--scenario", path, "--method", "binary"])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: {path}: scale_v: level label {label!r} has a decimal exponent "
+            f"over the bound of 262144\n"
+        )
+
     def test_ranking_consistent_with_evaluation(self, capsys):
         main(["evaluate", "--scenario", WORKED, "--method", "pessimistic"])
         rows = dict(line.split() for line in capsys.readouterr().out.splitlines())
@@ -413,6 +429,34 @@ class TestConvertSpohn:
         assert err.count("\n") == 1
         assert err.startswith(f"error: {path}: values: ")
         assert named in err
+
+    @pytest.mark.parametrize(
+        "data, direction, base, error",
+        [
+            pytest.param(
+                {"values": {"s1": 0, "s2": 1}}, "to-possibility", "1e1000000000",
+                "error: conversion base '1e1000000000' has a decimal exponent over the "
+                "bound of 262144", id="huge-base",
+            ),
+            pytest.param(
+                {"values": {"s1": "1", "s2": "1e-1000000000"}}, "to-disbelief", "2",
+                "error: {path}: values: level '1e-1000000000' for 's2' has a decimal "
+                "exponent over the bound of 262144", id="huge-level",
+            ),
+        ],
+    )
+    def test_huge_decimal_exponent_is_rejected_unparsed(
+        self, tmp_path, capsys, data, direction, base, error
+    ):
+        path = write_scenario(tmp_path, data, "input.json")
+        start = time.perf_counter()
+        code = main(["convert-spohn", path, "--direction", direction, "--base", base])
+        # Parsed, each would build a power of ten with billions of bits.
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == error.format(path=path) + "\n"
 
 
 class TestColdStart:

@@ -1,12 +1,15 @@
 """Scale construction, the pair algebra, and the table validators."""
 
 import itertools
+import re
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from posdec.scales import (
+    MAX_DECIMAL_EXPONENT,
     BinaryUtility,
     Involution,
     Scale,
@@ -20,6 +23,7 @@ from posdec.scales import (
     ext_min,
     level_max,
     level_min,
+    parse_label,
     validate_involution,
     validate_scale_map,
 )
@@ -66,6 +70,22 @@ class TestScaleConstruction:
     def test_non_numeric_label(self):
         with pytest.raises(ValueError, match="rational"):
             Scale(("0", "mid", "1"))
+
+    def test_decimal_exponent_is_bounded(self):
+        # Past the bound the label is rejected before Fraction builds the
+        # power: 10**1000000000 would take minutes and about 415 MB.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="decimal exponent over the bound"):
+            Scale(("0", "1e-1000000000", "1"))
+        # Fraction also reads underscores and any Unicode decimal digits.
+        for label in (
+            f"1e-{MAX_DECIMAL_EXPONENT + 1}", "1E+9999999", "1e-1_000_000", "1e-\u0661" + "0" * 9
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"label '{label}' has a decimal")):
+                parse_label(label)
+        assert time.perf_counter() - start < 1.0
+        assert parse_label(f"1e-{MAX_DECIMAL_EXPONENT}").denominator == 10**MAX_DECIMAL_EXPONENT
+        assert parse_label("25e-0000000000000000002") == parse_label(".25")
 
     def test_fraction_labels_accepted(self):
         scale = Scale(("0", "1/3", "1"))

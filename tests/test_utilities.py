@@ -6,10 +6,12 @@ from functools import partial
 import pytest
 
 from posdec.axioms import (
+    LotteryUniverse,
     canonical_outcomes,
     canonical_scale,
     enumerate_assessments,
     enumerate_scalar_configs,
+    induced_relation,
 )
 from posdec.lotteries import (
     OutcomeSet,
@@ -19,12 +21,24 @@ from posdec.lotteries import (
     point_mass,
     standard_lotteries,
 )
-from posdec.scales import BinaryUtility, Involution, Scale, ScaleMap, ext_max, ext_min
+from posdec.scales import (
+    BinaryUtility,
+    Involution,
+    Scale,
+    ScaleMap,
+    ScaleMismatchError,
+    binary_rank,
+    ext_max,
+    ext_min,
+)
 from posdec.utilities import (
     BinaryUtilityAssessment,
     ScalarUtilityConfig,
+    binary_key,
     binary_utility,
+    optimistic_key,
     optimistic_utility,
+    pessimistic_key,
     pessimistic_utility,
     pessimistic_utility_decomposed,
     rank_decisions,
@@ -151,6 +165,16 @@ class TestDecomposition:
         pi = s.lotteries["pi1"]
         value = pessimistic_utility_decomposed(s.scale_v["1"], pi, s.scale_v[".5"], pi, cfg)
         assert value == pessimistic_utility(pi, cfg)
+
+    def test_mismatched_weight_names_its_scale(self, example_scenario):
+        s = example_scenario
+        other = Scale(("0", ".5", "1"), name="W")
+        pi = s.lotteries["pi1"]
+        for weights in ((s.scale_v["1"], other["1"]), (other["1"], s.scale_v["1"])):
+            with pytest.raises(ScaleMismatchError) as caught:
+                pessimistic_utility_decomposed(weights[0], pi, weights[1], pi, s.pessimistic_config)
+            assert caught.value.first is other
+            assert str(caught.value).startswith("scale mismatch: 'W' ('0', '.5', '1') vs 'V'")
 
     @pytest.mark.parametrize("nv", [2, 3])
     def test_matches_mixture_path_exhaustive(self, nv):
@@ -435,3 +459,61 @@ def _classes_from_keys(outcomes, keys):
         tuple(label for label in outcomes.labels if keys[label] == key)
         for key in distinct
     )
+
+
+KEY_SPACES = [(nx, nv) for nx in (2, 3) for nv in (2, 3, 4)]
+
+
+class TestKeyCores:
+    """The integer key cores agree with the public evaluators on every member."""
+
+    @pytest.mark.parametrize("nx,nv", KEY_SPACES)
+    def test_scalar_cores(self, nx, nv):
+        universe = LotteryUniverse(canonical_outcomes(nx), canonical_scale(nv))
+        for cfg in enumerate_scalar_configs(universe.outcomes, universe.scale):
+            for core, public in (
+                (pessimistic_key, pessimistic_utility),
+                (optimistic_key, optimistic_utility),
+            ):
+                for m in universe.members:
+                    assert core(m, cfg) == public(m, cfg).index
+                from_cores = induced_relation(universe, partial(core, cfg=cfg))
+                from_values = induced_relation(universe, partial(public, cfg=cfg))
+                assert from_cores.rows == from_values.rows
+
+    @pytest.mark.parametrize("nx,nv", KEY_SPACES)
+    @pytest.mark.parametrize("half", [None, "best", "worst"])
+    def test_binary_core(self, nx, nv, half):
+        universe = LotteryUniverse(canonical_outcomes(nx), canonical_scale(nv))
+        for a in enumerate_assessments(universe.outcomes, universe.scale, half):
+            for m in universe.members:
+                value = binary_utility(m, a)
+                assert value == binary_utility_by_pair_algebra(m, a)
+                assert binary_key(m, a) == binary_rank(value)
+            from_cores = induced_relation(universe, partial(binary_key, a=a))
+            from_values = induced_relation(universe, partial(binary_utility, a=a))
+            assert from_cores.rows == from_values.rows
+
+
+class TestDomainMismatch:
+    """The public evaluators reject a lottery on another domain or scale."""
+
+    def test_evaluators_reject_other_spaces(self):
+        outcomes, scale = canonical_outcomes(3), canonical_scale(3)
+        cfg = enumerate_scalar_configs(outcomes, scale)[-1]
+        assessment = enumerate_assessments(outcomes, scale)[-1]
+        other_domain = point_mass(canonical_outcomes(2), "x1", scale)
+        other_scale = point_mass(outcomes, "x1", canonical_scale(4))
+        evaluators = [
+            partial(pessimistic_utility, cfg=cfg),
+            partial(optimistic_utility, cfg=cfg),
+            partial(binary_utility, a=assessment),
+            partial(reduce_to_standard, a=assessment),
+        ]
+        for evaluate in evaluators:
+            with pytest.raises(ValueError, match="does not match the configured outcomes"):
+                evaluate(other_domain)
+            with pytest.raises(ScaleMismatchError) as caught:
+                evaluate(other_scale)
+            assert caught.value.first == canonical_scale(4)
+            assert caught.value.second == scale
