@@ -12,14 +12,16 @@ returns the first concrete witness, which can be replayed.  The mixtures
 with a point mass generate every other, so substitutability is decided
 on those and scans for its witness only after a violation.  Continuity
 tests each source's row, column and target set with one ``&``.  A1-/B1
-and A3-/B3 name the same predicates and share one evaluation per relation.
-Entailment sweeps check each configuration's domain and scale once
-against its universe and build its relation from the criterion's integer
-key core, so no value object is built per member.  Each configuration is
-checked against its family in ``FAMILIES`` (the family's battery is the
-key order of its expectations) across enumerated or seeded-sampled
-configuration families, with one report line per axiom per configuration;
-a (family, configuration) repeated within one sweep is checked once.
+and A3-/B3 name the same predicates: each check names its report by the B
+axiom, and a battery evaluates it once per relation and relabels the
+report for the A axiom.  Entailment sweeps check each configuration's
+domain and scale once against its universe and build its relation from
+the criterion's integer key core, so no value object is built per member.
+Each configuration is checked against its family in ``FAMILIES`` (the
+family's battery is the key order of its expectations) across enumerated
+or seeded-sampled configuration families, with one report line per axiom
+per configuration; a (family, universe, configuration) repeated within
+one sweep is checked once.
 """
 
 from __future__ import annotations
@@ -35,17 +37,7 @@ from .lotteries import (
     OutcomeSet,
     enumerate_distributions,
 )
-from .scales import (
-    BinaryUtility,
-    Involution,
-    Level,
-    Scale,
-    ScaleMap,
-    ScaleMismatchError,
-    binary_rank,
-    binary_utilities,
-    pair_ge_indices,
-)
+from .scales import Involution, Scale, ScaleMap, binary_rank, pair_ge_indices
 from .utilities import (
     BinaryUtilityAssessment,
     ScalarUtilityConfig,
@@ -54,9 +46,6 @@ from .utilities import (
     optimistic_key,
     pessimistic_key,
 )
-
-DEFAULT_UNIVERSE_LIMIT = 200_000
-
 
 def _lowest_bit(bits: int) -> int:
     """Position of the lowest set bit of a nonzero bitset."""
@@ -89,10 +78,10 @@ class LotteryUniverse:
     The bit encodings the axiom checks run on are built on first use.
     """
 
-    def __init__(self, outcomes: OutcomeSet, scale: Scale, limit: int = DEFAULT_UNIVERSE_LIMIT):
+    def __init__(self, outcomes: OutcomeSet, scale: Scale):
         self.outcomes = outcomes
         self.scale = scale
-        self.members = enumerate_distributions(outcomes, scale, limit=limit)
+        self.members = enumerate_distributions(outcomes, scale)
         self.value_tuples = tuple(m.indices for m in self.members)
         self.index_of = {vt: i for i, vt in enumerate(self.value_tuples)}
         labels = outcomes.labels
@@ -280,7 +269,7 @@ class AxiomReport:
             raise ValueError("a violated report must carry a witness")
 
 
-def check_total_preorder(r: PreferenceRelation, axiom_id: str = "B1") -> AxiomReport:
+def check_total_preorder(r: PreferenceRelation) -> AxiomReport:
     """Reflexive, transitive and complete; first failure wins, in that order.
 
     Transitivity is decided per distinct row: members with equal rows pass
@@ -292,7 +281,7 @@ def check_total_preorder(r: PreferenceRelation, axiom_id: str = "B1") -> AxiomRe
     for i in range(n):
         if not rows[i] >> i & 1:
             return AxiomReport(
-                axiom_id, False, (i, i),
+                "B1", False, (i, i),
                 f"reflexivity fails at {describe(i)}",
             )
     groups = r.row_groups
@@ -311,7 +300,7 @@ def check_total_preorder(r: PreferenceRelation, axiom_id: str = "B1") -> AxiomRe
             j = _lowest_bit(bad)
             k = _lowest_bit(rows[j] & ~row_i)
             return AxiomReport(
-                axiom_id, False, (i, j, k),
+                "B1", False, (i, j, k),
                 f"transitivity fails: {describe(i)} >= {describe(j)} >= "
                 f"{describe(k)} but not {describe(i)} >= {describe(k)}",
             )
@@ -324,10 +313,10 @@ def check_total_preorder(r: PreferenceRelation, axiom_id: str = "B1") -> AxiomRe
         if missing:
             j = _lowest_bit(missing)
             return AxiomReport(
-                axiom_id, False, (i, j),
+                "B1", False, (i, j),
                 f"completeness fails on {describe(i)} and {describe(j)}",
             )
-    return AxiomReport(axiom_id, True)
+    return AxiomReport("B1", True)
 
 
 def check_uncertainty_attitude(r: PreferenceRelation, direction: str) -> AxiomReport:
@@ -369,45 +358,27 @@ def _distinct_parts(codes: Sequence[int], mask: int) -> dict[int, int]:
     return seen
 
 
-def check_substitutability(
-    r: PreferenceRelation,
-    weight_pairs: Sequence[tuple[Level, Level]] | None = None,
-    axiom_id: str = "B3",
-) -> AxiomReport:
+def check_substitutability(r: PreferenceRelation) -> AxiomReport:
     """Mixing two indifferent lotteries with any third must stay indifferent.
 
     Complete over every normalized weight pair, indifferent pair and
     companion, never a sample; mixtures that coincide count as indifferent,
     and self-indifference is the total-preorder check's job.  So each
     mixture's member map must keep ``same`` ("equal or indifferent"), and
-    maps that keep it compose.  Under the default weight pairs every
-    mixture is a chain of ``universe.generator_maps``, each a mixture too,
-    so the axiom holds iff each generator sends the members of every
-    distinct ``same`` row into one row or, failing that, into the row of
-    each image of a member with that row.  Caller-given pairs may miss
-    generators, so they skip this test.
+    maps that keep it compose.  Every mixture is a chain of
+    ``universe.generator_maps``, each a mixture too, so the axiom holds iff
+    each generator sends the members of every distinct ``same`` row into
+    one row or, failing that, into the row of each image of a member with
+    that row.
 
-    After a violation, or for caller-given pairs, a scan in the order of
-    quantification returns the first witness: per class when indifference
-    is an equivalence of members at least as good as themselves, else per
-    weight pair and companion, scanning indifferent pairs only under a
-    mixture that fails the test.  Companions and class members whose
-    masked code repeats an earlier one's are skipped.
+    Only after a violation does a scan in the order of quantification
+    return the first witness: per class when indifference is an
+    equivalence of members at least as good as themselves, else per weight
+    pair and companion, scanning indifferent pairs only under a mixture
+    that fails the test.  Companions and class members whose masked code
+    repeats an earlier one's are skipped.
     """
     universe = r.universe
-    scale = universe.scale
-    if weight_pairs is None:
-        pairs = default_weight_pairs(scale)
-    else:
-        top = len(scale) - 1
-        pairs = []
-        for a, b in weight_pairs:
-            for level in (a, b):
-                if level.scale != scale:
-                    raise ScaleMismatchError(level.scale, scale)
-            if max(a.index, b.index) != top:
-                raise ValueError("substitutability weight pairs must be normalized")
-            pairs.append((a.index, b.index))
     rows = r.rows
     same = [row & col | 1 << i for i, (row, col) in enumerate(zip(rows, r.columns))]
     groups = _row_groups(same)
@@ -428,9 +399,10 @@ def check_substitutability(
                 return False
         return True
 
-    if weight_pairs is None and all(map(keeps_same, universe.generator_maps)):
-        return AxiomReport(axiom_id, True)
+    if all(map(keeps_same, universe.generator_maps)):
+        return AxiomReport("B3", True)
 
+    pairs = default_weight_pairs(universe.scale)
     codes = universe.codes
     masks = universe.weight_masks
     companions = {wb: _distinct_parts(codes, masks[wb]) for wb in {wb for _, wb in pairs}}
@@ -454,9 +426,9 @@ def check_substitutability(
                     for part, pos in others:
                         if same_of_code[part | k_part] != want:
                             return _substitution_violation(
-                                r, axiom_id, members[0], members[pos], k, wa, wb
+                                r, members[0], members[pos], k, wa, wb
                             )
-        return AxiomReport(axiom_id, True)
+        return AxiomReport("B3", True)
 
     index_of_code = universe.index_of_code
     for wa, wb in pairs:
@@ -468,11 +440,11 @@ def check_substitutability(
             for i, m1 in enumerate(mixed):
                 for j in _bits(same[i] >> i + 1 << i + 1):
                     if not same[m1] >> mixed[j] & 1:
-                        return _substitution_violation(r, axiom_id, i, j, k, wa, wb)
-    return AxiomReport(axiom_id, True)
+                        return _substitution_violation(r, i, j, k, wa, wb)
+    return AxiomReport("B3", True)
 
 
-def _substitution_violation(r, axiom_id, i, j, k, wa, wb) -> AxiomReport:
+def _substitution_violation(r, i, j, k, wa, wb) -> AxiomReport:
     universe = r.universe
     codes, masks = universe.codes, universe.weight_masks
     k_part = codes[k] & masks[wb]
@@ -480,7 +452,7 @@ def _substitution_violation(r, axiom_id, i, j, k, wa, wb) -> AxiomReport:
     m2 = universe.index_of_code[(codes[j] & masks[wa]) | k_part]
     labels = universe.scale.levels
     return AxiomReport(
-        axiom_id, False, (i, j, k, wa, wb, m1, m2),
+        "B3", False, (i, j, k, wa, wb, m1, m2),
         f"substitutability fails: {universe.describe(i)} ~ {universe.describe(j)} "
         f"but weights ({labels[wa]}, {labels[wb]}) with {universe.describe(k)} "
         f"mix to {universe.describe(m1)} vs {universe.describe(m2)}",
@@ -539,7 +511,7 @@ def _first_standard_mismatch(r: PreferenceRelation, expected) -> tuple[int, int]
     return None
 
 
-def check_qualitative_monotonicity(r: PreferenceRelation, axiom_id: str = "B2") -> AxiomReport:
+def check_qualitative_monotonicity(r: PreferenceRelation) -> AxiomReport:
     """On standard lotteries, preference must equal the three-case pair order.
 
     Both directions are checked: the biconditional, not just sufficiency.
@@ -548,12 +520,12 @@ def check_qualitative_monotonicity(r: PreferenceRelation, axiom_id: str = "B2") 
     top = len(universe.scale) - 1
     bad = _first_standard_mismatch(r, partial(pair_ge_indices, top=top))
     if bad is None:
-        return AxiomReport(axiom_id, True)
+        return AxiomReport("B2", True)
     ia, ib = bad
     direction = "holds but the pair order denies it" if r.at_least(ia, ib) \
         else "fails but the pair order requires it"
     return AxiomReport(
-        axiom_id, False, bad,
+        "B2", False, bad,
         f"qualitative monotonicity fails: {universe.describe(ia)} >= "
         f"{universe.describe(ib)} {direction}",
     )
@@ -631,8 +603,6 @@ def enumerate_scale_maps(source: Scale, target: Scale) -> list[ScaleMap]:
     maps = []
     for mid in itertools.combinations_with_replacement(range(m), n - 2):
         images = (0,) + mid + (m - 1,)
-        if list(images) != sorted(images):
-            continue
         if set(images) != set(range(m)):
             continue
         maps.append(ScaleMap(source, target, images))
@@ -647,10 +617,11 @@ def _scalar_config(
     Preference classes follow the keys; the involution is forced on a
     finite chain.
     """
-    u_scale = h.target
-    prize = {label: u_scale.level(rank_key[label]) for label in outcomes.labels}
-    return ScalarUtilityConfig.build(
-        _outcomes_with_ranks(outcomes, rank_key), h, Involution.order_reversal(u_scale), prize
+    return ScalarUtilityConfig(
+        _outcomes_with_ranks(outcomes, rank_key),
+        h,
+        Involution.order_reversal(h.target),
+        tuple(rank_key[label] for label in outcomes.labels),
     )
 
 
@@ -716,28 +687,26 @@ def enumerate_assessments(
     ``half="worst"`` every prize is encoded inside that half of the scale
     (anchors relaxed), best prize highest and worst prize lowest.
     """
-    top = len(scale) - 1
+    values = scale.binary_values
     interior = [l for l in outcomes.labels if l not in (outcomes.best, outcomes.worst)]
     if half is None:
-        anchors = {
-            outcomes.best: BinaryUtility.of(scale.top, scale.bottom),
-            outcomes.worst: BinaryUtility.of(scale.bottom, scale.top),
-        }
+        anchors = {outcomes.best: values[-1], outcomes.worst: values[0]}
         tables = [
             {**anchors, **dict(zip(interior, combo))}
-            for combo in itertools.product(binary_utilities(scale), repeat=len(interior))
+            for combo in itertools.product(values, repeat=len(interior))
         ]
     else:
         if half == "best":
-            pool = [BinaryUtility.of(scale.top, scale.level(m)) for m in range(top, -1, -1)]
+            pool = values[scale.top_index:]
         elif half == "worst":
-            pool = [BinaryUtility.of(scale.level(l), scale.top) for l in range(top + 1)]
+            pool = values[: scale.top_index + 1]
         else:
             raise ValueError(f"unknown half {half!r}")
-        # pool is ascending; draw multisets and hand the extremes to the anchors.
+        # pool is ascending, so each multiset comes out ascending: reversed,
+        # it runs from the best prize down to the worst.
         labels = [outcomes.best, *interior, outcomes.worst]
         tables = [
-            dict(zip(labels, sorted(combo, key=binary_rank, reverse=True)))
+            dict(zip(labels, reversed(combo)))
             for combo in itertools.combinations_with_replacement(pool, len(labels))
         ]
     result = []
@@ -838,7 +807,8 @@ class EntailmentRun:
 
 # The check behind each axiom.  Entries look their check up by module name at
 # call time, so a wrapper set on the module attribute sees every check a sweep
-# runs; a (family, configuration) repeated within a sweep is not checked again.
+# runs; a (family, universe, configuration) repeated within a sweep is not
+# checked again.
 _CHECKS = {
     "A1-": lambda r: check_total_preorder(r),
     "A2-": lambda r: check_uncertainty_attitude(r, "aversion"),
@@ -852,7 +822,8 @@ _CHECKS = {
     "B4+": lambda r: check_continuity(r, "B4+"),
 }
 # B1 and B3 restate A1- and A3-: one entry each, so one evaluation per
-# relation, relabeled (no witness or detail names the axiom).
+# relation.  A check names its report by the B axiom; the battery relabels
+# it (no witness or detail names the axiom).
 _CHECKS["B1"], _CHECKS["B3"] = _CHECKS["A1-"], _CHECKS["A3-"]
 
 
@@ -888,9 +859,9 @@ def verify_entailments(
     within the sample bounds.  Each configuration runs its family's battery
     from ``FAMILIES``, the key order of the family's expectations.
     ``fault`` flips one entry of the first relation built, for exercising
-    the failure path end to end.  A (family, configuration) met again on a
-    canonical space reuses its reports within the call, never across calls;
-    the caller's configurations and a faulted relation are never reused.
+    the failure path end to end.  A (family, universe, configuration) met
+    again reuses its reports within the call, never across calls; the
+    reports of a faulted relation are never stored.
     """
     for given, what in ((scalar_config, "config"), (assessment, "assessment")):
         if given is not None and universe is None:
@@ -941,21 +912,18 @@ def verify_entailments(
                 uni = universe_for(len(base.labels), len(v_scale))
                 yield from scalar(f"pess-sample-{i:03d}", f"opt-sample-{i:03d}", uni, cfg)
 
-    # Reports per (family, configuration) on the canonical universes, which a
-    # configuration fixes; the caller's universe is whatever was passed.
     verdicts: dict[tuple, list[AxiomReport]] = {}
     run = EntailmentRun()
     for config_id, family, uni, given, evaluate in configs():
-        reusable = uni is not universe and fault is None
-        reports = verdicts.get((family, given)) if reusable else None
+        key = family, uni, given
+        reports = verdicts.get(key)
         if reports is None:
             relation = induced_relation(uni, evaluate)
-            if fault is not None:
-                relation = relation.with_flipped(*fault)
+            if fault is None:
+                reports = verdicts[key] = _run_battery(relation, FAMILIES[family])
+            else:
+                reports = _run_battery(relation.with_flipped(*fault), FAMILIES[family])
                 fault = None
-            reports = _run_battery(relation, FAMILIES[family])
-            if reusable:
-                verdicts[family, given] = reports
         run.configs.append(ConfigOutcome(config_id, family, list(reports)))
     return run
 

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Mapping
 
@@ -28,10 +27,10 @@ from .lotteries import (
     OutcomeSet,
     PossibilityDistribution,
     StateSpace,
-    format_fraction_label,
     from_disbelief,
     induced_distribution,
     make_distribution,
+    synthesize_scale,
     to_disbelief,
 )
 from .scales import (
@@ -59,6 +58,9 @@ EXIT_VERIFICATION = 2
 EXIT_BOUND = 3
 
 HARD_CAP = 6
+# Every sampled configuration is built and kept before the sweep runs
+# (about 5 KB each), so memory grows with --sample.
+SAMPLE_CAP = 10_000
 
 
 class ScenarioError(ValueError):
@@ -305,10 +307,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # Only verify needs the checker; the other commands never load it.
     from .axioms import LotteryUniverse, format_report, verify_entailments
 
-    for flag, value in (("--max-outcomes", args.max_outcomes), ("--max-levels", args.max_levels)):
-        if value > HARD_CAP and not args.unsafe_bounds:
+    for flag, value, cap in (
+        ("--max-outcomes", args.max_outcomes, HARD_CAP),
+        ("--max-levels", args.max_levels, HARD_CAP),
+        ("--sample", args.sample, SAMPLE_CAP),
+    ):
+        if value > cap and not args.unsafe_bounds:
             raise BoundExceededError(
-                f"{flag}={value} is above the hard cap of {HARD_CAP}; "
+                f"{flag}={value} is above the hard cap of {cap}; "
                 f"pass --unsafe-bounds to override"
             )
     scenario = load_scenario(args.scenario)
@@ -398,36 +404,28 @@ def cmd_convert_spohn(args: argparse.Namespace) -> int:
                 scale = Scale(tuple(labels), name="V")
             except ValueError as exc:
                 raise fail(f"scale: {exc}") from exc
-            dist_values = {}
+            indices = []
             for label, value in values.items():
                 if value not in labels:
                     raise fail(f"values: level {value!r} for {label!r} is not on the scale")
-                dist_values[label] = scale[value]
+                indices.append(labels.index(value))
         else:
             # Bare label table: synthesize the scale from the values present.
-            points = {}
+            points = []
             for label, value in values.items():
                 try:
-                    points[label] = parse_rational(value, f"level {value!r} for {label!r}")
+                    point = parse_rational(value, f"level {value!r} for {label!r}")
                 except ValueError as exc:
                     raise fail(f"values: {exc}") from None
-                if not 0 <= points[label] <= 1:
+                if not 0 <= point <= 1:
                     raise fail(f"values: level {value!r} for {label!r} is outside [0, 1]")
+                points.append(point)
             try:
-                scale = Scale(
-                    tuple(
-                        format_fraction_label(p)
-                        for p in sorted(set(points.values()) | {Fraction(0), Fraction(1)})
-                    ),
-                    name="synthesized",
-                )
+                scale, indices = synthesize_scale(points)
             except LevelBoundError as exc:
                 raise fail(f"values: {exc}") from exc
-            dist_values = {
-                label: scale[format_fraction_label(p)] for label, p in points.items()
-            }
         try:
-            pi = make_distribution(StateSpace(tuple(values)), dist_values)
+            pi = PossibilityDistribution(StateSpace(tuple(values)), scale, tuple(indices))
         except ValueError as exc:
             raise fail(f"values: {exc}") from exc
         try:

@@ -18,7 +18,7 @@ from .scales import Level, Scale, ScaleMismatchError, parse_rational
 
 INFINITY = float("inf")
 
-DEFAULT_ENUMERATION_LIMIT = 500_000
+DEFAULT_ENUMERATION_LIMIT = 200_000
 
 # The largest disbelief rank converted either way.  Building c**-rank costs
 # time and digits that grow with the rank, so a rank over this is rejected,
@@ -483,6 +483,19 @@ def format_fraction_label(value: Fraction) -> str:
     return f".{text}"
 
 
+def synthesize_scale(points: Sequence[Fraction]) -> tuple[Scale, tuple[int, ...]]:
+    """A scale holding 0, 1 and every distinct point in [0, 1], and the index
+    of each point on it.
+
+    Labels come from ``format_fraction_label``, so a point too fine to label
+    raises ``LevelBoundError``.
+    """
+    levels = sorted(set(points) | {Fraction(0), Fraction(1)})
+    scale = Scale(tuple(format_fraction_label(p) for p in levels), name="synthesized")
+    index_of = {p: i for i, p in enumerate(levels)}
+    return scale, tuple(index_of[p] for p in points)
+
+
 def from_disbelief(
     delta: DisbeliefFunction, c: Union[int, str, Fraction]
 ) -> PossibilityDistribution:
@@ -493,15 +506,10 @@ def from_disbelief(
     raises ``LevelBoundError``.
     """
     base = _as_base(c)
-    images = []
-    for v in delta.values:
-        images.append(Fraction(0) if v == INFINITY else base ** -int(v))
-    points = sorted(set(images) | {Fraction(0), Fraction(1)})
-    scale = Scale(tuple(format_fraction_label(p) for p in points), name="synthesized")
-    index_of = {p: i for i, p in enumerate(points)}
-    return PossibilityDistribution(
-        StateSpace(delta.labels), scale, tuple(index_of[img] for img in images)
+    scale, indices = synthesize_scale(
+        [Fraction(0) if v == INFINITY else base ** -int(v) for v in delta.values]
     )
+    return PossibilityDistribution(StateSpace(delta.labels), scale, indices)
 
 
 def to_disbelief(

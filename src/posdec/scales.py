@@ -99,7 +99,7 @@ class Scale:
     def __getitem__(self, label: str) -> "Level":
         """Look a level up by its label."""
         try:
-            return Level(self, self.levels.index(label))
+            return self.level_values[self.levels.index(label)]
         except ValueError:
             raise KeyError(f"scale {self.name!r} has no level {label!r}") from None
 
@@ -108,18 +108,15 @@ class Scale:
 
     @property
     def bottom(self) -> "Level":
-        return Level(self, 0)
+        return self.level_values[0]
 
     @property
     def top(self) -> "Level":
-        return Level(self, len(self.levels) - 1)
+        return self.level_values[-1]
 
     def numeric(self, index: int) -> Fraction:
         """Exact rational value of the level at ``index``."""
         return parse_label(self.levels[index])
-
-    def all_levels(self) -> tuple["Level", ...]:
-        return self.level_values
 
     # Built once per scale so evaluators return values without building them;
     # not fields, so equality and hashing ignore them.
@@ -130,10 +127,11 @@ class Scale:
 
     @cached_property
     def binary_values(self) -> tuple["BinaryUtility", ...]:
-        """Each binary utility over the scale, by ``binary_rank``."""
+        """Each binary utility over the scale, by ``binary_rank``: all 2|V|-1,
+        ascending."""
         top = self.level_values[-1]
-        out = [BinaryUtility.of(level, top) for level in self.level_values]
-        out.extend(BinaryUtility.of(top, level) for level in self.level_values[-2::-1])
+        out = [BinaryUtility(level, top) for level in self.level_values]
+        out.extend(BinaryUtility(top, level) for level in self.level_values[-2::-1])
         return tuple(out)
 
 
@@ -145,11 +143,7 @@ class Level:
     index: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.index < len(self.scale):
-            raise ValueError(
-                f"level index {self.index} out of range for scale "
-                f"{self.scale.name!r} of size {len(self.scale)}"
-            )
+        check_level_index(self.scale, self.index)
 
     @property
     def label(self) -> str:
@@ -180,6 +174,26 @@ class Level:
 
     def __str__(self) -> str:
         return self.label
+
+
+def check_level_index(scale: Scale, index: int) -> None:
+    """Raise unless ``index`` is the position of a level of ``scale``."""
+    if not 0 <= index < len(scale):
+        raise ValueError(
+            f"level index {index} out of range for scale {scale.name!r} of size {len(scale)}"
+        )
+
+
+def check_binary_pair(scale: Scale, first: int, second: int) -> None:
+    """Raise unless (first, second) are the level indices of a binary utility
+    on ``scale``: two of its levels, the larger one its top."""
+    check_level_index(scale, first)
+    check_level_index(scale, second)
+    if scale.top_index not in (first, second):
+        raise ValueError(
+            f"not a binary utility: max component of "
+            f"⟨{scale.levels[first]},{scale.levels[second]}⟩ is not the top of scale {scale.name!r}"
+        )
 
 
 def level_min(a: Level, b: Level) -> Level:
@@ -226,15 +240,16 @@ class BinaryUtility(UtilityPair):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not (self.first.is_top() or self.second.is_top()):
-            raise ValueError(
-                f"not a binary utility: max component of {self} is not "
-                f"the top of scale {self.scale.name!r}"
-            )
+        check_binary_pair(self.scale, self.first.index, self.second.index)
 
     @classmethod
     def of(cls, first: Level, second: Level) -> "BinaryUtility":
-        return cls(first, second)
+        """The binary utility with these components, as its scale caches it."""
+        scale = first.scale
+        if second.scale != scale:
+            raise ScaleMismatchError(scale, second.scale)
+        check_binary_pair(scale, first.index, second.index)
+        return scale.binary_values[pair_rank(first.index, second.index, scale.top_index)]
 
     def __lt__(self, other: "BinaryUtility") -> bool:
         return compare_binary(self, other) < 0
@@ -297,11 +312,6 @@ def binary_rank(u: BinaryUtility) -> int:
     two agree exhaustively.
     """
     return pair_rank(u.first.index, u.second.index, u.scale.top_index)
-
-
-def binary_utilities(scale: Scale) -> tuple[BinaryUtility, ...]:
-    """All binary utilities over ``scale``, ascending.  There are 2|V|-1."""
-    return scale.binary_values
 
 
 def ext_min(alpha: Level, p: UtilityPair) -> UtilityPair:

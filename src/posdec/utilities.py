@@ -30,6 +30,7 @@ from .scales import (
     ScaleMap,
     ScaleMismatchError,
     binary_rank,
+    check_binary_pair,
     pair_rank,
     validate_involution,
     validate_scale_map,
@@ -212,26 +213,22 @@ class BinaryUtilityAssessment:
         labels = self.outcomes.labels
         if len(self.pair_indices) != len(labels):
             raise ValueError("assessment must cover every outcome")
-        utilities = [
-            BinaryUtility.of(self.scale.level(a), self.scale.level(b))
-            for a, b in self.pair_indices
-        ]
-        by_label = dict(zip(labels, utilities))
-        top = len(self.scale) - 1
+        for first, second in self.pair_indices:
+            check_binary_pair(self.scale, first, second)
+        by_label = dict(zip(labels, self.pair_indices))
+        top = self.scale.top_index
         if self.require_anchors:
-            best = by_label[self.outcomes.best]
-            if (best.first.index, best.second.index) != (top, 0):
+            if by_label[self.outcomes.best] != (top, 0):
                 raise ValueError(
                     f"best outcome {self.outcomes.best!r} must be assessed at "
                     f"{self.scale.levels[top]!r},'0'"
                 )
-            worst = by_label[self.outcomes.worst]
-            if (worst.first.index, worst.second.index) != (0, top):
+            if by_label[self.outcomes.worst] != (0, top):
                 raise ValueError(
                     f"worst outcome {self.outcomes.worst!r} must be assessed at "
                     f"'0',{self.scale.levels[top]!r}"
                 )
-        rank = {label: binary_rank(u) for label, u in by_label.items()}
+        rank = {label: pair_rank(*pair, top) for label, pair in by_label.items()}
         for x in labels:
             for y in labels:
                 if self.outcomes.prefers(x, y) != (rank[x] >= rank[y]):
@@ -259,8 +256,8 @@ class BinaryUtilityAssessment:
         return cls(outcomes, scale, tuple(pairs), require_anchors)
 
     def utility_for(self, label: str) -> BinaryUtility:
-        a, b = self.pair_indices[self.outcomes.labels.index(label)]
-        return BinaryUtility.of(self.scale.level(a), self.scale.level(b))
+        pair = self.pair_indices[self.outcomes.labels.index(label)]
+        return self.scale.binary_values[pair_rank(*pair, self.scale.top_index)]
 
 
 def _fold_pairs(pi: PossibilityDistribution, a: BinaryUtilityAssessment) -> tuple[int, int]:
@@ -324,15 +321,12 @@ def rank_decisions(
 
     Items are grouped and ordered by the value's integer key: a level's
     index, or a binary utility's ``binary_rank``.  Within a class the input
-    order is preserved, so output is fully deterministic.
+    order is preserved, so output is fully deterministic.  The evaluator
+    checks each item's domain and scale against its configuration, so items
+    that do not fit it are rejected there.
     """
     if not items:
         raise ValueError("nothing to rank")
-    domain = items[0][1].domain
-    scale = items[0][1].scale
-    for _, dist in items:
-        if dist.domain.labels != domain.labels or dist.scale != scale:
-            raise ValueError("ranked lotteries must share one domain and scale")
     groups: dict[int, list[str]] = {}
     values: dict[int, UtilityValue] = {}
     for item_id, dist in items:

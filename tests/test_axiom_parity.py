@@ -3,12 +3,15 @@
 Every check must return the same report as its oracle, witness and detail
 included, on total preorders, product orders and relations with a few
 entries flipped; together these reach both the per-class scan and the
-pair-order scan of the substitutability check.  Substitutability is also
-compared on faulted relations over the 4x4 and 4x5 universes, and its
-generator test against the scan over every default weight pair.
+pair-order scan of the substitutability check, and compare its generator
+test's decision with the oracle's scan.  Substitutability is also
+compared on faulted relations over the 4x4 and 4x5 universes.  A check
+names its report by the B axiom; relabeled for the A axiom, as the
+entailment battery does, it must match the oracle asked for that axiom.
 """
 
 import random
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -24,7 +27,6 @@ from posdec.axioms import (
     check_substitutability,
     check_total_preorder,
     check_uncertainty_attitude,
-    default_weight_pairs,
     enumerate_assessments,
     enumerate_scalar_configs,
     induced_relation,
@@ -76,7 +78,7 @@ def test_checks_match_oracles(case):
         assert oracle.matrix_of(rel) == oracle.matrix_of(reference)
         assert rel.rows == reference.rows
     for axiom_id in ("A1-", "B1"):
-        assert fields(check_total_preorder(rel, axiom_id)) == fields(
+        assert fields(replace(check_total_preorder(rel), axiom=axiom_id)) == fields(
             oracle.check_total_preorder(rel, axiom_id)
         )
     for direction in ("aversion", "attraction"):
@@ -84,7 +86,7 @@ def test_checks_match_oracles(case):
             oracle.check_uncertainty_attitude(rel, direction)
         )
     for axiom_id in ("A3-", "B3"):
-        assert fields(check_substitutability(rel, axiom_id=axiom_id)) == fields(
+        assert fields(replace(check_substitutability(rel), axiom=axiom_id)) == fields(
             oracle.check_substitutability(rel, axiom_id=axiom_id)
         )
 
@@ -101,25 +103,6 @@ def test_product_orders_match_oracles(data):
     rel = PreferenceRelation(universe, oracle.rows_of(holds))
     assert fields(check_total_preorder(rel)) == fields(oracle.check_total_preorder(rel))
     assert fields(check_substitutability(rel)) == fields(oracle.check_substitutability(rel))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_substitutability_weight_subsets_match_oracle(data):
-    universe = UNIVERSES[data.draw(st.sampled_from(SHAPES))]
-    n = len(universe)
-    keys = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    rel = induced_relation(universe, lambda m: keys[universe.index_of[m.indices]])
-    if data.draw(st.booleans()):
-        rel = rel.with_flipped(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
-    scale = universe.scale
-    top = scale.top
-    normalized = [(scale.level(i), top) for i in range(len(scale))]
-    normalized += [(top, scale.level(j)) for j in range(len(scale) - 1)]
-    pairs = data.draw(st.lists(st.sampled_from(normalized), min_size=1, max_size=4))
-    assert fields(check_substitutability(rel, pairs)) == fields(
-        oracle.check_substitutability(rel, pairs)
-    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -172,16 +155,6 @@ def test_counterexample_search_matches_pairwise_scan(shape):
             found += witness is not None
     # Both outcomes occur, so both branches are compared.
     assert 0 < found < len(configs) * len(assessments)
-
-
-@settings(max_examples=150, deadline=None)
-@given(relations())
-def test_generator_test_matches_the_scan(case):
-    """Every default pair given by the caller skips the test for the scan."""
-    rel = case[0]
-    scale = rel.universe.scale
-    every_pair = [(scale.level(a), scale.level(b)) for a, b in default_weight_pairs(scale)]
-    assert fields(check_substitutability(rel, every_pair)) == fields(check_substitutability(rel))
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,9 @@ from posdec import axioms
 from posdec.axioms import (
     CONTINUITY_VARIANTS,
     FAMILIES,
+    AxiomReport,
+    ConfigOutcome,
+    EntailmentRun,
     LotteryUniverse,
     PreferenceRelation,
     canonical_outcomes,
@@ -32,7 +35,7 @@ from posdec.axioms import (
     search_pair_counterexample,
     verify_entailments,
 )
-from posdec.scales import Scale, ScaleMismatchError
+from posdec.scales import ScaleMismatchError
 from posdec.utilities import (
     binary_utility,
     optimistic_utility,
@@ -235,24 +238,6 @@ class TestSubstitutability:
         assert broken.indifferent(i, j)
         assert not broken.indifferent(m1, m2)
 
-    def test_weight_pairs_must_normalize(self, small_universe):
-        rel = induced_relation(
-            small_universe, partial(binary_utility, a=tiny_assessment(small_universe))
-        )
-        scale = small_universe.scale
-        with pytest.raises(ValueError, match="normalized"):
-            check_substitutability(rel, weight_pairs=[(scale["0"], scale[".5"])])
-
-    def test_weight_pairs_from_another_scale_raise(self, small_universe):
-        rel = induced_relation(
-            small_universe, partial(binary_utility, a=tiny_assessment(small_universe))
-        )
-        other = Scale(("0", ".4", "1"), name="W")
-        scale = small_universe.scale
-        for pair in [(other["1"], other[".4"]), (scale["1"], other["0"])]:
-            with pytest.raises(ScaleMismatchError):
-                check_substitutability(rel, weight_pairs=[pair])
-
 
 class TestContinuity:
     def test_pessimistic_scalar_continuity(self, example_pessimistic_relation):
@@ -362,6 +347,20 @@ class TestVerifyEntailments:
         assert run.unexpected() == []
         assert run.anomaly_exhibited()
         assert run.ok()
+
+    def test_satisfied_axiom_expected_violated_is_unexpected(self):
+        run = EntailmentRun([ConfigOutcome("c", "binary", [AxiomReport("A2-", True)])])
+        assert run.unexpected() == [("c", "A2-")]
+
+    def test_anomaly_needs_one_binary_config_violating_both_attitudes(self):
+        both = [AxiomReport("A2-", False, (0, 1)), AxiomReport("A2+", False, (1, 0))]
+        run = EntailmentRun([
+            ConfigOutcome("p", "pessimistic", both),
+            ConfigOutcome("b1", "binary", [both[0], AxiomReport("A2+", True)]),
+            ConfigOutcome("b2", "binary", [AxiomReport("A2-", True), both[1]]),
+        ])
+        assert not run.anomaly_exhibited()
+        assert not run.ok()
 
     def test_two_outcome_anchor_families_hold(self):
         run = verify_entailments(seed=0, sample_size=0, enumerate_max=(2, 2))

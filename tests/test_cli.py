@@ -265,6 +265,20 @@ class TestVerify:
         assert main(["verify", "--scenario", WORKED, "--max-levels", "9"]) == EXIT_BOUND
         assert "--unsafe-bounds" in capsys.readouterr().err
 
+    def test_sample_over_cap_needs_unsafe_flag(self, capsys):
+        assert main(["verify", "--scenario", WORKED, "--sample", "10001"]) == EXIT_BOUND
+        assert capsys.readouterr().err == (
+            "error: --sample=10001 is above the hard cap of 10000; "
+            "pass --unsafe-bounds to override\n"
+        )
+
+    def test_sample_over_cap_runs_with_unsafe_flag(self, tmp_path, capsys):
+        out = str(tmp_path / "report.txt")
+        argv = ["verify", "--scenario", WORKED, "--sample", "10001", "--unsafe-bounds",
+                "--out", out]
+        assert main(argv) == EXIT_OK
+        assert "all expected outcomes hold" in capsys.readouterr().out
+
 
 class TestConvertSpohn:
     def test_to_possibility(self, tmp_path, capsys):
@@ -591,3 +605,74 @@ class TestWronglyShapedScenario:
         path = write_scenario(tmp_path, self.scenario(edit))
         assert main(["rank", "--scenario", path, "--method", "binary"]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(f"error: {path}: {section}")
+
+
+def _drop(*path):
+    """A scenario edit that deletes the key at ``path`` (keys from the root)."""
+    def edit(data):
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+    return edit
+
+
+def _edited(*edits):
+    data = copy.deepcopy(worked_example.SCENARIO)
+    for edit in edits:
+        edit(data)
+    return data
+
+
+RANK = ["rank", "--scenario", "{path}", "--method", "binary"]
+
+ERROR_BRANCHES = [
+    pytest.param(RANK, _edited(_drop("scale_v")), EXIT_VALIDATION,
+                 "{path}: missing scale_v", id="no-scale_v"),
+    pytest.param(RANK, _edited(_drop("outcomes")), EXIT_VALIDATION,
+                 "{path}: missing outcomes", id="no-outcomes"),
+    pytest.param(RANK, _edited(_set(("outcomes", "best"), "x9")), EXIT_VALIDATION,
+                 "{path}: outcomes: anchor outcome 'x9' is not declared", id="outcomes-rejected"),
+    pytest.param(RANK, _edited(_set(("states",), [])), EXIT_VALIDATION,
+                 "{path}: states: a state space must be non-empty", id="no-states"),
+    pytest.param(
+        RANK,
+        _edited(_set(("states",), ["s1"]), _set(("decisions", "d"), {"s1": "x1", "s9": "x2"})),
+        EXIT_VALIDATION, "{path}: decision 'd': decision mentions unknown state 's9'",
+        id="decision-unknown-state",
+    ),
+    pytest.param(RANK, _edited(_set(("assessment", "x2"), ["1", ".6"])), EXIT_VALIDATION,
+                 "{path}: assessment for 'x2': \"scale 'V' has no level '.6'\"",
+                 id="assessment-label-off-scale"),
+    pytest.param(RANK, _edited(_drop("pessimistic_config", "h")), EXIT_VALIDATION,
+                 "{path}: pessimistic_config: h", id="config-without-h"),
+    pytest.param(
+        RANK,
+        _edited(_set(("pessimistic_config", "h"), {"1": "1", ".7": "1", ".5": ".3", "0": "0"})),
+        EXIT_VALIDATION,
+        "{path}: pessimistic_config: invalid scale map: not onto: target level '.5' is never hit",
+        id="config-h-not-onto",
+    ),
+    pytest.param(
+        RANK,
+        _edited(_set(("states",), ["s1"]), _set(("decisions", "d"), {"s1": "x1"})),
+        EXIT_VALIDATION, "decision 'd' needs states and state_possibility",
+        id="decision-without-state-possibility",
+    ),
+    pytest.param(["verify", "--scenario", "{path}", "--max-outcomes", "3"],
+                 worked_example.SCENARIO, EXIT_BOUND,
+                 "scenario has 4 outcomes, over the bound of 3", id="outcomes-over-bound"),
+    pytest.param(["convert-spohn", "{path}", "--direction", "to-disbelief"],
+                 {"scale": [".1", "1"], "values": {"s1": "1"}}, EXIT_VALIDATION,
+                 "{path}: scale: scale 'V' must start at 0, got '.1'", id="spohn-scale-not-at-0"),
+]
+
+
+class TestErrorBranches:
+    """Inputs that reach the CLI's remaining error branches."""
+
+    @pytest.mark.parametrize("argv, data, code, message", ERROR_BRANCHES)
+    def test_one_error_line(self, tmp_path, capsys, argv, data, code, message):
+        path = write_scenario(tmp_path, data)
+        assert main([arg.format(path=path) for arg in argv]) == code
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"

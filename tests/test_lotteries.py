@@ -136,7 +136,7 @@ class TestMixture:
         scale = Scale(("0", ".5", "1"))
         members = enumerate_distributions(X2, scale)
         top = len(scale) - 1
-        levels = scale.all_levels()
+        levels = scale.level_values
         pairs = [(a, b) for a in levels for b in levels
                  if max(a.index, b.index) == top]
         for p1, p2 in itertools.product(members, repeat=2):

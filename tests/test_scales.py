@@ -17,7 +17,6 @@ from posdec.scales import (
     ScaleMismatchError,
     UtilityPair,
     binary_rank,
-    binary_utilities,
     compare_binary,
     ext_max,
     ext_min,
@@ -169,7 +168,7 @@ class TestBinaryOrder:
     @pytest.mark.parametrize("size", range(2, 7))
     def test_total_order(self, size):
         scale = scale_of_size(size)
-        elements = binary_utilities(scale)
+        elements = scale.binary_values
         assert len(elements) == 2 * size - 1
         for a in elements:
             for b in elements:
@@ -183,7 +182,7 @@ class TestBinaryOrder:
     @pytest.mark.parametrize("size", range(2, 7))
     def test_extremes(self, size):
         scale = scale_of_size(size)
-        elements = binary_utilities(scale)
+        elements = scale.binary_values
         top = BinaryUtility.of(scale.top, scale.bottom)
         bottom = BinaryUtility.of(scale.bottom, scale.top)
         assert all(compare_binary(top, e) >= 0 for e in elements)
@@ -192,7 +191,7 @@ class TestBinaryOrder:
     @pytest.mark.parametrize("size", range(2, 7))
     def test_rank_agrees_with_comparison(self, size):
         scale = scale_of_size(size)
-        elements = binary_utilities(scale)
+        elements = scale.binary_values
         for a in elements:
             for b in elements:
                 lhs = compare_binary(a, b)
@@ -243,7 +242,7 @@ class TestPairAlgebra:
             assert ext_max(p, q) == ext_max(q, p)
         for p, q, r in itertools.product(pairs, repeat=3):
             assert ext_max(ext_max(p, q), r) == ext_max(p, ext_max(q, r))
-        for alpha in scale.all_levels():
+        for alpha in scale.level_values:
             for p, q in itertools.product(pairs, repeat=2):
                 assert ext_min(alpha, ext_max(p, q)) == ext_max(
                     ext_min(alpha, p), ext_min(alpha, q)
