@@ -37,7 +37,7 @@ from .lotteries import (
     OutcomeSet,
     enumerate_distributions,
 )
-from .scales import Involution, Scale, ScaleMap, binary_rank, pair_ge_indices
+from .scales import Scale, ScaleMap, binary_rank, pair_ge_indices
 from .utilities import (
     BinaryUtilityAssessment,
     ScalarUtilityConfig,
@@ -428,20 +428,22 @@ def check_substitutability(r: PreferenceRelation) -> AxiomReport:
                             return _substitution_violation(
                                 r, members[0], members[pos], k, wa, wb
                             )
-        return AxiomReport("B3", True)
-
-    index_of_code = universe.index_of_code
-    for wa, wb in pairs:
-        parts = [code & masks[wa] for code in codes]
-        for k_part, k in companions[wb].items():
-            mixed = [index_of_code[part | k_part] for part in parts]
-            if keeps_same(mixed):
-                continue
-            for i, m1 in enumerate(mixed):
-                for j in _bits(same[i] >> i + 1 << i + 1):
-                    if not same[m1] >> mixed[j] & 1:
-                        return _substitution_violation(r, i, j, k, wa, wb)
-    return AxiomReport("B3", True)
+    else:
+        index_of_code = universe.index_of_code
+        for wa, wb in pairs:
+            parts = [code & masks[wa] for code in codes]
+            for k_part, k in companions[wb].items():
+                mixed = [index_of_code[part | k_part] for part in parts]
+                if keeps_same(mixed):
+                    continue
+                for i, m1 in enumerate(mixed):
+                    for j in _bits(same[i] >> i + 1 << i + 1):
+                        if not same[m1] >> mixed[j] & 1:
+                            return _substitution_violation(r, i, j, k, wa, wb)
+    raise AssertionError(
+        "substitutability: a generator map breaks indifference, "
+        "yet no weight pair and companion does"
+    )
 
 
 def _substitution_violation(r, i, j, k, wa, wb) -> AxiomReport:
@@ -614,13 +616,11 @@ def _scalar_config(
 ) -> ScalarUtilityConfig:
     """The configuration whose prize utilities are the rank keys on h's target.
 
-    Preference classes follow the keys; the involution is forced on a
-    finite chain.
+    Preference classes follow the keys.
     """
     return ScalarUtilityConfig(
         _outcomes_with_ranks(outcomes, rank_key),
         h,
-        Involution.order_reversal(h.target),
         tuple(rank_key[label] for label in outcomes.labels),
     )
 
@@ -631,7 +631,8 @@ def enumerate_scalar_configs(
     """Every valid scalar configuration over canonical utility scales.
 
     Ranges over utility-scale sizes up to the uncertainty scale, every
-    valid onto map, and every anchored prize assignment.
+    valid onto map, and every anchored prize assignment.  Each utility
+    scale has one order-reversing involution, so there is none to range over.
     """
     configs = []
     interior = tuple(

@@ -35,7 +35,6 @@ from .lotteries import (
 )
 from .scales import (
     BinaryUtility,
-    Involution,
     Scale,
     ScaleMap,
     ext_min,
@@ -69,8 +68,9 @@ class ScenarioError(ValueError):
 
 @dataclass
 class Scenario:
-    """A fully validated scenario document."""
+    """A fully validated scenario document, and where it was read from."""
 
+    source: str
     scale_v: Scale
     scale_u: Scale | None
     outcomes: OutcomeSet
@@ -206,7 +206,7 @@ def parse_scenario(data: Mapping, source: str = "<scenario>") -> Scenario:
             try:
                 table[label] = BinaryUtility.of(scale_v[pair[0]], scale_v[pair[1]])
             except (KeyError, ValueError) as exc:
-                raise fail(f"assessment for {label!r}: {exc}") from exc
+                raise fail(f"assessment for {label!r}: {exc.args[0]}") from exc
         try:
             assessment = BinaryUtilityAssessment.from_mapping(outcomes, scale_v, table)
         except ValueError as exc:
@@ -216,47 +216,51 @@ def parse_scenario(data: Mapping, source: str = "<scenario>") -> Scenario:
     if data.get("pessimistic_config") is not None:
         cfg = expect_object(data["pessimistic_config"], "pessimistic_config")
         for key in ("n", "h", "u"):
-            if key in cfg:
-                expect_object(cfg[key], f"pessimistic_config {key}")
+            if key not in cfg:
+                raise fail(f"pessimistic_config: {key}")
+            expect_object(cfg[key], f"pessimistic_config {key}")
         target = scale_u if scale_u is not None else scale_v
+        # n must be an order-reversing involution of U, and on a finite chain
+        # only i -> top - i is one: the configuration derives it, so the
+        # table is only checked.
         try:
-            involution = Involution.from_labels(target, cfg["n"])
+            n = ScaleMap.from_labels(target, target, cfg["n"]).images
+        except (KeyError, ValueError) as exc:
+            raise fail(f"pessimistic_config: n: {exc.args[0]}") from exc
+        if n != tuple(range(target.top_index, -1, -1)):
+            raise fail(f"pessimistic_config: n is not the order reversal of scale {target.name!r}")
+        try:
             scale_map = ScaleMap.from_labels(scale_v, target, cfg["h"])
             prize = {label: target[level] for label, level in cfg["u"].items()}
-            pessimistic_config = ScalarUtilityConfig.build(
-                outcomes, scale_map, involution, prize
-            )
+            pessimistic_config = ScalarUtilityConfig.build(outcomes, scale_map, prize)
         except KeyError as exc:
             raise fail(f"pessimistic_config: {exc.args[0]}") from exc
         except ValueError as exc:
             raise fail(f"pessimistic_config: {exc}") from exc
 
     return Scenario(
-        scale_v, scale_u, outcomes, states, state_possibility,
+        source, scale_v, scale_u, outcomes, states, state_possibility,
         decisions, lotteries, assessment, pessimistic_config,
     )
 
 
 def _resolve_evaluator(scenario: Scenario, method: str) -> Evaluator:
-    if method in ("pessimistic", "optimistic"):
-        if scenario.pessimistic_config is None:
-            raise ScenarioError(
-                f"method {method!r} needs a pessimistic_config in the scenario"
-            )
-        fn = pessimistic_utility if method == "pessimistic" else optimistic_utility
-        return partial(fn, cfg=scenario.pessimistic_config)
+    """The evaluator for one of the parser's ``--method`` choices."""
     if method == "binary":
         if scenario.assessment is None:
-            raise ScenarioError("method 'binary' needs an assessment in the scenario")
+            raise ScenarioError(f"{scenario.source}: method 'binary' needs an assessment")
         return partial(binary_utility, a=scenario.assessment)
-    raise ScenarioError(f"unknown method {method!r}")
+    if scenario.pessimistic_config is None:
+        raise ScenarioError(f"{scenario.source}: method {method!r} needs a pessimistic_config")
+    fn = pessimistic_utility if method == "pessimistic" else optimistic_utility
+    return partial(fn, cfg=scenario.pessimistic_config)
 
 
 def _resolve_targets(
     scenario: Scenario, names: list[str]
 ) -> list[tuple[str, PossibilityDistribution]]:
     if not scenario.lotteries and not scenario.decisions:
-        raise ScenarioError("scenario declares neither lotteries nor decisions")
+        raise ScenarioError(f"{scenario.source}: declares neither lotteries nor decisions")
     if not names:
         names = list(scenario.lotteries) + list(scenario.decisions)
     items = []
@@ -266,7 +270,7 @@ def _resolve_targets(
         elif name in scenario.decisions:
             if scenario.state_possibility is None:
                 raise ScenarioError(
-                    f"decision {name!r} needs states and state_possibility"
+                    f"{scenario.source}: decision {name!r} needs states and state_possibility"
                 )
             items.append(
                 (
@@ -279,7 +283,7 @@ def _resolve_targets(
                 )
             )
         else:
-            raise ScenarioError(f"unknown target {name!r}")
+            raise ScenarioError(f"{scenario.source}: unknown target {name!r}")
     return items
 
 
@@ -322,11 +326,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     n_levels = len(scenario.scale_v)
     if n_outcomes > args.max_outcomes:
         raise BoundExceededError(
-            f"scenario has {n_outcomes} outcomes, over the bound of {args.max_outcomes}"
+            f"{scenario.source}: {n_outcomes} outcomes, over the bound of {args.max_outcomes}"
         )
     if n_levels > args.max_levels:
         raise BoundExceededError(
-            f"scenario scale has {n_levels} levels, over the bound of {args.max_levels}"
+            f"{scenario.source}: scale_v has {n_levels} levels, "
+            f"over the bound of {args.max_levels}"
         )
     universe = LotteryUniverse(scenario.outcomes, scenario.scale_v)
     run = verify_entailments(

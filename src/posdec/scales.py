@@ -328,78 +328,6 @@ def ext_max(p: UtilityPair, q: UtilityPair) -> UtilityPair:
     return UtilityPair(level_max(p.first, q.first), level_max(p.second, q.second))
 
 
-def _require_total(scale: Scale, table: Mapping[str, str], what: str) -> None:
-    """A label table must cover every level of the scale, and nothing else."""
-    for label in scale.levels:
-        if label not in table:
-            raise ValueError(f"{what} table is incomplete: no image for level {label!r}")
-    extra = set(table) - set(scale.levels)
-    if extra:
-        raise ValueError(f"{what} table maps unknown levels: {sorted(extra)}")
-
-
-@dataclass(frozen=True)
-class Involution:
-    """A self-map of a scale given by a full image table.
-
-    Construction only requires totality; use validate_involution to check
-    that the table really is an order-reversing involution with the
-    0/1 anchors swapped.
-    """
-
-    scale: Scale
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.images) != len(self.scale):
-            raise ValueError(
-                f"involution table is incomplete: {len(self.images)} images "
-                f"for {len(self.scale)} levels"
-            )
-        for i in self.images:
-            if not 0 <= i < len(self.scale):
-                raise ValueError(f"involution image index {i} out of range")
-
-    @classmethod
-    def from_labels(cls, scale: Scale, table: Mapping[str, str]) -> "Involution":
-        _require_total(scale, table, "involution")
-        return cls(scale, tuple(scale[table[label]].index for label in scale.levels))
-
-    @classmethod
-    def order_reversal(cls, scale: Scale) -> "Involution":
-        """The canonical reversal; on a finite chain it is the only valid involution."""
-        n = len(scale)
-        return cls(scale, tuple(n - 1 - i for i in range(n)))
-
-    def apply(self, level: Level) -> Level:
-        if level.scale != self.scale:
-            raise ScaleMismatchError(level.scale, self.scale)
-        return self.scale.level(self.images[level.index])
-
-
-def validate_involution(n: Involution) -> str | None:
-    """Return None if valid, else a report naming the first violation."""
-    scale = n.scale
-    top = len(scale) - 1
-    if n.images[top] != 0:
-        return f"anchor violated: image of {scale.levels[top]!r} is {scale.levels[n.images[top]]!r}, not '0'"
-    if n.images[0] != top:
-        return f"anchor violated: image of '0' is {scale.levels[n.images[0]]!r}, not {scale.levels[top]!r}"
-    for i in range(len(scale)):
-        if n.images[n.images[i]] != i:
-            return (
-                f"not an involution: {scale.levels[i]!r} -> "
-                f"{scale.levels[n.images[i]]!r} -> {scale.levels[n.images[n.images[i]]]!r}"
-            )
-    for i in range(len(scale) - 1):
-        if n.images[i] <= n.images[i + 1]:
-            return (
-                f"antitonicity violated: {scale.levels[i]!r} < {scale.levels[i + 1]!r} "
-                f"but images {scale.levels[n.images[i]]!r} <= {scale.levels[n.images[i + 1]]!r}"
-            )
-    return None
-
-
 @dataclass(frozen=True)
 class ScaleMap:
     """A total map from one scale onto another, given by a full image table."""
@@ -420,7 +348,14 @@ class ScaleMap:
 
     @classmethod
     def from_labels(cls, source: Scale, target: Scale, table: Mapping[str, str]) -> "ScaleMap":
-        _require_total(source, table, "scale map")
+        """The map with ``table``'s images, which must cover every source level
+        and nothing else."""
+        for label in source.levels:
+            if label not in table:
+                raise ValueError(f"scale map table is incomplete: no image for level {label!r}")
+        extra = set(table) - set(source.levels)
+        if extra:
+            raise ValueError(f"scale map table maps unknown levels: {sorted(extra)}")
         return cls(
             source, target, tuple(target[table[label]].index for label in source.levels)
         )

@@ -24,7 +24,6 @@ from typing import Callable, Mapping, Sequence, Union
 from .lotteries import Domain, OutcomeSet, PossibilityDistribution, StandardLottery
 from .scales import (
     BinaryUtility,
-    Involution,
     Level,
     Scale,
     ScaleMap,
@@ -32,7 +31,6 @@ from .scales import (
     binary_rank,
     check_binary_pair,
     pair_rank,
-    validate_involution,
     validate_scale_map,
 )
 
@@ -52,27 +50,34 @@ def check_domain(domain: Domain, scale: Scale, outcomes: OutcomeSet, expected: S
         raise ScaleMismatchError(scale, expected)
 
 
+def _check_preference_order(outcomes: OutcomeSet, keys: Mapping[str, int], noun: str) -> None:
+    """Raise unless, on every pair of prizes, ``keys`` order them as the
+    declared preference does; ``noun`` names the keys in the message."""
+    for x in outcomes.labels:
+        for y in outcomes.labels:
+            if outcomes.prefers(x, y) != (keys[x] >= keys[y]):
+                raise ValueError(
+                    f"{noun} is inconsistent with the preference order on {x!r} and {y!r}"
+                )
+
+
 @dataclass(frozen=True)
 class ScalarUtilityConfig:
     """Everything the scalar (pessimistic/optimistic) criteria need.
 
-    Bundles a prize utility into the utility scale, an order-reversing
-    involution on that scale, and an onto map from the uncertainty scale.
-    All three are validated at construction, including consistency of the
-    prize utility with the declared preference preorder.
+    Bundles a prize utility into the utility scale and an onto map from the
+    uncertainty scale, both validated at construction, including consistency
+    of the prize utility with the declared preference preorder.  The
+    pessimistic criterion also reverses the utility scale; on a finite chain
+    the only order-reversing involution is i -> top - i, so it is derived,
+    not configured.
     """
 
     outcomes: OutcomeSet
     scale_map: ScaleMap
-    involution: Involution
     prize_indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.involution.scale != self.scale_map.target:
-            raise ScaleMismatchError(self.involution.scale, self.scale_map.target)
-        problem = validate_involution(self.involution)
-        if problem:
-            raise ValueError(f"invalid involution: {problem}")
         problem = validate_scale_map(self.scale_map)
         if problem:
             raise ValueError(f"invalid scale map: {problem}")
@@ -85,20 +90,13 @@ class ScalarUtilityConfig:
             raise ValueError(f"best outcome {self.outcomes.best!r} must have utility 1")
         if by_label[self.outcomes.worst] != 0:
             raise ValueError(f"worst outcome {self.outcomes.worst!r} must have utility 0")
-        for x in labels:
-            for y in labels:
-                if self.outcomes.prefers(x, y) != (by_label[x] >= by_label[y]):
-                    raise ValueError(
-                        f"prize utility is inconsistent with the preference order "
-                        f"on {x!r} and {y!r}"
-                    )
+        _check_preference_order(self.outcomes, by_label, "prize utility")
 
     @classmethod
     def build(
         cls,
         outcomes: OutcomeSet,
         scale_map: ScaleMap,
-        involution: Involution,
         prize_utility: Mapping[str, Level],
     ) -> "ScalarUtilityConfig":
         target = scale_map.target
@@ -110,7 +108,7 @@ class ScalarUtilityConfig:
             if level.scale != target:
                 raise ScaleMismatchError(level.scale, target)
             indices.append(level.index)
-        return cls(outcomes, scale_map, involution, tuple(indices))
+        return cls(outcomes, scale_map, tuple(indices))
 
     @property
     def uncertainty_scale(self) -> Scale:
@@ -122,8 +120,10 @@ class ScalarUtilityConfig:
 
     @cached_property
     def reversed_map(self) -> tuple[int, ...]:
-        """Composition n∘h as target-scale indices per uncertainty level."""
-        return tuple(self.involution.images[i] for i in self.scale_map.images)
+        """Composition n∘h as target-scale indices per uncertainty level, n
+        the order reversal of the utility scale."""
+        top = self.utility_scale.top_index
+        return tuple(top - i for i in self.scale_map.images)
 
     def prize_utility_for(self, label: str) -> Level:
         return self.utility_scale.level(
@@ -229,13 +229,7 @@ class BinaryUtilityAssessment:
                     f"'0',{self.scale.levels[top]!r}"
                 )
         rank = {label: pair_rank(*pair, top) for label, pair in by_label.items()}
-        for x in labels:
-            for y in labels:
-                if self.outcomes.prefers(x, y) != (rank[x] >= rank[y]):
-                    raise ValueError(
-                        f"assessment is inconsistent with the preference order "
-                        f"on {x!r} and {y!r}"
-                    )
+        _check_preference_order(self.outcomes, rank, "assessment")
 
     @classmethod
     def from_mapping(

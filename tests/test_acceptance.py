@@ -45,7 +45,7 @@ from posdec.lotteries import (
     standard_lotteries,
     to_disbelief,
 )
-from posdec.scales import BinaryUtility, Involution, Scale, ScaleMap
+from posdec.scales import BinaryUtility, Scale, ScaleMap
 from posdec.utilities import (
     BinaryUtilityAssessment,
     ScalarUtilityConfig,
@@ -64,14 +64,12 @@ U_LABELS = {2: ("0", "1"), 3: ("0", ".3", "1"), 4: ("0", ".3", ".5", "1")}
 def worked_style_config(nx: int, nv: int = 4) -> tuple[LotteryUniverse, ScalarUtilityConfig]:
     """The worked example's configuration shape at other desk sizes.
 
-    The utility scale mirrors the uncertainty scale level for level, the
-    involution is the forced chain reversal, and prize utilities spread
-    from the top anchor down to the bottom one.
+    The utility scale mirrors the uncertainty scale level for level, and
+    prize utilities spread from the top anchor down to the bottom one.
     """
     scale_v = Scale(V_LABELS[nv], name="V")
     scale_u = Scale(U_LABELS[nv], name="U")
     scale_map = ScaleMap(scale_v, scale_u, tuple(range(nv)))
-    reversal = Involution.order_reversal(scale_u)
     outcomes = canonical_outcomes(nx)
     top = nv - 1
     ranks = {outcomes.best: top, outcomes.worst: 0}
@@ -84,7 +82,7 @@ def worked_style_config(nx: int, nv: int = 4) -> tuple[LotteryUniverse, ScalarUt
     )
     ranked = OutcomeSet(outcomes.labels, outcomes.best, outcomes.worst, classes)
     prize = {label: scale_u.level(ranks[label]) for label in outcomes.labels}
-    cfg = ScalarUtilityConfig.build(ranked, scale_map, reversal, prize)
+    cfg = ScalarUtilityConfig.build(ranked, scale_map, prize)
     return LotteryUniverse(ranked, scale_v), cfg
 
 

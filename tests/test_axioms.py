@@ -238,6 +238,32 @@ class TestSubstitutability:
         assert broken.indifferent(i, j)
         assert not broken.indifferent(m1, m2)
 
+    @pytest.mark.parametrize("fault", [None, (0, 0)], ids=["class-scan", "pair-scan"])
+    def test_generator_violation_without_witness_raises(self, example_scenario, fault):
+        """A generator map that breaks indifference while no mixture does is
+        a contradiction, never a satisfied report.
+
+        The induced relation is scanned per class; with (0, 0) flipped it is
+        not reflexive at a member indifferent to another, so it is scanned
+        per weight pair.  Either way B3 holds, so the scan finds no witness.
+        """
+        universe = LotteryUniverse(example_scenario.outcomes, example_scenario.scale_v)
+        rel = induced_relation(
+            universe, partial(pessimistic_utility, cfg=example_scenario.pessimistic_config)
+        )
+        if fault is not None:
+            rel = rel.with_flipped(*fault)
+        assert check_substitutability(rel).satisfied
+        i = 0
+        j = next(j for j in range(1, len(universe)) if rel.indifferent(i, j))
+        k = next(k for k in range(1, len(universe)) if not rel.indifferent(i, k))
+        # Not a mixture: it sends j out of the class it shares with i.
+        not_a_mixture = list(range(len(universe)))
+        not_a_mixture[j] = k
+        universe.generator_maps = (tuple(not_a_mixture),)
+        with pytest.raises(AssertionError, match="no weight pair and companion"):
+            check_substitutability(rel)
+
 
 class TestContinuity:
     def test_pessimistic_scalar_continuity(self, example_pessimistic_relation):

@@ -497,6 +497,7 @@ class TestPaperExample:
     def test_contains_expected_rows(self, capsys):
         assert main(["paper-example"]) == EXIT_OK
         out = capsys.readouterr().out
+        assert "reversed scale map: 1->0, .7->.3, .5->.5, 0->1" in out
         assert "min{1, .5, .5, .5} = .5" in out
         assert "min{1, .5, 1, 0} = 0" in out
         assert "max{⟨.7,0⟩, ⟨1,.5⟩, ⟨.5,.5⟩, ⟨.5,.5⟩} = ⟨1,.5⟩" in out
@@ -642,7 +643,7 @@ ERROR_BRANCHES = [
         id="decision-unknown-state",
     ),
     pytest.param(RANK, _edited(_set(("assessment", "x2"), ["1", ".6"])), EXIT_VALIDATION,
-                 "{path}: assessment for 'x2': \"scale 'V' has no level '.6'\"",
+                 "{path}: assessment for 'x2': scale 'V' has no level '.6'",
                  id="assessment-label-off-scale"),
     pytest.param(RANK, _edited(_drop("pessimistic_config", "h")), EXIT_VALIDATION,
                  "{path}: pessimistic_config: h", id="config-without-h"),
@@ -653,15 +654,26 @@ ERROR_BRANCHES = [
         "{path}: pessimistic_config: invalid scale map: not onto: target level '.5' is never hit",
         id="config-h-not-onto",
     ),
+    pytest.param(RANK, _edited(_set(("pessimistic_config", "n", ".5"), ".5")), EXIT_VALIDATION,
+                 "{path}: pessimistic_config: n is not the order reversal of scale 'U'",
+                 id="config-n-not-reversal"),
+    pytest.param(
+        RANK, _edited(_drop("pessimistic_config", "n", ".3")), EXIT_VALIDATION,
+        "{path}: pessimistic_config: n: scale map table is incomplete: no image for level '.3'",
+        id="config-n-incomplete",
+    ),
+    pytest.param(RANK, _edited(_set(("pessimistic_config", "n", ".5"), ".6")), EXIT_VALIDATION,
+                 "{path}: pessimistic_config: n: scale 'U' has no level '.6'",
+                 id="config-n-label-off-scale"),
     pytest.param(
         RANK,
         _edited(_set(("states",), ["s1"]), _set(("decisions", "d"), {"s1": "x1"})),
-        EXIT_VALIDATION, "decision 'd' needs states and state_possibility",
+        EXIT_VALIDATION, "{path}: decision 'd' needs states and state_possibility",
         id="decision-without-state-possibility",
     ),
     pytest.param(["verify", "--scenario", "{path}", "--max-outcomes", "3"],
                  worked_example.SCENARIO, EXIT_BOUND,
-                 "scenario has 4 outcomes, over the bound of 3", id="outcomes-over-bound"),
+                 "{path}: 4 outcomes, over the bound of 3", id="outcomes-over-bound"),
     pytest.param(["convert-spohn", "{path}", "--direction", "to-disbelief"],
                  {"scale": [".1", "1"], "values": {"s1": "1"}}, EXIT_VALIDATION,
                  "{path}: scale: scale 'V' must start at 0, got '.1'", id="spohn-scale-not-at-0"),

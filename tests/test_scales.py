@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from posdec.scales import (
     MAX_DECIMAL_EXPONENT,
     BinaryUtility,
-    Involution,
     Scale,
     ScaleMap,
     ScaleMismatchError,
@@ -23,7 +22,6 @@ from posdec.scales import (
     level_max,
     level_min,
     parse_label,
-    validate_involution,
     validate_scale_map,
 )
 
@@ -253,40 +251,6 @@ class TestPairAlgebra:
             ext_min(U4[".3"], UtilityPair(V4["1"], V4["0"]))
         with pytest.raises(ScaleMismatchError):
             UtilityPair(V4["1"], U4["0"])
-
-
-class TestInvolution:
-    def test_worked_example_table(self):
-        n = Involution.from_labels(
-            U4, {"1": "0", ".5": ".3", ".3": ".5", "0": "1"}
-        )
-        assert validate_involution(n) is None
-        assert n.apply(U4[".5"]).label == ".3"
-
-    def test_two_point(self):
-        scale = scale_of_size(2)
-        n = Involution.from_labels(scale, {"1": "0", "0": "1"})
-        assert validate_involution(n) is None
-
-    def test_antitonicity_violation(self):
-        n = Involution.from_labels(
-            U4, {"1": "0", ".5": ".5", ".3": ".3", "0": "1"}
-        )
-        report = validate_involution(n)
-        assert report is not None and "antitonicity" in report
-
-    def test_incomplete_table(self):
-        with pytest.raises(ValueError, match="incomplete"):
-            Involution.from_labels(U4, {"1": "0", "0": "1"})
-
-    def test_order_reversal_is_valid_everywhere(self):
-        for size in range(2, 7):
-            scale = scale_of_size(size)
-            assert validate_involution(Involution.order_reversal(scale)) is None
-
-    def test_broken_anchor(self):
-        n = Involution(U4, (3, 2, 1, 3))
-        assert "anchor" in validate_involution(n)
 
 
 class TestScaleMap:

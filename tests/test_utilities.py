@@ -23,7 +23,6 @@ from posdec.lotteries import (
 )
 from posdec.scales import (
     BinaryUtility,
-    Involution,
     Scale,
     ScaleMap,
     ScaleMismatchError,
@@ -109,8 +108,7 @@ class TestPessimistic:
         }
         with pytest.raises(ValueError, match="inconsistent"):
             ScalarUtilityConfig.build(
-                s.outcomes, s.pessimistic_config.scale_map,
-                s.pessimistic_config.involution, bad_prize,
+                s.outcomes, s.pessimistic_config.scale_map, bad_prize,
             )
 
     def test_anchor_validation(self, example_scenario):
@@ -122,8 +120,7 @@ class TestPessimistic:
         }
         with pytest.raises(ValueError, match="utility 1"):
             ScalarUtilityConfig.build(
-                s.outcomes, s.pessimistic_config.scale_map,
-                s.pessimistic_config.involution, bad_prize,
+                s.outcomes, s.pessimistic_config.scale_map, bad_prize,
             )
 
 
@@ -390,7 +387,6 @@ class TestRestrictedAgreement:
         outcomes = canonical_outcomes(nx)
         scale = canonical_scale(nv)
         members = enumerate_distributions(outcomes, scale)
-        reversal = Involution.order_reversal(scale)
         identity = ScaleMap.identity(scale)
         interior = outcomes.labels[1:-1]
         for combo in itertools.product(range(len(scale)), repeat=len(interior)):
@@ -407,14 +403,11 @@ class TestRestrictedAgreement:
                 },
                 require_anchors=False,
             )
+            # The prize utility is the order reversal of the worst weight.
             cfg = ScalarUtilityConfig.build(
                 ranked,
                 identity,
-                reversal,
-                {
-                    label: scale.level(reversal.images[w])
-                    for label, w in worst_weights.items()
-                },
+                {label: scale.level(scale.top_index - w) for label, w in worst_weights.items()},
             )
             for p1, p2 in itertools.product(members, repeat=2):
                 binary_order = binary_utility(p1, assessment) >= binary_utility(p2, assessment)
@@ -426,7 +419,6 @@ class TestRestrictedAgreement:
         outcomes = canonical_outcomes(nx)
         scale = canonical_scale(nv)
         members = enumerate_distributions(outcomes, scale)
-        reversal = Involution.order_reversal(scale)
         identity = ScaleMap.identity(scale)
         interior = outcomes.labels[1:-1]
         for combo in itertools.product(range(len(scale)), repeat=len(interior)):
@@ -444,7 +436,7 @@ class TestRestrictedAgreement:
                 require_anchors=False,
             )
             cfg = ScalarUtilityConfig.build(
-                ranked, identity, reversal,
+                ranked, identity,
                 {label: scale.level(w) for label, w in best_weights.items()},
             )
             for p1, p2 in itertools.product(members, repeat=2):
