@@ -1,20 +1,25 @@
 """Exhaustive desk-scale verification of preference axioms.
 
-A preference relation over a complete universe of lotteries is its rows:
-one bitset per member (``rows``), the only form stored and the one every
-check reads.  Lotteries are thermometer-coded, one run of low ones per
-prize, so the max-min mixture of two lotteries is two masks
-and an ``|`` on their codes.  Every axiom is a decidable predicate over
-the relation and every check stays complete: it skips only cases whose
-result repeats one already decided (members with equal rows, companions
-or class members with equal masked codes), so a violated predicate still
-returns the first concrete witness, which can be replayed.  The mixtures
-with a point mass generate every other, so substitutability is decided
-on those and scans for its witness only after a violation.  Continuity
-tests each source's row, column and target set with one ``&``.  A1-/B1
-and A3-/B3 name the same predicates: each check names its report by the B
-axiom, and a battery evaluates it once per relation and relabels the
-report for the A axiom.  Entailment sweeps check each configuration's
+A preference relation over a complete universe of lotteries is stored as
+its twin classes: members with the same row and the same column share a
+class, and a class table says which classes are at least as good as
+which.  A relation a criterion induces has one class per distinct
+utility, at most 2|V| - 1 whatever the size of the universe, and a
+flipped entry adds at most two.  Every axiom holds or fails for whole
+classes, so no check reads the n^2 member rows (``rows``, built only on
+request): total preorder, continuity and the standard-lottery order are
+decided on the table; uncertainty attitude gathers the classes above (or
+below) each member over single-level raises; substitutability tests each
+mixture with a point mass, which generate every other, with two gathers
+and a tuple compare where "equal or indifferent" is an equivalence, and
+class pair by class pair otherwise.  Lotteries are thermometer-coded,
+one run of low ones per prize, so the max-min mixture of two lotteries
+is two masks and an ``|`` on their codes.  Every check stays complete and
+returns the first concrete witness, which can be replayed; substitutability
+scans for it, in the order of quantification, only after a violation.
+A1-/B1 and A3-/B3 name the same predicates: each check names its report
+by the B axiom, and a battery evaluates it once per relation and relabels
+the report for the A axiom.  Entailment sweeps check each configuration's
 domain and scale once against its universe and build its relation from
 the criterion's integer key core, so no value object is built per member.
 Each configuration is checked against its family in ``FAMILIES`` (the
@@ -62,12 +67,10 @@ def _bits(bits: int) -> list[int]:
     return out
 
 
-def _row_groups(rows: Iterable[int]) -> dict[int, int]:
-    """Bitset of the members with each distinct row, keyed by row, first seen first."""
-    groups: dict[int, int] = {}
-    for i, row in enumerate(rows):
-        groups[row] = groups.get(row, 0) | 1 << i
-    return groups
+def _dense(keys: Iterable) -> tuple[list[int], list]:
+    """An id per key, numbered by first occurrence, and the distinct keys in that order."""
+    ids: dict = {}
+    return [ids.setdefault(key, len(ids)) for key in keys], list(ids)
 
 
 class LotteryUniverse:
@@ -112,6 +115,8 @@ class LotteryUniverse:
         On these codes the level min is ``&`` and the level max is ``|``, so
         the mixture with weights (wa, wb) of members i and k has the code
         ``(codes[i] & weight_masks[wa]) | (codes[k] & weight_masks[wb])``.
+        Member i is pointwise at most member j iff ``codes[i] & ~codes[j]``
+        is 0.
         """
         top = len(self.scale) - 1
         return tuple(
@@ -147,85 +152,116 @@ class LotteryUniverse:
         codes, masks, index_of_code = self.codes, self.weight_masks, self.index_of_code
         weights = [(top, v) for v in range(1, top + 1)] + [(wa, top) for wa in range(top)]
         return tuple(
-            tuple(index_of_code[(code & masks[wa]) | (codes[k] & masks[wb])] for code in codes)
+            tuple(index_of_code[code & mask | k_part] for code in codes)
             for k in self.point_mass_index.values()
-            for wa, wb in weights
+            for mask, k_part in ((masks[wa], codes[k] & masks[wb]) for wa, wb in weights)
         )
 
     @cached_property
-    def above(self) -> tuple[int, ...]:
-        """Bitset per member of the other members pointwise at least as high."""
-        return self._dominance(operator.ge)
+    def raises(self) -> tuple[tuple[int, ...], ...]:
+        """Per member, the members one level higher at one prize.
 
-    @cached_property
-    def below(self) -> tuple[int, ...]:
-        """Bitset per member of the other members pointwise at most as high."""
-        return self._dominance(operator.le)
-
-    def _dominance(self, compare) -> tuple[int, ...]:
-        vts = self.value_tuples
-        levels = range(len(self.scale))
-        # by_level[pos][level]: members j with compare(vt_j[pos], level).
-        by_level = [
-            [
-                sum(1 << j for j, vt in enumerate(vts) if compare(vt[pos], level))
-                for level in levels
-            ]
-            for pos in range(len(self.outcomes.labels))
-        ]
-        out = []
-        for i, vt in enumerate(vts):
-            bits = ~(1 << i)
-            for pos, v in enumerate(vt):
-                bits &= by_level[pos][v]
-            out.append(bits)
-        return tuple(out)
+        Members run in lexicographic order of their levels, so each raise
+        lands on a later member.  Chains of raises reach exactly the members
+        pointwise above: every member between two normalized ones is
+        normalized.
+        """
+        top = len(self.scale) - 1
+        index_of_code = self.index_of_code
+        return tuple(
+            tuple(index_of_code[code | 1 << pos * top + v] for pos, v in enumerate(vt) if v < top)
+            for code, vt in zip(self.codes, self.value_tuples)
+        )
 
 
 class PreferenceRelation:
     """An 'at least as good as' relation over a lottery universe.
 
-    The relation is its ``rows``, one bitset per member: bit j of
-    ``rows[i]`` is set iff member i is at least as good as member j.
+    The relation is its twin classes: members with the same row and the
+    same column of the relation share a class, and a member not at least
+    as good as itself has a class of its own.  ``class_of[i]`` is member
+    i's class, classes numbered in order of their first member, and bit b
+    of ``table[a]`` is set iff class a is at least as good as class b.
+    ``rows`` (bit j of ``rows[i]`` set iff member i is at least as good as
+    member j) is built on first read; no check reads it.
     """
 
     def __init__(self, universe: LotteryUniverse, rows: Sequence[int]):
-        self.universe = universe
-        self.rows = list(rows)
-        self.size = len(self.rows)
-        if self.size != len(universe):
+        rows = list(rows)
+        if len(rows) != len(universe):
             raise ValueError("relation size does not match the universe")
-        if any(row >> self.size for row in self.rows):
+        if any(row >> len(rows) for row in rows):
             raise ValueError("relation row has bits past the universe")
+        self.universe, self.size, self.rows = universe, len(rows), rows
+        # Twins share a row and a column, a member's column read as its bit
+        # in each distinct row; a member not at least as good as itself is
+        # keyed apart.
+        distinct = list(dict.fromkeys(rows))
+        self.class_of, _ = _dense(
+            (row, tuple(d >> i & 1 for d in distinct)) if row >> i & 1 else i
+            for i, row in enumerate(rows)
+        )
+        firsts = self.first_members
+        self.table = [sum((rows[f] >> g & 1) << b for b, g in enumerate(firsts)) for f in firsts]
+
+    @classmethod
+    def _of_classes(cls, universe: LotteryUniverse, class_of: list[int], table: list[int]):
+        """The relation with these classes, numbered in order of their first member."""
+        r = cls.__new__(cls)
+        r.universe, r.size, r.class_of, r.table = universe, len(class_of), class_of, table
+        return r
+
+    @cached_property
+    def rows(self) -> list[int]:
+        """Bitset per member of the members it is at least as good as."""
+        members = [0] * len(self.table)
+        for i, c in enumerate(self.class_of):
+            members[c] |= 1 << i
+        row_of = [sum(m for b, m in enumerate(members) if row >> b & 1) for row in self.table]
+        return [row_of[c] for c in self.class_of]
+
+    @cached_property
+    def indifference(self) -> list[int]:
+        """Bitset per class of the classes indifferent to it; itself iff reflexive."""
+        return [row & col for row, col in zip(self.table, _columns(self.table))]
+
+    @cached_property
+    def first_members(self) -> list[int]:
+        """First member of each class, ascending."""
+        return [self.class_of.index(a) for a in range(max(self.class_of) + 1)]
 
     def at_least(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
+        return bool(self.table[self.class_of[i]] >> self.class_of[j] & 1)
 
     def indifferent(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & self.rows[j] >> i & 1)
+        a, b = self.class_of[i], self.class_of[j]
+        return bool(self.table[a] >> b & self.table[b] >> a & 1)
 
     def with_flipped(self, i: int, j: int) -> "PreferenceRelation":
-        """Copy with one entry negated; used for fault injection."""
-        # A column past the last member is caught by the constructor.
+        """Copy with one entry negated; used for fault injection.
+
+        Members i and j move to classes of their own, so the copy has at
+        most two classes more than this relation.
+        """
         if min(i, j) < 0 or i >= self.size:
             raise ValueError(f"entry ({i}, {j}) is outside a relation of {self.size} members")
-        rows = list(self.rows)
-        rows[i] ^= 1 << j
-        return PreferenceRelation(self.universe, rows)
+        if j >= self.size:
+            raise ValueError("relation row has bits past the universe")
+        k = len(self.table)
+        origin = [*range(k), self.class_of[i], self.class_of[j]]
+        class_of = list(self.class_of)
+        class_of[i], class_of[j] = k, k + 1
+        # Renumber by first member, dropping a class the move left empty.
+        class_of, kept = _dense(class_of)
+        origin = [origin[c] for c in kept]
+        table = [sum((self.table[a] >> b & 1) << c for c, b in enumerate(origin)) for a in origin]
+        table[class_of[i]] ^= 1 << class_of[j]
+        return PreferenceRelation._of_classes(self.universe, class_of, table)
 
-    @cached_property
-    def row_groups(self) -> list[tuple[int, int]]:
-        """(row, bitset of the members with that row) per distinct row, first seen first."""
-        return list(_row_groups(self.rows).items())
 
-    @cached_property
-    def columns(self) -> list[int]:
-        """Bitset per member j of the members i at least as good as j."""
-        cols = [0] * self.size
-        for row, members in self.row_groups:
-            for j in _bits(row):
-                cols[j] |= members
-        return cols
+def _columns(table: Sequence[int]) -> list[int]:
+    """Bitset per class b of the classes at least as good as b."""
+    return [sum((row >> b & 1) << a for a, row in enumerate(table)) for b in range(len(table))]
 
 
 def induced_relation(universe: LotteryUniverse, evaluate: Callable) -> PreferenceRelation:
@@ -233,24 +269,12 @@ def induced_relation(universe: LotteryUniverse, evaluate: Callable) -> Preferenc
 
     ``evaluate`` maps a member to anything hashable that ``>=`` compares: a
     public evaluator's value, or a key core's integer.  Each member is
-    evaluated once and members with equal utility share one row, so only
-    the distinct utilities are compared with each other.
+    evaluated once and each distinct utility is one class, so only the
+    distinct utilities are compared with each other.
     """
-    group_of: dict = {}
-    values = []
-    members: list[int] = []
-    group = []
-    for i, m in enumerate(universe.members):
-        value = evaluate(m)
-        g = group_of.get(value)
-        if g is None:
-            g = group_of[value] = len(values)
-            values.append(value)
-            members.append(0)
-        members[g] |= 1 << i
-        group.append(g)
-    row_of = [sum(bits for bits, b in zip(members, values) if a >= b) for a in values]
-    return PreferenceRelation(universe, [row_of[g] for g in group])
+    class_of, values = _dense(map(evaluate, universe.members))
+    table = [sum(1 << b for b, v in enumerate(values) if u >= v) for u in values]
+    return PreferenceRelation._of_classes(universe, class_of, table)
 
 
 @dataclass(frozen=True)
@@ -272,46 +296,38 @@ class AxiomReport:
 def check_total_preorder(r: PreferenceRelation) -> AxiomReport:
     """Reflexive, transitive and complete; first failure wins, in that order.
 
-    Transitivity is decided per distinct row: members with equal rows pass
-    or fail together, so each row is tested once against each other row.
+    Twins pass or fail together, so each property is decided on the class
+    table.  Classes are numbered in order of their first member, so the
+    first witness is read off the first members of the classes that fail.
     """
-    n = r.size
-    rows = r.rows
+    table, first = r.table, r.first_members
     describe = r.universe.describe
-    for i in range(n):
-        if not rows[i] >> i & 1:
+    for a, row in enumerate(table):
+        if not row >> a & 1:
+            i = first[a]
             return AxiomReport(
                 "B1", False, (i, i),
                 f"reflexivity fails at {describe(i)}",
             )
-    groups = r.row_groups
-    passed = set()
-    for i, row_i in enumerate(rows):
-        if row_i in passed:
-            continue
-        # A j that i is at least as good as, whose row reaches past row_i,
-        # breaks transitivity.
-        bad = 0
-        for row_j, members in groups:
-            if row_j & ~row_i:
-                bad |= members
-        bad &= row_i
-        if bad:
-            j = _lowest_bit(bad)
-            k = _lowest_bit(rows[j] & ~row_i)
-            return AxiomReport(
-                "B1", False, (i, j, k),
-                f"transitivity fails: {describe(i)} >= {describe(j)} >= "
-                f"{describe(k)} but not {describe(i)} >= {describe(k)}",
-            )
-        passed.add(row_i)
-    cols = r.columns
-    full = (1 << n) - 1
-    for i in range(n):
-        # Unrelated members j > i, in neither direction.
-        missing = full & ~(rows[i] | cols[i]) & ~((2 << i) - 1)
-        if missing:
-            j = _lowest_bit(missing)
+    for a, row in enumerate(table):
+        # A class b that a is at least as good as, whose row reaches past
+        # a's, breaks transitivity.
+        for b in _bits(row):
+            extra = table[b] & ~row
+            if extra:
+                i, j, k = first[a], first[b], first[_lowest_bit(extra)]
+                return AxiomReport(
+                    "B1", False, (i, j, k),
+                    f"transitivity fails: {describe(i)} >= {describe(j)} >= "
+                    f"{describe(k)} but not {describe(i)} >= {describe(k)}",
+                )
+    full = (1 << len(table)) - 1
+    for a, (row, col) in enumerate(zip(table, _columns(table))):
+        # Classes unrelated to the first such class come after it, so
+        # their first members pair with its first member.
+        unrelated = full & ~(row | col)
+        if unrelated:
+            i, j = first[a], first[_lowest_bit(unrelated)]
             return AxiomReport(
                 "B1", False, (i, j),
                 f"completeness fails on {describe(i)} and {describe(j)}",
@@ -323,17 +339,38 @@ def check_uncertainty_attitude(r: PreferenceRelation, direction: str) -> AxiomRe
     """Aversion: pointwise smaller must be weakly preferred.  Attraction: dual.
 
     Implication only, per the axiom statements; the biconditional lives in
-    qualitative monotonicity.
+    qualitative monotonicity.  Each member gets the classes of the members
+    strictly above it (aversion) or below it (attraction), gathered over
+    single-level raises, and must be at least as good as each of them.
+    That is exact on any relation, transitive or not.
     """
     if direction not in ("aversion", "attraction"):
         raise ValueError(f"unknown direction {direction!r}")
     axiom_id = "A2-" if direction == "aversion" else "A2+"
     universe = r.universe
-    premise = universe.above if direction == "aversion" else universe.below
-    for i, row in enumerate(r.rows):
-        bad = premise[i] & ~row
+    cls, table, n = r.class_of, r.table, r.size
+    raises = universe.raises
+    bit = [1 << c for c in cls]
+    beyond = [0] * n
+    if direction == "aversion":
+        # Raises land on later members, so those are done first.
+        for i in range(n - 1, -1, -1):
+            for j in raises[i]:
+                beyond[i] |= beyond[j] | bit[j]
+    else:
+        # Each member is lowered to from earlier members only.
+        for i, step in enumerate(raises):
+            for j in step:
+                beyond[j] |= beyond[i] | bit[i]
+    for i, c in enumerate(cls):
+        bad = beyond[i] & ~table[c]
         if bad:
-            j = _lowest_bit(bad)
+            code = universe.codes[i]
+            j = next(
+                j for j, other in enumerate(universe.codes)
+                if j != i and bad >> cls[j] & 1
+                and not (code & ~other if direction == "aversion" else other & ~code)
+            )
             return AxiomReport(
                 axiom_id, False, (i, j),
                 f"{direction} fails: {universe.describe(i)} must be weakly "
@@ -364,100 +401,96 @@ def check_substitutability(r: PreferenceRelation) -> AxiomReport:
     Complete over every normalized weight pair, indifferent pair and
     companion, never a sample; mixtures that coincide count as indifferent,
     and self-indifference is the total-preorder check's job.  So each
-    mixture's member map must keep ``same`` ("equal or indifferent"), and
-    maps that keep it compose.  Every mixture is a chain of
+    mixture's member map must keep "equal or indifferent", and maps that
+    keep it compose.  Every mixture is a chain of
     ``universe.generator_maps``, each a mixture too, so the axiom holds iff
-    each generator sends the members of every distinct ``same`` row into
-    one row or, failing that, into the row of each image of a member with
-    that row.
+    each generator keeps it.
 
     Only after a violation does a scan in the order of quantification
-    return the first witness: per class when indifference is an
-    equivalence of members at least as good as themselves, else per weight
-    pair and companion, scanning indifferent pairs only under a mixture
-    that fails the test.  Companions and class members whose masked code
-    repeats an earlier one's are skipped.
+    return the first witness: per weight pair, then per companion, then
+    per indifferent pair (i, j), scanning pairs only under a mixture that
+    fails the test.  Companions whose masked code repeats an earlier one's
+    are skipped: they mix exactly as that one.
     """
     universe = r.universe
-    rows = r.rows
-    same = [row & col | 1 << i for i, (row, col) in enumerate(zip(rows, r.columns))]
-    groups = _row_groups(same)
-    gathers = [
-        (operator.itemgetter(*_bits(row)), members)
-        for row, members in groups.items()
-        if row & (row - 1)
-    ]
-
-    def keeps_same(f: Sequence[int]) -> bool:
-        images = operator.itemgetter(*f)(same)
-        for gather, members in gathers:
-            ids = gather(images)
-            if ids.count(ids[0]) == len(ids):
-                continue
-            image = sum({1 << m for m in gather(f)})
-            if any(image & ~same[f[i]] for i in _bits(members)):
-                return False
-        return True
-
-    if all(map(keeps_same, universe.generator_maps)):
+    keeps = _same_keeper(r)
+    if all(map(keeps, universe.generator_maps)):
         return AxiomReport("B3", True)
-
-    pairs = default_weight_pairs(universe.scale)
-    codes = universe.codes
-    masks = universe.weight_masks
-    companions = {wb: _distinct_parts(codes, masks[wb]) for wb in {wb for _, wb in pairs}}
-    # Indifference is an equivalence of the members at least as good as
-    # themselves, and the rest are indifferent to nothing: scan per class.
-    if all(row == members for row, members in groups.items()) and all(
-        same[i] == 1 << i for i, row in enumerate(rows) if not row >> i & 1
-    ):
-        same_of_code = dict(zip(codes, same))
-        for row in groups:
-            members = _bits(row)
-            member_codes = [codes[m] for m in members]
-            for wa, wb in pairs:
-                # The first member, then each member whose masked code is
-                # new; the rest mix exactly as one before them.
-                (first, _), *others = _distinct_parts(member_codes, masks[wa]).items()
-                if not others:
-                    continue
-                for k_part, k in companions[wb].items():
-                    want = same_of_code[first | k_part]
-                    for part, pos in others:
-                        if same_of_code[part | k_part] != want:
-                            return _substitution_violation(
-                                r, members[0], members[pos], k, wa, wb
-                            )
-    else:
-        index_of_code = universe.index_of_code
-        for wa, wb in pairs:
-            parts = [code & masks[wa] for code in codes]
-            for k_part, k in companions[wb].items():
-                mixed = [index_of_code[part | k_part] for part in parts]
-                if keeps_same(mixed):
-                    continue
-                for i, m1 in enumerate(mixed):
-                    for j in _bits(same[i] >> i + 1 << i + 1):
-                        if not same[m1] >> mixed[j] & 1:
-                            return _substitution_violation(r, i, j, k, wa, wb)
+    codes, masks, index_of_code = universe.codes, universe.weight_masks, universe.index_of_code
+    for wa, wb in default_weight_pairs(universe.scale):
+        parts = [code & masks[wa] for code in codes]
+        for k_part, k in _distinct_parts(codes, masks[wb]).items():
+            mixed = [index_of_code[part | k_part] for part in parts]
+            if not keeps(mixed):
+                i, j = _first_broken_pair(r, mixed)
+                describe, labels = universe.describe, universe.scale.levels
+                return AxiomReport(
+                    "B3", False, (i, j, k, wa, wb, mixed[i], mixed[j]),
+                    f"substitutability fails: {describe(i)} ~ {describe(j)} "
+                    f"but weights ({labels[wa]}, {labels[wb]}) with {describe(k)} "
+                    f"mix to {describe(mixed[i])} vs {describe(mixed[j])}",
+                )
     raise AssertionError(
         "substitutability: a generator map breaks indifference, "
         "yet no weight pair and companion does"
     )
 
 
-def _substitution_violation(r, i, j, k, wa, wb) -> AxiomReport:
-    universe = r.universe
-    codes, masks = universe.codes, universe.weight_masks
-    k_part = codes[k] & masks[wb]
-    m1 = universe.index_of_code[(codes[i] & masks[wa]) | k_part]
-    m2 = universe.index_of_code[(codes[j] & masks[wa]) | k_part]
-    labels = universe.scale.levels
-    return AxiomReport(
-        "B3", False, (i, j, k, wa, wb, m1, m2),
-        f"substitutability fails: {universe.describe(i)} ~ {universe.describe(j)} "
-        f"but weights ({labels[wa]}, {labels[wb]}) with {universe.describe(k)} "
-        f"mix to {universe.describe(m1)} vs {universe.describe(m2)}",
+def _same_keeper(r: PreferenceRelation) -> Callable[[Sequence[int]], bool]:
+    """Test of a member map: are members equal or indifferent to each other
+    sent to members equal or indifferent to each other?
+
+    A class is equal or indifferent to the classes in ``closed``: a class
+    not indifferent to itself has one member.  Where that is an
+    equivalence, with ``block[i]`` naming member i's block and ``rep[i]``
+    its first member, a map f keeps it iff ``block[f[i]] ==
+    block[f[rep[i]]]`` for every i: two gathers and one tuple compare.
+    Otherwise each pair of indifferent classes must send its members to
+    classes equal or indifferent to each other.
+    """
+    cls = r.class_of
+    ind = r.indifference
+    closed = [row | 1 << a for a, row in enumerate(ind)]
+    if all(closed[b] == closed[a] for a, row in enumerate(ind) for b in _bits(row)):
+        block_of = [_lowest_bit(c) for c in closed]
+        block = [block_of[c] for c in cls]
+        first = r.first_members
+        same_as_rep = operator.itemgetter(*[first[b] for b in block])
+
+        def keeps(f: Sequence[int]) -> bool:
+            images = operator.itemgetter(*f)(block)
+            return images == same_as_rep(images)
+
+        return keeps
+
+    pairs = [(a, b) for a, row in enumerate(ind) for b in _bits(row >> a << a)]
+
+    def keeps(f: Sequence[int]) -> bool:
+        images = [0] * len(ind)
+        for a, c in set(zip(cls, operator.itemgetter(*f)(cls))):
+            images[a] |= 1 << c
+        return not any(
+            images[b] & ~closed[c] for a, b in pairs for c in _bits(images[a])
+        )
+
+    return keeps
+
+
+def _first_broken_pair(r: PreferenceRelation, f: Sequence[int]) -> tuple[int, int]:
+    """First (i, j), i < j, of members indifferent to each other whose
+    images under f are neither equal nor indifferent.
+
+    Quadratic in the members; it runs once, on the first failing mixture
+    of a scan over weight pairs and companions that is quadratic too.
+    """
+    cls, ind = r.class_of, r.indifference
+    # A class not indifferent to itself has one member: equal images.
+    closed = [row | 1 << a for a, row in enumerate(ind)]
+    return next(
+        (i, j)
+        for i, (a, m) in enumerate(zip(cls, f))
+        for j in range(i + 1, r.size)
+        if ind[a] >> cls[j] & 1 and not closed[cls[m]] >> cls[f[j]] & 1
     )
 
 
@@ -469,13 +502,15 @@ def check_continuity(r: PreferenceRelation, variant: str) -> AxiomReport:
 
     The scalar-style variants quantify over every lottery in the universe;
     the weakened ones only over the point masses of prizes.  Targets are
-    the full standard set or one of its halves.
+    the full standard set or one of its halves.  A source passes iff its
+    class is indifferent to the class of some target.
     """
     if variant not in CONTINUITY_VARIANTS:
         raise ValueError(f"unknown continuity variant {variant!r}")
     universe = r.universe
     if variant.startswith("A4"):
-        sources: Iterable[int] = range(r.size)
+        # Twins pass or fail together: the first member of each class.
+        sources: Iterable[int] = r.first_members
     else:
         sources = universe.point_mass_index.values()
     if variant.endswith("-"):
@@ -484,12 +519,11 @@ def check_continuity(r: PreferenceRelation, variant: str) -> AxiomReport:
         targets = universe.worst_half_ids
     else:
         targets = tuple(i for i, _, _ in universe.standard_info)
-    target_bits = sum(1 << t for t in targets)
-    rows, cols = r.rows, r.columns
+    cls = r.class_of
+    target_classes = sum({1 << cls[t] for t in targets})
+    ind = r.indifference
     for src in sources:
-        # The targets src is indifferent to: at least as good as src, and src
-        # at least as good as them.
-        if not rows[src] & cols[src] & target_bits:
+        if not ind[cls[src]] & target_classes:
             return AxiomReport(
                 variant, False, (src,),
                 f"continuity fails: no indifferent standard lottery for "

@@ -1,10 +1,10 @@
 """Reference versions of the axiom checker's hot core, as plain loops.
 
-These are the original matrix-scanning implementations of the checks that
-now run on bitsets and thermometer codes.  They read the relation one
+These are matrix-scanning implementations of the checks that run on twin
+classes, class tables and thermometer codes.  They read the relation one
 entry at a time through ``at_least`` and ``indifferent`` (the transitivity
 witness alone takes a row), and the universe's value tuples and tuple
-index, so they share no code with the bitset paths they are compared
+index, so they share no code with the class-table paths they are compared
 against.
 """
 
@@ -85,29 +85,9 @@ def check_uncertainty_attitude(r, direction):
     return AxiomReport(axiom_id, True)
 
 
-def _indifference_classes(r):
-    n = r.size
-    class_of = [-1] * n
-    reps = []
-    for i in range(n):
-        if not r.at_least(i, i):
-            continue
-        for c, rep in enumerate(reps):
-            if r.indifferent(i, rep):
-                class_of[i] = c
-                break
-        else:
-            class_of[i] = len(reps)
-            reps.append(i)
-    for i in range(n):
-        for j in range(n):
-            same = class_of[i] == class_of[j] and class_of[i] >= 0
-            if same != r.indifferent(i, j):
-                return None
-    return class_of
-
-
 def check_substitutability(r, weight_pairs=None, axiom_id="B3"):
+    """First witness in the order of quantification: weight pair, companion,
+    then indifferent pair (i, j) with i < j."""
     universe = r.universe
     scale = universe.scale
     if weight_pairs is None:
@@ -126,40 +106,23 @@ def check_substitutability(r, weight_pairs=None, axiom_id="B3"):
             out.append(a if a >= b else b)
         return index_of[tuple(out)]
 
-    class_of = _indifference_classes(r)
-    if class_of is not None:
-        groups = {}
-        for i, c in enumerate(class_of):
-            if c >= 0:
-                groups.setdefault(c, []).append(i)
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            rep = members[0]
-            rep_t = vt[rep]
-            for wa, wb in pairs:
-                for k in range(n):
-                    target_id = mix(wa, rep_t, wb, vt[k])
-                    target = class_of[target_id]
-                    for m in members[1:]:
-                        got_id = mix(wa, vt[m], wb, vt[k])
-                        if got_id == target_id:
-                            continue
-                        if class_of[got_id] != target or target < 0:
-                            return _substitution_violation(r, axiom_id, rep, m, k, wa, wb, mix)
-        return AxiomReport(axiom_id, True)
-
-    indifferent_pairs = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if r.indifferent(i, j)
-    ]
+    indifferent = [[r.indifferent(i, j) for j in range(n)] for i in range(n)]
+    later = [[j for j in range(i + 1, n) if indifferent[i][j]] for i in range(n)]
     for wa, wb in pairs:
+        seen = set()
         for k in range(n):
             tk = vt[k]
-            mixed = [mix(wa, ti, wb, tk) for ti in vt]
-            for i, j in indifferent_pairs:
-                m1, m2 = mixed[i], mixed[j]
-                if m1 != m2 and not (r.at_least(m1, m2) and r.at_least(m2, m1)):
-                    return _substitution_violation(r, axiom_id, i, j, k, wa, wb, mix)
+            mixed = tuple(mix(wa, ti, wb, tk) for ti in vt)
+            # An earlier companion that mixes the same way came first.
+            if mixed in seen:
+                continue
+            seen.add(mixed)
+            for i, js in enumerate(later):
+                m1 = mixed[i]
+                for j in js:
+                    m2 = mixed[j]
+                    if m1 != m2 and not indifferent[m1][m2]:
+                        return _substitution_violation(r, axiom_id, i, j, k, wa, wb, mix)
     return AxiomReport(axiom_id, True)
 
 

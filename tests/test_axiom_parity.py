@@ -1,15 +1,19 @@
-"""The bitset checks against the plain-loop reference oracles.
+"""The class-table checks against the plain-loop reference oracles.
 
 Every check must return the same report as its oracle, witness and detail
 included, on total preorders, product orders and relations with a few
-entries flipped; together these reach both the per-class scan and the
-pair-order scan of the substitutability check, and compare its generator
-test's decision with the oracle's scan.  Substitutability is also
-compared on faulted relations over the 4x4 and 4x5 universes.  A check
-names its report by the B axiom; relabeled for the A axiom, as the
-entailment battery does, it must match the oracle asked for that axiom.
+entries flipped; together these reach both substitutability tests (one
+where "equal or indifferent" is an equivalence, one class pair by class
+pair where it is not) and compare their decision and the witness scan
+with the oracle's scan.  Substitutability is also compared on faulted
+relations over the 4x4 and 4x5 universes.  A check names its report by
+the B axiom; relabeled for the A axiom, as the entailment battery does,
+it must match the oracle asked for that axiom.  Relations whose twins are
+split into classes of their own, or rebuilt from their rows, must report
+exactly as the relation they came from.
 """
 
+import itertools
 import random
 from dataclasses import replace
 from functools import partial
@@ -20,10 +24,14 @@ from hypothesis import strategies as st
 
 import axiom_oracles as oracle
 from posdec.axioms import (
+    CONTINUITY_VARIANTS,
     LotteryUniverse,
     PreferenceRelation,
     canonical_outcomes,
     canonical_scale,
+    check_continuity,
+    check_qualitative_monotonicity,
+    check_standard_order_decomposition,
     check_substitutability,
     check_total_preorder,
     check_uncertainty_attitude,
@@ -91,6 +99,39 @@ def test_checks_match_oracles(case):
         )
 
 
+def every_report(rel):
+    checks = [
+        check_total_preorder,
+        partial(check_uncertainty_attitude, direction="aversion"),
+        partial(check_uncertainty_attitude, direction="attraction"),
+        check_substitutability,
+        check_qualitative_monotonicity,
+        check_standard_order_decomposition,
+        *(partial(check_continuity, variant=v) for v in CONTINUITY_VARIANTS),
+    ]
+    return [fields(check(rel)) for check in checks]
+
+
+@settings(max_examples=80, deadline=None)
+@given(relations(), st.data())
+def test_split_classes_give_the_same_reports(case, data):
+    """Twins split into classes of their own, and the relation rebuilt from
+    its rows (maximal twin classes), report exactly as the relation does."""
+    rel, _, _ = case
+    n = rel.size
+    entries = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    split = rel
+    for i, j in entries:
+        # Flipped twice, an entry is as it was, with i and j split off.
+        split = split.with_flipped(i, j).with_flipped(i, j)
+    from_rows = PreferenceRelation(rel.universe, rel.rows)
+    assert len(from_rows.table) <= len(rel.table) <= len(split.table)
+    assert split.rows == rel.rows
+    expected = every_report(rel)
+    assert every_report(split) == expected
+    assert every_report(from_rows) == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_product_orders_match_oracles(data):
@@ -136,6 +177,26 @@ def test_mixtures_onto_two_members_indifferent_to_nothing():
     report = check_substitutability(rel)
     assert fields(report) == fields(oracle.check_substitutability(rel))
     assert report.witness == (0, 5, 4, 1, 2, 4, 9)
+
+
+@pytest.mark.parametrize("top_key", [0, 1], ids=["indifferent-to-the-rest", "above-the-rest"])
+def test_twins_not_indifferent_to_each_other(top_key):
+    """Members 4 and 9 have the same row and column but are not at least as
+    good as each other or themselves, so each has a class of its own.
+    Above the rest they are indifferent to no one; level with the rest they
+    are indifferent to every other member, so indifference is no
+    equivalence."""
+    universe = UNIVERSES[(3, 3)]
+    keys = [0] * len(universe)
+    keys[4] = keys[9] = top_key
+    rel = induced_relation(universe, lambda m: keys[universe.index_of[m.indices]])
+    for entry in itertools.product((4, 9), repeat=2):
+        rel = rel.with_flipped(*entry)
+    rel = PreferenceRelation(universe, rel.rows)
+    assert rel.rows[4] == rel.rows[9] and not rel.at_least(4, 9)
+    assert rel.class_of[4] != rel.class_of[9]
+    assert fields(check_substitutability(rel)) == fields(oracle.check_substitutability(rel))
+    assert fields(check_total_preorder(rel)) == fields(oracle.check_total_preorder(rel))
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (2, 5)])

@@ -148,6 +148,50 @@ class TestPreferenceRelation:
         with pytest.raises(ValueError, match="outside a relation of 3 members"):
             rel.with_flipped(*entry)
 
+    def test_with_flipped_moves_the_flipped_members_to_classes_of_their_own(
+        self, example_binary_relation
+    ):
+        rel = example_binary_relation
+        # Two members of a class of at least three.
+        big = max(range(len(rel.table)), key=rel.class_of.count)
+        i, j = [m for m in range(rel.size) if rel.class_of[m] == big][:2]
+        assert rel.class_of.count(big) >= 3
+        flipped = rel.with_flipped(i, j)
+        assert not flipped.at_least(i, j) and flipped.at_least(j, i)
+        assert len(flipped.table) == len(rel.table) + 2
+        assert all(
+            flipped.class_of.count(flipped.class_of[m]) == 1 for m in (i, j)
+        )
+        # Flipped back, the relation is the original one with i and j split off.
+        assert flipped.with_flipped(i, j).rows == rel.rows
+
+
+class TestClassForm:
+    """Every check runs on the twin classes and the class table."""
+
+    @staticmethod
+    def wide_relation():
+        universe = LotteryUniverse(canonical_outcomes(4), canonical_scale(5))
+        assessment = enumerate_assessments(universe.outcomes, universe.scale)[40]
+        return induced_relation(universe, partial(binary_utility, a=assessment))
+
+    def test_one_class_per_distinct_utility(self, example_scenario, example_universe):
+        evaluate = partial(binary_utility, a=example_scenario.assessment)
+        rel = induced_relation(example_universe, evaluate)
+        values = [evaluate(m) for m in example_universe.members]
+        assert len(rel.table) == len(set(values)) <= 2 * len(example_universe.scale) - 1
+        assert rel.first_members == sorted(values.index(v) for v in set(values))
+
+    @pytest.mark.parametrize("fault", [None, (0, 0)], ids=["sound", "faulted"])
+    def test_batteries_never_build_rows(self, fault):
+        rel = self.wide_relation()
+        if fault is not None:
+            rel = rel.with_flipped(*fault)
+        for battery in FAMILIES.values():
+            axioms._run_battery(rel, battery)
+        check_standard_order_decomposition(rel)
+        assert "rows" not in rel.__dict__
+
 
 class TestTotalPreorder:
     def test_induced_relations_pass(self, example_binary_relation, example_pessimistic_relation):
@@ -243,9 +287,10 @@ class TestSubstitutability:
         """A generator map that breaks indifference while no mixture does is
         a contradiction, never a satisfied report.
 
-        The induced relation is scanned per class; with (0, 0) flipped it is
-        not reflexive at a member indifferent to another, so it is scanned
-        per weight pair.  Either way B3 holds, so the scan finds no witness.
+        The ids name the witness scans this test once told apart; there is
+        one scan now.  It runs on the induced relation and, with (0, 0)
+        flipped, on one not reflexive at a member indifferent to another.
+        Either way B3 holds, so the scan finds no witness.
         """
         universe = LotteryUniverse(example_scenario.outcomes, example_scenario.scale_v)
         rel = induced_relation(
