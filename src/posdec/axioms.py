@@ -9,14 +9,15 @@ flipped entry adds at most two.  Every axiom holds or fails for whole
 classes, so no check reads the n^2 member rows (``rows``, built only on
 request): total preorder, continuity and the standard-lottery order are
 decided on the table; uncertainty attitude gathers the classes above (or
-below) each member over single-level raises; substitutability tests each
-mixture with a point mass, which generate every other, with two gathers
-and a tuple compare where "equal or indifferent" is an equivalence, and
-class pair by class pair otherwise.  Lotteries are thermometer-coded,
-one run of low ones per prize, so the max-min mixture of two lotteries
-is two masks and an ``|`` on their codes.  Every check stays complete and
-returns the first concrete witness, which can be replayed; substitutability
-scans for it, in the order of quantification, only after a violation.
+below) each member over single-level raises; substitutability tries
+each mixture with a point mass, which generate every other, once: with
+two gathers and a tuple compare where "equal or indifferent" is an
+equivalence, and group pair by group pair otherwise or where that test
+fails, and the first mixture that breaks it names the witness.
+Lotteries are thermometer-coded, one run of low ones per prize, so the
+max-min mixture of two lotteries is two masks and an ``|`` on their
+codes.  Every check stays complete and returns the first concrete
+witness, which can be replayed.
 A1-/B1 and A3-/B3 name the same predicates: each check names its report
 by the B axiom, and a battery evaluates it once per relation and relabels
 the report for the A axiom.  Entailment sweeps check each configuration's
@@ -139,23 +140,27 @@ class LotteryUniverse:
         return {code: i for i, code in enumerate(self.codes)}
 
     @cached_property
-    def generator_maps(self) -> tuple[tuple[int, ...], ...]:
-        """Member maps of the mixtures with a point mass, 2 * top per prize.
+    def generator_maps(self) -> dict[tuple[int, int, int], tuple[int, ...]]:
+        """Member maps of the mixtures with a point mass, keyed by (k, wa, wb).
 
-        Weights (top, v), v >= 1, raise the prize to at least v; weights
-        (wa, top), wa < top, cap every prize at wa and raise the prize to
-        the top.  Under a default weight pair (wa, wb) the mixture with k is
-        a chain of these: a cap at wa raising one of k's top prizes if
-        wa < top, then a raise to k's level, capped at wb, per prize.
+        Map (k, wa, wb) sends member i to its mixture with point mass k
+        under weights (wa, wb); there are 2 * top per prize, point masses in
+        label order.  Weights (top, v), v >= 1, raise the prize to at least
+        v; weights (wa, top), wa < top, cap every prize at wa and raise the
+        prize to the top.  Under any normalized weight pair (wa, wb) the
+        mixture with k is a chain of these: a cap at wa raising one of k's
+        top prizes if wa < top, then a raise to k's level, capped at wb, per
+        prize.
         """
         top = len(self.scale) - 1
         codes, masks, index_of_code = self.codes, self.weight_masks, self.index_of_code
         weights = [(top, v) for v in range(1, top + 1)] + [(wa, top) for wa in range(top)]
-        return tuple(
-            tuple(index_of_code[code & mask | k_part] for code in codes)
+        return {
+            (k, wa, wb): tuple(index_of_code[code & mask | k_part] for code in codes)
             for k in self.point_mass_index.values()
-            for mask, k_part in ((masks[wa], codes[k] & masks[wb]) for wa, wb in weights)
-        )
+            for wa, wb in weights
+            for mask, k_part in ((masks[wa], codes[k] & masks[wb]),)
+        }
 
     @cached_property
     def raises(self) -> tuple[tuple[int, ...], ...]:
@@ -379,22 +384,6 @@ def check_uncertainty_attitude(r: PreferenceRelation, direction: str) -> AxiomRe
     return AxiomReport(axiom_id, True)
 
 
-def default_weight_pairs(scale: Scale) -> tuple[tuple[int, int], ...]:
-    """Every normalized weight pair over the scale, as index pairs."""
-    top = len(scale) - 1
-    pairs = [(i, top) for i in range(top + 1)]
-    pairs.extend((top, j) for j in range(top - 1, -1, -1))
-    return tuple(pairs)
-
-
-def _distinct_parts(codes: Sequence[int], mask: int) -> dict[int, int]:
-    """First index of each distinct masked code, keyed by that code, in order."""
-    seen: dict[int, int] = {}
-    for i, code in enumerate(codes):
-        seen.setdefault(code & mask, i)
-    return seen
-
-
 def check_substitutability(r: PreferenceRelation) -> AxiomReport:
     """Mixing two indifferent lotteries with any third must stay indifferent.
 
@@ -404,94 +393,76 @@ def check_substitutability(r: PreferenceRelation) -> AxiomReport:
     mixture's member map must keep "equal or indifferent", and maps that
     keep it compose.  Every mixture is a chain of
     ``universe.generator_maps``, each a mixture too, so the axiom holds iff
-    each generator keeps it.
-
-    Only after a violation does a scan in the order of quantification
-    return the first witness: per weight pair, then per companion, then
-    per indifferent pair (i, j), scanning pairs only under a mixture that
-    fails the test.  Companions whose masked code repeats an earlier one's
-    are skipped: they mix exactly as that one.
+    each generator keeps it.  The first generator that does not, in key
+    order (point mass, then weights), gives the witness: its first broken
+    pair (i, j), mixed with point mass k under weights (wa, wb).
     """
     universe = r.universe
     keeps = _same_keeper(r)
-    if all(map(keeps, universe.generator_maps)):
-        return AxiomReport("B3", True)
-    codes, masks, index_of_code = universe.codes, universe.weight_masks, universe.index_of_code
-    for wa, wb in default_weight_pairs(universe.scale):
-        parts = [code & masks[wa] for code in codes]
-        for k_part, k in _distinct_parts(codes, masks[wb]).items():
-            mixed = [index_of_code[part | k_part] for part in parts]
-            if not keeps(mixed):
-                i, j = _first_broken_pair(r, mixed)
-                describe, labels = universe.describe, universe.scale.levels
-                return AxiomReport(
-                    "B3", False, (i, j, k, wa, wb, mixed[i], mixed[j]),
-                    f"substitutability fails: {describe(i)} ~ {describe(j)} "
-                    f"but weights ({labels[wa]}, {labels[wb]}) with {describe(k)} "
-                    f"mix to {describe(mixed[i])} vs {describe(mixed[j])}",
-                )
-    raise AssertionError(
-        "substitutability: a generator map breaks indifference, "
-        "yet no weight pair and companion does"
-    )
+    for (k, wa, wb), f in universe.generator_maps.items():
+        pair = None if keeps is not None and keeps(f) else _first_broken_pair(r, f)
+        if pair is not None:
+            i, j = pair
+            describe, labels = universe.describe, universe.scale.levels
+            return AxiomReport(
+                "B3", False, (i, j, k, wa, wb, f[i], f[j]),
+                f"substitutability fails: {describe(i)} ~ {describe(j)} "
+                f"but weights ({labels[wa]}, {labels[wb]}) with {describe(k)} "
+                f"mix to {describe(f[i])} vs {describe(f[j])}",
+            )
+    return AxiomReport("B3", True)
 
 
-def _same_keeper(r: PreferenceRelation) -> Callable[[Sequence[int]], bool]:
-    """Test of a member map: are members equal or indifferent to each other
-    sent to members equal or indifferent to each other?
+def _same_keeper(r: PreferenceRelation) -> Callable[[Sequence[int]], bool] | None:
+    """Block test of a member map: are members equal or indifferent to each
+    other sent to members equal or indifferent to each other?  None where
+    "equal or indifferent" is no equivalence.
 
     A class is equal or indifferent to the classes in ``closed``: a class
     not indifferent to itself has one member.  Where that is an
     equivalence, with ``block[i]`` naming member i's block and ``rep[i]``
     its first member, a map f keeps it iff ``block[f[i]] ==
     block[f[rep[i]]]`` for every i: two gathers and one tuple compare.
-    Otherwise each pair of indifferent classes must send its members to
-    classes equal or indifferent to each other.
     """
-    cls = r.class_of
     ind = r.indifference
     closed = [row | 1 << a for a, row in enumerate(ind)]
-    if all(closed[b] == closed[a] for a, row in enumerate(ind) for b in _bits(row)):
-        block_of = [_lowest_bit(c) for c in closed]
-        block = [block_of[c] for c in cls]
-        first = r.first_members
-        same_as_rep = operator.itemgetter(*[first[b] for b in block])
-
-        def keeps(f: Sequence[int]) -> bool:
-            images = operator.itemgetter(*f)(block)
-            return images == same_as_rep(images)
-
-        return keeps
-
-    pairs = [(a, b) for a, row in enumerate(ind) for b in _bits(row >> a << a)]
+    if any(closed[b] != closed[a] for a, row in enumerate(ind) for b in _bits(row)):
+        return None
+    block_of = [_lowest_bit(c) for c in closed]
+    block = [block_of[c] for c in r.class_of]
+    first = r.first_members
+    same_as_rep = operator.itemgetter(*[first[b] for b in block])
 
     def keeps(f: Sequence[int]) -> bool:
-        images = [0] * len(ind)
-        for a, c in set(zip(cls, operator.itemgetter(*f)(cls))):
-            images[a] |= 1 << c
-        return not any(
-            images[b] & ~closed[c] for a, b in pairs for c in _bits(images[a])
-        )
+        images = operator.itemgetter(*f)(block)
+        return images == same_as_rep(images)
 
     return keeps
 
 
-def _first_broken_pair(r: PreferenceRelation, f: Sequence[int]) -> tuple[int, int]:
+def _first_broken_pair(r: PreferenceRelation, f: Sequence[int]) -> tuple[int, int] | None:
     """First (i, j), i < j, of members indifferent to each other whose
-    images under f are neither equal nor indifferent.
+    images under f are neither equal nor indifferent; None if f keeps
+    "equal or indifferent".
 
-    Quadratic in the members; it runs once, on the first failing mixture
-    of a scan over weight pairs and companions that is quadratic too.
+    Members sharing a class and an image class form a group, numbered in
+    order of its first member.  Two groups break f iff their classes are
+    indifferent and their image classes are neither equal nor indifferent.
+    That is symmetric, so the first broken pair is the first members of the
+    first group that breaks with a later one and of the first such later
+    group.
     """
     cls, ind = r.class_of, r.indifference
     # A class not indifferent to itself has one member: equal images.
     closed = [row | 1 << a for a, row in enumerate(ind)]
-    return next(
-        (i, j)
-        for i, (a, m) in enumerate(zip(cls, f))
-        for j in range(i + 1, r.size)
-        if ind[a] >> cls[j] & 1 and not closed[cls[m]] >> cls[f[j]] & 1
-    )
+    images = operator.itemgetter(*f)(cls)
+    groups = list(dict.fromkeys(zip(cls, images)))
+    for g, (a, c) in enumerate(groups):
+        for b, d in groups[g + 1:]:
+            if ind[a] >> b & 1 and not closed[c] >> d & 1:
+                pairs = list(zip(cls, images))
+                return pairs.index((a, c)), pairs.index((b, d))
+    return None
 
 
 CONTINUITY_VARIANTS = ("A4-", "A4+", "B4", "B4-", "B4+")

@@ -108,6 +108,9 @@ class ScalarUtilityConfig:
             if level.scale != target:
                 raise ScaleMismatchError(level.scale, target)
             indices.append(level.index)
+        if len(prize_utility) > len(indices):
+            unknown = sorted(set(prize_utility) - set(outcomes.labels))
+            raise ValueError(f"prize utility names unknown outcome {unknown[0]!r}")
         return cls(outcomes, scale_map, tuple(indices))
 
     @property
@@ -247,6 +250,9 @@ class BinaryUtilityAssessment:
             if value.scale != scale:
                 raise ScaleMismatchError(value.scale, scale)
             pairs.append((value.first.index, value.second.index))
+        if len(table) > len(pairs):
+            unknown = sorted(set(table) - set(outcomes.labels))
+            raise ValueError(f"assessment names unknown outcome {unknown[0]!r}")
         return cls(outcomes, scale, tuple(pairs), require_anchors)
 
     def utility_for(self, label: str) -> BinaryUtility:

@@ -8,7 +8,8 @@ index, so they share no code with the class-table paths they are compared
 against.
 """
 
-from posdec.axioms import AxiomReport, PreferenceRelation, default_weight_pairs
+from posdec.axioms import AxiomReport, PreferenceRelation
+from posdec.lotteries import standard_lotteries
 
 
 def rows_of(matrix):
@@ -85,18 +86,19 @@ def check_uncertainty_attitude(r, direction):
     return AxiomReport(axiom_id, True)
 
 
-def check_substitutability(r, weight_pairs=None, axiom_id="B3"):
-    """First witness in the order of quantification: weight pair, companion,
-    then indifferent pair (i, j) with i < j."""
+def check_substitutability(r, axiom_id="B3"):
+    """First witness over point masses k (label order), then the generator
+    weights (wa, wb), then indifferent pair (i, j) with i < j.
+
+    If no mixture with a point mass breaks indifference, every normalized
+    weight pair and every companion is scanned, and any witness found is
+    returned, so a checker that misses a violation still disagrees.
+    """
     universe = r.universe
-    scale = universe.scale
-    if weight_pairs is None:
-        pairs = default_weight_pairs(scale)
-    else:
-        pairs = tuple((a.index, b.index) for a, b in weight_pairs)
     vt = universe.value_tuples
     index_of = universe.index_of
     n = r.size
+    top = len(universe.scale) - 1
 
     def mix(w1, t1, w2, t2):
         out = []
@@ -108,21 +110,30 @@ def check_substitutability(r, weight_pairs=None, axiom_id="B3"):
 
     indifferent = [[r.indifferent(i, j) for j in range(n)] for i in range(n)]
     later = [[j for j in range(i + 1, n) if indifferent[i][j]] for i in range(n)]
-    for wa, wb in pairs:
-        seen = set()
-        for k in range(n):
-            tk = vt[k]
-            mixed = tuple(mix(wa, ti, wb, tk) for ti in vt)
-            # An earlier companion that mixes the same way came first.
-            if mixed in seen:
-                continue
-            seen.add(mixed)
-            for i, js in enumerate(later):
-                m1 = mixed[i]
-                for j in js:
-                    m2 = mixed[j]
-                    if m1 != m2 and not indifferent[m1][m2]:
-                        return _substitution_violation(r, axiom_id, i, j, k, wa, wb, mix)
+    point_masses = [
+        index_of[tuple(top if p == q else 0 for q in range(len(vt[0])))]
+        for p in range(len(vt[0]))
+    ]
+    generator_weights = [(top, v) for v in range(1, top + 1)] + [(wa, top) for wa in range(top)]
+    weight_pairs = [
+        (s.best_weight.index, s.worst_weight.index) for s in standard_lotteries(universe.scale)
+    ]
+    mixtures = [(k, wa, wb) for k in point_masses for wa, wb in generator_weights]
+    mixtures += [(k, wa, wb) for wa, wb in weight_pairs for k in range(n)]
+    seen = set()
+    for k, wa, wb in mixtures:
+        tk = vt[k]
+        mixed = tuple(mix(wa, ti, wb, tk) for ti in vt)
+        # An earlier mixture that maps the members the same way came first.
+        if mixed in seen:
+            continue
+        seen.add(mixed)
+        for i, js in enumerate(later):
+            m1 = mixed[i]
+            for j in js:
+                m2 = mixed[j]
+                if m1 != m2 and not indifferent[m1][m2]:
+                    return _substitution_violation(r, axiom_id, i, j, k, wa, wb, mix)
     return AxiomReport(axiom_id, True)
 
 

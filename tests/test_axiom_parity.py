@@ -2,10 +2,11 @@
 
 Every check must return the same report as its oracle, witness and detail
 included, on total preorders, product orders and relations with a few
-entries flipped; together these reach both substitutability tests (one
-where "equal or indifferent" is an equivalence, one class pair by class
-pair where it is not) and compare their decision and the witness scan
-with the oracle's scan.  Substitutability is also compared on faulted
+entries flipped.  Together these reach both substitutability paths (the
+block test where "equal or indifferent" is an equivalence, the pair finder
+alone where it is not) and compare their decision and witness with the
+oracle's, which tries the mixtures with a point mass first and then every
+weight pair and companion.  Substitutability is also compared on faulted
 relations over the 4x4 and 4x5 universes.  A check names its report by
 the B axiom; relabeled for the A axiom, as the entailment battery does,
 it must match the oracle asked for that axiom.  Relations whose twins are
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import axiom_oracles as oracle
+from posdec import axioms
 from posdec.axioms import (
     CONTINUITY_VARIANTS,
     LotteryUniverse,
@@ -167,8 +169,8 @@ def test_induced_relation_matches_naive_matrix(data):
 def test_mixtures_onto_two_members_indifferent_to_nothing():
     # Every member is in one class except 4 and 9, which are not at least
     # as good as themselves and so are indifferent to nothing (class -1).
-    # Two class members mix onto 4 and 9: a violation, although both
-    # results carry class -1.
+    # A map sending two class members onto 4 and 9 breaks indifference,
+    # although both results carry class -1.
     universe = UNIVERSES[(3, 3)]
     keys = [0] * len(universe)
     keys[4], keys[9] = 1, 2
@@ -176,7 +178,13 @@ def test_mixtures_onto_two_members_indifferent_to_nothing():
     rel = rel.with_flipped(4, 4).with_flipped(9, 9)
     report = check_substitutability(rel)
     assert fields(report) == fields(oracle.check_substitutability(rel))
-    assert report.witness == (0, 5, 4, 1, 2, 4, 9)
+    assert report.witness == (0, 2, 2, 2, 2, 4, 2)
+    # Member 0 goes to 4, the rest of its class to 9, every other member
+    # stays put: both the block test and the pair finder flag (0, 1).
+    onto = [9 if c == rel.class_of[0] else i for i, c in enumerate(rel.class_of)]
+    onto[0] = 4
+    assert not axioms._same_keeper(rel)(onto)
+    assert axioms._first_broken_pair(rel, onto) == (0, 1)
 
 
 @pytest.mark.parametrize("top_key", [0, 1], ids=["indifferent-to-the-rest", "above-the-rest"])

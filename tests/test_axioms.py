@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import time
 import weakref
 from functools import partial
 
@@ -35,6 +36,7 @@ from posdec.axioms import (
     search_pair_counterexample,
     verify_entailments,
 )
+from posdec.lotteries import mixture
 from posdec.scales import ScaleMismatchError
 from posdec.utilities import (
     binary_utility,
@@ -282,32 +284,87 @@ class TestSubstitutability:
         assert broken.indifferent(i, j)
         assert not broken.indifferent(m1, m2)
 
-    @pytest.mark.parametrize("fault", [None, (0, 0)], ids=["class-scan", "pair-scan"])
-    def test_generator_violation_without_witness_raises(self, example_scenario, fault):
-        """A generator map that breaks indifference while no mixture does is
-        a contradiction, never a satisfied report.
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 4), (4, 5)], ids=["2x3", "3x4", "4x5"])
+    def test_generator_maps_are_their_mixtures(self, shape):
+        """Map (k, wa, wb) sends member i to its mixture with point mass k."""
+        universe = LotteryUniverse(canonical_outcomes(shape[0]), canonical_scale(shape[1]))
+        level, members = universe.scale.level, universe.members
+        top = len(universe.scale) - 1
+        assert len(universe.generator_maps) == 2 * top * shape[0]
+        for (k, wa, wb), f in universe.generator_maps.items():
+            assert k in universe.point_mass_index.values()
+            assert f == tuple(
+                universe.index_of[mixture([(level(wa), m), (level(wb), members[k])]).indices]
+                for m in members
+            )
 
-        The ids name the witness scans this test once told apart; there is
-        one scan now.  It runs on the induced relation and, with (0, 0)
-        flipped, on one not reflexive at a member indifferent to another.
-        Either way B3 holds, so the scan finds no witness.
-        """
-        universe = LotteryUniverse(example_scenario.outcomes, example_scenario.scale_v)
-        rel = induced_relation(
-            universe, partial(pessimistic_utility, cfg=example_scenario.pessimistic_config)
-        )
-        if fault is not None:
-            rel = rel.with_flipped(*fault)
-        assert check_substitutability(rel).satisfied
-        i = 0
-        j = next(j for j in range(1, len(universe)) if rel.indifferent(i, j))
-        k = next(k for k in range(1, len(universe)) if not rel.indifferent(i, k))
-        # Not a mixture: it sends j out of the class it shares with i.
-        not_a_mixture = list(range(len(universe)))
-        not_a_mixture[j] = k
-        universe.generator_maps = (tuple(not_a_mixture),)
-        with pytest.raises(AssertionError, match="no weight pair and companion"):
-            check_substitutability(rel)
+    def test_every_generator_that_moves_members_is_needed(self):
+        """Per generator map that is not constant, the finest equivalence
+        joining some pair that every other generator keeps and this one
+        breaks: B3 fails there, named by this map."""
+        universe = LotteryUniverse(canonical_outcomes(3), canonical_scale(3))
+        n = len(universe)
+        for key, f in universe.generator_maps.items():
+            if len(set(f)) == 1:
+                continue  # A constant map keeps every relation.
+            others = [g for other, g in universe.generator_maps.items() if other != key]
+            for pair in itertools.combinations(range(n), 2):
+                block = congruence(n, others, pair)
+                if any(block[f[i]] != block[f[block[i]]] for i in range(n)):
+                    break
+            else:
+                pytest.fail(f"generator {key} is implied by the others")
+            rel = induced_relation(universe, lambda m: block[universe.index_of[m.indices]])
+            assert check_substitutability(rel).witness[2:5] == key
+
+    @pytest.fixture(scope="class")
+    def wide_binary_relation(self):
+        """The 6x6 relation of the last binary assessment, its maps built."""
+        universe = LotteryUniverse(canonical_outcomes(6), canonical_scale(6))
+        assessment = enumerate_assessments(universe.outcomes, universe.scale)[-1]
+        rel = induced_relation(universe, partial(binary_utility, a=assessment))
+        universe.generator_maps  # Built here, so the test times the check alone.
+        return rel
+
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_violated_6x6_stays_fast(self, wide_binary_relation, end):
+        """One entry flipped between two members of the largest class: a
+        violation, named and replayable, in well under a second."""
+        rel = wide_binary_relation
+        largest = max(set(rel.class_of), key=rel.class_of.count)
+        in_class = [i for i, c in enumerate(rel.class_of) if c == largest]
+        broken = rel.with_flipped(*(in_class[:2] if end == "first" else in_class[-2:]))
+        start = time.perf_counter()
+        report = check_substitutability(broken)
+        assert time.perf_counter() - start < 1
+        assert not report.satisfied
+        i, j, k, wa, wb, m1, m2 = report.witness
+        assert broken.indifferent(i, j)
+        assert m1 != m2 and not broken.indifferent(m1, m2)
+        universe = rel.universe
+        level, members = universe.scale.level, universe.members
+        for x, m in ((i, m1), (j, m2)):
+            assert mixture([(level(wa), members[x]), (level(wb), members[k])]) == members[m]
+
+
+def congruence(n, maps, pair):
+    """Per member, the first member of its block in the finest equivalence
+    that joins ``pair`` and that every map in ``maps`` keeps."""
+    parent = list(range(n))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    todo = [pair]
+    while todo:
+        a, b = todo.pop()
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+            todo.extend((f[a], f[b]) for f in maps)
+    return [root(x) for x in range(n)]
 
 
 class TestContinuity:

@@ -645,6 +645,12 @@ ERROR_BRANCHES = [
     pytest.param(RANK, _edited(_set(("assessment", "x2"), ["1", ".6"])), EXIT_VALIDATION,
                  "{path}: assessment for 'x2': scale 'V' has no level '.6'",
                  id="assessment-label-off-scale"),
+    pytest.param(RANK, _edited(_set(("assessment", "x9"), ["1", "0"])), EXIT_VALIDATION,
+                 "{path}: assessment: assessment names unknown outcome 'x9'",
+                 id="assessment-unknown-outcome"),
+    pytest.param(RANK, _edited(_set(("pessimistic_config", "u", "x9"), "1")), EXIT_VALIDATION,
+                 "{path}: pessimistic_config: prize utility names unknown outcome 'x9'",
+                 id="config-u-unknown-outcome"),
     pytest.param(RANK, _edited(_drop("pessimistic_config", "h")), EXIT_VALIDATION,
                  "{path}: pessimistic_config: h", id="config-without-h"),
     pytest.param(
