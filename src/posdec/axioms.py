@@ -144,17 +144,17 @@ class LotteryUniverse:
         """Member maps of the mixtures with a point mass, keyed by (k, wa, wb).
 
         Map (k, wa, wb) sends member i to its mixture with point mass k
-        under weights (wa, wb); there are 2 * top per prize, point masses in
-        label order.  Weights (top, v), v >= 1, raise the prize to at least
-        v; weights (wa, top), wa < top, cap every prize at wa and raise the
-        prize to the top.  Under any normalized weight pair (wa, wb) the
-        mixture with k is a chain of these: a cap at wa raising one of k's
-        top prizes if wa < top, then a raise to k's level, capped at wb, per
-        prize.
+        under weights (wa, wb); there are 2 * top - 1 per prize, point masses
+        in label order.  Weights (top, v), v >= 1, raise the prize to at least
+        v; weights (wa, top), 0 < wa < top, cap every prize at wa and raise
+        the prize to the top.  Under any normalized weight pair but (0, top),
+        whose map is constant and keeps every relation, the mixture with k is
+        a chain of these: a cap at wa raising one of k's top prizes if
+        wa < top, then a raise to k's level, capped at wb, per prize.
         """
         top = len(self.scale) - 1
         codes, masks, index_of_code = self.codes, self.weight_masks, self.index_of_code
-        weights = [(top, v) for v in range(1, top + 1)] + [(wa, top) for wa in range(top)]
+        weights = [(top, v) for v in range(1, top + 1)] + [(wa, top) for wa in range(1, top)]
         return {
             (k, wa, wb): tuple(index_of_code[code & mask | k_part] for code in codes)
             for k in self.point_mass_index.values()

@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping
 
 from . import worked_example
 from .lotteries import (
@@ -27,16 +27,16 @@ from .lotteries import (
     OutcomeSet,
     PossibilityDistribution,
     StateSpace,
+    distribution_from_indices,
     from_disbelief,
     induced_distribution,
-    make_distribution,
     synthesize_scale,
     to_disbelief,
 )
 from .scales import (
-    BinaryUtility,
     Scale,
     ScaleMap,
+    check_binary_pair,
     ext_min,
     level_max,
     parse_rational,
@@ -160,13 +160,14 @@ def parse_scenario(data: Mapping, source: str = "<scenario>") -> Scenario:
             raise fail(f"states: {exc}") from exc
 
     def parse_distribution(domain, table: Mapping[str, str], what: str):
+        # Every level is looked up before any label is checked, so a level
+        # off the scale is reported first.
         expect_object(table, what)
         try:
-            values = {label: scale_v[level] for label, level in table.items()}
+            indices = {label: scale_v.index(level) for label, level in table.items()}
+            return distribution_from_indices(domain, scale_v, indices)
         except KeyError as exc:
             raise fail(f"{what}: {exc.args[0]}") from exc
-        try:
-            return make_distribution(domain, values)
         except ValueError as exc:
             raise fail(f"{what}: {exc}") from exc
 
@@ -188,7 +189,9 @@ def parse_scenario(data: Mapping, source: str = "<scenario>") -> Scenario:
         except ValueError as exc:
             raise fail(f"decision {name!r}: {exc}") from exc
         for move in decision.moves:
-            if move not in outcomes.outcomes:
+            # Outcome labels are strings, so a move of any other type (an
+            # unhashable one too) is unknown.
+            if not isinstance(move, str) or move not in outcomes.index_of:
                 raise fail(f"decision {name!r} maps to unknown outcome {move!r}")
         decisions[name] = decision
 
@@ -204,11 +207,12 @@ def parse_scenario(data: Mapping, source: str = "<scenario>") -> Scenario:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise fail(f"assessment for {label!r} must be a two-element array")
             try:
-                table[label] = BinaryUtility.of(scale_v[pair[0]], scale_v[pair[1]])
+                table[label] = first, second = scale_v.index(pair[0]), scale_v.index(pair[1])
+                check_binary_pair(scale_v, first, second)
             except (KeyError, ValueError) as exc:
                 raise fail(f"assessment for {label!r}: {exc.args[0]}") from exc
         try:
-            assessment = BinaryUtilityAssessment.from_mapping(outcomes, scale_v, table)
+            assessment = BinaryUtilityAssessment.from_indices(outcomes, scale_v, table)
         except ValueError as exc:
             raise fail(f"assessment: {exc}") from exc
 
@@ -231,8 +235,8 @@ def parse_scenario(data: Mapping, source: str = "<scenario>") -> Scenario:
             raise fail(f"pessimistic_config: n is not the order reversal of scale {target.name!r}")
         try:
             scale_map = ScaleMap.from_labels(scale_v, target, cfg["h"])
-            prize = {label: target[level] for label, level in cfg["u"].items()}
-            pessimistic_config = ScalarUtilityConfig.build(outcomes, scale_map, prize)
+            prize = {label: target.index(level) for label, level in cfg["u"].items()}
+            pessimistic_config = ScalarUtilityConfig.from_indices(outcomes, scale_map, prize)
         except KeyError as exc:
             raise fail(f"pessimistic_config: {exc.args[0]}") from exc
         except ValueError as exc:
@@ -458,13 +462,10 @@ def paper_example_lines() -> list[str]:
     cfg = scenario.pessimistic_config
     assert cfg is not None
     scale_v = scenario.scale_v
-    encoded = BinaryUtilityAssessment.from_mapping(
-        scenario.outcomes,
-        scale_v,
-        {
-            label: BinaryUtility.of(scale_v[pair[0]], scale_v[pair[1]])
-            for label, pair in worked_example.ENCODED_ASSESSMENT.items()
-        },
+    pairs = worked_example.ENCODED_ASSESSMENT
+    encoded = BinaryUtilityAssessment.from_indices(
+        scenario.outcomes, scale_v,
+        {x: (scale_v.index(a), scale_v.index(b)) for x, (a, b) in pairs.items()},
         require_anchors=False,
     )
     labels = scenario.outcomes.outcomes

@@ -10,7 +10,7 @@ conversion to and from integer disbelief rankings.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -60,6 +60,10 @@ class OutcomeSet:
     best: str
     worst: str
     preference_classes: tuple[tuple[str, ...], ...] = ()
+    # Built once the classes are validated; derived, so excluded from
+    # equality and repr.  Label -> class index, and label -> position.
+    class_of: dict[str, int] = field(init=False, compare=False, repr=False)
+    index_of: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
@@ -89,6 +93,9 @@ class OutcomeSet:
             raise ValueError(f"best outcome {self.best!r} must sit in the first class")
         if self.worst not in self.preference_classes[-1]:
             raise ValueError(f"worst outcome {self.worst!r} must sit in the last class")
+        ranks = {o: i for i, cls in enumerate(self.preference_classes) for o in cls}
+        object.__setattr__(self, "class_of", ranks)
+        object.__setattr__(self, "index_of", {o: i for i, o in enumerate(self.outcomes)})
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -96,10 +103,10 @@ class OutcomeSet:
 
     def rank(self, label: str) -> int:
         """Class index of a label; smaller is better."""
-        for i, cls in enumerate(self.preference_classes):
-            if label in cls:
-                return i
-        raise KeyError(f"unknown outcome {label!r}")
+        try:
+            return self.class_of[label]
+        except (KeyError, TypeError):
+            raise KeyError(f"unknown outcome {label!r}") from None
 
     def prefers(self, x: str, y: str) -> bool:
         """True if x is weakly preferred to y."""
@@ -192,27 +199,42 @@ class PossibilityDistribution:
         return f"({inner})"
 
 
-def make_distribution(domain: Domain, values: Mapping[str, Level]) -> PossibilityDistribution:
-    """Build a distribution from a label-to-level mapping.
+def aligned(labels: Sequence[str], table: Mapping, missing: str, unknown: str) -> tuple:
+    """``table``'s values in ``labels`` order.
 
-    Every domain label must be assigned, all levels must share one scale,
-    and the maximum must be the top of that scale.
+    Raises ``ValueError`` ``"<missing> <label>"`` for the first label the
+    table lacks, else ``"<unknown> <key>"`` for its first other key, sorted.
     """
-    labels = domain.labels
-    missing = [label for label in labels if label not in values]
-    if missing:
-        raise ValueError(f"missing value for label {missing[0]!r}")
-    unknown = set(values) - set(labels)
-    if unknown:
-        raise ValueError(f"unknown label {sorted(unknown)[0]!r}")
-    scale = next(iter(values.values())).scale
-    indices = []
-    for label in labels:
-        level = values[label]
-        if level.scale != scale:
-            raise ScaleMismatchError(scale, level.scale)
-        indices.append(level.index)
-    return PossibilityDistribution(domain, scale, tuple(indices))
+    try:
+        values = tuple(map(table.__getitem__, labels))
+    except KeyError as exc:
+        raise ValueError(f"{missing} {exc.args[0]!r}") from None
+    if len(table) > len(values):
+        raise ValueError(f"{unknown} {sorted(set(table) - set(labels))[0]!r}")
+    return values
+
+
+def distribution_from_indices(
+    domain: Domain, scale: Scale, table: Mapping[str, int]
+) -> PossibilityDistribution:
+    """The distribution giving each domain label its level index in ``table``.
+
+    Every domain label must be assigned, and the maximum must be the top.
+    """
+    return PossibilityDistribution(
+        domain, scale, aligned(domain.labels, table, "missing value for label", "unknown label")
+    )
+
+
+def make_distribution(domain: Domain, values: Mapping[str, Level]) -> PossibilityDistribution:
+    """Build a distribution from a label-to-level mapping, whose levels
+    must share one scale."""
+    scales = [level.scale for level in values.values()]
+    for scale in scales[1:]:
+        if scale != scales[0]:
+            raise ScaleMismatchError(scales[0], scale)
+    table = {label: level.index for label, level in values.items()}
+    return distribution_from_indices(domain, scales[0] if scales else None, table)
 
 
 def point_mass(domain: Domain, label: str, scale: Scale) -> PossibilityDistribution:
@@ -309,13 +331,8 @@ class Decision:
 
     @classmethod
     def from_mapping(cls, states: StateSpace, table: Mapping[str, str]) -> "Decision":
-        missing = [s for s in states.states if s not in table]
-        if missing:
-            raise ValueError(f"decision maps no outcome for state {missing[0]!r}")
-        unknown = set(table) - set(states.states)
-        if unknown:
-            raise ValueError(f"decision mentions unknown state {sorted(unknown)[0]!r}")
-        return cls(states, tuple(table[s] for s in states.states))
+        missing, unknown = "decision maps no outcome for state", "decision mentions unknown state"
+        return cls(states, aligned(states.states, table, missing, unknown))
 
 
 def induced_distribution(
@@ -326,17 +343,18 @@ def induced_distribution(
     Each outcome receives the possibility of its preimage; outcomes no
     state maps to get 0.
     """
-    if pi_states.domain != d.states:
+    if pi_states.domain is not d.states and pi_states.domain != d.states:
         raise ValueError("distribution and decision disagree on the state space")
-    for move in d.moves:
-        if move not in outcomes.outcomes:
-            raise ValueError(f"decision maps to unknown outcome {move!r}")
-    best: dict[str, int] = {label: 0 for label in outcomes.outcomes}
-    for state_idx, move in enumerate(d.moves):
-        best[move] = max(best[move], pi_states.indices[state_idx])
-    return PossibilityDistribution(
-        outcomes, pi_states.scale, tuple(best[label] for label in outcomes.outcomes)
-    )
+    index_of = outcomes.index_of
+    best = [0] * len(index_of)
+    for move, v in zip(d.moves, pi_states.indices):
+        try:
+            pos = index_of[move]
+        except (KeyError, TypeError):
+            raise ValueError(f"decision maps to unknown outcome {move!r}") from None
+        if v > best[pos]:
+            best[pos] = v
+    return PossibilityDistribution(outcomes, pi_states.scale, tuple(best))
 
 
 def enumeration_count(domain_size: int, scale_size: int) -> int:

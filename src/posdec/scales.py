@@ -58,6 +58,10 @@ def parse_rational(text, what: str) -> Fraction:
 
 def parse_label(label: str) -> Fraction:
     """Parse a level label into an exact rational (no floats anywhere)."""
+    # A short plain decimal such as ".25" skips the general parser.
+    whole, _, places = label.partition(".") if isinstance(label, str) else ("", "", "")
+    if (whole + places).isascii() and (whole + places).isdecimal() and len(label) < 20:
+        return Fraction(int(whole + places), 10 ** len(places))
     return parse_rational(label, f"level label {label!r}")
 
 
@@ -75,6 +79,7 @@ class Scale:
     name: str = "scale"
     # Cached for hot paths; derived, so excluded from equality and repr.
     top_index: int = field(init=False, compare=False, repr=False)
+    index_of: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(self.levels))
@@ -92,16 +97,21 @@ class Scale:
                     f"scale {self.name!r} labels must strictly increase: "
                     f"{self.levels[i]!r} >= {self.levels[i + 1]!r}"
                 )
+        object.__setattr__(self, "index_of", {label: i for i, label in enumerate(self.levels)})
 
     def __len__(self) -> int:
         return len(self.levels)
 
+    def index(self, label: str) -> int:
+        """Index of the level labelled ``label``."""
+        try:
+            return self.index_of[label]
+        except (KeyError, TypeError):
+            raise KeyError(f"scale {self.name!r} has no level {label!r}") from None
+
     def __getitem__(self, label: str) -> "Level":
         """Look a level up by its label."""
-        try:
-            return self.level_values[self.levels.index(label)]
-        except ValueError:
-            raise KeyError(f"scale {self.name!r} has no level {label!r}") from None
+        return self.level_values[self.index(label)]
 
     def level(self, index: int) -> "Level":
         return Level(self, index)
@@ -218,7 +228,7 @@ class UtilityPair:
     second: Level
 
     def __post_init__(self) -> None:
-        if self.first.scale != self.second.scale:
+        if self.first.scale is not self.second.scale and self.first.scale != self.second.scale:
             raise ScaleMismatchError(self.first.scale, self.second.scale)
 
     @property
@@ -356,9 +366,7 @@ class ScaleMap:
         extra = set(table) - set(source.levels)
         if extra:
             raise ValueError(f"scale map table maps unknown levels: {sorted(extra)}")
-        return cls(
-            source, target, tuple(target[table[label]].index for label in source.levels)
-        )
+        return cls(source, target, tuple(target.index(table[label]) for label in source.levels))
 
     @classmethod
     def identity(cls, scale: Scale) -> "ScaleMap":

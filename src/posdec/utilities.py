@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Sequence, Union
 
-from .lotteries import Domain, OutcomeSet, PossibilityDistribution, StandardLottery
+from .lotteries import Domain, OutcomeSet, PossibilityDistribution, StandardLottery, aligned
 from .scales import (
     BinaryUtility,
     Level,
@@ -41,21 +41,23 @@ Evaluator = Callable[[PossibilityDistribution], UtilityValue]
 def check_domain(domain: Domain, scale: Scale, outcomes: OutcomeSet, expected: Scale) -> None:
     """Raise unless lotteries over ``domain`` on ``scale`` fit a criterion
     configured for ``outcomes`` on ``expected``."""
-    if domain.labels != outcomes.labels:
+    if domain is not outcomes and domain.labels != outcomes.labels:
         raise ValueError(
             f"distribution domain {domain.labels} does not match the "
             f"configured outcomes {outcomes.labels}"
         )
-    if scale != expected:
+    if scale is not expected and scale != expected:
         raise ScaleMismatchError(scale, expected)
 
 
-def _check_preference_order(outcomes: OutcomeSet, keys: Mapping[str, int], noun: str) -> None:
-    """Raise unless, on every pair of prizes, ``keys`` order them as the
-    declared preference does; ``noun`` names the keys in the message."""
-    for x in outcomes.labels:
-        for y in outcomes.labels:
-            if outcomes.prefers(x, y) != (keys[x] >= keys[y]):
+def _check_preference_order(outcomes: OutcomeSet, keys: Sequence[int], noun: str) -> None:
+    """Raise unless, on every pair of prizes, ``keys`` (one per label, in
+    label order) order them as the declared preference does; ``noun`` names
+    the keys in the message."""
+    labels, ranks = outcomes.labels, [outcomes.class_of[x] for x in outcomes.labels]
+    for x, x_rank, x_key in zip(labels, ranks, keys):
+        for y, y_rank, y_key in zip(labels, ranks, keys):
+            if (x_rank <= y_rank) != (x_key >= y_key):
                 raise ValueError(
                     f"{noun} is inconsistent with the preference order on {x!r} and {y!r}"
                 )
@@ -85,12 +87,12 @@ class ScalarUtilityConfig:
         if len(self.prize_indices) != len(labels):
             raise ValueError("prize utility must cover every outcome")
         u_top = len(self.scale_map.target) - 1
-        by_label = dict(zip(labels, self.prize_indices))
-        if by_label[self.outcomes.best] != u_top:
+        index_of = self.outcomes.index_of
+        if self.prize_indices[index_of[self.outcomes.best]] != u_top:
             raise ValueError(f"best outcome {self.outcomes.best!r} must have utility 1")
-        if by_label[self.outcomes.worst] != 0:
+        if self.prize_indices[index_of[self.outcomes.worst]] != 0:
             raise ValueError(f"worst outcome {self.outcomes.worst!r} must have utility 0")
-        _check_preference_order(self.outcomes, by_label, "prize utility")
+        _check_preference_order(self.outcomes, self.prize_indices, "prize utility")
 
     @classmethod
     def build(
@@ -99,19 +101,21 @@ class ScalarUtilityConfig:
         scale_map: ScaleMap,
         prize_utility: Mapping[str, Level],
     ) -> "ScalarUtilityConfig":
+        """The configuration with these prize utilities, levels of the utility scale."""
         target = scale_map.target
-        indices = []
-        for label in outcomes.labels:
-            if label not in prize_utility:
-                raise ValueError(f"prize utility missing outcome {label!r}")
-            level = prize_utility[label]
+        for level in prize_utility.values():
             if level.scale != target:
                 raise ScaleMismatchError(level.scale, target)
-            indices.append(level.index)
-        if len(prize_utility) > len(indices):
-            unknown = sorted(set(prize_utility) - set(outcomes.labels))
-            raise ValueError(f"prize utility names unknown outcome {unknown[0]!r}")
-        return cls(outcomes, scale_map, tuple(indices))
+        table = {label: level.index for label, level in prize_utility.items()}
+        return cls.from_indices(outcomes, scale_map, table)
+
+    @classmethod
+    def from_indices(
+        cls, outcomes: OutcomeSet, scale_map: ScaleMap, prize_utility: Mapping[str, int]
+    ) -> "ScalarUtilityConfig":
+        """The configuration with these prize utilities, utility-scale indices."""
+        missing, unknown = "prize utility missing outcome", "prize utility names unknown outcome"
+        return cls(outcomes, scale_map, aligned(outcomes.labels, prize_utility, missing, unknown))
 
     @property
     def uncertainty_scale(self) -> Scale:
@@ -231,8 +235,8 @@ class BinaryUtilityAssessment:
                     f"worst outcome {self.outcomes.worst!r} must be assessed at "
                     f"'0',{self.scale.levels[top]!r}"
                 )
-        rank = {label: pair_rank(*pair, top) for label, pair in by_label.items()}
-        _check_preference_order(self.outcomes, rank, "assessment")
+        ranks = [pair_rank(first, second, top) for first, second in self.pair_indices]
+        _check_preference_order(self.outcomes, ranks, "assessment")
 
     @classmethod
     def from_mapping(
@@ -242,18 +246,22 @@ class BinaryUtilityAssessment:
         table: Mapping[str, BinaryUtility],
         require_anchors: bool = True,
     ) -> "BinaryUtilityAssessment":
-        pairs = []
-        for label in outcomes.labels:
-            if label not in table:
-                raise ValueError(f"assessment missing outcome {label!r}")
-            value = table[label]
+        """The assessment with these binary utilities, values on ``scale``."""
+        for value in table.values():
             if value.scale != scale:
                 raise ScaleMismatchError(value.scale, scale)
-            pairs.append((value.first.index, value.second.index))
-        if len(table) > len(pairs):
-            unknown = sorted(set(table) - set(outcomes.labels))
-            raise ValueError(f"assessment names unknown outcome {unknown[0]!r}")
-        return cls(outcomes, scale, tuple(pairs), require_anchors)
+        pairs = {label: (value.first.index, value.second.index) for label, value in table.items()}
+        return cls.from_indices(outcomes, scale, pairs, require_anchors)
+
+    @classmethod
+    def from_indices(
+        cls, outcomes: OutcomeSet, scale: Scale, table: Mapping[str, tuple[int, int]],
+        require_anchors: bool = True,
+    ) -> "BinaryUtilityAssessment":
+        """The assessment with these binary utilities, pairs of level indices."""
+        missing, unknown = "assessment missing outcome", "assessment names unknown outcome"
+        pairs = aligned(outcomes.labels, table, missing, unknown)
+        return cls(outcomes, scale, pairs, require_anchors)
 
     def utility_for(self, label: str) -> BinaryUtility:
         pair = self.pair_indices[self.outcomes.labels.index(label)]

@@ -290,23 +290,22 @@ class TestSubstitutability:
         universe = LotteryUniverse(canonical_outcomes(shape[0]), canonical_scale(shape[1]))
         level, members = universe.scale.level, universe.members
         top = len(universe.scale) - 1
-        assert len(universe.generator_maps) == 2 * top * shape[0]
+        assert len(universe.generator_maps) == (2 * top - 1) * shape[0]
         for (k, wa, wb), f in universe.generator_maps.items():
             assert k in universe.point_mass_index.values()
+            assert len(set(f)) > 1, f"map {(k, wa, wb)} is constant"
             assert f == tuple(
                 universe.index_of[mixture([(level(wa), m), (level(wb), members[k])]).indices]
                 for m in members
             )
 
     def test_every_generator_that_moves_members_is_needed(self):
-        """Per generator map that is not constant, the finest equivalence
-        joining some pair that every other generator keeps and this one
-        breaks: B3 fails there, named by this map."""
+        """Per generator map, the finest equivalence joining some pair that
+        every other generator keeps and this one breaks: B3 fails there,
+        named by this map."""
         universe = LotteryUniverse(canonical_outcomes(3), canonical_scale(3))
         n = len(universe)
         for key, f in universe.generator_maps.items():
-            if len(set(f)) == 1:
-                continue  # A constant map keeps every relation.
             others = [g for other, g in universe.generator_maps.items() if other != key]
             for pair in itertools.combinations(range(n), 2):
                 block = congruence(n, others, pair)

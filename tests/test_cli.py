@@ -26,6 +26,37 @@ from posdec.cli import (
 
 WORKED = "scenarios/worked_example.json"
 ANOMALY = "scenarios/anomaly.json"
+# A serving-sized request: 8 prizes, 8 levels, 12 states, 32 decisions and
+# 16 lotteries, made by perfbench's scenario generator.
+RANK_REQUEST = "scenarios/rank_request.json"
+
+# `posdec rank` on scenarios/rank_request.json, one line per class, best first.
+RANK_REQUEST_GOLDEN = {
+    "binary": [
+        "1. l12",
+        "2. l1, l2, l4",
+        "3. d6",
+        "4. l3, l6, l14, d22",
+        "5. l0, l9, l13, l15, d0, d1, d2, d3, d4, d5, d7, d8, d10, d12, d13, d14, d15, "
+        "d16, d17, d18, d20, d21, d23, d24, d25, d26, d27, d28, d29, d30, d31",
+        "6. l5, l7, l11, d9, d11",
+        "7. l8, l10, d19",
+    ],
+    "pessimistic": [
+        "1. l2, l12",
+        "2. l1, l4, d6",
+        "3. l0, l3, l5, l6, l10, l11, l14, d5, d7, d8, d12, d17, d18, d22, d25, d28, d31",
+        "4. l7, l8, l9, l13, l15, d0, d1, d2, d3, d4, d9, d10, d11, d13, d14, d15, d16, "
+        "d19, d20, d21, d23, d24, d26, d27, d29, d30",
+    ],
+    "optimistic": [
+        "1. l0, l1, l2, l6, l15, d0, d1, d3, d5, d6, d8, d10, d12, d14, d15, d18, d22, "
+        "d23, d26, d27, d29, d31",
+        "2. l3, l4, l5, l7, l9, l11, l12, l13, l14, d2, d4, d7, d9, d11, d13, d16, d17, "
+        "d20, d21, d24, d25, d28, d30",
+        "3. l8, l10, d19",
+    ],
+}
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -191,6 +222,13 @@ class TestRank:
             f"error: {path}: scale_v: level label {label!r} has a decimal exponent "
             f"over the bound of 262144\n"
         )
+
+    @pytest.mark.parametrize("method", sorted(RANK_REQUEST_GOLDEN))
+    def test_serving_request_is_golden(self, capsys, method):
+        assert main(["rank", "--scenario", RANK_REQUEST, "--method", method]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out.splitlines() == RANK_REQUEST_GOLDEN[method]
+        assert err == ""
 
     def test_ranking_consistent_with_evaluation(self, capsys):
         main(["evaluate", "--scenario", WORKED, "--method", "pessimistic"])
@@ -546,6 +584,46 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="inconsistent"):
             parse_scenario(data)
 
+    @pytest.mark.parametrize("table, message", [
+        pytest.param("assessment", "assessment: assessment", id="assessment"),
+        pytest.param(("pessimistic_config", "u"), "pessimistic_config: prize utility", id="u"),
+    ])
+    def test_inconsistent_table_names_the_pair(self, table, message):
+        data = copy.deepcopy(worked_example.SCENARIO)
+        node = data[table] if isinstance(table, str) else data[table[0]][table[1]]
+        node["x2"], node["x3"] = node["x3"], node["x2"]
+        with pytest.raises(ScenarioError) as caught:
+            parse_scenario(data)
+        assert str(caught.value) == (
+            f"<scenario>: {message} is inconsistent with the preference order on 'x2' and 'x3'"
+        )
+
+    def test_first_broken_pair_in_label_order_is_named(self):
+        """Labels listed in another order than the preference classes, and two
+        pairs broken, each inside a class: (x4, x5) comes first class by
+        class, (x2, x3) first in label order, which the check walks."""
+        levels = ["0", ".2", ".4", ".6", ".8", "1"]
+        data = {
+            "scale_v": levels,
+            "outcomes": {
+                "labels": ["x1", "x2", "x3", "x4", "x5", "x6"],
+                "best": "x1",
+                "worst": "x6",
+                "preference": [["x1"], ["x4", "x5"], ["x2", "x3"], ["x6"]],
+            },
+            "pessimistic_config": {
+                "u": {"x1": "1", "x2": ".2", "x3": ".4", "x4": ".6", "x5": ".8", "x6": "0"},
+                "n": dict(zip(levels, reversed(levels))),
+                "h": {level: level for level in levels},
+            },
+        }
+        with pytest.raises(ScenarioError) as caught:
+            parse_scenario(data)
+        assert str(caught.value) == (
+            "<scenario>: pessimistic_config: prize utility is inconsistent with the "
+            "preference order on 'x2' and 'x3'"
+        )
+
     def test_scale_u_defaults_to_scale_v(self, anomaly_scenario):
         assert anomaly_scenario.scale_u is None
         assert anomaly_scenario.utility_scale == anomaly_scenario.scale_v
@@ -606,6 +684,46 @@ class TestWronglyShapedScenario:
         path = write_scenario(tmp_path, self.scenario(edit))
         assert main(["rank", "--scenario", path, "--method", "binary"]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(f"error: {path}: {section}")
+
+
+# Where a level sits in a scenario, and the message when it is not a label.
+LEVEL_SITES = [
+    (("lotteries", "pi1", "x2"), "lottery 'pi1': scale 'V' has no level"),
+    (("state_possibility", "s2"), "state_possibility: scale 'V' has no level"),
+    (("assessment", "x2", 1), "assessment for 'x2': scale 'V' has no level"),
+    (("pessimistic_config", "h", ".7"), "pessimistic_config: scale 'U' has no level"),
+    (("pessimistic_config", "u", "x2"), "pessimistic_config: scale 'U' has no level"),
+    (("pessimistic_config", "n", ".5"), "pessimistic_config: n: scale 'U' has no level"),
+]
+ILL_TYPED = [
+    pytest.param(path, value, f"{prefix} {value!r}", id=f"{'-'.join(map(str, path))}-{kind}")
+    for path, prefix in LEVEL_SITES
+    for kind, value in (("array", [".5"]), ("object", {"level": ".5"}), ("number", 0.5))
+] + [
+    pytest.param(
+        ("decisions", "steady", "s2"), value, f"decision 'steady' maps to unknown outcome {value!r}",
+        id=f"decision-move-{kind}",
+    )
+    for kind, value in (("array", ["x2"]), ("object", {"outcome": "x2"}))
+]
+
+
+class TestIllTypedValue:
+    """A level or a decision move of the wrong JSON type is a validation
+    error with one message, never a traceback."""
+
+    @pytest.mark.parametrize("path, value, message", ILL_TYPED)
+    def test_parse_names_the_value(self, path, value, message):
+        with pytest.raises(ScenarioError) as caught:
+            parse_scenario(TestWronglyShapedScenario.scenario(_set(path, value)))
+        assert str(caught.value) == f"<scenario>: {message}"
+
+    @pytest.mark.parametrize("path, value, message", ILL_TYPED)
+    def test_rank_prints_one_error_line(self, tmp_path, capsys, path, value, message):
+        data = TestWronglyShapedScenario.scenario(_set(path, value))
+        scenario_path = write_scenario(tmp_path, data)
+        assert main(["rank", "--scenario", scenario_path, "--method", "binary"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {scenario_path}: {message}\n"
 
 
 def _drop(*path):
