@@ -58,10 +58,6 @@ def parse_rational(text, what: str) -> Fraction:
 
 def parse_label(label: str) -> Fraction:
     """Parse a level label into an exact rational (no floats anywhere)."""
-    # A short plain decimal such as ".25" skips the general parser.
-    whole, _, places = label.partition(".") if isinstance(label, str) else ("", "", "")
-    if (whole + places).isascii() and (whole + places).isdecimal() and len(label) < 20:
-        return Fraction(int(whole + places), 10 ** len(places))
     return parse_rational(label, f"level label {label!r}")
 
 

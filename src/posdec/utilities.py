@@ -95,21 +95,6 @@ class ScalarUtilityConfig:
         _check_preference_order(self.outcomes, self.prize_indices, "prize utility")
 
     @classmethod
-    def build(
-        cls,
-        outcomes: OutcomeSet,
-        scale_map: ScaleMap,
-        prize_utility: Mapping[str, Level],
-    ) -> "ScalarUtilityConfig":
-        """The configuration with these prize utilities, levels of the utility scale."""
-        target = scale_map.target
-        for level in prize_utility.values():
-            if level.scale != target:
-                raise ScaleMismatchError(level.scale, target)
-        table = {label: level.index for label, level in prize_utility.items()}
-        return cls.from_indices(outcomes, scale_map, table)
-
-    @classmethod
     def from_indices(
         cls, outcomes: OutcomeSet, scale_map: ScaleMap, prize_utility: Mapping[str, int]
     ) -> "ScalarUtilityConfig":
@@ -133,9 +118,7 @@ class ScalarUtilityConfig:
         return tuple(top - i for i in self.scale_map.images)
 
     def prize_utility_for(self, label: str) -> Level:
-        return self.utility_scale.level(
-            self.prize_indices[self.outcomes.labels.index(label)]
-        )
+        return self.utility_scale.level(self.prize_indices[self.outcomes.index_of[label]])
 
 
 def pessimistic_key(pi: PossibilityDistribution, cfg: ScalarUtilityConfig) -> int:
@@ -264,7 +247,7 @@ class BinaryUtilityAssessment:
         return cls(outcomes, scale, pairs, require_anchors)
 
     def utility_for(self, label: str) -> BinaryUtility:
-        pair = self.pair_indices[self.outcomes.labels.index(label)]
+        pair = self.pair_indices[self.outcomes.index_of[label]]
         return self.scale.binary_values[pair_rank(*pair, self.scale.top_index)]
 
 

@@ -81,8 +81,7 @@ def worked_style_config(nx: int, nv: int = 4) -> tuple[LotteryUniverse, ScalarUt
         tuple(l for l in outcomes.labels if ranks[l] == key) for key in distinct
     )
     ranked = OutcomeSet(outcomes.labels, outcomes.best, outcomes.worst, classes)
-    prize = {label: scale_u.level(ranks[label]) for label in outcomes.labels}
-    cfg = ScalarUtilityConfig.build(ranked, scale_map, prize)
+    cfg = ScalarUtilityConfig.from_indices(ranked, scale_map, ranks)
     return LotteryUniverse(ranked, scale_v), cfg
 
 

@@ -3,7 +3,6 @@
 import itertools
 import re
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -84,18 +83,6 @@ class TestScaleConstruction:
         assert time.perf_counter() - start < 1.0
         assert parse_label(f"1e-{MAX_DECIMAL_EXPONENT}").denominator == 10**MAX_DECIMAL_EXPONENT
         assert parse_label("25e-0000000000000000002") == parse_label(".25")
-
-    @pytest.mark.parametrize("label", [
-        "0", "1", ".5", "0.50", "1.", "1.0", "00.25", ".0625", "3/4", "1e-1", " .5", "1_0",
-        "\u0665", "." + "3" * 30,
-    ])
-    def test_label_reads_as_its_fraction(self, label):
-        assert parse_label(label) == Fraction(label)
-
-    @pytest.mark.parametrize("label", [".", "", "1..", ".5.", "5/", "x"])
-    def test_malformed_label_is_not_rational(self, label):
-        with pytest.raises(ValueError, match=re.escape(f"level label {label!r} is not a rational")):
-            parse_label(label)
 
     def test_fraction_labels_accepted(self):
         scale = Scale(("0", "1/3", "1"))

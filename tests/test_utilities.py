@@ -103,11 +103,11 @@ class TestPessimistic:
         s = example_scenario
         u_scale = s.pessimistic_config.utility_scale
         bad_prize = {
-            "x1": u_scale["1"], "x2": u_scale[".3"], "x3": u_scale[".5"],
-            "x4": u_scale["0"],
+            "x1": u_scale.index("1"), "x2": u_scale.index(".3"), "x3": u_scale.index(".5"),
+            "x4": u_scale.index("0"),
         }
         with pytest.raises(ValueError, match="inconsistent"):
-            ScalarUtilityConfig.build(
+            ScalarUtilityConfig.from_indices(
                 s.outcomes, s.pessimistic_config.scale_map, bad_prize,
             )
 
@@ -115,11 +115,11 @@ class TestPessimistic:
         s = example_scenario
         u_scale = s.pessimistic_config.utility_scale
         bad_prize = {
-            "x1": u_scale[".5"], "x2": u_scale[".5"], "x3": u_scale[".3"],
-            "x4": u_scale["0"],
+            "x1": u_scale.index(".5"), "x2": u_scale.index(".5"), "x3": u_scale.index(".3"),
+            "x4": u_scale.index("0"),
         }
         with pytest.raises(ValueError, match="utility 1"):
-            ScalarUtilityConfig.build(
+            ScalarUtilityConfig.from_indices(
                 s.outcomes, s.pessimistic_config.scale_map, bad_prize,
             )
 
@@ -404,10 +404,10 @@ class TestRestrictedAgreement:
                 require_anchors=False,
             )
             # The prize utility is the order reversal of the worst weight.
-            cfg = ScalarUtilityConfig.build(
+            cfg = ScalarUtilityConfig.from_indices(
                 ranked,
                 identity,
-                {label: scale.level(scale.top_index - w) for label, w in worst_weights.items()},
+                {label: scale.top_index - w for label, w in worst_weights.items()},
             )
             for p1, p2 in itertools.product(members, repeat=2):
                 binary_order = binary_utility(p1, assessment) >= binary_utility(p2, assessment)
@@ -435,10 +435,7 @@ class TestRestrictedAgreement:
                 },
                 require_anchors=False,
             )
-            cfg = ScalarUtilityConfig.build(
-                ranked, identity,
-                {label: scale.level(w) for label, w in best_weights.items()},
-            )
+            cfg = ScalarUtilityConfig.from_indices(ranked, identity, best_weights)
             for p1, p2 in itertools.product(members, repeat=2):
                 binary_order = binary_utility(p1, assessment) >= binary_utility(p2, assessment)
                 scalar_order = optimistic_utility(p1, cfg) >= optimistic_utility(p2, cfg)
