@@ -59,6 +59,38 @@ RANK_REQUEST_GOLDEN = {
 }
 
 
+# `posdec verify --seed 0` on each bundled scenario: exit code of the sound
+# run, then the SHA-256 of its report, sound and with --inject-fault.  The
+# 8-prize request is over the default caps, so only its exit code is pinned.
+BUNDLED_REPORTS = [
+    pytest.param(
+        WORKED, EXIT_OK,
+        "aba3de91aa4b50e25757d490b8d0b2a5c28a9d49caa1d54f67eb0032d466b7da",
+        "75e277462aa8c3b5e30ea0393387f15e43610541b91b8d858ec0bffc739377f7",
+        id="worked_example",
+    ),
+    pytest.param(
+        ANOMALY, EXIT_OK,
+        "cfdfe59b9406bdf8f5dff79864d1f5179f1363fd0fdbadf29fab61049c67ea4d",
+        "5080b44db86448c165d1ee77c2726d2f15c1902844c0e97672766109bc99457e",
+        id="anomaly",
+    ),
+    pytest.param(
+        "scenarios/wide_4x5.json", EXIT_OK,
+        "ee2e69c99b61fc743ddc7242feb8efc200a7d9835ed3b15565c2bb4b3d2733f6",
+        "788acb1aba47746fec9b0c6c2f1dff6e36cfd8f747a8e38934790de0280fc325",
+        id="wide_4x5",
+    ),
+    pytest.param(
+        "scenarios/wide_6x6.json", EXIT_OK,
+        "e73860a6f17d4cdd94459991d7e6102104486ecc37593d856fbf650bd6e8eea1",
+        "a390f2aee93b286d057c229c13871935380f25324ae5a8ef3620203daf674784",
+        id="wide_6x6",
+    ),
+    pytest.param(RANK_REQUEST, EXIT_BOUND, None, None, id="rank_request"),
+]
+
+
 def write_scenario(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -292,6 +324,27 @@ class TestVerify:
         else:
             assert violated == []
         assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("fault", [False, True], ids=["sound", "faulted"])
+    @pytest.mark.parametrize("scenario, code, digest, faulted_digest", BUNDLED_REPORTS)
+    def test_bundled_reports_are_pinned(
+        self, tmp_path, capsys, scenario, code, digest, faulted_digest, fault
+    ):
+        """``posdec verify --seed 0`` on every bundled scenario: exit code and
+        report digest, sound and with one flipped entry."""
+        out = tmp_path / "report.txt"
+        argv = ["verify", "--scenario", scenario, "--seed", "0", "--out", str(out)]
+        if fault:
+            argv.append("--inject-fault")
+        if code == EXIT_OK and fault:
+            code = EXIT_VERIFICATION
+        assert main(argv) == code
+        capsys.readouterr()
+        if code == EXIT_BOUND:
+            assert not out.exists()
+            return
+        want = faulted_digest if fault else digest
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
     def test_bound_exceeded(self, tmp_path, capsys):
         out = str(tmp_path / "report.txt")
