@@ -22,7 +22,10 @@ A1-/B1 and A3-/B3 name the same predicates: each check names its report
 by the B axiom, and a battery evaluates it once per relation and relabels
 the report for the A axiom.  Entailment sweeps check each configuration's
 domain and scale once against its universe and build its relation from
-the criterion's integer key core, so no value object is built per member.
+the universe's integer keys: each criterion folds one per-prize term that
+reads only the prize's level, so a table of |V| terms per prize, folded
+over the grid of level tuples, gives every member's key without a call
+per member.
 Each configuration is checked against its family in ``FAMILIES`` (the
 family's battery is the key order of its expectations) across enumerated
 or seeded-sampled configuration families, with one report line per axiom
@@ -44,14 +47,7 @@ from .lotteries import (
     enumerate_distributions,
 )
 from .scales import Scale, ScaleMap, binary_rank, pair_ge_indices
-from .utilities import (
-    BinaryUtilityAssessment,
-    ScalarUtilityConfig,
-    binary_key,
-    check_domain,
-    optimistic_key,
-    pessimistic_key,
-)
+from .utilities import BinaryUtilityAssessment, ScalarUtilityConfig, check_domain
 
 def _lowest_bit(bits: int) -> int:
     """Position of the lowest set bit of a nonzero bitset."""
@@ -163,6 +159,23 @@ class LotteryUniverse:
         }
 
     @cached_property
+    def grid_gathers(self) -> tuple[Callable, Callable]:
+        """Gathers of each member's place in the level grid of every prize but
+        the last, and of its level at the last prize.
+
+        A grid holds one entry per level tuple in lexicographic order, first
+        label outermost, which is the members' own order.  Its places number
+        |V|^(|X|-1), never more than the members: each place extends to a
+        member by the top level at the last prize.  The last prize is gathered
+        per member, so no grid outgrows the universe.
+        """
+        prefixes = itertools.product(range(len(self.scale)), repeat=len(self.outcomes.labels) - 1)
+        place_of = {prefix: place for place, prefix in enumerate(prefixes)}
+        places = [place_of[vt[:-1]] for vt in self.value_tuples]
+        last_levels = [vt[-1] for vt in self.value_tuples]
+        return operator.itemgetter(*places), operator.itemgetter(*last_levels)
+
+    @cached_property
     def raises(self) -> tuple[tuple[int, ...], ...]:
         """Per member, the members one level higher at one prize.
 
@@ -269,15 +282,66 @@ def _columns(table: Sequence[int]) -> list[int]:
     return [sum((row >> b & 1) << a for a, row in enumerate(table)) for b in range(len(table))]
 
 
-def induced_relation(universe: LotteryUniverse, evaluate: Callable) -> PreferenceRelation:
+def _fold(universe: LotteryUniverse, tables: Sequence[Sequence[int]], lowest: bool) -> list[int]:
+    """Per member, the min over prizes (the max unless ``lowest``) of the
+    entry at its level in the prize's table, one table per prize in label
+    order.
+
+    Each prefix of the prizes gets the fold of every level tuple, built from
+    the one before it, entry by table entry; the last prize is folded in per
+    member through ``universe.grid_gathers``.
+    """
+    places, last_levels = universe.grid_gathers
+    grid, *middle, last = tables
+    if lowest:
+        for table in middle:
+            grid = [a if a < b else b for a in grid for b in table]
+        return [a if a < b else b for a, b in zip(places(grid), last_levels(last))]
+    for table in middle:
+        grid = [a if a > b else b for a in grid for b in table]
+    return [a if a > b else b for a, b in zip(places(grid), last_levels(last))]
+
+
+def pessimistic_keys(universe: LotteryUniverse, cfg: ScalarUtilityConfig) -> list[int]:
+    """``pessimistic_key`` of every member, in order: the min fold of
+    max(n∘h(v), u(x)).  No domain check."""
+    nh = cfg.reversed_map
+    return _fold(universe, [[t if t > u else u for t in nh] for u in cfg.prize_indices], True)
+
+
+def optimistic_keys(universe: LotteryUniverse, cfg: ScalarUtilityConfig) -> list[int]:
+    """``optimistic_key`` of every member, in order: the max fold of
+    min(h(v), u(x)).  No domain check."""
+    h = cfg.scale_map.images
+    return _fold(universe, [[t if t < u else u for t in h] for u in cfg.prize_indices], False)
+
+
+def binary_keys(universe: LotteryUniverse, a: BinaryUtilityAssessment) -> list[int]:
+    """``binary_key`` of every member, in order: the max folds of min(v,
+    first) and of min(v, second) over the prizes' pairs, joined by
+    ``pair_rank``.  No domain check."""
+    top = a.scale.top_index
+    levels = range(top + 1)
+    firsts, seconds = (
+        _fold(universe, [[v if v < p else p for v in levels] for p in column], False)
+        for column in zip(*a.pair_indices)
+    )
+    # pair_rank, inlined: one of the two is the top.
+    return [f if s == top else 2 * top - s for f, s in zip(firsts, seconds)]
+
+
+def induced_relation(universe: LotteryUniverse, keys: Iterable) -> PreferenceRelation:
     """Member i is at least as good as member j iff its utility is at least j's.
 
-    ``evaluate`` maps a member to anything hashable that ``>=`` compares: a
-    public evaluator's value, or a key core's integer.  Each member is
-    evaluated once and each distinct utility is one class, so only the
-    distinct utilities are compared with each other.
+    ``keys`` holds one utility per member, in member order: anything
+    hashable that ``>=`` compares, such as a public evaluator's value or a
+    key core's integer (``pessimistic_keys`` and its kin give a whole
+    universe's).  Each distinct utility is one class, so only the distinct
+    utilities are compared with each other.
     """
-    class_of, values = _dense(map(evaluate, universe.members))
+    class_of, values = _dense(keys)
+    if len(class_of) != len(universe):
+        raise ValueError("relation size does not match the universe")
     table = [sum(1 << b for b, v in enumerate(values) if u >= v) for u in values]
     return PreferenceRelation._of_classes(universe, class_of, table)
 
@@ -879,18 +943,18 @@ def verify_entailments(
 
     # Every member of a universe shares its domain and scale, so one check per
     # (universe, configuration) stands for the public evaluators' check per
-    # member, and the relation is built from the integer key cores.
+    # member, and the relation is built from the universe's integer keys.
     def scalar(pess_id: str, opt_id: str, uni: LotteryUniverse, cfg: ScalarUtilityConfig):
         check_domain(uni.outcomes, uni.scale, cfg.outcomes, cfg.uncertainty_scale)
-        yield pess_id, "pessimistic", uni, cfg, partial(pessimistic_key, cfg=cfg)
-        yield opt_id, "optimistic", uni, cfg, partial(optimistic_key, cfg=cfg)
+        yield pess_id, "pessimistic", uni, cfg, pessimistic_keys
+        yield opt_id, "optimistic", uni, cfg, optimistic_keys
 
     def binary(config_id: str, family: str, uni: LotteryUniverse, a: BinaryUtilityAssessment):
         check_domain(uni.outcomes, uni.scale, a.outcomes, a.scale)
-        yield config_id, family, uni, a, partial(binary_key, a=a)
+        yield config_id, family, uni, a, binary_keys
 
     def configs():
-        """(config id, family, universe, config or assessment, key core), in report order."""
+        """(config id, family, universe, config or assessment, universe keys), in report order."""
         if scalar_config is not None:
             yield from scalar(
                 "scenario-pessimistic", "scenario-optimistic", universe, scalar_config
@@ -920,11 +984,11 @@ def verify_entailments(
 
     verdicts: dict[tuple, list[AxiomReport]] = {}
     run = EntailmentRun()
-    for config_id, family, uni, given, evaluate in configs():
+    for config_id, family, uni, given, keys in configs():
         key = family, uni, given
         reports = verdicts.get(key)
         if reports is None:
-            relation = induced_relation(uni, evaluate)
+            relation = induced_relation(uni, keys(uni, given))
             if fault is None:
                 reports = verdicts[key] = _run_battery(relation, FAMILIES[family])
             else:
@@ -997,9 +1061,10 @@ def search_pair_counterexample(
     # their first member.  A first witness (i, j) has i first in its group:
     # any earlier member of the group would pair with i or with j.
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, m in enumerate(universe.members):
-        groups.setdefault((pessimistic_key(m, cfg), optimistic_key(m, cfg)), []).append(i)
-    pair_key = [binary_key(m, assessment) for m in universe.members]
+    scalar_keys = zip(pessimistic_keys(universe, cfg), optimistic_keys(universe, cfg))
+    for i, key in enumerate(scalar_keys):
+        groups.setdefault(key, []).append(i)
+    pair_key = binary_keys(universe, assessment)
     for members in groups.values():
         i = members[0]
         for j in members:

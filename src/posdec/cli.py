@@ -315,6 +315,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # Only verify needs the checker; the other commands never load it.
     from .axioms import LotteryUniverse, format_report, verify_entailments
 
+    if args.sample < 0:
+        raise ValueError(f"--sample={args.sample} must be at least 0")
     for flag, value, cap in (
         ("--max-outcomes", args.max_outcomes, HARD_CAP),
         ("--max-levels", args.max_levels, HARD_CAP),

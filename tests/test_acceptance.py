@@ -85,6 +85,11 @@ def worked_style_config(nx: int, nv: int = 4) -> tuple[LotteryUniverse, ScalarUt
     return LotteryUniverse(ranked, scale_v), cfg
 
 
+def induced_by(universe, evaluate):
+    """The relation an evaluator induces, one evaluation per member."""
+    return induced_relation(universe, map(evaluate, universe.members))
+
+
 def report(number, text):
     print(f"criterion {number:>2}: {text}")
 
@@ -104,8 +109,8 @@ def scalar_family(example_scenario, example_universe):
         (
             "worked-example",
             example_universe,
-            induced_relation(example_universe, partial(pessimistic_utility, cfg=cfg)),
-            induced_relation(example_universe, partial(optimistic_utility, cfg=cfg)),
+            induced_by(example_universe, partial(pessimistic_utility, cfg=cfg)),
+            induced_by(example_universe, partial(optimistic_utility, cfg=cfg)),
         )
     )
     cache = {}
@@ -118,8 +123,8 @@ def scalar_family(example_scenario, example_universe):
             (
                 f"sample-{i:03d}",
                 uni,
-                induced_relation(uni, partial(pessimistic_utility, cfg=sampled)),
-                induced_relation(uni, partial(optimistic_utility, cfg=sampled)),
+                induced_by(uni, partial(pessimistic_utility, cfg=sampled)),
+                induced_by(uni, partial(optimistic_utility, cfg=sampled)),
             )
         )
     return {"build_seconds": time.perf_counter() - t0, "entries": entries}
@@ -240,7 +245,7 @@ def test_criterion_05_binary_representation_forward():
     assessments = enumerate_assessments(universe.outcomes, universe.scale)
     assert len(assessments) == 5
     for assessment in assessments:
-        rel = induced_relation(universe, partial(binary_utility, a=assessment))
+        rel = induced_by(universe, partial(binary_utility, a=assessment))
         assert check_total_preorder(rel).satisfied
         assert check_qualitative_monotonicity(rel).satisfied
         assert check_substitutability(rel).satisfied
@@ -310,21 +315,19 @@ def test_criterion_08_half_encoded_and_mixed(example_scenario, example_universe)
             for assessment in enumerate_assessments(
                 universe.outcomes, universe.scale, half="best"
             ):
-                rel = induced_relation(universe, partial(binary_utility, a=assessment))
+                rel = induced_by(universe, partial(binary_utility, a=assessment))
                 assert check_uncertainty_attitude(rel, "aversion").satisfied
                 assert check_continuity(rel, "A4-").satisfied
                 half_checked += 1
             for assessment in enumerate_assessments(
                 universe.outcomes, universe.scale, half="worst"
             ):
-                rel = induced_relation(universe, partial(binary_utility, a=assessment))
+                rel = induced_by(universe, partial(binary_utility, a=assessment))
                 assert check_uncertainty_attitude(rel, "attraction").satisfied
                 assert check_continuity(rel, "A4+").satisfied
                 half_checked += 1
 
-    rel = induced_relation(
-        example_universe, partial(binary_utility, a=example_scenario.assessment)
-    )
+    rel = induced_by(example_universe, partial(binary_utility, a=example_scenario.assessment))
     assert not check_uncertainty_attitude(rel, "aversion").satisfied
     assert not check_uncertainty_attitude(rel, "attraction").satisfied
 
@@ -387,7 +390,7 @@ def test_criterion_10_standard_order_decomposition():
     for size in range(2, 7):
         universe = LotteryUniverse(canonical_outcomes(2), canonical_scale(size))
         assessment = enumerate_assessments(universe.outcomes, universe.scale)[0]
-        rel = induced_relation(universe, partial(binary_utility, a=assessment))
+        rel = induced_by(universe, partial(binary_utility, a=assessment))
         assert check_standard_order_decomposition(rel).satisfied
     elapsed = time.perf_counter() - t0
     assert elapsed < 0.1

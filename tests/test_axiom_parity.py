@@ -29,6 +29,7 @@ from posdec.axioms import (
     CONTINUITY_VARIANTS,
     LotteryUniverse,
     PreferenceRelation,
+    binary_keys,
     canonical_outcomes,
     canonical_scale,
     check_continuity,
@@ -40,6 +41,8 @@ from posdec.axioms import (
     enumerate_assessments,
     enumerate_scalar_configs,
     induced_relation,
+    optimistic_keys,
+    pessimistic_keys,
     search_pair_counterexample,
 )
 from posdec.utilities import binary_utility, optimistic_utility, pessimistic_utility
@@ -67,7 +70,7 @@ def relations(draw):
     n = len(universe)
     keys = draw(st.lists(st.integers(0, draw(st.integers(1, 6))), min_size=n, max_size=n))
     evaluate = lambda m: keys[universe.index_of[m.indices]]  # noqa: E731
-    rel = induced_relation(universe, evaluate)
+    rel = induced_relation(universe, map(evaluate, universe.members))
     # Diagonal flips leave members indifferent to nothing (class -1).
     entry = st.one_of(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
@@ -160,10 +163,36 @@ def test_induced_relation_matches_naive_matrix(data):
         configs = enumerate_scalar_configs(universe.outcomes, universe.scale)
         criterion = pessimistic_utility if kind == "pessimistic" else optimistic_utility
         evaluate = partial(criterion, cfg=data.draw(st.sampled_from(configs)))
-    rel = induced_relation(universe, evaluate)
+    rel = induced_relation(universe, map(evaluate, universe.members))
     matrix = naive_matrix(universe, evaluate)
     assert oracle.matrix_of(rel) == matrix
     assert rel.rows == oracle.rows_of(matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_flipped_fold_relations_match_oracles(data):
+    """A relation built from a universe's folded keys, with 1-3 entries
+    flipped, reports as the oracles do on its flipped copy."""
+    universe = UNIVERSES[data.draw(st.sampled_from(SHAPES))]
+    kind = data.draw(st.sampled_from((pessimistic_keys, optimistic_keys, binary_keys)))
+    if kind is binary_keys:
+        given = enumerate_assessments(universe.outcomes, universe.scale)
+    else:
+        given = enumerate_scalar_configs(universe.outcomes, universe.scale)
+    rel = induced_relation(universe, kind(universe, data.draw(st.sampled_from(given))))
+    n = rel.size
+    flips = data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=3)
+    )
+    for i, j in flips:
+        rel = rel.with_flipped(i, j)
+    assert fields(check_total_preorder(rel)) == fields(oracle.check_total_preorder(rel))
+    for direction in ("aversion", "attraction"):
+        assert fields(check_uncertainty_attitude(rel, direction)) == fields(
+            oracle.check_uncertainty_attitude(rel, direction)
+        )
+    assert fields(check_substitutability(rel)) == fields(oracle.check_substitutability(rel))
 
 
 def test_mixtures_onto_two_members_indifferent_to_nothing():
@@ -174,7 +203,7 @@ def test_mixtures_onto_two_members_indifferent_to_nothing():
     universe = UNIVERSES[(3, 3)]
     keys = [0] * len(universe)
     keys[4], keys[9] = 1, 2
-    rel = induced_relation(universe, lambda m: keys[universe.index_of[m.indices]])
+    rel = induced_relation(universe, keys)
     rel = rel.with_flipped(4, 4).with_flipped(9, 9)
     report = check_substitutability(rel)
     assert fields(report) == fields(oracle.check_substitutability(rel))
@@ -197,7 +226,7 @@ def test_twins_not_indifferent_to_each_other(top_key):
     universe = UNIVERSES[(3, 3)]
     keys = [0] * len(universe)
     keys[4] = keys[9] = top_key
-    rel = induced_relation(universe, lambda m: keys[universe.index_of[m.indices]])
+    rel = induced_relation(universe, keys)
     for entry in itertools.product((4, 9), repeat=2):
         rel = rel.with_flipped(*entry)
     rel = PreferenceRelation(universe, rel.rows)
@@ -240,7 +269,7 @@ def test_faulted_binary_relations_match_oracles(shape, seed, off_diagonal):
     universe = LotteryUniverse(canonical_outcomes(shape[0]), canonical_scale(shape[1]))
     rng = random.Random(seed)
     assessment = rng.choice(enumerate_assessments(universe.outcomes, universe.scale))
-    rel = induced_relation(universe, partial(binary_utility, a=assessment)).with_flipped(0, 0)
+    rel = induced_relation(universe, binary_keys(universe, assessment)).with_flipped(0, 0)
     for _ in range(off_diagonal):
         rel = rel.with_flipped(*rng.sample(range(len(universe)), 2))
     assert fields(check_total_preorder(rel)) == fields(oracle.check_total_preorder(rel))

@@ -46,6 +46,11 @@ from posdec.utilities import (
 )
 
 
+def induced_by(universe, evaluate):
+    """The relation an evaluator induces, one evaluation per member."""
+    return induced_relation(universe, map(evaluate, universe.members))
+
+
 @pytest.fixture(scope="module")
 def tiny_universe():
     """Two outcomes over the two-point scale: three lotteries, all standard."""
@@ -64,16 +69,13 @@ def example_universe(example_scenario):
 
 @pytest.fixture(scope="module")
 def example_binary_relation(example_scenario, example_universe):
-    return induced_relation(
-        example_universe, partial(binary_utility, a=example_scenario.assessment)
-    )
+    return induced_by(example_universe, partial(binary_utility, a=example_scenario.assessment))
 
 
 @pytest.fixture(scope="module")
 def example_pessimistic_relation(example_scenario, example_universe):
-    return induced_relation(
-        example_universe,
-        partial(pessimistic_utility, cfg=example_scenario.pessimistic_config),
+    return induced_by(
+        example_universe, partial(pessimistic_utility, cfg=example_scenario.pessimistic_config)
     )
 
 
@@ -95,9 +97,7 @@ def tiny_assessment(universe):
 
 class TestInducedRelation:
     def test_tiny_binary_total_order(self, tiny_universe):
-        rel = induced_relation(
-            tiny_universe, partial(binary_utility, a=tiny_assessment(tiny_universe))
-        )
+        rel = induced_by(tiny_universe, partial(binary_utility, a=tiny_assessment(tiny_universe)))
         assert len(tiny_universe) == 3
         by_value = {vt: i for i, vt in enumerate(tiny_universe.value_tuples)}
         best = by_value[(1, 0)]
@@ -175,11 +175,11 @@ class TestClassForm:
     def wide_relation():
         universe = LotteryUniverse(canonical_outcomes(4), canonical_scale(5))
         assessment = enumerate_assessments(universe.outcomes, universe.scale)[40]
-        return induced_relation(universe, partial(binary_utility, a=assessment))
+        return induced_by(universe, partial(binary_utility, a=assessment))
 
     def test_one_class_per_distinct_utility(self, example_scenario, example_universe):
         evaluate = partial(binary_utility, a=example_scenario.assessment)
-        rel = induced_relation(example_universe, evaluate)
+        rel = induced_by(example_universe, evaluate)
         values = [evaluate(m) for m in example_universe.members]
         assert len(rel.table) == len(set(values)) <= 2 * len(example_universe.scale) - 1
         assert rel.first_members == sorted(values.index(v) for v in set(values))
@@ -235,17 +235,14 @@ class TestUncertaintyAttitude:
         assert check_uncertainty_attitude(example_pessimistic_relation, "aversion").satisfied
 
     def test_optimistic_is_attracted(self, example_scenario, example_universe):
-        rel = induced_relation(
-            example_universe,
-            partial(optimistic_utility, cfg=example_scenario.pessimistic_config),
+        rel = induced_by(
+            example_universe, partial(optimistic_utility, cfg=example_scenario.pessimistic_config)
         )
         assert check_uncertainty_attitude(rel, "attraction").satisfied
 
     def test_binary_violates_both_with_anomaly_witness(self, anomaly_scenario):
         universe = LotteryUniverse(anomaly_scenario.outcomes, anomaly_scenario.scale_v)
-        rel = induced_relation(
-            universe, partial(binary_utility, a=anomaly_scenario.assessment)
-        )
+        rel = induced_by(universe, partial(binary_utility, a=anomaly_scenario.assessment))
         report = check_uncertainty_attitude(rel, "aversion")
         assert not report.satisfied
         smaller, larger = report.witness
@@ -254,9 +251,7 @@ class TestUncertaintyAttitude:
         assert not check_uncertainty_attitude(rel, "attraction").satisfied
 
     def test_witness_replays(self, example_scenario, example_universe):
-        rel = induced_relation(
-            example_universe, partial(binary_utility, a=example_scenario.assessment)
-        )
+        rel = induced_by(example_universe, partial(binary_utility, a=example_scenario.assessment))
         report = check_uncertainty_attitude(rel, "aversion")
         assert not report.satisfied
         i, j = report.witness
@@ -271,9 +266,7 @@ class TestSubstitutability:
         assert check_substitutability(example_pessimistic_relation).satisfied
 
     def test_equated_strict_pair_violates(self, small_universe):
-        rel = induced_relation(
-            small_universe, partial(binary_utility, a=tiny_assessment(small_universe))
-        )
+        rel = induced_by(small_universe, partial(binary_utility, a=tiny_assessment(small_universe)))
         by_value = {vt: i for i, vt in enumerate(small_universe.value_tuples)}
         worst = by_value[(0, 2)]
         both = by_value[(2, 2)]
@@ -313,7 +306,7 @@ class TestSubstitutability:
                     break
             else:
                 pytest.fail(f"generator {key} is implied by the others")
-            rel = induced_relation(universe, lambda m: block[universe.index_of[m.indices]])
+            rel = induced_relation(universe, block)
             assert check_substitutability(rel).witness[2:5] == key
 
     @pytest.fixture(scope="class")
@@ -321,7 +314,7 @@ class TestSubstitutability:
         """The 6x6 relation of the last binary assessment, its maps built."""
         universe = LotteryUniverse(canonical_outcomes(6), canonical_scale(6))
         assessment = enumerate_assessments(universe.outcomes, universe.scale)[-1]
-        rel = induced_relation(universe, partial(binary_utility, a=assessment))
+        rel = induced_by(universe, partial(binary_utility, a=assessment))
         universe.generator_maps  # Built here, so the test times the check alone.
         return rel
 
@@ -371,9 +364,8 @@ class TestContinuity:
         assert check_continuity(example_pessimistic_relation, "A4-").satisfied
 
     def test_optimistic_scalar_continuity(self, example_scenario, example_universe):
-        rel = induced_relation(
-            example_universe,
-            partial(optimistic_utility, cfg=example_scenario.pessimistic_config),
+        rel = induced_by(
+            example_universe, partial(optimistic_utility, cfg=example_scenario.pessimistic_config)
         )
         assert check_continuity(rel, "A4+").satisfied
 
@@ -386,7 +378,7 @@ class TestContinuity:
         assessment = enumerate_assessments(
             small_universe.outcomes, small_universe.scale, half="best"
         )[0]
-        rel = induced_relation(small_universe, partial(binary_utility, a=assessment))
+        rel = induced_by(small_universe, partial(binary_utility, a=assessment))
         assert check_continuity(rel, "B4-").satisfied
 
     def test_unknown_variant(self, example_binary_relation):
@@ -408,9 +400,7 @@ class TestQualitativeMonotonicity:
         assert example_pessimistic_relation.at_least(ia, ib)
 
     def test_flipped_standard_pair_violates(self, tiny_universe):
-        rel = induced_relation(
-            tiny_universe, partial(binary_utility, a=tiny_assessment(tiny_universe))
-        )
+        rel = induced_by(tiny_universe, partial(binary_utility, a=tiny_assessment(tiny_universe)))
         by_value = {vt: i for i, vt in enumerate(tiny_universe.value_tuples)}
         best = by_value[(1, 0)]
         both = by_value[(1, 1)]
@@ -423,22 +413,16 @@ class TestDecomposition:
     @pytest.mark.parametrize("size", range(2, 7))
     def test_binary_relation_decomposes(self, size):
         universe = LotteryUniverse(canonical_outcomes(2), canonical_scale(size))
-        rel = induced_relation(
-            universe, partial(binary_utility, a=tiny_assessment(universe))
-        )
+        rel = induced_by(universe, partial(binary_utility, a=tiny_assessment(universe)))
         assert check_standard_order_decomposition(rel).satisfied
 
     def test_tiny_case_has_nine_pairs(self, tiny_universe):
         assert len(tiny_universe.standard_info) == 3
-        rel = induced_relation(
-            tiny_universe, partial(binary_utility, a=tiny_assessment(tiny_universe))
-        )
+        rel = induced_by(tiny_universe, partial(binary_utility, a=tiny_assessment(tiny_universe)))
         assert check_standard_order_decomposition(rel).satisfied
 
     def test_flipped_cross_pair_violates(self, small_universe):
-        rel = induced_relation(
-            small_universe, partial(binary_utility, a=tiny_assessment(small_universe))
-        )
+        rel = induced_by(small_universe, partial(binary_utility, a=tiny_assessment(small_universe)))
         by_value = {vt: i for i, vt in enumerate(small_universe.value_tuples)}
         in_minus = by_value[(2, 1)]
         in_plus = by_value[(1, 2)]
@@ -640,7 +624,7 @@ class TestVerifyEntailments:
                 ("pess", "pessimistic", pessimistic_utility),
                 ("opt", "optimistic", optimistic_utility),
             ):
-                relation = induced_relation(universe, partial(utility, cfg=cfg))
+                relation = induced_by(universe, partial(utility, cfg=cfg))
                 fresh = axioms._run_battery(relation, FAMILIES[family])
                 assert by_id[f"{prefix}-sample-{i:03d}"] == fresh
 
@@ -701,7 +685,7 @@ class TestVerifyEntailments:
     def test_binary_battery_at_four_levels(self, nx, nv):
         universe = LotteryUniverse(canonical_outcomes(nx), canonical_scale(nv))
         for assessment in enumerate_assessments(universe.outcomes, universe.scale):
-            rel = induced_relation(universe, partial(binary_utility, a=assessment))
+            rel = induced_by(universe, partial(binary_utility, a=assessment))
             assert check_total_preorder(rel).satisfied
             assert check_qualitative_monotonicity(rel).satisfied
             assert check_substitutability(rel).satisfied
@@ -797,7 +781,7 @@ def naive_substitutability_holds(rel):
 def test_substitutability_matches_naive_oracle(data):
     universe = LotteryUniverse(canonical_outcomes(2), canonical_scale(3))
     assessment = enumerate_assessments(universe.outcomes, universe.scale)[0]
-    rel = induced_relation(universe, partial(binary_utility, a=assessment))
+    rel = induced_by(universe, partial(binary_utility, a=assessment))
     n = rel.size
     flips = data.draw(
         st.lists(
@@ -815,7 +799,7 @@ def draw_flipped_relation(data):
     """A binary-induced relation on 2x3 with one to three entries flipped."""
     universe = LotteryUniverse(canonical_outcomes(2), canonical_scale(3))
     assessment = enumerate_assessments(universe.outcomes, universe.scale)[0]
-    rel = induced_relation(universe, partial(binary_utility, a=assessment))
+    rel = induced_by(universe, partial(binary_utility, a=assessment))
     n = rel.size
     flips = data.draw(
         st.lists(

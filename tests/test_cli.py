@@ -363,6 +363,12 @@ class TestVerify:
             "pass --unsafe-bounds to override\n"
         )
 
+    @pytest.mark.parametrize("unsafe", [[], ["--unsafe-bounds"]], ids=["capped", "unsafe"])
+    def test_negative_sample_is_rejected_before_the_scenario_is_read(self, capsys, unsafe):
+        argv = ["verify", "--scenario", "no-such-scenario.json", "--sample", "-1", *unsafe]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: --sample=-1 must be at least 0\n"
+
     def test_sample_over_cap_runs_with_unsafe_flag(self, tmp_path, capsys):
         out = str(tmp_path / "report.txt")
         argv = ["verify", "--scenario", WORKED, "--sample", "10001", "--unsafe-bounds",

@@ -4,14 +4,20 @@ import itertools
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posdec.axioms import (
     LotteryUniverse,
+    binary_keys,
     canonical_outcomes,
     canonical_scale,
     enumerate_assessments,
     enumerate_scalar_configs,
+    enumerate_scale_maps,
     induced_relation,
+    optimistic_keys,
+    pessimistic_keys,
 )
 from posdec.lotteries import (
     OutcomeSet,
@@ -29,6 +35,7 @@ from posdec.scales import (
     binary_rank,
     ext_max,
     ext_min,
+    pair_rank,
 )
 from posdec.utilities import (
     BinaryUtilityAssessment,
@@ -451,24 +458,72 @@ def _classes_from_keys(outcomes, keys):
 
 
 KEY_SPACES = [(nx, nv) for nx in (2, 3) for nv in (2, 3, 4)]
+WIDE = [LotteryUniverse(canonical_outcomes(nx), canonical_scale(nv)) for nx, nv in ((4, 5), (5, 5))]
+
+
+# A universe whose best prize is not its first label and whose labels are
+# not in preference order, as perfbench's shuffled prizes make them.
+SHUFFLED = LotteryUniverse(
+    OutcomeSet(("x2", "x0", "x3", "x1"), "x3", "x0", (("x3",), ("x1",), ("x2",), ("x0",))),
+    Scale(("0", ".3", ".7", "1"), name="V"),
+)
+
+
+def assert_scalar_keys(universe, cfg):
+    """Universe keys, per-member cores and public values agree, and so do
+    the relations built from the keys and from the values."""
+    for keys, core, public in (
+        (pessimistic_keys, pessimistic_key, pessimistic_utility),
+        (optimistic_keys, optimistic_key, optimistic_utility),
+    ):
+        folded = keys(universe, cfg)
+        assert folded == [core(m, cfg) for m in universe.members]
+        assert folded == [public(m, cfg).index for m in universe.members]
+        from_values = induced_relation(universe, map(partial(public, cfg=cfg), universe.members))
+        assert induced_relation(universe, folded).rows == from_values.rows
+
+
+def assert_binary_keys(universe, a):
+    folded = binary_keys(universe, a)
+    assert folded == [binary_key(m, a) for m in universe.members]
+    values = [binary_utility(m, a) for m in universe.members]
+    assert folded == [binary_rank(value) for value in values]
+    assert induced_relation(universe, folded).rows == induced_relation(universe, values).rows
+
+
+@st.composite
+def drawn_configs(draw, universe):
+    """A scalar configuration and an assessment over the universe, each
+    with preference classes that follow its prize utilities."""
+    outcomes, scale = universe.outcomes, universe.scale
+    interior = [x for x in outcomes.labels if x not in (outcomes.best, outcomes.worst)]
+    u_size = draw(st.integers(2, len(scale)))
+    h = draw(st.sampled_from(enumerate_scale_maps(scale, canonical_scale(u_size, name="U"))))
+    utility = {outcomes.best: u_size - 1, outcomes.worst: 0}
+    utility.update((x, draw(st.integers(0, u_size - 1))) for x in interior)
+    ranked = OutcomeSet(outcomes.labels, outcomes.best, outcomes.worst,
+                        _classes_from_keys(outcomes, utility))
+    cfg = ScalarUtilityConfig.from_indices(ranked, h, utility)
+    top = scale.top_index
+    pairs = {outcomes.best: (top, 0), outcomes.worst: (0, top)}
+    for x in interior:
+        rank = draw(st.integers(0, 2 * top))
+        pairs[x] = (rank, top) if rank <= top else (top, 2 * top - rank)
+    ranks = {x: pair_rank(*pair, top) for x, pair in pairs.items()}
+    ranked = OutcomeSet(outcomes.labels, outcomes.best, outcomes.worst,
+                        _classes_from_keys(outcomes, ranks))
+    return cfg, BinaryUtilityAssessment.from_indices(ranked, scale, pairs)
 
 
 class TestKeyCores:
-    """The integer key cores agree with the public evaluators on every member."""
+    """A universe's folded keys, the per-member key cores and the public
+    evaluators agree on every member."""
 
     @pytest.mark.parametrize("nx,nv", KEY_SPACES)
     def test_scalar_cores(self, nx, nv):
         universe = LotteryUniverse(canonical_outcomes(nx), canonical_scale(nv))
         for cfg in enumerate_scalar_configs(universe.outcomes, universe.scale):
-            for core, public in (
-                (pessimistic_key, pessimistic_utility),
-                (optimistic_key, optimistic_utility),
-            ):
-                for m in universe.members:
-                    assert core(m, cfg) == public(m, cfg).index
-                from_cores = induced_relation(universe, partial(core, cfg=cfg))
-                from_values = induced_relation(universe, partial(public, cfg=cfg))
-                assert from_cores.rows == from_values.rows
+            assert_scalar_keys(universe, cfg)
 
     @pytest.mark.parametrize("nx,nv", KEY_SPACES)
     @pytest.mark.parametrize("half", [None, "best", "worst"])
@@ -476,12 +531,25 @@ class TestKeyCores:
         universe = LotteryUniverse(canonical_outcomes(nx), canonical_scale(nv))
         for a in enumerate_assessments(universe.outcomes, universe.scale, half):
             for m in universe.members:
-                value = binary_utility(m, a)
-                assert value == binary_utility_by_pair_algebra(m, a)
-                assert binary_key(m, a) == binary_rank(value)
-            from_cores = induced_relation(universe, partial(binary_key, a=a))
-            from_values = induced_relation(universe, partial(binary_utility, a=a))
-            assert from_cores.rows == from_values.rows
+                assert binary_utility(m, a) == binary_utility_by_pair_algebra(m, a)
+            assert_binary_keys(universe, a)
+
+    def test_shuffled_prizes(self):
+        outcomes, scale = SHUFFLED.outcomes, SHUFFLED.scale
+        assert outcomes.labels[0] != outcomes.best
+        for cfg in enumerate_scalar_configs(outcomes, scale):
+            assert_scalar_keys(SHUFFLED, cfg)
+        for half in (None, "best", "worst"):
+            for a in enumerate_assessments(outcomes, scale, half):
+                assert_binary_keys(SHUFFLED, a)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_drawn_configs_on_wide_universes(self, data):
+        universe = data.draw(st.sampled_from(WIDE))
+        cfg, a = data.draw(drawn_configs(universe))
+        assert_scalar_keys(universe, cfg)
+        assert_binary_keys(universe, a)
 
 
 class TestDomainMismatch:
