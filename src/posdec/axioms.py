@@ -164,10 +164,10 @@ class LotteryUniverse:
         the last, and of its level at the last prize.
 
         A grid holds one entry per level tuple in lexicographic order, first
-        label outermost, which is the members' own order.  Its places number
-        |V|^(|X|-1), never more than the members: each place extends to a
-        member by the top level at the last prize.  The last prize is gathered
-        per member, so no grid outgrows the universe.
+        label outermost.  Its places number |V|^(|X|-1), never more than the
+        members: each place extends to a member by the top level at the last
+        prize.  The last prize is gathered per member, so no grid outgrows
+        the universe.
         """
         prefixes = itertools.product(range(len(self.scale)), repeat=len(self.outcomes.labels) - 1)
         place_of = {prefix: place for place, prefix in enumerate(prefixes)}

@@ -107,6 +107,11 @@ class TestInducedRelation:
         assert rel.at_least(both, worst) and not rel.at_least(worst, both)
         assert rel.at_least(best, worst) and not rel.at_least(worst, best)
 
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_one_key_per_member(self, tiny_universe, extra):
+        with pytest.raises(ValueError, match="relation size does not match the universe"):
+            induced_relation(tiny_universe, range(len(tiny_universe) + extra))
+
     def test_reflexive(self, example_binary_relation):
         for i in range(example_binary_relation.size):
             assert example_binary_relation.at_least(i, i)
