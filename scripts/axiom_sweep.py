@@ -25,13 +25,17 @@ def main() -> int:
     parser.add_argument("--out", default="axiom-sweep-report.txt")
     args = parser.parse_args()
 
-    run = verify_entailments(
-        seed=args.seed,
-        sample_size=args.sample,
-        sample_max_outcomes=args.max_outcomes,
-        sample_max_levels=args.max_levels,
-        enumerate_max=tuple(args.enumerate_to),
-    )
+    try:
+        run = verify_entailments(
+            seed=args.seed,
+            sample_size=args.sample,
+            sample_max_outcomes=args.max_outcomes,
+            sample_max_levels=args.max_levels,
+            enumerate_max=tuple(args.enumerate_to),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(format_report(run))
 

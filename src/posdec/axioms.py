@@ -20,17 +20,13 @@ codes.  Every check stays complete and returns the first concrete
 witness, which can be replayed.
 A1-/B1 and A3-/B3 name the same predicates: each check names its report
 by the B axiom, and a battery evaluates it once per relation and relabels
-the report for the A axiom.  Entailment sweeps check each configuration's
-domain and scale once against its universe and build its relation from
-the universe's integer keys: each criterion folds one per-prize term that
-reads only the prize's level, so a table of |V| terms per prize, folded
-over the grid of level tuples, gives every member's key without a call
-per member.
-Each configuration is checked against its family in ``FAMILIES`` (the
-family's battery is the key order of its expectations) across enumerated
-or seeded-sampled configuration families, with one report line per axiom
-per configuration; a (family, universe, configuration) repeated within
-one sweep is checked once.
+the report for the A axiom.
+An entailment sweep checks each enumerated or seeded-sampled
+configuration against its family in ``FAMILIES`` (the battery is the key
+order of its expectations), one report line per axiom per configuration.
+It checks a configuration's domain and scale once against its universe,
+builds the relation from per-prize term tables folded over the grid of
+level tuples, and runs each check once per distinct relation it meets.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from typing import Callable, Iterable, Sequence
 
@@ -654,18 +650,21 @@ def canonical_outcomes(count: int) -> OutcomeSet:
     return OutcomeSet(labels, best=labels[0], worst=labels[-1])
 
 
-def _outcomes_with_ranks(base: OutcomeSet, rank_key: dict[str, int]) -> OutcomeSet:
+def _outcomes_with_ranks(base: OutcomeSet, rank_key: dict[str, int], built: dict) -> OutcomeSet:
     """Rebuild an outcome set whose preference classes follow the given keys.
 
     Larger keys are better.  The best prize must carry the largest key and
-    the worst the smallest; generators arrange that.
+    the worst the smallest; generators arrange that.  ``built`` holds the
+    sets the caller has built.
     """
     distinct = sorted(set(rank_key.values()), reverse=True)
     classes = tuple(
         tuple(label for label in base.labels if rank_key[label] == key)
         for key in distinct
     )
-    return OutcomeSet(base.labels, base.best, base.worst, classes)
+    if (base, classes) not in built:
+        built[base, classes] = OutcomeSet(base.labels, base.best, base.worst, classes)
+    return built[base, classes]
 
 
 def enumerate_scale_maps(source: Scale, target: Scale) -> list[ScaleMap]:
@@ -681,14 +680,14 @@ def enumerate_scale_maps(source: Scale, target: Scale) -> list[ScaleMap]:
 
 
 def _scalar_config(
-    outcomes: OutcomeSet, h: ScaleMap, rank_key: dict[str, int]
+    outcomes: OutcomeSet, h: ScaleMap, rank_key: dict[str, int], built: dict
 ) -> ScalarUtilityConfig:
     """The configuration whose prize utilities are the rank keys on h's target.
 
     Preference classes follow the keys.
     """
     return ScalarUtilityConfig(
-        _outcomes_with_ranks(outcomes, rank_key),
+        _outcomes_with_ranks(outcomes, rank_key, built),
         h,
         tuple(rank_key[label] for label in outcomes.labels),
     )
@@ -703,7 +702,7 @@ def enumerate_scalar_configs(
     valid onto map, and every anchored prize assignment.  Each utility
     scale has one order-reversing involution, so there is none to range over.
     """
-    configs = []
+    configs, built = [], {}
     interior = tuple(
         l for l in outcomes.labels if l not in (outcomes.best, outcomes.worst)
     )
@@ -712,7 +711,7 @@ def enumerate_scalar_configs(
             for combo in itertools.product(range(u_size), repeat=len(interior)):
                 rank_key = {outcomes.best: u_size - 1, outcomes.worst: 0}
                 rank_key.update(zip(interior, combo))
-                configs.append(_scalar_config(outcomes, h, rank_key))
+                configs.append(_scalar_config(outcomes, h, rank_key, built))
     return configs
 
 
@@ -726,9 +725,10 @@ def sample_scalar_configs(
 
     Dimensions, utility scale, onto map and prize assignment are all drawn
     from one seeded generator, so a fixed seed pins the whole family.
+    Repeated draws share one entry.
     """
     rng = random.Random(seed)
-    out = []
+    out, built, drawn = [], {}, {}
     scale_maps: dict[tuple[int, int], list[ScaleMap]] = {}
     for _ in range(count):
         nx = rng.randint(2, max_outcomes)
@@ -743,7 +743,10 @@ def sample_scalar_configs(
         for label in base.labels:
             if label not in (base.best, base.worst):
                 rank_key[label] = rng.randrange(nu)
-        out.append((base, v_scale, _scalar_config(base, h, rank_key)))
+        key = h.images, tuple(rank_key.values())
+        if key not in drawn:
+            drawn[key] = base, v_scale, _scalar_config(base, h, rank_key, built)
+        out.append(drawn[key])
     return out
 
 
@@ -779,10 +782,10 @@ def enumerate_assessments(
             dict(zip(labels, reversed(combo)))
             for combo in itertools.combinations_with_replacement(pool, len(labels))
         ]
-    result = []
+    result, built = [], {}
     for table in tables:
         rank_key = {label: binary_rank(table[label]) for label in outcomes.labels}
-        variant = _outcomes_with_ranks(outcomes, rank_key)
+        variant = _outcomes_with_ranks(outcomes, rank_key, built)
         result.append(
             BinaryUtilityAssessment.from_mapping(
                 variant, scale, table, require_anchors=half is None
@@ -877,8 +880,7 @@ class EntailmentRun:
 
 # The check behind each axiom.  Entries look their check up by module name at
 # call time, so a wrapper set on the module attribute sees every check a sweep
-# runs; a (family, universe, configuration) repeated within a sweep is not
-# checked again.
+# runs.
 _CHECKS = {
     "A1-": lambda r: check_total_preorder(r),
     "A2-": lambda r: check_uncertainty_attitude(r, "aversion"),
@@ -891,22 +893,23 @@ _CHECKS = {
     "B4-": lambda r: check_continuity(r, "B4-"),
     "B4+": lambda r: check_continuity(r, "B4+"),
 }
-# B1 and B3 restate A1- and A3-: one entry each, so one evaluation per
-# relation.  A check names its report by the B axiom; the battery relabels
-# it (no witness or detail names the axiom).
+# B1 and B3 restate A1- and A3-: one evaluation per relation serves both.  A
+# check names its report by the B axiom; the battery relabels it (no witness
+# or detail names the axiom).
 _CHECKS["B1"], _CHECKS["B3"] = _CHECKS["A1-"], _CHECKS["A3-"]
+_TWIN = {"A1-": "B1", "B1": "A1-", "A3-": "B3", "B3": "A3-"}
 
 
-def _run_battery(r: PreferenceRelation, battery: Iterable[str]) -> list[AxiomReport]:
-    done: dict = {}
-    reports = []
+def _run_battery(r: PreferenceRelation, battery: Iterable[str], done=None) -> list[AxiomReport]:
+    """r's reports in battery order; ``done`` (axiom -> report) gains the new ones."""
+    done = {} if done is None else done
     for axiom in battery:
-        check = _CHECKS[axiom]
-        if check not in done:
-            done[check] = check(r)
-        report = done[check]
-        reports.append(report if report.axiom == axiom else replace(report, axiom=axiom))
-    return reports
+        if axiom not in done:
+            report = done.get(_TWIN.get(axiom)) or _CHECKS[axiom](r)
+            if report.axiom != axiom:
+                report = AxiomReport(axiom, report.satisfied, report.witness, report.detail)
+            done[axiom] = report
+    return [done[axiom] for axiom in battery]
 
 
 def verify_entailments(
@@ -929,13 +932,23 @@ def verify_entailments(
     within the sample bounds.  Each configuration runs its family's battery
     from ``FAMILIES``, the key order of the family's expectations.
     ``fault`` flips one entry of the first relation built, for exercising
-    the failure path end to end.  A (family, universe, configuration) met
-    again reuses its reports within the call, never across calls; the
-    reports of a faulted relation are never stored.
+    the failure path end to end.  Within the call, never across calls, a
+    (family, universe, configuration) or relation met again reuses its
+    reports; a faulted relation's are never stored.  An ``enumerate_max``
+    part below 2 means no enumeration.
     """
     for given, what in ((scalar_config, "config"), (assessment, "assessment")):
         if given is not None and universe is None:
             raise ValueError(f"a universe is required to check the scenario {what}")
+    max_x, max_v = enumerate_max
+    if sample_size < 0:
+        raise ValueError(f"sample_size={sample_size} must be at least 0")
+    if sample_max_outcomes < 2:
+        raise ValueError(f"sample_max_outcomes={sample_max_outcomes} must be at least 2")
+    if sample_max_levels not in SCALE_LABEL_PRESETS:
+        raise ValueError(f"sample_max_levels={sample_max_levels}: no canonical scale")
+    if min(enumerate_max) > 1 and max_v not in SCALE_LABEL_PRESETS:
+        raise ValueError(f"enumerate_max={enumerate_max}: no canonical scale of size {max_v}")
 
     @cache
     def universe_for(nx: int, nv: int) -> LotteryUniverse:
@@ -961,7 +974,6 @@ def verify_entailments(
             )
         if assessment is not None:
             yield from binary("scenario-binary", "binary", universe, assessment)
-        max_x, max_v = enumerate_max
         for nx, nv in itertools.product(range(2, max_x + 1), range(2, max_v + 1)):
             uni = universe_for(nx, nv)
             for i, cfg in enumerate(enumerate_scalar_configs(uni.outcomes, uni.scale)):
@@ -983,16 +995,18 @@ def verify_entailments(
                 yield from scalar(f"pess-sample-{i:03d}", f"opt-sample-{i:03d}", uni, cfg)
 
     verdicts: dict[tuple, list[AxiomReport]] = {}
+    checked: dict[tuple, dict[str, AxiomReport]] = {}
     run = EntailmentRun()
     for config_id, family, uni, given, keys in configs():
         key = family, uni, given
         reports = verdicts.get(key)
         if reports is None:
-            relation = induced_relation(uni, keys(uni, given))
+            r = induced_relation(uni, keys(uni, given))
             if fault is None:
-                reports = verdicts[key] = _run_battery(relation, FAMILIES[family])
+                done = checked.setdefault((uni, tuple(r.class_of), tuple(r.table)), {})
+                reports = verdicts[key] = _run_battery(r, FAMILIES[family], done)
             else:
-                reports = _run_battery(relation.with_flipped(*fault), FAMILIES[family])
+                reports = _run_battery(r.with_flipped(*fault), FAMILIES[family])
                 fault = None
         run.configs.append(ConfigOutcome(config_id, family, list(reports)))
     return run

@@ -57,8 +57,8 @@ EXIT_VERIFICATION = 2
 EXIT_BOUND = 3
 
 HARD_CAP = 6
-# Every sampled configuration is built and kept before the sweep runs
-# (about 5 KB each), so memory grows with --sample.
+# Every sampled configuration keeps its reports and report lines (about
+# 5 KB each), so memory grows with --sample.
 SAMPLE_CAP = 10_000
 
 

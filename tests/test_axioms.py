@@ -2,9 +2,13 @@
 
 import gc
 import itertools
+import os
+import subprocess
+import sys
 import time
 import weakref
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +97,45 @@ def counting_preorder(monkeypatch) -> list:
 
 def tiny_assessment(universe):
     return enumerate_assessments(universe.outcomes, universe.scale)[0]
+
+
+def fresh_sweep(seed, sample_size, enumerate_max, universe=None, scalar_config=None,
+                assessment=None):
+    """(config id, family, relation) per configuration a sweep checks, in
+    report order, each relation built afresh through the public evaluators."""
+    out = []
+
+    def scalar(pess_id, opt_id, uni, cfg):
+        for config_id, family, utility in (
+            (pess_id, "pessimistic", pessimistic_utility),
+            (opt_id, "optimistic", optimistic_utility),
+        ):
+            out.append((config_id, family, induced_by(uni, partial(utility, cfg=cfg))))
+
+    if scalar_config is not None:
+        scalar("scenario-pessimistic", "scenario-optimistic", universe, scalar_config)
+    if assessment is not None:
+        relation = induced_by(universe, partial(binary_utility, a=assessment))
+        out.append(("scenario-binary", "binary", relation))
+    for nx, nv in itertools.product(range(2, enumerate_max[0] + 1), range(2, enumerate_max[1] + 1)):
+        uni = LotteryUniverse(canonical_outcomes(nx), canonical_scale(nv))
+        for i, cfg in enumerate(enumerate_scalar_configs(uni.outcomes, uni.scale)):
+            scalar(f"pess-enum-{nx}x{nv}-{i:03d}", f"opt-enum-{nx}x{nv}-{i:03d}", uni, cfg)
+        for prefix, half in (
+            ("binary-enum", None), ("binary-best-half", "best"), ("binary-worst-half", "worst")
+        ):
+            family = prefix if half else "binary"
+            for i, a in enumerate(enumerate_assessments(uni.outcomes, uni.scale, half)):
+                relation = induced_by(uni, partial(binary_utility, a=a))
+                out.append((f"{prefix}-{nx}x{nv}-{i:03d}", family, relation))
+    for i, (base, v_scale, cfg) in enumerate(sample_scalar_configs(seed, sample_size)):
+        scalar(f"pess-sample-{i:03d}", f"opt-sample-{i:03d}", LotteryUniverse(base, v_scale), cfg)
+    return out
+
+
+def content(r):
+    """A relation's space and twin classes: equal for equal relations on one space."""
+    return r.universe.outcomes, r.universe.scale, tuple(r.class_of), tuple(r.table)
 
 
 class TestInducedRelation:
@@ -530,6 +573,21 @@ class TestVerifyEntailments:
             cfg.scale_map.images for _, _, cfg in b
         ]
 
+    def test_generators_build_each_configuration_and_outcome_set_once(self):
+        sample = sample_scalar_configs(3, 100)
+        first = {}
+        for entry in sample:
+            assert first.setdefault(entry, entry) is entry
+        assert len(first) < len(sample)
+        outcomes, scale = canonical_outcomes(3), canonical_scale(4)
+        for configs in (
+            [cfg for _, _, cfg in sample],
+            enumerate_scalar_configs(outcomes, scale),
+            enumerate_assessments(outcomes, scale),
+        ):
+            sets = [c.outcomes for c in configs]
+            assert len({id(o) for o in sets}) == len(set(sets)) < len(sets)
+
     @pytest.mark.parametrize(
         "given, named", [("scalar_config", "config"), ("assessment", "assessment")]
     )
@@ -566,10 +624,12 @@ class TestVerifyEntailments:
         assert built == []
 
     def test_checks_are_reached_by_module_name(self, monkeypatch):
-        """Wrappers set on the module attributes see one call per relation and need.
+        """Wrappers set on the module attributes see one call per distinct
+        relation and need.
 
         A1-/B1 share one preorder call per relation; each continuity variant
-        of the family's battery is one call, in battery order.
+        that some configuration inducing the relation needs is one call, in
+        the order the sweep first needs it.
         """
         calls = {"preorder": [], "continuity": []}
 
@@ -584,54 +644,47 @@ class TestVerifyEntailments:
         )
         monkeypatch.setattr(axioms, "check_continuity", counting("continuity", check_continuity))
         run = verify_entailments(sample_size=0, enumerate_max=(2, 2))
-        # Every battery starts with the preorder check, so its calls follow the configs.
+        needs: dict = {}
+        for _, family, r in fresh_sweep(0, 0, (2, 2)):
+            wanted = needs.setdefault(content(r), [])
+            wanted += [a for a in FAMILIES[family] if a in CONTINUITY_VARIANTS and a not in wanted]
+        # Every battery starts with the preorder check, so its calls follow
+        # the distinct relations in the order the sweep meets them.
         relations = [r for r, _ in calls["preorder"]]
-        assert len(relations) == len(run.configs) == 9
-        assert len({id(r) for r in relations}) == len(relations)
-        for relation, config in zip(relations, run.configs):
-            variants = [args[0] for r, args in calls["continuity"] if r is relation]
-            wanted = [a for a in FAMILIES[config.family] if a in CONTINUITY_VARIANTS]
-            assert variants == wanted
-        assert len(calls["continuity"]) == sum(
-            a in CONTINUITY_VARIANTS for c in run.configs for a in FAMILIES[c.family]
-        )
+        assert [content(r) for r in relations] == list(needs)
+        assert len(relations) == 4 < len(run.configs) == 9
+        for key, wanted in needs.items():
+            assert [args[0] for r, args in calls["continuity"] if content(r) == key] == wanted
+        assert len(calls["continuity"]) == sum(map(len, needs.values()))
 
     def test_repeated_configurations_are_checked_once_per_call(self, monkeypatch):
         seed, sample_size = 3, 100
-        keys = set()
-        for nx, nv in itertools.product((2, 3), (2, 3)):
-            outcomes, scale = canonical_outcomes(nx), canonical_scale(nv)
-            for cfg in enumerate_scalar_configs(outcomes, scale):
-                keys |= {("pessimistic", cfg), ("optimistic", cfg)}
-            for family, half in (
-                ("binary", None), ("binary-best-half", "best"), ("binary-worst-half", "worst")
-            ):
-                keys |= {(family, a) for a in enumerate_assessments(outcomes, scale, half)}
-        for _, _, cfg in sample_scalar_configs(seed, sample_size):
-            keys |= {("pessimistic", cfg), ("optimistic", cfg)}
+        distinct = {content(r) for _, _, r in fresh_sweep(seed, sample_size, (3, 3))}
         kwargs = {"seed": seed, "sample_size": sample_size, "enumerate_max": (3, 3)}
         seen = counting_preorder(monkeypatch)
         run = verify_entailments(**kwargs)
-        assert len(seen) == len(keys) < len(run.configs)
+        assert len(seen) == len(distinct) == 84 < len(run.configs)
+        assert {content(r) for r in seen} == distinct
         # A reused verdict is copied, never shared between two outcomes.
         assert len({id(c.reports) for c in run.configs}) == len(run.configs)
         # Nothing is kept across calls: the same sweep checks as many relations again.
         assert format_report(verify_entailments(**kwargs)) == format_report(run)
-        assert len(seen) == 2 * len(keys)
+        assert len(seen) == 2 * len(distinct)
 
-    def test_reused_reports_match_a_fresh_check(self):
+    def test_reused_reports_match_a_fresh_check(self, example_scenario, example_universe):
+        given = {
+            "scalar_config": example_scenario.pessimistic_config,
+            "assessment": example_scenario.assessment,
+        }
         seed, sample_size = 3, 100
-        run = verify_entailments(seed=seed, sample_size=sample_size, enumerate_max=(3, 3))
-        by_id = {c.config_id: c.reports for c in run.configs}
-        for i, (base, v_scale, cfg) in enumerate(sample_scalar_configs(seed, sample_size)):
-            universe = LotteryUniverse(base, v_scale)
-            for prefix, family, utility in (
-                ("pess", "pessimistic", pessimistic_utility),
-                ("opt", "optimistic", optimistic_utility),
-            ):
-                relation = induced_by(universe, partial(utility, cfg=cfg))
-                fresh = axioms._run_battery(relation, FAMILIES[family])
-                assert by_id[f"{prefix}-sample-{i:03d}"] == fresh
+        run = verify_entailments(
+            example_universe, seed=seed, sample_size=sample_size, enumerate_max=(3, 3), **given
+        )
+        fresh = fresh_sweep(seed, sample_size, (3, 3), example_universe, **given)
+        assert [c.config_id for c in run.configs] == [cid for cid, _, _ in fresh]
+        for config, (_, family, relation) in zip(run.configs, fresh):
+            assert config.family == family
+            assert config.reports == axioms._run_battery(relation, FAMILIES[family])
 
     def test_caller_universe_is_checked_on_every_call(
         self, monkeypatch, example_scenario, example_universe
@@ -658,6 +711,77 @@ class TestVerifyEntailments:
         assert first.reports[0].witness == (0, 0)
         assert {cid for cid, _ in faulted.unexpected()} == {"pess-enum-2x2-000"}
         assert faulted.configs[1:] == clean.configs[1:]
+
+    def test_fault_is_not_reused_by_another_configuration_with_its_relation(self):
+        kwargs = {"sample_size": 0, "enumerate_max": (2, 2)}
+        (first_id, _, first), *rest = fresh_sweep(0, 0, (2, 2))
+        twins = [cid for cid, _, r in rest if content(r) == content(first)]
+        assert twins and first_id not in twins
+        clean = verify_entailments(**kwargs)
+        faulted = verify_entailments(fault=(0, 0), **kwargs)
+        assert faulted.configs[0].reports[0].witness == (0, 0)
+        assert {cid for cid, _ in faulted.unexpected()} == {first_id}
+        assert faulted.configs[1:] == clean.configs[1:]
+
+    def test_one_partition_in_two_orders_is_checked_twice(self, monkeypatch, small_universe):
+        """The relation memo keys on the whole class table, not the classes alone."""
+        cfg = enumerate_scalar_configs(small_universe.outcomes, small_universe.scale)[0]
+        reversed_keys = [-k for k in axioms.pessimistic_keys(small_universe, cfg)]
+        monkeypatch.setattr(axioms, "binary_keys", lambda *args: reversed_keys)
+        run = verify_entailments(
+            small_universe, scalar_config=cfg, assessment=tiny_assessment(small_universe),
+            sample_size=0, enumerate_max=(1, 1),
+        )
+        pessimistic, _, binary = (c.reports for c in run.configs)
+        relation = induced_relation(small_universe, reversed_keys)
+        assert binary == axioms._run_battery(relation, FAMILIES["binary"])
+        # Reversed, the pessimistic order is no longer averse to uncertainty.
+        aversion = [r.satisfied for r in (*pessimistic, *binary) if r.axiom == "A2-"]
+        assert aversion == [True, False]
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"sample_size": -5}, "sample_size=-5 must be at least 0"),
+            ({"sample_max_outcomes": 1}, "sample_max_outcomes=1 must be at least 2"),
+            ({"sample_max_levels": 7}, "sample_max_levels=7: no canonical scale"),
+            ({"sample_max_levels": 1}, "sample_max_levels=1: no canonical scale"),
+            ({"enumerate_max": (3, 7)}, r"enumerate_max=\(3, 7\): no canonical scale of size 7"),
+        ],
+    )
+    def test_sweep_arguments_are_rejected_before_any_work(self, monkeypatch, kwargs, match):
+        work = []
+        for name in ("enumerate_scalar_configs", "sample_scalar_configs", "induced_relation"):
+            monkeypatch.setattr(axioms, name, lambda *args, name=name: work.append(name))
+        with pytest.raises(ValueError, match=match):
+            verify_entailments(**kwargs)
+        assert work == []
+
+    @pytest.mark.parametrize("enumerate_max", [(1, 1), (1, 7), (7, 1), (0, -3)])
+    def test_enumerate_max_below_two_means_no_enumeration(self, enumerate_max):
+        run = verify_entailments(seed=1, sample_size=3, enumerate_max=enumerate_max)
+        assert [c.config_id for c in run.configs] == [
+            f"{p}-sample-{i:03d}" for i in range(3) for p in ("pess", "opt")
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--sample", "-5"], ["--max-outcomes", "1"], ["--max-levels", "7"],
+         ["--enumerate-to", "3", "7"]],
+        ids=["sample", "max-outcomes", "max-levels", "enumerate-to"],
+    )
+    def test_sweep_script_rejects_bad_arguments_in_one_line(self, tmp_path, argv):
+        script = Path(__file__).parents[1] / "scripts" / "axiom_sweep.py"
+        env = {**os.environ, "PYTHONPATH": str(Path(axioms.__file__).parents[1])}
+        out = tmp_path / "report.txt"
+        done = subprocess.run(
+            [sys.executable, str(script), *argv, "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+        assert not out.exists()
 
     def test_caller_universe_is_not_retained(self, example_scenario):
         universe = LotteryUniverse(example_scenario.outcomes, example_scenario.scale_v)
