@@ -4,12 +4,17 @@
 Runs the enumerated families plus a seeded sample of scalar
 configurations, prints a summary, and writes the full line-per-axiom
 report.  Useful for poking at larger spaces than the default test runs.
+Exits 0 when every expected outcome holds and some mixed assessment
+violates both attitude axioms, as ``posdec verify`` requires; 1 when
+not, or on a rejected argument; 3, with one ``error:`` line, when a
+space to enumerate or sample is over the enumeration limit.
 """
 
 import argparse
 import sys
 
 from posdec.axioms import format_report, verify_entailments
+from posdec.lotteries import BoundExceededError
 
 
 def main() -> int:
@@ -33,6 +38,9 @@ def main() -> int:
             sample_max_levels=args.max_levels,
             enumerate_max=tuple(args.enumerate_to),
         )
+    except BoundExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -48,6 +56,9 @@ def main() -> int:
         print(f"unexpected outcomes ({len(unexpected)}):")
         for config_id, axiom in unexpected:
             print(f"  {config_id} {axiom}")
+    if not run.anomaly_exhibited():
+        print("no mixed assessment violating both attitude axioms")
+    if not run.ok():
         return 1
     print("all expected outcomes hold")
     print(f"report written to {args.out}")

@@ -14,9 +14,9 @@ each mixture with a point mass, which generate every other, once: with
 two gathers and a tuple compare where "equal or indifferent" is an
 equivalence, and group pair by group pair otherwise or where that test
 fails, and the first mixture that breaks it names the witness.
-Lotteries are thermometer-coded, one run of low ones per prize, so the
-max-min mixture of two lotteries is two masks and an ``|`` on their
-codes.  Every check stays complete and returns the first concrete
+Members are addressed by their place in the level grid: a mixture with
+a point mass folds per-prize image tables over it, and a raise is one
+stride.  Every check stays complete and returns the first concrete
 witness, which can be replayed.
 A1-/B1 and A3-/B3 name the same predicates: each check names its report
 by the B axiom, and a battery evaluates it once per relation and relabels
@@ -35,13 +35,10 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, partial, reduce
 from typing import Callable, Iterable, Sequence
 
-from .lotteries import (
-    OutcomeSet,
-    enumerate_distributions,
-)
+from .lotteries import OutcomeSet, check_enumerable, enumerate_distributions
 from .scales import Scale, ScaleMap, binary_rank, pair_ge_indices
 from .utilities import BinaryUtilityAssessment, ScalarUtilityConfig, check_domain
 
@@ -69,9 +66,11 @@ def _dense(keys: Iterable) -> tuple[list[int], list]:
 class LotteryUniverse:
     """Every normalized lottery over one outcome set and scale, indexed.
 
-    Precomputes the raw value tuples, a reverse index for mixture lookups,
-    the point masses, and the standard-lottery members with their weights.
-    The bit encodings the axiom checks run on are built on first use.
+    Members run in lexicographic order of their levels, first label
+    outermost.  Member ``base[g] + v`` has level v at the last prize and
+    place g in the grid of the other prizes' levels, a grid never larger
+    than the universe; ``base[g]`` is the first member with prefix g, less
+    top if g holds no top level (then v can only be top).
     """
 
     def __init__(self, outcomes: OutcomeSet, scale: Scale):
@@ -79,19 +78,26 @@ class LotteryUniverse:
         self.scale = scale
         self.members = enumerate_distributions(outcomes, scale)
         self.value_tuples = tuple(m.indices for m in self.members)
-        self.index_of = {vt: i for i, vt in enumerate(self.value_tuples)}
-        labels = outcomes.labels
-        top = len(scale) - 1
-        self.point_mass_index = {}
-        for label in labels:
-            key = tuple(top if l == label else 0 for l in labels)
-            self.point_mass_index[label] = self.index_of[key]
-        best_pos = labels.index(outcomes.best)
-        worst_pos = labels.index(outcomes.worst)
-        self.standard_info: list[tuple[int, int, int]] = []
-        for i, vt in enumerate(self.value_tuples):
-            if all(v == 0 for pos, v in enumerate(vt) if pos not in (best_pos, worst_pos)):
-                self.standard_info.append((i, vt[best_pos], vt[worst_pos]))
+        # Maps and raises gather their entries from one int per member.
+        self.ids = tuple(range(len(self.members)))
+        labels, size, top = outcomes.labels, len(scale), len(scale) - 1
+        prefixes = itertools.product(range(size), repeat=len(labels) - 1)
+        lasts = [range(size) if top in prefix else (top,) for prefix in prefixes]
+        firsts = itertools.accumulate(map(len, lasts), initial=0)
+        self.base = [first - last[0] for first, last in zip(firsts, lasts)]
+        self.places = [g for g, last in enumerate(lasts) for _ in last]
+        # The last prize is gathered per member, so no grid outgrows the universe.
+        last_levels = [v for last in lasts for v in last]
+        self.grid_gathers = operator.itemgetter(*self.places), operator.itemgetter(*last_levels)
+
+        def at(levels: dict) -> int:
+            return self.index([levels.get(x, 0) for x in labels])
+
+        self.point_mass_index = {x: at({x: top}) for x in labels}
+        self.standard_info: list[tuple[int, int, int]] = sorted(
+            (at({outcomes.best: l, outcomes.worst: m}), l, m)
+            for l, m in itertools.product(range(size), repeat=2) if top in (l, m)
+        )
         self.best_half_ids = tuple(i for i, l, m in self.standard_info if l == top)
         self.worst_half_ids = tuple(i for i, l, m in self.standard_info if m == top)
 
@@ -101,35 +107,12 @@ class LotteryUniverse:
     def describe(self, index: int) -> str:
         return f"#{index}{self.members[index]}"
 
-    @cached_property
-    def codes(self) -> tuple[int, ...]:
-        """Thermometer code per member: ``top`` bits per prize, level v as v low ones.
-
-        On these codes the level min is ``&`` and the level max is ``|``, so
-        the mixture with weights (wa, wb) of members i and k has the code
-        ``(codes[i] & weight_masks[wa]) | (codes[k] & weight_masks[wb])``.
-        Member i is pointwise at most member j iff ``codes[i] & ~codes[j]``
-        is 0.
-        """
+    def index(self, levels: Sequence[int]) -> int:
+        """Position of the member with these levels, one per prize in label order."""
         top = len(self.scale) - 1
-        return tuple(
-            sum(((1 << v) - 1) << (pos * top) for pos, v in enumerate(vt))
-            for vt in self.value_tuples
-        )
-
-    @cached_property
-    def weight_masks(self) -> tuple[int, ...]:
-        """The code of level w at every prize, per level w."""
-        top = len(self.scale) - 1
-        prizes = len(self.outcomes.labels)
-        return tuple(
-            sum(((1 << w) - 1) << (pos * top) for pos in range(prizes))
-            for w in range(top + 1)
-        )
-
-    @cached_property
-    def index_of_code(self) -> dict[int, int]:
-        return {code: i for i, code in enumerate(self.codes)}
+        if len(levels) != len(self.outcomes.labels) or not 0 <= min(levels) <= max(levels) == top:
+            raise ValueError(f"levels {tuple(levels)} name no member of this universe")
+        return self.base[reduce(lambda g, v: g * (top + 1) + v, levels[:-1], 0)] + levels[-1]
 
     @cached_property
     def generator_maps(self) -> dict[tuple[int, int, int], tuple[int, ...]]:
@@ -142,34 +125,23 @@ class LotteryUniverse:
         the prize to the top.  Under any normalized weight pair but (0, top),
         whose map is constant and keeps every relation, the mixture with k is
         a chain of these: a cap at wa raising one of k's top prizes if
-        wa < top, then a raise to k's level, capped at wb, per prize.
+        wa < top, then a raise to k's level, capped at wb, per prize: level
+        v goes to min(v, wa), and at k's top prize to max(min(v, wa), wb).
         """
-        top = len(self.scale) - 1
-        codes, masks, index_of_code = self.codes, self.weight_masks, self.index_of_code
-        weights = [(top, v) for v in range(1, top + 1)] + [(wa, top) for wa in range(1, top)]
-        return {
-            (k, wa, wb): tuple(index_of_code[code & mask | k_part] for code in codes)
-            for k in self.point_mass_index.values()
-            for wa, wb in weights
-            for mask, k_part in ((masks[wa], codes[k] & masks[wb]),)
-        }
-
-    @cached_property
-    def grid_gathers(self) -> tuple[Callable, Callable]:
-        """Gathers of each member's place in the level grid of every prize but
-        the last, and of its level at the last prize.
-
-        A grid holds one entry per level tuple in lexicographic order, first
-        label outermost.  Its places number |V|^(|X|-1), never more than the
-        members: each place extends to a member by the top level at the last
-        prize.  The last prize is gathered per member, so no grid outgrows
-        the universe.
-        """
-        prefixes = itertools.product(range(len(self.scale)), repeat=len(self.outcomes.labels) - 1)
-        place_of = {prefix: place for place, prefix in enumerate(prefixes)}
-        places = [place_of[vt[:-1]] for vt in self.value_tuples]
-        last_levels = [vt[-1] for vt in self.value_tuples]
-        return operator.itemgetter(*places), operator.itemgetter(*last_levels)
+        size, top = len(self.scale), len(self.scale) - 1
+        places, last_levels = self.grid_gathers
+        weights = [(top, v) for v in range(1, size)] + [(wa, top) for wa in range(1, top)]
+        maps = {}
+        for q, k in enumerate(self.point_mass_index.values()):
+            for wa, wb in weights:
+                images = [[v if v < wa else wa for v in range(size)]] * len(self.outcomes.labels)
+                images[q] = [v if v > wb else wb for v in images[q]]
+                grid = [0]
+                for table in images[:-1]:
+                    grid = [a * size + b for a in grid for b in table]
+                image = places(operator.itemgetter(*grid)(self.base)), last_levels(images[-1])
+                maps[k, wa, wb] = operator.itemgetter(*map(operator.add, *image))(self.ids)
+        return maps
 
     @cached_property
     def raises(self) -> tuple[tuple[int, ...], ...]:
@@ -180,11 +152,13 @@ class LotteryUniverse:
         pointwise above: every member between two normalized ones is
         normalized.
         """
-        top = len(self.scale) - 1
-        index_of_code = self.index_of_code
+        size, top, base, ids = len(self.scale), len(self.scale) - 1, self.base, self.ids
+        # A raise at prize p steps |V|^(|X|-2-p) places; at the last, one member.
+        strides = [size**p for p in reversed(range(len(self.outcomes.labels) - 1))]
         return tuple(
-            tuple(index_of_code[code | 1 << pos * top + v] for pos, v in enumerate(vt) if v < top)
-            for code, vt in zip(self.codes, self.value_tuples)
+            tuple(ids[base[g + s] + vt[-1]] for s, v in zip(strides, vt) if v < top)
+            + (ids[i + 1:i + 2] if vt[-1] < top else ())
+            for i, (g, vt) in enumerate(zip(self.places, self.value_tuples))
         )
 
 
@@ -411,7 +385,7 @@ def check_uncertainty_attitude(r: PreferenceRelation, direction: str) -> AxiomRe
     """
     if direction not in ("aversion", "attraction"):
         raise ValueError(f"unknown direction {direction!r}")
-    axiom_id = "A2-" if direction == "aversion" else "A2+"
+    axiom_id, below = ("A2-", operator.le) if direction == "aversion" else ("A2+", operator.ge)
     universe = r.universe
     cls, table, n = r.class_of, r.table, r.size
     raises = universe.raises
@@ -430,11 +404,10 @@ def check_uncertainty_attitude(r: PreferenceRelation, direction: str) -> AxiomRe
     for i, c in enumerate(cls):
         bad = beyond[i] & ~table[c]
         if bad:
-            code = universe.codes[i]
+            levels = universe.value_tuples
             j = next(
-                j for j, other in enumerate(universe.codes)
-                if j != i and bad >> cls[j] & 1
-                and not (code & ~other if direction == "aversion" else other & ~code)
+                j for j, other in enumerate(levels)
+                if j != i and bad >> cls[j] & 1 and all(map(below, levels[i], other))
             )
             return AxiomReport(
                 axiom_id, False, (i, j),
@@ -935,7 +908,8 @@ def verify_entailments(
     the failure path end to end.  Within the call, never across calls, a
     (family, universe, configuration) or relation met again reuses its
     reports; a faulted relation's are never stored.  An ``enumerate_max``
-    part below 2 means no enumeration.
+    part below 2 means no enumeration.  A space to enumerate or sample
+    over the enumeration limit is rejected before any work.
     """
     for given, what in ((scalar_config, "config"), (assessment, "assessment")):
         if given is not None and universe is None:
@@ -949,6 +923,10 @@ def verify_entailments(
         raise ValueError(f"sample_max_levels={sample_max_levels}: no canonical scale")
     if min(enumerate_max) > 1 and max_v not in SCALE_LABEL_PRESETS:
         raise ValueError(f"enumerate_max={enumerate_max}: no canonical scale of size {max_v}")
+    if min(enumerate_max) > 1:
+        check_enumerable(f"enumerate_max={enumerate_max}", max_x, max_v)
+    if sample_size > 0:
+        check_enumerable("sampled spaces", sample_max_outcomes, sample_max_levels)
 
     @cache
     def universe_for(nx: int, nv: int) -> LotteryUniverse:

@@ -27,6 +27,7 @@ from .lotteries import (
     OutcomeSet,
     PossibilityDistribution,
     StateSpace,
+    check_enumerable,
     distribution_from_indices,
     from_disbelief,
     induced_distribution,
@@ -339,6 +340,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{scenario.source}: scale_v has {n_levels} levels, "
             f"over the bound of {args.max_levels}"
         )
+    check_enumerable(scenario.source, n_outcomes, n_levels)
     universe = LotteryUniverse(scenario.outcomes, scenario.scale_v)
     run = verify_entailments(
         universe,

@@ -362,6 +362,20 @@ def enumeration_count(domain_size: int, scale_size: int) -> int:
     return scale_size**domain_size - (scale_size - 1) ** domain_size
 
 
+def check_enumerable(what: str, domain_size: int, scale_size: int) -> None:
+    """Raise ``BoundExceededError``, naming ``what``, if a space of this many
+    outcomes and levels holds more lotteries than ``DEFAULT_ENUMERATION_LIMIT``.
+
+    A space holds at least 2^|X| - 1 lotteries, so past 64 outcomes it is
+    over the limit without building that power.
+    """
+    if domain_size > 64 or enumeration_count(domain_size, scale_size) > DEFAULT_ENUMERATION_LIMIT:
+        raise BoundExceededError(
+            f"{what}: {domain_size} outcomes by {scale_size} levels are over the "
+            f"enumeration limit of {DEFAULT_ENUMERATION_LIMIT} lotteries"
+        )
+
+
 def enumerate_distributions(
     domain: Domain, scale: Scale, limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> tuple[PossibilityDistribution, ...]:

@@ -1,11 +1,12 @@
 """Reference versions of the axiom checker's hot core, as plain loops.
 
 These are matrix-scanning implementations of the checks that run on twin
-classes, class tables and thermometer codes.  They read the relation one
+classes, class tables and level-grid places.  They read the relation one
 entry at a time through ``at_least`` and ``indifferent`` (the transitivity
-witness alone takes a row), and the universe's value tuples and tuple
-index, so they share no code with the class-table paths they are compared
-against.
+witness alone takes a row), and the universe's value tuples through a
+lookup of their own built from them, never the universe's grid
+arithmetic, so they share no code with the class-table paths they are
+compared against.
 """
 
 from posdec.axioms import AxiomReport, PreferenceRelation
@@ -96,7 +97,7 @@ def check_substitutability(r, axiom_id="B3"):
     """
     universe = r.universe
     vt = universe.value_tuples
-    index_of = universe.index_of
+    index_of = {t: i for i, t in enumerate(vt)}
     n = r.size
     top = len(universe.scale) - 1
 

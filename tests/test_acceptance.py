@@ -336,15 +336,15 @@ def test_criterion_08_half_encoded_and_mixed(example_scenario, example_universe)
     # demands it be weakly preferred; the pair-valued order refuses.
     outcomes = example_universe.outcomes
     scale = example_universe.scale
-    worst_pm = example_universe.index_of[point_mass(outcomes, outcomes.worst, scale).indices]
+    worst_pm = example_universe.index(point_mass(outcomes, outcomes.worst, scale).indices)
     both = mixture(
         [
             (scale.top, point_mass(outcomes, outcomes.best, scale)),
             (scale.top, point_mass(outcomes, outcomes.worst, scale)),
         ]
     )
-    both_id = example_universe.index_of[both.indices]
-    best_pm = example_universe.index_of[point_mass(outcomes, outcomes.best, scale).indices]
+    both_id = example_universe.index(both.indices)
+    best_pm = example_universe.index(point_mass(outcomes, outcomes.best, scale).indices)
     lo = example_universe.value_tuples[worst_pm]
     hi = example_universe.value_tuples[both_id]
     assert all(x <= y for x, y in zip(lo, hi))

@@ -69,7 +69,7 @@ def relations(draw):
     universe = UNIVERSES[draw(st.sampled_from(SHAPES))]
     n = len(universe)
     keys = draw(st.lists(st.integers(0, draw(st.integers(1, 6))), min_size=n, max_size=n))
-    evaluate = lambda m: keys[universe.index_of[m.indices]]  # noqa: E731
+    evaluate = lambda m: keys[universe.index(m.indices)]  # noqa: E731
     rel = induced_relation(universe, map(evaluate, universe.members))
     # Diagonal flips leave members indifferent to nothing (class -1).
     entry = st.one_of(

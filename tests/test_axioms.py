@@ -40,8 +40,8 @@ from posdec.axioms import (
     search_pair_counterexample,
     verify_entailments,
 )
-from posdec.lotteries import mixture
-from posdec.scales import ScaleMismatchError
+from posdec.lotteries import BoundExceededError, mixture
+from posdec.scales import Scale, ScaleMismatchError
 from posdec.utilities import (
     binary_utility,
     optimistic_utility,
@@ -133,6 +133,16 @@ def fresh_sweep(seed, sample_size, enumerate_max, universe=None, scalar_config=N
     return out
 
 
+def run_sweep_script(tmp_path, argv):
+    """``scripts/axiom_sweep.py`` run on this test run's package, report in tmp_path."""
+    script = Path(__file__).parents[1] / "scripts" / "axiom_sweep.py"
+    env = {**os.environ, "PYTHONPATH": str(Path(axioms.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, str(script), *argv, "--out", str(tmp_path / "report.txt")],
+        capture_output=True, text=True, env=env,
+    )
+
+
 def content(r):
     """A relation's space and twin classes: equal for equal relations on one space."""
     return r.universe.outcomes, r.universe.scale, tuple(r.class_of), tuple(r.table)
@@ -162,10 +172,38 @@ class TestInducedRelation:
     def test_worked_example_strict_preference(
         self, example_scenario, example_universe, example_binary_relation
     ):
-        i = example_universe.index_of[example_scenario.lotteries["pi1"].indices]
-        j = example_universe.index_of[example_scenario.lotteries["pi2"].indices]
+        i = example_universe.index(example_scenario.lotteries["pi1"].indices)
+        j = example_universe.index(example_scenario.lotteries["pi2"].indices)
         assert example_binary_relation.at_least(i, j)
         assert not example_binary_relation.at_least(j, i)
+
+
+class TestLotteryUniverse:
+    @pytest.mark.parametrize(
+        "nx, nv", [*itertools.product(range(2, 7), range(2, 7)), (2, 50)]
+    )
+    def test_members_are_addressed_by_grid_place(self, nx, nv):
+        """``index`` gives each member's position, and a raise is the member
+        one level higher at one prize; ``base`` never outgrows the universe,
+        even where the full grid is 25 times its size (2 prizes, 50 levels)."""
+        labels = ("0", *(f".{v:02d}" for v in range(1, nv - 1)), "1")
+        scale = canonical_scale(nv) if nv in axioms.SCALE_LABEL_PRESETS else Scale(labels)
+        universe = LotteryUniverse(canonical_outcomes(nx), scale)
+        vts = universe.value_tuples
+        by_value = {vt: i for i, vt in enumerate(vts)}
+        assert [universe.index(vt) for vt in vts] == list(range(len(universe)))
+        assert len(universe.base) <= len(universe)
+        top = nv - 1
+        for i, vt in enumerate(vts):
+            assert universe.raises[i] == tuple(
+                by_value[vt[:p] + (v + 1,) + vt[p + 1:]] for p, v in enumerate(vt) if v < top
+            )
+
+    @pytest.mark.parametrize("levels", [(0, 0, 0), (0, 2), (2, 0, 0, 0), (3, 0, 0), (-1, 2, 0)])
+    def test_index_rejects_a_non_member(self, levels):
+        universe = LotteryUniverse(canonical_outcomes(3), canonical_scale(3))
+        with pytest.raises(ValueError, match="name no member of this universe"):
+            universe.index(levels)
 
 
 class TestPreferenceRelation:
@@ -325,18 +363,21 @@ class TestSubstitutability:
         assert broken.indifferent(i, j)
         assert not broken.indifferent(m1, m2)
 
-    @pytest.mark.parametrize("shape", [(2, 3), (3, 4), (4, 5)], ids=["2x3", "3x4", "4x5"])
+    @pytest.mark.parametrize(
+        "shape", [(2, 3), (3, 4), (4, 5), (6, 6)], ids=["2x3", "3x4", "4x5", "6x6"]
+    )
     def test_generator_maps_are_their_mixtures(self, shape):
         """Map (k, wa, wb) sends member i to its mixture with point mass k."""
         universe = LotteryUniverse(canonical_outcomes(shape[0]), canonical_scale(shape[1]))
         level, members = universe.scale.level, universe.members
+        by_value = {vt: i for i, vt in enumerate(universe.value_tuples)}
         top = len(universe.scale) - 1
         assert len(universe.generator_maps) == (2 * top - 1) * shape[0]
         for (k, wa, wb), f in universe.generator_maps.items():
             assert k in universe.point_mass_index.values()
             assert len(set(f)) > 1, f"map {(k, wa, wb)} is constant"
             assert f == tuple(
-                universe.index_of[mixture([(level(wa), m), (level(wb), members[k])]).indices]
+                by_value[mixture([(level(wa), m), (level(wb), members[k])]).indices]
                 for m in members
             )
 
@@ -757,6 +798,29 @@ class TestVerifyEntailments:
             verify_entailments(**kwargs)
         assert work == []
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"sample_max_outcomes": 8, "sample_max_levels": 6},
+             "sampled spaces: 8 outcomes by 6 levels"),
+            ({"sample_max_outcomes": 10**9}, "sampled spaces: 1000000000 outcomes by 4 levels"),
+            ({"sample_size": 0, "enumerate_max": (7, 6)},
+             r"enumerate_max=\(7, 6\): 7 outcomes by 6 levels"),
+            ({"sample_size": 0, "enumerate_max": (10**9, 2)},
+             r"enumerate_max=\(1000000000, 2\): 1000000000 outcomes by 2 levels"),
+        ],
+        ids=["sampled", "sampled-huge", "enumerated", "enumerated-huge"],
+    )
+    def test_spaces_over_the_enumeration_limit_are_rejected_before_any_work(
+        self, monkeypatch, kwargs, match
+    ):
+        work = []
+        for name in ("enumerate_scalar_configs", "sample_scalar_configs", "induced_relation"):
+            monkeypatch.setattr(axioms, name, lambda *args, name=name: work.append(name))
+        with pytest.raises(BoundExceededError, match=f"^{match} are over the enumeration limit"):
+            verify_entailments(**kwargs)
+        assert work == []
+
     @pytest.mark.parametrize("enumerate_max", [(1, 1), (1, 7), (7, 1), (0, -3)])
     def test_enumerate_max_below_two_means_no_enumeration(self, enumerate_max):
         run = verify_entailments(seed=1, sample_size=3, enumerate_max=enumerate_max)
@@ -771,17 +835,31 @@ class TestVerifyEntailments:
         ids=["sample", "max-outcomes", "max-levels", "enumerate-to"],
     )
     def test_sweep_script_rejects_bad_arguments_in_one_line(self, tmp_path, argv):
-        script = Path(__file__).parents[1] / "scripts" / "axiom_sweep.py"
-        env = {**os.environ, "PYTHONPATH": str(Path(axioms.__file__).parents[1])}
-        out = tmp_path / "report.txt"
-        done = subprocess.run(
-            [sys.executable, str(script), *argv, "--out", str(out)],
-            capture_output=True, text=True, env=env,
-        )
+        done = run_sweep_script(tmp_path, argv)
         assert done.returncode == 1
         assert done.stdout == ""
         assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
-        assert not out.exists()
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_sweep_script_fails_a_run_without_the_anomaly_pair(self, tmp_path):
+        done = run_sweep_script(tmp_path, ["--enumerate-to", "1", "7", "--sample", "2"])
+        assert done.returncode == 1
+        lines = done.stdout.splitlines()
+        assert "anomaly pair exhibited: False" in lines
+        assert "no mixed assessment violating both attitude axioms" in lines
+        assert "all expected outcomes hold" not in lines
+
+    def test_sweep_script_rejects_a_space_over_the_enumeration_limit(self, tmp_path):
+        argv = ["--max-outcomes", "8", "--max-levels", "6", "--sample", "50",
+                "--enumerate-to", "1", "1"]
+        done = run_sweep_script(tmp_path, argv)
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr == (
+            "error: sampled spaces: 8 outcomes by 6 levels are over the enumeration "
+            "limit of 200000 lotteries\n"
+        )
+        assert not (tmp_path / "report.txt").exists()
 
     def test_caller_universe_is_not_retained(self, example_scenario):
         universe = LotteryUniverse(example_scenario.outcomes, example_scenario.scale_v)
@@ -847,11 +925,10 @@ def replay_witness(rel, report):
     if axiom in ("A3-", "B3"):
         i, j, k, wa, wb, m1, m2 = w
         vt = universe.value_tuples
+        by_value = {t: m for m, t in enumerate(vt)}
 
         def mix(w1, t1, w2, t2):
-            return universe.index_of[
-                tuple(max(min(w1, x), min(w2, y)) for x, y in zip(t1, t2))
-            ]
+            return by_value[tuple(max(min(w1, x), min(w2, y)) for x, y in zip(t1, t2))]
 
         return (
             rel.indifferent(i, j)
@@ -884,6 +961,7 @@ def naive_substitutability_holds(rel):
     """Direct quantification, independent of the production checker."""
     universe = rel.universe
     vt = universe.value_tuples
+    by_value = {t: m for m, t in enumerate(vt)}
     n = rel.size
     scale_top = len(universe.scale) - 1
     pairs = [(i, scale_top) for i in range(scale_top + 1)]
@@ -894,10 +972,10 @@ def naive_substitutability_holds(rel):
                 continue
             for wa, wb in pairs:
                 for k in range(n):
-                    m1 = universe.index_of[
+                    m1 = by_value[
                         tuple(max(min(wa, x), min(wb, y)) for x, y in zip(vt[i], vt[k]))
                     ]
-                    m2 = universe.index_of[
+                    m2 = by_value[
                         tuple(max(min(wa, x), min(wb, y)) for x, y in zip(vt[j], vt[k]))
                     ]
                     if m1 != m2 and not rel.indifferent(m1, m2):

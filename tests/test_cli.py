@@ -352,6 +352,31 @@ class TestVerify:
         assert code == EXIT_BOUND
         assert "over the bound" in capsys.readouterr().err
 
+    def test_unsafe_bounds_keep_the_enumeration_limit(self, tmp_path, capsys, monkeypatch):
+        """A 7-prize, 6-level scenario (201,811 lotteries) is within the
+        unsafe caps but over the enumeration limit: exit 3, naming the file,
+        before any lottery is enumerated."""
+        from posdec import axioms
+
+        data = json.loads(Path("scenarios/wide_6x6.json").read_text(encoding="utf-8"))
+        outcomes = data["outcomes"]
+        outcomes["labels"].append("x7")
+        outcomes["worst"] = "x7"
+        outcomes["preference"][-2:] = [["x5", "x6"], ["x7"]]
+        for lottery in data["lotteries"].values():
+            lottery["x7"] = "0"
+        data["assessment"].update(x6=[".5", "1"], x7=["0", "1"])
+        data["pessimistic_config"]["u"].update(x6=".2", x7="0")
+        path = write_scenario(tmp_path, data)
+        monkeypatch.setattr(axioms, "LotteryUniverse", lambda *args: pytest.fail("enumerated"))
+        argv = ["verify", "--scenario", path, "--unsafe-bounds", "--max-outcomes", "7",
+                "--out", str(tmp_path / "report.txt")]
+        assert main(argv) == EXIT_BOUND
+        assert capsys.readouterr().err == (
+            f"error: {path}: 7 outcomes by 6 levels are over the enumeration limit "
+            "of 200000 lotteries\n"
+        )
+
     def test_cap_needs_unsafe_flag(self, capsys):
         assert main(["verify", "--scenario", WORKED, "--max-levels", "9"]) == EXIT_BOUND
         assert "--unsafe-bounds" in capsys.readouterr().err
