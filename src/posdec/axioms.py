@@ -1,32 +1,22 @@
 """Exhaustive desk-scale verification of preference axioms.
 
-A preference relation over a complete universe of lotteries is stored as
-its twin classes: members with the same row and the same column share a
-class, and a class table says which classes are at least as good as
-which.  A relation a criterion induces has one class per distinct
-utility, at most 2|V| - 1 whatever the size of the universe, and a
-flipped entry adds at most two.  Every axiom holds or fails for whole
-classes, so no check reads the n^2 member rows (``rows``, built only on
-request): total preorder, continuity and the standard-lottery order are
-decided on the table; uncertainty attitude gathers the classes above (or
-below) each member over single-level raises; substitutability tries
-each mixture with a point mass, which generate every other, once: with
-two gathers and a tuple compare where "equal or indifferent" is an
-equivalence, and group pair by group pair otherwise or where that test
-fails, and the first mixture that breaks it names the witness.
-Members are addressed by their place in the level grid: a mixture with
-a point mass folds per-prize image tables over it, and a raise is one
-stride.  Every check stays complete and returns the first concrete
-witness, which can be replayed.
-A1-/B1 and A3-/B3 name the same predicates: each check names its report
-by the B axiom, and a battery evaluates it once per relation and relabels
-the report for the A axiom.
+A relation over a complete universe of lotteries is stored as its twin
+classes (members with the same row and column) and a table of which
+classes are at least as good as which: at most 2|V| - 1 classes for an
+induced relation, two more per flipped entry.  No check reads the n^2
+member rows.  Total preorder, continuity and the standard-lottery order
+read the table.  Uncertainty attitude and substitutability read the
+classes laid out over the full grid of level tuples: attitude closes a
+byte per place (a bit per class) under level shifts; substitutability
+cuts each mixture with a point mass from a per-prize
+layout of the blocks of "equal or indifferent" and tests it with one
+translate, building member maps only for a mixture that breaks it or
+where it is no equivalence.  Every check is complete and returns the
+first replayable witness.  A1-/B1 and A3-/B3 share one evaluation per
+relation, named by the B axiom and relabeled for the A axiom.
 An entailment sweep checks each enumerated or seeded-sampled
-configuration against its family in ``FAMILIES`` (the battery is the key
-order of its expectations), one report line per axiom per configuration.
-It checks a configuration's domain and scale once against its universe,
-builds the relation from per-prize term tables folded over the grid of
-level tuples, and runs each check once per distinct relation it meets.
+configuration against its family in ``FAMILIES``, one report line per
+axiom, and runs each check once per distinct relation it meets.
 """
 
 from __future__ import annotations
@@ -36,7 +26,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial, reduce
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .lotteries import OutcomeSet, check_enumerable, enumerate_distributions
 from .scales import Scale, ScaleMap, binary_rank, pair_ge_indices
@@ -47,14 +37,8 @@ def _lowest_bit(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
-def _bits(bits: int) -> list[int]:
-    """Positions of the set bits, lowest first."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
+# 256 bytes from 248 - v translate v .. v + 7 to bits 0 .. 7, others to 0.
+_ONE_BITS = bytes(248) + bytes(1 << b for b in range(8)) + bytes(248)
 
 
 def _dense(keys: Iterable) -> tuple[list[int], list]:
@@ -78,17 +62,15 @@ class LotteryUniverse:
         self.scale = scale
         self.members = enumerate_distributions(outcomes, scale)
         self.value_tuples = tuple(m.indices for m in self.members)
-        # Maps and raises gather their entries from one int per member.
-        self.ids = tuple(range(len(self.members)))
         labels, size, top = outcomes.labels, len(scale), len(scale) - 1
         prefixes = itertools.product(range(size), repeat=len(labels) - 1)
         lasts = [range(size) if top in prefix else (top,) for prefix in prefixes]
         firsts = itertools.accumulate(map(len, lasts), initial=0)
         self.base = [first - last[0] for first, last in zip(firsts, lasts)]
-        self.places = [g for g, last in enumerate(lasts) for _ in last]
+        places = [g for g, last in enumerate(lasts) for _ in last]
         # The last prize is gathered per member, so no grid outgrows the universe.
         last_levels = [v for last in lasts for v in last]
-        self.grid_gathers = operator.itemgetter(*self.places), operator.itemgetter(*last_levels)
+        self.grid_gathers = operator.itemgetter(*places), operator.itemgetter(*last_levels)
 
         def at(levels: dict) -> int:
             return self.index([levels.get(x, 0) for x in labels])
@@ -100,6 +82,8 @@ class LotteryUniverse:
         )
         self.best_half_ids = tuple(i for i, l, m in self.standard_info if l == top)
         self.worst_half_ids = tuple(i for i, l, m in self.standard_info if m == top)
+        weights = [(top, v) for v in range(1, size)] + [(wa, top) for wa in range(1, top)]
+        self.generators = [(k, *w) for k in self.point_mass_index.values() for w in weights]
 
     def __len__(self) -> int:
         return len(self.members)
@@ -114,64 +98,64 @@ class LotteryUniverse:
             raise ValueError(f"levels {tuple(levels)} name no member of this universe")
         return self.base[reduce(lambda g, v: g * (top + 1) + v, levels[:-1], 0)] + levels[-1]
 
-    @cached_property
-    def generator_maps(self) -> dict[tuple[int, int, int], tuple[int, ...]]:
-        """Member maps of the mixtures with a point mass, keyed by (k, wa, wb).
-
-        Map (k, wa, wb) sends member i to its mixture with point mass k
-        under weights (wa, wb); there are 2 * top - 1 per prize, point masses
-        in label order.  Weights (top, v), v >= 1, raise the prize to at least
-        v; weights (wa, top), 0 < wa < top, cap every prize at wa and raise
-        the prize to the top.  Under any normalized weight pair but (0, top),
-        whose map is constant and keeps every relation, the mixture with k is
-        a chain of these: a cap at wa raising one of k's top prizes if
-        wa < top, then a raise to k's level, capped at wb, per prize: level
-        v goes to min(v, wa), and at k's top prize to max(min(v, wa), wb).
+    def generator_map(self, k: int, wa: int, wb: int) -> list[int]:
+        """Member map of generator (k, wa, wb): each member to its mixture
+        with point mass k under weights (wa, wb).  Weights (top, v), v >= 1,
+        raise k's top prize to at least v; (wa, top), 0 < wa < top, cap every
+        prize at wa and raise that one to the top.  A mixture with any
+        lottery, under any weights but (0, top) (a constant map), is a
+        chain of these.
         """
-        size, top = len(self.scale), len(self.scale) - 1
+        images = [[min(v, wa) for v in range(len(self.scale))]] * len(self.outcomes.labels)
+        q = list(self.point_mass_index.values()).index(k)
+        images[q] = [max(v, wb) for v in images[q]]
         places, last_levels = self.grid_gathers
-        weights = [(top, v) for v in range(1, size)] + [(wa, top) for wa in range(1, top)]
-        maps = {}
-        for q, k in enumerate(self.point_mass_index.values()):
-            for wa, wb in weights:
-                images = [[v if v < wa else wa for v in range(size)]] * len(self.outcomes.labels)
-                images[q] = [v if v > wb else wb for v in images[q]]
-                grid = [0]
-                for table in images[:-1]:
-                    grid = [a * size + b for a in grid for b in table]
-                image = places(operator.itemgetter(*grid)(self.base)), last_levels(images[-1])
-                maps[k, wa, wb] = operator.itemgetter(*map(operator.add, *image))(self.ids)
-        return maps
+        grid = operator.itemgetter(*_places(len(self.scale), images[:-1]))(self.base)
+        return list(map(operator.add, places(grid), last_levels(images[-1])))
 
     @cached_property
-    def raises(self) -> tuple[tuple[int, ...], ...]:
-        """Per member, the members one level higher at one prize.
-
-        Members run in lexicographic order of their levels, so each raise
-        lands on a later member.  Chains of raises reach exactly the members
-        pointwise above: every member between two normalized ones is
-        normalized.
+    def grid(self) -> tuple:
+        """Tables over the full grid of |V|^|X| level tuples, first prize
+        outermost: a gather of a member sequence, one entry appended, onto
+        the grid, that entry where no member is; byte 0xff at members,
+        2|V| - 3 times over, as an int; (mask, shift) pairs moving a byte
+        per place d = 1, 2, 4, ... <= top levels down a prize (first place
+        highest), reaching in turn every place below; per cap level wa, a
+        gather of the other prizes' grid capped at wa.
         """
-        size, top, base, ids = len(self.scale), len(self.scale) - 1, self.base, self.ids
-        # A raise at prize p steps |V|^(|X|-2-p) places; at the last, one member.
-        strides = [size**p for p in reversed(range(len(self.outcomes.labels) - 1))]
-        return tuple(
-            tuple(ids[base[g + s] + vt[-1]] for s, v in zip(strides, vt) if v < top)
-            + (ids[i + 1:i + 2] if vt[-1] < top else ())
-            for i, (g, vt) in enumerate(zip(self.places, self.value_tuples))
-        )
+        size, top, prizes = len(self.scale), len(self.scale) - 1, len(self.outcomes.labels)
+        # Below the top, a first prize's places hold members as the rest's do.
+        flags = reduce(lambda f, d: f * top + b"\xff" * size**d, range(prizes), b"\0")
+        cells = zip(itertools.product(self.base, range(size)), flags)
+        scatter = operator.itemgetter(*[b + v if f else len(self) for (b, v), f in cells])
+        moves = []
+        for k, d in itertools.product(range(prizes), [1 << e for e in range(top.bit_length())]):
+            s = size ** (prizes - 1 - k)
+            pattern = (b"\0" * d * s + b"\xff" * (size - d) * s) * size**k
+            moves.append((int.from_bytes(pattern, "big"), 8 * d * s))
+        capped = [[[min(v, wa) for v in range(size)]] * (prizes - 1) for wa in range(1, top)]
+        caps = [operator.itemgetter(*_places(size, tables)) for tables in capped]
+        return scatter, int.from_bytes(flags * (2 * top - 1), "big"), moves, caps
+
+
+def _places(size: int, tables: Sequence[Sequence[int]]) -> list[int]:
+    """Places of a |V|-level grid, each sent to the place whose levels
+    are the prizes' table entries at its own."""
+    grid = [0]
+    for table in tables:
+        grid = [a * size + b for a in grid for b in table]
+    return grid
 
 
 class PreferenceRelation:
     """An 'at least as good as' relation over a lottery universe.
 
-    The relation is its twin classes: members with the same row and the
-    same column of the relation share a class, and a member not at least
-    as good as itself has a class of its own.  ``class_of[i]`` is member
-    i's class, classes numbered in order of their first member, and bit b
-    of ``table[a]`` is set iff class a is at least as good as class b.
-    ``rows`` (bit j of ``rows[i]`` set iff member i is at least as good as
-    member j) is built on first read; no check reads it.
+    Its twin classes: members with the same row and column share a class,
+    and a member not at least as good as itself has one of its own.
+    ``class_of[i]`` is member i's class, numbered by first member, and bit
+    b of ``table[a]`` is set iff class a is at least as good as class b.
+    ``rows`` (bit j of ``rows[i]``: i at least as good as j) is built on
+    first read; no check reads it.
     """
 
     def __init__(self, universe: LotteryUniverse, rows: Sequence[int]):
@@ -211,12 +195,28 @@ class PreferenceRelation:
     @cached_property
     def indifference(self) -> list[int]:
         """Bitset per class of the classes indifferent to it; itself iff reflexive."""
-        return [row & col for row, col in zip(self.table, _columns(self.table))]
+        return [row & col for row, col in zip(self.table, self.columns)]
+
+    @cached_property
+    def columns(self) -> list[int]:
+        """Bitset per class b of the classes at least as good as b."""
+        table = self.table
+        return [sum((row >> b & 1) << a for a, row in enumerate(table)) for b in range(len(table))]
 
     @cached_property
     def first_members(self) -> list[int]:
         """First member of each class, ascending."""
         return [self.class_of.index(a) for a in range(max(self.class_of) + 1)]
+
+    @cached_property
+    def grid_layouts(self) -> list[bytes]:
+        """Class ids over the full level grid (``universe.grid``), 248
+        classes a layout: id - 248q in layout q, else 255."""
+        scatter, cls, count = self.universe.grid[0], self.class_of, len(self.table)
+        if count <= 248:
+            return [bytes(scatter(cls + [255]))]
+        return [bytes(scatter([c - lo if lo <= c < lo + 248 else 255 for c in cls] + [255]))
+                for lo in range(0, count, 248)]
 
     def at_least(self, i: int, j: int) -> bool:
         return bool(self.table[self.class_of[i]] >> self.class_of[j] & 1)
@@ -245,11 +245,6 @@ class PreferenceRelation:
         table = [sum((self.table[a] >> b & 1) << c for c, b in enumerate(origin)) for a in origin]
         table[class_of[i]] ^= 1 << class_of[j]
         return PreferenceRelation._of_classes(self.universe, class_of, table)
-
-
-def _columns(table: Sequence[int]) -> list[int]:
-    """Bitset per class b of the classes at least as good as b."""
-    return [sum((row >> b & 1) << a for a, row in enumerate(table)) for b in range(len(table))]
 
 
 def _fold(universe: LotteryUniverse, tables: Sequence[Sequence[int]], lowest: bool) -> list[int]:
@@ -303,11 +298,9 @@ def binary_keys(universe: LotteryUniverse, a: BinaryUtilityAssessment) -> list[i
 def induced_relation(universe: LotteryUniverse, keys: Iterable) -> PreferenceRelation:
     """Member i is at least as good as member j iff its utility is at least j's.
 
-    ``keys`` holds one utility per member, in member order: anything
-    hashable that ``>=`` compares, such as a public evaluator's value or a
-    key core's integer (``pessimistic_keys`` and its kin give a whole
-    universe's).  Each distinct utility is one class, so only the distinct
-    utilities are compared with each other.
+    ``keys`` holds one hashable, ``>=``-comparable utility per member, in
+    member order (``pessimistic_keys`` and its kin give a universe's).
+    Each distinct utility is one class; only those are compared.
     """
     class_of, values = _dense(keys)
     if len(class_of) != len(universe):
@@ -351,17 +344,16 @@ def check_total_preorder(r: PreferenceRelation) -> AxiomReport:
     for a, row in enumerate(table):
         # A class b that a is at least as good as, whose row reaches past
         # a's, breaks transitivity.
-        for b in _bits(row):
-            extra = table[b] & ~row
-            if extra:
-                i, j, k = first[a], first[b], first[_lowest_bit(extra)]
+        for b, other in enumerate(table):
+            if row >> b & 1 and other & ~row:
+                i, j, k = first[a], first[b], first[_lowest_bit(other & ~row)]
                 return AxiomReport(
                     "B1", False, (i, j, k),
                     f"transitivity fails: {describe(i)} >= {describe(j)} >= "
                     f"{describe(k)} but not {describe(i)} >= {describe(k)}",
                 )
     full = (1 << len(table)) - 1
-    for a, (row, col) in enumerate(zip(table, _columns(table))):
+    for a, (row, col) in enumerate(zip(table, r.columns)):
         # Classes unrelated to the first such class come after it, so
         # their first members pair with its first member.
         unrelated = full & ~(row | col)
@@ -377,43 +369,42 @@ def check_total_preorder(r: PreferenceRelation) -> AxiomReport:
 def check_uncertainty_attitude(r: PreferenceRelation, direction: str) -> AxiomReport:
     """Aversion: pointwise smaller must be weakly preferred.  Attraction: dual.
 
-    Implication only, per the axiom statements; the biconditional lives in
-    qualitative monotonicity.  Each member gets the classes of the members
-    strictly above it (aversion) or below it (attraction), gathered over
-    single-level raises, and must be at least as good as each of them.
-    That is exact on any relation, transitive or not.
+    Implication only; the biconditional lives in qualitative monotonicity.
+    Each place sees, by shifts over the grid, the classes at or above it
+    (aversion; below, attraction) and must be at least as good as each
+    but its own: exact on any relation.  The first place failing is i.
     """
     if direction not in ("aversion", "attraction"):
         raise ValueError(f"unknown direction {direction!r}")
-    axiom_id, below = ("A2-", operator.le) if direction == "aversion" else ("A2+", operator.ge)
+    axiom_id, below, order = (
+        ("A2-", operator.le, "big") if direction == "aversion" else ("A2+", operator.ge, "little")
+    )
     universe = r.universe
-    cls, table, n = r.class_of, r.table, r.size
-    raises = universe.raises
-    bit = [1 << c for c in cls]
-    beyond = [0] * n
-    if direction == "aversion":
-        # Raises land on later members, so those are done first.
-        for i in range(n - 1, -1, -1):
-            for j in raises[i]:
-                beyond[i] |= beyond[j] | bit[j]
-    else:
-        # Each member is lowered to from earlier members only.
-        for i, step in enumerate(raises):
-            for j in step:
-                beyond[j] |= beyond[i] | bit[i]
-    for i, c in enumerate(cls):
-        bad = beyond[i] & ~table[c]
-        if bad:
-            levels = universe.value_tuples
-            j = next(
-                j for j, other in enumerate(levels)
-                if j != i and bad >> cls[j] & 1 and all(map(below, levels[i], other))
-            )
-            return AxiomReport(
-                axiom_id, False, (i, j),
-                f"{direction} fails: {universe.describe(i)} must be weakly "
-                f"preferred to {universe.describe(j)}",
-            )
+    cls, table, layouts = r.class_of, r.table, r.grid_layouts
+    full = (1 << len(table)) - 1
+    # A class not at least as good as itself has one member.
+    bads = [(full ^ 1 << a) & ~row for a, row in enumerate(table)]
+    failing = 0
+    # Eight classes at a time, a bit each in a byte per place.
+    for g in range(0, len(table), 8):
+        seen = int.from_bytes(layouts[g // 248].translate(_ONE_BITS[248 - g % 248:][:256]), order)
+        for mask, by in universe.grid[2]:
+            seen |= (seen & mask) << by
+        for q, layout in enumerate(layouts):
+            bad = bytes([b >> g & 255 for b in bads[248 * q:248 * q + 248]]).ljust(256, b"\0")
+            failing |= seen & int.from_bytes(layout.translate(bad), order)
+    if failing:
+        failing = failing.to_bytes(len(layouts[0]), order)
+        place, size = len(failing) - len(failing.lstrip(b"\0")), len(universe.scale)
+        i = universe.base[place // size] + place % size
+        bad, levels = full & ~table[cls[i]], universe.value_tuples
+        j = next(j for j, other in enumerate(levels)
+                 if j != i and bad >> cls[j] & 1 and all(map(below, levels[i], other)))
+        return AxiomReport(
+            axiom_id, False, (i, j),
+            f"{direction} fails: {universe.describe(i)} must be weakly "
+            f"preferred to {universe.describe(j)}",
+        )
     return AxiomReport(axiom_id, True)
 
 
@@ -421,22 +412,18 @@ def check_substitutability(r: PreferenceRelation) -> AxiomReport:
     """Mixing two indifferent lotteries with any third must stay indifferent.
 
     Complete over every normalized weight pair, indifferent pair and
-    companion, never a sample; mixtures that coincide count as indifferent,
-    and self-indifference is the total-preorder check's job.  So each
-    mixture's member map must keep "equal or indifferent", and maps that
-    keep it compose.  Every mixture is a chain of
-    ``universe.generator_maps``, each a mixture too, so the axiom holds iff
-    each generator keeps it.  The first generator that does not, in key
-    order (point mass, then weights), gives the witness: its first broken
-    pair (i, j), mixed with point mass k under weights (wa, wb).
+    companion; mixtures that coincide count as indifferent, and
+    self-indifference is the total-preorder check's job.  Maps that keep
+    "equal or indifferent" compose, and every mixture is a chain of the
+    universe's ``generators``, so the axiom holds iff each keeps it.  The
+    first that does not, in key order, gives the witness: its first broken
+    pair (i, j) mixed with k under weights (wa, wb).
     """
     universe = r.universe
-    keeps = _same_keeper(r)
-    for (k, wa, wb), f in universe.generator_maps.items():
-        pair = None if keeps is not None and keeps(f) else _first_broken_pair(r, f)
-        if pair is not None:
-            i, j = pair
-            describe, labels = universe.describe, universe.scale.levels
+    for k, wa, wb in _suspects(r):
+        f = universe.generator_map(k, wa, wb)
+        if (pair := _first_broken_pair(r, f)) is not None:
+            (i, j), describe, labels = pair, universe.describe, universe.scale.levels
             return AxiomReport(
                 "B3", False, (i, j, k, wa, wb, f[i], f[j]),
                 f"substitutability fails: {describe(i)} ~ {describe(j)} "
@@ -446,44 +433,50 @@ def check_substitutability(r: PreferenceRelation) -> AxiomReport:
     return AxiomReport("B3", True)
 
 
-def _same_keeper(r: PreferenceRelation) -> Callable[[Sequence[int]], bool] | None:
-    """Block test of a member map: are members equal or indifferent to each
-    other sent to members equal or indifferent to each other?  None where
-    "equal or indifferent" is no equivalence.
-
-    A class is equal or indifferent to the classes in ``closed``: a class
-    not indifferent to itself has one member.  Where that is an
-    equivalence, with ``block[i]`` naming member i's block and ``rep[i]``
-    its first member, a map f keeps it iff ``block[f[i]] ==
-    block[f[rep[i]]]`` for every i: two gathers and one tuple compare.
+def _suspects(r: PreferenceRelation) -> list[tuple[int, int, int]]:
+    """Generators, in key order, that may break "equal or indifferent":
+    all where it is no equivalence or classes fill more than a layout,
+    else the first that breaks it, if any.  Its blocks are laid out per
+    prize, prize outermost: a raise to v is the slice at v v times and the
+    tail from v; a cap, the top slice gathered at capped places.
     """
-    ind = r.indifference
-    closed = [row | 1 << a for a, row in enumerate(ind)]
-    if any(closed[b] != closed[a] for a, row in enumerate(ind) for b in _bits(row)):
-        return None
-    block_of = [_lowest_bit(c) for c in closed]
-    block = [block_of[c] for c in r.class_of]
-    first = r.first_members
-    same_as_rep = operator.itemgetter(*[first[b] for b in block])
-
-    def keeps(f: Sequence[int]) -> bool:
-        images = operator.itemgetter(*f)(block)
-        return images == same_as_rep(images)
-
-    return keeps
+    universe, layouts = r.universe, r.grid_layouts
+    closed = [row | 1 << a for a, row in enumerate(r.indifference)]
+    # Each class is in its own set, so the sets are blocks iff they are disjoint.
+    if len(layouts) > 1 or sum(map(int.bit_count, set(closed))) != len(closed):
+        return universe.generators
+    _, members, _, caps = universe.grid
+    size, span = len(universe.scale), len(layouts[0])
+    level = span // size
+    layout = layouts[0].translate(bytes(map(closed.index, closed)).ljust(256, b"\xff"))
+    for q in range(len(universe.outcomes.labels)):
+        if q:
+            # The outermost prize moves innermost: prize q is now outermost.
+            turned = bytearray(span)
+            for v in range(size):
+                turned[v::size] = layout[v * level:(v + 1) * level]
+            layout = turned
+        images = [layout[v * level:][:level] * v + layout[v * level:] for v in range(1, size)]
+        images += [bytes(cap(layout[-level:])) * size for cap in caps]
+        # Keeping it is sending each block to its image at its last place.
+        expected = b"".join([layout.translate(bytes.maketrans(layout, i)) for i in images])
+        broken = int.from_bytes(b"".join(images), "big") ^ int.from_bytes(expected, "big")
+        if broken & members:
+            g = len(images) - 1 - ((broken & members).bit_length() - 1) // 8 // span
+            return [universe.generators[q * len(images) + g]]
+    return []
 
 
 def _first_broken_pair(r: PreferenceRelation, f: Sequence[int]) -> tuple[int, int] | None:
-    """First (i, j), i < j, of members indifferent to each other whose
-    images under f are neither equal nor indifferent; None if f keeps
-    "equal or indifferent".
+    """First (i, j), i < j, of indifferent members whose images under f
+    are neither equal nor indifferent; None if f keeps "equal or
+    indifferent".
 
-    Members sharing a class and an image class form a group, numbered in
-    order of its first member.  Two groups break f iff their classes are
-    indifferent and their image classes are neither equal nor indifferent.
-    That is symmetric, so the first broken pair is the first members of the
-    first group that breaks with a later one and of the first such later
-    group.
+    Members sharing a class and an image class form a group, numbered by
+    first member; two groups break f iff their classes are indifferent and
+    their image classes are neither equal nor indifferent.  So the first
+    broken pair is the first members of the first group that breaks with a
+    later one and of the first such later group.
     """
     cls, ind = r.class_of, r.indifference
     # A class not indifferent to itself has one member: equal images.
@@ -666,9 +659,7 @@ def _scalar_config(
     )
 
 
-def enumerate_scalar_configs(
-    outcomes: OutcomeSet, scale: Scale
-) -> list[ScalarUtilityConfig]:
+def enumerate_scalar_configs(outcomes: OutcomeSet, scale: Scale) -> list[ScalarUtilityConfig]:
     """Every valid scalar configuration over canonical utility scales.
 
     Ranges over utility-scale sizes up to the uncertainty scale, every
@@ -676,9 +667,7 @@ def enumerate_scalar_configs(
     scale has one order-reversing involution, so there is none to range over.
     """
     configs, built = [], {}
-    interior = tuple(
-        l for l in outcomes.labels if l not in (outcomes.best, outcomes.worst)
-    )
+    interior = tuple(l for l in outcomes.labels if l not in (outcomes.best, outcomes.worst))
     for u_size in range(2, len(scale) + 1):
         for h in enumerate_scale_maps(scale, canonical_scale(u_size, name="U")):
             for combo in itertools.product(range(u_size), repeat=len(interior)):
@@ -816,14 +805,9 @@ class ConfigOutcome:
         return FAMILIES[self.family]
 
     def unexpected(self) -> list[str]:
-        bad = []
-        for report in self.reports:
-            want = self.expectations.get(report.axiom, "informational")
-            if want == "satisfied" and not report.satisfied:
-                bad.append(report.axiom)
-            elif want == "violated" and report.satisfied:
-                bad.append(report.axiom)
-        return bad
+        want = self.expectations
+        return [r.axiom for r in self.reports
+                if want.get(r.axiom) == ("violated" if r.satisfied else "satisfied")]
 
 
 @dataclass
@@ -833,27 +817,22 @@ class EntailmentRun:
     configs: list[ConfigOutcome] = field(default_factory=list)
 
     def unexpected(self) -> list[tuple[str, str]]:
-        return [
-            (c.config_id, axiom) for c in self.configs for axiom in c.unexpected()
-        ]
+        return [(c.config_id, axiom) for c in self.configs for axiom in c.unexpected()]
 
     def anomaly_exhibited(self) -> bool:
         """Some mixed assessment must violate both attitude axioms."""
-        for c in self.configs:
-            if c.family != "binary":
-                continue
-            down = {r.axiom: r.satisfied for r in c.reports}
-            if down.get("A2-") is False and down.get("A2+") is False:
-                return True
-        return False
+        return any(
+            c.family == "binary"
+            and sum(not r.satisfied for r in c.reports if r.axiom in ("A2-", "A2+")) == 2
+            for c in self.configs
+        )
 
     def ok(self) -> bool:
         return not self.unexpected() and self.anomaly_exhibited()
 
 
-# The check behind each axiom.  Entries look their check up by module name at
-# call time, so a wrapper set on the module attribute sees every check a sweep
-# runs.
+# The check behind each axiom, looked up by module name at call time, so a
+# wrapper set on the module attribute sees every check a sweep runs.
 _CHECKS = {
     "A1-": lambda r: check_total_preorder(r),
     "A2-": lambda r: check_uncertainty_attitude(r, "aversion"),
@@ -866,9 +845,8 @@ _CHECKS = {
     "B4-": lambda r: check_continuity(r, "B4-"),
     "B4+": lambda r: check_continuity(r, "B4+"),
 }
-# B1 and B3 restate A1- and A3-: one evaluation per relation serves both.  A
-# check names its report by the B axiom; the battery relabels it (no witness
-# or detail names the axiom).
+# B1 and B3 restate A1- and A3-: one evaluation per relation serves both,
+# named by the B axiom and relabeled by the battery (no detail names it).
 _CHECKS["B1"], _CHECKS["B3"] = _CHECKS["A1-"], _CHECKS["A3-"]
 _TWIN = {"A1-": "B1", "B1": "A1-", "A3-": "B3", "B3": "A3-"}
 
@@ -900,16 +878,13 @@ def verify_entailments(
     """Run the axiom batteries across configuration families.
 
     Families: the caller's own configuration over its universe (if given);
-    fully enumerated configurations for every space within
-    ``enumerate_max``; and a seeded sample of scalar configurations drawn
-    within the sample bounds.  Each configuration runs its family's battery
-    from ``FAMILIES``, the key order of the family's expectations.
-    ``fault`` flips one entry of the first relation built, for exercising
-    the failure path end to end.  Within the call, never across calls, a
-    (family, universe, configuration) or relation met again reuses its
-    reports; a faulted relation's are never stored.  An ``enumerate_max``
-    part below 2 means no enumeration.  A space to enumerate or sample
-    over the enumeration limit is rejected before any work.
+    every configuration of each space within ``enumerate_max`` (a part
+    below 2: none); and a seeded sample within the sample bounds.  Each
+    runs its family's battery from ``FAMILIES``.  ``fault`` flips one
+    entry of the first relation built, to exercise the failure path.
+    Within the call only, a (family, universe, configuration) or relation
+    met again reuses its reports; a faulted relation's are never stored.
+    A space over the enumeration limit is rejected before any work.
     """
     for given, what in ((scalar_config, "config"), (assessment, "assessment")):
         if given is not None and universe is None:
@@ -932,9 +907,8 @@ def verify_entailments(
     def universe_for(nx: int, nv: int) -> LotteryUniverse:
         return LotteryUniverse(canonical_outcomes(nx), canonical_scale(nv))
 
-    # Every member of a universe shares its domain and scale, so one check per
-    # (universe, configuration) stands for the public evaluators' check per
-    # member, and the relation is built from the universe's integer keys.
+    # A universe's members share its domain and scale: one check stands for
+    # the evaluators' check per member, and its integer keys build relations.
     def scalar(pess_id: str, opt_id: str, uni: LotteryUniverse, cfg: ScalarUtilityConfig):
         check_domain(uni.outcomes, uni.scale, cfg.outcomes, cfg.uncertainty_scale)
         yield pess_id, "pessimistic", uni, cfg, pessimistic_keys
@@ -981,7 +955,7 @@ def verify_entailments(
         if reports is None:
             r = induced_relation(uni, keys(uni, given))
             if fault is None:
-                done = checked.setdefault((uni, tuple(r.class_of), tuple(r.table)), {})
+                done = checked.setdefault((uni, bytes(r.class_of), tuple(r.table)), {})
                 reports = verdicts[key] = _run_battery(r, FAMILIES[family], done)
             else:
                 reports = _run_battery(r.with_flipped(*fault), FAMILIES[family])
@@ -991,18 +965,20 @@ def verify_entailments(
 
 
 def format_report(run: EntailmentRun) -> str:
-    """One record per axiom per configuration, tab separated."""
-    lines = []
+    """One record per axiom per configuration, tab separated; each run of
+    reports a family shares is formatted once."""
+    chunks, tails = [], {}
     for config in run.configs:
-        for report in config.reports:
-            status = "satisfied" if report.satisfied else "violated"
-            expectation = config.expectations.get(report.axiom, "informational")
-            witness = report.detail if report.detail else "-"
-            lines.append(
-                f"{config.config_id}\t{report.axiom}\t{status}\t"
-                f"expected={expectation}\t{witness}"
-            )
-    return "\n".join(lines) + "\n"
+        key = config.family, *map(id, config.reports)
+        if key not in tails:
+            want = FAMILIES[config.family]
+            tails[key] = [
+                f"{r.axiom}\t{'satisfied' if r.satisfied else 'violated'}\t"
+                f"expected={want.get(r.axiom, 'informational')}\t{r.detail or '-'}"
+                for r in config.reports
+            ]
+        chunks.append(f"{config.config_id}\t" + f"\n{config.config_id}\t".join(tails[key]))
+    return "\n".join(chunks) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ entry at a time through ``at_least`` and ``indifferent`` (the transitivity
 witness alone takes a row), and the universe's value tuples through a
 lookup of their own built from them, never the universe's grid
 arithmetic, so they share no code with the class-table paths they are
-compared against.
+compared against.  ``check_uncertainty_attitude_by_steps`` and
+``check_substitutability_by_generators``, fast enough for universes of a
+few thousand members, also group members by ``class_of``.
 """
 
 from posdec.axioms import AxiomReport, PreferenceRelation
@@ -150,6 +152,96 @@ def _substitution_violation(r, axiom_id, i, j, k, wa, wb, mix):
         f"but weights ({labels[wa]}, {labels[wb]}) with {universe.describe(k)} "
         f"mix to {universe.describe(m1)} vs {universe.describe(m2)}",
     )
+
+
+def check_uncertainty_attitude_by_steps(r, direction):
+    """``check_uncertainty_attitude``'s report, from one-level steps.
+
+    Each member collects the classes of the members one level above it at
+    some prize (aversion; below, attraction) and of everything they
+    collect: chains of such steps through members reach every member
+    pointwise beyond.  The first member with a collected class it is not
+    at least as good as fails, against the first such member beyond it.
+    """
+    universe = r.universe
+    vt = universe.value_tuples
+    index_of = {t: i for i, t in enumerate(vt)}
+    n, cls = r.size, r.class_of
+    first = {c: i for i, c in reversed(list(enumerate(cls)))}
+    rows = {}
+    step, order = (1, range(n - 1, -1, -1)) if direction == "aversion" else (-1, range(n))
+    beyond = [0] * n
+    for i in order:
+        for p in range(len(vt[i])):
+            j = index_of.get(vt[i][:p] + (vt[i][p] + step,) + vt[i][p + 1:])
+            if j is not None:
+                beyond[i] |= beyond[j] | 1 << cls[j]
+    for i in range(n):
+        if cls[i] not in rows:
+            rows[cls[i]] = sum(1 << b for b in first if r.at_least(i, first[b]))
+        bad = beyond[i] & ~rows[cls[i]]
+        if bad:
+            for j in range(n):
+                pairs = zip(vt[i], vt[j]) if direction == "aversion" else zip(vt[j], vt[i])
+                if j != i and bad >> cls[j] & 1 and all(x <= y for x, y in pairs):
+                    return _attitude_violation(r, direction, i, j)
+    return AxiomReport("A2-" if direction == "aversion" else "A2+", True)
+
+
+def _attitude_violation(r, direction, i, j):
+    return AxiomReport(
+        "A2-" if direction == "aversion" else "A2+", False, (i, j),
+        f"{direction} fails: {r.universe.describe(i)} must be weakly "
+        f"preferred to {r.universe.describe(j)}",
+    )
+
+
+def check_substitutability_by_generators(r, axiom_id="B3"):
+    """``check_substitutability``'s report, from the mixtures with a point
+    mass alone, in key order (point mass, then weights (top, v), then
+    (wa, top)): the first whose member map breaks "equal or indifferent"
+    names the witness by its first broken pair (i, j), i < j.
+
+    A map that sends each class into one class, and indifferent classes
+    into equal or indifferent ones, keeps it; any other is scanned pair by
+    pair, each member against the later members of classes indifferent
+    to its own.
+    """
+    universe = r.universe
+    vt = universe.value_tuples
+    index_of = {t: i for i, t in enumerate(vt)}
+    n, cls, top = r.size, r.class_of, len(universe.scale) - 1
+    first = {c: i for i, c in reversed(list(enumerate(cls)))}
+    members = {c: [i for i in range(n) if cls[i] == c] for c in first}
+    near = {a: [b for b in first if r.indifferent(first[a], first[b])] for a in first}
+
+    def equal_or_indifferent(i, j):
+        return i == j or r.indifferent(i, j)
+
+    weights = [(top, v) for v in range(1, top + 1)] + [(wa, top) for wa in range(1, top)]
+    for p in range(len(vt[0])):
+        k = index_of[tuple(top if q == p else 0 for q in range(len(vt[0])))]
+        for wa, wb in weights:
+            mixed = [
+                index_of[tuple(max(min(x, wa), min(y, wb)) for x, y in zip(t, vt[k]))]
+                for t in vt
+            ]
+            image = {}
+            if all(image.setdefault(cls[i], mixed[i]) == mixed[i]
+                   or cls[image[cls[i]]] == cls[mixed[i]] for i in range(n)) and all(
+                equal_or_indifferent(image[a], image[b]) for a in near for b in near[a]
+            ):
+                continue
+            for i in range(n):
+                for j in sorted(j for b in near[cls[i]] for j in members[b] if j > i):
+                    if not equal_or_indifferent(mixed[i], mixed[j]):
+                        return _substitution_violation(
+                            r, axiom_id, i, j, k, wa, wb,
+                            lambda w1, t1, w2, t2: index_of[
+                                tuple(max(min(x, w1), min(y, w2)) for x, y in zip(t1, t2))
+                            ],
+                        )
+    return AxiomReport(axiom_id, True)
 
 
 def search_pair_counterexample_witness(pess, opt, pairs):

@@ -95,13 +95,13 @@ def test_checks_match_oracles(case):
             oracle.check_total_preorder(rel, axiom_id)
         )
     for direction in ("aversion", "attraction"):
-        assert fields(check_uncertainty_attitude(rel, direction)) == fields(
-            oracle.check_uncertainty_attitude(rel, direction)
-        )
+        report = fields(check_uncertainty_attitude(rel, direction))
+        assert report == fields(oracle.check_uncertainty_attitude(rel, direction))
+        assert report == fields(oracle.check_uncertainty_attitude_by_steps(rel, direction))
     for axiom_id in ("A3-", "B3"):
-        assert fields(replace(check_substitutability(rel), axiom=axiom_id)) == fields(
-            oracle.check_substitutability(rel, axiom_id=axiom_id)
-        )
+        report = fields(replace(check_substitutability(rel), axiom=axiom_id))
+        assert report == fields(oracle.check_substitutability(rel, axiom_id=axiom_id))
+        assert report == fields(oracle.check_substitutability_by_generators(rel, axiom_id))
 
 
 def every_report(rel):
@@ -208,11 +208,12 @@ def test_mixtures_onto_two_members_indifferent_to_nothing():
     report = check_substitutability(rel)
     assert fields(report) == fields(oracle.check_substitutability(rel))
     assert report.witness == (0, 2, 2, 2, 2, 4, 2)
-    # Member 0 goes to 4, the rest of its class to 9, every other member
-    # stays put: both the block test and the pair finder flag (0, 1).
+    # The grid test names the generator that breaks it first.  Member 0
+    # goes to 4, the rest of its class to 9, every other member stays put:
+    # the pair finder flags (0, 1).
+    assert axioms._suspects(rel) == [(2, 2, 2)]
     onto = [9 if c == rel.class_of[0] else i for i, c in enumerate(rel.class_of)]
     onto[0] = 4
-    assert not axioms._same_keeper(rel)(onto)
     assert axioms._first_broken_pair(rel, onto) == (0, 1)
 
 
@@ -278,3 +279,53 @@ def test_faulted_binary_relations_match_oracles(shape, seed, off_diagonal):
             oracle.check_uncertainty_attitude(rel, direction)
         )
     assert fields(check_substitutability(rel)) == fields(oracle.check_substitutability(rel))
+
+
+def wide_relations(shape):
+    """Relations over a wide universe, by kind: induced by each criterion,
+    induced by random keys, those with an entry flipped, and one with more
+    classes than a byte layout holds (aversion holding on 4x5, random keys
+    on 5x5)."""
+    universe = LotteryUniverse(canonical_outcomes(shape[0]), canonical_scale(shape[1]))
+    rng, n = random.Random(f"wide-{shape}"), len(universe)
+    configs = enumerate_scalar_configs(universe.outcomes, universe.scale)
+    assessments = enumerate_assessments(universe.outcomes, universe.scale)
+    induced = [
+        induced_relation(universe, keys(universe, given))
+        for keys, given in [
+            (pessimistic_keys, configs[-1]), (optimistic_keys, configs[len(configs) // 2]),
+            (binary_keys, assessments[-1]), (binary_keys, assessments[len(assessments) // 3]),
+        ]
+    ]
+    random_keys = [induced_relation(universe, [rng.randrange(m) for _ in range(n)]) for m in (2, 5)]
+    flipped = [rel.with_flipped(*rng.sample(range(n), 2)) for rel in induced + random_keys]
+    flipped += [induced[0].with_flipped(0, 0), induced[2].with_flipped(n - 1, n - 1)]
+    if shape == (4, 5):
+        many = [-1000 * sum(vt) + rng.randrange(1000) for vt in universe.value_tuples]
+    else:
+        many = [rng.randrange(300) for _ in range(n)]
+    return {
+        "induced": induced, "random-key": random_keys, "flipped": flipped,
+        "many-classes": [induced_relation(universe, many)],
+    }
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (5, 5)], ids=["4x5", "5x5"])
+def test_grid_decisions_match_the_stepwise_oracles(shape):
+    """Uncertainty attitude and substitutability, decided on the level grid,
+    give the step oracles' reports, witness and detail included, on every
+    kind of relation; both outcomes occur, so both are compared."""
+    outcomes = set()
+    for kind, rels in wide_relations(shape).items():
+        for rel in rels:
+            if kind == "many-classes":
+                assert len(rel.table) > 255 and len(rel.grid_layouts) > 1
+            for direction in ("aversion", "attraction"):
+                report = check_uncertainty_attitude(rel, direction)
+                expected = oracle.check_uncertainty_attitude_by_steps(rel, direction)
+                assert fields(report) == fields(expected), (kind, direction)
+                outcomes.add(("A2", report.satisfied))
+            report = check_substitutability(rel)
+            assert fields(report) == fields(oracle.check_substitutability_by_generators(rel)), kind
+            outcomes.add(("B3", report.satisfied))
+    assert outcomes == {(check, sat) for check in ("A2", "B3") for sat in (True, False)}

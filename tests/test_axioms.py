@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import operator
 import os
 import subprocess
 import sys
@@ -183,9 +184,12 @@ class TestLotteryUniverse:
         "nx, nv", [*itertools.product(range(2, 7), range(2, 7)), (2, 50)]
     )
     def test_members_are_addressed_by_grid_place(self, nx, nv):
-        """``index`` gives each member's position, and a raise is the member
-        one level higher at one prize; ``base`` never outgrows the universe,
-        even where the full grid is 25 times its size (2 prizes, 50 levels)."""
+        """``index`` gives each member's position.  In the full grid of
+        level tuples (``grid``), each member sits at its place, no member at
+        a tuple without the top level, and a raise is the member one stride
+        on, the member one level higher at one prize; the moves reach every
+        place pointwise below.  ``base`` never outgrows the universe, even
+        where the full grid is 25 times its size (2 prizes, 50 levels)."""
         labels = ("0", *(f".{v:02d}" for v in range(1, nv - 1)), "1")
         scale = canonical_scale(nv) if nv in axioms.SCALE_LABEL_PRESETS else Scale(labels)
         universe = LotteryUniverse(canonical_outcomes(nx), scale)
@@ -193,11 +197,28 @@ class TestLotteryUniverse:
         by_value = {vt: i for i, vt in enumerate(vts)}
         assert [universe.index(vt) for vt in vts] == list(range(len(universe)))
         assert len(universe.base) <= len(universe)
-        top = nv - 1
+        top, span = nv - 1, nv**nx
+        scatter, _, moves, _ = universe.grid
+        member_at = scatter([*range(len(universe)), None])
+        strides = [nv ** (nx - 1 - p) for p in range(nx)]
+
+        def place(levels):
+            return sum(map(operator.mul, levels, strides))
+
+        assert member_at.count(None) == top**nx
         for i, vt in enumerate(vts):
-            assert universe.raises[i] == tuple(
+            assert member_at[place(vt)] == i
+            assert [member_at[place(vt) + s] for s, v in zip(strides, vt) if v < top] == [
                 by_value[vt[:p] + (v + 1,) + vt[p + 1:]] for p, v in enumerate(vt) if v < top
-            )
+            ]
+        for vt in vts[::max(1, len(vts) // 5)]:
+            reach = 0xFF << 8 * (span - 1 - place(vt))
+            for mask, by in moves:
+                reach |= (reach & mask) << by
+            below = bytearray(span)
+            for levels in itertools.product(*(range(v + 1) for v in vt)):
+                below[place(levels)] = 0xFF
+            assert reach == int.from_bytes(below, "big")
 
     @pytest.mark.parametrize("levels", [(0, 0, 0), (0, 2), (2, 0, 0, 0), (3, 0, 0), (-1, 2, 0)])
     def test_index_rejects_a_non_member(self, levels):
@@ -372,14 +393,15 @@ class TestSubstitutability:
         level, members = universe.scale.level, universe.members
         by_value = {vt: i for i, vt in enumerate(universe.value_tuples)}
         top = len(universe.scale) - 1
-        assert len(universe.generator_maps) == (2 * top - 1) * shape[0]
-        for (k, wa, wb), f in universe.generator_maps.items():
+        assert len(universe.generators) == len(set(universe.generators)) == (2 * top - 1) * shape[0]
+        for k, wa, wb in universe.generators:
+            f = universe.generator_map(k, wa, wb)
             assert k in universe.point_mass_index.values()
             assert len(set(f)) > 1, f"map {(k, wa, wb)} is constant"
-            assert f == tuple(
+            assert f == [
                 by_value[mixture([(level(wa), m), (level(wb), members[k])]).indices]
                 for m in members
-            )
+            ]
 
     def test_every_generator_that_moves_members_is_needed(self):
         """Per generator map, the finest equivalence joining some pair that
@@ -387,8 +409,9 @@ class TestSubstitutability:
         named by this map."""
         universe = LotteryUniverse(canonical_outcomes(3), canonical_scale(3))
         n = len(universe)
-        for key, f in universe.generator_maps.items():
-            others = [g for other, g in universe.generator_maps.items() if other != key]
+        maps = {key: universe.generator_map(*key) for key in universe.generators}
+        for key, f in maps.items():
+            others = [g for other, g in maps.items() if other != key]
             for pair in itertools.combinations(range(n), 2):
                 block = congruence(n, others, pair)
                 if any(block[f[i]] != block[f[block[i]]] for i in range(n)):
@@ -400,11 +423,11 @@ class TestSubstitutability:
 
     @pytest.fixture(scope="class")
     def wide_binary_relation(self):
-        """The 6x6 relation of the last binary assessment, its maps built."""
+        """The 6x6 relation of the last binary assessment, its grid tables built."""
         universe = LotteryUniverse(canonical_outcomes(6), canonical_scale(6))
         assessment = enumerate_assessments(universe.outcomes, universe.scale)[-1]
         rel = induced_by(universe, partial(binary_utility, a=assessment))
-        universe.generator_maps  # Built here, so the test times the check alone.
+        universe.grid  # Built here, so the test times the check alone.
         return rel
 
     @pytest.mark.parametrize("end", ["first", "last"])
