@@ -1,22 +1,36 @@
 """Exhaustive desk-scale verification of preference axioms.
 
-A relation over a complete universe of lotteries is stored as its twin
-classes (members with the same row and column) and a table of which
-classes are at least as good as which: at most 2|V| - 1 classes for an
-induced relation, two more per flipped entry.  No check reads the n^2
-member rows.  Total preorder, continuity and the standard-lottery order
-read the table.  Uncertainty attitude and substitutability read the
-classes laid out over the full grid of level tuples: attitude closes a
-byte per place (a bit per class) under level shifts; substitutability
-cuts each mixture with a point mass from a per-prize
-layout of the blocks of "equal or indifferent" and tests it with one
-translate, building member maps only for a mixture that breaks it or
-where it is no equivalence.  Every check is complete and returns the
-first replayable witness.  A1-/B1 and A3-/B3 share one evaluation per
-relation, named by the B axiom and relabeled for the A axiom.
+A preference relation over a complete universe of lotteries is stored as
+its twin classes: members with the same row and the same column share a
+class, and a class table says which classes are at least as good as
+which.  A relation a criterion induces has one class per distinct
+utility, at most 2|V| - 1 whatever the size of the universe, and a
+flipped entry adds at most two.  Every axiom holds or fails for whole
+classes, so no check reads the n^2 member rows (``rows``, built only on
+request): total preorder, continuity and the standard-lottery order are
+decided on the table.  Uncertainty attitude and substitutability read
+the classes laid out over the full grid of level tuples.  Attitude gives
+each place a byte, a bit per class for eight classes at a time, and
+closes it under level shifts: every place then sees the classes above
+(or below) it.  Substitutability tries each mixture with a point mass,
+which generate every other, once: where "equal or indifferent" is an
+equivalence, it cuts the mixture's image of the blocks' layout by
+slicing or one gather and tests it with one translate; group pair by
+group pair otherwise, or where that test fails, and the first mixture
+that breaks it names the witness.
+Members are addressed by their place in the level grid: a mixture with
+a point mass folds per-prize image tables over it, and a raise is one
+stride.  Every check stays complete and returns the first concrete
+witness, which can be replayed.
+A1-/B1 and A3-/B3 name the same predicates: each check names its report
+by the B axiom, and a battery evaluates it once per relation and relabels
+the report for the A axiom.
 An entailment sweep checks each enumerated or seeded-sampled
-configuration against its family in ``FAMILIES``, one report line per
-axiom, and runs each check once per distinct relation it meets.
+configuration against its family in ``FAMILIES`` (the battery is the key
+order of its expectations), one report line per axiom per configuration.
+It checks a configuration's domain and scale once against its universe,
+builds the relation from per-prize term tables folded over the grid of
+level tuples, and runs each check once per distinct relation it meets.
 """
 
 from __future__ import annotations
@@ -35,6 +49,16 @@ from .utilities import BinaryUtilityAssessment, ScalarUtilityConfig, check_domai
 def _lowest_bit(bits: int) -> int:
     """Position of the lowest set bit of a nonzero bitset."""
     return (bits & -bits).bit_length() - 1
+
+
+def _bits(bits: int) -> list[int]:
+    """Positions of the set bits, lowest first."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 # 256 bytes from 248 - v translate v .. v + 7 to bits 0 .. 7, others to 0.
@@ -99,12 +123,17 @@ class LotteryUniverse:
         return self.base[reduce(lambda g, v: g * (top + 1) + v, levels[:-1], 0)] + levels[-1]
 
     def generator_map(self, k: int, wa: int, wb: int) -> list[int]:
-        """Member map of generator (k, wa, wb): each member to its mixture
-        with point mass k under weights (wa, wb).  Weights (top, v), v >= 1,
-        raise k's top prize to at least v; (wa, top), 0 < wa < top, cap every
-        prize at wa and raise that one to the top.  A mixture with any
-        lottery, under any weights but (0, top) (a constant map), is a
-        chain of these.
+        """Member map of generator (k, wa, wb), one of ``generators``.
+
+        It sends member i to its mixture with point mass k under weights
+        (wa, wb); there are 2 * top - 1 per prize, point masses in label
+        order.  Weights (top, v), v >= 1, raise the prize to at least v;
+        weights (wa, top), 0 < wa < top, cap every prize at wa and raise the
+        prize to the top.  Under any normalized weight pair but (0, top),
+        whose map is constant and keeps every relation, the mixture with k is
+        a chain of these: a cap at wa raising one of k's top prizes if
+        wa < top, then a raise to k's level, capped at wb, per prize: level
+        v goes to min(v, wa), and at k's top prize to max(min(v, wa), wb).
         """
         images = [[min(v, wa) for v in range(len(self.scale))]] * len(self.outcomes.labels)
         q = list(self.point_mass_index.values()).index(k)
@@ -113,29 +142,52 @@ class LotteryUniverse:
         grid = operator.itemgetter(*_places(len(self.scale), images[:-1]))(self.base)
         return list(map(operator.add, places(grid), last_levels(images[-1])))
 
+    # The grid tables cover the full grid of |V|^|X| level tuples, first
+    # prize outermost, which holds about |V|/|X| places per member at large
+    # |V|.  Each is built on first use by the check that reads it, and none
+    # is kept per generator.
+
     @cached_property
-    def grid(self) -> tuple:
-        """Tables over the full grid of |V|^|X| level tuples, first prize
-        outermost: a gather of a member sequence, one entry appended, onto
-        the grid, that entry where no member is; byte 0xff at members,
-        2|V| - 3 times over, as an int; (mask, shift) pairs moving a byte
-        per place d = 1, 2, 4, ... <= top levels down a prize (first place
-        highest), reaching in turn every place below; per cap level wa, a
-        gather of the other prizes' grid capped at wa.
-        """
-        size, top, prizes = len(self.scale), len(self.scale) - 1, len(self.outcomes.labels)
+    def grid_scatter(self) -> operator.itemgetter:
+        """Gather of a member sequence, one entry appended, onto the grid:
+        member i's entry at its place, the appended one where no member is."""
+        size, top = len(self.scale), len(self.scale) - 1
         # Below the top, a first prize's places hold members as the rest's do.
-        flags = reduce(lambda f, d: f * top + b"\xff" * size**d, range(prizes), b"\0")
+        flags = reduce(
+            lambda f, d: f * top + b"\xff" * size**d, range(len(self.outcomes.labels)), b"\0"
+        )
         cells = zip(itertools.product(self.base, range(size)), flags)
-        scatter = operator.itemgetter(*[b + v if f else len(self) for (b, v), f in cells])
+        places = [b + v if f else len(self) for (b, v), f in cells]
+        # Gathered from one int per member, so places share them.
+        return operator.itemgetter(*operator.itemgetter(*places)([*range(len(self) + 1)]))
+
+    @cached_property
+    def grid_members(self) -> int:
+        """Byte 0xff at each grid place that holds a member, 0 elsewhere,
+        first place highest, as one int."""
+        return int.from_bytes(bytes(self.grid_scatter([255] * len(self) + [0])), "big")
+
+    @cached_property
+    def grid_moves(self) -> list[tuple[int, int]]:
+        """(mask, shift) pairs moving a byte per place d = 1, 2, 4, ... <=
+        top levels down a prize, first place highest: ``seen |= (seen &
+        mask) << shift`` over them in turn reaches every place below."""
+        size, top, prizes = len(self.scale), len(self.scale) - 1, len(self.outcomes.labels)
         moves = []
         for k, d in itertools.product(range(prizes), [1 << e for e in range(top.bit_length())]):
             s = size ** (prizes - 1 - k)
             pattern = (b"\0" * d * s + b"\xff" * (size - d) * s) * size**k
             moves.append((int.from_bytes(pattern, "big"), 8 * d * s))
-        capped = [[[min(v, wa) for v in range(size)]] * (prizes - 1) for wa in range(1, top)]
-        caps = [operator.itemgetter(*_places(size, tables)) for tables in capped]
-        return scatter, int.from_bytes(flags * (2 * top - 1), "big"), moves, caps
+        return moves
+
+    @cached_property
+    def grid_caps(self) -> list[operator.itemgetter]:
+        """Per cap level wa = 1 .. top - 1, a gather over the grid of
+        |X| - 1 prizes' levels: each place takes the entry at its levels
+        capped at wa."""
+        size, others = len(self.scale), len(self.outcomes.labels) - 1
+        capped = [[[min(v, wa) for v in range(size)]] * others for wa in range(1, size - 1)]
+        return [operator.itemgetter(*_places(size, tables)) for tables in capped]
 
 
 def _places(size: int, tables: Sequence[Sequence[int]]) -> list[int]:
@@ -150,12 +202,13 @@ def _places(size: int, tables: Sequence[Sequence[int]]) -> list[int]:
 class PreferenceRelation:
     """An 'at least as good as' relation over a lottery universe.
 
-    Its twin classes: members with the same row and column share a class,
-    and a member not at least as good as itself has one of its own.
-    ``class_of[i]`` is member i's class, numbered by first member, and bit
-    b of ``table[a]`` is set iff class a is at least as good as class b.
-    ``rows`` (bit j of ``rows[i]``: i at least as good as j) is built on
-    first read; no check reads it.
+    The relation is its twin classes: members with the same row and the
+    same column of the relation share a class, and a member not at least
+    as good as itself has a class of its own.  ``class_of[i]`` is member
+    i's class, classes numbered in order of their first member, and bit b
+    of ``table[a]`` is set iff class a is at least as good as class b.
+    ``rows`` (bit j of ``rows[i]`` set iff member i is at least as good as
+    member j) is built on first read; no check reads it.
     """
 
     def __init__(self, universe: LotteryUniverse, rows: Sequence[int]):
@@ -210,9 +263,9 @@ class PreferenceRelation:
 
     @cached_property
     def grid_layouts(self) -> list[bytes]:
-        """Class ids over the full level grid (``universe.grid``), 248
-        classes a layout: id - 248q in layout q, else 255."""
-        scatter, cls, count = self.universe.grid[0], self.class_of, len(self.table)
+        """Class ids over the full level grid (``universe.grid_scatter``),
+        248 classes a layout: id - 248q in layout q, else 255."""
+        scatter, cls, count = self.universe.grid_scatter, self.class_of, len(self.table)
         if count <= 248:
             return [bytes(scatter(cls + [255]))]
         return [bytes(scatter([c - lo if lo <= c < lo + 248 else 255 for c in cls] + [255]))
@@ -298,9 +351,11 @@ def binary_keys(universe: LotteryUniverse, a: BinaryUtilityAssessment) -> list[i
 def induced_relation(universe: LotteryUniverse, keys: Iterable) -> PreferenceRelation:
     """Member i is at least as good as member j iff its utility is at least j's.
 
-    ``keys`` holds one hashable, ``>=``-comparable utility per member, in
-    member order (``pessimistic_keys`` and its kin give a universe's).
-    Each distinct utility is one class; only those are compared.
+    ``keys`` holds one utility per member, in member order: anything
+    hashable that ``>=`` compares, such as a public evaluator's value or a
+    key core's integer (``pessimistic_keys`` and its kin give a whole
+    universe's).  Each distinct utility is one class, so only the distinct
+    utilities are compared with each other.
     """
     class_of, values = _dense(keys)
     if len(class_of) != len(universe):
@@ -344,9 +399,10 @@ def check_total_preorder(r: PreferenceRelation) -> AxiomReport:
     for a, row in enumerate(table):
         # A class b that a is at least as good as, whose row reaches past
         # a's, breaks transitivity.
-        for b, other in enumerate(table):
-            if row >> b & 1 and other & ~row:
-                i, j, k = first[a], first[b], first[_lowest_bit(other & ~row)]
+        for b in _bits(row):
+            extra = table[b] & ~row
+            if extra:
+                i, j, k = first[a], first[b], first[_lowest_bit(extra)]
                 return AxiomReport(
                     "B1", False, (i, j, k),
                     f"transitivity fails: {describe(i)} >= {describe(j)} >= "
@@ -369,10 +425,14 @@ def check_total_preorder(r: PreferenceRelation) -> AxiomReport:
 def check_uncertainty_attitude(r: PreferenceRelation, direction: str) -> AxiomReport:
     """Aversion: pointwise smaller must be weakly preferred.  Attraction: dual.
 
-    Implication only; the biconditional lives in qualitative monotonicity.
-    Each place sees, by shifts over the grid, the classes at or above it
-    (aversion; below, attraction) and must be at least as good as each
-    but its own: exact on any relation.  The first place failing is i.
+    Implication only, per the axiom statements; the biconditional lives in
+    qualitative monotonicity.  Each place of the level grid gets the
+    classes of the places at or above it (aversion) or at or below it
+    (attraction), by shifts over the grid, and a member must be at least
+    as good as each of them but its own class: a class not at least as
+    good as itself has one member.  That is exact on any relation,
+    transitive or not.  The first failing place is the first failing
+    member i.
     """
     if direction not in ("aversion", "attraction"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -388,7 +448,7 @@ def check_uncertainty_attitude(r: PreferenceRelation, direction: str) -> AxiomRe
     # Eight classes at a time, a bit each in a byte per place.
     for g in range(0, len(table), 8):
         seen = int.from_bytes(layouts[g // 248].translate(_ONE_BITS[248 - g % 248:][:256]), order)
-        for mask, by in universe.grid[2]:
+        for mask, by in universe.grid_moves:
             seen |= (seen & mask) << by
         for q, layout in enumerate(layouts):
             bad = bytes([b >> g & 255 for b in bads[248 * q:248 * q + 248]]).ljust(256, b"\0")
@@ -412,18 +472,22 @@ def check_substitutability(r: PreferenceRelation) -> AxiomReport:
     """Mixing two indifferent lotteries with any third must stay indifferent.
 
     Complete over every normalized weight pair, indifferent pair and
-    companion; mixtures that coincide count as indifferent, and
-    self-indifference is the total-preorder check's job.  Maps that keep
-    "equal or indifferent" compose, and every mixture is a chain of the
-    universe's ``generators``, so the axiom holds iff each keeps it.  The
-    first that does not, in key order, gives the witness: its first broken
-    pair (i, j) mixed with k under weights (wa, wb).
+    companion, never a sample; mixtures that coincide count as indifferent,
+    and self-indifference is the total-preorder check's job.  So each
+    mixture's member map must keep "equal or indifferent", and maps that
+    keep it compose.  Every mixture is a chain of the universe's
+    ``generators``, each a mixture too, so the axiom holds iff each
+    generator keeps it.  The first generator that does not, in key order
+    (point mass, then weights), gives the witness: its first broken pair
+    (i, j), mixed with point mass k under weights (wa, wb).
     """
     universe = r.universe
     for k, wa, wb in _suspects(r):
         f = universe.generator_map(k, wa, wb)
-        if (pair := _first_broken_pair(r, f)) is not None:
-            (i, j), describe, labels = pair, universe.describe, universe.scale.levels
+        pair = _first_broken_pair(r, f)
+        if pair is not None:
+            i, j = pair
+            describe, labels = universe.describe, universe.scale.levels
             return AxiomReport(
                 "B3", False, (i, j, k, wa, wb, f[i], f[j]),
                 f"substitutability fails: {describe(i)} ~ {describe(j)} "
@@ -445,7 +509,7 @@ def _suspects(r: PreferenceRelation) -> list[tuple[int, int, int]]:
     # Each class is in its own set, so the sets are blocks iff they are disjoint.
     if len(layouts) > 1 or sum(map(int.bit_count, set(closed))) != len(closed):
         return universe.generators
-    _, members, _, caps = universe.grid
+    members, caps, generators = universe.grid_members, universe.grid_caps, iter(universe.generators)
     size, span = len(universe.scale), len(layouts[0])
     level = span // size
     layout = layouts[0].translate(bytes(map(closed.index, closed)).ljust(256, b"\xff"))
@@ -456,33 +520,41 @@ def _suspects(r: PreferenceRelation) -> list[tuple[int, int, int]]:
             for v in range(size):
                 turned[v::size] = layout[v * level:(v + 1) * level]
             layout = turned
-        images = [layout[v * level:][:level] * v + layout[v * level:] for v in range(1, size)]
-        images += [bytes(cap(layout[-level:])) * size for cap in caps]
-        # Keeping it is sending each block to its image at its last place.
-        expected = b"".join([layout.translate(bytes.maketrans(layout, i)) for i in images])
-        broken = int.from_bytes(b"".join(images), "big") ^ int.from_bytes(expected, "big")
-        if broken & members:
-            g = len(images) - 1 - ((broken & members).bit_length() - 1) // 8 // span
-            return [universe.generators[q * len(images) + g]]
+        raised = (layout[v * level:][:level] * v + layout[v * level:] for v in range(1, size))
+        capped = (bytes(cap(layout[-level:])) * size for cap in caps)
+        # One image at a time, in generator order, so no more than one is held.
+        for image, generator in zip(itertools.chain(raised, capped), generators):
+            # Keeping it is sending each block to its image at its last place;
+            # places with no member may differ.
+            expected = layout.translate(bytes.maketrans(layout, image))
+            if expected != image and (
+                int.from_bytes(image, "big") ^ int.from_bytes(expected, "big")
+            ) & members:
+                return [generator]
     return []
 
 
 def _first_broken_pair(r: PreferenceRelation, f: Sequence[int]) -> tuple[int, int] | None:
-    """First (i, j), i < j, of indifferent members whose images under f
-    are neither equal nor indifferent; None if f keeps "equal or
-    indifferent".
+    """First (i, j), i < j, of members indifferent to each other whose
+    images under f are neither equal nor indifferent; None if f keeps
+    "equal or indifferent".
 
-    Members sharing a class and an image class form a group, numbered by
-    first member; two groups break f iff their classes are indifferent and
-    their image classes are neither equal nor indifferent.  So the first
-    broken pair is the first members of the first group that breaks with a
-    later one and of the first such later group.
+    Members sharing a class and an image class form a group, numbered in
+    order of its first member.  Two groups break f iff their classes are
+    indifferent and their image classes are neither equal nor indifferent.
+    That is symmetric, so the first broken pair is the first members of the
+    first group that breaks with a later one and of the first such later
+    group.
     """
     cls, ind = r.class_of, r.indifference
     # A class not indifferent to itself has one member: equal images.
     closed = [row | 1 << a for a, row in enumerate(ind)]
     images = operator.itemgetter(*f)(cls)
     groups = list(dict.fromkeys(zip(cls, images)))
+    # One group per class, and no class indifferent to another (as in a
+    # total preorder): no two groups can break f.
+    if len(groups) == len(ind) == sum(map(int.bit_count, closed)):
+        return None
     for g, (a, c) in enumerate(groups):
         for b, d in groups[g + 1:]:
             if ind[a] >> b & 1 and not closed[c] >> d & 1:
@@ -659,7 +731,9 @@ def _scalar_config(
     )
 
 
-def enumerate_scalar_configs(outcomes: OutcomeSet, scale: Scale) -> list[ScalarUtilityConfig]:
+def enumerate_scalar_configs(
+    outcomes: OutcomeSet, scale: Scale
+) -> list[ScalarUtilityConfig]:
     """Every valid scalar configuration over canonical utility scales.
 
     Ranges over utility-scale sizes up to the uncertainty scale, every
@@ -667,7 +741,9 @@ def enumerate_scalar_configs(outcomes: OutcomeSet, scale: Scale) -> list[ScalarU
     scale has one order-reversing involution, so there is none to range over.
     """
     configs, built = [], {}
-    interior = tuple(l for l in outcomes.labels if l not in (outcomes.best, outcomes.worst))
+    interior = tuple(
+        l for l in outcomes.labels if l not in (outcomes.best, outcomes.worst)
+    )
     for u_size in range(2, len(scale) + 1):
         for h in enumerate_scale_maps(scale, canonical_scale(u_size, name="U")):
             for combo in itertools.product(range(u_size), repeat=len(interior)):
@@ -805,9 +881,14 @@ class ConfigOutcome:
         return FAMILIES[self.family]
 
     def unexpected(self) -> list[str]:
-        want = self.expectations
-        return [r.axiom for r in self.reports
-                if want.get(r.axiom) == ("violated" if r.satisfied else "satisfied")]
+        bad = []
+        for report in self.reports:
+            want = self.expectations.get(report.axiom, "informational")
+            if want == "satisfied" and not report.satisfied:
+                bad.append(report.axiom)
+            elif want == "violated" and report.satisfied:
+                bad.append(report.axiom)
+        return bad
 
 
 @dataclass
@@ -817,22 +898,27 @@ class EntailmentRun:
     configs: list[ConfigOutcome] = field(default_factory=list)
 
     def unexpected(self) -> list[tuple[str, str]]:
-        return [(c.config_id, axiom) for c in self.configs for axiom in c.unexpected()]
+        return [
+            (c.config_id, axiom) for c in self.configs for axiom in c.unexpected()
+        ]
 
     def anomaly_exhibited(self) -> bool:
         """Some mixed assessment must violate both attitude axioms."""
-        return any(
-            c.family == "binary"
-            and sum(not r.satisfied for r in c.reports if r.axiom in ("A2-", "A2+")) == 2
-            for c in self.configs
-        )
+        for c in self.configs:
+            if c.family != "binary":
+                continue
+            down = {r.axiom: r.satisfied for r in c.reports}
+            if down.get("A2-") is False and down.get("A2+") is False:
+                return True
+        return False
 
     def ok(self) -> bool:
         return not self.unexpected() and self.anomaly_exhibited()
 
 
-# The check behind each axiom, looked up by module name at call time, so a
-# wrapper set on the module attribute sees every check a sweep runs.
+# The check behind each axiom.  Entries look their check up by module name at
+# call time, so a wrapper set on the module attribute sees every check a sweep
+# runs.
 _CHECKS = {
     "A1-": lambda r: check_total_preorder(r),
     "A2-": lambda r: check_uncertainty_attitude(r, "aversion"),
@@ -845,8 +931,9 @@ _CHECKS = {
     "B4-": lambda r: check_continuity(r, "B4-"),
     "B4+": lambda r: check_continuity(r, "B4+"),
 }
-# B1 and B3 restate A1- and A3-: one evaluation per relation serves both,
-# named by the B axiom and relabeled by the battery (no detail names it).
+# B1 and B3 restate A1- and A3-: one evaluation per relation serves both.  A
+# check names its report by the B axiom; the battery relabels it (no witness
+# or detail names the axiom).
 _CHECKS["B1"], _CHECKS["B3"] = _CHECKS["A1-"], _CHECKS["A3-"]
 _TWIN = {"A1-": "B1", "B1": "A1-", "A3-": "B3", "B3": "A3-"}
 
@@ -878,13 +965,16 @@ def verify_entailments(
     """Run the axiom batteries across configuration families.
 
     Families: the caller's own configuration over its universe (if given);
-    every configuration of each space within ``enumerate_max`` (a part
-    below 2: none); and a seeded sample within the sample bounds.  Each
-    runs its family's battery from ``FAMILIES``.  ``fault`` flips one
-    entry of the first relation built, to exercise the failure path.
-    Within the call only, a (family, universe, configuration) or relation
-    met again reuses its reports; a faulted relation's are never stored.
-    A space over the enumeration limit is rejected before any work.
+    fully enumerated configurations for every space within
+    ``enumerate_max``; and a seeded sample of scalar configurations drawn
+    within the sample bounds.  Each configuration runs its family's battery
+    from ``FAMILIES``, the key order of the family's expectations.
+    ``fault`` flips one entry of the first relation built, for exercising
+    the failure path end to end.  Within the call, never across calls, a
+    (family, universe, configuration) or relation met again reuses its
+    reports; a faulted relation's are never stored.  An ``enumerate_max``
+    part below 2 means no enumeration.  A space to enumerate or sample
+    over the enumeration limit is rejected before any work.
     """
     for given, what in ((scalar_config, "config"), (assessment, "assessment")):
         if given is not None and universe is None:
@@ -907,8 +997,9 @@ def verify_entailments(
     def universe_for(nx: int, nv: int) -> LotteryUniverse:
         return LotteryUniverse(canonical_outcomes(nx), canonical_scale(nv))
 
-    # A universe's members share its domain and scale: one check stands for
-    # the evaluators' check per member, and its integer keys build relations.
+    # Every member of a universe shares its domain and scale, so one check per
+    # (universe, configuration) stands for the public evaluators' check per
+    # member, and the relation is built from the universe's integer keys.
     def scalar(pess_id: str, opt_id: str, uni: LotteryUniverse, cfg: ScalarUtilityConfig):
         check_domain(uni.outcomes, uni.scale, cfg.outcomes, cfg.uncertainty_scale)
         yield pess_id, "pessimistic", uni, cfg, pessimistic_keys
@@ -955,7 +1046,9 @@ def verify_entailments(
         if reports is None:
             r = induced_relation(uni, keys(uni, given))
             if fault is None:
-                done = checked.setdefault((uni, bytes(r.class_of), tuple(r.table)), {})
+                # Class ids as bytes where they fit one, as on every swept space.
+                ids = bytes(r.class_of) if len(r.table) <= 256 else tuple(r.class_of)
+                done = checked.setdefault((uni, ids, tuple(r.table)), {})
                 reports = verdicts[key] = _run_battery(r, FAMILIES[family], done)
             else:
                 reports = _run_battery(r.with_flipped(*fault), FAMILIES[family])

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from functools import partial
 from pathlib import Path
@@ -185,10 +186,11 @@ class TestLotteryUniverse:
     )
     def test_members_are_addressed_by_grid_place(self, nx, nv):
         """``index`` gives each member's position.  In the full grid of
-        level tuples (``grid``), each member sits at its place, no member at
-        a tuple without the top level, and a raise is the member one stride
-        on, the member one level higher at one prize; the moves reach every
-        place pointwise below.  ``base`` never outgrows the universe, even
+        level tuples (``grid_scatter``), each member sits at its place, no
+        member at a tuple without the top level, ``grid_members`` flags
+        exactly the places members hold, and a raise is the member one
+        stride on, the member one level higher at one prize; the moves reach
+        every place pointwise below.  ``base`` never outgrows the universe, even
         where the full grid is 25 times its size (2 prizes, 50 levels)."""
         labels = ("0", *(f".{v:02d}" for v in range(1, nv - 1)), "1")
         scale = canonical_scale(nv) if nv in axioms.SCALE_LABEL_PRESETS else Scale(labels)
@@ -198,14 +200,15 @@ class TestLotteryUniverse:
         assert [universe.index(vt) for vt in vts] == list(range(len(universe)))
         assert len(universe.base) <= len(universe)
         top, span = nv - 1, nv**nx
-        scatter, _, moves, _ = universe.grid
-        member_at = scatter([*range(len(universe)), None])
+        member_at = universe.grid_scatter([*range(len(universe)), None])
         strides = [nv ** (nx - 1 - p) for p in range(nx)]
 
         def place(levels):
             return sum(map(operator.mul, levels, strides))
 
         assert member_at.count(None) == top**nx
+        flags = [0x00 if i is None else 0xFF for i in member_at]
+        assert universe.grid_members == int.from_bytes(bytes(flags), "big")
         for i, vt in enumerate(vts):
             assert member_at[place(vt)] == i
             assert [member_at[place(vt) + s] for s, v in zip(strides, vt) if v < top] == [
@@ -213,7 +216,7 @@ class TestLotteryUniverse:
             ]
         for vt in vts[::max(1, len(vts) // 5)]:
             reach = 0xFF << 8 * (span - 1 - place(vt))
-            for mask, by in moves:
+            for mask, by in universe.grid_moves:
                 reach |= (reach & mask) << by
             below = bytearray(span)
             for levels in itertools.product(*(range(v + 1) for v in vt)):
@@ -427,7 +430,8 @@ class TestSubstitutability:
         universe = LotteryUniverse(canonical_outcomes(6), canonical_scale(6))
         assessment = enumerate_assessments(universe.outcomes, universe.scale)[-1]
         rel = induced_by(universe, partial(binary_utility, a=assessment))
-        universe.grid  # Built here, so the test times the check alone.
+        # Built here, so the test times the check alone.
+        universe.grid_scatter, universe.grid_members, universe.grid_caps
         return rel
 
     @pytest.mark.parametrize("end", ["first", "last"])
@@ -449,6 +453,25 @@ class TestSubstitutability:
         level, members = universe.scale.level, universe.members
         for x, m in ((i, m1), (j, m2)):
             assert mixture([(level(wa), members[x]), (level(wb), members[k])]) == members[m]
+
+    def test_grid_tables_stay_within_the_maps_they_replace(self):
+        """2 prizes x 300 levels, whose full grid is 150 times the universe:
+        building the grid tables and deciding substitutability (every
+        mixture tested, none failing) and attitude peaks below one pointer
+        per member per generator, what keeping every generator's member map
+        took."""
+        scale = Scale(("0", *(f".{v:03d}" for v in range(1, 299)), "1"))
+        universe = LotteryUniverse(canonical_outcomes(2), scale)
+        rel = induced_relation(universe, [(299 - vt[-1]) // 2 for vt in universe.value_tuples])
+        tracemalloc.start()
+        try:
+            assert check_substitutability(rel).satisfied
+            assert check_uncertainty_attitude(rel, "aversion").satisfied
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rel.grid_layouts) == 1 and axioms._suspects(rel) == []
+        assert peak < 8 * len(universe) * len(universe.generators)
 
 
 def congruence(n, maps, pair):
@@ -786,6 +809,21 @@ class TestVerifyEntailments:
         assert faulted.configs[0].reports[0].witness == (0, 0)
         assert {cid for cid, _ in faulted.unexpected()} == {first_id}
         assert faulted.configs[1:] == clean.configs[1:]
+
+    def test_scenario_relation_with_more_classes_than_a_byte_holds(self):
+        """The anchored assessment on 2 prizes x 130 levels ranks each of
+        its 259 members apart: the sweep checks that relation as it would
+        any other."""
+        scale = Scale(("0", *(f".{v:03d}" for v in range(1, 129)), "1"))
+        universe = LotteryUniverse(canonical_outcomes(2), scale)
+        assessment = tiny_assessment(universe)
+        run = verify_entailments(
+            universe, assessment=assessment, sample_size=0, enumerate_max=(1, 1)
+        )
+        relation = induced_relation(universe, axioms.binary_keys(universe, assessment))
+        assert len(relation.table) == len(universe) > 256
+        assert run.configs[0].reports == axioms._run_battery(relation, FAMILIES["binary"])
+        assert not run.unexpected() and run.anomaly_exhibited()
 
     def test_one_partition_in_two_orders_is_checked_twice(self, monkeypatch, small_universe):
         """The relation memo keys on the whole class table, not the classes alone."""
