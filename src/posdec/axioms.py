@@ -8,8 +8,10 @@ utility, at most 2|V| - 1 whatever the size of the universe, and a
 flipped entry adds at most two.  Every axiom holds or fails for whole
 classes, so no check reads the n^2 member rows (``rows``, built only on
 request): total preorder, continuity and the standard-lottery order are
-decided on the table.  Uncertainty attitude and substitutability read
-the classes laid out over the full grid of level tuples.  Attitude gives
+decided on the table; the last reads each standard member's class row as
+a bitset against the chain its expected order places it on.  Uncertainty
+attitude and substitutability read the classes laid out over the full
+grid of level tuples.  Attitude gives
 each place a byte, a bit per class for eight classes at a time, and
 closes it under level shifts: every place then sees the classes above
 (or below) it.  Substitutability tries each mixture with a point mass,
@@ -29,8 +31,13 @@ An entailment sweep checks each enumerated or seeded-sampled
 configuration against its family in ``FAMILIES`` (the battery is the key
 order of its expectations), one report line per axiom per configuration.
 It checks a configuration's domain and scale once against its universe,
-builds the relation from per-prize term tables folded over the grid of
-level tuples, and runs each check once per distinct relation it meets.
+builds the relation from per-prize term tables folded over the full grid
+of level tuples as bytes, one translate per level per prize, and runs
+each check once per distinct relation it meets.  The classes come from
+the keys by one translate, which is the relation's grid layout, with no
+per-member loop.  Keys fit a byte, with 0xff left to mark places that
+hold no member, up to |V| = 128 (``BYTE_KEY_LEVELS``); wider scales fold
+per member.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial, reduce
+from functools import cache, cached_property, reduce
 from typing import Iterable, Sequence
 
 from .lotteries import OutcomeSet, check_enumerable, enumerate_distributions
@@ -87,6 +94,7 @@ class LotteryUniverse:
         self.members = enumerate_distributions(outcomes, scale)
         self.value_tuples = tuple(m.indices for m in self.members)
         labels, size, top = outcomes.labels, len(scale), len(scale) - 1
+        self.grid_size = size ** len(labels)
         prefixes = itertools.product(range(size), repeat=len(labels) - 1)
         lasts = [range(size) if top in prefix else (top,) for prefix in prefixes]
         firsts = itertools.accumulate(map(len, lasts), initial=0)
@@ -106,6 +114,8 @@ class LotteryUniverse:
         )
         self.best_half_ids = tuple(i for i, l, m in self.standard_info if l == top)
         self.worst_half_ids = tuple(i for i, l, m in self.standard_info if m == top)
+        # Per expected order on standard lotteries, its chain (``_standard_chain``).
+        self.standard_chains: dict = {}
         weights = [(top, v) for v in range(1, size)] + [(wa, top) for wa in range(1, top)]
         self.generators = [(k, *w) for k in self.point_mass_index.values() for w in weights]
 
@@ -151,12 +161,8 @@ class LotteryUniverse:
     def grid_scatter(self) -> operator.itemgetter:
         """Gather of a member sequence, one entry appended, onto the grid:
         member i's entry at its place, the appended one where no member is."""
-        size, top = len(self.scale), len(self.scale) - 1
-        # Below the top, a first prize's places hold members as the rest's do.
-        flags = reduce(
-            lambda f, d: f * top + b"\xff" * size**d, range(len(self.outcomes.labels)), b"\0"
-        )
-        cells = zip(itertools.product(self.base, range(size)), flags)
+        flags = self.grid_members.to_bytes(self.grid_size, "big")
+        cells = zip(itertools.product(self.base, range(len(self.scale))), flags)
         places = [b + v if f else len(self) for (b, v), f in cells]
         # Gathered from one int per member, so places share them.
         return operator.itemgetter(*operator.itemgetter(*places)([*range(len(self) + 1)]))
@@ -165,7 +171,18 @@ class LotteryUniverse:
     def grid_members(self) -> int:
         """Byte 0xff at each grid place that holds a member, 0 elsewhere,
         first place highest, as one int."""
-        return int.from_bytes(bytes(self.grid_scatter([255] * len(self) + [0])), "big")
+        size, top = len(self.scale), len(self.scale) - 1
+        # Below the top, a first prize's places hold members as the rest's do.
+        flags = reduce(
+            lambda f, d: f * top + b"\xff" * size**d, range(len(self.outcomes.labels)), b"\0"
+        )
+        return int.from_bytes(flags, "big")
+
+    @cached_property
+    def grid_holes(self) -> int:
+        """Byte 0xff at each grid place that holds no member, 0 elsewhere,
+        first place highest, as one int."""
+        return self.grid_members ^ (1 << 8 * self.grid_size) - 1
 
     @cached_property
     def grid_moves(self) -> list[tuple[int, int]]:
@@ -267,7 +284,7 @@ class PreferenceRelation:
         248 classes a layout: id - 248q in layout q, else 255."""
         scatter, cls, count = self.universe.grid_scatter, self.class_of, len(self.table)
         if count <= 248:
-            return [bytes(scatter(cls + [255]))]
+            return [bytes(scatter([*cls, 255]))]
         return [bytes(scatter([c - lo if lo <= c < lo + 248 else 255 for c in cls] + [255]))
                 for lo in range(0, count, 248)]
 
@@ -300,52 +317,93 @@ class PreferenceRelation:
         return PreferenceRelation._of_classes(self.universe, class_of, table)
 
 
-def _fold(universe: LotteryUniverse, tables: Sequence[Sequence[int]], lowest: bool) -> list[int]:
-    """Per member, the min over prizes (the max unless ``lowest``) of the
-    entry at its level in the prize's table, one table per prize in label
-    order.
+# A key below 255 fits a byte and leaves 0xff to mark the grid places that
+# hold no member: binary keys run to 2 * top, so scales of up to 128 levels.
+BYTE_KEY_LEVELS = 128
+_IDENTITY = bytes(range(256))
+# Per table entry t, which is a level below BYTE_KEY_LEVELS, the byte tables
+# that take each byte b to min(b, t) and to max(b, t).
+_MIN_WITH = [_IDENTITY[:t] + bytes([t]) * (256 - t) for t in range(BYTE_KEY_LEVELS)]
+_MAX_WITH = [bytes([t]) * t + _IDENTITY[t:] for t in range(BYTE_KEY_LEVELS)]
+
+
+def _byte_fold(terms: Sequence[int], caps: Sequence[int], lowest: bool) -> int:
+    """Per place of the full level grid, the min over prizes of max(t, c)
+    (``lowest``), else the max over prizes of min(t, c): t the term at the
+    prize's level and c the prize's cap, caps in label order.  A byte per
+    place, first place highest, as one int.
+
+    A prize's table is the terms through the cap's byte table.  The grid of
+    the last prizes gains the prize before them as its outermost: one
+    translate per level, through the byte table of that level's entry.
+    """
+    clip, fold = (_MAX_WITH, _MIN_WITH) if lowest else (_MIN_WITH, _MAX_WITH)
+    terms = bytes(terms)
+    grid = terms.translate(clip[caps[-1]])
+    for cap in reversed(caps[:-1]):
+        grid = b"".join([grid.translate(fold[t]) for t in terms.translate(clip[cap])])
+    return int.from_bytes(grid, "big")
+
+
+def _member_fold(
+    universe: LotteryUniverse, terms: Sequence[int], caps: Sequence[int], lowest: bool
+) -> list[int]:
+    """``_byte_fold`` per member, in member order, for keys of any size.
 
     Each prefix of the prizes gets the fold of every level tuple, built from
     the one before it, entry by table entry; the last prize is folded in per
     member through ``universe.grid_gathers``.
     """
     places, last_levels = universe.grid_gathers
-    grid, *middle, last = tables
-    if lowest:
-        for table in middle:
-            grid = [a if a < b else b for a in grid for b in table]
-        return [a if a < b else b for a, b in zip(places(grid), last_levels(last))]
+    clip, fold = (max, min) if lowest else (min, max)
+    grid, *middle, last = [[clip(t, c) for t in terms] for c in caps]
     for table in middle:
-        grid = [a if a > b else b for a in grid for b in table]
-    return [a if a > b else b for a, b in zip(places(grid), last_levels(last))]
+        grid = [fold(a, b) for a in grid for b in table]
+    return list(map(fold, places(grid), last_levels(last)))
 
 
-def pessimistic_keys(universe: LotteryUniverse, cfg: ScalarUtilityConfig) -> list[int]:
-    """``pessimistic_key`` of every member, in order: the min fold of
-    max(n∘h(v), u(x)).  No domain check."""
-    nh = cfg.reversed_map
-    return _fold(universe, [[t if t > u else u for t in nh] for u in cfg.prize_indices], True)
+def _grid_keys(universe: LotteryUniverse, folded: int) -> bytes:
+    """A byte fold's keys with 0xff at each place that holds no member."""
+    return (folded | universe.grid_holes).to_bytes(universe.grid_size, "big")
 
 
-def optimistic_keys(universe: LotteryUniverse, cfg: ScalarUtilityConfig) -> list[int]:
-    """``optimistic_key`` of every member, in order: the max fold of
-    min(h(v), u(x)).  No domain check."""
-    h = cfg.scale_map.images
-    return _fold(universe, [[t if t < u else u for t in h] for u in cfg.prize_indices], False)
+def pessimistic_keys(universe: LotteryUniverse, cfg: ScalarUtilityConfig) -> bytes | list[int]:
+    """``pessimistic_key`` of every member: the min fold of max(n∘h(v),
+    u(x)).  On scales of up to ``BYTE_KEY_LEVELS`` levels, a byte per
+    place of the full level grid (``_byte_fold``), 0xff where no member
+    is; past that, a list in member order.  No domain check."""
+    if len(universe.scale) > BYTE_KEY_LEVELS:
+        return _member_fold(universe, cfg.reversed_map, cfg.prize_indices, True)
+    return _grid_keys(universe, _byte_fold(cfg.reversed_map, cfg.prize_indices, True))
 
 
-def binary_keys(universe: LotteryUniverse, a: BinaryUtilityAssessment) -> list[int]:
-    """``binary_key`` of every member, in order: the max folds of min(v,
-    first) and of min(v, second) over the prizes' pairs, joined by
-    ``pair_rank``.  No domain check."""
+def optimistic_keys(universe: LotteryUniverse, cfg: ScalarUtilityConfig) -> bytes | list[int]:
+    """``optimistic_key`` of every member, laid out as ``pessimistic_keys``
+    lays them: the max fold of min(h(v), u(x)).  No domain check."""
+    if len(universe.scale) > BYTE_KEY_LEVELS:
+        return _member_fold(universe, cfg.scale_map.images, cfg.prize_indices, False)
+    return _grid_keys(universe, _byte_fold(cfg.scale_map.images, cfg.prize_indices, False))
+
+
+def binary_keys(universe: LotteryUniverse, a: BinaryUtilityAssessment) -> bytes | list[int]:
+    """``binary_key`` of every member, laid out as ``pessimistic_keys``
+    lays them: the max folds f of min(v, first) and s of min(v, second)
+    over the prizes' pairs, joined by ``pair_rank``, which is f + top - s
+    since one of the two is the top.  No domain check."""
     top = a.scale.top_index
-    levels = range(top + 1)
-    firsts, seconds = (
-        _fold(universe, [[v if v < p else p for v in levels] for p in column], False)
-        for column in zip(*a.pair_indices)
-    )
-    # pair_rank, inlined: one of the two is the top.
-    return [f if s == top else 2 * top - s for f, s in zip(firsts, seconds)]
+    firsts, seconds = zip(*a.pair_indices)
+    if len(universe.scale) > BYTE_KEY_LEVELS:
+        levels = range(top + 1)
+        f, s = (_member_fold(universe, levels, caps, False) for caps in (firsts, seconds))
+        return [x + top - y for x, y in zip(f, s)]
+    f, s = (_byte_fold(_IDENTITY[:top + 1], caps, False) for caps in (firsts, seconds))
+    # No byte borrows: at every place, f + top - s is at least 0.
+    return _grid_keys(universe, f + int.from_bytes(bytes([top]) * universe.grid_size, "big") - s)
+
+
+def member_keys(keys: bytes | Sequence) -> Sequence:
+    """Keys in member order, from ``pessimistic_keys`` and its kin."""
+    return keys.replace(b"\xff", b"") if isinstance(keys, bytes) else keys
 
 
 def induced_relation(universe: LotteryUniverse, keys: Iterable) -> PreferenceRelation:
@@ -353,15 +411,28 @@ def induced_relation(universe: LotteryUniverse, keys: Iterable) -> PreferenceRel
 
     ``keys`` holds one utility per member, in member order: anything
     hashable that ``>=`` compares, such as a public evaluator's value or a
-    key core's integer (``pessimistic_keys`` and its kin give a whole
-    universe's).  Each distinct utility is one class, so only the distinct
-    utilities are compared with each other.
+    key core's integer.  Each distinct utility is one class, so only the
+    distinct utilities are compared with each other.  ``keys`` may also be
+    the byte per grid place that ``pessimistic_keys`` and its kin give on
+    scales of up to ``BYTE_KEY_LEVELS`` levels: then one translate numbers
+    the classes by first place, which is the relation's grid layout, and
+    ``class_of`` is that layout with the places that hold no member cut.
     """
-    class_of, values = _dense(keys)
+    layout = None
+    if isinstance(keys, bytes) and len(keys) == universe.grid_size:
+        members = keys.translate(None, b"\xff")
+        values = [*dict.fromkeys(members)]
+        numbered = bytes.maketrans(bytes(values), _IDENTITY[:len(values)])
+        layout, class_of = keys.translate(numbered), members.translate(numbered)
+    else:
+        class_of, values = _dense(keys)
     if len(class_of) != len(universe):
         raise ValueError("relation size does not match the universe")
     table = [sum(1 << b for b, v in enumerate(values) if u >= v) for u in values]
-    return PreferenceRelation._of_classes(universe, class_of, table)
+    r = PreferenceRelation._of_classes(universe, class_of, table)
+    if layout is not None and len(values) <= 248:
+        r.grid_layouts = [layout]
+    return r
 
 
 @dataclass(frozen=True)
@@ -601,19 +672,53 @@ def check_continuity(r: PreferenceRelation, variant: str) -> AxiomReport:
     return AxiomReport(variant, True)
 
 
-def _first_standard_mismatch(r: PreferenceRelation, expected) -> tuple[int, int] | None:
-    """First standard pair (ia, ib) whose entry differs from ``expected``.
+def _standard_chain(universe: LotteryUniverse, expected) -> tuple[list, list]:
+    """Standard members on the chain that ``expected`` orders them in:
+    ``expected(la, ma, lb, mb, top)`` holds of those with weights (la, ma)
+    and (lb, mb) iff the first's place is at least the second's, so a
+    member's place is how many it is at least as good as, less one.  Gives
+    (member, place) per standard member in ``standard_info`` order, and the
+    members from the lowest place up; kept per universe."""
+    chain = universe.standard_chains.get(expected)
+    if chain is None:
+        std, top = universe.standard_info, len(universe.scale) - 1
+        chain = [
+            (i, sum(expected(la, ma, lb, mb, top) for _, lb, mb in std) - 1) for i, la, ma in std
+        ]
+        order = [i for i, _ in sorted(chain, key=operator.itemgetter(1))]
+        chain = universe.standard_chains[expected] = chain, order
+    return chain
 
-    ``expected(la, ma, lb, mb)`` gives the entry required of standard
-    members with weights (la, ma) and (lb, mb); pairs are scanned in
-    ``standard_info`` order, ia outer.
+
+def _first_standard_mismatch(r: PreferenceRelation, expected) -> tuple[int, int] | None:
+    """First standard pair (ia, ib) whose entry differs from ``expected``'s
+    chain (``_standard_chain``); pairs are scanned in ``standard_info``
+    order, ia outer.
+
+    Standard member ia's entries match iff its class row holds the class
+    of every standard member at or below its place and of none above it.
     """
-    std = r.universe.standard_info
-    for ia, la, ma in std:
-        for ib, lb, mb in std:
-            if r.at_least(ia, ib) != expected(la, ma, lb, mb):
-                return ia, ib
+    chain, order = _standard_chain(r.universe, expected)
+    cls, table = r.class_of, r.table
+    placed = [1 << cls[i] for i in order]
+    below = [*itertools.accumulate(placed, operator.or_)]
+    above = [*itertools.accumulate(placed[:0:-1], operator.or_)][::-1] + [0]
+    for ia, q in chain:
+        row = table[cls[ia]]
+        if row & below[q] != below[q] or row & above[q]:
+            return ia, next(i for i, p in chain if (row >> cls[i] & 1) != (p <= q))
     return None
+
+
+def _standard_decomposition(la: int, ma: int, lb: int, mb: int, top: int) -> bool:
+    """The three-part union: the worst-weight order on the best-possible
+    half, the best-weight order on the worst-possible half, and every pair
+    from the best-possible half to the worst-possible one."""
+    return (
+        (la == top and lb == top and ma <= mb)
+        or (ma == top and mb == top and la >= lb)
+        or (la == top and mb == top)
+    )
 
 
 def check_qualitative_monotonicity(r: PreferenceRelation) -> AxiomReport:
@@ -622,8 +727,7 @@ def check_qualitative_monotonicity(r: PreferenceRelation) -> AxiomReport:
     Both directions are checked: the biconditional, not just sufficiency.
     """
     universe = r.universe
-    top = len(universe.scale) - 1
-    bad = _first_standard_mismatch(r, partial(pair_ge_indices, top=top))
+    bad = _first_standard_mismatch(r, pair_ge_indices)
     if bad is None:
         return AxiomReport("B2", True)
     ia, ib = bad
@@ -637,22 +741,10 @@ def check_qualitative_monotonicity(r: PreferenceRelation) -> AxiomReport:
 
 
 def check_standard_order_decomposition(r: PreferenceRelation) -> AxiomReport:
-    """Preference on standard lotteries must equal the three-part union.
-
-    The union joins the within-half orders (worst-weight order on the
-    best-possible half, best-weight order on the worst-possible half) with
-    every cross pair from the best-possible half to the worst-possible one.
-    """
+    """Preference on standard lotteries must equal the three-part union
+    (``_standard_decomposition``)."""
     universe = r.universe
-    top = len(universe.scale) - 1
-    bad = _first_standard_mismatch(
-        r,
-        lambda la, ma, lb, mb: (
-            (la == top and lb == top and ma <= mb)
-            or (ma == top and mb == top and la >= lb)
-            or (la == top and mb == top)
-        ),
-    )
+    bad = _first_standard_mismatch(r, _standard_decomposition)
     if bad is None:
         return AxiomReport("B2-decomposition", True)
     ia, ib = bad
@@ -950,6 +1042,12 @@ def _run_battery(r: PreferenceRelation, battery: Iterable[str], done=None) -> li
     return [done[axiom] for axiom in battery]
 
 
+def _content(r: PreferenceRelation) -> tuple:
+    """The relation's classes and table, as a memo key: class ids as bytes
+    where they fit one, as on every swept space."""
+    return bytes(r.class_of) if len(r.table) <= 256 else tuple(r.class_of), tuple(r.table)
+
+
 def verify_entailments(
     universe: LotteryUniverse | None = None,
     *,
@@ -1046,9 +1144,7 @@ def verify_entailments(
         if reports is None:
             r = induced_relation(uni, keys(uni, given))
             if fault is None:
-                # Class ids as bytes where they fit one, as on every swept space.
-                ids = bytes(r.class_of) if len(r.table) <= 256 else tuple(r.class_of)
-                done = checked.setdefault((uni, ids, tuple(r.table)), {})
+                done = checked.setdefault((uni, *_content(r)), {})
                 reports = verdicts[key] = _run_battery(r, FAMILIES[family], done)
             else:
                 reports = _run_battery(r.with_flipped(*fault), FAMILIES[family])
@@ -1122,10 +1218,12 @@ def search_pair_counterexample(
     # their first member.  A first witness (i, j) has i first in its group:
     # any earlier member of the group would pair with i or with j.
     groups: dict[tuple[int, int], list[int]] = {}
-    scalar_keys = zip(pessimistic_keys(universe, cfg), optimistic_keys(universe, cfg))
+    scalar_keys = zip(
+        member_keys(pessimistic_keys(universe, cfg)), member_keys(optimistic_keys(universe, cfg))
+    )
     for i, key in enumerate(scalar_keys):
         groups.setdefault(key, []).append(i)
-    pair_key = binary_keys(universe, assessment)
+    pair_key = member_keys(binary_keys(universe, assessment))
     for members in groups.values():
         i = members[0]
         for j in members:

@@ -362,17 +362,19 @@ def enumeration_count(domain_size: int, scale_size: int) -> int:
     return scale_size**domain_size - (scale_size - 1) ** domain_size
 
 
-def check_enumerable(what: str, domain_size: int, scale_size: int) -> None:
+def check_enumerable(
+    what: str, domain_size: int, scale_size: int, limit: int = DEFAULT_ENUMERATION_LIMIT
+) -> None:
     """Raise ``BoundExceededError``, naming ``what``, if a space of this many
-    outcomes and levels holds more lotteries than ``DEFAULT_ENUMERATION_LIMIT``.
+    outcomes and levels holds more lotteries than ``limit``.
 
-    A space holds at least 2^|X| - 1 lotteries, so past 64 outcomes it is
-    over the limit without building that power.
+    A space holds at least 2^|X| - 1 lotteries, so past as many outcomes as
+    ``limit`` has bits it is over the limit without building that power.
     """
-    if domain_size > 64 or enumeration_count(domain_size, scale_size) > DEFAULT_ENUMERATION_LIMIT:
+    if domain_size > limit.bit_length() or enumeration_count(domain_size, scale_size) > limit:
         raise BoundExceededError(
             f"{what}: {domain_size} outcomes by {scale_size} levels are over the "
-            f"enumeration limit of {DEFAULT_ENUMERATION_LIMIT} lotteries"
+            f"enumeration limit of {limit} lotteries"
         )
 
 
@@ -381,15 +383,11 @@ def enumerate_distributions(
 ) -> tuple[PossibilityDistribution, ...]:
     """Every normalized distribution over (domain, scale), in a fixed order.
 
-    Raises if the count would exceed ``limit``.
+    Raises, naming the space and its count, if the count would exceed ``limit``.
     """
     n = len(domain.labels)
     m = len(scale)
-    count = enumeration_count(n, m)
-    if count > limit:
-        raise BoundExceededError(
-            f"enumeration would generate {count} distributions, over the limit of {limit}"
-        )
+    check_enumerable(f"a universe of {enumeration_count(n, m)} lotteries", n, m, limit)
     top = m - 1
     out = []
     for combo in itertools.product(range(m), repeat=n):

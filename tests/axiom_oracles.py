@@ -244,6 +244,72 @@ def check_substitutability_by_generators(r, axiom_id="B3"):
     return AxiomReport(axiom_id, True)
 
 
+def _standard_members(universe):
+    """(member, best weight, worst weight) of each standard lottery, in
+    member order: the members at level 0 on every prize but the best and
+    the worst, with one of those two at the top."""
+    labels, top = universe.outcomes.labels, len(universe.scale) - 1
+    best, worst = labels.index(universe.outcomes.best), labels.index(universe.outcomes.worst)
+    return [
+        (i, t[best], t[worst]) for i, t in enumerate(universe.value_tuples)
+        if top in (t[best], t[worst])
+        and not any(v for p, v in enumerate(t) if p not in (best, worst))
+    ]
+
+
+def _first_standard_mismatch(r, expected):
+    """First standard pair (ia, ib), ia outer, whose entry is not ``expected``'s."""
+    std, top = _standard_members(r.universe), len(r.universe.scale) - 1
+    for ia, la, ma in std:
+        for ib, lb, mb in std:
+            if r.at_least(ia, ib) != expected(la, ma, lb, mb, top):
+                return ia, ib
+    return None
+
+
+def check_qualitative_monotonicity(r):
+    """Every standard pair against the three-case pair order."""
+
+    def pair_order(la, ma, lb, mb, top):
+        return (
+            (ma == top and mb == top and la >= lb)
+            or (la == top and lb < top)
+            or (la == top and lb == top and ma <= mb)
+        )
+
+    bad = _first_standard_mismatch(r, pair_order)
+    if bad is None:
+        return AxiomReport("B2", True)
+    ia, ib = bad
+    describe = r.universe.describe
+    direction = "holds but the pair order denies it" if r.at_least(ia, ib) \
+        else "fails but the pair order requires it"
+    return AxiomReport(
+        "B2", False, bad,
+        f"qualitative monotonicity fails: {describe(ia)} >= {describe(ib)} {direction}",
+    )
+
+
+def check_standard_order_decomposition(r):
+    """Every standard pair against the union of the within-half orders and
+    the pairs from the best-possible half to the worst-possible one."""
+
+    def union(la, ma, lb, mb, top):
+        best_half = la == top and lb == top and ma <= mb
+        worst_half = ma == top and mb == top and la >= lb
+        return best_half or worst_half or (la == top and mb == top)
+
+    bad = _first_standard_mismatch(r, union)
+    if bad is None:
+        return AxiomReport("B2-decomposition", True)
+    ia, ib = bad
+    describe = r.universe.describe
+    return AxiomReport(
+        "B2-decomposition", False, bad,
+        f"decomposition fails on {describe(ia)} vs {describe(ib)}",
+    )
+
+
 def search_pair_counterexample_witness(pess, opt, pairs):
     """(witness, pairs checked) of the pairwise scan over all member pairs."""
     checked = 0

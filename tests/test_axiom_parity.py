@@ -102,6 +102,17 @@ def test_checks_match_oracles(case):
         report = fields(replace(check_substitutability(rel), axiom=axiom_id))
         assert report == fields(oracle.check_substitutability(rel, axiom_id=axiom_id))
         assert report == fields(oracle.check_substitutability_by_generators(rel, axiom_id))
+    assert_standard_orders_match_oracles(rel)
+
+
+def assert_standard_orders_match_oracles(rel):
+    """B2 and its decomposition report as the oracles' scans of every
+    standard pair; returns whether B2 holds."""
+    report = fields(check_qualitative_monotonicity(rel))
+    assert report == fields(oracle.check_qualitative_monotonicity(rel))
+    decomposition = fields(check_standard_order_decomposition(rel))
+    assert decomposition == fields(oracle.check_standard_order_decomposition(rel))
+    return report[1]
 
 
 def every_report(rel):
@@ -193,6 +204,7 @@ def test_flipped_fold_relations_match_oracles(data):
             oracle.check_uncertainty_attitude(rel, direction)
         )
     assert fields(check_substitutability(rel)) == fields(oracle.check_substitutability(rel))
+    assert_standard_orders_match_oracles(rel)
 
 
 def test_mixtures_onto_two_members_indifferent_to_nothing():
@@ -313,7 +325,8 @@ def wide_relations(shape):
 @pytest.mark.parametrize("shape", [(4, 5), (5, 5)], ids=["4x5", "5x5"])
 def test_grid_decisions_match_the_stepwise_oracles(shape):
     """Uncertainty attitude and substitutability, decided on the level grid,
-    give the step oracles' reports, witness and detail included, on every
+    give the step oracles' reports, and B2 and its decomposition, decided
+    on class rows, the pair scans', witness and detail included, on every
     kind of relation; both outcomes occur, so both are compared."""
     outcomes = set()
     for kind, rels in wide_relations(shape).items():
@@ -328,4 +341,6 @@ def test_grid_decisions_match_the_stepwise_oracles(shape):
             report = check_substitutability(rel)
             assert fields(report) == fields(oracle.check_substitutability_by_generators(rel)), kind
             outcomes.add(("B3", report.satisfied))
-    assert outcomes == {(check, sat) for check in ("A2", "B3") for sat in (True, False)}
+            outcomes.add(("B2", assert_standard_orders_match_oracles(rel)))
+    checks = ("A2", "B3", "B2")
+    assert outcomes == {(check, sat) for check in checks for sat in (True, False)}

@@ -43,8 +43,9 @@ from posdec.axioms import (
     verify_entailments,
 )
 from posdec.lotteries import BoundExceededError, mixture
-from posdec.scales import Scale, ScaleMismatchError
+from posdec.scales import Scale, ScaleMap, ScaleMismatchError, pair_ge_indices
 from posdec.utilities import (
+    ScalarUtilityConfig,
     binary_utility,
     optimistic_utility,
     pessimistic_utility,
@@ -825,10 +826,40 @@ class TestVerifyEntailments:
         assert run.configs[0].reports == axioms._run_battery(relation, FAMILIES["binary"])
         assert not run.unexpected() and run.anomaly_exhibited()
 
+    @pytest.mark.parametrize("levels", [128, 129])
+    def test_reports_at_the_byte_key_limit_match_a_per_member_battery(self, levels):
+        """2 prizes x 128 levels is the widest space whose keys fit a byte
+        (binary keys to 254, the anchored assessment's 255 classes, a
+        layout more than 248 hold); at 129 levels the keys are folded per
+        member.  Either way, the sweep reports as a battery on relations
+        built afresh from the public evaluators."""
+        scale = Scale(("0", *(f".{v:03d}" for v in range(1, levels - 1)), "1"))
+        universe = LotteryUniverse(canonical_outcomes(2), scale)
+        identity = ScaleMap(scale, Scale(scale.levels, name="U"), tuple(range(levels)))
+        utility = {"x1": levels - 1, "x2": 0}
+        cfg = ScalarUtilityConfig.from_indices(universe.outcomes, identity, utility)
+        assessment = tiny_assessment(universe)
+        run = verify_entailments(
+            universe, scalar_config=cfg, assessment=assessment, sample_size=0, enumerate_max=(1, 1)
+        )
+        families = [
+            ("pessimistic", partial(pessimistic_utility, cfg=cfg)),
+            ("optimistic", partial(optimistic_utility, cfg=cfg)),
+            ("binary", partial(binary_utility, a=assessment)),
+        ]
+        for config, (family, evaluate) in zip(run.configs, families, strict=True):
+            fresh = induced_by(universe, evaluate)
+            assert config.reports == axioms._run_battery(fresh, FAMILIES[family])
+        keys = axioms.binary_keys(universe, assessment)
+        assert isinstance(keys, bytes) == (levels <= axioms.BYTE_KEY_LEVELS)
+        assert len(induced_relation(universe, keys).table) == len(universe) == 2 * levels - 1
+        assert not run.unexpected() and run.anomaly_exhibited()
+
     def test_one_partition_in_two_orders_is_checked_twice(self, monkeypatch, small_universe):
         """The relation memo keys on the whole class table, not the classes alone."""
         cfg = enumerate_scalar_configs(small_universe.outcomes, small_universe.scale)[0]
-        reversed_keys = [-k for k in axioms.pessimistic_keys(small_universe, cfg)]
+        keys = axioms.member_keys(axioms.pessimistic_keys(small_universe, cfg))
+        reversed_keys = [-k for k in keys]
         monkeypatch.setattr(axioms, "binary_keys", lambda *args: reversed_keys)
         run = verify_entailments(
             small_universe, scalar_config=cfg, assessment=tiny_assessment(small_universe),
@@ -1007,8 +1038,6 @@ def replay_witness(rel, report):
             targets = [i for i, _, _ in universe.standard_info]
         return not any(rel.indifferent(src, t) for t in targets)
     if axiom == "B2":
-        from posdec.scales import pair_ge_indices
-
         ia, ib = w
         info = {i: (l, m) for i, l, m in universe.standard_info}
         la, ma = info[ia]
@@ -1099,6 +1128,24 @@ def test_violated_reports_always_replay(data):
         else:
             assert report.witness is not None
             assert replay_witness(rel, report), (report.axiom, report.witness)
+
+
+@pytest.mark.parametrize("size", range(2, 9))
+@pytest.mark.parametrize("expected", [pair_ge_indices, axioms._standard_decomposition])
+def test_standard_orders_are_chains(size, expected):
+    """B2 and its decomposition read each expected order as a chain of
+    standard lotteries: each holds of a pair iff the first's place, how
+    many it is at least as good as, is at least the second's."""
+    scale = Scale(tuple(f".{v}" if 0 < v < size - 1 else str(v // (size - 1)) for v in range(size)))
+    universe = LotteryUniverse(canonical_outcomes(3), scale)
+    chain, order = axioms._standard_chain(universe, expected)
+    places = {i: q for i, q in chain}
+    assert sorted(places.values()) == list(range(2 * size - 1))
+    assert [places[i] for i in order] == sorted(places.values())
+    info = universe.standard_info
+    for ia, la, ma in info:
+        for ib, lb, mb in info:
+            assert expected(la, ma, lb, mb, size - 1) == (places[ia] >= places[ib])
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from posdec.axioms import LotteryUniverse
 from posdec.lotteries import (
     INFINITY,
     MAX_DISBELIEF,
@@ -292,6 +293,23 @@ class TestEnumeration:
     def test_bound_exceeded_states_count(self):
         with pytest.raises(BoundExceededError, match="175"):
             enumerate_distributions(X4, V4, limit=100)
+
+    def test_bound_exceeded_names_the_space(self):
+        """Worded as the up-front checks word it, so a universe built
+        directly names its space; the limit is the largest count allowed."""
+        with pytest.raises(BoundExceededError, match=(
+            r"^a universe of 175 lotteries: 4 outcomes by 4 levels are over the "
+            r"enumeration limit of 174 lotteries$"
+        )):
+            enumerate_distributions(X4, V4, limit=174)
+        assert len(enumerate_distributions(X4, V4, limit=175)) == 175
+        seven = OutcomeSet(tuple(f"x{i}" for i in range(7)), best="x0", worst="x6")
+        six = Scale(("0", ".1", ".3", ".5", ".7", "1"))
+        with pytest.raises(BoundExceededError, match=(
+            r"^a universe of 201811 lotteries: 7 outcomes by 6 levels are over the "
+            r"enumeration limit of 200000 lotteries$"
+        )):
+            LotteryUniverse(seven, six)
 
 
 class TestStandardLotteries:

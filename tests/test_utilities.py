@@ -2,11 +2,13 @@
 
 import itertools
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posdec import axioms
 from posdec.axioms import (
     LotteryUniverse,
     binary_keys,
@@ -16,6 +18,7 @@ from posdec.axioms import (
     enumerate_scalar_configs,
     enumerate_scale_maps,
     induced_relation,
+    member_keys,
     optimistic_keys,
     pessimistic_keys,
 )
@@ -469,6 +472,23 @@ SHUFFLED = LotteryUniverse(
 )
 
 
+def assert_folds_agree(universe, keys, given):
+    """The byte fold and the per-member fold, which scales past
+    ``BYTE_KEY_LEVELS`` levels take, give the same keys, and relations
+    with the same classes, table, grid layouts and memo key."""
+    by_grid = keys(universe, given)
+    with mock.patch.object(axioms, "BYTE_KEY_LEVELS", 1):
+        by_member = keys(universe, given)
+    assert isinstance(by_grid, bytes) and len(by_grid) == universe.grid_size
+    assert isinstance(by_member, list) and list(member_keys(by_grid)) == by_member
+    grid_relation, member_relation = (induced_relation(universe, k) for k in (by_grid, by_member))
+    assert list(grid_relation.class_of) == member_relation.class_of
+    assert grid_relation.table == member_relation.table
+    # Laid out by the byte fold's translate, and through the grid scatter.
+    assert grid_relation.grid_layouts == member_relation.grid_layouts
+    assert axioms._content(grid_relation) == axioms._content(member_relation)
+
+
 def assert_scalar_keys(universe, cfg):
     """Universe keys, per-member cores and public values agree, and so do
     the relations built from the keys and from the values."""
@@ -477,18 +497,20 @@ def assert_scalar_keys(universe, cfg):
         (optimistic_keys, optimistic_key, optimistic_utility),
     ):
         folded = keys(universe, cfg)
-        assert folded == [core(m, cfg) for m in universe.members]
-        assert folded == [public(m, cfg).index for m in universe.members]
+        assert list(member_keys(folded)) == [core(m, cfg) for m in universe.members]
+        assert list(member_keys(folded)) == [public(m, cfg).index for m in universe.members]
         from_values = induced_relation(universe, map(partial(public, cfg=cfg), universe.members))
         assert induced_relation(universe, folded).rows == from_values.rows
+        assert_folds_agree(universe, keys, cfg)
 
 
 def assert_binary_keys(universe, a):
     folded = binary_keys(universe, a)
-    assert folded == [binary_key(m, a) for m in universe.members]
+    assert list(member_keys(folded)) == [binary_key(m, a) for m in universe.members]
     values = [binary_utility(m, a) for m in universe.members]
-    assert folded == [binary_rank(value) for value in values]
+    assert list(member_keys(folded)) == [binary_rank(value) for value in values]
     assert induced_relation(universe, folded).rows == induced_relation(universe, values).rows
+    assert_folds_agree(universe, binary_keys, a)
 
 
 @st.composite
