@@ -327,26 +327,24 @@ _MIN_WITH = [_IDENTITY[:t] + bytes([t]) * (256 - t) for t in range(BYTE_KEY_LEVE
 _MAX_WITH = [bytes([t]) * t + _IDENTITY[t:] for t in range(BYTE_KEY_LEVELS)]
 
 
-def _byte_fold(terms: Sequence[int], caps: Sequence[int], lowest: bool) -> int:
-    """Per place of the full level grid, the min over prizes of max(t, c)
-    (``lowest``), else the max over prizes of min(t, c): t the term at the
-    prize's level and c the prize's cap, caps in label order.  A byte per
-    place, first place highest, as one int.
+def _byte_fold(tables: Sequence[Sequence[int]], lowest: bool) -> int:
+    """Per place of the full level grid, the min (``lowest``) else the max
+    over prizes of the prize's term at its level, a term table per prize
+    in label order.  A byte per place, first place highest, as one int.
 
-    A prize's table is the terms through the cap's byte table.  The grid of
-    the last prizes gains the prize before them as its outermost: one
-    translate per level, through the byte table of that level's entry.
+    The grid of the last prizes gains the prize before them as its
+    outermost: one translate per level, through the byte table of that
+    level's term.
     """
-    clip, fold = (_MAX_WITH, _MIN_WITH) if lowest else (_MIN_WITH, _MAX_WITH)
-    terms = bytes(terms)
-    grid = terms.translate(clip[caps[-1]])
-    for cap in reversed(caps[:-1]):
-        grid = b"".join([grid.translate(fold[t]) for t in terms.translate(clip[cap])])
+    fold = _MIN_WITH if lowest else _MAX_WITH
+    grid = bytes(tables[-1])
+    for table in reversed(tables[:-1]):
+        grid = b"".join([grid.translate(fold[t]) for t in table])
     return int.from_bytes(grid, "big")
 
 
 def _member_fold(
-    universe: LotteryUniverse, terms: Sequence[int], caps: Sequence[int], lowest: bool
+    universe: LotteryUniverse, tables: Sequence[Sequence[int]], lowest: bool
 ) -> list[int]:
     """``_byte_fold`` per member, in member order, for keys of any size.
 
@@ -355,8 +353,8 @@ def _member_fold(
     member through ``universe.grid_gathers``.
     """
     places, last_levels = universe.grid_gathers
-    clip, fold = (max, min) if lowest else (min, max)
-    grid, *middle, last = [[clip(t, c) for t in terms] for c in caps]
+    fold = min if lowest else max
+    grid, *middle, last = tables
     for table in middle:
         grid = [fold(a, b) for a in grid for b in table]
     return list(map(fold, places(grid), last_levels(last)))
@@ -368,35 +366,34 @@ def _grid_keys(universe: LotteryUniverse, folded: int) -> bytes:
 
 
 def pessimistic_keys(universe: LotteryUniverse, cfg: ScalarUtilityConfig) -> bytes | list[int]:
-    """``pessimistic_key`` of every member: the min fold of max(n∘h(v),
-    u(x)).  On scales of up to ``BYTE_KEY_LEVELS`` levels, a byte per
-    place of the full level grid (``_byte_fold``), 0xff where no member
-    is; past that, a list in member order.  No domain check."""
+    """The pessimistic utility's index for every member: the min fold of
+    ``cfg.pessimistic_terms``.  On scales of up to ``BYTE_KEY_LEVELS``
+    levels, a byte per place of the full level grid (``_byte_fold``), 0xff
+    where no member is; past that, a list in member order.  No domain
+    check."""
     if len(universe.scale) > BYTE_KEY_LEVELS:
-        return _member_fold(universe, cfg.reversed_map, cfg.prize_indices, True)
-    return _grid_keys(universe, _byte_fold(cfg.reversed_map, cfg.prize_indices, True))
+        return _member_fold(universe, cfg.pessimistic_terms, True)
+    return _grid_keys(universe, _byte_fold(cfg.pessimistic_terms, True))
 
 
 def optimistic_keys(universe: LotteryUniverse, cfg: ScalarUtilityConfig) -> bytes | list[int]:
-    """``optimistic_key`` of every member, laid out as ``pessimistic_keys``
-    lays them: the max fold of min(h(v), u(x)).  No domain check."""
+    """The optimistic utility's index for every member, laid out as
+    ``pessimistic_keys`` lays them: the max fold of ``cfg.optimistic_terms``.
+    No domain check."""
     if len(universe.scale) > BYTE_KEY_LEVELS:
-        return _member_fold(universe, cfg.scale_map.images, cfg.prize_indices, False)
-    return _grid_keys(universe, _byte_fold(cfg.scale_map.images, cfg.prize_indices, False))
+        return _member_fold(universe, cfg.optimistic_terms, False)
+    return _grid_keys(universe, _byte_fold(cfg.optimistic_terms, False))
 
 
 def binary_keys(universe: LotteryUniverse, a: BinaryUtilityAssessment) -> bytes | list[int]:
-    """``binary_key`` of every member, laid out as ``pessimistic_keys``
-    lays them: the max folds f of min(v, first) and s of min(v, second)
-    over the prizes' pairs, joined by ``pair_rank``, which is f + top - s
-    since one of the two is the top.  No domain check."""
+    """The binary utility's ``binary_rank`` for every member, laid out as
+    ``pessimistic_keys`` lays them: the max folds f of ``a.first_terms``
+    and s of ``a.second_terms``, joined as f + top - s.  No domain check."""
     top = a.scale.top_index
-    firsts, seconds = zip(*a.pair_indices)
     if len(universe.scale) > BYTE_KEY_LEVELS:
-        levels = range(top + 1)
-        f, s = (_member_fold(universe, levels, caps, False) for caps in (firsts, seconds))
+        f, s = (_member_fold(universe, t, False) for t in (a.first_terms, a.second_terms))
         return [x + top - y for x, y in zip(f, s)]
-    f, s = (_byte_fold(_IDENTITY[:top + 1], caps, False) for caps in (firsts, seconds))
+    f, s = (_byte_fold(t, False) for t in (a.first_terms, a.second_terms))
     # No byte borrows: at every place, f + top - s is at least 0.
     return _grid_keys(universe, f + int.from_bytes(bytes([top]) * universe.grid_size, "big") - s)
 
@@ -410,8 +407,8 @@ def induced_relation(universe: LotteryUniverse, keys: Iterable) -> PreferenceRel
     """Member i is at least as good as member j iff its utility is at least j's.
 
     ``keys`` holds one utility per member, in member order: anything
-    hashable that ``>=`` compares, such as a public evaluator's value or a
-    key core's integer.  Each distinct utility is one class, so only the
+    hashable that ``>=`` compares, such as a public evaluator's value or an
+    integer key.  Each distinct utility is one class, so only the
     distinct utilities are compared with each other.  ``keys`` may also be
     the byte per grid place that ``pessimistic_keys`` and its kin give on
     scales of up to ``BYTE_KEY_LEVELS`` levels: then one translate numbers

@@ -6,20 +6,28 @@ criterion is its max-min dual; the pair-valued criterion folds the
 extended max of extended mins into the binary utility scale and needs no
 auxiliary maps at all.
 
-All three are ordinal, so each has an integer key core that reads only the
-lottery's level indices: the pessimistic and optimistic ones give a
-position on the utility scale, the pair-valued one the ``binary_rank`` of
-its value.  The cores check nothing; the public evaluators check the
+All three are ordinal and fold one term per prize, so each is defined by
+per-prize term tables: one integer term per possibility level, the
+prize's tables in label order.  A lottery's key is the min or max over
+its prizes of the table entry at the prize's level: a position on the
+utility scale for ``ScalarUtilityConfig.pessimistic_terms`` and
+``optimistic_terms``, and for ``BinaryUtilityAssessment.first_terms``
+and ``second_terms`` the two components f and s of the pair, whose
+``binary_rank`` is f + top - s.  The public evaluators check the
 lottery's domain and scale, then return the scale's cached value for the
-key.  Hot paths check a whole universe once and run the cores, and
-rankings group and order the keys.
+key.  ``rank_decisions`` reads a public evaluator's tables directly, and
+the checker's sweep folds them over the whole level grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Mapping, Sequence, Union
+from bisect import bisect_left
+from collections import defaultdict
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import product
+from operator import getitem, gt
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .lotteries import Domain, OutcomeSet, PossibilityDistribution, StandardLottery, aligned
 from .scales import (
@@ -36,6 +44,7 @@ from .scales import (
 
 UtilityValue = Union[Level, BinaryUtility]
 Evaluator = Callable[[PossibilityDistribution], UtilityValue]
+Items = Sequence[tuple[str, PossibilityDistribution]]
 
 
 def check_domain(domain: Domain, scale: Scale, outcomes: OutcomeSet, expected: Scale) -> None:
@@ -53,14 +62,28 @@ def check_domain(domain: Domain, scale: Scale, outcomes: OutcomeSet, expected: S
 def _check_preference_order(outcomes: OutcomeSet, keys: Sequence[int], noun: str) -> None:
     """Raise unless, on every pair of prizes, ``keys`` (one per label, in
     label order) order them as the declared preference does; ``noun`` names
-    the keys in the message."""
+    the keys in the message.
+
+    That holds iff each class has one key and the keys fall strictly class
+    by class, that is iff the distinct (class, key) pairs, sorted, have
+    strictly falling keys: two keys in one class would rise.  Only a
+    failure walks the pairs, to name the first in label order.
+    """
     labels, ranks = outcomes.labels, [outcomes.class_of[x] for x in outcomes.labels]
-    for x, x_rank, x_key in zip(labels, ranks, keys):
-        for y, y_rank, y_key in zip(labels, ranks, keys):
-            if (x_rank <= y_rank) != (x_key >= y_key):
-                raise ValueError(
-                    f"{noun} is inconsistent with the preference order on {x!r} and {y!r}"
-                )
+    ladder = [key for _, key in sorted(set(zip(ranks, keys)))]
+    if all(map(gt, ladder, ladder[1:])):
+        return
+    for (x, x_rank, x_key), (y, y_rank, y_key) in product(zip(labels, ranks, keys), repeat=2):
+        if (x_rank <= y_rank) != (x_key >= y_key):
+            raise ValueError(f"{noun} is inconsistent with the preference order on {x!r} and {y!r}")
+
+
+def _term_tables(images: tuple[int, ...], cuts: Iterable[int], caps: Iterable[int]) -> tuple:
+    """Per prize, ``images`` (one per possibility level) before the prize's
+    cut, then its cap from there on: the images are monotone, so clipping
+    them at the cap changes a suffix."""
+    size = len(images)
+    return tuple([images[:cut] + (cap,) * (size - cut) for cut, cap in zip(cuts, caps)])
 
 
 @dataclass(frozen=True)
@@ -78,6 +101,16 @@ class ScalarUtilityConfig:
     outcomes: OutcomeSet
     scale_map: ScaleMap
     prize_indices: tuple[int, ...]
+    # Built once the configuration is validated; derived, so excluded from
+    # equality and repr.  The composition n∘h as utility-scale indices per
+    # uncertainty level, n the order reversal of the utility scale.  Then
+    # the criteria's term tables: per prize, one term per uncertainty level
+    # v, max(n∘h(v), u(x)), whose min over the prizes at their levels is the
+    # pessimistic utility, and min(h(v), u(x)), whose max is the optimistic
+    # one.
+    reversed_map: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    pessimistic_terms: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    optimistic_terms: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         problem = validate_scale_map(self.scale_map)
@@ -93,6 +126,15 @@ class ScalarUtilityConfig:
         if self.prize_indices[index_of[self.outcomes.worst]] != 0:
             raise ValueError(f"worst outcome {self.outcomes.worst!r} must have utility 0")
         _check_preference_order(self.outcomes, self.prize_indices, "prize utility")
+        # h rises with v, so each term is u(x) from a cut on: n∘h(v) is at most
+        # u(x) once h(v) reaches top - u(x), and h(v) at least u(x) once it
+        # reaches u(x).
+        h, prizes = self.scale_map.images, self.prize_indices
+        object.__setattr__(self, "reversed_map", tuple([u_top - i for i in h]))
+        cuts = [bisect_left(h, u_top - u) for u in prizes]
+        object.__setattr__(self, "pessimistic_terms", _term_tables(self.reversed_map, cuts, prizes))
+        cuts = [bisect_left(h, u) for u in prizes]
+        object.__setattr__(self, "optimistic_terms", _term_tables(h, cuts, prizes))
 
     @classmethod
     def from_indices(
@@ -110,53 +152,20 @@ class ScalarUtilityConfig:
     def utility_scale(self) -> Scale:
         return self.scale_map.target
 
-    @cached_property
-    def reversed_map(self) -> tuple[int, ...]:
-        """Composition n∘h as target-scale indices per uncertainty level, n
-        the order reversal of the utility scale."""
-        top = self.utility_scale.top_index
-        return tuple(top - i for i in self.scale_map.images)
-
     def prize_utility_for(self, label: str) -> Level:
         return self.utility_scale.level(self.prize_indices[self.outcomes.index_of[label]])
-
-
-def pessimistic_key(pi: PossibilityDistribution, cfg: ScalarUtilityConfig) -> int:
-    """Index of the pessimistic utility; no domain check."""
-    nh = cfg.reversed_map
-    worst = cfg.utility_scale.top_index
-    for v_idx, u_idx in zip(pi.indices, cfg.prize_indices):
-        term = nh[v_idx]
-        if term < u_idx:
-            term = u_idx
-        if term < worst:
-            worst = term
-    return worst
-
-
-def optimistic_key(pi: PossibilityDistribution, cfg: ScalarUtilityConfig) -> int:
-    """Index of the optimistic utility; no domain check."""
-    h = cfg.scale_map.images
-    best = 0
-    for v_idx, u_idx in zip(pi.indices, cfg.prize_indices):
-        term = h[v_idx]
-        if term > u_idx:
-            term = u_idx
-        if term > best:
-            best = term
-    return best
 
 
 def pessimistic_utility(pi: PossibilityDistribution, cfg: ScalarUtilityConfig) -> Level:
     """Min over prizes of max(reversed mapped possibility, prize utility)."""
     check_domain(pi.domain, pi.scale, cfg.outcomes, cfg.uncertainty_scale)
-    return cfg.utility_scale.level_values[pessimistic_key(pi, cfg)]
+    return cfg.utility_scale.level_values[min(map(getitem, cfg.pessimistic_terms, pi.indices))]
 
 
 def optimistic_utility(pi: PossibilityDistribution, cfg: ScalarUtilityConfig) -> Level:
     """Max over prizes of min(mapped possibility, prize utility)."""
     check_domain(pi.domain, pi.scale, cfg.outcomes, cfg.uncertainty_scale)
-    return cfg.utility_scale.level_values[optimistic_key(pi, cfg)]
+    return cfg.utility_scale.level_values[max(map(getitem, cfg.optimistic_terms, pi.indices))]
 
 
 def pessimistic_utility_decomposed(
@@ -198,6 +207,14 @@ class BinaryUtilityAssessment:
     scale: Scale
     pair_indices: tuple[tuple[int, int], ...]
     require_anchors: bool = True
+    # The criterion's term tables, built once the assessment is validated;
+    # derived, so excluded from equality and repr.  Per prize, one term per
+    # level v: min(v, first) and min(v, second), whose maxes over the
+    # prizes at their levels are the components f and s of the binary
+    # utility.  A normalized lottery lands back on the binary scale, so its
+    # utility's ``binary_rank`` is f + top - s.
+    first_terms: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    second_terms: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         labels = self.outcomes.labels
@@ -220,6 +237,9 @@ class BinaryUtilityAssessment:
                 )
         ranks = [pair_rank(first, second, top) for first, second in self.pair_indices]
         _check_preference_order(self.outcomes, ranks, "assessment")
+        levels, (firsts, seconds) = tuple(range(top + 1)), zip(*self.pair_indices)
+        object.__setattr__(self, "first_terms", _term_tables(levels, firsts, firsts))
+        object.__setattr__(self, "second_terms", _term_tables(levels, seconds, seconds))
 
     @classmethod
     def from_mapping(
@@ -251,50 +271,23 @@ class BinaryUtilityAssessment:
         return self.scale.binary_values[pair_rank(*pair, self.scale.top_index)]
 
 
-def _fold_pairs(pi: PossibilityDistribution, a: BinaryUtilityAssessment) -> tuple[int, int]:
-    """Max over prizes of min(possibility, each component of the prize's pair).
-
-    On scale indices: the extended max of extended mins, one component at
-    a time.  No domain check.
-    """
-    first = second = 0
-    for v_idx, (p_first, p_second) in zip(pi.indices, a.pair_indices):
-        term = v_idx if v_idx < p_first else p_first
-        if term > first:
-            first = term
-        term = v_idx if v_idx < p_second else p_second
-        if term > second:
-            second = term
-    return first, second
-
-
-def binary_key(pi: PossibilityDistribution, a: BinaryUtilityAssessment) -> int:
-    """``binary_rank`` of the pair-valued utility; no domain check."""
-    # Normalization of pi guarantees the fold lands back on the binary scale.
-    return pair_rank(*_fold_pairs(pi, a), a.scale.top_index)
-
-
-def binary_utility(
-    pi: PossibilityDistribution, a: BinaryUtilityAssessment
-) -> BinaryUtility:
+def binary_utility(pi: PossibilityDistribution, a: BinaryUtilityAssessment) -> BinaryUtility:
     """Extended max over prizes of extended min(possibility, prize pair)."""
     check_domain(pi.domain, pi.scale, a.outcomes, a.scale)
-    return a.scale.binary_values[binary_key(pi, a)]
+    first = max(map(getitem, a.first_terms, pi.indices))
+    second = max(map(getitem, a.second_terms, pi.indices))
+    return a.scale.binary_values[first + a.scale.top_index - second]
 
 
-def reduce_to_standard(
-    pi: PossibilityDistribution, a: BinaryUtilityAssessment
-) -> StandardLottery:
+def reduce_to_standard(pi: PossibilityDistribution, a: BinaryUtilityAssessment) -> StandardLottery:
     """The unique standard lottery indifferent to the given lottery.
 
-    Folds each prize's weight against its assessed pair: the best-prize
-    weight is max min(possibility, first component), the worst-prize
-    weight is max min(possibility, second component).
+    Its weights are the binary utility's components: the best-prize weight
+    is max min(possibility, first component), the worst-prize weight is
+    max min(possibility, second component).
     """
-    check_domain(pi.domain, pi.scale, a.outcomes, a.scale)
-    levels = a.scale.level_values
-    best, worst = _fold_pairs(pi, a)
-    return StandardLottery(levels[best], levels[worst])
+    value = binary_utility(pi, a)
+    return StandardLottery(value.first, value.second)
 
 
 @dataclass(frozen=True)
@@ -305,30 +298,64 @@ class Ranking:
     utilities: tuple[UtilityValue, ...]
 
 
-def rank_decisions(
-    items: Sequence[tuple[str, PossibilityDistribution]], evaluate: Evaluator
-) -> Ranking:
+def _table_keys(items: Items, evaluate: Evaluator) -> tuple[list[int], Sequence] | None:
+    """Each item's key and the values by key, read from the term tables,
+    when ``evaluate`` binds a public evaluator to its configuration by
+    keyword (``partial(binary_utility, a=...)`` and its kin); else None.
+
+    The evaluators are looked up as module attributes at call time, so a
+    wrapper set on one is recognised too.  Items are checked as the
+    evaluator checks them, so the first misfit raises its error.
+    """
+    if type(evaluate) is not partial or evaluate.args:
+        return None
+    func, bound = evaluate.func, evaluate.keywords
+    if func is binary_utility and bound.keys() == {"a"}:
+        config = bound["a"]
+        scale = config.scale
+    elif func in (pessimistic_utility, optimistic_utility) and bound.keys() == {"cfg"}:
+        config = bound["cfg"]
+        scale = config.uncertainty_scale
+    else:
+        return None
+    outcomes = config.outcomes
+    for _, dist in items:
+        if dist.domain is not outcomes or dist.scale is not scale:
+            check_domain(dist.domain, dist.scale, outcomes, scale)
+    indices = [dist.indices for _, dist in items]
+    if func is binary_utility:
+        f, s, top = config.first_terms, config.second_terms, scale.top_index
+        keys = [max(map(getitem, f, ix)) + top - max(map(getitem, s, ix)) for ix in indices]
+        return keys, scale.binary_values
+    if func is pessimistic_utility:
+        fold, tables = min, config.pessimistic_terms
+    else:
+        fold, tables = max, config.optimistic_terms
+    return [fold(map(getitem, tables, ix)) for ix in indices], config.utility_scale.level_values
+
+
+def rank_decisions(items: Items, evaluate: Evaluator) -> Ranking:
     """Group items by exact utility equality and sort classes best-first.
 
     Items are grouped and ordered by the value's integer key: a level's
     index, or a binary utility's ``binary_rank``.  Within a class the input
-    order is preserved, so output is fully deterministic.  The evaluator
-    checks each item's domain and scale against its configuration, so items
-    that do not fit it are rejected there.
+    order is preserved, so output is fully deterministic.  Items that do
+    not fit the configuration's domain and scale are rejected, the first
+    with the evaluator's error.  A public evaluator bound by keyword is not
+    called: the keys come from its configuration's term tables.  Any other
+    evaluator is called once per item.
     """
     if not items:
         raise ValueError("nothing to rank")
-    groups: dict[int, list[str]] = {}
-    values: dict[int, UtilityValue] = {}
-    for item_id, dist in items:
-        value = evaluate(dist)
-        key = value.index if isinstance(value, Level) else binary_rank(value)
-        if key not in groups:
-            groups[key] = []
-            values[key] = value
+    tabled = _table_keys(items, evaluate)
+    if tabled is None:
+        found = [evaluate(dist) for _, dist in items]
+        keys = [v.index if isinstance(v, Level) else binary_rank(v) for v in found]
+        # A class's value is its first item's.
+        tabled = keys, dict(zip(reversed(keys), reversed(found)))
+    keys, values = tabled
+    groups: defaultdict[int, list[str]] = defaultdict(list)
+    for (item_id, _), key in zip(items, keys):
         groups[key].append(item_id)
     ordered = sorted(groups, reverse=True)
-    return Ranking(
-        tuple(tuple(groups[key]) for key in ordered),
-        tuple(values[key] for key in ordered),
-    )
+    return Ranking(tuple(tuple(groups[k]) for k in ordered), tuple(values[k] for k in ordered))

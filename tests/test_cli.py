@@ -59,6 +59,28 @@ RANK_REQUEST_GOLDEN = {
 }
 
 
+# `posdec evaluate` on scenarios/rank_request.json: one value per target, in
+# the command's order (lotteries, then decisions), each line the target name
+# padded to the widest, two spaces, and the value.
+RANK_REQUEST_TARGETS = [f"l{k}" for k in range(16)] + [f"d{k}" for k in range(32)]
+RANK_REQUEST_VALUES = {
+    "binary": (
+        "⟨1,1⟩ ⟨1,.66⟩ ⟨1,.66⟩ ⟨1,.82⟩ ⟨1,.66⟩ ⟨.82,1⟩ ⟨1,.82⟩ ⟨.82,1⟩ ⟨.78,1⟩ ⟨1,1⟩ "
+        "⟨.78,1⟩ ⟨.82,1⟩ ⟨1,.62⟩ ⟨1,1⟩ ⟨1,.82⟩ ⟨1,1⟩ ⟨1,1⟩ ⟨1,1⟩ ⟨1,1⟩ ⟨1,1⟩ ⟨1,1⟩ ⟨1,1⟩ "
+        "⟨1,.78⟩ ⟨1,1⟩ ⟨1,1⟩ ⟨.82,1⟩ ⟨1,1⟩ ⟨.82,1⟩ ⟨1,1⟩ ⟨1,1⟩ ⟨1,1⟩ ⟨1,1⟩ ⟨1,1⟩ ⟨1,1⟩ "
+        "⟨1,1⟩ ⟨.78,1⟩ ⟨1,1⟩ ⟨1,1⟩ ⟨1,.82⟩ ⟨1,1⟩ ⟨1,1⟩ ⟨1,1⟩ ⟨1,1⟩ ⟨1,1⟩ ⟨1,1⟩ ⟨1,1⟩ "
+        "⟨1,1⟩ ⟨1,1⟩"
+    ),
+    "pessimistic": (
+        ".05 .87 .89 .05 .87 .05 .05 0 0 0 .05 .05 .89 0 .05 0 0 0 0 0 0 .05 .87 .05 .05 "
+        "0 0 0 .05 0 0 0 0 .05 .05 0 0 0 .05 0 0 .05 0 0 .05 0 0 .05"
+    ),
+    "optimistic": (
+        "1 1 1 .96 .96 .96 1 .96 .89 .96 .89 .96 .96 .96 .96 1 1 1 .96 1 .96 1 1 .96 1 .96 "
+        "1 .96 1 .96 1 1 .96 .96 1 .89 .96 .96 1 1 .96 .96 1 1 .96 1 .96 1"
+    ),
+}
+
 # `posdec verify --seed 0` on each bundled scenario: exit code of the sound
 # run, then the SHA-256 of its report, sound and with --inject-fault.  The
 # 8-prize request is over the default caps, so only its exit code is pinned.
@@ -260,6 +282,16 @@ class TestRank:
         assert main(["rank", "--scenario", RANK_REQUEST, "--method", method]) == EXIT_OK
         out, err = capsys.readouterr()
         assert out.splitlines() == RANK_REQUEST_GOLDEN[method]
+        assert err == ""
+
+    @pytest.mark.parametrize("method", sorted(RANK_REQUEST_VALUES))
+    def test_serving_request_evaluation_is_golden(self, capsys, method):
+        assert main(["evaluate", "--scenario", RANK_REQUEST, "--method", method]) == EXIT_OK
+        out, err = capsys.readouterr()
+        values = RANK_REQUEST_VALUES[method].split()
+        assert out.splitlines() == [
+            f"{name:<3}  {value}" for name, value in zip(RANK_REQUEST_TARGETS, values, strict=True)
+        ]
         assert err == ""
 
     def test_ranking_consistent_with_evaluation(self, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posdec import axioms
+from posdec import axioms, utilities
 from posdec.axioms import (
     LotteryUniverse,
     binary_keys,
@@ -24,6 +24,7 @@ from posdec.axioms import (
 )
 from posdec.lotteries import (
     OutcomeSet,
+    PossibilityDistribution,
     StandardLottery,
     enumerate_distributions,
     mixture,
@@ -43,11 +44,8 @@ from posdec.scales import (
 from posdec.utilities import (
     BinaryUtilityAssessment,
     ScalarUtilityConfig,
-    binary_key,
     binary_utility,
-    optimistic_key,
     optimistic_utility,
-    pessimistic_key,
     pessimistic_utility,
     pessimistic_utility_decomposed,
     rank_decisions,
@@ -64,6 +62,51 @@ def anchors_only_assessment(outcomes: OutcomeSet, scale: Scale) -> BinaryUtility
     )
     ranked = OutcomeSet(outcomes.labels, outcomes.best, outcomes.worst, classes)
     return BinaryUtilityAssessment.from_mapping(ranked, scale, table)
+
+
+# Plain-loop oracles for each criterion's key: one pass over the prizes,
+# reading the configuration's level indices, never its term tables.
+
+
+def pessimistic_key(pi, cfg: ScalarUtilityConfig) -> int:
+    """Index of the pessimistic utility: min over prizes of max(n∘h(v), u(x))."""
+    worst = cfg.utility_scale.top_index
+    nh = [worst - i for i in cfg.scale_map.images]
+    for v_idx, u_idx in zip(pi.indices, cfg.prize_indices):
+        term = nh[v_idx]
+        if term < u_idx:
+            term = u_idx
+        if term < worst:
+            worst = term
+    return worst
+
+
+def optimistic_key(pi, cfg: ScalarUtilityConfig) -> int:
+    """Index of the optimistic utility: max over prizes of min(h(v), u(x))."""
+    h = cfg.scale_map.images
+    best = 0
+    for v_idx, u_idx in zip(pi.indices, cfg.prize_indices):
+        term = h[v_idx]
+        if term > u_idx:
+            term = u_idx
+        if term > best:
+            best = term
+    return best
+
+
+def binary_key(pi, a: BinaryUtilityAssessment) -> int:
+    """``binary_rank`` of the pair-valued utility: the max over prizes of
+    min(possibility, each component of the prize's pair), joined by
+    ``pair_rank``."""
+    first = second = 0
+    for v_idx, (p_first, p_second) in zip(pi.indices, a.pair_indices):
+        term = v_idx if v_idx < p_first else p_first
+        if term > first:
+            first = term
+        term = v_idx if v_idx < p_second else p_second
+        if term > second:
+            second = term
+    return pair_rank(first, second, a.scale.top_index)
 
 
 def binary_utility_by_pair_algebra(pi, a: BinaryUtilityAssessment) -> BinaryUtility:
@@ -489,35 +532,59 @@ def assert_folds_agree(universe, keys, given):
     assert axioms._content(grid_relation) == axioms._content(member_relation)
 
 
+def assert_ranked_by(ranking, items, keys, key_of_value):
+    """``ranking`` groups ``items`` by ``keys`` (one per item), best first
+    and in input order within a class, and its values carry those keys."""
+    groups = {}
+    for (name, _), key in zip(items, keys):
+        groups.setdefault(key, []).append(name)
+    ordered = sorted(groups, reverse=True)
+    assert ranking.classes == tuple(tuple(groups[key]) for key in ordered)
+    assert [key_of_value(value) for value in ranking.utilities] == ordered
+
+
+def member_items(universe):
+    return [(f"m{i}", m) for i, m in enumerate(universe.members)]
+
+
 def assert_scalar_keys(universe, cfg):
-    """Universe keys, per-member cores and public values agree, and so do
-    the relations built from the keys and from the values."""
-    for keys, core, public in (
+    """The sweep folds, the public evaluators and the ranking keys agree
+    with the plain-loop oracles on every member, and so do the relations
+    built from the folded keys and from the values."""
+    items = member_items(universe)
+    for keys, oracle, public in (
         (pessimistic_keys, pessimistic_key, pessimistic_utility),
         (optimistic_keys, optimistic_key, optimistic_utility),
     ):
+        expected = [oracle(m, cfg) for m in universe.members]
         folded = keys(universe, cfg)
-        assert list(member_keys(folded)) == [core(m, cfg) for m in universe.members]
-        assert list(member_keys(folded)) == [public(m, cfg).index for m in universe.members]
+        assert list(member_keys(folded)) == expected
+        assert [public(m, cfg).index for m in universe.members] == expected
+        ranking = rank_decisions(items, partial(public, cfg=cfg))
+        assert_ranked_by(ranking, items, expected, lambda value: value.index)
         from_values = induced_relation(universe, map(partial(public, cfg=cfg), universe.members))
         assert induced_relation(universe, folded).rows == from_values.rows
         assert_folds_agree(universe, keys, cfg)
 
 
 def assert_binary_keys(universe, a):
+    """As ``assert_scalar_keys``, for the pair-valued criterion."""
+    items = member_items(universe)
+    expected = [binary_key(m, a) for m in universe.members]
     folded = binary_keys(universe, a)
-    assert list(member_keys(folded)) == [binary_key(m, a) for m in universe.members]
+    assert list(member_keys(folded)) == expected
     values = [binary_utility(m, a) for m in universe.members]
-    assert list(member_keys(folded)) == [binary_rank(value) for value in values]
+    assert [binary_rank(value) for value in values] == expected
+    ranking = rank_decisions(items, partial(binary_utility, a=a))
+    assert_ranked_by(ranking, items, expected, binary_rank)
     assert induced_relation(universe, folded).rows == induced_relation(universe, values).rows
     assert_folds_agree(universe, binary_keys, a)
 
 
 @st.composite
-def drawn_configs(draw, universe):
-    """A scalar configuration and an assessment over the universe, each
-    with preference classes that follow its prize utilities."""
-    outcomes, scale = universe.outcomes, universe.scale
+def drawn_configs(draw, outcomes, scale):
+    """A scalar configuration and an assessment over the outcomes on the
+    scale, each with preference classes that follow its prize utilities."""
     interior = [x for x in outcomes.labels if x not in (outcomes.best, outcomes.worst)]
     u_size = draw(st.integers(2, len(scale)))
     h = draw(st.sampled_from(enumerate_scale_maps(scale, canonical_scale(u_size, name="U"))))
@@ -538,8 +605,8 @@ def drawn_configs(draw, universe):
 
 
 class TestKeyCores:
-    """A universe's folded keys, the per-member key cores and the public
-    evaluators agree on every member."""
+    """A universe's folded keys, the public evaluators and the ranking keys
+    agree with the plain-loop key oracles on every member."""
 
     @pytest.mark.parametrize("nx,nv", KEY_SPACES)
     def test_scalar_cores(self, nx, nv):
@@ -569,7 +636,7 @@ class TestKeyCores:
     @given(st.data())
     def test_drawn_configs_on_wide_universes(self, data):
         universe = data.draw(st.sampled_from(WIDE))
-        cfg, a = data.draw(drawn_configs(universe))
+        cfg, a = data.draw(drawn_configs(universe.outcomes, universe.scale))
         assert_scalar_keys(universe, cfg)
         assert_binary_keys(universe, a)
 
@@ -596,3 +663,174 @@ class TestDomainMismatch:
                 evaluate(other_scale)
             assert caught.value.first == canonical_scale(4)
             assert caught.value.second == scale
+
+
+def assert_same_ranking(table, generic):
+    """Same classes in the same order, and the very same value objects."""
+    assert table.classes == generic.classes
+    assert len(table.utilities) == len(generic.utilities)
+    assert all(t is g for t, g in zip(table.utilities, generic.utilities))
+
+
+def assert_paths_agree(items, cfg, a):
+    """Each criterion ranks ``items`` alike from the term tables (public
+    evaluator bound by keyword) and per item (the same evaluator behind a
+    lambda)."""
+    for evaluator, kwargs in (
+        (pessimistic_utility, {"cfg": cfg}),
+        (optimistic_utility, {"cfg": cfg}),
+        (binary_utility, {"a": a}),
+    ):
+        if None in kwargs.values():
+            continue
+        table = rank_decisions(items, partial(evaluator, **kwargs))
+        generic = rank_decisions(items, lambda pi: evaluator(pi, **kwargs))
+        assert_same_ranking(table, generic)
+
+
+@st.composite
+def requests(draw, prizes=8):
+    """An 8-prize ranking request: a configuration, an assessment and up to
+    64 drawn lotteries, with repeats, on a drawn scale."""
+    outcomes = canonical_outcomes(prizes)
+    scale = canonical_scale(draw(st.integers(2, 6)))
+    cfg, a = draw(drawn_configs(outcomes, scale))
+    top = scale.top_index
+    items = []
+    for k in range(draw(st.integers(1, 64))):
+        indices = draw(st.lists(st.integers(0, top), min_size=prizes, max_size=prizes))
+        indices[draw(st.integers(0, prizes - 1))] = top
+        items.append((f"i{k}", PossibilityDistribution(outcomes, scale, indices)))
+    return items, cfg, a
+
+
+class TestRankingParity:
+    """Ranking from the term tables and ranking item by item through the
+    evaluator give the same classes, order and value objects."""
+
+    @pytest.mark.parametrize("nx,nv", KEY_SPACES)
+    def test_enumerated_universes(self, nx, nv):
+        universe = LotteryUniverse(canonical_outcomes(nx), canonical_scale(nv))
+        items = member_items(universe)
+        for cfg in enumerate_scalar_configs(universe.outcomes, universe.scale):
+            assert_paths_agree(items, cfg, None)
+        for half in (None, "best", "worst"):
+            for a in enumerate_assessments(universe.outcomes, universe.scale, half):
+                assert_paths_agree(items, None, a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(requests())
+    def test_drawn_requests(self, request):
+        assert_paths_agree(*request)
+
+    def test_tables_skip_the_evaluator(self, monkeypatch, example_scenario):
+        """A wrapper set on the module attribute is still recognised, and
+        never called; a positional partial and any other callable are called
+        once per item."""
+        s = example_scenario
+        items = list(s.lotteries.items())
+        calls = []
+
+        def counted(original):
+            def wrapper(*args, **kwargs):
+                calls.append(original)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("pessimistic_utility", "optimistic_utility", "binary_utility"):
+            monkeypatch.setattr(utilities, name, counted(getattr(utilities, name)))
+        cfg = s.pessimistic_config
+        bound = [
+            partial(utilities.pessimistic_utility, cfg=cfg),
+            partial(utilities.optimistic_utility, cfg=cfg),
+            partial(utilities.binary_utility, a=s.assessment),
+        ]
+        tabled = [rank_decisions(items, evaluate) for evaluate in bound]
+        assert calls == []
+
+        def flipped(cfg, pi):
+            return utilities.pessimistic_utility(pi, cfg)
+
+        for evaluate in (partial(flipped, cfg), lambda pi: utilities.pessimistic_utility(pi, cfg)):
+            assert_same_ranking(rank_decisions(items, evaluate), tabled[0])
+            assert len(calls) == len(items)
+            calls.clear()
+        # A public evaluator with a positional argument bound is called as
+        # given, and fails as that call fails.
+        with pytest.raises(TypeError, match="multiple values"):
+            rank_decisions(items, partial(utilities.pessimistic_utility, items[0][1], cfg=cfg))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("evaluator", ["pessimistic", "optimistic", "binary"])
+    def test_errors_unchanged(self, evaluator):
+        """The first misfit item raises the evaluator's own error on both paths."""
+        outcomes, scale = canonical_outcomes(3), canonical_scale(3)
+        cfg = enumerate_scalar_configs(outcomes, scale)[-1]
+        a = enumerate_assessments(outcomes, scale)[-1]
+        bound, configured = {
+            "pessimistic": (partial(pessimistic_utility, cfg=cfg), cfg.outcomes),
+            "optimistic": (partial(optimistic_utility, cfg=cfg), cfg.outcomes),
+            "binary": (partial(binary_utility, a=a), a.outcomes),
+        }[evaluator]
+        # On the configured outcomes themselves, so only the scale differs.
+        fits = ("fits", point_mass(configured, "x1", scale))
+        other_domain = ("domain", point_mass(canonical_outcomes(2), "x1", scale))
+        other_scale = ("scale", point_mass(configured, "x1", canonical_scale(4)))
+        for items, error, message in (
+            ([fits, other_domain, other_scale], ValueError, "does not match the configured"),
+            ([fits, other_scale, other_domain], ScaleMismatchError, "scale mismatch"),
+        ):
+            raised = []
+            for evaluate in (bound, lambda pi: bound(pi)):
+                with pytest.raises(error, match=message) as caught:
+                    rank_decisions(items, evaluate)
+                raised.append(caught.value)
+            assert type(raised[0]) is type(raised[1]) and str(raised[0]) == str(raised[1])
+
+
+def preference_order_problem(outcomes, keys, noun):
+    """Plain-loop oracle of ``_check_preference_order``: the message for
+    the first pair, in label order, that ``keys`` order unlike the
+    declared preference, else None."""
+    labels, ranks = outcomes.labels, [outcomes.class_of[x] for x in outcomes.labels]
+    for x, x_rank, x_key in zip(labels, ranks, keys):
+        for y, y_rank, y_key in zip(labels, ranks, keys):
+            if (x_rank <= y_rank) != (x_key >= y_key):
+                return f"{noun} is inconsistent with the preference order on {x!r} and {y!r}"
+    return None
+
+
+@st.composite
+def ranked_outcomes(draw):
+    """Up to 6 shuffled labels cut into preference classes, with a key each."""
+    labels = draw(st.permutations([f"x{k}" for k in range(draw(st.integers(2, 6)))]))
+    cuts = sorted(draw(st.sets(st.integers(1, len(labels) - 1), min_size=1)))
+    classes = [labels[a:b] for a, b in zip([0, *cuts], [*cuts, len(labels)])]
+    outcomes = OutcomeSet(labels, classes[0][0], classes[-1][-1], classes)
+    keys = draw(st.lists(st.integers(0, 4), min_size=len(labels), max_size=len(labels)))
+    return outcomes, keys
+
+
+class TestPreferenceOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(ranked_outcomes())
+    def test_matches_pairwise_walk(self, drawn):
+        outcomes, keys = drawn
+        expected = preference_order_problem(outcomes, keys, "prize utility")
+        if expected is None:
+            utilities._check_preference_order(outcomes, keys, "prize utility")
+        else:
+            with pytest.raises(ValueError) as caught:
+                utilities._check_preference_order(outcomes, keys, "prize utility")
+            assert str(caught.value) == expected
+
+    def test_class_with_two_keys_fails(self):
+        outcomes = OutcomeSet(("a", "b", "c"), "a", "c", (("a",), ("b", "c")))
+        with pytest.raises(ValueError, match="on 'c' and 'b'"):
+            utilities._check_preference_order(outcomes, [2, 1, 0], "assessment")
+        utilities._check_preference_order(outcomes, [2, 0, 0], "assessment")
+
+    def test_equal_keys_across_classes_fail(self):
+        outcomes = OutcomeSet(("a", "b", "c"), "a", "c")
+        with pytest.raises(ValueError, match="on 'b' and 'a'"):
+            utilities._check_preference_order(outcomes, [1, 1, 0], "prize utility")
