@@ -17,9 +17,9 @@ closes it under level shifts: every place then sees the classes above
 (or below) it.  Substitutability tries each mixture with a point mass,
 which generate every other, once: where "equal or indifferent" is an
 equivalence, it cuts the mixture's image of the blocks' layout by
-slicing or one gather and tests it with one translate; group pair by
-group pair otherwise, or where that test fails, and the first mixture
-that breaks it names the witness.
+slicing and translates, with no gather, and tests it with one
+translate; group pair by group pair otherwise, or where that test
+fails, and the first mixture that breaks it names the witness.
 Members are addressed by their place in the level grid: a mixture with
 a point mass folds per-prize image tables over it, and a raise is one
 stride.  Every check stays complete and returns the first concrete
@@ -56,16 +56,6 @@ from .utilities import BinaryUtilityAssessment, ScalarUtilityConfig, check_domai
 def _lowest_bit(bits: int) -> int:
     """Position of the lowest set bit of a nonzero bitset."""
     return (bits & -bits).bit_length() - 1
-
-
-def _bits(bits: int) -> list[int]:
-    """Positions of the set bits, lowest first."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
 
 
 # 256 bytes from 248 - v translate v .. v + 7 to bits 0 .. 7, others to 0.
@@ -198,13 +188,15 @@ class LotteryUniverse:
         return moves
 
     @cached_property
-    def grid_caps(self) -> list[operator.itemgetter]:
-        """Per cap level wa = 1 .. top - 1, a gather over the grid of
-        |X| - 1 prizes' levels: each place takes the entry at its levels
-        capped at wa."""
+    def grid_caps(self) -> list[bytes]:
+        """Per cap level wa = 1 .. top - 1, position bytes over a block of
+        the innermost prizes' levels, as many prizes as fit 256 places and
+        at most |X| - 1: each place's capped place.  A capped block is the
+        position bytes translated through the block."""
         size, others = len(self.scale), len(self.outcomes.labels) - 1
-        capped = [[[min(v, wa) for v in range(size)]] * others for wa in range(1, size - 1)]
-        return [operator.itemgetter(*_places(size, tables)) for tables in capped]
+        inner = next(m for m in range(others, -1, -1) if size**m <= 256)
+        return [bytes(_places(size, [[min(v, wa) for v in range(size)]] * inner))
+                for wa in range(1, size - 1)]
 
 
 def _places(size: int, tables: Sequence[Sequence[int]]) -> list[int]:
@@ -239,11 +231,11 @@ class PreferenceRelation:
         # in each distinct row; a member not at least as good as itself is
         # keyed apart.
         distinct = list(dict.fromkeys(rows))
-        self.class_of, _ = _dense(
+        self.class_of, classes = _dense(
             (row, tuple(d >> i & 1 for d in distinct)) if row >> i & 1 else i
             for i, row in enumerate(rows)
         )
-        firsts = self.first_members
+        firsts = [self.class_of.index(a) for a in range(len(classes))]
         self.table = [sum((rows[f] >> g & 1) << b for b, g in enumerate(firsts)) for f in firsts]
 
     @classmethod
@@ -276,7 +268,7 @@ class PreferenceRelation:
     @cached_property
     def first_members(self) -> list[int]:
         """First member of each class, ascending."""
-        return [self.class_of.index(a) for a in range(max(self.class_of) + 1)]
+        return [self.class_of.index(a) for a in range(len(self.table))]
 
     @cached_property
     def grid_layouts(self) -> list[bytes]:
@@ -407,13 +399,14 @@ def induced_relation(universe: LotteryUniverse, keys: Iterable) -> PreferenceRel
     """Member i is at least as good as member j iff its utility is at least j's.
 
     ``keys`` holds one utility per member, in member order: anything
-    hashable that ``>=`` compares, such as a public evaluator's value or an
-    integer key.  Each distinct utility is one class, so only the
-    distinct utilities are compared with each other.  ``keys`` may also be
-    the byte per grid place that ``pessimistic_keys`` and its kin give on
-    scales of up to ``BYTE_KEY_LEVELS`` levels: then one translate numbers
-    the classes by first place, which is the relation's grid layout, and
-    ``class_of`` is that layout with the places that hold no member cut.
+    hashable and totally ordered by ``<``, such as a public evaluator's
+    value or an integer key.  Each distinct utility is one class, and one
+    sort of the distinct utilities gives the table and its columns.
+    ``keys`` may also be the byte per grid place that ``pessimistic_keys``
+    and its kin give on scales of up to ``BYTE_KEY_LEVELS`` levels: then
+    one translate numbers the classes by first place, which is the
+    relation's grid layout, and ``class_of`` is that layout with the places
+    that hold no member cut.
     """
     layout = None
     if isinstance(keys, bytes) and len(keys) == universe.grid_size:
@@ -425,8 +418,15 @@ def induced_relation(universe: LotteryUniverse, keys: Iterable) -> PreferenceRel
         class_of, values = _dense(keys)
     if len(class_of) != len(universe):
         raise ValueError("relation size does not match the universe")
-    table = [sum(1 << b for b, v in enumerate(values) if u >= v) for u in values]
+    table, columns, below = [0] * len(values), [0] * len(values), 0
+    full = (1 << len(values)) - 1
+    # A class is at least as good as the classes up to it in ascending
+    # order, and the rest are at least as good as it.
+    for c in sorted(range(len(values)), key=values.__getitem__):
+        below |= 1 << c
+        table[c], columns[c] = below, full ^ below | 1 << c
     r = PreferenceRelation._of_classes(universe, class_of, table)
+    r.columns = columns
     if layout is not None and len(values) <= 248:
         r.grid_layouts = [layout]
     return r
@@ -442,10 +442,8 @@ class AxiomReport:
     detail: str = ""
 
     def __post_init__(self) -> None:
-        if self.satisfied and self.witness is not None:
-            raise ValueError("a satisfied report cannot carry a witness")
-        if not self.satisfied and self.witness is None:
-            raise ValueError("a violated report must carry a witness")
+        if self.satisfied != (self.witness is None):
+            raise ValueError("a report carries a witness iff it is violated")
 
 
 def check_total_preorder(r: PreferenceRelation) -> AxiomReport:
@@ -467,10 +465,9 @@ def check_total_preorder(r: PreferenceRelation) -> AxiomReport:
     for a, row in enumerate(table):
         # A class b that a is at least as good as, whose row reaches past
         # a's, breaks transitivity.
-        for b in _bits(row):
-            extra = table[b] & ~row
-            if extra:
-                i, j, k = first[a], first[b], first[_lowest_bit(extra)]
+        for b, other in enumerate(table):
+            if row >> b & 1 and other & ~row:
+                i, j, k = first[a], first[b], first[_lowest_bit(other & ~row)]
                 return AxiomReport(
                     "B1", False, (i, j, k),
                     f"transitivity fails: {describe(i)} >= {describe(j)} >= "
@@ -570,17 +567,21 @@ def _suspects(r: PreferenceRelation) -> list[tuple[int, int, int]]:
     all where it is no equivalence or classes fill more than a layout,
     else the first that breaks it, if any.  Its blocks are laid out per
     prize, prize outermost: a raise to v is the slice at v v times and the
-    tail from v; a cap, the top slice gathered at capped places.
+    tail from v; a cap, the top slice capped (``_capped``), size times.
     """
     universe, layouts = r.universe, r.grid_layouts
     closed = [row | 1 << a for a, row in enumerate(r.indifference)]
     # Each class is in its own set, so the sets are blocks iff they are disjoint.
-    if len(layouts) > 1 or sum(map(int.bit_count, set(closed))) != len(closed):
+    blocks = set(closed)
+    if len(layouts) > 1 or sum(map(int.bit_count, blocks)) != len(closed):
         return universe.generators
     members, caps, generators = universe.grid_members, universe.grid_caps, iter(universe.generators)
     size, span = len(universe.scale), len(layouts[0])
     level = span // size
-    layout = layouts[0].translate(bytes(map(closed.index, closed)).ljust(256, b"\xff"))
+    layout = layouts[0]
+    if len(blocks) < len(closed):
+        # Classes indifferent to others: each block is numbered by its first class.
+        layout = layout.translate(bytes(map(closed.index, closed)).ljust(256, b"\xff"))
     for q in range(len(universe.outcomes.labels)):
         if q:
             # The outermost prize moves innermost: prize q is now outermost.
@@ -589,7 +590,7 @@ def _suspects(r: PreferenceRelation) -> list[tuple[int, int, int]]:
                 turned[v::size] = layout[v * level:(v + 1) * level]
             layout = turned
         raised = (layout[v * level:][:level] * v + layout[v * level:] for v in range(1, size))
-        capped = (bytes(cap(layout[-level:])) * size for cap in caps)
+        capped = (_capped(layout[-level:], cap, size, wa) * size for wa, cap in enumerate(caps, 1))
         # One image at a time, in generator order, so no more than one is held.
         for image, generator in zip(itertools.chain(raised, capped), generators):
             # Keeping it is sending each block to its image at its last place;
@@ -600,6 +601,21 @@ def _suspects(r: PreferenceRelation) -> list[tuple[int, int, int]]:
             ) & members:
                 return [generator]
     return []
+
+
+def _capped(part: bytes, block: bytes, size: int, wa: int) -> bytes:
+    """A slice over the grid of some prizes' levels with each level capped
+    at wa: slices per level of the outermost prize, down to the innermost
+    prizes' blocks, each one translate through its position bytes
+    ``block`` (``grid_caps``); a prize of more levels than a block holds
+    places, with no block below it, is sliced alone."""
+    if len(part) == len(block):
+        return block.translate(part.ljust(256, b"\0"))
+    sub = len(part) // size
+    head = part[:wa + 1] if sub == 1 else b"".join(
+        [_capped(part[v * sub:(v + 1) * sub], block, size, wa) for v in range(wa + 1)]
+    )
+    return head + head[-sub:] * (size - 1 - wa)
 
 
 def _first_broken_pair(r: PreferenceRelation, f: Sequence[int]) -> tuple[int, int] | None:
@@ -797,13 +813,11 @@ def _outcomes_with_ranks(base: OutcomeSet, rank_key: dict[str, int], built: dict
 def enumerate_scale_maps(source: Scale, target: Scale) -> list[ScaleMap]:
     """All order-preserving onto maps with the 0/1 anchors fixed."""
     n, m = len(source), len(target)
-    maps = []
-    for mid in itertools.combinations_with_replacement(range(m), n - 2):
-        images = (0,) + mid + (m - 1,)
-        if set(images) != set(range(m)):
-            continue
-        maps.append(ScaleMap(source, target, images))
-    return maps
+    return [
+        ScaleMap(source, target, (0, *mid, m - 1))
+        for mid in itertools.combinations_with_replacement(range(m), n - 2)
+        if {0, *mid, m - 1} == set(range(m))
+    ]
 
 
 def _scalar_config(
@@ -970,14 +984,10 @@ class ConfigOutcome:
         return FAMILIES[self.family]
 
     def unexpected(self) -> list[str]:
-        bad = []
-        for report in self.reports:
-            want = self.expectations.get(report.axiom, "informational")
-            if want == "satisfied" and not report.satisfied:
-                bad.append(report.axiom)
-            elif want == "violated" and report.satisfied:
-                bad.append(report.axiom)
-        return bad
+        """Axioms expected satisfied or violated whose report says otherwise."""
+        want = {"satisfied": True, "violated": False}
+        return [r.axiom for r in self.reports
+                if want.get(self.expectations.get(r.axiom), r.satisfied) != r.satisfied]
 
 
 @dataclass
@@ -993,13 +1003,10 @@ class EntailmentRun:
 
     def anomaly_exhibited(self) -> bool:
         """Some mixed assessment must violate both attitude axioms."""
-        for c in self.configs:
-            if c.family != "binary":
-                continue
-            down = {r.axiom: r.satisfied for r in c.reports}
-            if down.get("A2-") is False and down.get("A2+") is False:
-                return True
-        return False
+        return any(
+            c.family == "binary" and {"A2-", "A2+"} <= {r.axiom for r in c.reports if not r.satisfied}
+            for c in self.configs
+        )
 
     def ok(self) -> bool:
         return not self.unexpected() and self.anomaly_exhibited()
@@ -1081,9 +1088,9 @@ def verify_entailments(
         raise ValueError(f"sample_max_outcomes={sample_max_outcomes} must be at least 2")
     if sample_max_levels not in SCALE_LABEL_PRESETS:
         raise ValueError(f"sample_max_levels={sample_max_levels}: no canonical scale")
-    if min(enumerate_max) > 1 and max_v not in SCALE_LABEL_PRESETS:
-        raise ValueError(f"enumerate_max={enumerate_max}: no canonical scale of size {max_v}")
     if min(enumerate_max) > 1:
+        if max_v not in SCALE_LABEL_PRESETS:
+            raise ValueError(f"enumerate_max={enumerate_max}: no canonical scale of size {max_v}")
         check_enumerable(f"enumerate_max={enumerate_max}", max_x, max_v)
     if sample_size > 0:
         check_enumerable("sampled spaces", sample_max_outcomes, sample_max_levels)
@@ -1210,7 +1217,7 @@ def search_pair_counterexample(
     """
     check_domain(universe.outcomes, universe.scale, cfg.outcomes, cfg.uncertainty_scale)
     check_domain(universe.outcomes, universe.scale, assessment.outcomes, assessment.scale)
-    n = len(universe)
+    n, scope = len(universe), (len(universe.outcomes.labels), len(universe.scale))
     # Members sharing (pessimistic, optimistic) values, groups in order of
     # their first member.  A first witness (i, j) has i first in its group:
     # any earlier member of the group would pair with i or with j.
@@ -1227,9 +1234,5 @@ def search_pair_counterexample(
             if pair_key[j] != pair_key[i]:
                 # Pairs (a, b) with a < i come first, then (i, i+1) .. (i, j).
                 checked = i * (n - 1) - i * (i - 1) // 2 + (j - i)
-                return SearchResult(
-                    (i, j), checked, len(universe.outcomes.labels), len(universe.scale)
-                )
-    return SearchResult(
-        None, n * (n - 1) // 2, len(universe.outcomes.labels), len(universe.scale)
-    )
+                return SearchResult((i, j), checked, *scope)
+    return SearchResult(None, n * (n - 1) // 2, *scope)

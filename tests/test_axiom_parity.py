@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 import axiom_oracles as oracle
 from posdec import axioms
 from posdec.axioms import (
+    BYTE_KEY_LEVELS,
     CONTINUITY_VARIANTS,
     LotteryUniverse,
     PreferenceRelation,
@@ -41,10 +42,12 @@ from posdec.axioms import (
     enumerate_assessments,
     enumerate_scalar_configs,
     induced_relation,
+    member_keys,
     optimistic_keys,
     pessimistic_keys,
     search_pair_counterexample,
 )
+from posdec.scales import Scale
 from posdec.utilities import binary_utility, optimistic_utility, pessimistic_utility
 
 SHAPES = ((3, 3), (3, 4), (2, 5))
@@ -344,3 +347,100 @@ def test_grid_decisions_match_the_stepwise_oracles(shape):
             outcomes.add(("B2", assert_standard_orders_match_oracles(rel)))
     checks = ("A2", "B3", "B2")
     assert outcomes == {(check, sat) for check in checks for sat in (True, False)}
+
+
+def cap_universe(shape):
+    """The universe of ``shape``; a scale past the canonical presets has
+    evenly spaced labels."""
+    prizes, levels = shape
+    if levels in axioms.SCALE_LABEL_PRESETS:
+        scale = canonical_scale(levels)
+    else:
+        scale = Scale(("0", *(f".{v:03d}" for v in range(1, levels - 1)), "1"))
+    return LotteryUniverse(canonical_outcomes(prizes), scale)
+
+
+CAP_SHAPES = {"4x5": (4, 5), "5x5": (5, 5), "6x6": (6, 6), "2x300": (2, 300)}
+
+
+@pytest.mark.parametrize(
+    "shape, block", [(CAP_SHAPES[k], b) for k, b in zip(CAP_SHAPES, (125, 125, 216, 1))],
+    ids=list(CAP_SHAPES),
+)
+def test_cap_images_are_the_capped_gathers(shape, block):
+    """Every cap of a random top slice is its gather at the capped places:
+    one translate of a 125-place block (4x5), slices over the outer prizes
+    of 125- and 216-place blocks (5x5, 6x6), and one prize of 300 levels
+    by slicing alone (2x300)."""
+    universe = cap_universe(shape)
+    size = len(universe.scale)
+    places = list(itertools.product(range(size), repeat=shape[0] - 1))
+    place_of = {levels: p for p, levels in enumerate(places)}
+    rng = random.Random(f"caps-{shape}")
+    top_slice = bytes(rng.randrange(256) for _ in places)
+    assert [len(cap) for cap in universe.grid_caps] == [block] * (size - 2)
+    for wa, cap in enumerate(universe.grid_caps, 1):
+        gathered = bytes(top_slice[place_of[tuple(min(v, wa) for v in p)]] for p in places)
+        assert axioms._capped(top_slice, cap, size, wa) == gathered
+
+
+@pytest.mark.parametrize(
+    "name, kinds",
+    [
+        ("4x5", ("sound", "cap-broken", "in-class-flip")),
+        ("5x5", ("sound", "cap-broken", "in-class-flip")),
+        ("6x6", ("cap-broken",)),
+        ("2x300", ("sound", "in-class-flip")),
+    ],
+    ids=list(CAP_SHAPES),
+)
+def test_substitutability_on_the_cap_shapes_matches_the_oracle(name, kinds):
+    """B3 gives the generator oracle's report, witness included, on a sound
+    relation, on one whose classes are split so that a cap breaks it first,
+    and on one with an entry flipped inside its largest class.  Two prizes
+    have no such split: there every partition that the raises keep, the
+    caps keep too."""
+    universe = cap_universe(CAP_SHAPES[name])
+    top, levels = len(universe.scale) - 1, universe.value_tuples
+    if top < BYTE_KEY_LEVELS:
+        assessment = enumerate_assessments(universe.outcomes, universe.scale)[-1]
+        keys = member_keys(binary_keys(universe, assessment))
+    else:
+        keys = [(top - vt[-1]) // 2 for vt in levels]
+    sound = induced_relation(universe, keys)
+    largest = max(set(sound.class_of), key=sound.class_of.count)
+    in_class = [i for i, c in enumerate(sound.class_of) if c == largest]
+    relations = {
+        "sound": sound,
+        "cap-broken": induced_relation(universe, [2 * k + (vt[1] == 2) for k, vt in zip(keys, levels)]),
+        "in-class-flip": sound.with_flipped(*in_class[:2]),
+    }
+    for kind in kinds:
+        rel = relations[kind]
+        report = check_substitutability(rel)
+        assert fields(report) == fields(oracle.check_substitutability_by_generators(rel)), kind
+        assert report.satisfied == (kind == "sound"), kind
+        if kind == "cap-broken":
+            # A cap generator, weights (wa, top) with wa < top, is named.
+            [(_, wa, _)] = axioms._suspects(rel)
+            assert wa < top and report.witness[3] == wa
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 4), (4, 5)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_key_tables_match_the_relation_rebuilt_from_rows(shape):
+    """The table, columns, indifference and first members that sorted keys
+    give, as grid bytes or as a member list, are what a relation derives
+    from its rows, for random keys with ties."""
+    universe = LotteryUniverse(canonical_outcomes(shape[0]), canonical_scale(shape[1]))
+    flags = universe.grid_members.to_bytes(universe.grid_size, "big")
+    rng = random.Random(f"keys-{shape}")
+    for distinct in (1, 2, 5, 40, 255):
+        keys = bytes(rng.randrange(distinct) if f else 255 for f in flags)
+        values = member_keys(keys)
+        rows = [sum(1 << j for j, b in enumerate(values) if a >= b) for a in values]
+        expected = PreferenceRelation(universe, rows)
+        for given in (keys, list(values)):
+            rel = induced_relation(universe, given)
+            assert list(rel.class_of) == expected.class_of
+            for name in ("table", "columns", "indifference", "first_members"):
+                assert getattr(rel, name) == getattr(expected, name), (distinct, name)
