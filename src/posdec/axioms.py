@@ -50,7 +50,7 @@ from functools import cache, cached_property, reduce
 from typing import Iterable, Sequence
 
 from .lotteries import OutcomeSet, check_enumerable, enumerate_distributions
-from .scales import Scale, ScaleMap, binary_rank, pair_ge_indices
+from .scales import Scale, ScaleMap, pair_ge_indices
 from .utilities import BinaryUtilityAssessment, ScalarUtilityConfig, check_domain
 
 def _lowest_bit(bits: int) -> int:
@@ -319,62 +319,50 @@ _MIN_WITH = [_IDENTITY[:t] + bytes([t]) * (256 - t) for t in range(BYTE_KEY_LEVE
 _MAX_WITH = [bytes([t]) * t + _IDENTITY[t:] for t in range(BYTE_KEY_LEVELS)]
 
 
-def _byte_fold(tables: Sequence[Sequence[int]], lowest: bool) -> int:
-    """Per place of the full level grid, the min (``lowest``) else the max
-    over prizes of the prize's term at its level, a term table per prize
-    in label order.  A byte per place, first place highest, as one int.
+def _fold(
+    universe: LotteryUniverse, tables: Sequence[Sequence[int]], lowest: bool
+) -> int | list[int]:
+    """Per member, the min (``lowest``) else the max over prizes of the
+    prize's term at its level, a term table per prize in label order.
 
-    The grid of the last prizes gains the prize before them as its
-    outermost: one translate per level, through the byte table of that
-    level's term.
+    On scales of up to ``BYTE_KEY_LEVELS`` levels, a byte per place of the
+    full level grid, first place highest, as one int: the grid of the last
+    prizes gains the prize before them as its outermost, one translate per
+    level through the byte table of that level's term.  Past that, a list
+    in member order, one fold per member over ``universe.value_tuples``.
     """
-    fold = _MIN_WITH if lowest else _MAX_WITH
+    if len(universe.scale) > BYTE_KEY_LEVELS:
+        fold = min if lowest else max
+        return [fold(map(operator.getitem, tables, levels)) for levels in universe.value_tuples]
+    by_term = _MIN_WITH if lowest else _MAX_WITH
     grid = bytes(tables[-1])
     for table in reversed(tables[:-1]):
-        grid = b"".join([grid.translate(fold[t]) for t in table])
+        grid = b"".join([grid.translate(by_term[t]) for t in table])
     return int.from_bytes(grid, "big")
 
 
-def _member_fold(
-    universe: LotteryUniverse, tables: Sequence[Sequence[int]], lowest: bool
-) -> list[int]:
-    """``_byte_fold`` per member, in member order, for keys of any size.
-
-    Each prefix of the prizes gets the fold of every level tuple, built from
-    the one before it, entry by table entry; the last prize is folded in per
-    member through ``universe.grid_gathers``.
-    """
-    places, last_levels = universe.grid_gathers
-    fold = min if lowest else max
-    grid, *middle, last = tables
-    for table in middle:
-        grid = [fold(a, b) for a in grid for b in table]
-    return list(map(fold, places(grid), last_levels(last)))
-
-
-def _grid_keys(universe: LotteryUniverse, folded: int) -> bytes:
-    """A byte fold's keys with 0xff at each place that holds no member."""
+def _grid_keys(universe: LotteryUniverse, folded: int | list[int]) -> bytes | list[int]:
+    """A fold's keys: a byte fold with 0xff at each place that holds no
+    member, a member list as it is."""
+    if isinstance(folded, list):
+        return folded
     return (folded | universe.grid_holes).to_bytes(universe.grid_size, "big")
 
 
 def pessimistic_keys(universe: LotteryUniverse, cfg: ScalarUtilityConfig) -> bytes | list[int]:
     """The pessimistic utility's index for every member: the min fold of
-    ``cfg.pessimistic_terms``.  On scales of up to ``BYTE_KEY_LEVELS``
-    levels, a byte per place of the full level grid (``_byte_fold``), 0xff
-    where no member is; past that, a list in member order.  No domain
+    ``cfg.pessimistic_terms`` (``_fold``).  On scales of up to
+    ``BYTE_KEY_LEVELS`` levels, a byte per place of the full level grid,
+    0xff where no member is; past that, a list in member order.  No domain
     check."""
-    if len(universe.scale) > BYTE_KEY_LEVELS:
-        return _member_fold(universe, cfg.pessimistic_terms, True)
-    return _grid_keys(universe, _byte_fold(cfg.pessimistic_terms, True))
+    return _grid_keys(universe, _fold(universe, cfg.pessimistic_terms, True))
 
 
 def optimistic_keys(universe: LotteryUniverse, cfg: ScalarUtilityConfig) -> bytes | list[int]:
     """The optimistic utility's index for every member, laid out as
     ``pessimistic_keys`` lays them: the max fold of ``cfg.optimistic_terms``.
     No domain check."""
-    if len(universe.scale) > BYTE_KEY_LEVELS:
-        return _member_fold(universe, cfg.optimistic_terms, False)
-    return _grid_keys(universe, _byte_fold(cfg.optimistic_terms, False))
+    return _grid_keys(universe, _fold(universe, cfg.optimistic_terms, False))
 
 
 def binary_keys(universe: LotteryUniverse, a: BinaryUtilityAssessment) -> bytes | list[int]:
@@ -382,10 +370,9 @@ def binary_keys(universe: LotteryUniverse, a: BinaryUtilityAssessment) -> bytes 
     ``pessimistic_keys`` lays them: the max folds f of ``a.first_terms``
     and s of ``a.second_terms``, joined as f + top - s.  No domain check."""
     top = a.scale.top_index
-    if len(universe.scale) > BYTE_KEY_LEVELS:
-        f, s = (_member_fold(universe, t, False) for t in (a.first_terms, a.second_terms))
+    f, s = (_fold(universe, t, False) for t in (a.first_terms, a.second_terms))
+    if isinstance(f, list):
         return [x + top - y for x, y in zip(f, s)]
-    f, s = (_byte_fold(t, False) for t in (a.first_terms, a.second_terms))
     # No byte borrows: at every place, f + top - s is at least 0.
     return _grid_keys(universe, f + int.from_bytes(bytes([top]) * universe.grid_size, "big") - s)
 
@@ -793,21 +780,29 @@ def canonical_outcomes(count: int) -> OutcomeSet:
     return OutcomeSet(labels, best=labels[0], worst=labels[-1])
 
 
-def _outcomes_with_ranks(base: OutcomeSet, rank_key: dict[str, int], built: dict) -> OutcomeSet:
-    """Rebuild an outcome set whose preference classes follow the given keys.
+def _outcomes_with_ranks(base: OutcomeSet, keys: tuple[int, ...], built: dict) -> OutcomeSet:
+    """Rebuild an outcome set whose preference classes follow the given
+    keys, one per label in label order.
 
     Larger keys are better.  The best prize must carry the largest key and
     the worst the smallest; generators arrange that.  ``built`` holds the
-    sets the caller has built.
+    sets the caller has built, by their classes.
     """
-    distinct = sorted(set(rank_key.values()), reverse=True)
     classes = tuple(
-        tuple(label for label in base.labels if rank_key[label] == key)
-        for key in distinct
+        tuple(label for label, k in zip(base.labels, keys) if k == key)
+        for key in sorted(set(keys), reverse=True)
     )
     if (base, classes) not in built:
         built[base, classes] = OutcomeSet(base.labels, base.best, base.worst, classes)
     return built[base, classes]
+
+
+def _anchored(outcomes: OutcomeSet, top: int) -> Iterable[tuple[int, ...]]:
+    """Every key tuple, one key per label in label order, with the best
+    prize at ``top``, the worst at 0 and each other prize anywhere from 0
+    to ``top``: the other prizes' keys in lexicographic order."""
+    ends = {outcomes.best: (top,), outcomes.worst: (0,)}
+    return itertools.product(*[ends.get(x, range(top + 1)) for x in outcomes.labels])
 
 
 def enumerate_scale_maps(source: Scale, target: Scale) -> list[ScaleMap]:
@@ -820,20 +815,6 @@ def enumerate_scale_maps(source: Scale, target: Scale) -> list[ScaleMap]:
     ]
 
 
-def _scalar_config(
-    outcomes: OutcomeSet, h: ScaleMap, rank_key: dict[str, int], built: dict
-) -> ScalarUtilityConfig:
-    """The configuration whose prize utilities are the rank keys on h's target.
-
-    Preference classes follow the keys.
-    """
-    return ScalarUtilityConfig(
-        _outcomes_with_ranks(outcomes, rank_key, built),
-        h,
-        tuple(rank_key[label] for label in outcomes.labels),
-    )
-
-
 def enumerate_scalar_configs(
     outcomes: OutcomeSet, scale: Scale
 ) -> list[ScalarUtilityConfig]:
@@ -844,15 +825,11 @@ def enumerate_scalar_configs(
     scale has one order-reversing involution, so there is none to range over.
     """
     configs, built = [], {}
-    interior = tuple(
-        l for l in outcomes.labels if l not in (outcomes.best, outcomes.worst)
-    )
     for u_size in range(2, len(scale) + 1):
+        variants = [(_outcomes_with_ranks(outcomes, keys, built), keys)
+                    for keys in _anchored(outcomes, u_size - 1)]
         for h in enumerate_scale_maps(scale, canonical_scale(u_size, name="U")):
-            for combo in itertools.product(range(u_size), repeat=len(interior)):
-                rank_key = {outcomes.best: u_size - 1, outcomes.worst: 0}
-                rank_key.update(zip(interior, combo))
-                configs.append(_scalar_config(outcomes, h, rank_key, built))
+            configs += [ScalarUtilityConfig(variant, h, keys) for variant, keys in variants]
     return configs
 
 
@@ -880,14 +857,12 @@ def sample_scalar_configs(
         if (nv, nu) not in scale_maps:
             scale_maps[nv, nu] = enumerate_scale_maps(v_scale, canonical_scale(nu, name="U"))
         h = rng.choice(scale_maps[nv, nu])
-        rank_key = {base.best: nu - 1, base.worst: 0}
-        for label in base.labels:
-            if label not in (base.best, base.worst):
-                rank_key[label] = rng.randrange(nu)
-        key = h.images, tuple(rank_key.values())
-        if key not in drawn:
-            drawn[key] = base, v_scale, _scalar_config(base, h, rank_key, built)
-        out.append(drawn[key])
+        # Canonical labels run from the best prize to the worst.
+        keys = (nu - 1, *[rng.randrange(nu) for _ in range(nx - 2)], 0)
+        if (h.images, keys) not in drawn:
+            cfg = ScalarUtilityConfig(_outcomes_with_ranks(base, keys, built), h, keys)
+            drawn[h.images, keys] = base, v_scale, cfg
+        out.append(drawn[h.images, keys])
     return out
 
 
@@ -899,40 +874,34 @@ def enumerate_assessments(
     With ``half=None`` the anchors are fixed at <1,0> and <0,1> and interior
     prizes range over the whole binary scale.  With ``half="best"`` or
     ``half="worst"`` every prize is encoded inside that half of the scale
-    (anchors relaxed), best prize highest and worst prize lowest.
+    (anchors relaxed), best prize highest and worst prize lowest.  Prizes
+    range over ``binary_rank`` keys, each read back as its index pair.
     """
-    values = scale.binary_values
-    interior = [l for l in outcomes.labels if l not in (outcomes.best, outcomes.worst)]
+    top = scale.top_index
+    pairs = [(v, top) for v in range(top)] + [(top, v) for v in range(top, -1, -1)]
     if half is None:
-        anchors = {outcomes.best: values[-1], outcomes.worst: values[0]}
-        tables = [
-            {**anchors, **dict(zip(interior, combo))}
-            for combo in itertools.product(values, repeat=len(interior))
-        ]
+        keyed = _anchored(outcomes, 2 * top)
     else:
         if half == "best":
-            pool = values[scale.top_index:]
+            pool = range(top, 2 * top + 1)
         elif half == "worst":
-            pool = values[: scale.top_index + 1]
+            pool = range(top + 1)
         else:
             raise ValueError(f"unknown half {half!r}")
         # pool is ascending, so each multiset comes out ascending: reversed,
-        # it runs from the best prize down to the worst.
-        labels = [outcomes.best, *interior, outcomes.worst]
-        tables = [
-            dict(zip(labels, reversed(combo)))
-            for combo in itertools.combinations_with_replacement(pool, len(labels))
-        ]
-    result, built = [], {}
-    for table in tables:
-        rank_key = {label: binary_rank(table[label]) for label in outcomes.labels}
-        variant = _outcomes_with_ranks(outcomes, rank_key, built)
-        result.append(
-            BinaryUtilityAssessment.from_mapping(
-                variant, scale, table, require_anchors=half is None
-            )
+        # it runs from the best prize through the interior ones to the worst.
+        ends = (outcomes.best, outcomes.worst)
+        order = [outcomes.best, *(x for x in outcomes.labels if x not in ends), outcomes.worst]
+        at = operator.itemgetter(*[len(order) - 1 - order.index(x) for x in outcomes.labels])
+        keyed = map(at, itertools.combinations_with_replacement(pool, len(order)))
+    built = {}
+    return [
+        BinaryUtilityAssessment(
+            _outcomes_with_ranks(outcomes, keys, built), scale,
+            tuple(map(pairs.__getitem__, keys)), half is None,
         )
-    return result
+        for keys in keyed
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,25 @@ arithmetic, so they share no code with the class-table paths they are
 compared against.  ``check_uncertainty_attitude_by_steps`` and
 ``check_substitutability_by_generators``, fast enough for universes of a
 few thousand members, also group members by ``class_of``.
+
+The configuration generators here label each prize through a dict and
+build every configuration through its public constructor, one outcome
+set per configuration; the sweep's generators build them from key tuples.
 """
 
-from posdec.axioms import AxiomReport, PreferenceRelation
-from posdec.lotteries import standard_lotteries
+import itertools
+import random
+
+from posdec.axioms import (
+    AxiomReport,
+    PreferenceRelation,
+    canonical_outcomes,
+    canonical_scale,
+    enumerate_scale_maps,
+)
+from posdec.lotteries import OutcomeSet, standard_lotteries
+from posdec.scales import binary_rank
+from posdec.utilities import BinaryUtilityAssessment, ScalarUtilityConfig
 
 
 def rows_of(matrix):
@@ -320,3 +335,74 @@ def search_pair_counterexample_witness(pess, opt, pairs):
             if pess[i] == pess[j] and opt[i] == opt[j] and pairs[i] != pairs[j]:
                 return (i, j), checked
     return None, checked
+
+
+def outcomes_with_ranks(base, rank_key):
+    """The outcome set whose preference classes follow ``rank_key`` (label
+    -> key, larger better)."""
+    classes = tuple(
+        tuple(label for label in base.labels if rank_key[label] == key)
+        for key in sorted(set(rank_key.values()), reverse=True)
+    )
+    return OutcomeSet(base.labels, base.best, base.worst, classes)
+
+
+def scalar_config(outcomes, h, rank_key):
+    """The configuration whose prize utilities are the rank keys on h's target."""
+    return ScalarUtilityConfig.from_indices(outcomes_with_ranks(outcomes, rank_key), h, rank_key)
+
+
+def enumerate_scalar_configs(outcomes, scale):
+    """Per utility-scale size, onto map and interior assignment, in that order."""
+    configs = []
+    interior = [x for x in outcomes.labels if x not in (outcomes.best, outcomes.worst)]
+    for u_size in range(2, len(scale) + 1):
+        for h in enumerate_scale_maps(scale, canonical_scale(u_size, name="U")):
+            for combo in itertools.product(range(u_size), repeat=len(interior)):
+                rank_key = {outcomes.best: u_size - 1, outcomes.worst: 0}
+                rank_key.update(zip(interior, combo))
+                configs.append(scalar_config(outcomes, h, rank_key))
+    return configs
+
+
+def sample_scalar_configs(seed, count, max_outcomes=3, max_levels=4):
+    """The seeded draws, one (outcomes, scale, configuration) per draw."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        nx = rng.randint(2, max_outcomes)
+        nv = rng.randint(2, max_levels)
+        nu = rng.randint(2, nv)
+        base, v_scale = canonical_outcomes(nx), canonical_scale(nv)
+        h = rng.choice(enumerate_scale_maps(v_scale, canonical_scale(nu, name="U")))
+        rank_key = {base.best: nu - 1, base.worst: 0}
+        for label in base.labels:
+            if label not in (base.best, base.worst):
+                rank_key[label] = rng.randrange(nu)
+        out.append((base, v_scale, scalar_config(base, h, rank_key)))
+    return out
+
+
+def enumerate_assessments(outcomes, scale, half=None):
+    """Anchored assessments with the interior prizes over the whole binary
+    scale, or every prize inside one half, best prize highest."""
+    values = scale.binary_values
+    interior = [x for x in outcomes.labels if x not in (outcomes.best, outcomes.worst)]
+    tables = []
+    if half is None:
+        for combo in itertools.product(values, repeat=len(interior)):
+            table = {outcomes.best: values[-1], outcomes.worst: values[0]}
+            table.update(zip(interior, combo))
+            tables.append(table)
+    else:
+        pool = values[scale.top_index:] if half == "best" else values[:scale.top_index + 1]
+        labels = [outcomes.best, *interior, outcomes.worst]
+        for combo in itertools.combinations_with_replacement(pool, len(labels)):
+            tables.append(dict(zip(labels, reversed(combo))))
+    result = []
+    for table in tables:
+        rank_key = {label: binary_rank(table[label]) for label in outcomes.labels}
+        result.append(BinaryUtilityAssessment.from_mapping(
+            outcomes_with_ranks(outcomes, rank_key), scale, table, require_anchors=half is None
+        ))
+    return result

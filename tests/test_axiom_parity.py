@@ -45,8 +45,10 @@ from posdec.axioms import (
     member_keys,
     optimistic_keys,
     pessimistic_keys,
+    sample_scalar_configs,
     search_pair_counterexample,
 )
+from posdec.lotteries import OutcomeSet
 from posdec.scales import Scale
 from posdec.utilities import binary_utility, optimistic_utility, pessimistic_utility
 
@@ -444,3 +446,35 @@ def test_key_tables_match_the_relation_rebuilt_from_rows(shape):
             assert list(rel.class_of) == expected.class_of
             for name in ("table", "columns", "indifference", "first_members"):
                 assert getattr(rel, name) == getattr(expected, name), (distinct, name)
+
+
+# Every space up to 3 prizes by 4 levels, and one whose best prize is not
+# its first label and whose labels are not in preference order.
+GENERATOR_SPACES = [
+    (canonical_outcomes(nx), canonical_scale(nv)) for nx in (2, 3) for nv in (2, 3, 4)
+] + [(
+    OutcomeSet(("x2", "x0", "x3", "x1"), "x3", "x0", (("x3",), ("x1",), ("x2",), ("x0",))),
+    Scale(("0", ".3", ".7", "1"), name="V"),
+)]
+
+
+@pytest.mark.parametrize(
+    "outcomes, scale", GENERATOR_SPACES,
+    ids=[f"{'-'.join(o.labels)}x{len(v)}" for o, v in GENERATOR_SPACES],
+)
+def test_enumerators_match_the_dict_oracles(outcomes, scale):
+    """Configurations built from key tuples equal, in order, those built
+    through label-keyed dicts and the public constructors."""
+    assert enumerate_scalar_configs(outcomes, scale) == oracle.enumerate_scalar_configs(
+        outcomes, scale
+    )
+    for half in (None, "best", "worst"):
+        got = enumerate_assessments(outcomes, scale, half)
+        assert got == oracle.enumerate_assessments(outcomes, scale, half)
+        assert all(a.require_anchors == (half is None) for a in got)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sampler_matches_the_dict_oracle(seed):
+    assert sample_scalar_configs(seed, 100) == oracle.sample_scalar_configs(seed, 100)
+    assert sample_scalar_configs(seed, 40, 5, 6) == oracle.sample_scalar_configs(seed, 40, 5, 6)

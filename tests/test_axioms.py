@@ -1,6 +1,7 @@
 """Relation materialization, axiom predicates, entailment sweeps, and the search."""
 
 import gc
+import hashlib
 import itertools
 import operator
 import os
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axiom_oracles import check_substitutability as oracle_substitutability
 from axiom_oracles import rows_of
 from posdec import axioms
 from posdec.axioms import (
@@ -42,6 +44,7 @@ from posdec.axioms import (
     search_pair_counterexample,
     verify_entailments,
 )
+from posdec.cli import load_scenario
 from posdec.lotteries import BoundExceededError, mixture
 from posdec.scales import Scale, ScaleMap, ScaleMismatchError, pair_ge_indices
 from posdec.utilities import (
@@ -810,6 +813,40 @@ class TestVerifyEntailments:
         assert faulted.configs[0].reports[0].witness == (0, 0)
         assert {cid for cid, _ in faulted.unexpected()} == {first_id}
         assert faulted.configs[1:] == clean.configs[1:]
+
+    def test_enumeration_past_three_by_three_is_pinned(self):
+        """The 4x4 enumeration and a seed-3 sample, as ``scripts/axiom_sweep.py
+        --enumerate-to 4 4 --sample 100 --seed 3`` writes them."""
+        run = verify_entailments(enumerate_max=(4, 4), sample_size=100, seed=3)
+        report = format_report(run).encode("utf-8")
+        assert hashlib.sha256(report).hexdigest() == (
+            "cb81e3872663f67f5da601fdf9edb56f17616e0aee97bb4f2d4fe941cab3aba0"
+        )
+
+    @pytest.mark.parametrize("flip", [(5, 6), (6, 5)])
+    def test_off_diagonal_fault_is_reported_with_the_oracle_witness(self, flip):
+        """A flipped entry between two members of one class of the first
+        relation: "equal or indifferent" is no equivalence, so B3 walks the
+        member maps, and its lines name the plain-loop oracle's witness."""
+        scenario = load_scenario(str(Path(__file__).parents[1] / "scenarios" / "wide_4x5.json"))
+        universe = LotteryUniverse(scenario.outcomes, scenario.scale_v)
+        cfg = scenario.pessimistic_config
+        kwargs = {"scalar_config": cfg, "assessment": scenario.assessment, "seed": 0}
+        first = induced_relation(universe, axioms.pessimistic_keys(universe, cfg))
+        i, j = flip
+        assert i != j and first.class_of[i] == first.class_of[j]
+        faulted = first.with_flipped(i, j)
+        assert axioms._suspects(faulted) == universe.generators
+        want = oracle_substitutability(faulted)
+        assert not want.satisfied
+        run = verify_entailments(universe, fault=flip, **kwargs)
+        head, *rest = run.configs
+        assert head.config_id == "scenario-pessimistic"
+        for axiom in ("A3-", "B3"):
+            (report,) = [r for r in head.reports if r.axiom == axiom]
+            assert (report.witness, report.detail) == (want.witness, want.detail)
+        assert {cid for cid, _ in run.unexpected()} == {"scenario-pessimistic"}
+        assert rest == verify_entailments(universe, **kwargs).configs[1:]
 
     def test_scenario_relation_with_more_classes_than_a_byte_holds(self):
         """The anchored assessment on 2 prizes x 130 levels ranks each of
