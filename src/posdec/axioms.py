@@ -30,14 +30,21 @@ the report for the A axiom.
 An entailment sweep checks each enumerated or seeded-sampled
 configuration against its family in ``FAMILIES`` (the battery is the key
 order of its expectations), one report line per axiom per configuration.
-It checks a configuration's domain and scale once against its universe,
-builds the relation from per-prize term tables folded over the full grid
-of level tuples as bytes, one translate per level per prize, and runs
-each check once per distinct relation it meets.  The classes come from
-the keys by one translate, which is the relation's grid layout, with no
-per-member loop.  Keys fit a byte, with 0xff left to mark places that
-hold no member, up to |V| = 128 (``BYTE_KEY_LEVELS``); wider scales fold
-per member.
+It checks the caller's configuration and assessment against their
+universe once, before any relation.  The enumerated and sampled families
+come from draw streams, the image tables and integer keys the public
+generators build their configurations from, in their order; the sweep
+builds no configuration from them, only its per-prize term tables, once
+per distinct draw.  Draws are valid by construction: images are anchored,
+monotone and onto, keys put the best prize at the top and the worst at
+0, and an outcome set's classes would come from the keys.  Reports are
+reused by (family, universe, term tables).  A relation is the term
+tables folded over the full grid of level tuples as bytes, one translate
+per level per prize, and each check runs once per distinct relation.
+The classes come from the keys by one translate, which is the relation's
+grid layout, with no per-member loop.  Keys fit a byte, with 0xff left
+to mark places that hold no member, up to |V| = 128
+(``BYTE_KEY_LEVELS``); wider scales fold per member.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ from typing import Iterable, Sequence
 from .lotteries import OutcomeSet, check_enumerable, enumerate_distributions
 from .scales import Scale, ScaleMap, pair_ge_indices
 from .utilities import BinaryUtilityAssessment, ScalarUtilityConfig, check_domain
+from .utilities import binary_term_tables, scalar_term_tables
 
 def _lowest_bit(bits: int) -> int:
     """Position of the lowest set bit of a nonzero bitset."""
@@ -341,9 +349,20 @@ def _fold(
     return int.from_bytes(grid, "big")
 
 
-def _grid_keys(universe: LotteryUniverse, folded: int | list[int]) -> bytes | list[int]:
-    """A fold's keys: a byte fold with 0xff at each place that holds no
-    member, a member list as it is."""
+def _keys(
+    universe: LotteryUniverse, tables: Sequence, second: Sequence = (), lowest: bool = False
+) -> bytes | list[int]:
+    """Every member's key from per-prize term tables: the ``_fold`` of
+    ``tables``, or given ``second`` tables, the max folds f of ``tables``
+    and s of ``second`` joined as f + top - s.  A byte fold gets 0xff at
+    each place that holds no member; a member list is kept as it is."""
+    folded = _fold(universe, tables, lowest)
+    if second:
+        top, s = len(second[0]) - 1, _fold(universe, second, False)
+        if isinstance(s, list):
+            return [f + top - x for f, x in zip(folded, s)]
+        # No byte borrows: at every place, f + top - s is at least 0.
+        folded += int.from_bytes(bytes([top]) * universe.grid_size, "big") - s
     if isinstance(folded, list):
         return folded
     return (folded | universe.grid_holes).to_bytes(universe.grid_size, "big")
@@ -355,26 +374,21 @@ def pessimistic_keys(universe: LotteryUniverse, cfg: ScalarUtilityConfig) -> byt
     ``BYTE_KEY_LEVELS`` levels, a byte per place of the full level grid,
     0xff where no member is; past that, a list in member order.  No domain
     check."""
-    return _grid_keys(universe, _fold(universe, cfg.pessimistic_terms, True))
+    return _keys(universe, cfg.pessimistic_terms, lowest=True)
 
 
 def optimistic_keys(universe: LotteryUniverse, cfg: ScalarUtilityConfig) -> bytes | list[int]:
     """The optimistic utility's index for every member, laid out as
     ``pessimistic_keys`` lays them: the max fold of ``cfg.optimistic_terms``.
     No domain check."""
-    return _grid_keys(universe, _fold(universe, cfg.optimistic_terms, False))
+    return _keys(universe, cfg.optimistic_terms)
 
 
 def binary_keys(universe: LotteryUniverse, a: BinaryUtilityAssessment) -> bytes | list[int]:
     """The binary utility's ``binary_rank`` for every member, laid out as
     ``pessimistic_keys`` lays them: the max folds f of ``a.first_terms``
     and s of ``a.second_terms``, joined as f + top - s.  No domain check."""
-    top = a.scale.top_index
-    f, s = (_fold(universe, t, False) for t in (a.first_terms, a.second_terms))
-    if isinstance(f, list):
-        return [x + top - y for x, y in zip(f, s)]
-    # No byte borrows: at every place, f + top - s is at least 0.
-    return _grid_keys(universe, f + int.from_bytes(bytes([top]) * universe.grid_size, "big") - s)
+    return _keys(universe, a.first_terms, a.second_terms)
 
 
 def member_keys(keys: bytes | Sequence) -> Sequence:
@@ -805,14 +819,35 @@ def _anchored(outcomes: OutcomeSet, top: int) -> Iterable[tuple[int, ...]]:
     return itertools.product(*[ends.get(x, range(top + 1)) for x in outcomes.labels])
 
 
+def _onto_images(n: int, m: int) -> Iterable[tuple[int, ...]]:
+    """The image table of every order-preserving map from n levels onto m,
+    with the 0/1 anchors fixed, in lexicographic order."""
+    return (
+        (0, *mid, m - 1) for mid in itertools.combinations_with_replacement(range(m), n - 2)
+        if len({0, *mid, m - 1}) == m
+    )
+
+
 def enumerate_scale_maps(source: Scale, target: Scale) -> list[ScaleMap]:
     """All order-preserving onto maps with the 0/1 anchors fixed."""
-    n, m = len(source), len(target)
-    return [
-        ScaleMap(source, target, (0, *mid, m - 1))
-        for mid in itertools.combinations_with_replacement(range(m), n - 2)
-        if {0, *mid, m - 1} == set(range(m))
-    ]
+    return [ScaleMap(source, target, images) for images in _onto_images(len(source), len(target))]
+
+
+def _scalar_draws(outcomes: OutcomeSet, size: int) -> Iterable[tuple]:
+    """(images, keys) per scalar configuration over ``size`` uncertainty
+    levels: per utility-scale size, per onto map, per anchored prize
+    assignment."""
+    for u_size in range(2, size + 1):
+        yield from itertools.product(_onto_images(size, u_size), _anchored(outcomes, u_size - 1))
+
+
+def _scalar_config(base: OutcomeSet, source: Scale, images: tuple, keys: tuple, built: dict):
+    """The configuration of a scalar draw over these prizes and levels.
+    ``built`` holds the outcome sets and the scale maps the caller has
+    built, the maps by their images."""
+    if images not in built:
+        built[images] = ScaleMap(source, canonical_scale(images[-1] + 1, name="U"), images)
+    return ScalarUtilityConfig(_outcomes_with_ranks(base, keys, built), built[images], keys)
 
 
 def enumerate_scalar_configs(
@@ -824,13 +859,25 @@ def enumerate_scalar_configs(
     valid onto map, and every anchored prize assignment.  Each utility
     scale has one order-reversing involution, so there is none to range over.
     """
-    configs, built = [], {}
-    for u_size in range(2, len(scale) + 1):
-        variants = [(_outcomes_with_ranks(outcomes, keys, built), keys)
-                    for keys in _anchored(outcomes, u_size - 1)]
-        for h in enumerate_scale_maps(scale, canonical_scale(u_size, name="U")):
-            configs += [ScalarUtilityConfig(variant, h, keys) for variant, keys in variants]
-    return configs
+    built = {}
+    draws = _scalar_draws(outcomes, len(scale))
+    return [_scalar_config(outcomes, scale, *draw, built) for draw in draws]
+
+
+def _sample_draws(seed: int, count: int, max_outcomes: int, max_levels: int) -> Iterable[tuple]:
+    """(images, keys) per sampled scalar configuration, as ``_scalar_draws``
+    yields them, all drawn from one generator seeded with ``seed``: images
+    over the sampled levels, keys over the sampled prizes."""
+    rng = random.Random(seed)
+    # A size with no canonical scale is rejected before its maps are listed.
+    onto = cache(lambda nv, nu: list(_onto_images(len(canonical_scale(nv)), nu)))
+    for _ in range(count):
+        nx = rng.randint(2, max_outcomes)
+        nv = rng.randint(2, max_levels)
+        nu = rng.randint(2, nv)
+        images = rng.choice(onto(nv, nu))
+        # Canonical labels run from the best prize to the worst.
+        yield images, (nu - 1, *[rng.randrange(nu) for _ in range(nx - 2)], 0)
 
 
 def sample_scalar_configs(
@@ -845,39 +892,18 @@ def sample_scalar_configs(
     from one seeded generator, so a fixed seed pins the whole family.
     Repeated draws share one entry.
     """
-    rng = random.Random(seed)
     out, built, drawn = [], {}, {}
-    scale_maps: dict[tuple[int, int], list[ScaleMap]] = {}
-    for _ in range(count):
-        nx = rng.randint(2, max_outcomes)
-        nv = rng.randint(2, max_levels)
-        nu = rng.randint(2, nv)
-        base = canonical_outcomes(nx)
-        v_scale = canonical_scale(nv)
-        if (nv, nu) not in scale_maps:
-            scale_maps[nv, nu] = enumerate_scale_maps(v_scale, canonical_scale(nu, name="U"))
-        h = rng.choice(scale_maps[nv, nu])
-        # Canonical labels run from the best prize to the worst.
-        keys = (nu - 1, *[rng.randrange(nu) for _ in range(nx - 2)], 0)
-        if (h.images, keys) not in drawn:
-            cfg = ScalarUtilityConfig(_outcomes_with_ranks(base, keys, built), h, keys)
-            drawn[h.images, keys] = base, v_scale, cfg
-        out.append(drawn[h.images, keys])
+    for draw in _sample_draws(seed, count, max_outcomes, max_levels):
+        if draw not in drawn:
+            base, v_scale = canonical_outcomes(len(draw[1])), canonical_scale(len(draw[0]))
+            drawn[draw] = base, v_scale, _scalar_config(base, v_scale, *draw, built)
+        out.append(drawn[draw])
     return out
 
 
-def enumerate_assessments(
-    outcomes: OutcomeSet, scale: Scale, half: str | None = None
-) -> list[BinaryUtilityAssessment]:
-    """Every consistent assessment over the given space.
-
-    With ``half=None`` the anchors are fixed at <1,0> and <0,1> and interior
-    prizes range over the whole binary scale.  With ``half="best"`` or
-    ``half="worst"`` every prize is encoded inside that half of the scale
-    (anchors relaxed), best prize highest and worst prize lowest.  Prizes
-    range over ``binary_rank`` keys, each read back as its index pair.
-    """
-    top = scale.top_index
+def _assessment_draws(outcomes: OutcomeSet, top: int, half: str | None) -> Iterable[tuple]:
+    """(keys, index pairs) per assessment over a scale whose top index is
+    ``top``: each prize's ``binary_rank`` key and the pair it reads back as."""
     pairs = [(v, top) for v in range(top)] + [(top, v) for v in range(top, -1, -1)]
     if half is None:
         keyed = _anchored(outcomes, 2 * top)
@@ -894,13 +920,26 @@ def enumerate_assessments(
         order = [outcomes.best, *(x for x in outcomes.labels if x not in ends), outcomes.worst]
         at = operator.itemgetter(*[len(order) - 1 - order.index(x) for x in outcomes.labels])
         keyed = map(at, itertools.combinations_with_replacement(pool, len(order)))
+    return ((keys, tuple(map(pairs.__getitem__, keys))) for keys in keyed)
+
+
+def enumerate_assessments(
+    outcomes: OutcomeSet, scale: Scale, half: str | None = None
+) -> list[BinaryUtilityAssessment]:
+    """Every consistent assessment over the given space.
+
+    With ``half=None`` the anchors are fixed at <1,0> and <0,1> and interior
+    prizes range over the whole binary scale.  With ``half="best"`` or
+    ``half="worst"`` every prize is encoded inside that half of the scale
+    (anchors relaxed), best prize highest and worst prize lowest.  Prizes
+    range over ``binary_rank`` keys, each read back as its index pair.
+    """
     built = {}
     return [
         BinaryUtilityAssessment(
-            _outcomes_with_ranks(outcomes, keys, built), scale,
-            tuple(map(pairs.__getitem__, keys)), half is None,
+            _outcomes_with_ranks(outcomes, keys, built), scale, pairs, half is None
         )
-        for keys in keyed
+        for keys, pairs in _assessment_draws(outcomes, scale.top_index, half)
     ]
 
 
@@ -1042,10 +1081,11 @@ def verify_entailments(
     from ``FAMILIES``, the key order of the family's expectations.
     ``fault`` flips one entry of the first relation built, for exercising
     the failure path end to end.  Within the call, never across calls, a
-    (family, universe, configuration) or relation met again reuses its
+    (family, universe, term tables) or relation met again reuses its
     reports; a faulted relation's are never stored.  An ``enumerate_max``
     part below 2 means no enumeration.  A space to enumerate or sample
-    over the enumeration limit is rejected before any work.
+    over the enumeration limit is rejected before any work, and a caller's
+    configuration that does not fit its universe before any relation.
     """
     for given, what in ((scalar_config, "config"), (assessment, "assessment")):
         if given is not None and universe is None:
@@ -1064,58 +1104,62 @@ def verify_entailments(
     if sample_size > 0:
         check_enumerable("sampled spaces", sample_max_outcomes, sample_max_levels)
 
+    if scalar_config is not None:
+        scale = scalar_config.uncertainty_scale
+        check_domain(universe.outcomes, universe.scale, scalar_config.outcomes, scale)
+    if assessment is not None:
+        check_domain(universe.outcomes, universe.scale, assessment.outcomes, assessment.scale)
+
     @cache
     def universe_for(nx: int, nv: int) -> LotteryUniverse:
         return LotteryUniverse(canonical_outcomes(nx), canonical_scale(nv))
 
     # Every member of a universe shares its domain and scale, so one check per
-    # (universe, configuration) stands for the public evaluators' check per
-    # member, and the relation is built from the universe's integer keys.
-    def scalar(pess_id: str, opt_id: str, uni: LotteryUniverse, cfg: ScalarUtilityConfig):
-        check_domain(uni.outcomes, uni.scale, cfg.outcomes, cfg.uncertainty_scale)
-        yield pess_id, "pessimistic", uni, cfg, pessimistic_keys
-        yield opt_id, "optimistic", uni, cfg, optimistic_keys
+    # universe stands for the public evaluators' check per member.  Drawn
+    # configurations fit their canonical universe by construction, and equal
+    # draws share tables.  Reports are reused by family, universe and the
+    # arguments of the ``_keys`` fold, which are the term tables.
+    scalar_tables = cache(scalar_term_tables)
 
-    def binary(config_id: str, family: str, uni: LotteryUniverse, a: BinaryUtilityAssessment):
-        check_domain(uni.outcomes, uni.scale, a.outcomes, a.scale)
-        yield config_id, family, uni, a, binary_keys
+    def scalar(tag: str, uni: LotteryUniverse, draw: tuple):
+        _, pessimistic, optimistic = scalar_tables(*draw)
+        yield f"pess-{tag}", "pessimistic", uni, (pessimistic, (), True)
+        yield f"opt-{tag}", "optimistic", uni, (optimistic,)
 
     def configs():
-        """(config id, family, universe, config or assessment, universe keys), in report order."""
+        """(config id, family, universe, ``_keys`` arguments), in report order."""
         if scalar_config is not None:
-            yield from scalar(
-                "scenario-pessimistic", "scenario-optimistic", universe, scalar_config
+            yield "scenario-pessimistic", "pessimistic", universe, (
+                scalar_config.pessimistic_terms, (), True
             )
+            yield "scenario-optimistic", "optimistic", universe, (scalar_config.optimistic_terms,)
         if assessment is not None:
-            yield from binary("scenario-binary", "binary", universe, assessment)
+            tables = assessment.first_terms, assessment.second_terms
+            yield "scenario-binary", "binary", universe, tables
         for nx, nv in itertools.product(range(2, max_x + 1), range(2, max_v + 1)):
             uni = universe_for(nx, nv)
-            for i, cfg in enumerate(enumerate_scalar_configs(uni.outcomes, uni.scale)):
-                tag = f"enum-{nx}x{nv}-{i:03d}"
-                yield from scalar(f"pess-{tag}", f"opt-{tag}", uni, cfg)
+            for i, draw in enumerate(_scalar_draws(uni.outcomes, nv)):
+                yield from scalar(f"enum-{nx}x{nv}-{i:03d}", uni, draw)
             for prefix, family, half in (
                 ("binary-enum", "binary", None),
                 ("binary-best-half", "binary-best-half", "best"),
                 ("binary-worst-half", "binary-worst-half", "worst"),
             ):
-                for i, a in enumerate(enumerate_assessments(uni.outcomes, uni.scale, half)):
-                    yield from binary(f"{prefix}-{nx}x{nv}-{i:03d}", family, uni, a)
-        if sample_size > 0:
-            sampled = sample_scalar_configs(
-                seed, sample_size, sample_max_outcomes, sample_max_levels
-            )
-            for i, (base, v_scale, cfg) in enumerate(sampled):
-                uni = universe_for(len(base.labels), len(v_scale))
-                yield from scalar(f"pess-sample-{i:03d}", f"opt-sample-{i:03d}", uni, cfg)
+                for i, (_, pairs) in enumerate(_assessment_draws(uni.outcomes, nv - 1, half)):
+                    tables = binary_term_tables(pairs, nv - 1)
+                    yield f"{prefix}-{nx}x{nv}-{i:03d}", family, uni, tables
+        drawn = _sample_draws(seed, sample_size, sample_max_outcomes, sample_max_levels)
+        for i, draw in enumerate(drawn):
+            yield from scalar(f"sample-{i:03d}", universe_for(len(draw[1]), len(draw[0])), draw)
 
     verdicts: dict[tuple, list[AxiomReport]] = {}
     checked: dict[tuple, dict[str, AxiomReport]] = {}
     run = EntailmentRun()
-    for config_id, family, uni, given, keys in configs():
-        key = family, uni, given
+    for config_id, family, uni, tables in configs():
+        key = family, uni, tables
         reports = verdicts.get(key)
         if reports is None:
-            r = induced_relation(uni, keys(uni, given))
+            r = induced_relation(uni, _keys(uni, *tables))
             if fault is None:
                 done = checked.setdefault((uni, *_content(r)), {})
                 reports = verdicts[key] = _run_battery(r, FAMILIES[family], done)
@@ -1127,8 +1171,9 @@ def verify_entailments(
 
 
 def format_report(run: EntailmentRun) -> str:
-    """One record per axiom per configuration, tab separated; each run of
-    reports a family shares is formatted once."""
+    """One record per axiom per configuration, tab separated, each ending in
+    a newline, so a run with no configurations has an empty report; each
+    run of reports a family shares is formatted once."""
     chunks, tails = [], {}
     for config in run.configs:
         key = config.family, *map(id, config.reports)
@@ -1140,7 +1185,7 @@ def format_report(run: EntailmentRun) -> str:
                 for r in config.reports
             ]
         chunks.append(f"{config.config_id}\t" + f"\n{config.config_id}\t".join(tails[key]))
-    return "\n".join(chunks) + "\n"
+    return "\n".join(chunks) + "\n" if chunks else ""
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,13 @@ its prizes of the table entry at the prize's level: a position on the
 utility scale for ``ScalarUtilityConfig.pessimistic_terms`` and
 ``optimistic_terms``, and for ``BinaryUtilityAssessment.first_terms``
 and ``second_terms`` the two components f and s of the pair, whose
-``binary_rank`` is f + top - s.  The public evaluators check the
-lottery's domain and scale, then return the scale's cached value for the
-key.  ``rank_decisions`` reads a public evaluator's tables directly, and
-the checker's sweep folds them over the whole level grid.
+``binary_rank`` is f + top - s.  ``scalar_term_tables`` and
+``binary_term_tables`` are their one definition: the configurations build
+them once validated, and the checker's sweep builds them for the
+configurations it draws without building those.  The public evaluators
+check the lottery's domain and scale, then return the scale's cached value
+for the key.  ``rank_decisions`` reads a public evaluator's tables
+directly, and the checker's sweep folds them over the whole level grid.
 """
 
 from __future__ import annotations
@@ -86,6 +89,34 @@ def _term_tables(images: tuple[int, ...], cuts: Iterable[int], caps: Iterable[in
     return tuple([images[:cut] + (cap,) * (size - cut) for cut, cap in zip(cuts, caps)])
 
 
+def scalar_term_tables(images: tuple[int, ...], prizes: Sequence[int]) -> tuple:
+    """The composition n∘h and the scalar criteria's term tables, from a
+    valid scale map's ``images`` (utility-scale indices per uncertainty
+    level, monotone, anchored and onto) and the prizes' utility indices in
+    label order.  n is the order reversal of the utility scale.  Per prize,
+    one term per uncertainty level v: max(n∘h(v), u(x)), whose min over the
+    prizes at their levels is the pessimistic utility, and min(h(v), u(x)),
+    whose max is the optimistic one."""
+    # h rises with v, so each term is u(x) from a cut on: n∘h(v) is at most
+    # u(x) once h(v) reaches top - u(x), and h(v) at least u(x) once it
+    # reaches u(x).
+    top = images[-1]
+    reversed_map = tuple([top - i for i in images])
+    pessimistic = _term_tables(reversed_map, [bisect_left(images, top - u) for u in prizes], prizes)
+    optimistic = _term_tables(images, [bisect_left(images, u) for u in prizes], prizes)
+    return reversed_map, pessimistic, optimistic
+
+
+def binary_term_tables(pairs: Sequence[tuple[int, int]], top: int) -> tuple:
+    """The pair-valued criterion's term tables, from the prizes' index pairs
+    in label order on a scale whose top index is ``top``: per prize, one
+    term per level v, min(v, first) and min(v, second), whose maxes over
+    the prizes at their levels are the components f and s of the binary
+    utility."""
+    levels, (firsts, seconds) = tuple(range(top + 1)), zip(*pairs)
+    return _term_tables(levels, firsts, firsts), _term_tables(levels, seconds, seconds)
+
+
 @dataclass(frozen=True)
 class ScalarUtilityConfig:
     """Everything the scalar (pessimistic/optimistic) criteria need.
@@ -101,13 +132,8 @@ class ScalarUtilityConfig:
     outcomes: OutcomeSet
     scale_map: ScaleMap
     prize_indices: tuple[int, ...]
-    # Built once the configuration is validated; derived, so excluded from
-    # equality and repr.  The composition n∘h as utility-scale indices per
-    # uncertainty level, n the order reversal of the utility scale.  Then
-    # the criteria's term tables: per prize, one term per uncertainty level
-    # v, max(n∘h(v), u(x)), whose min over the prizes at their levels is the
-    # pessimistic utility, and min(h(v), u(x)), whose max is the optimistic
-    # one.
+    # ``scalar_term_tables``, built once the configuration is validated;
+    # derived, so excluded from equality and repr.
     reversed_map: tuple[int, ...] = field(init=False, compare=False, repr=False)
     pessimistic_terms: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     optimistic_terms: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
@@ -126,15 +152,9 @@ class ScalarUtilityConfig:
         if self.prize_indices[index_of[self.outcomes.worst]] != 0:
             raise ValueError(f"worst outcome {self.outcomes.worst!r} must have utility 0")
         _check_preference_order(self.outcomes, self.prize_indices, "prize utility")
-        # h rises with v, so each term is u(x) from a cut on: n∘h(v) is at most
-        # u(x) once h(v) reaches top - u(x), and h(v) at least u(x) once it
-        # reaches u(x).
-        h, prizes = self.scale_map.images, self.prize_indices
-        object.__setattr__(self, "reversed_map", tuple([u_top - i for i in h]))
-        cuts = [bisect_left(h, u_top - u) for u in prizes]
-        object.__setattr__(self, "pessimistic_terms", _term_tables(self.reversed_map, cuts, prizes))
-        cuts = [bisect_left(h, u) for u in prizes]
-        object.__setattr__(self, "optimistic_terms", _term_tables(h, cuts, prizes))
+        tables = scalar_term_tables(self.scale_map.images, self.prize_indices)
+        for name, value in zip(("reversed_map", "pessimistic_terms", "optimistic_terms"), tables):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_indices(
@@ -207,12 +227,10 @@ class BinaryUtilityAssessment:
     scale: Scale
     pair_indices: tuple[tuple[int, int], ...]
     require_anchors: bool = True
-    # The criterion's term tables, built once the assessment is validated;
-    # derived, so excluded from equality and repr.  Per prize, one term per
-    # level v: min(v, first) and min(v, second), whose maxes over the
-    # prizes at their levels are the components f and s of the binary
-    # utility.  A normalized lottery lands back on the binary scale, so its
-    # utility's ``binary_rank`` is f + top - s.
+    # ``binary_term_tables``, built once the assessment is validated;
+    # derived, so excluded from equality and repr.  A normalized lottery
+    # lands back on the binary scale, so its utility's ``binary_rank`` is
+    # f + top - s.
     first_terms: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     second_terms: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
@@ -237,9 +255,9 @@ class BinaryUtilityAssessment:
                 )
         ranks = [pair_rank(first, second, top) for first, second in self.pair_indices]
         _check_preference_order(self.outcomes, ranks, "assessment")
-        levels, (firsts, seconds) = tuple(range(top + 1)), zip(*self.pair_indices)
-        object.__setattr__(self, "first_terms", _term_tables(levels, firsts, firsts))
-        object.__setattr__(self, "second_terms", _term_tables(levels, seconds, seconds))
+        tables = binary_term_tables(self.pair_indices, top)
+        for name, value in zip(("first_terms", "second_terms"), tables):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_mapping(

@@ -50,7 +50,13 @@ from posdec.axioms import (
 )
 from posdec.lotteries import OutcomeSet
 from posdec.scales import Scale
-from posdec.utilities import binary_utility, optimistic_utility, pessimistic_utility
+from posdec.utilities import (
+    binary_term_tables,
+    binary_utility,
+    optimistic_utility,
+    pessimistic_utility,
+    scalar_term_tables,
+)
 
 SHAPES = ((3, 3), (3, 4), (2, 5))
 UNIVERSES = {
@@ -478,3 +484,36 @@ def test_enumerators_match_the_dict_oracles(outcomes, scale):
 def test_sampler_matches_the_dict_oracle(seed):
     assert sample_scalar_configs(seed, 100) == oracle.sample_scalar_configs(seed, 100)
     assert sample_scalar_configs(seed, 40, 5, 6) == oracle.sample_scalar_configs(seed, 40, 5, 6)
+
+
+@pytest.mark.parametrize("nx, nv", list(itertools.product(range(2, 5), range(2, 5))))
+def test_enumeration_draws_give_the_validated_configurations_tables(nx, nv):
+    """The sweep folds the term tables of each draw it reads; in order, they
+    are the tables of the configurations the public generators validate."""
+    outcomes, scale = canonical_outcomes(nx), canonical_scale(nv)
+    drawn = [scalar_term_tables(*draw) for draw in axioms._scalar_draws(outcomes, nv)]
+    configs = enumerate_scalar_configs(outcomes, scale)
+    assert drawn == [(c.reversed_map, c.pessimistic_terms, c.optimistic_terms) for c in configs]
+    for half in (None, "best", "worst"):
+        drawn = [
+            binary_term_tables(pairs, nv - 1)
+            for _, pairs in axioms._assessment_draws(outcomes, nv - 1, half)
+        ]
+        assessments = enumerate_assessments(outcomes, scale, half)
+        assert drawn == [(a.first_terms, a.second_terms) for a in assessments]
+
+
+@pytest.mark.parametrize("bounds", [(3, 4), (4, 5)], ids=lambda b: f"{b[0]}x{b[1]}")
+@pytest.mark.parametrize("seed", range(10))
+def test_sample_draws_give_the_sampled_configurations_tables(seed, bounds):
+    """Each sampled draw's tables, and the canonical space the sweep checks
+    it on, are those of the sampler's validated entry."""
+    drawn = [
+        (canonical_outcomes(len(keys)), canonical_scale(len(images)),
+         scalar_term_tables(images, keys))
+        for images, keys in axioms._sample_draws(seed, 100, *bounds)
+    ]
+    assert drawn == [
+        (base, scale, (c.reversed_map, c.pessimistic_terms, c.optimistic_terms))
+        for base, scale, c in sample_scalar_configs(seed, 100, *bounds)
+    ]

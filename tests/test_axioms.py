@@ -149,6 +149,14 @@ def run_sweep_script(tmp_path, argv):
     )
 
 
+# What a sweep builds once its arguments are accepted: the public generators,
+# the draw streams the sweep reads, and relations.
+SWEEP_WORK = (
+    "enumerate_scalar_configs", "sample_scalar_configs", "_scalar_draws", "_sample_draws",
+    "_assessment_draws", "induced_relation",
+)
+
+
 def content(r):
     """A relation's space and twin classes: equal for equal relations on one space."""
     return r.universe.outcomes, r.universe.scale, tuple(r.class_of), tuple(r.table)
@@ -823,6 +831,26 @@ class TestVerifyEntailments:
             "cb81e3872663f67f5da601fdf9edb56f17616e0aee97bb4f2d4fe941cab3aba0"
         )
 
+    def test_sampler_at_wider_bounds_is_pinned(self):
+        """300 samples over up to 4 prizes by 5 levels and no enumeration:
+        600 configurations."""
+        run = verify_entailments(
+            sample_size=300, seed=7, sample_max_outcomes=4, sample_max_levels=5,
+            enumerate_max=(1, 1),
+        )
+        assert len(run.configs) == 600
+        report = format_report(run).encode("utf-8")
+        assert hashlib.sha256(report).hexdigest() == (
+            "68d616dfecd3b8322baea179ea934b14e7cc8293a2d0dcbe2a42189fa9d1ca07"
+        )
+
+    def test_a_run_with_no_configurations_has_an_empty_report(self, tmp_path):
+        assert format_report(EntailmentRun()) == ""
+        assert format_report(verify_entailments(sample_size=0, enumerate_max=(1, 1))) == ""
+        done = run_sweep_script(tmp_path, ["--enumerate-to", "1", "1", "--sample", "0"])
+        assert "configurations: 0" in done.stdout.splitlines()
+        assert (tmp_path / "report.txt").read_text() == ""
+
     @pytest.mark.parametrize("flip", [(5, 6), (6, 5)])
     def test_off_diagonal_fault_is_reported_with_the_oracle_witness(self, flip):
         """A flipped entry between two members of one class of the first
@@ -897,7 +925,14 @@ class TestVerifyEntailments:
         cfg = enumerate_scalar_configs(small_universe.outcomes, small_universe.scale)[0]
         keys = axioms.member_keys(axioms.pessimistic_keys(small_universe, cfg))
         reversed_keys = [-k for k in keys]
-        monkeypatch.setattr(axioms, "binary_keys", lambda *args: reversed_keys)
+        fold = axioms._keys
+
+        # The sweep folds every family's keys here; only the binary fold
+        # joins a second set of tables.
+        def binary_reversed(universe, tables, second=(), lowest=False):
+            return reversed_keys if second else fold(universe, tables, lowest=lowest)
+
+        monkeypatch.setattr(axioms, "_keys", binary_reversed)
         run = verify_entailments(
             small_universe, scalar_config=cfg, assessment=tiny_assessment(small_universe),
             sample_size=0, enumerate_max=(1, 1),
@@ -921,7 +956,7 @@ class TestVerifyEntailments:
     )
     def test_sweep_arguments_are_rejected_before_any_work(self, monkeypatch, kwargs, match):
         work = []
-        for name in ("enumerate_scalar_configs", "sample_scalar_configs", "induced_relation"):
+        for name in SWEEP_WORK:
             monkeypatch.setattr(axioms, name, lambda *args, name=name: work.append(name))
         with pytest.raises(ValueError, match=match):
             verify_entailments(**kwargs)
@@ -944,7 +979,7 @@ class TestVerifyEntailments:
         self, monkeypatch, kwargs, match
     ):
         work = []
-        for name in ("enumerate_scalar_configs", "sample_scalar_configs", "induced_relation"):
+        for name in SWEEP_WORK:
             monkeypatch.setattr(axioms, name, lambda *args, name=name: work.append(name))
         with pytest.raises(BoundExceededError, match=f"^{match} are over the enumeration limit"):
             verify_entailments(**kwargs)
