@@ -14,12 +14,14 @@ attitude and substitutability read the classes laid out over the full
 grid of level tuples.  Attitude gives
 each place a byte, a bit per class for eight classes at a time, and
 closes it under level shifts: every place then sees the classes above
-(or below) it.  Substitutability tries each mixture with a point mass,
-which generate every other, once: where "equal or indifferent" is an
-equivalence, it cuts the mixture's image of the blocks' layout by
-slicing and translates, with no gather, and tests it with one
-translate; group pair by group pair otherwise, or where that test
-fails, and the first mixture that breaks it names the witness.
+(or below) it.  Substitutability builds each class's "equal or
+indifferent" set once and tries each mixture with a point mass, which
+generate every other, once: where those sets are the blocks of an
+equivalence on one layout, it cuts the mixture's image of the blocks'
+layout by slicing and translates, with no gather, and tests it with one
+translate; otherwise it tries every mixture's member map.  One pair
+finder, reading the same sets, names the witness from the first mixture
+that breaks it.
 Members are addressed by their place in the level grid: a mixture with
 a point mass folds per-prize image tables over it, and a raise is one
 stride.  Every check stays complete and returns the first concrete
@@ -35,16 +37,21 @@ universe once, before any relation.  The enumerated and sampled families
 come from draw streams, the image tables and integer keys the public
 generators build their configurations from, in their order; the sweep
 builds no configuration from them, only its per-prize term tables, once
-per distinct draw.  Draws are valid by construction: images are anchored,
-monotone and onto, keys put the best prize at the top and the worst at
-0, and an outcome set's classes would come from the keys.  Reports are
-reused by (family, universe, term tables).  A relation is the term
-tables folded over the full grid of level tuples as bytes, one translate
-per level per prize, and each check runs once per distinct relation.
+per distinct draw.  The public generators share objects within a call
+through one builder of cached closures (``_shared``): one outcome set
+per class tuple, one ``ScaleMap`` per image table, and in the sampler
+one entry per repeated draw.  Draws are valid by construction: images
+are anchored, monotone and onto, keys put the best prize at the top and
+the worst at 0, and an outcome set's classes would come from the keys.
+Reports are reused by (family, universe, term tables).  A relation is
+the term tables folded over the full grid of level tuples as bytes, one
+translate per level per prize, and each check runs once per distinct
+relation.
 The classes come from the keys by one translate, which is the relation's
 grid layout, with no per-member loop.  Keys fit a byte, with 0xff left
 to mark places that hold no member, up to |V| = 128
-(``BYTE_KEY_LEVELS``); wider scales fold per member.
+(``BYTE_KEY_LEVELS``); ``_keys`` decides the layout once per fold, and
+wider scales fold per member into a list in member order.
 """
 
 from __future__ import annotations
@@ -327,21 +334,13 @@ _MIN_WITH = [_IDENTITY[:t] + bytes([t]) * (256 - t) for t in range(BYTE_KEY_LEVE
 _MAX_WITH = [bytes([t]) * t + _IDENTITY[t:] for t in range(BYTE_KEY_LEVELS)]
 
 
-def _fold(
-    universe: LotteryUniverse, tables: Sequence[Sequence[int]], lowest: bool
-) -> int | list[int]:
-    """Per member, the min (``lowest``) else the max over prizes of the
-    prize's term at its level, a term table per prize in label order.
-
-    On scales of up to ``BYTE_KEY_LEVELS`` levels, a byte per place of the
-    full level grid, first place highest, as one int: the grid of the last
-    prizes gains the prize before them as its outermost, one translate per
-    level through the byte table of that level's term.  Past that, a list
-    in member order, one fold per member over ``universe.value_tuples``.
-    """
-    if len(universe.scale) > BYTE_KEY_LEVELS:
-        fold = min if lowest else max
-        return [fold(map(operator.getitem, tables, levels)) for levels in universe.value_tuples]
+def _fold(tables: Sequence[Sequence[int]], lowest: bool) -> int:
+    """The min (``lowest``) else the max over prizes of each prize's term
+    at its level, a term table per prize in label order, on scales of up
+    to ``BYTE_KEY_LEVELS`` levels: a byte per place of the full level grid,
+    first place highest, as one int.  The grid of the last prizes gains the
+    prize before them as its outermost, one translate per level through the
+    byte table of that level's term."""
     by_term = _MIN_WITH if lowest else _MAX_WITH
     grid = bytes(tables[-1])
     for table in reversed(tables[:-1]):
@@ -352,25 +351,28 @@ def _fold(
 def _keys(
     universe: LotteryUniverse, tables: Sequence, second: Sequence = (), lowest: bool = False
 ) -> bytes | list[int]:
-    """Every member's key from per-prize term tables: the ``_fold`` of
-    ``tables``, or given ``second`` tables, the max folds f of ``tables``
-    and s of ``second`` joined as f + top - s.  A byte fold gets 0xff at
-    each place that holds no member; a member list is kept as it is."""
-    folded = _fold(universe, tables, lowest)
+    """Every member's key from per-prize term tables: the min (``lowest``)
+    else the max fold of ``tables``, or given ``second`` tables, the max
+    folds f of ``tables`` and s of ``second`` joined as f + top - s.  On
+    scales of up to ``BYTE_KEY_LEVELS`` levels, the ``_fold`` bytes with
+    0xff at each place that holds no member; past that, a list in member
+    order, each member's terms at its levels (``universe.value_tuples``)."""
+    top = len(universe.scale) - 1
+    if len(universe.scale) > BYTE_KEY_LEVELS:
+        fold, terms = min if lowest else max, operator.getitem
+        # With no ``second`` tables, s is top and the join is f.
+        return [fold(map(terms, tables, v)) + top - max(map(terms, second, v), default=top)
+                for v in universe.value_tuples]
+    folded = _fold(tables, lowest)
     if second:
-        top, s = len(second[0]) - 1, _fold(universe, second, False)
-        if isinstance(s, list):
-            return [f + top - x for f, x in zip(folded, s)]
         # No byte borrows: at every place, f + top - s is at least 0.
-        folded += int.from_bytes(bytes([top]) * universe.grid_size, "big") - s
-    if isinstance(folded, list):
-        return folded
+        folded += int.from_bytes(bytes([top]) * universe.grid_size, "big") - _fold(second, False)
     return (folded | universe.grid_holes).to_bytes(universe.grid_size, "big")
 
 
 def pessimistic_keys(universe: LotteryUniverse, cfg: ScalarUtilityConfig) -> bytes | list[int]:
     """The pessimistic utility's index for every member: the min fold of
-    ``cfg.pessimistic_terms`` (``_fold``).  On scales of up to
+    ``cfg.pessimistic_terms`` (``_keys``).  On scales of up to
     ``BYTE_KEY_LEVELS`` levels, a byte per place of the full level grid,
     0xff where no member is; past that, a list in member order.  No domain
     check."""
@@ -543,14 +545,26 @@ def check_substitutability(r: PreferenceRelation) -> AxiomReport:
     mixture's member map must keep "equal or indifferent", and maps that
     keep it compose.  Every mixture is a chain of the universe's
     ``generators``, each a mixture too, so the axiom holds iff each
-    generator keeps it.  The first generator that does not, in key order
-    (point mass, then weights), gives the witness: its first broken pair
-    (i, j), mixed with point mass k under weights (wa, wb).
+    generator keeps it.  Where "equal or indifferent" is an equivalence on
+    one grid layout, the grid test (``_suspects``) finds the first
+    generator that breaks it; otherwise every generator is tried.  The
+    first that breaks it, in key order (point mass, then weights), gives
+    the witness: its first broken pair (i, j), mixed with point mass k
+    under weights (wa, wb).
     """
     universe = r.universe
-    for k, wa, wb in _suspects(r):
+    # A class not indifferent to itself has one member: equal images.
+    closed = [row | 1 << a for a, row in enumerate(r.indifference)]
+    # Each class is in its own set, so the sets are blocks iff they are
+    # disjoint; blocks of one class each are classes indifferent to no other.
+    blocks = set(closed)
+    covered = sum(map(int.bit_count, blocks))
+    suspects = universe.generators
+    if len(r.grid_layouts) == 1 and covered == len(closed):
+        suspects = _suspects(r, closed, blocks)
+    for k, wa, wb in suspects:
         f = universe.generator_map(k, wa, wb)
-        pair = _first_broken_pair(r, f)
+        pair = _first_broken_pair(r, f, closed, covered == len(blocks))
         if pair is not None:
             i, j = pair
             describe, labels = universe.describe, universe.scale.levels
@@ -563,23 +577,18 @@ def check_substitutability(r: PreferenceRelation) -> AxiomReport:
     return AxiomReport("B3", True)
 
 
-def _suspects(r: PreferenceRelation) -> list[tuple[int, int, int]]:
-    """Generators, in key order, that may break "equal or indifferent":
-    all where it is no equivalence or classes fill more than a layout,
-    else the first that breaks it, if any.  Its blocks are laid out per
-    prize, prize outermost: a raise to v is the slice at v v times and the
-    tail from v; a cap, the top slice capped (``_capped``), size times.
+def _suspects(r: PreferenceRelation, closed: list[int], blocks: set[int]) -> list[tuple]:
+    """The first generator, in key order, that breaks "equal or
+    indifferent", if any, where it is an equivalence whose ``blocks`` are
+    the distinct ``closed`` sets and r's classes fill one layout.  Its
+    blocks are laid out per prize, prize outermost: a raise to v is the
+    slice at v v times and the tail from v; a cap, the top slice capped
+    (``_capped``), size times.
     """
-    universe, layouts = r.universe, r.grid_layouts
-    closed = [row | 1 << a for a, row in enumerate(r.indifference)]
-    # Each class is in its own set, so the sets are blocks iff they are disjoint.
-    blocks = set(closed)
-    if len(layouts) > 1 or sum(map(int.bit_count, blocks)) != len(closed):
-        return universe.generators
+    universe, layout = r.universe, r.grid_layouts[0]
     members, caps, generators = universe.grid_members, universe.grid_caps, iter(universe.generators)
-    size, span = len(universe.scale), len(layouts[0])
+    size, span = len(universe.scale), len(layout)
     level = span // size
-    layout = layouts[0]
     if len(blocks) < len(closed):
         # Classes indifferent to others: each block is numbered by its first class.
         layout = layout.translate(bytes(map(closed.index, closed)).ljust(256, b"\xff"))
@@ -619,10 +628,12 @@ def _capped(part: bytes, block: bytes, size: int, wa: int) -> bytes:
     return head + head[-sub:] * (size - 1 - wa)
 
 
-def _first_broken_pair(r: PreferenceRelation, f: Sequence[int]) -> tuple[int, int] | None:
+def _first_broken_pair(r: PreferenceRelation, f: list, closed: list, alone: bool) -> tuple | None:
     """First (i, j), i < j, of members indifferent to each other whose
     images under f are neither equal nor indifferent; None if f keeps
-    "equal or indifferent".
+    "equal or indifferent".  ``closed`` is each class with the classes
+    indifferent to it, and ``alone`` says that none is indifferent to
+    another class.
 
     Members sharing a class and an image class form a group, numbered in
     order of its first member.  Two groups break f iff their classes are
@@ -632,13 +643,11 @@ def _first_broken_pair(r: PreferenceRelation, f: Sequence[int]) -> tuple[int, in
     group.
     """
     cls, ind = r.class_of, r.indifference
-    # A class not indifferent to itself has one member: equal images.
-    closed = [row | 1 << a for a, row in enumerate(ind)]
     images = operator.itemgetter(*f)(cls)
     groups = list(dict.fromkeys(zip(cls, images)))
     # One group per class, and no class indifferent to another (as in a
     # total preorder): no two groups can break f.
-    if len(groups) == len(ind) == sum(map(int.bit_count, closed)):
+    if alone and len(groups) == len(closed):
         return None
     for g, (a, c) in enumerate(groups):
         for b, d in groups[g + 1:]:
@@ -794,21 +803,34 @@ def canonical_outcomes(count: int) -> OutcomeSet:
     return OutcomeSet(labels, best=labels[0], worst=labels[-1])
 
 
-def _outcomes_with_ranks(base: OutcomeSet, keys: tuple[int, ...], built: dict) -> OutcomeSet:
-    """Rebuild an outcome set whose preference classes follow the given
-    keys, one per label in label order.
+def _shared() -> tuple:
+    """Builders of the objects one generator call shares, each cached for
+    that call: ``ranked(base, keys)``, the outcome set whose classes follow
+    the keys, one per class tuple, and ``scalar(base, source, images,
+    keys)``, the configuration of a scalar draw, with one ``ScaleMap`` per
+    image table.
 
-    Larger keys are better.  The best prize must carry the largest key and
-    the worst the smallest; generators arrange that.  ``built`` holds the
-    sets the caller has built, by their classes.
+    Keys are one per label in label order, and larger keys are better: the
+    best prize must carry the largest key and the worst the smallest, and
+    the generators arrange that.
     """
-    classes = tuple(
-        tuple(label for label, k in zip(base.labels, keys) if k == key)
-        for key in sorted(set(keys), reverse=True)
-    )
-    if (base, classes) not in built:
-        built[base, classes] = OutcomeSet(base.labels, base.best, base.worst, classes)
-    return built[base, classes]
+    with_classes = cache(OutcomeSet)
+
+    @cache
+    def ranked(base: OutcomeSet, keys: tuple[int, ...]) -> OutcomeSet:
+        return with_classes(base.labels, base.best, base.worst, tuple(
+            tuple(label for label, k in zip(base.labels, keys) if k == key)
+            for key in sorted(set(keys), reverse=True)
+        ))
+
+    @cache
+    def scale_map(source: Scale, images: tuple[int, ...]) -> ScaleMap:
+        return ScaleMap(source, canonical_scale(images[-1] + 1, name="U"), images)
+
+    def scalar(base: OutcomeSet, source: Scale, images: tuple, keys: tuple) -> ScalarUtilityConfig:
+        return ScalarUtilityConfig(ranked(base, keys), scale_map(source, images), keys)
+
+    return ranked, scalar
 
 
 def _anchored(outcomes: OutcomeSet, top: int) -> Iterable[tuple[int, ...]]:
@@ -841,15 +863,6 @@ def _scalar_draws(outcomes: OutcomeSet, size: int) -> Iterable[tuple]:
         yield from itertools.product(_onto_images(size, u_size), _anchored(outcomes, u_size - 1))
 
 
-def _scalar_config(base: OutcomeSet, source: Scale, images: tuple, keys: tuple, built: dict):
-    """The configuration of a scalar draw over these prizes and levels.
-    ``built`` holds the outcome sets and the scale maps the caller has
-    built, the maps by their images."""
-    if images not in built:
-        built[images] = ScaleMap(source, canonical_scale(images[-1] + 1, name="U"), images)
-    return ScalarUtilityConfig(_outcomes_with_ranks(base, keys, built), built[images], keys)
-
-
 def enumerate_scalar_configs(
     outcomes: OutcomeSet, scale: Scale
 ) -> list[ScalarUtilityConfig]:
@@ -859,9 +872,8 @@ def enumerate_scalar_configs(
     valid onto map, and every anchored prize assignment.  Each utility
     scale has one order-reversing involution, so there is none to range over.
     """
-    built = {}
-    draws = _scalar_draws(outcomes, len(scale))
-    return [_scalar_config(outcomes, scale, *draw, built) for draw in draws]
+    scalar = _shared()[1]
+    return [scalar(outcomes, scale, *draw) for draw in _scalar_draws(outcomes, len(scale))]
 
 
 def _sample_draws(seed: int, count: int, max_outcomes: int, max_levels: int) -> Iterable[tuple]:
@@ -892,13 +904,14 @@ def sample_scalar_configs(
     from one seeded generator, so a fixed seed pins the whole family.
     Repeated draws share one entry.
     """
-    out, built, drawn = [], {}, {}
-    for draw in _sample_draws(seed, count, max_outcomes, max_levels):
-        if draw not in drawn:
-            base, v_scale = canonical_outcomes(len(draw[1])), canonical_scale(len(draw[0]))
-            drawn[draw] = base, v_scale, _scalar_config(base, v_scale, *draw, built)
-        out.append(drawn[draw])
-    return out
+    scalar = _shared()[1]
+
+    @cache
+    def entry(images: tuple[int, ...], keys: tuple[int, ...]) -> tuple:
+        base, v_scale = canonical_outcomes(len(keys)), canonical_scale(len(images))
+        return base, v_scale, scalar(base, v_scale, images, keys)
+
+    return [entry(*draw) for draw in _sample_draws(seed, count, max_outcomes, max_levels)]
 
 
 def _assessment_draws(outcomes: OutcomeSet, top: int, half: str | None) -> Iterable[tuple]:
@@ -934,11 +947,9 @@ def enumerate_assessments(
     (anchors relaxed), best prize highest and worst prize lowest.  Prizes
     range over ``binary_rank`` keys, each read back as its index pair.
     """
-    built = {}
+    ranked = _shared()[0]
     return [
-        BinaryUtilityAssessment(
-            _outcomes_with_ranks(outcomes, keys, built), scale, pairs, half is None
-        )
+        BinaryUtilityAssessment(ranked(outcomes, keys), scale, pairs, half is None)
         for keys, pairs in _assessment_draws(outcomes, scale.top_index, half)
     ]
 

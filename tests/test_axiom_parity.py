@@ -69,6 +69,18 @@ def fields(report):
     return report.axiom, report.satisfied, report.witness, report.detail
 
 
+def closed_sets(rel):
+    """Each class with the classes indifferent to it, as B3 builds them."""
+    return [row | 1 << a for a, row in enumerate(rel.indifference)]
+
+
+def grid_suspects(rel):
+    """B3's grid test on a relation whose "equal or indifferent" is an
+    equivalence on one layout: the first generator that breaks it, if any."""
+    closed = closed_sets(rel)
+    return axioms._suspects(rel, closed, set(closed))
+
+
 def naive_matrix(universe, evaluate):
     values = [evaluate(m) for m in universe.members]
     return [[a >= b for b in values] for a in values]
@@ -233,11 +245,17 @@ def test_mixtures_onto_two_members_indifferent_to_nothing():
     assert report.witness == (0, 2, 2, 2, 2, 4, 2)
     # The grid test names the generator that breaks it first.  Member 0
     # goes to 4, the rest of its class to 9, every other member stays put:
-    # the pair finder flags (0, 1).
-    assert axioms._suspects(rel) == [(2, 2, 2)]
+    # the pair finder flags (0, 1).  No class is indifferent to another, and
+    # the pair is found whether or not the finder is told so.
+    assert grid_suspects(rel) == [(2, 2, 2)]
     onto = [9 if c == rel.class_of[0] else i for i, c in enumerate(rel.class_of)]
     onto[0] = 4
-    assert axioms._first_broken_pair(rel, onto) == (0, 1)
+    closed = closed_sets(rel)
+    assert all(c.bit_count() == 1 for c in closed)
+    for alone in (True, False):
+        assert axioms._first_broken_pair(rel, onto, closed, alone) == (0, 1)
+    # A map that leaves each class in one group breaks nothing.
+    assert axioms._first_broken_pair(rel, list(range(rel.size)), closed, True) is None
 
 
 @pytest.mark.parametrize("top_key", [0, 1], ids=["indifferent-to-the-rest", "above-the-rest"])
@@ -430,7 +448,7 @@ def test_substitutability_on_the_cap_shapes_matches_the_oracle(name, kinds):
         assert report.satisfied == (kind == "sound"), kind
         if kind == "cap-broken":
             # A cap generator, weights (wa, top) with wa < top, is named.
-            [(_, wa, _)] = axioms._suspects(rel)
+            [(_, wa, _)] = grid_suspects(rel)
             assert wa < top and report.witness[3] == wa
 
 

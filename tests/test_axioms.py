@@ -381,6 +381,22 @@ class TestUncertaintyAttitude:
         assert all(x <= y for x, y in zip(a, b))
         assert not rel.at_least(i, j)
 
+    def test_unknown_direction_is_rejected(self, example_pessimistic_relation):
+        with pytest.raises(ValueError, match="^unknown direction 'neutral'$"):
+            check_uncertainty_attitude(example_pessimistic_relation, "neutral")
+
+
+def test_report_carries_a_witness_iff_violated():
+    assert AxiomReport("B1", False, (0, 0)).witness == (0, 0)
+    for satisfied, witness in ((True, (0, 0)), (False, None)):
+        with pytest.raises(ValueError, match="witness iff it is violated"):
+            AxiomReport("B1", satisfied, witness)
+
+
+def test_unknown_half_is_rejected():
+    with pytest.raises(ValueError, match="^unknown half 'middle'$"):
+        enumerate_assessments(canonical_outcomes(3), canonical_scale(3), half="middle")
+
 
 class TestSubstitutability:
     def test_induced_relations_pass(self, example_binary_relation, example_pessimistic_relation):
@@ -482,7 +498,8 @@ class TestSubstitutability:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(rel.grid_layouts) == 1 and axioms._suspects(rel) == []
+        closed = [row | 1 << a for a, row in enumerate(rel.indifference)]
+        assert len(rel.grid_layouts) == 1 and axioms._suspects(rel, closed, set(closed)) == []
         assert peak < 8 * len(universe) * len(universe.generators)
 
 
@@ -686,6 +703,10 @@ class TestVerifyEntailments:
         ):
             sets = [c.outcomes for c in configs]
             assert len({id(o) for o in sets}) == len(set(sets)) < len(sets)
+        # One ScaleMap object per image table within a call.
+        for configs in ([cfg for _, _, cfg in sample], enumerate_scalar_configs(outcomes, scale)):
+            maps = [c.scale_map for c in configs]
+            assert len({id(m) for m in maps}) == len({m.images for m in maps}) < len(maps)
 
     @pytest.mark.parametrize(
         "given, named", [("scalar_config", "config"), ("assessment", "assessment")]
@@ -852,10 +873,12 @@ class TestVerifyEntailments:
         assert (tmp_path / "report.txt").read_text() == ""
 
     @pytest.mark.parametrize("flip", [(5, 6), (6, 5)])
-    def test_off_diagonal_fault_is_reported_with_the_oracle_witness(self, flip):
+    def test_off_diagonal_fault_is_reported_with_the_oracle_witness(self, monkeypatch, flip):
         """A flipped entry between two members of one class of the first
         relation: "equal or indifferent" is no equivalence, so B3 walks the
-        member maps, and its lines name the plain-loop oracle's witness."""
+        member maps, one per generator in key order up to the one that breaks
+        it, where the sound relation's grid test builds none; its lines name
+        the plain-loop oracle's witness."""
         scenario = load_scenario(str(Path(__file__).parents[1] / "scenarios" / "wide_4x5.json"))
         universe = LotteryUniverse(scenario.outcomes, scenario.scale_v)
         cfg = scenario.pessimistic_config
@@ -864,9 +887,15 @@ class TestVerifyEntailments:
         i, j = flip
         assert i != j and first.class_of[i] == first.class_of[j]
         faulted = first.with_flipped(i, j)
-        assert axioms._suspects(faulted) == universe.generators
+        built, generator_map = [], universe.generator_map
+        monkeypatch.setattr(
+            universe, "generator_map", lambda *g: built.append(g) or generator_map(*g)
+        )
+        assert check_substitutability(first).satisfied and built == []
         want = oracle_substitutability(faulted)
-        assert not want.satisfied
+        assert not want.satisfied and check_substitutability(faulted) == want
+        generators = universe.generators
+        assert len(built) > 1 and built == generators[:generators.index(want.witness[2:5]) + 1]
         run = verify_entailments(universe, fault=flip, **kwargs)
         head, *rest = run.configs
         assert head.config_id == "scenario-pessimistic"

@@ -282,3 +282,27 @@ class TestScaleMap:
     def test_incomplete_table(self):
         with pytest.raises(ValueError, match="incomplete"):
             ScaleMap.from_labels(V4, U4, {"1": "1", "0": "0"})
+
+    @pytest.mark.parametrize(
+        "images, message",
+        [
+            ((0, 3), "^scale map table is incomplete: 2 images for 4 levels$"),
+            ((0, 1, 2, 4), "^scale map image index 4 out of range$"),
+            ((0, -1, 2, 3), "^scale map image index -1 out of range$"),
+        ],
+        ids=["incomplete", "past-the-top", "negative"],
+    )
+    def test_image_table_is_checked(self, images, message):
+        with pytest.raises(ValueError, match=message):
+            ScaleMap(V4, U4, images)
+
+    @pytest.mark.parametrize(
+        "images, report",
+        [
+            ((1, 1, 2, 3), "anchor violated: image of '0' is '.3', not '0'"),
+            ((0, 1, 2, 2), "anchor violated: image of '1' is '.5', not '1'"),
+        ],
+        ids=["bottom", "top"],
+    )
+    def test_anchor_violations(self, images, report):
+        assert validate_scale_map(ScaleMap(V4, U4, images)) == report

@@ -340,6 +340,10 @@ class TestReduceToStandard:
 
 
 class TestRanking:
+    def test_nothing_to_rank(self, example_scenario):
+        with pytest.raises(ValueError, match="^nothing to rank$"):
+            rank_decisions([], partial(binary_utility, a=example_scenario.assessment))
+
     def test_worked_example_binary(self, example_scenario):
         s = example_scenario
         ranking = rank_decisions(
@@ -751,7 +755,16 @@ class TestRankingParity:
         def flipped(cfg, pi):
             return utilities.pessimistic_utility(pi, cfg)
 
-        for evaluate in (partial(flipped, cfg), lambda pi: utilities.pessimistic_utility(pi, cfg)):
+        def by_keyword(pi, cfg):
+            return utilities.pessimistic_utility(pi, cfg)
+
+        # A keyword partial of a function that is no public evaluator ranks
+        # item by item, as the table path ranks.
+        for evaluate in (
+            partial(flipped, cfg),
+            partial(by_keyword, cfg=cfg),
+            lambda pi: utilities.pessimistic_utility(pi, cfg),
+        ):
             assert_same_ranking(rank_decisions(items, evaluate), tabled[0])
             assert len(calls) == len(items)
             calls.clear()
