@@ -59,12 +59,11 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from functools import cache, cached_property, reduce
-from typing import Iterable, Sequence
 
 from .lotteries import OutcomeSet, check_enumerable, enumerate_distributions
-from .scales import Scale, ScaleMap, pair_ge_indices
+from .scales import Scale, ScaleMap, _Record, pair_ge_indices
 from .utilities import BinaryUtilityAssessment, ScalarUtilityConfig, check_domain
 from .utilities import binary_term_tables, scalar_term_tables
 
@@ -435,18 +434,20 @@ def induced_relation(universe: LotteryUniverse, keys: Iterable) -> PreferenceRel
     return r
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_Record):
     """Outcome of one axiom check; a witness is present iff it failed."""
 
-    axiom: str
-    satisfied: bool
-    witness: tuple | None = None
-    detail: str = ""
+    __slots__ = _fields = ("axiom", "satisfied", "witness", "detail")
 
-    def __post_init__(self) -> None:
-        if self.satisfied != (self.witness is None):
+    def __init__(
+        self, axiom: str, satisfied: bool, witness: tuple | None = None, detail: str = ""
+    ) -> None:
+        if satisfied != (witness is None):
             raise ValueError("a report carries a witness iff it is violated")
+        object.__setattr__(self, "axiom", axiom)
+        object.__setattr__(self, "satisfied", satisfied)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "detail", detail)
 
 
 def check_total_preorder(r: PreferenceRelation) -> AxiomReport:
@@ -947,7 +948,8 @@ def enumerate_assessments(
     (anchors relaxed), best prize highest and worst prize lowest.  Prizes
     range over ``binary_rank`` keys, each read back as its index pair.
     """
-    ranked = _shared()[0]
+    # Draws never repeat a key tuple, so only the class-tuple level is cached.
+    ranked = _shared()[0].__wrapped__
     return [
         BinaryUtilityAssessment(ranked(outcomes, keys), scale, pairs, half is None)
         for keys, pairs in _assessment_draws(outcomes, scale.top_index, half)
@@ -990,13 +992,13 @@ FAMILIES: dict[str, dict[str, str]] = {
 }
 
 
-@dataclass
-class ConfigOutcome:
+class ConfigOutcome(_Record, frozen=False):
     """All axiom reports for one configuration of a family in ``FAMILIES``."""
 
-    config_id: str
-    family: str
-    reports: list[AxiomReport]
+    __slots__ = _fields = ("config_id", "family", "reports")
+
+    def __init__(self, config_id: str, family: str, reports: list[AxiomReport]) -> None:
+        self.config_id, self.family, self.reports = config_id, family, reports
 
     @property
     def expectations(self) -> dict[str, str]:
@@ -1009,11 +1011,13 @@ class ConfigOutcome:
                 if want.get(self.expectations.get(r.axiom), r.satisfied) != r.satisfied]
 
 
-@dataclass
-class EntailmentRun:
-    """The full outcome of an entailment sweep."""
+class EntailmentRun(_Record, frozen=False):
+    """The full outcome of an entailment sweep; by default, a fresh empty one."""
 
-    configs: list[ConfigOutcome] = field(default_factory=list)
+    __slots__ = _fields = ("configs",)
+
+    def __init__(self, configs: list[ConfigOutcome] | None = None) -> None:
+        self.configs = [] if configs is None else configs
 
     def unexpected(self) -> list[tuple[str, str]]:
         return [
@@ -1159,6 +1163,9 @@ def verify_entailments(
                 for i, (_, pairs) in enumerate(_assessment_draws(uni.outcomes, nv - 1, half)):
                     tables = binary_term_tables(pairs, nv - 1)
                     yield f"{prefix}-{nx}x{nv}-{i:03d}", family, uni, tables
+        # An empty draw stream would still seed its generator when read.
+        if not sample_size:
+            return
         drawn = _sample_draws(seed, sample_size, sample_max_outcomes, sample_max_levels)
         for i, draw in enumerate(drawn):
             yield from scalar(f"sample-{i:03d}", universe_for(len(draw[1]), len(draw[0])), draw)
@@ -1203,14 +1210,19 @@ def format_report(run: EntailmentRun) -> str:
 # Pair-of-scalar-utilities versus pair-valued utility search
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(_Record):
     """Outcome of the counterexample search; never a universal claim."""
 
-    witness: tuple[int, int] | None
-    pairs_checked: int
-    outcome_count: int
-    scale_size: int
+    __slots__ = _fields = ("witness", "pairs_checked", "outcome_count", "scale_size")
+
+    def __init__(
+        self, witness: tuple[int, int] | None, pairs_checked: int, outcome_count: int,
+        scale_size: int,
+    ) -> None:
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "pairs_checked", pairs_checked)
+        object.__setattr__(self, "outcome_count", outcome_count)
+        object.__setattr__(self, "scale_size", scale_size)
 
     @property
     def found(self) -> bool:

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import partial
 
 from . import worked_example
@@ -37,6 +36,7 @@ from .lotteries import (
 from .scales import (
     Scale,
     ScaleMap,
+    _Record,
     check_binary_pair,
     ext_min,
     level_max,
@@ -67,20 +67,31 @@ class ScenarioError(ValueError):
     """A scenario file failed to parse or validate."""
 
 
-@dataclass
-class Scenario:
+class Scenario(_Record, frozen=False):
     """A fully validated scenario document, and where it was read from."""
 
-    source: str
-    scale_v: Scale
-    scale_u: Scale | None
-    outcomes: OutcomeSet
-    states: StateSpace | None
-    state_possibility: PossibilityDistribution | None
-    decisions: dict[str, Decision]
-    lotteries: dict[str, PossibilityDistribution]
-    assessment: BinaryUtilityAssessment | None
-    pessimistic_config: ScalarUtilityConfig | None
+    __slots__ = _fields = (
+        "source", "scale_v", "scale_u", "outcomes", "states", "state_possibility",
+        "decisions", "lotteries", "assessment", "pessimistic_config",
+    )
+
+    def __init__(
+        self,
+        source: str,
+        scale_v: Scale,
+        scale_u: Scale | None,
+        outcomes: OutcomeSet,
+        states: StateSpace | None,
+        state_possibility: PossibilityDistribution | None,
+        decisions: dict[str, Decision],
+        lotteries: dict[str, PossibilityDistribution],
+        assessment: BinaryUtilityAssessment | None,
+        pessimistic_config: ScalarUtilityConfig | None,
+    ) -> None:
+        self.source, self.scale_v, self.scale_u, self.outcomes = source, scale_v, scale_u, outcomes
+        self.states, self.state_possibility = states, state_possibility
+        self.decisions, self.lotteries = decisions, lotteries
+        self.assessment, self.pessimistic_config = assessment, pessimistic_config
 
     @property
     def utility_scale(self) -> Scale:

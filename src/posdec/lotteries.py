@@ -10,11 +10,10 @@ conversion to and from integer disbelief rankings.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence, Union
 
-from .scales import Level, Scale, ScaleMismatchError, parse_rational
+from .scales import Level, Scale, ScaleMismatchError, _Record, parse_rational
 
 INFINITY = float("inf")
 
@@ -47,8 +46,7 @@ class LevelBoundError(ValueError):
     """A level's denominator has more than ``MAX_LEVEL_BITS`` bits."""
 
 
-@dataclass(frozen=True)
-class OutcomeSet:
+class OutcomeSet(_Record):
     """Prizes with distinguished best and worst elements and a preference preorder.
 
     preference_classes lists equivalence classes best-first; together they
@@ -56,17 +54,21 @@ class OutcomeSet:
     class and the worst in the last.
     """
 
-    outcomes: tuple[str, ...]
-    best: str
-    worst: str
-    preference_classes: tuple[tuple[str, ...], ...] = ()
+    _fields = ("outcomes", "best", "worst", "preference_classes")
     # Built once the classes are validated; derived, so excluded from
     # equality and repr.  Label -> class index, and label -> position.
-    class_of: dict[str, int] = field(init=False, compare=False, repr=False)
-    index_of: dict[str, int] = field(init=False, compare=False, repr=False)
+    __slots__ = (*_fields, "class_of", "index_of")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
+    def __init__(
+        self,
+        outcomes: tuple[str, ...],
+        best: str,
+        worst: str,
+        preference_classes: tuple[tuple[str, ...], ...] = (),
+    ) -> None:
+        object.__setattr__(self, "outcomes", tuple(outcomes))
+        object.__setattr__(self, "best", best)
+        object.__setattr__(self, "worst", worst)
         if len(self.outcomes) < 2:
             raise ValueError("an outcome set needs at least 2 outcomes")
         if len(set(self.outcomes)) != len(self.outcomes):
@@ -76,7 +78,7 @@ class OutcomeSet:
         for anchor in (self.best, self.worst):
             if anchor not in self.outcomes:
                 raise ValueError(f"anchor outcome {anchor!r} is not declared")
-        if not self.preference_classes:
+        if not preference_classes:
             object.__setattr__(
                 self, "preference_classes", tuple((o,) for o in self.outcomes)
             )
@@ -84,7 +86,7 @@ class OutcomeSet:
             object.__setattr__(
                 self,
                 "preference_classes",
-                tuple(tuple(c) for c in self.preference_classes),
+                tuple(tuple(c) for c in preference_classes),
             )
         flat = [o for cls in self.preference_classes for o in cls]
         if sorted(flat) != sorted(self.outcomes):
@@ -113,14 +115,13 @@ class OutcomeSet:
         return self.rank(x) <= self.rank(y)
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class StateSpace(_Record):
     """The possible situations a decision can face."""
 
-    states: tuple[str, ...]
+    __slots__ = _fields = ("states",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(self.states))
+    def __init__(self, states: tuple[str, ...]) -> None:
+        object.__setattr__(self, "states", tuple(states))
         if not self.states:
             raise ValueError("a state space must be non-empty")
         if len(set(self.states)) != len(self.states):
@@ -131,7 +132,7 @@ class StateSpace:
         return self.states
 
 
-Domain = Union[OutcomeSet, StateSpace]
+Domain = OutcomeSet | StateSpace
 
 
 class PossibilityDistribution:
@@ -318,16 +319,16 @@ def event_possibility(pi: PossibilityDistribution, event: Sequence[str]) -> Leve
     return pi.scale.level(best)
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(_Record):
     """A total assignment of an outcome to every state."""
 
-    states: StateSpace
-    moves: tuple[str, ...]
+    __slots__ = _fields = ("states", "moves")
 
-    def __post_init__(self) -> None:
-        if len(self.moves) != len(self.states.states):
+    def __init__(self, states: StateSpace, moves: tuple[str, ...]) -> None:
+        if len(moves) != len(states.states):
             raise ValueError("decision must map every state")
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "moves", moves)
 
     @classmethod
     def from_mapping(cls, states: StateSpace, table: Mapping[str, str]) -> "Decision":
@@ -396,8 +397,7 @@ def enumerate_distributions(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class StandardLottery:
+class StandardLottery(_Record):
     """A lottery supported only on the best and worst prizes.
 
     Weights live on the uncertainty scale and the larger one must be the
@@ -405,17 +405,18 @@ class StandardLottery:
     binary utility scale.
     """
 
-    best_weight: Level
-    worst_weight: Level
+    __slots__ = _fields = ("best_weight", "worst_weight")
 
-    def __post_init__(self) -> None:
-        if self.best_weight.scale != self.worst_weight.scale:
-            raise ScaleMismatchError(self.best_weight.scale, self.worst_weight.scale)
-        if not (self.best_weight.is_top() or self.worst_weight.is_top()):
+    def __init__(self, best_weight: Level, worst_weight: Level) -> None:
+        if best_weight.scale != worst_weight.scale:
+            raise ScaleMismatchError(best_weight.scale, worst_weight.scale)
+        if not (best_weight.is_top() or worst_weight.is_top()):
             raise ValueError(
                 f"not a standard lottery: neither weight of "
-                f"({self.best_weight}, {self.worst_weight}) is the top"
+                f"({best_weight}, {worst_weight}) is the top"
             )
+        object.__setattr__(self, "best_weight", best_weight)
+        object.__setattr__(self, "worst_weight", worst_weight)
 
     @property
     def scale(self) -> Scale:
@@ -439,20 +440,18 @@ def standard_lotteries(scale: Scale) -> tuple[StandardLottery, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DisbeliefFunction:
+class DisbeliefFunction(_Record):
     """Integer-valued implausibility ranking with minimum 0.
 
     Values are non-negative integers or INFINITY for impossible labels.
     """
 
-    labels: tuple[str, ...]
-    values: tuple[Union[int, float], ...]
+    __slots__ = _fields = ("labels", "values")
 
-    def __post_init__(self) -> None:
-        if len(self.labels) != len(self.values):
+    def __init__(self, labels: tuple[str, ...], values: tuple[int | float, ...]) -> None:
+        if len(labels) != len(values):
             raise ValueError("disbelief function labels and values differ in length")
-        for label, v in zip(self.labels, self.values):
+        for label, v in zip(labels, values):
             if v is INFINITY or v == INFINITY:
                 continue
             if not isinstance(v, int) or v < 0:
@@ -461,21 +460,23 @@ class DisbeliefFunction:
                 raise DisbeliefBoundError(
                     f"disbelief value {v} for {label!r} is over the bound of {MAX_DISBELIEF}"
                 )
-        if min(self.values) != 0:
+        if min(values) != 0:
             raise NormalizationError(
-                f"disbelief function is not normalized: min value is {min(self.values)}"
+                f"disbelief function is not normalized: min value is {min(values)}"
             )
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "values", values)
 
     @classmethod
-    def from_mapping(cls, table: Mapping[str, Union[int, float]]) -> "DisbeliefFunction":
+    def from_mapping(cls, table: Mapping[str, int | float]) -> "DisbeliefFunction":
         labels = tuple(table)
         return cls(labels, tuple(table[label] for label in labels))
 
-    def value(self, label: str) -> Union[int, float]:
+    def value(self, label: str) -> int | float:
         return self.values[self.labels.index(label)]
 
 
-def _as_base(c: Union[int, str, Fraction]) -> Fraction:
+def _as_base(c: int | str | Fraction) -> Fraction:
     base = parse_rational(c, f"conversion base {c!r}")
     if base <= 1:
         raise ValueError(f"conversion base must be a rational > 1, got {c!r}")
@@ -527,7 +528,7 @@ def synthesize_scale(points: Sequence[Fraction]) -> tuple[Scale, tuple[int, ...]
 
 
 def from_disbelief(
-    delta: DisbeliefFunction, c: Union[int, str, Fraction]
+    delta: DisbeliefFunction, c: int | str | Fraction
 ) -> PossibilityDistribution:
     """Convert a disbelief ranking to a possibility distribution via c**-value.
 
@@ -543,7 +544,7 @@ def from_disbelief(
 
 
 def to_disbelief(
-    pi: PossibilityDistribution, c: Union[int, str, Fraction]
+    pi: PossibilityDistribution, c: int | str | Fraction
 ) -> DisbeliefFunction:
     """Convert a possibility distribution to its integer disbelief ranking.
 
@@ -552,7 +553,7 @@ def to_disbelief(
     before the next power is built.
     """
     base = _as_base(c)
-    values: list[Union[int, float]] = []
+    values: list[int | float] = []
     for label, idx in zip(pi.domain.labels, pi.indices):
         v = pi.scale.numeric(idx)
         if v == 0:

@@ -8,10 +8,10 @@ coercion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
+from operator import attrgetter
 
 # The largest decimal exponent a rational may be written with.  Fraction
 # builds 10**|exponent| before any other bound applies, in time that grows
@@ -32,6 +32,54 @@ class ScaleMismatchError(ValueError):
         )
         self.first = first
         self.second = second
+
+
+class _Record:
+    """A value compared, hashed and shown by the fields named in ``_fields``.
+
+    A subclass lists its fields in constructor order, and its ``__init__``
+    validates its arguments and sets the fields and any derived attributes.
+    Records are equal only to records of their own class with equal
+    fields, hash as the tuple of their fields and show as
+    ``Name(field=value, ...)``; derived attributes take no part.  A record
+    is frozen: setting or deleting an attribute raises ``AttributeError``,
+    so ``__init__`` sets them through ``object.__setattr__``.  A class
+    declared ``frozen=False`` is mutable and unhashable instead.  A record
+    pickles and copies by calling its class with its fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, frozen: bool = True) -> None:
+        get = attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
+        if not frozen:
+            cls.__hash__ = None
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:  # as the field tuples would say, without building them
+            return True
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values(self)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def parse_rational(text, what: str) -> Fraction:
@@ -61,8 +109,7 @@ def parse_label(label: str) -> Fraction:
     return parse_rational(label, f"level label {label!r}")
 
 
-@dataclass(frozen=True)
-class Scale:
+class Scale(_Record):
     """A finite totally ordered set of levels with bottom 0 and top 1.
 
     Labels must be distinct rational strings (decimals such as ".5"
@@ -71,14 +118,14 @@ class Scale:
     downstream operation is total on valid inputs.
     """
 
-    levels: tuple[str, ...]
-    name: str = "scale"
-    # Cached for hot paths; derived, so excluded from equality and repr.
-    top_index: int = field(init=False, compare=False, repr=False)
-    index_of: dict[str, int] = field(init=False, compare=False, repr=False)
+    # Not slotted: the cached properties below keep their values in the
+    # instance dict.  ``top_index`` and ``index_of`` are cached for hot
+    # paths; derived, so excluded from equality and repr.
+    _fields = ("levels", "name")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(self.levels))
+    def __init__(self, levels: tuple[str, ...], name: str = "scale") -> None:
+        object.__setattr__(self, "levels", tuple(levels))
+        object.__setattr__(self, "name", name)
         if len(self.levels) < 2:
             raise ValueError(f"scale {self.name!r} needs at least 2 levels")
         object.__setattr__(self, "top_index", len(self.levels) - 1)
@@ -141,15 +188,15 @@ class Scale:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(_Record):
     """A position on a scale.  Comparable only within its own scale."""
 
-    scale: Scale
-    index: int
+    __slots__ = _fields = ("scale", "index")
 
-    def __post_init__(self) -> None:
-        check_level_index(self.scale, self.index)
+    def __init__(self, scale: Scale, index: int) -> None:
+        check_level_index(scale, index)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "index", index)
 
     @property
     def label(self) -> str:
@@ -212,20 +259,20 @@ def level_max(a: Level, b: Level) -> Level:
     return a if a >= b else b
 
 
-@dataclass(frozen=True)
-class UtilityPair:
+class UtilityPair(_Record):
     """An ordered pair of levels from one scale.
 
     Intermediate results of the pair algebra live here; they need not
     satisfy the top-normalization required of BinaryUtility.
     """
 
-    first: Level
-    second: Level
+    __slots__ = _fields = ("first", "second")
 
-    def __post_init__(self) -> None:
-        if self.first.scale is not self.second.scale and self.first.scale != self.second.scale:
-            raise ScaleMismatchError(self.first.scale, self.second.scale)
+    def __init__(self, first: Level, second: Level) -> None:
+        if first.scale is not second.scale and first.scale != second.scale:
+            raise ScaleMismatchError(first.scale, second.scale)
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
 
     @property
     def scale(self) -> Scale:
@@ -235,7 +282,6 @@ class UtilityPair:
         return f"⟨{self.first.label},{self.second.label}⟩"
 
 
-@dataclass(frozen=True)
 class BinaryUtility(UtilityPair):
     """A utility pair whose larger component is the top of its scale.
 
@@ -244,9 +290,11 @@ class BinaryUtility(UtilityPair):
     at the bottom.
     """
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        check_binary_pair(self.scale, self.first.index, self.second.index)
+    __slots__ = ()
+
+    def __init__(self, first: Level, second: Level) -> None:
+        super().__init__(first, second)
+        check_binary_pair(self.scale, first.index, second.index)
 
     @classmethod
     def of(cls, first: Level, second: Level) -> "BinaryUtility":
@@ -334,23 +382,23 @@ def ext_max(p: UtilityPair, q: UtilityPair) -> UtilityPair:
     return UtilityPair(level_max(p.first, q.first), level_max(p.second, q.second))
 
 
-@dataclass(frozen=True)
-class ScaleMap:
+class ScaleMap(_Record):
     """A total map from one scale onto another, given by a full image table."""
 
-    source: Scale
-    target: Scale
-    images: tuple[int, ...]
+    __slots__ = _fields = ("source", "target", "images")
 
-    def __post_init__(self) -> None:
-        if len(self.images) != len(self.source):
+    def __init__(self, source: Scale, target: Scale, images: tuple[int, ...]) -> None:
+        if len(images) != len(source):
             raise ValueError(
-                f"scale map table is incomplete: {len(self.images)} images "
-                f"for {len(self.source)} levels"
+                f"scale map table is incomplete: {len(images)} images "
+                f"for {len(source)} levels"
             )
-        for i in self.images:
-            if not 0 <= i < len(self.target):
+        for i in images:
+            if not 0 <= i < len(target):
                 raise ValueError(f"scale map image index {i} out of range")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def from_labels(cls, source: Scale, target: Scale, table: Mapping[str, str]) -> "ScaleMap":

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import partial
 from itertools import product
 from operator import getitem, gt
-from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .lotteries import Domain, OutcomeSet, PossibilityDistribution, StandardLottery, aligned
 from .scales import (
@@ -39,13 +38,14 @@ from .scales import (
     Scale,
     ScaleMap,
     ScaleMismatchError,
+    _Record,
     binary_rank,
     check_binary_pair,
     pair_rank,
     validate_scale_map,
 )
 
-UtilityValue = Union[Level, BinaryUtility]
+UtilityValue = Level | BinaryUtility
 Evaluator = Callable[[PossibilityDistribution], UtilityValue]
 Items = Sequence[tuple[str, PossibilityDistribution]]
 
@@ -117,8 +117,7 @@ def binary_term_tables(pairs: Sequence[tuple[int, int]], top: int) -> tuple:
     return _term_tables(levels, firsts, firsts), _term_tables(levels, seconds, seconds)
 
 
-@dataclass(frozen=True)
-class ScalarUtilityConfig:
+class ScalarUtilityConfig(_Record):
     """Everything the scalar (pessimistic/optimistic) criteria need.
 
     Bundles a prize utility into the utility scale and an onto map from the
@@ -129,31 +128,30 @@ class ScalarUtilityConfig:
     not configured.
     """
 
-    outcomes: OutcomeSet
-    scale_map: ScaleMap
-    prize_indices: tuple[int, ...]
+    _fields = ("outcomes", "scale_map", "prize_indices")
     # ``scalar_term_tables``, built once the configuration is validated;
     # derived, so excluded from equality and repr.
-    reversed_map: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    pessimistic_terms: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    optimistic_terms: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    __slots__ = (*_fields, "reversed_map", "pessimistic_terms", "optimistic_terms")
 
-    def __post_init__(self) -> None:
-        problem = validate_scale_map(self.scale_map)
+    def __init__(
+        self, outcomes: OutcomeSet, scale_map: ScaleMap, prize_indices: tuple[int, ...]
+    ) -> None:
+        problem = validate_scale_map(scale_map)
         if problem:
             raise ValueError(f"invalid scale map: {problem}")
-        labels = self.outcomes.labels
-        if len(self.prize_indices) != len(labels):
+        labels = outcomes.labels
+        if len(prize_indices) != len(labels):
             raise ValueError("prize utility must cover every outcome")
-        u_top = len(self.scale_map.target) - 1
-        index_of = self.outcomes.index_of
-        if self.prize_indices[index_of[self.outcomes.best]] != u_top:
-            raise ValueError(f"best outcome {self.outcomes.best!r} must have utility 1")
-        if self.prize_indices[index_of[self.outcomes.worst]] != 0:
-            raise ValueError(f"worst outcome {self.outcomes.worst!r} must have utility 0")
-        _check_preference_order(self.outcomes, self.prize_indices, "prize utility")
-        tables = scalar_term_tables(self.scale_map.images, self.prize_indices)
-        for name, value in zip(("reversed_map", "pessimistic_terms", "optimistic_terms"), tables):
+        u_top = len(scale_map.target) - 1
+        index_of = outcomes.index_of
+        if prize_indices[index_of[outcomes.best]] != u_top:
+            raise ValueError(f"best outcome {outcomes.best!r} must have utility 1")
+        if prize_indices[index_of[outcomes.worst]] != 0:
+            raise ValueError(f"worst outcome {outcomes.worst!r} must have utility 0")
+        _check_preference_order(outcomes, prize_indices, "prize utility")
+        tables = scalar_term_tables(scale_map.images, prize_indices)
+        values = (outcomes, scale_map, prize_indices, *tables)
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -213,8 +211,7 @@ def pessimistic_utility_decomposed(
     return cfg.utility_scale.level(min(left, right))
 
 
-@dataclass(frozen=True)
-class BinaryUtilityAssessment:
+class BinaryUtilityAssessment(_Record):
     """A binary utility for each prize, consistent with the preference order.
 
     By default the best prize must sit at <1,0> and the worst at <0,1>.
@@ -223,40 +220,43 @@ class BinaryUtilityAssessment:
     ``require_anchors=False``; order consistency is always enforced.
     """
 
-    outcomes: OutcomeSet
-    scale: Scale
-    pair_indices: tuple[tuple[int, int], ...]
-    require_anchors: bool = True
+    _fields = ("outcomes", "scale", "pair_indices", "require_anchors")
     # ``binary_term_tables``, built once the assessment is validated;
     # derived, so excluded from equality and repr.  A normalized lottery
     # lands back on the binary scale, so its utility's ``binary_rank`` is
     # f + top - s.
-    first_terms: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    second_terms: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    __slots__ = (*_fields, "first_terms", "second_terms")
 
-    def __post_init__(self) -> None:
-        labels = self.outcomes.labels
-        if len(self.pair_indices) != len(labels):
+    def __init__(
+        self,
+        outcomes: OutcomeSet,
+        scale: Scale,
+        pair_indices: tuple[tuple[int, int], ...],
+        require_anchors: bool = True,
+    ) -> None:
+        labels = outcomes.labels
+        if len(pair_indices) != len(labels):
             raise ValueError("assessment must cover every outcome")
-        for first, second in self.pair_indices:
-            check_binary_pair(self.scale, first, second)
-        by_label = dict(zip(labels, self.pair_indices))
-        top = self.scale.top_index
-        if self.require_anchors:
-            if by_label[self.outcomes.best] != (top, 0):
+        for first, second in pair_indices:
+            check_binary_pair(scale, first, second)
+        by_label = dict(zip(labels, pair_indices))
+        top = scale.top_index
+        if require_anchors:
+            if by_label[outcomes.best] != (top, 0):
                 raise ValueError(
-                    f"best outcome {self.outcomes.best!r} must be assessed at "
-                    f"{self.scale.levels[top]!r},'0'"
+                    f"best outcome {outcomes.best!r} must be assessed at "
+                    f"{scale.levels[top]!r},'0'"
                 )
-            if by_label[self.outcomes.worst] != (0, top):
+            if by_label[outcomes.worst] != (0, top):
                 raise ValueError(
-                    f"worst outcome {self.outcomes.worst!r} must be assessed at "
-                    f"'0',{self.scale.levels[top]!r}"
+                    f"worst outcome {outcomes.worst!r} must be assessed at "
+                    f"'0',{scale.levels[top]!r}"
                 )
-        ranks = [pair_rank(first, second, top) for first, second in self.pair_indices]
-        _check_preference_order(self.outcomes, ranks, "assessment")
-        tables = binary_term_tables(self.pair_indices, top)
-        for name, value in zip(("first_terms", "second_terms"), tables):
+        ranks = [pair_rank(first, second, top) for first, second in pair_indices]
+        _check_preference_order(outcomes, ranks, "assessment")
+        tables = binary_term_tables(pair_indices, top)
+        values = (outcomes, scale, pair_indices, require_anchors, *tables)
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -308,12 +308,16 @@ def reduce_to_standard(pi: PossibilityDistribution, a: BinaryUtilityAssessment) 
     return StandardLottery(value.first, value.second)
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Ranking(_Record):
     """Decision ids grouped into ties, best class first."""
 
-    classes: tuple[tuple[str, ...], ...]
-    utilities: tuple[UtilityValue, ...]
+    __slots__ = _fields = ("classes", "utilities")
+
+    def __init__(
+        self, classes: tuple[tuple[str, ...], ...], utilities: tuple[UtilityValue, ...]
+    ) -> None:
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "utilities", utilities)
 
 
 def _table_keys(items: Items, evaluate: Evaluator) -> tuple[list[int], Sequence] | None:

@@ -16,7 +16,6 @@ exactly as the relation they came from.
 
 import itertools
 import random
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -28,6 +27,7 @@ from posdec import axioms
 from posdec.axioms import (
     BYTE_KEY_LEVELS,
     CONTINUITY_VARIANTS,
+    AxiomReport,
     LotteryUniverse,
     PreferenceRelation,
     binary_keys,
@@ -67,6 +67,11 @@ UNIVERSES = {
 
 def fields(report):
     return report.axiom, report.satisfied, report.witness, report.detail
+
+
+def relabelled(report, axiom_id):
+    """The report under another axiom's name, as the battery relabels it."""
+    return AxiomReport(axiom_id, report.satisfied, report.witness, report.detail)
 
 
 def closed_sets(rel):
@@ -114,7 +119,7 @@ def test_checks_match_oracles(case):
         assert oracle.matrix_of(rel) == oracle.matrix_of(reference)
         assert rel.rows == reference.rows
     for axiom_id in ("A1-", "B1"):
-        assert fields(replace(check_total_preorder(rel), axiom=axiom_id)) == fields(
+        assert fields(relabelled(check_total_preorder(rel), axiom_id)) == fields(
             oracle.check_total_preorder(rel, axiom_id)
         )
     for direction in ("aversion", "attraction"):
@@ -122,7 +127,7 @@ def test_checks_match_oracles(case):
         assert report == fields(oracle.check_uncertainty_attitude(rel, direction))
         assert report == fields(oracle.check_uncertainty_attitude_by_steps(rel, direction))
     for axiom_id in ("A3-", "B3"):
-        report = fields(replace(check_substitutability(rel), axiom=axiom_id))
+        report = fields(relabelled(check_substitutability(rel), axiom_id))
         assert report == fields(oracle.check_substitutability(rel, axiom_id=axiom_id))
         assert report == fields(oracle.check_substitutability_by_generators(rel, axiom_id))
     assert_standard_orders_match_oracles(rel)

@@ -1021,6 +1021,12 @@ class TestVerifyEntailments:
             f"{p}-sample-{i:03d}" for i in range(3) for p in ("pess", "opt")
         ]
 
+    def test_no_sample_draws_nothing(self, monkeypatch, tiny_universe):
+        """A sweep with no sample seeds no draw stream."""
+        monkeypatch.setattr(axioms, "_sample_draws", lambda *args: pytest.fail("drew"))
+        run = verify_entailments(tiny_universe, sample_size=0)
+        assert run.configs and not any("sample" in c.config_id for c in run.configs)
+
     @pytest.mark.parametrize(
         "argv",
         [["--sample", "-5"], ["--max-outcomes", "1"], ["--max-levels", "7"],
