@@ -20,12 +20,11 @@ from .lotteries import (
     INFINITY,
     BoundExceededError,
     Decision,
-    DisbeliefBoundError,
     DisbeliefFunction,
-    LevelBoundError,
     OutcomeSet,
     PossibilityDistribution,
     StateSpace,
+    _as_base,
     check_enumerable,
     distribution_from_indices,
     from_disbelief,
@@ -113,8 +112,10 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(_load_json(path), source=path)
 
 
-def parse_scenario(data: Mapping, source: str = "<scenario>") -> Scenario:
-    """Build a Scenario from parsed JSON, running every module validator."""
+def _document_checks(source: str):
+    """The checks every input document read from ``source`` shares:
+    ``fail``, ``expect_object``, ``expect_labels`` and ``parse_scale``.
+    Each failure is a ``ScenarioError`` whose message starts with ``source``."""
 
     def fail(message: str) -> ScenarioError:
         return ScenarioError(f"{source}: {message}")
@@ -129,6 +130,20 @@ def parse_scenario(data: Mapping, source: str = "<scenario>") -> Scenario:
             raise fail(f"{what} must be a JSON array of strings")
         return tuple(value)
 
+    def parse_scale(document: Mapping, key: str, name: str) -> Scale:
+        labels = expect_labels(document[key], key)
+        try:
+            return Scale(labels, name=name)
+        except ValueError as exc:
+            raise fail(f"{key}: {exc}") from exc
+
+    return fail, expect_object, expect_labels, parse_scale
+
+
+def parse_scenario(data: Mapping, source: str = "<scenario>") -> Scenario:
+    """Build a Scenario from parsed JSON, running every module validator."""
+    fail, expect_object, expect_labels, parse_scale = _document_checks(source)
+
     def optional_object(key: str) -> Mapping:
         value = data.get(key)
         return {} if value is None else expect_object(value, key)
@@ -138,16 +153,8 @@ def parse_scenario(data: Mapping, source: str = "<scenario>") -> Scenario:
         raise fail("missing scale_v")
     if "outcomes" not in data:
         raise fail("missing outcomes")
-
-    def parse_scale(key: str, name: str) -> Scale:
-        labels = expect_labels(data[key], key)
-        try:
-            return Scale(labels, name=name)
-        except ValueError as exc:
-            raise fail(f"{key}: {exc}") from exc
-
-    scale_v = parse_scale("scale_v", "V")
-    scale_u = parse_scale("scale_u", "U") if data.get("scale_u") is not None else None
+    scale_v = parse_scale(data, "scale_v", "V")
+    scale_u = parse_scale(data, "scale_u", "U") if data.get("scale_u") is not None else None
 
     decl = expect_object(data["outcomes"], "outcomes")
     if "labels" in decl:
@@ -163,96 +170,84 @@ def parse_scenario(data: Mapping, source: str = "<scenario>") -> Scenario:
     except (KeyError, ValueError, TypeError) as exc:
         raise fail(f"outcomes: {exc}") from exc
 
-    states = None
-    if data.get("states") is not None:
-        labels = expect_labels(data["states"], "states")
-        try:
-            states = StateSpace(labels)
-        except ValueError as exc:
-            raise fail(f"states: {exc}") from exc
-
     def parse_distribution(domain, table: Mapping[str, str], what: str):
         # Every level is looked up before any label is checked, so a level
         # off the scale is reported first.
         expect_object(table, what)
-        try:
-            indices = {label: scale_v.index(level) for label, level in table.items()}
-            return distribution_from_indices(domain, scale_v, indices)
-        except KeyError as exc:
-            raise fail(f"{what}: {exc.args[0]}") from exc
-        except ValueError as exc:
-            raise fail(f"{what}: {exc}") from exc
+        indices = {label: scale_v.index(level) for label, level in table.items()}
+        return distribution_from_indices(domain, scale_v, indices)
 
-    state_possibility = None
-    if data.get("state_possibility") is not None:
-        if states is None:
-            raise fail("state_possibility given without states")
-        state_possibility = parse_distribution(
-            states, data["state_possibility"], "state_possibility"
-        )
+    # Everything below is read under one handler, with ``part`` naming the
+    # part being read: a validator's KeyError is shown by its argument, and
+    # its ValueError by its text, after the part.
+    part = "states"
+    try:
+        states = None
+        if data.get("states") is not None:
+            states = StateSpace(expect_labels(data["states"], "states"))
 
-    decisions: dict[str, Decision] = {}
-    for name, table in optional_object("decisions").items():
-        if states is None:
-            raise fail(f"decision {name!r} given without states")
-        expect_object(table, f"decision {name!r}")
-        try:
-            decision = Decision.from_mapping(states, table)
-        except ValueError as exc:
-            raise fail(f"decision {name!r}: {exc}") from exc
-        for move in decision.moves:
-            # Outcome labels are strings, so a move of any other type (an
-            # unhashable one too) is unknown.
-            if not isinstance(move, str) or move not in outcomes.index_of:
-                raise fail(f"decision {name!r} maps to unknown outcome {move!r}")
-        decisions[name] = decision
+        part = "state_possibility"
+        state_possibility = None
+        if data.get("state_possibility") is not None:
+            if states is None:
+                raise fail("state_possibility given without states")
+            state_possibility = parse_distribution(states, data["state_possibility"], part)
 
-    lotteries = {
-        name: parse_distribution(outcomes, table, f"lottery {name!r}")
-        for name, table in optional_object("lotteries").items()
-    }
+        decisions: dict[str, Decision] = {}
+        for name, table in optional_object("decisions").items():
+            part = f"decision {name!r}"
+            if states is None:
+                raise fail(f"{part} given without states")
+            decision = Decision.from_mapping(states, expect_object(table, part))
+            for move in decision.moves:
+                # Outcome labels are strings, so a move of any other type (an
+                # unhashable one too) is unknown.
+                if not isinstance(move, str) or move not in outcomes.index_of:
+                    raise fail(f"{part} maps to unknown outcome {move!r}")
+            decisions[name] = decision
 
-    assessment = None
-    if data.get("assessment") is not None:
-        table = {}
-        for label, pair in expect_object(data["assessment"], "assessment").items():
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise fail(f"assessment for {label!r} must be a two-element array")
-            try:
+        lotteries = {}
+        for name, table in optional_object("lotteries").items():
+            part = f"lottery {name!r}"
+            lotteries[name] = parse_distribution(outcomes, table, part)
+
+        assessment = None
+        if data.get("assessment") is not None:
+            table = {}
+            for label, pair in expect_object(data["assessment"], "assessment").items():
+                part = f"assessment for {label!r}"
+                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                    raise fail(f"{part} must be a two-element array")
                 table[label] = first, second = scale_v.index(pair[0]), scale_v.index(pair[1])
                 check_binary_pair(scale_v, first, second)
-            except (KeyError, ValueError) as exc:
-                raise fail(f"assessment for {label!r}: {exc.args[0]}") from exc
-        try:
+            part = "assessment"
             assessment = BinaryUtilityAssessment.from_indices(outcomes, scale_v, table)
-        except ValueError as exc:
-            raise fail(f"assessment: {exc}") from exc
 
-    pessimistic_config = None
-    if data.get("pessimistic_config") is not None:
-        cfg = expect_object(data["pessimistic_config"], "pessimistic_config")
-        for key in ("n", "h", "u"):
-            if key not in cfg:
-                raise fail(f"pessimistic_config: {key}")
-            expect_object(cfg[key], f"pessimistic_config {key}")
-        target = scale_u if scale_u is not None else scale_v
-        # n must be an order-reversing involution of U, and on a finite chain
-        # only i -> top - i is one: the configuration derives it, so the
-        # table is only checked.
-        try:
+        pessimistic_config = None
+        if data.get("pessimistic_config") is not None:
+            part = "pessimistic_config"
+            cfg = expect_object(data["pessimistic_config"], part)
+            for key in ("n", "h", "u"):
+                # A missing key is a KeyError, which the handler names.
+                expect_object(cfg[key], f"pessimistic_config {key}")
+            target = scale_u if scale_u is not None else scale_v
+            # n must be an order-reversing involution of U, and on a finite
+            # chain only i -> top - i is one: the configuration derives it,
+            # so the table is only checked.
+            part = "pessimistic_config: n"
             n = ScaleMap.from_labels(target, target, cfg["n"]).images
-        except (KeyError, ValueError) as exc:
-            raise fail(f"pessimistic_config: n: {exc.args[0]}") from exc
-        if n != tuple(range(target.top_index, -1, -1)):
-            raise fail(f"pessimistic_config: n is not the order reversal of scale {target.name!r}")
-        try:
+            if n != tuple(range(target.top_index, -1, -1)):
+                raise fail(f"{part} is not the order reversal of scale {target.name!r}")
+            part = "pessimistic_config"
             scale_map = ScaleMap.from_labels(scale_v, target, cfg["h"])
             prize = {label: target.index(level) for label, level in cfg["u"].items()}
             pessimistic_config = ScalarUtilityConfig.from_indices(outcomes, scale_map, prize)
-        except KeyError as exc:
-            raise fail(f"pessimistic_config: {exc.args[0]}") from exc
-        except ValueError as exc:
-            raise fail(f"pessimistic_config: {exc}") from exc
+    except ScenarioError:
+        raise
+    except KeyError as exc:
+        raise fail(f"{part}: {exc.args[0]}") from exc
+    except ValueError as exc:
+        raise fail(f"{part}: {exc}") from exc
 
     return Scenario(
         source, scale_v, scale_u, outcomes, states, state_possibility,
@@ -385,83 +380,68 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_convert_spohn(args: argparse.Namespace) -> int:
     data = _load_json(args.input)
-
-    def fail(message: str) -> ScenarioError:
-        return ScenarioError(f"{args.input}: {message}")
-
+    fail, expect_object, _, parse_scale = _document_checks(args.input)
     # The values table is the document itself or its "values" member.
     values = data["values"] if isinstance(data, dict) and "values" in data else data
-    if not isinstance(values, dict):
-        raise fail("values must be a JSON object")
-    if not values:
+    if not expect_object(values, "values"):
         raise fail("values: the table is empty")
-    if args.direction == "to-possibility":
-        table = {}
-        for label, value in values.items():
-            if value == "infinity":
-                table[label] = INFINITY
-            elif isinstance(value, int) and not isinstance(value, bool):
-                table[label] = value
-            else:
-                raise fail(
-                    f"values: disbelief value for {label!r} must be a non-negative "
-                    f"integer or \"infinity\""
-                )
-        try:
+    # The body is read under one handler, which names the values, except
+    # while the base is read: its error names the base alone.
+    reading_base = False
+    try:
+        if args.direction == "to-possibility":
+            table = {}
+            for label, value in values.items():
+                if value == "infinity":
+                    table[label] = INFINITY
+                elif isinstance(value, int) and not isinstance(value, bool):
+                    table[label] = value
+                else:
+                    raise fail(
+                        f"values: disbelief value for {label!r} must be a non-negative "
+                        f"integer or \"infinity\""
+                    )
             delta = DisbeliefFunction.from_mapping(table)
-        except ValueError as exc:
-            raise fail(f"values: {exc}") from exc
-        try:
-            pi = from_disbelief(delta, args.base)
-        except LevelBoundError as exc:
-            raise fail(f"values: {exc}") from exc
-        payload = {
-            "scale": list(pi.scale.levels),
-            "values": {label: level.label for label, level in pi.items()},
-        }
-    else:
-        if "scale" in data:
-            labels = data["scale"]
-            if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
-                raise fail("scale must be a JSON array of strings")
-            try:
-                scale = Scale(tuple(labels), name="V")
-            except ValueError as exc:
-                raise fail(f"scale: {exc}") from exc
-            indices = []
-            for label, value in values.items():
-                if value not in labels:
-                    raise fail(f"values: level {value!r} for {label!r} is not on the scale")
-                indices.append(labels.index(value))
         else:
-            # Bare label table: synthesize the scale from the values present.
-            points = []
-            for label, value in values.items():
-                try:
+            if "scale" in data:
+                scale = parse_scale(data, "scale", "V")
+                indices = []
+                for label, value in values.items():
+                    if value not in scale.levels:
+                        raise fail(f"values: level {value!r} for {label!r} is not on the scale")
+                    indices.append(scale.levels.index(value))
+            else:
+                # Bare label table: synthesize the scale from the values present.
+                points = []
+                for label, value in values.items():
                     point = parse_rational(value, f"level {value!r} for {label!r}")
-                except ValueError as exc:
-                    raise fail(f"values: {exc}") from None
-                if not 0 <= point <= 1:
-                    raise fail(f"values: level {value!r} for {label!r} is outside [0, 1]")
-                points.append(point)
-            try:
+                    if not 0 <= point <= 1:
+                        raise fail(f"values: level {value!r} for {label!r} is outside [0, 1]")
+                    points.append(point)
                 scale, indices = synthesize_scale(points)
-            except LevelBoundError as exc:
-                raise fail(f"values: {exc}") from exc
-        try:
             pi = PossibilityDistribution(StateSpace(tuple(values)), scale, tuple(indices))
-        except ValueError as exc:
-            raise fail(f"values: {exc}") from exc
-        try:
-            delta = to_disbelief(pi, args.base)
-        except DisbeliefBoundError as exc:
-            raise fail(f"values: {exc}") from exc
-        payload = {
-            "values": {
-                label: ("infinity" if value == INFINITY else value)
-                for label, value in zip(delta.labels, delta.values)
+        reading_base = True
+        _as_base(args.base)
+        reading_base = False
+        # The conversion is given the base as typed, which its messages quote.
+        if args.direction == "to-possibility":
+            pi = from_disbelief(delta, args.base)
+            payload = {
+                "scale": list(pi.scale.levels),
+                "values": {label: level.label for label, level in pi.items()},
             }
-        }
+        else:
+            delta = to_disbelief(pi, args.base)
+            payload = {
+                "values": {
+                    label: ("infinity" if value == INFINITY else value)
+                    for label, value in zip(delta.labels, delta.values)
+                }
+            }
+    except ValueError as exc:
+        if reading_base or isinstance(exc, ScenarioError):
+            raise
+        raise fail(f"values: {exc}") from exc
     text = json.dumps(payload, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -13,7 +13,7 @@ import itertools
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 
-from .scales import Level, Scale, ScaleMismatchError, _Record, parse_rational
+from .scales import Level, Scale, _Record, check_same_scale, parse_rational
 
 INFINITY = float("inf")
 
@@ -78,16 +78,9 @@ class OutcomeSet(_Record):
         for anchor in (self.best, self.worst):
             if anchor not in self.outcomes:
                 raise ValueError(f"anchor outcome {anchor!r} is not declared")
-        if not preference_classes:
-            object.__setattr__(
-                self, "preference_classes", tuple((o,) for o in self.outcomes)
-            )
-        else:
-            object.__setattr__(
-                self,
-                "preference_classes",
-                tuple(tuple(c) for c in preference_classes),
-            )
+        # No classes given: one class per label, in label order.
+        classes = preference_classes or [(o,) for o in self.outcomes]
+        object.__setattr__(self, "preference_classes", tuple(tuple(c) for c in classes))
         flat = [o for cls in self.preference_classes for o in cls]
         if sorted(flat) != sorted(self.outcomes):
             raise ValueError("preference classes must partition the outcomes")
@@ -232,8 +225,7 @@ def make_distribution(domain: Domain, values: Mapping[str, Level]) -> Possibilit
     must share one scale."""
     scales = [level.scale for level in values.values()]
     for scale in scales[1:]:
-        if scale != scales[0]:
-            raise ScaleMismatchError(scales[0], scale)
+        check_same_scale(scales[0], scale)
     table = {label: level.index for label, level in values.items()}
     return distribution_from_indices(domain, scales[0] if scales else None, table)
 
@@ -274,8 +266,7 @@ def mixture(
             or (dist.scale is not scale and dist.scale != scale)
         ):
             raise ValueError("mixture components must share one domain and scale")
-        if weight.scale is not scale and weight.scale != scale:
-            raise ScaleMismatchError(weight.scale, scale)
+        check_same_scale(weight.scale, scale)
         w = weight.index
         if w > highest:
             highest = w
@@ -408,8 +399,7 @@ class StandardLottery(_Record):
     __slots__ = _fields = ("best_weight", "worst_weight")
 
     def __init__(self, best_weight: Level, worst_weight: Level) -> None:
-        if best_weight.scale != worst_weight.scale:
-            raise ScaleMismatchError(best_weight.scale, worst_weight.scale)
+        check_same_scale(best_weight.scale, worst_weight.scale)
         if not (best_weight.is_top() or worst_weight.is_top()):
             raise ValueError(
                 f"not a standard lottery: neither weight of "

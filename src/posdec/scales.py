@@ -34,6 +34,13 @@ class ScaleMismatchError(ValueError):
         self.second = second
 
 
+def check_same_scale(first: "Scale", second: "Scale") -> None:
+    """Raise ``ScaleMismatchError(first, second)`` unless the scales are equal,
+    testing identity first."""
+    if first is not second and first != second:
+        raise ScaleMismatchError(first, second)
+
+
 class _Record:
     """A value compared, hashed and shown by the fields named in ``_fields``.
 
@@ -205,24 +212,20 @@ class Level(_Record):
     def is_top(self) -> bool:
         return self.index == len(self.scale) - 1
 
-    def _check(self, other: "Level") -> None:
-        if self.scale != other.scale:
-            raise ScaleMismatchError(self.scale, other.scale)
-
     def __lt__(self, other: "Level") -> bool:
-        self._check(other)
+        check_same_scale(self.scale, other.scale)
         return self.index < other.index
 
     def __le__(self, other: "Level") -> bool:
-        self._check(other)
+        check_same_scale(self.scale, other.scale)
         return self.index <= other.index
 
     def __gt__(self, other: "Level") -> bool:
-        self._check(other)
+        check_same_scale(self.scale, other.scale)
         return self.index > other.index
 
     def __ge__(self, other: "Level") -> bool:
-        self._check(other)
+        check_same_scale(self.scale, other.scale)
         return self.index >= other.index
 
     def __str__(self) -> str:
@@ -269,8 +272,7 @@ class UtilityPair(_Record):
     __slots__ = _fields = ("first", "second")
 
     def __init__(self, first: Level, second: Level) -> None:
-        if first.scale is not second.scale and first.scale != second.scale:
-            raise ScaleMismatchError(first.scale, second.scale)
+        check_same_scale(first.scale, second.scale)
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
 
@@ -300,8 +302,7 @@ class BinaryUtility(UtilityPair):
     def of(cls, first: Level, second: Level) -> "BinaryUtility":
         """The binary utility with these components, as its scale caches it."""
         scale = first.scale
-        if second.scale != scale:
-            raise ScaleMismatchError(scale, second.scale)
+        check_same_scale(scale, second.scale)
         check_binary_pair(scale, first.index, second.index)
         return scale.binary_values[pair_rank(first.index, second.index, scale.top_index)]
 
@@ -339,8 +340,7 @@ def compare_binary(u: BinaryUtility, u2: BinaryUtility) -> int:
     Implements exactly the three-case disjunction of the pair order,
     which is total, antisymmetric and transitive on the binary scale.
     """
-    if u.scale != u2.scale:
-        raise ScaleMismatchError(u.scale, u2.scale)
+    check_same_scale(u.scale, u2.scale)
     top = len(u.scale) - 1
     ge = pair_ge_indices(u.first.index, u.second.index, u2.first.index, u2.second.index, top)
     le = pair_ge_indices(u2.first.index, u2.second.index, u.first.index, u.second.index, top)
@@ -370,15 +370,13 @@ def binary_rank(u: BinaryUtility) -> int:
 
 def ext_min(alpha: Level, p: UtilityPair) -> UtilityPair:
     """Min of a level with both components; the result may leave the binary scale."""
-    if alpha.scale != p.scale:
-        raise ScaleMismatchError(alpha.scale, p.scale)
+    check_same_scale(alpha.scale, p.scale)
     return UtilityPair(level_min(alpha, p.first), level_min(alpha, p.second))
 
 
 def ext_max(p: UtilityPair, q: UtilityPair) -> UtilityPair:
     """Componentwise max of two pairs; associative, commutative, idempotent."""
-    if p.scale != q.scale:
-        raise ScaleMismatchError(p.scale, q.scale)
+    check_same_scale(p.scale, q.scale)
     return UtilityPair(level_max(p.first, q.first), level_max(p.second, q.second))
 
 
@@ -417,8 +415,7 @@ class ScaleMap(_Record):
         return cls(scale, scale, tuple(range(len(scale))))
 
     def apply(self, level: Level) -> Level:
-        if level.scale != self.source:
-            raise ScaleMismatchError(level.scale, self.source)
+        check_same_scale(level.scale, self.source)
         return self.target.level(self.images[level.index])
 
 

@@ -37,10 +37,10 @@ from .scales import (
     Level,
     Scale,
     ScaleMap,
-    ScaleMismatchError,
     _Record,
     binary_rank,
     check_binary_pair,
+    check_same_scale,
     pair_rank,
     validate_scale_map,
 )
@@ -58,8 +58,7 @@ def check_domain(domain: Domain, scale: Scale, outcomes: OutcomeSet, expected: S
             f"distribution domain {domain.labels} does not match the "
             f"configured outcomes {outcomes.labels}"
         )
-    if scale is not expected and scale != expected:
-        raise ScaleMismatchError(scale, expected)
+    check_same_scale(scale, expected)
 
 
 def _check_preference_order(outcomes: OutcomeSet, keys: Sequence[int], noun: str) -> None:
@@ -201,8 +200,7 @@ def pessimistic_utility_decomposed(
     """
     scale = cfg.uncertainty_scale
     for weight in (weight1, weight2):
-        if weight.scale != scale:
-            raise ScaleMismatchError(weight.scale, scale)
+        check_same_scale(weight.scale, scale)
     if max(weight1.index, weight2.index) != len(scale) - 1:
         raise ValueError("mixture weights must include the top level")
     nh = cfg.reversed_map
@@ -269,8 +267,7 @@ class BinaryUtilityAssessment(_Record):
     ) -> "BinaryUtilityAssessment":
         """The assessment with these binary utilities, values on ``scale``."""
         for value in table.values():
-            if value.scale != scale:
-                raise ScaleMismatchError(value.scale, scale)
+            check_same_scale(value.scale, scale)
         pairs = {label: (value.first.index, value.second.index) for label, value in table.items()}
         return cls.from_indices(outcomes, scale, pairs, require_anchors)
 

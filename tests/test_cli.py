@@ -1,9 +1,12 @@
 """Scenario loading, the five subcommands, and exit codes."""
 
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -607,6 +610,11 @@ class TestConvertSpohn:
                 "bound of 262144", id="huge-base",
             ),
             pytest.param(
+                {"values": {"s1": "1", "s2": ".5"}}, "to-disbelief", "1e1000000000",
+                "error: conversion base '1e1000000000' has a decimal exponent over the "
+                "bound of 262144", id="huge-base-to-disbelief",
+            ),
+            pytest.param(
                 {"values": {"s1": "1", "s2": "1e-1000000000"}}, "to-disbelief", "2",
                 "error: {path}: values: level '1e-1000000000' for 's2' has a decimal "
                 "exponent over the bound of 262144", id="huge-level",
@@ -860,6 +868,7 @@ def _edited(*edits):
 
 
 RANK = ["rank", "--scenario", "{path}", "--method", "binary"]
+SPOHN = ["convert-spohn", "{path}", "--direction"]
 
 ERROR_BRANCHES = [
     pytest.param(RANK, _edited(_drop("scale_v")), EXIT_VALIDATION,
@@ -868,6 +877,10 @@ ERROR_BRANCHES = [
                  "{path}: missing outcomes", id="no-outcomes"),
     pytest.param(RANK, _edited(_set(("outcomes", "best"), "x9")), EXIT_VALIDATION,
                  "{path}: outcomes: anchor outcome 'x9' is not declared", id="outcomes-rejected"),
+    pytest.param(RANK, _edited(_drop("outcomes", "best")), EXIT_VALIDATION,
+                 "{path}: outcomes: 'best'", id="outcomes-without-best"),
+    pytest.param(RANK, _edited(_set(("outcomes", "preference"), 5)), EXIT_VALIDATION,
+                 "{path}: outcomes: 'int' object is not iterable", id="preference-number"),
     pytest.param(RANK, _edited(_set(("states",), [])), EXIT_VALIDATION,
                  "{path}: states: a state space must be non-empty", id="no-states"),
     pytest.param(
@@ -917,6 +930,29 @@ ERROR_BRANCHES = [
     pytest.param(["convert-spohn", "{path}", "--direction", "to-disbelief"],
                  {"scale": [".1", "1"], "values": {"s1": "1"}}, EXIT_VALIDATION,
                  "{path}: scale: scale 'V' must start at 0, got '.1'", id="spohn-scale-not-at-0"),
+    # The values are read before the base, so a values error wins over a
+    # base error, and a base error names the base alone.
+    pytest.param(SPOHN + ["to-possibility", "--base", "1"], {"values": {"s1": 1, "s2": 2}},
+                 EXIT_VALIDATION,
+                 "{path}: values: disbelief function is not normalized: min value is 1",
+                 id="spohn-values-before-base-to-possibility"),
+    pytest.param(SPOHN + ["to-possibility", "--base", "x"], {"values": {"s1": 0, "s2": "x"}},
+                 EXIT_VALIDATION,
+                 "{path}: values: disbelief value for 's2' must be a non-negative integer "
+                 "or \"infinity\"", id="spohn-value-type-before-base"),
+    pytest.param(SPOHN + ["to-disbelief", "--base", "1"], {"values": {"s1": "1", "s2": "2"}},
+                 EXIT_VALIDATION, "{path}: values: level '2' for 's2' is outside [0, 1]",
+                 id="spohn-values-before-base-to-disbelief"),
+    pytest.param(SPOHN + ["to-disbelief", "--base", "0"],
+                 {"scale": ["0", "1"], "values": {"s1": ".5"}}, EXIT_VALIDATION,
+                 "{path}: values: level '.5' for 's1' is not on the scale",
+                 id="spohn-scale-values-before-base"),
+    pytest.param(SPOHN + ["to-possibility", "--base", "1"], {"values": {"s1": 0, "s2": 1}},
+                 EXIT_VALIDATION, "conversion base must be a rational > 1, got '1'",
+                 id="spohn-base-to-possibility"),
+    pytest.param(SPOHN + ["to-disbelief", "--base", "1"], {"values": {"s1": "1", "s2": ".5"}},
+                 EXIT_VALIDATION, "conversion base must be a rational > 1, got '1'",
+                 id="spohn-base-to-disbelief"),
 ]
 
 
@@ -928,3 +964,115 @@ class TestErrorBranches:
         path = write_scenario(tmp_path, data)
         assert main([arg.format(path=path) for arg in argv]) == code
         assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+
+# Seeded edits of input documents.  An edit deletes, replaces or adds one
+# member somewhere in a document, with a value of any JSON type: labels on
+# and off the scales, known and unknown names, and arrays and objects where
+# strings belong.
+EDIT_KEYS = [
+    "scale_v", "scale_u", "outcomes", "labels", "best", "worst", "preference", "states",
+    "state_possibility", "decisions", "lotteries", "assessment", "pessimistic_config",
+    "n", "h", "u", "x1", "x4", "x9", "s1", "s9", "pi1", "d", "0", ".5", ".6", "1",
+]
+EDIT_VALUES = [
+    None, True, 0, 1, 5, -1, 0.5, "", "0", ".3", ".5", ".6", ".7", "1", "2", "x1", "x2",
+    "x4", "x9", "s1", "s9", "1e-1000000000", [], [".5"], ["1", "0"], ["0", "1"], ["1", ".5"],
+    ["x1"], ["x1", "x4"], [["x1"], ["x4"]], ["0", ".5", "1"], {}, {"x1": "1"},
+    {"s1": "1", "s2": ".5"}, {"s1": "x1", "s2": "x4"}, {"level": ".5"},
+]
+
+
+def edit_document(rng, doc):
+    """Apply one seeded edit to ``doc`` in place."""
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and (parent is None or rng.random() < 0.7):
+        key = rng.choice(list(node)) if isinstance(node, dict) else rng.randrange(len(node))
+        parent, node = node, node[key]
+    value = copy.deepcopy(rng.choice(EDIT_VALUES))
+    action = rng.randrange(3)
+    if parent is not None and action == 0:
+        del parent[key]
+    elif parent is not None and (action == 1 or not isinstance(node, (dict, list))):
+        parent[key] = value
+    elif isinstance(node, dict):
+        node[rng.choice(EDIT_KEYS)] = value
+    else:
+        node.append(value)
+
+
+def scenario_edit_lines(seed, count):
+    """One line per seeded edit of the worked example (with states, their
+    possibility and a decision): ``ok`` or the error ``parse_scenario`` raised."""
+    rng = random.Random(seed)
+    base = json.dumps(TestWronglyShapedScenario.scenario(lambda data: None))
+    lines = []
+    for i in range(count):
+        doc = json.loads(base)
+        for _ in range(rng.choice((1, 1, 1, 2, 2, 3))):
+            edit_document(rng, doc)
+        try:
+            parse_scenario(doc)
+            lines.append(f"{i}: ok")
+        except Exception as exc:
+            lines.append(f"{i}: {type(exc).__name__}: {exc}")
+    return lines
+
+
+SPOHN_RANKS = [0, 0, 1, 2, 5, 64, 65, "infinity"]
+SPOHN_LEVELS = ["0", ".5", "1", "1", ".25", "1/3", "1e-5"]
+SPOHN_JUNK = [-1, True, 0.5, 3000000, "2", "-1/2", "x", [1], {}, None]
+SPOHN_SCALES = [
+    ["0", "1"], ["0", ".5", "1"], ["0", ".25", ".5", "1"], ["0", "1/3", "1"], "01",
+    [".1", "1"], ["0", "x", "1"], [0, 1],
+]
+SPOHN_BASES = ["2", "3", "5/2", "10", "1.00001", "1", "0", "-2", "x", "1e50", "1e1000000000"]
+
+
+def convert_spohn_lines(tmp_path, seed, count):
+    """One line per seeded convert-spohn run: exit code, stdout and stderr,
+    with the input path written as ``<input>``.  Most tables hold values of
+    their direction's kind, and some one value of the wrong kind."""
+    rng = random.Random(seed)
+    path = tmp_path / "input.json"
+    lines = []
+    for i in range(count):
+        direction = rng.choice(("to-possibility", "to-disbelief"))
+        kind = SPOHN_RANKS if direction == "to-possibility" else SPOHN_LEVELS
+        table = {
+            label: rng.choice(kind if rng.random() < 0.85 else SPOHN_JUNK)
+            for label in rng.sample(["s1", "s2", "s3"], rng.choice((0, 1, 2, 2, 3, 3, 3)))
+        }
+        doc = rng.choice((
+            table, {"values": table}, {"scale": rng.choice(SPOHN_SCALES), "values": table},
+            rng.choice(SPOHN_JUNK),
+        ))
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["convert-spohn", str(path), "--direction", direction,
+                "--base", rng.choice(SPOHN_BASES)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        shown = f"{code} {out.getvalue()!r} {err.getvalue()!r}"
+        lines.append(f"{i}: {shown.replace(str(path), '<input>')}")
+    return lines
+
+
+class TestSeededEdits:
+    """Every outcome of a seeded set of malformed inputs, pinned by digest:
+    each message, exit code and which of several errors is reported
+    (digests taken with CPython 3.11)."""
+
+    def test_scenario_edits_are_pinned(self):
+        lines = scenario_edit_lines(seed=25, count=2000)
+        # Every edit parses or raises one ScenarioError, never another error.
+        assert all(line.endswith(": ok") or ": ScenarioError: <scenario>: " in line
+                   for line in lines)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "020fecdd531b92df8cc58950c03dc45419fd4b227bc3dda7d708b9cd2baab748"
+
+    def test_convert_spohn_inputs_are_pinned(self, tmp_path):
+        lines = convert_spohn_lines(tmp_path, seed=25, count=1000)
+        assert all(line.split()[1] in ("0", "1") for line in lines)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "4a2c602824f223f74bdaaa5cb0ef45ce0ba87658ec24d7ee63a57f1c5306ea44"
