@@ -13,13 +13,13 @@ import itertools
 import sys
 
 from posdec.axioms import (
-    LotteryUniverse,
     canonical_outcomes,
     canonical_scale,
     enumerate_assessments,
     enumerate_scalar_configs,
-    search_pair_counterexample,
 )
+from posdec.checker import LotteryUniverse
+from posdec.search import search_pair_counterexample
 
 
 def main() -> int:

@@ -15,32 +15,17 @@ import sys
 from collections.abc import Mapping
 from functools import partial
 
-from . import worked_example
 from .lotteries import (
-    INFINITY,
     BoundExceededError,
     Decision,
-    DisbeliefFunction,
     OutcomeSet,
     PossibilityDistribution,
     StateSpace,
-    _as_base,
     check_enumerable,
     distribution_from_indices,
-    from_disbelief,
     induced_distribution,
-    synthesize_scale,
-    to_disbelief,
 )
-from .scales import (
-    Scale,
-    ScaleMap,
-    _Record,
-    check_binary_pair,
-    ext_min,
-    level_max,
-    parse_rational,
-)
+from .scales import Scale, ScaleMap, _Record, check_binary_pair
 from .utilities import (
     BinaryUtilityAssessment,
     Evaluator,
@@ -157,17 +142,28 @@ def parse_scenario(data: Mapping, source: str = "<scenario>") -> Scenario:
     scale_u = parse_scale(data, "scale_u", "U") if data.get("scale_u") is not None else None
 
     decl = expect_object(data["outcomes"], "outcomes")
+    # Each part's shape is checked before the outcome set is built from it,
+    # so every error names the part in the document's terms.
     if "labels" in decl:
         expect_labels(decl["labels"], "outcomes labels")
+    for key in ("labels", "best", "worst"):
+        if key not in decl:
+            raise fail(f"outcomes: {key!r}")
+    for key in ("best", "worst"):
+        if not isinstance(decl[key], str):
+            raise fail(f"outcomes {key} must be a JSON string")
+    preference = decl.get("preference")
+    if preference is None:
+        preference = ()
+    elif not isinstance(preference, (list, tuple)) or not all(
+        isinstance(c, (list, tuple)) and all(isinstance(x, str) for x in c) for c in preference
+    ):
+        raise fail("outcomes preference must be a JSON array of arrays of strings")
     try:
-        preference = decl.get("preference")
         outcomes = OutcomeSet(
-            tuple(decl["labels"]),
-            decl["best"],
-            decl["worst"],
-            tuple(tuple(c) for c in preference) if preference else (),
+            tuple(decl["labels"]), decl["best"], decl["worst"], tuple(map(tuple, preference))
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise fail(f"outcomes: {exc}") from exc
 
     def parse_distribution(domain, table: Mapping[str, str], what: str):
@@ -379,69 +375,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_convert_spohn(args: argparse.Namespace) -> int:
-    data = _load_json(args.input)
-    fail, expect_object, _, parse_scale = _document_checks(args.input)
-    # The values table is the document itself or its "values" member.
-    values = data["values"] if isinstance(data, dict) and "values" in data else data
-    if not expect_object(values, "values"):
-        raise fail("values: the table is empty")
-    # The body is read under one handler, which names the values, except
-    # while the base is read: its error names the base alone.
-    reading_base = False
-    try:
-        if args.direction == "to-possibility":
-            table = {}
-            for label, value in values.items():
-                if value == "infinity":
-                    table[label] = INFINITY
-                elif isinstance(value, int) and not isinstance(value, bool):
-                    table[label] = value
-                else:
-                    raise fail(
-                        f"values: disbelief value for {label!r} must be a non-negative "
-                        f"integer or \"infinity\""
-                    )
-            delta = DisbeliefFunction.from_mapping(table)
-        else:
-            if "scale" in data:
-                scale = parse_scale(data, "scale", "V")
-                indices = []
-                for label, value in values.items():
-                    if value not in scale.levels:
-                        raise fail(f"values: level {value!r} for {label!r} is not on the scale")
-                    indices.append(scale.levels.index(value))
-            else:
-                # Bare label table: synthesize the scale from the values present.
-                points = []
-                for label, value in values.items():
-                    point = parse_rational(value, f"level {value!r} for {label!r}")
-                    if not 0 <= point <= 1:
-                        raise fail(f"values: level {value!r} for {label!r} is outside [0, 1]")
-                    points.append(point)
-                scale, indices = synthesize_scale(points)
-            pi = PossibilityDistribution(StateSpace(tuple(values)), scale, tuple(indices))
-        reading_base = True
-        _as_base(args.base)
-        reading_base = False
-        # The conversion is given the base as typed, which its messages quote.
-        if args.direction == "to-possibility":
-            pi = from_disbelief(delta, args.base)
-            payload = {
-                "scale": list(pi.scale.levels),
-                "values": {label: level.label for label, level in pi.items()},
-            }
-        else:
-            delta = to_disbelief(pi, args.base)
-            payload = {
-                "values": {
-                    label: ("infinity" if value == INFINITY else value)
-                    for label, value in zip(delta.labels, delta.values)
-                }
-            }
-    except ValueError as exc:
-        if reading_base or isinstance(exc, ScenarioError):
-            raise
-        raise fail(f"values: {exc}") from exc
+    # Only convert-spohn needs the Spohn bridge; the other commands never load it.
+    from .spohn import convert_document
+
+    payload = convert_document(_load_json(args.input), args.direction, args.base, args.input)
     text = json.dumps(payload, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -451,79 +388,10 @@ def cmd_convert_spohn(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def paper_example_lines() -> list[str]:
-    """The bundled worked example, every intermediate table recomputed."""
-    scenario = parse_scenario(worked_example.SCENARIO, source="<bundled>")
-    cfg = scenario.pessimistic_config
-    assert cfg is not None
-    scale_v = scenario.scale_v
-    pairs = worked_example.ENCODED_ASSESSMENT
-    encoded = BinaryUtilityAssessment.from_indices(
-        scenario.outcomes, scale_v,
-        {x: (scale_v.index(a), scale_v.index(b)) for x, (a, b) in pairs.items()},
-        require_anchors=False,
-    )
-    labels = scenario.outcomes.outcomes
-    u_scale = cfg.utility_scale
-    lines = [
-        "worked example: two lotteries over four ranked prizes",
-        f"uncertainty scale V: {' < '.join(scale_v.levels)}",
-        f"utility scale U: {' < '.join(u_scale.levels)}",
-        f"prizes, best first: {', '.join(labels)}",
-    ]
-    for name in ("pi1", "pi2"):
-        lines.append(f"{name} = {scenario.lotteries[name]}")
-    lines.append("")
-    lines.append("pessimistic criterion")
-    prize_text = ", ".join(
-        f"u({label})={cfg.prize_utility_for(label)}" for label in labels
-    )
-    lines.append(f"  prize utilities: {prize_text}")
-    nh_text = ", ".join(
-        f"{scale_v.levels[i]}->{u_scale.levels[cfg.reversed_map[i]]}"
-        for i in range(len(scale_v) - 1, -1, -1)
-    )
-    lines.append(f"  reversed scale map: {nh_text}")
-    for name in ("pi1", "pi2"):
-        dist = scenario.lotteries[name]
-        terms = []
-        for label, level in dist.items():
-            nh_level = u_scale.level(cfg.reversed_map[level.index])
-            u_level = cfg.prize_utility_for(label)
-            terms.append((nh_level, u_level, level_max(nh_level, u_level)))
-        term_text = ", ".join(f"max({nh},{u})={t}" for nh, u, t in terms)
-        lines.append(f"  {name} terms: {term_text}")
-        value = pessimistic_utility(dist, cfg)
-        arg_text = ", ".join(str(t) for _, _, t in terms)
-        lines.append(f"  pessimistic({name}) = min{{{arg_text}}} = {value}")
-    lines.append("")
-    lines.append("pair-valued criterion")
-    pair_text = ", ".join(f"u({label})={encoded.utility_for(label)}" for label in labels)
-    lines.append(f"  prize pairs: {pair_text}")
-    for name in ("pi1", "pi2"):
-        dist = scenario.lotteries[name]
-        terms = []
-        for label, level in dist.items():
-            pair = encoded.utility_for(label)
-            terms.append((level, pair, ext_min(level, pair)))
-        term_text = ", ".join(f"min({lv},{pr})={cut}" for lv, pr, cut in terms)
-        lines.append(f"  {name} terms: {term_text}")
-        value = binary_utility(dist, encoded)
-        arg_text = ", ".join(str(cut) for _, _, cut in terms)
-        lines.append(f"  pair-valued({name}) = max{{{arg_text}}} = {value}")
-    lines.append("")
-    pess_1 = pessimistic_utility(scenario.lotteries["pi1"], cfg)
-    pess_2 = pessimistic_utility(scenario.lotteries["pi2"], cfg)
-    pair_1 = binary_utility(scenario.lotteries["pi1"], encoded)
-    pair_2 = binary_utility(scenario.lotteries["pi2"], encoded)
-    if pess_1 > pess_2 and pair_1 > pair_2:
-        lines.append("pi1 is strictly preferred to pi2 under both criteria")
-    else:
-        lines.append("criteria disagree; see the tables above")
-    return lines
-
-
 def cmd_paper_example(args: argparse.Namespace) -> int:
+    # Only paper-example needs the worked example; the other commands never load it.
+    from .worked_example import paper_example_lines
+
     for line in paper_example_lines():
         print(line)
     return EXIT_OK

@@ -17,7 +17,7 @@ from operator import attrgetter
 # builds 10**|exponent| before any other bound applies, in time that grows
 # faster than the exponent (about 2 s at 3,000,000).  Any exponent past a few
 # thousand already gives a level over the MAX_LEVEL_BITS bound of
-# ``lotteries``, which rejects it once built; this bound keeps that build
+# ``spohn``, which rejects it once built; this bound keeps that build
 # to milliseconds and rejects a larger exponent unparsed.
 MAX_DECIMAL_EXPONENT = 2**18
 

@@ -13,18 +13,18 @@ few thousand members, also group members by ``class_of``.
 The configuration generators here label each prize through a dict and
 build every configuration through its public constructor, one outcome
 set per configuration; the sweep's generators build them from key tuples.
+
+No battery checks the decomposition of the standard-lottery order into
+its two halves, so that check lives here, on the plain pair scan and on
+the checker's chain scan (``check_standard_order_decomposition_on_chain``).
 """
 
 import itertools
 import random
 
-from posdec.axioms import (
-    AxiomReport,
-    PreferenceRelation,
-    canonical_outcomes,
-    canonical_scale,
-    enumerate_scale_maps,
-)
+from posdec import checker
+from posdec.axioms import canonical_outcomes, canonical_scale, enumerate_scale_maps
+from posdec.checker import AxiomReport, PreferenceRelation
 from posdec.lotteries import OutcomeSet, standard_lotteries
 from posdec.scales import binary_rank
 from posdec.utilities import BinaryUtilityAssessment, ScalarUtilityConfig
@@ -305,16 +305,20 @@ def check_qualitative_monotonicity(r):
     )
 
 
-def check_standard_order_decomposition(r):
-    """Every standard pair against the union of the within-half orders and
-    the pairs from the best-possible half to the worst-possible one."""
+def standard_decomposition(la, ma, lb, mb, top):
+    """The three-part union: the worst-weight order on the best-possible
+    half, the best-weight order on the worst-possible half, and every pair
+    from the best-possible half to the worst-possible one."""
+    best_half = la == top and lb == top and ma <= mb
+    worst_half = ma == top and mb == top and la >= lb
+    return best_half or worst_half or (la == top and mb == top)
 
-    def union(la, ma, lb, mb, top):
-        best_half = la == top and lb == top and ma <= mb
-        worst_half = ma == top and mb == top and la >= lb
-        return best_half or worst_half or (la == top and mb == top)
 
-    bad = _first_standard_mismatch(r, union)
+def check_standard_order_decomposition(r, scan=_first_standard_mismatch):
+    """Every standard pair against the three-part union
+    (``standard_decomposition``), found by ``scan``: by default one pair at
+    a time."""
+    bad = scan(r, standard_decomposition)
     if bad is None:
         return AxiomReport("B2-decomposition", True)
     ia, ib = bad
@@ -323,6 +327,13 @@ def check_standard_order_decomposition(r):
         "B2-decomposition", False, bad,
         f"decomposition fails on {describe(ia)} vs {describe(ib)}",
     )
+
+
+def check_standard_order_decomposition_on_chain(r):
+    """The same check on the checker's scan of the standard lotteries'
+    chain (``posdec.checker._first_standard_mismatch``), which B2 runs on
+    the pair order."""
+    return check_standard_order_decomposition(r, checker._first_standard_mismatch)
 
 
 def search_pair_counterexample_witness(pess, opt, pairs):

@@ -19,33 +19,32 @@ from functools import partial
 
 import pytest
 
+from axiom_oracles import check_standard_order_decomposition_on_chain
 from posdec.axioms import (
-    LotteryUniverse,
     canonical_outcomes,
     canonical_scale,
+    enumerate_assessments,
+    sample_scalar_configs,
+)
+from posdec.checker import (
+    LotteryUniverse,
     check_continuity,
     check_qualitative_monotonicity,
-    check_standard_order_decomposition,
     check_substitutability,
     check_total_preorder,
     check_uncertainty_attitude,
-    enumerate_assessments,
     induced_relation,
-    sample_scalar_configs,
-    search_pair_counterexample,
 )
 from posdec.lotteries import (
-    INFINITY,
-    DisbeliefFunction,
     OutcomeSet,
     enumerate_distributions,
-    from_disbelief,
     mixture,
     point_mass,
     standard_lotteries,
-    to_disbelief,
 )
 from posdec.scales import BinaryUtility, Scale, ScaleMap
+from posdec.search import search_pair_counterexample
+from posdec.spohn import INFINITY, DisbeliefFunction, from_disbelief, to_disbelief
 from posdec.utilities import (
     BinaryUtilityAssessment,
     ScalarUtilityConfig,
@@ -391,7 +390,7 @@ def test_criterion_10_standard_order_decomposition():
         universe = LotteryUniverse(canonical_outcomes(2), canonical_scale(size))
         assessment = enumerate_assessments(universe.outcomes, universe.scale)[0]
         rel = induced_by(universe, partial(binary_utility, a=assessment))
-        assert check_standard_order_decomposition(rel).satisfied
+        assert check_standard_order_decomposition_on_chain(rel).satisfied
     elapsed = time.perf_counter() - t0
     assert elapsed < 0.1
     report(10, f"PASS  decomposition of the standard order up to six levels ({elapsed:.3f} s)")

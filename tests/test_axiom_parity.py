@@ -23,33 +23,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import axiom_oracles as oracle
-from posdec import axioms
+from posdec import axioms, checker
 from posdec.axioms import (
+    canonical_outcomes,
+    canonical_scale,
+    enumerate_assessments,
+    enumerate_scalar_configs,
+    sample_scalar_configs,
+)
+from posdec.checker import (
     BYTE_KEY_LEVELS,
     CONTINUITY_VARIANTS,
     AxiomReport,
     LotteryUniverse,
     PreferenceRelation,
     binary_keys,
-    canonical_outcomes,
-    canonical_scale,
     check_continuity,
     check_qualitative_monotonicity,
-    check_standard_order_decomposition,
     check_substitutability,
     check_total_preorder,
     check_uncertainty_attitude,
-    enumerate_assessments,
-    enumerate_scalar_configs,
     induced_relation,
     member_keys,
     optimistic_keys,
     pessimistic_keys,
-    sample_scalar_configs,
-    search_pair_counterexample,
 )
 from posdec.lotteries import OutcomeSet
 from posdec.scales import Scale
+from posdec.search import search_pair_counterexample
 from posdec.utilities import (
     binary_term_tables,
     binary_utility,
@@ -83,7 +84,7 @@ def grid_suspects(rel):
     """B3's grid test on a relation whose "equal or indifferent" is an
     equivalence on one layout: the first generator that breaks it, if any."""
     closed = closed_sets(rel)
-    return axioms._suspects(rel, closed, set(closed))
+    return checker._suspects(rel, closed, set(closed))
 
 
 def naive_matrix(universe, evaluate):
@@ -138,7 +139,7 @@ def assert_standard_orders_match_oracles(rel):
     standard pair; returns whether B2 holds."""
     report = fields(check_qualitative_monotonicity(rel))
     assert report == fields(oracle.check_qualitative_monotonicity(rel))
-    decomposition = fields(check_standard_order_decomposition(rel))
+    decomposition = fields(oracle.check_standard_order_decomposition_on_chain(rel))
     assert decomposition == fields(oracle.check_standard_order_decomposition(rel))
     return report[1]
 
@@ -150,7 +151,7 @@ def every_report(rel):
         partial(check_uncertainty_attitude, direction="attraction"),
         check_substitutability,
         check_qualitative_monotonicity,
-        check_standard_order_decomposition,
+        oracle.check_standard_order_decomposition_on_chain,
         *(partial(check_continuity, variant=v) for v in CONTINUITY_VARIANTS),
     ]
     return [fields(check(rel)) for check in checks]
@@ -258,9 +259,9 @@ def test_mixtures_onto_two_members_indifferent_to_nothing():
     closed = closed_sets(rel)
     assert all(c.bit_count() == 1 for c in closed)
     for alone in (True, False):
-        assert axioms._first_broken_pair(rel, onto, closed, alone) == (0, 1)
+        assert checker._first_broken_pair(rel, onto, closed, alone) == (0, 1)
     # A map that leaves each class in one group breaks nothing.
-    assert axioms._first_broken_pair(rel, list(range(rel.size)), closed, True) is None
+    assert checker._first_broken_pair(rel, list(range(rel.size)), closed, True) is None
 
 
 @pytest.mark.parametrize("top_key", [0, 1], ids=["indifferent-to-the-rest", "above-the-rest"])
@@ -412,7 +413,7 @@ def test_cap_images_are_the_capped_gathers(shape, block):
     assert [len(cap) for cap in universe.grid_caps] == [block] * (size - 2)
     for wa, cap in enumerate(universe.grid_caps, 1):
         gathered = bytes(top_slice[place_of[tuple(min(v, wa) for v in p)]] for p in places)
-        assert axioms._capped(top_slice, cap, size, wa) == gathered
+        assert checker._capped(top_slice, cap, size, wa) == gathered
 
 
 @pytest.mark.parametrize(

@@ -17,36 +17,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axiom_oracles import check_standard_order_decomposition_on_chain, standard_decomposition
 from axiom_oracles import check_substitutability as oracle_substitutability
 from axiom_oracles import rows_of
-from posdec import axioms
+from posdec import axioms, checker
 from posdec.axioms import (
-    CONTINUITY_VARIANTS,
     FAMILIES,
-    AxiomReport,
     ConfigOutcome,
     EntailmentRun,
-    LotteryUniverse,
-    PreferenceRelation,
     canonical_outcomes,
     canonical_scale,
-    check_continuity,
-    check_qualitative_monotonicity,
-    check_standard_order_decomposition,
-    check_substitutability,
-    check_total_preorder,
-    check_uncertainty_attitude,
     enumerate_assessments,
     enumerate_scalar_configs,
     format_report,
-    induced_relation,
     sample_scalar_configs,
-    search_pair_counterexample,
     verify_entailments,
+)
+from posdec.checker import (
+    CONTINUITY_VARIANTS,
+    AxiomReport,
+    LotteryUniverse,
+    PreferenceRelation,
+    check_continuity,
+    check_qualitative_monotonicity,
+    check_substitutability,
+    check_total_preorder,
+    check_uncertainty_attitude,
+    induced_relation,
 )
 from posdec.cli import load_scenario
 from posdec.lotteries import BoundExceededError, mixture
 from posdec.scales import Scale, ScaleMap, ScaleMismatchError, pair_ge_indices
+from posdec.search import search_pair_counterexample
 from posdec.utilities import (
     ScalarUtilityConfig,
     binary_utility,
@@ -313,7 +315,7 @@ class TestClassForm:
             rel = rel.with_flipped(*fault)
         for battery in FAMILIES.values():
             axioms._run_battery(rel, battery)
-        check_standard_order_decomposition(rel)
+        check_standard_order_decomposition_on_chain(rel)
         assert "rows" not in rel.__dict__
 
 
@@ -499,7 +501,7 @@ class TestSubstitutability:
         finally:
             tracemalloc.stop()
         closed = [row | 1 << a for a, row in enumerate(rel.indifference)]
-        assert len(rel.grid_layouts) == 1 and axioms._suspects(rel, closed, set(closed)) == []
+        assert len(rel.grid_layouts) == 1 and checker._suspects(rel, closed, set(closed)) == []
         assert peak < 8 * len(universe) * len(universe.generators)
 
 
@@ -578,12 +580,12 @@ class TestDecomposition:
     def test_binary_relation_decomposes(self, size):
         universe = LotteryUniverse(canonical_outcomes(2), canonical_scale(size))
         rel = induced_by(universe, partial(binary_utility, a=tiny_assessment(universe)))
-        assert check_standard_order_decomposition(rel).satisfied
+        assert check_standard_order_decomposition_on_chain(rel).satisfied
 
     def test_tiny_case_has_nine_pairs(self, tiny_universe):
         assert len(tiny_universe.standard_info) == 3
         rel = induced_by(tiny_universe, partial(binary_utility, a=tiny_assessment(tiny_universe)))
-        assert check_standard_order_decomposition(rel).satisfied
+        assert check_standard_order_decomposition_on_chain(rel).satisfied
 
     def test_flipped_cross_pair_violates(self, small_universe):
         rel = induced_by(small_universe, partial(binary_utility, a=tiny_assessment(small_universe)))
@@ -591,7 +593,7 @@ class TestDecomposition:
         in_minus = by_value[(2, 1)]
         in_plus = by_value[(1, 2)]
         broken = rel.with_flipped(in_minus, in_plus)
-        report = check_standard_order_decomposition(broken)
+        report = check_standard_order_decomposition_on_chain(broken)
         assert not report.satisfied
 
 
@@ -883,7 +885,7 @@ class TestVerifyEntailments:
         universe = LotteryUniverse(scenario.outcomes, scenario.scale_v)
         cfg = scenario.pessimistic_config
         kwargs = {"scalar_config": cfg, "assessment": scenario.assessment, "seed": 0}
-        first = induced_relation(universe, axioms.pessimistic_keys(universe, cfg))
+        first = induced_relation(universe, checker.pessimistic_keys(universe, cfg))
         i, j = flip
         assert i != j and first.class_of[i] == first.class_of[j]
         faulted = first.with_flipped(i, j)
@@ -915,7 +917,7 @@ class TestVerifyEntailments:
         run = verify_entailments(
             universe, assessment=assessment, sample_size=0, enumerate_max=(1, 1)
         )
-        relation = induced_relation(universe, axioms.binary_keys(universe, assessment))
+        relation = induced_relation(universe, checker.binary_keys(universe, assessment))
         assert len(relation.table) == len(universe) > 256
         assert run.configs[0].reports == axioms._run_battery(relation, FAMILIES["binary"])
         assert not run.unexpected() and run.anomaly_exhibited()
@@ -944,15 +946,15 @@ class TestVerifyEntailments:
         for config, (family, evaluate) in zip(run.configs, families, strict=True):
             fresh = induced_by(universe, evaluate)
             assert config.reports == axioms._run_battery(fresh, FAMILIES[family])
-        keys = axioms.binary_keys(universe, assessment)
-        assert isinstance(keys, bytes) == (levels <= axioms.BYTE_KEY_LEVELS)
+        keys = checker.binary_keys(universe, assessment)
+        assert isinstance(keys, bytes) == (levels <= checker.BYTE_KEY_LEVELS)
         assert len(induced_relation(universe, keys).table) == len(universe) == 2 * levels - 1
         assert not run.unexpected() and run.anomaly_exhibited()
 
     def test_one_partition_in_two_orders_is_checked_twice(self, monkeypatch, small_universe):
         """The relation memo keys on the whole class table, not the classes alone."""
         cfg = enumerate_scalar_configs(small_universe.outcomes, small_universe.scale)[0]
-        keys = axioms.member_keys(axioms.pessimistic_keys(small_universe, cfg))
+        keys = checker.member_keys(checker.pessimistic_keys(small_universe, cfg))
         reversed_keys = [-k for k in keys]
         fold = axioms._keys
 
@@ -1238,14 +1240,14 @@ def test_violated_reports_always_replay(data):
 
 
 @pytest.mark.parametrize("size", range(2, 9))
-@pytest.mark.parametrize("expected", [pair_ge_indices, axioms._standard_decomposition])
+@pytest.mark.parametrize("expected", [pair_ge_indices, standard_decomposition])
 def test_standard_orders_are_chains(size, expected):
     """B2 and its decomposition read each expected order as a chain of
     standard lotteries: each holds of a pair iff the first's place, how
     many it is at least as good as, is at least the second's."""
     scale = Scale(tuple(f".{v}" if 0 < v < size - 1 else str(v // (size - 1)) for v in range(size)))
     universe = LotteryUniverse(canonical_outcomes(3), scale)
-    chain, order = axioms._standard_chain(universe, expected)
+    chain, order = checker._standard_chain(universe, expected)
     places = {i: q for i, q in chain}
     assert sorted(places.values()) == list(range(2 * size - 1))
     assert [places[i] for i in order] == sorted(places.values())
@@ -1261,7 +1263,7 @@ def test_monotonicity_and_decomposition_agree(data):
     """B2 and B2-decomposition state one order on standard lotteries."""
     rel = draw_flipped_relation(data)
     b2 = check_qualitative_monotonicity(rel)
-    union = check_standard_order_decomposition(rel)
+    union = check_standard_order_decomposition_on_chain(rel)
     assert (b2.satisfied, b2.witness) == (union.satisfied, union.witness)
 
 

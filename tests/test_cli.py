@@ -458,6 +458,28 @@ class TestConvertSpohn:
         payload = json.loads(capsys.readouterr().out)
         assert payload["values"] == {"s1": 0, "s2": 1, "s3": "infinity"}
 
+    @pytest.mark.parametrize(
+        "data, direction, values",
+        [
+            pytest.param(
+                {"scale": "1", "s1": ".5"}, "to-disbelief", {"scale": 0, "s1": 1},
+                id="state-labelled-scale",
+            ),
+            pytest.param(
+                {"values": 0, "s1": 0}, "to-possibility", {"values": "1", "s1": "1"},
+                id="state-labelled-values",
+            ),
+        ],
+    )
+    def test_bare_table_may_label_a_state_values_or_scale(
+        self, tmp_path, capsys, data, direction, values
+    ):
+        """Only a document whose ``values`` member is an object is the
+        wrapped form; any other is a table of labels."""
+        path = write_scenario(tmp_path, data, "input.json")
+        assert main(["convert-spohn", path, "--direction", direction]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["values"] == values
+
     def test_cli_round_trip(self, tmp_path, capsys):
         delta_path = write_scenario(
             tmp_path, {"a": 0, "b": 2, "c": 5, "d": "infinity"}, "delta.json"
@@ -635,24 +657,55 @@ class TestConvertSpohn:
         assert err == error.format(path=path) + "\n"
 
 
+# Modules that only some commands load: the checker and its sweeps, the
+# counterexample search, the Spohn bridge and the worked example.
+ON_DEMAND = (
+    "posdec.axioms", "posdec.checker", "posdec.search", "posdec.spohn", "posdec.worked_example",
+)
+
+
 class TestColdStart:
-    @pytest.mark.parametrize(
-        "statement",
-        [
-            "import posdec.cli",
-            f"from posdec.cli import main; main(['rank', '--scenario', {WORKED!r}, "
-            "'--method', 'binary'])",
-        ],
-        ids=["import", "rank"],
-    )
-    def test_checker_is_not_loaded(self, statement):
-        code = f"import sys; {statement}; print('posdec.axioms' in sys.modules)"
+    """What a fresh interpreter loads for each command, with no site
+    packages (which may load ``random`` themselves) and no bytecode."""
+
+    @staticmethod
+    def loaded(statement: str, names) -> list[str]:
+        code = (
+            f"import json, sys; {statement}; "
+            f"print(json.dumps(sorted(set({tuple(names)!r}) & set(sys.modules))))"
+        )
         # A fresh interpreter importing the package this test run imports.
         env = {**os.environ, "PYTHONPATH": str(Path(posdec.__file__).parents[1])}
         done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+            [sys.executable, "-S", "-B", "-c", code],
+            capture_output=True, text=True, check=True, env=env,
         )
-        assert done.stdout.splitlines()[-1] == "False"
+        return json.loads(done.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize(
+        "argv, wanted",
+        [
+            (None, []),
+            (["rank", "--scenario", WORKED, "--method", "binary"], []),
+            (["evaluate", "--scenario", WORKED, "--method", "pessimistic"], []),
+            (["paper-example"], ["posdec.worked_example"]),
+            (["convert-spohn", "{input}", "--direction", "to-possibility"], ["posdec.spohn"]),
+        ],
+        ids=["import", "rank", "evaluate", "paper-example", "convert-spohn"],
+    )
+    def test_commands_load_only_their_modules(self, tmp_path, argv, wanted):
+        statement = "import posdec.cli"
+        if argv is not None:
+            source = write_scenario(tmp_path, {"s1": 0, "s2": 1}, "delta.json")
+            argv = [arg.format(input=source) for arg in argv]
+            statement = f"from posdec.cli import main; main({argv!r})"
+        assert self.loaded(statement, ON_DEMAND) == wanted
+
+    def test_verify_without_a_sample_loads_no_random(self, tmp_path):
+        report = str(tmp_path / "report.txt")
+        argv = ["verify", "--scenario", WORKED, "--sample", "0", "--out", report]
+        statement = f"from posdec.cli import main; main({argv!r})"
+        assert self.loaded(statement, ["posdec.checker", "random"]) == ["posdec.checker"]
 
 
 class TestPaperExample:
@@ -766,6 +819,15 @@ def _set(path, value):
 WRONGLY_SHAPED = [
     pytest.param("outcomes", _set(("outcomes",), ["a", "b"]), id="outcomes-array"),
     pytest.param("outcomes labels", _set(("outcomes", "labels"), "x1"), id="labels-string"),
+    pytest.param("outcomes best", _set(("outcomes", "best"), ["x1"]), id="best-array"),
+    pytest.param("outcomes worst", _set(("outcomes", "worst"), 4), id="worst-number"),
+    pytest.param(
+        "outcomes preference", _set(("outcomes", "preference"), 0), id="preference-number"
+    ),
+    pytest.param(
+        "outcomes preference", _set(("outcomes", "preference"), [["x1"], ["x2", ["x3"]], ["x4"]]),
+        id="preference-class-holding-a-list",
+    ),
     pytest.param("scale_v", _set(("scale_v",), 5), id="scale_v-number"),
     pytest.param("scale_u", _set(("scale_u",), 7), id="scale_u-number"),
     pytest.param("lottery 'pi1'", _set(("lotteries", "pi1"), "x1"), id="lottery-string"),
@@ -880,7 +942,8 @@ ERROR_BRANCHES = [
     pytest.param(RANK, _edited(_drop("outcomes", "best")), EXIT_VALIDATION,
                  "{path}: outcomes: 'best'", id="outcomes-without-best"),
     pytest.param(RANK, _edited(_set(("outcomes", "preference"), 5)), EXIT_VALIDATION,
-                 "{path}: outcomes: 'int' object is not iterable", id="preference-number"),
+                 "{path}: outcomes preference must be a JSON array of arrays of strings",
+                 id="preference-number"),
     pytest.param(RANK, _edited(_set(("states",), [])), EXIT_VALIDATION,
                  "{path}: states: a state space must be non-empty", id="no-states"),
     pytest.param(
@@ -1069,7 +1132,7 @@ class TestSeededEdits:
         assert all(line.endswith(": ok") or ": ScenarioError: <scenario>: " in line
                    for line in lines)
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "020fecdd531b92df8cc58950c03dc45419fd4b227bc3dda7d708b9cd2baab748"
+        assert digest == "c22beb6b9c0be4d6140a4d68d6aceaf6f7c24dbda8418d60b650d9b0e6b1a436"
 
     def test_convert_spohn_inputs_are_pinned(self, tmp_path):
         lines = convert_spohn_lines(tmp_path, seed=25, count=1000)

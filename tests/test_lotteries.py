@@ -6,14 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from posdec.axioms import LotteryUniverse
+from posdec.checker import LotteryUniverse
 from posdec.lotteries import (
-    INFINITY,
-    MAX_DISBELIEF,
     BoundExceededError,
     Decision,
-    DisbeliefBoundError,
-    DisbeliefFunction,
     NormalizationError,
     OutcomeSet,
     StandardLottery,
@@ -21,16 +17,22 @@ from posdec.lotteries import (
     enumerate_distributions,
     enumeration_count,
     event_possibility,
-    format_fraction_label,
-    from_disbelief,
     induced_distribution,
     make_distribution,
     mixture,
     point_mass,
     standard_lotteries,
-    to_disbelief,
 )
 from posdec.scales import Scale
+from posdec.spohn import (
+    INFINITY,
+    MAX_DISBELIEF,
+    DisbeliefBoundError,
+    DisbeliefFunction,
+    format_fraction_label,
+    from_disbelief,
+    to_disbelief,
+)
 
 V4 = Scale(("0", ".5", ".7", "1"), name="V")
 X4 = OutcomeSet(("x1", "x2", "x3", "x4"), best="x1", worst="x4")

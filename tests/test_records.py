@@ -4,11 +4,13 @@ Records (levels, pairs, scales, outcome sets, configurations, reports) are
 plain classes over one base that compares, hashes and shows them by their
 fields: equal only within one class, hashed alike when equal, frozen unless
 declared mutable, and mutable ones unhashable.  Importing the CLI or the
-checker loads no code generator (``dataclasses``, ``inspect``) and no
-``typing``.
+sweeps loads no code generator (``dataclasses``, ``inspect``), no
+``typing`` and no ``random``, and no module is too large to compile below
+the parser's token step.
 """
 
 import copy
+import importlib.util
 import os
 import pickle
 import subprocess
@@ -18,17 +20,13 @@ from pathlib import Path
 import pytest
 
 import posdec
-from posdec.axioms import AxiomReport, ConfigOutcome, EntailmentRun, SearchResult
+from posdec.axioms import ConfigOutcome, EntailmentRun
+from posdec.checker import AxiomReport
 from posdec.cli import parse_scenario
-from posdec.lotteries import (
-    INFINITY,
-    Decision,
-    DisbeliefFunction,
-    OutcomeSet,
-    StandardLottery,
-    StateSpace,
-)
+from posdec.lotteries import Decision, OutcomeSet, StandardLottery, StateSpace
 from posdec.scales import BinaryUtility, Level, Scale, ScaleMap, UtilityPair
+from posdec.search import SearchResult
+from posdec.spohn import INFINITY, DisbeliefFunction
 from posdec.utilities import BinaryUtilityAssessment, Ranking, ScalarUtilityConfig
 from posdec.worked_example import SCENARIO
 
@@ -155,14 +153,15 @@ def test_mutable_records_stay_unhashable():
     assert outcome.family == "pessimistic"
 
 
-def test_cold_import_loads_no_code_generator_or_typing():
+def test_cold_import_loads_no_code_generator_typing_or_random():
     """With no site packages and no bytecode, as a cold ``posdec`` process
-    starts, importing the CLI and the checker leaves these modules unloaded."""
+    starts, importing the CLI and the sweeps leaves these modules unloaded:
+    no record class generates code, and only a sampled sweep draws."""
     src = Path(posdec.__file__).resolve().parent.parent
     code = (
         "import sys\n"
         "import posdec.axioms, posdec.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'random'} & set(sys.modules)))\n"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-B", "-c", code],
@@ -170,3 +169,29 @@ def test_cold_import_loads_no_code_generator_or_typing():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+# The most tokens a module may have: the size of CPython's parser token
+# array just before it doubles.
+TOKEN_STEP = 8192
+
+
+def test_every_module_is_below_the_parser_token_step():
+    """No module of the package has more than ``TOKEN_STEP`` tokens as
+    ``scripts/code_lines.py`` counts them.  CPython's PEG parser (3.11)
+    keeps a module's tokens in an array that it doubles when full, and it
+    allocates a zeroed token struct for every new slot at once.  So the
+    8,193rd token grows the array to 16,384 and adds about 0.5 MB to the
+    compile's peak, which every cold import pays and ``peak_rss_mb``
+    shows.  ``tokenize`` also counts the comments and line breaks that the
+    parser skips, so this bound is the stricter one."""
+    package = Path(posdec.__file__).resolve().parent
+    script = package.parents[1] / "scripts" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", script)
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    tokens = {
+        path.name: code_lines.sizes(path.read_text(encoding="utf-8"))[1]
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {name: n for name, n in tokens.items() if n > TOKEN_STEP} == {}

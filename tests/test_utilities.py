@@ -8,15 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posdec import axioms, utilities
+from posdec import axioms, checker, utilities
 from posdec.axioms import (
-    LotteryUniverse,
-    binary_keys,
     canonical_outcomes,
     canonical_scale,
     enumerate_assessments,
     enumerate_scalar_configs,
     enumerate_scale_maps,
+)
+from posdec.checker import (
+    LotteryUniverse,
+    binary_keys,
     induced_relation,
     member_keys,
     optimistic_keys,
@@ -524,7 +526,7 @@ def assert_folds_agree(universe, keys, given):
     ``BYTE_KEY_LEVELS`` levels take, give the same keys, and relations
     with the same classes, table, grid layouts and memo key."""
     by_grid = keys(universe, given)
-    with mock.patch.object(axioms, "BYTE_KEY_LEVELS", 1):
+    with mock.patch.object(checker, "BYTE_KEY_LEVELS", 1):
         by_member = keys(universe, given)
     assert isinstance(by_grid, bytes) and len(by_grid) == universe.grid_size
     assert isinstance(by_member, list) and list(member_keys(by_grid)) == by_member
