@@ -18,11 +18,13 @@ closes it under level shifts: every place then sees the classes above
 (or below) it.  Substitutability builds each class's "equal or
 indifferent" set once and tries each mixture with a point mass, which
 generate every other, once: where those sets are the blocks of an
-equivalence on one layout, it cuts the mixture's image of the blocks'
-layout by slicing and translates, with no gather, and tests it with one
-translate; otherwise it tries every mixture's member map.  One pair
-finder, reading the same sets, names the witness from the first mixture
-that breaks it.
+equivalence on one layout, it tests the mixtures in order, each on the
+rows of the blocks' layout that it moves once the mixtures before it
+keep the sets.  Their image, cut by slicing and translates with 0xff
+left at the places that hold no member, must follow from one map of
+blocks, which one maketrans and a translate or two decide; otherwise it
+tries every mixture's member map.  One pair finder, reading the same
+sets, names the witness from the first mixture that breaks it.
 Members are addressed by their place in the level grid: a mixture with
 a point mass folds per-prize image tables over it, and a raise is one
 stride.  Every check stays complete and returns the first concrete
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, reduce
 
 from . import lotteries
@@ -152,28 +154,19 @@ class LotteryUniverse:
     def grid_scatter(self) -> operator.itemgetter:
         """Gather of a member sequence, one entry appended, onto the grid:
         member i's entry at its place, the appended one where no member is."""
-        flags = self.grid_members.to_bytes(self.grid_size, "big")
-        cells = zip(itertools.product(self.base, range(len(self.scale))), flags)
-        places = [b + v if f else len(self) for (b, v), f in cells]
+        cells = zip(itertools.product(self.base, range(len(self.scale))), self.grid_holes)
+        places = [len(self) if h else b + v for (b, v), h in cells]
         # Gathered from one int per member, so places share them.
         return operator.itemgetter(*operator.itemgetter(*places)([*range(len(self) + 1)]))
 
     @cached_property
-    def grid_members(self) -> int:
-        """Byte 0xff at each grid place that holds a member, 0 elsewhere,
-        first place highest, as one int."""
-        size, top = len(self.scale), len(self.scale) - 1
-        # Below the top, a first prize's places hold members as the rest's do.
-        flags = reduce(
-            lambda f, d: f * top + b"\xff" * size**d, range(len(self.outcomes.labels)), b"\0"
+    def grid_holes(self) -> bytes:
+        """Byte 0xff at each grid place that holds no member, 0 elsewhere."""
+        top = len(self.scale) - 1
+        # Below the top, a first prize's places are holes where the rest's are.
+        return reduce(
+            lambda f, d: f * top + bytes((top + 1)**d), range(len(self.outcomes.labels)), b"\xff"
         )
-        return int.from_bytes(flags, "big")
-
-    @cached_property
-    def grid_holes(self) -> int:
-        """Byte 0xff at each grid place that holds no member, 0 elsewhere,
-        first place highest, as one int."""
-        return self.grid_members ^ (1 << 8 * self.grid_size) - 1
 
     @cached_property
     def grid_moves(self) -> list[tuple[int, int]]:
@@ -190,14 +183,18 @@ class LotteryUniverse:
 
     @cached_property
     def grid_caps(self) -> list[bytes]:
-        """Per cap level wa = 1 .. top - 1, position bytes over a block of
-        the innermost prizes' levels, as many prizes as fit 256 places and
-        at most |X| - 1: each place's capped place.  A capped block is the
-        position bytes translated through the block."""
+        """Per level wa = 1 .. top, position bytes over a block of the
+        innermost prizes' levels, as many prizes as fit 255 places and at
+        most |X| - 1: below the top, each place's place capped at wa; at the
+        top, each place that holds a top level, and 255 at the others.  A
+        capped block, or at the top one punched to 0xff where no prize is
+        at the top, is the position bytes translated through the block."""
         size, others = len(self.scale), len(self.outcomes.labels) - 1
-        inner = next(m for m in range(others, -1, -1) if size**m <= 256)
-        return [bytes(_places(size, [[min(v, wa) for v in range(size)]] * inner))
+        inner = next(m for m in range(others, -1, -1) if size**m < 256)
+        caps = [bytes(_places(size, [[min(v, wa) for v in range(size)]] * inner))
                 for wa in range(1, size - 1)]
+        # The grid's first places run over the innermost prizes' levels.
+        return caps + [bytes(map(max, range(size**inner), self.grid_holes))]
 
 
 def _places(size: int, tables: Sequence[Sequence[int]]) -> list[int]:
@@ -353,7 +350,7 @@ def _keys(
     if second:
         # No byte borrows: at every place, f + top - s is at least 0.
         folded += int.from_bytes(bytes([top]) * universe.grid_size, "big") - _fold(second, False)
-    return (folded | universe.grid_holes).to_bytes(universe.grid_size, "big")
+    return (folded | int.from_bytes(universe.grid_holes, "big")).to_bytes(universe.grid_size, "big")
 
 
 def pessimistic_keys(universe: LotteryUniverse, cfg: ScalarUtilityConfig) -> bytes | list[int]:
@@ -568,52 +565,65 @@ def check_substitutability(r: PreferenceRelation) -> AxiomReport:
 def _suspects(r: PreferenceRelation, closed: list[int], blocks: set[int]) -> list[tuple]:
     """The first generator, in key order, that breaks "equal or
     indifferent", if any, where it is an equivalence whose ``blocks`` are
-    the distinct ``closed`` sets and r's classes fill one layout.  Its
-    blocks are laid out per prize, prize outermost: a raise to v is the
-    slice at v v times and the tail from v; a cap, the top slice capped
-    (``_capped``), size times.
+    the distinct ``closed`` sets and r's classes fill one layout: the first
+    whose moved rows (``_moves``) go to their image by no one map of
+    blocks that also sends each block of the rows it keeps to itself.
+    0xff marks the places that hold no member in the rows and the images
+    alike; it is no block's number, and a generator sends members to
+    members, so 0xff goes to itself and the test is exact.
     """
-    universe, layout = r.universe, r.grid_layouts[0]
-    members, caps, generators = universe.grid_members, universe.grid_caps, iter(universe.generators)
-    size, span = len(universe.scale), len(layout)
-    level = span // size
+    layout = r.grid_layouts[0]
     if len(blocks) < len(closed):
         # Classes indifferent to others: each block is numbered by its first class.
         layout = layout.translate(bytes(map(closed.index, closed)).ljust(256, b"\xff"))
-    for q in range(len(universe.outcomes.labels)):
-        if q:
-            # The outermost prize moves innermost: prize q is now outermost.
-            turned = bytearray(span)
-            for v in range(size):
-                turned[v::size] = layout[v * level:(v + 1) * level]
-            layout = turned
-        raised = (layout[v * level:][:level] * v + layout[v * level:] for v in range(1, size))
-        capped = (_capped(layout[-level:], cap, size, wa) * size for wa, cap in enumerate(caps, 1))
-        # One image at a time, in generator order, so no more than one is held.
-        for image, generator in zip(itertools.chain(raised, capped), generators):
-            # Keeping it is sending each block to its image at its last place;
-            # places with no member may differ.
-            expected = layout.translate(bytes.maketrans(layout, image))
-            if expected != image and (
-                int.from_bytes(image, "big") ^ int.from_bytes(expected, "big")
-            ) & members:
-                return [generator]
+    for generator, (head, image, tail) in zip(r.universe.generators, _moves(r.universe, layout)):
+        moved = bytes.maketrans(head, image)
+        if head.translate(moved) != image or tail.translate(moved) != tail:
+            return [generator]
     return []
+
+
+def _moves(universe: LotteryUniverse, layout: bytes) -> Iterator[tuple]:
+    """Per generator, in key order, the rows of ``layout`` it moves, their
+    image, and the rows it keeps.  The layout is turned so that the
+    generator's prize is outermost, a row per level of it.  A raise to v
+    is itself after the raise to v - 1 (the raise to 0 moves nothing), and
+    a cap is itself after the raise to the top.  So once the generators
+    before it keep "equal or indifferent", a generator keeps it iff it
+    keeps it on the rows the one before maps onto: a raise to v sends row
+    v - 1 to row v, whose holes it shares below the top and is punched to
+    at the top (``_capped``), and keeps the rows from v; a cap sends the
+    top row, which holds no hole, to itself capped (``_capped``)."""
+    caps, size = universe.grid_caps, len(universe.scale)
+    level = len(layout) // size
+    for _ in universe.outcomes.labels:
+        *rows, row = parts = [layout[v * level:(v + 1) * level] for v in range(size)]
+        *capped, punched = [_capped(row, cap, size, wa) for wa, cap in enumerate(caps, 1)]
+        for v, image in enumerate([*rows[1:], punched], 1):
+            yield rows[v - 1], image, layout[v * level:]
+        for image in capped:
+            yield row, image, b""
+        # The outermost prize moves innermost: the next prize is outermost.
+        layout = bytearray(len(layout))
+        for v, part in enumerate(parts):
+            layout[v::size] = part
 
 
 def _capped(part: bytes, block: bytes, size: int, wa: int) -> bytes:
     """A slice over the grid of some prizes' levels with each level capped
-    at wa: slices per level of the outermost prize, down to the innermost
-    prizes' blocks, each one translate through its position bytes
-    ``block`` (``grid_caps``); a prize of more levels than a block holds
-    places, with no block below it, is sliced alone."""
+    at wa < top, or at wa = top punched: 0xff at each place where no prize
+    is at the top.  Slices per level of the outermost prize, down to the
+    innermost prizes' blocks, each one translate through its position bytes
+    ``block`` (``grid_caps``); a punched slice at the top level holds the
+    top everywhere and is kept.  Under a prize of more levels than 255 the
+    blocks are single places."""
     if len(part) == len(block):
-        return block.translate(part.ljust(256, b"\0"))
-    sub = len(part) // size
-    head = part[:wa + 1] if sub == 1 else b"".join(
-        [_capped(part[v * sub:(v + 1) * sub], block, size, wa) for v in range(wa + 1)]
+        return block.translate(part.ljust(256, b"\xff"))
+    sub, top = len(part) // size, size - 1
+    head = b"".join(
+        [_capped(part[v * sub:][:sub], block, size, wa) for v in range(min(wa + 1, top))]
     )
-    return head + head[-sub:] * (size - 1 - wa)
+    return head + (head[-sub:] * (top - wa) if wa < top else part[-sub:])
 
 
 def _first_broken_pair(r: PreferenceRelation, f: list, closed: list, alone: bool) -> tuple | None:

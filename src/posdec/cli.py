@@ -467,4 +467,5 @@ def entry_point() -> None:
 
 
 if __name__ == "__main__":
+    sys.modules["posdec.cli"] = sys.modules[__name__]  # one copy for the command modules
     entry_point()

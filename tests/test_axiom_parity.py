@@ -15,6 +15,7 @@ exactly as the relation they came from.
 """
 
 import itertools
+import operator
 import random
 from functools import partial
 
@@ -396,24 +397,30 @@ CAP_SHAPES = {"4x5": (4, 5), "5x5": (5, 5), "6x6": (6, 6), "2x300": (2, 300)}
 
 
 @pytest.mark.parametrize(
-    "shape, block", [(CAP_SHAPES[k], b) for k, b in zip(CAP_SHAPES, (125, 125, 216, 1))],
-    ids=list(CAP_SHAPES),
+    "shape, block",
+    [(CAP_SHAPES[k], b) for k, b in zip(CAP_SHAPES, (125, 125, 216, 1))] + [((5, 4), 64)],
+    ids=[*CAP_SHAPES, "5x4"],
 )
 def test_cap_images_are_the_capped_gathers(shape, block):
-    """Every cap of a random top slice is its gather at the capped places:
-    one translate of a 125-place block (4x5), slices over the outer prizes
-    of 125- and 216-place blocks (5x5, 6x6), and one prize of 300 levels
-    by slicing alone (2x300)."""
+    """Every cap of a random top slice is its gather at the capped places,
+    and the slice punched at the top is 0xff wherever no prize is at the
+    top and the slice elsewhere: one translate of a 125-place block (4x5),
+    slices over the outer prizes of 125-, 216- and 64-place blocks (5x5,
+    6x6, and 5x4, whose 256 places are one more than a block holds), and
+    one prize of 300 levels over single places (2x300)."""
     universe = cap_universe(shape)
     size = len(universe.scale)
+    top = size - 1
     places = list(itertools.product(range(size), repeat=shape[0] - 1))
     place_of = {levels: p for p, levels in enumerate(places)}
     rng = random.Random(f"caps-{shape}")
     top_slice = bytes(rng.randrange(256) for _ in places)
-    assert [len(cap) for cap in universe.grid_caps] == [block] * (size - 2)
-    for wa, cap in enumerate(universe.grid_caps, 1):
+    assert [len(cap) for cap in universe.grid_caps] == [block] * top
+    for wa, cap in enumerate(universe.grid_caps[:-1], 1):
         gathered = bytes(top_slice[place_of[tuple(min(v, wa) for v in p)]] for p in places)
         assert checker._capped(top_slice, cap, size, wa) == gathered
+    punched = bytes(top_slice[i] if top in p else 0xFF for i, p in enumerate(places))
+    assert checker._capped(top_slice, universe.grid_caps[-1], size, top) == punched
 
 
 @pytest.mark.parametrize(
@@ -458,16 +465,112 @@ def test_substitutability_on_the_cap_shapes_matches_the_oracle(name, kinds):
             assert wa < top and report.witness[3] == wa
 
 
+IMAGE_SHAPES = [(nx, nv) for nx in (2, 3, 4) for nv in (2, 3, 4, 5)] + [(5, 4), (5, 5), (2, 300)]
+
+
+@pytest.mark.parametrize("shape", IMAGE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_moved_rows_are_the_generator_gathers(shape):
+    """For every generator, the rows the grid test moves, their image and
+    the rows it keeps (``_moves``) are cut from the layout turned so that
+    the generator's prize is outermost, and the image is that layout
+    gathered through ``generator_map`` at the moved rows' members, with
+    0xff at every place that holds none.  The layouts number each member
+    by its base-255 digits, one layout per digit, so equal digits at every
+    place mean the same member.  5x4 has rows of 256 places, one more than
+    a block holds; 5x5 has rows of five blocks; 2x300 a prize longer than a
+    block."""
+    universe = cap_universe(shape)
+    prizes, top = shape[0], len(universe.scale) - 1
+    size, n = top + 1, len(universe)
+    level = size ** (prizes - 1)
+    member_at = universe.grid_scatter([*range(n), None])
+    strides = [size ** (prizes - 1 - p) for p in range(prizes)]
+    masses = list(universe.point_mass_index.values())
+    # Per prize q, the member at each place of the grid with prize q outermost.
+    turned = [
+        [member_at[sum(map(operator.mul, levels, strides[q:] + strides[:q]))]
+         for levels in itertools.product(range(size), repeat=prizes)]
+        for q in range(prizes)
+    ]
+    assert n <= 255**2
+    for d in range(2):
+        def digits(members):
+            return bytes(0xFF if m is None else m // 255**d % 255 for m in members)
+
+        layouts = [digits(members) for members in turned]
+        moves = checker._moves(universe, layouts[0])
+        for (k, wa, wb), (head, image, tail) in zip(universe.generators, moves, strict=True):
+            q = masses.index(k)
+            # A raise to v moves row v - 1; a cap, the top row.
+            start = top * level if wa < top else (wb - 1) * level
+            moved = slice(start, start + level)
+            assert head == layouts[q][moved], (k, wa, wb)
+            assert tail == (b"" if wa < top else layouts[q][moved.stop:]), (k, wa, wb)
+            f = universe.generator_map(k, wa, wb)
+            assert image == digits(None if m is None else f[m] for m in turned[q][moved]), (k, wa, wb)
+
+
+def first_breaking_generator(rel, maps):
+    """The first generator, in key order, whose member map in ``maps``
+    breaks "equal or indifferent", found by trying each with the pair
+    finder."""
+    closed = closed_sets(rel)
+    for generator, f in zip(rel.universe.generators, maps):
+        if checker._first_broken_pair(rel, f, closed, False) is not None:
+            return [generator]
+    return []
+
+
+def enumerated_relations(universe):
+    """Every distinct relation the enumerated scalar configurations and
+    assessments induce on the universe."""
+    outcomes, scale = universe.outcomes, universe.scale
+    keys = [fold(universe, cfg) for cfg in enumerate_scalar_configs(outcomes, scale)
+            for fold in (pessimistic_keys, optimistic_keys)]
+    keys += [binary_keys(universe, a) for a in enumerate_assessments(outcomes, scale)]
+    relations = {}
+    for key in keys:
+        rel = induced_relation(universe, key)
+        relations.setdefault((bytes(rel.class_of), tuple(rel.table)), rel)
+    return list(relations.values())
+
+
+@pytest.mark.parametrize(
+    "shape, flips",
+    [((nx, nv), True) for nx in (2, 3) for nv in (2, 3, 4)] + [((5, 4), False)],
+    ids=lambda v: f"{v[0]}x{v[1]}" if isinstance(v, tuple) else ("flips" if v else "no-flips"),
+)
+def test_grid_suspect_is_the_first_generator_that_breaks(shape, flips):
+    """The grid test names the generator that trying every generator's
+    member map names first, or none when none breaks, on every relation
+    the enumerated configurations induce and, up to 3x4, on every one-entry
+    flip of them that leaves "equal or indifferent" an equivalence."""
+    universe = cap_universe(shape)
+    maps = [universe.generator_map(*generator) for generator in universe.generators]
+    relations = enumerated_relations(universe)
+    if flips:
+        relations += [rel.with_flipped(i, j) for rel in relations
+                      for i, j in itertools.product(range(len(universe)), repeat=2)]
+    decided = broken = 0
+    for rel in relations:
+        closed = closed_sets(rel)
+        if len(rel.grid_layouts) > 1 or sum(map(int.bit_count, set(closed))) != len(closed):
+            continue
+        suspects = grid_suspects(rel)
+        assert suspects == first_breaking_generator(rel, maps)
+        decided, broken = decided + 1, broken + bool(suspects)
+    assert decided and (broken or not flips)
+
+
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 4), (4, 5)], ids=lambda s: f"{s[0]}x{s[1]}")
 def test_key_tables_match_the_relation_rebuilt_from_rows(shape):
     """The table, columns, indifference and first members that sorted keys
     give, as grid bytes or as a member list, are what a relation derives
     from its rows, for random keys with ties."""
     universe = LotteryUniverse(canonical_outcomes(shape[0]), canonical_scale(shape[1]))
-    flags = universe.grid_members.to_bytes(universe.grid_size, "big")
     rng = random.Random(f"keys-{shape}")
     for distinct in (1, 2, 5, 40, 255):
-        keys = bytes(rng.randrange(distinct) if f else 255 for f in flags)
+        keys = bytes(255 if hole else rng.randrange(distinct) for hole in universe.grid_holes)
         values = member_keys(keys)
         rows = [sum(1 << j for j, b in enumerate(values) if a >= b) for a in values]
         expected = PreferenceRelation(universe, rows)

@@ -201,8 +201,8 @@ class TestLotteryUniverse:
     def test_members_are_addressed_by_grid_place(self, nx, nv):
         """``index`` gives each member's position.  In the full grid of
         level tuples (``grid_scatter``), each member sits at its place, no
-        member at a tuple without the top level, ``grid_members`` flags
-        exactly the places members hold, and a raise is the member one
+        member at a tuple without the top level, ``grid_holes`` flags
+        exactly the places no member holds, and a raise is the member one
         stride on, the member one level higher at one prize; the moves reach
         every place pointwise below.  ``base`` never outgrows the universe, even
         where the full grid is 25 times its size (2 prizes, 50 levels)."""
@@ -221,8 +221,7 @@ class TestLotteryUniverse:
             return sum(map(operator.mul, levels, strides))
 
         assert member_at.count(None) == top**nx
-        flags = [0x00 if i is None else 0xFF for i in member_at]
-        assert universe.grid_members == int.from_bytes(bytes(flags), "big")
+        assert universe.grid_holes == bytes(0xFF if i is None else 0 for i in member_at)
         for i, vt in enumerate(vts):
             assert member_at[place(vt)] == i
             assert [member_at[place(vt) + s] for s, v in zip(strides, vt) if v < top] == [
@@ -461,7 +460,7 @@ class TestSubstitutability:
         assessment = enumerate_assessments(universe.outcomes, universe.scale)[-1]
         rel = induced_by(universe, partial(binary_utility, a=assessment))
         # Built here, so the test times the check alone.
-        universe.grid_scatter, universe.grid_members, universe.grid_caps
+        universe.grid_scatter, universe.grid_caps
         return rel
 
     @pytest.mark.parametrize("end", ["first", "last"])

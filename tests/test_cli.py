@@ -707,6 +707,32 @@ class TestColdStart:
         statement = f"from posdec.cli import main; main({argv!r})"
         assert self.loaded(statement, ["posdec.checker", "random"]) == ["posdec.checker"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["paper-example"], ["convert-spohn", "{input}", "--direction", "to-possibility"]],
+        ids=["paper-example", "convert-spohn"],
+    )
+    def test_module_run_loads_the_cli_once(self, tmp_path, argv):
+        """``python -m posdec.cli`` runs the CLI as ``__main__``; the
+        command's own module imports ``posdec.cli`` and gets that one, so
+        no import of it shows, and the output is byte for byte that of
+        ``main`` run from an import."""
+        source = write_scenario(tmp_path, {"s1": 0, "s2": 1}, "delta.json")
+        argv = [arg.format(input=source) for arg in argv]
+        env = {**os.environ, "PYTHONPATH": str(Path(posdec.__file__).parents[1])}
+        runs = [
+            ["-X", "importtime", "-m", "posdec.cli", *argv],
+            ["-c", f"import sys; from posdec.cli import main; sys.exit(main({argv!r}))"],
+        ]
+        by_module, by_import = (
+            subprocess.run([sys.executable, "-S", "-B", *run], capture_output=True, env=env)
+            for run in runs
+        )
+        assert by_module.returncode == by_import.returncode == EXIT_OK
+        imported = [line.rsplit(b"|", 1)[-1].strip() for line in by_module.stderr.splitlines()]
+        assert b"posdec.lotteries" in imported and b"posdec.cli" not in imported
+        assert by_module.stdout == by_import.stdout != b""
+
 
 class TestPaperExample:
     def test_contains_expected_rows(self, capsys):
