@@ -9,13 +9,13 @@ utility, at most 2|V| - 1 whatever the size of the universe, and a
 flipped entry adds at most two.  Every axiom holds or fails for whole
 classes, so no check reads the n^2 member rows (``rows``, built only on
 request): total preorder, continuity and the standard-lottery order are
-decided on the table; the last reads each standard member's class row as
-a bitset against the chain its expected order places it on.  Uncertainty
-attitude and substitutability read the classes laid out over the full
-grid of level tuples.  Attitude gives
-each place a byte, a bit per class for eight classes at a time, and
-closes it under level shifts: every place then sees the classes above
-(or below) it.  Substitutability builds each class's "equal or
+decided on the table.  The last two read the standard members indexed by
+binary rank (``LotteryUniverse.standard``), and the order reads each
+one's class row as a bitset against the ranks below and above its own.
+Uncertainty attitude and substitutability read the classes laid out over
+the full grid of level tuples.  Attitude gives each place a byte, a bit
+per class for eight classes at a time, and closes it under level shifts:
+every place then sees the classes above (or below) it.  Substitutability builds each class's "equal or
 indifferent" set once and tries each mixture with a point mass, which
 generate every other, once: where those sets are the blocks of an
 equivalence on one layout, it tests the mixtures in order, each on the
@@ -51,7 +51,7 @@ from functools import cached_property, reduce
 
 from . import lotteries
 from .lotteries import OutcomeSet
-from .scales import Scale, _Record, pair_ge_indices
+from .scales import Scale, _Record
 from .utilities import BinaryUtilityAssessment, ScalarUtilityConfig
 
 
@@ -100,17 +100,17 @@ class LotteryUniverse:
         def at(levels: dict) -> int:
             return self.index([levels.get(x, 0) for x in labels])
 
-        self.point_mass_index = {x: at({x: top}) for x in labels}
-        self.standard_info: list[tuple[int, int, int]] = sorted(
-            (at({outcomes.best: l, outcomes.worst: m}), l, m)
-            for l, m in itertools.product(range(size), repeat=2) if top in (l, m)
-        )
-        self.best_half_ids = tuple(i for i, l, m in self.standard_info if l == top)
-        self.worst_half_ids = tuple(i for i, l, m in self.standard_info if m == top)
-        # Per expected order on standard lotteries, its chain (``_standard_chain``).
-        self.standard_chains: dict = {}
+        self.point_masses = [at({x: top}) for x in labels]
+        # The standard member at each binary rank r (``pair_rank``), lowest
+        # first: weights (r, top) up to the top rank, (top, 2 * top - r) on.
+        self.standard = [
+            at({outcomes.best: min(r, top), outcomes.worst: min(2 * top - r, top)})
+            for r in range(2 * top + 1)
+        ]
+        # (member, rank) per standard member in member order: B2's witness scan.
+        self.standard_scan = sorted((i, r) for r, i in enumerate(self.standard))
         weights = [(top, v) for v in range(1, size)] + [(wa, top) for wa in range(1, top)]
-        self.generators = [(k, *w) for k in self.point_mass_index.values() for w in weights]
+        self.generators = [(k, *w) for k in self.point_masses for w in weights]
 
     def __len__(self) -> int:
         return len(self.members)
@@ -139,7 +139,7 @@ class LotteryUniverse:
         v goes to min(v, wa), and at k's top prize to max(min(v, wa), wb).
         """
         images = [[min(v, wa) for v in range(len(self.scale))]] * len(self.outcomes.labels)
-        q = list(self.point_mass_index.values()).index(k)
+        q = self.point_masses.index(k)
         images[q] = [max(v, wb) for v in images[q]]
         places, last_levels = self.grid_gathers
         grid = operator.itemgetter(*_places(len(self.scale), images[:-1]))(self.base)
@@ -663,23 +663,18 @@ def check_continuity(r: PreferenceRelation, variant: str) -> AxiomReport:
 
     The scalar-style variants quantify over every lottery in the universe;
     the weakened ones only over the point masses of prizes.  Targets are
-    the full standard set or one of its halves.  A source passes iff its
-    class is indifferent to the class of some target.
+    the standard members (``universe.standard``) of every binary rank, of
+    the best-possible half (ranks from top on, for A4-/B4-) or of the
+    worst-possible half (ranks up to top, for A4+/B4+).  A source passes
+    iff its class is indifferent to the class of some target.
     """
     if variant not in CONTINUITY_VARIANTS:
         raise ValueError(f"unknown continuity variant {variant!r}")
     universe = r.universe
-    if variant.startswith("A4"):
-        # Twins pass or fail together: the first member of each class.
-        sources: Iterable[int] = r.first_members
-    else:
-        sources = universe.point_mass_index.values()
-    if variant.endswith("-"):
-        targets = universe.best_half_ids
-    elif variant.endswith("+"):
-        targets = universe.worst_half_ids
-    else:
-        targets = tuple(i for i, _, _ in universe.standard_info)
+    std, top = universe.standard, len(universe.scale) - 1
+    targets = std[top:] if variant.endswith("-") else std[:top + 1] if variant.endswith("+") else std
+    # Twins pass or fail together: the first member of each class.
+    sources = r.first_members if variant.startswith("A4") else universe.point_masses
     cls = r.class_of
     target_classes = sum({1 << cls[t] for t in targets})
     ind = r.indifference
@@ -693,59 +688,31 @@ def check_continuity(r: PreferenceRelation, variant: str) -> AxiomReport:
     return AxiomReport(variant, True)
 
 
-def _standard_chain(universe: LotteryUniverse, expected) -> tuple[list, list]:
-    """Standard members on the chain that ``expected`` orders them in:
-    ``expected(la, ma, lb, mb, top)`` holds of those with weights (la, ma)
-    and (lb, mb) iff the first's place is at least the second's, so a
-    member's place is how many it is at least as good as, less one.  Gives
-    (member, place) per standard member in ``standard_info`` order, and the
-    members from the lowest place up; kept per universe."""
-    chain = universe.standard_chains.get(expected)
-    if chain is None:
-        std, top = universe.standard_info, len(universe.scale) - 1
-        chain = [
-            (i, sum(expected(la, ma, lb, mb, top) for _, lb, mb in std) - 1) for i, la, ma in std
-        ]
-        order = [i for i, _ in sorted(chain, key=operator.itemgetter(1))]
-        chain = universe.standard_chains[expected] = chain, order
-    return chain
-
-
-def _first_standard_mismatch(r: PreferenceRelation, expected) -> tuple[int, int] | None:
-    """First standard pair (ia, ib) whose entry differs from ``expected``'s
-    chain (``_standard_chain``); pairs are scanned in ``standard_info``
-    order, ia outer.
-
-    Standard member ia's entries match iff its class row holds the class
-    of every standard member at or below its place and of none above it.
-    """
-    chain, order = _standard_chain(r.universe, expected)
-    cls, table = r.class_of, r.table
-    placed = [1 << cls[i] for i in order]
-    below = [*itertools.accumulate(placed, operator.or_)]
-    above = [*itertools.accumulate(placed[:0:-1], operator.or_)][::-1] + [0]
-    for ia, q in chain:
-        row = table[cls[ia]]
-        if row & below[q] != below[q] or row & above[q]:
-            return ia, next(i for i, p in chain if (row >> cls[i] & 1) != (p <= q))
-    return None
-
-
-
 def check_qualitative_monotonicity(r: PreferenceRelation) -> AxiomReport:
     """On standard lotteries, preference must equal the three-case pair order.
 
     Both directions are checked: the biconditional, not just sufficiency.
+    The pair order is the order of binary ranks, so the standard member of
+    rank q (``universe.standard``) must be at least as good as exactly the
+    standard members of rank q or below.  The witness is the first
+    mismatched pair (ia, ib) in member order, ia outer.
     """
-    universe = r.universe
-    bad = _first_standard_mismatch(r, pair_ge_indices)
-    if bad is None:
-        return AxiomReport("B2", True)
-    ia, ib = bad
-    direction = "holds but the pair order denies it" if r.at_least(ia, ib) \
-        else "fails but the pair order requires it"
-    return AxiomReport(
-        "B2", False, bad,
-        f"qualitative monotonicity fails: {universe.describe(ia)} >= "
-        f"{universe.describe(ib)} {direction}",
-    )
+    universe, cls, table = r.universe, r.class_of, r.table
+    # Member ia of rank q matches iff its class row holds the class of
+    # every standard member up to rank q and of none above it.
+    placed = [1 << cls[i] for i in universe.standard]
+    below = [*itertools.accumulate(placed, operator.or_)]
+    above = [*itertools.accumulate(placed[:0:-1], operator.or_)][::-1] + [0]
+    scan = universe.standard_scan
+    for ia, q in scan:
+        row = table[cls[ia]]
+        if row & below[q] != below[q] or row & above[q]:
+            ib = next(i for i, p in scan if (row >> cls[i] & 1) != (p <= q))
+            direction = "holds but the pair order denies it" if row >> cls[ib] & 1 \
+                else "fails but the pair order requires it"
+            return AxiomReport(
+                "B2", False, (ia, ib),
+                f"qualitative monotonicity fails: {universe.describe(ia)} >= "
+                f"{universe.describe(ib)} {direction}",
+            )
+    return AxiomReport("B2", True)

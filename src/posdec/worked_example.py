@@ -48,28 +48,6 @@ ENCODED_ASSESSMENT = {
     "x4": ["1", "1"],
 }
 
-# A two-prize scenario exercising the tie the scalar pessimistic criterion
-# produces between the sure worst prize and the both-fully-possible lottery.
-ANOMALY_SCENARIO = {
-    "scale_v": ["0", "1"],
-    "outcomes": {
-        "labels": ["good", "bad"],
-        "best": "good",
-        "worst": "bad",
-        "preference": [["good"], ["bad"]],
-    },
-    "lotteries": {
-        "hope": {"good": "1", "bad": "1"},
-        "sure_worst": {"good": "0", "bad": "1"},
-    },
-    "assessment": {"good": ["1", "0"], "bad": ["0", "1"]},
-    "pessimistic_config": {
-        "u": {"good": "1", "bad": "0"},
-        "n": {"0": "1", "1": "0"},
-        "h": {"0": "0", "1": "1"},
-    },
-}
-
 
 def paper_example_lines() -> list[str]:
     """The bundled worked example, every intermediate table recomputed."""

@@ -14,15 +14,15 @@ The configuration generators here label each prize through a dict and
 build every configuration through its public constructor, one outcome
 set per configuration; the sweep's generators build them from key tuples.
 
-No battery checks the decomposition of the standard-lottery order into
-its two halves, so that check lives here, on the plain pair scan and on
-the checker's chain scan (``check_standard_order_decomposition_on_chain``).
+The standard lotteries are found here by their levels
+(``standard_members``), never read from the universe.  No battery checks
+the decomposition of the standard-lottery order into its two halves, so
+that check lives here alone, on the plain pair scan.
 """
 
 import itertools
 import random
 
-from posdec import checker
 from posdec.axioms import canonical_outcomes, canonical_scale, enumerate_scale_maps
 from posdec.checker import AxiomReport, PreferenceRelation
 from posdec.lotteries import OutcomeSet, standard_lotteries
@@ -259,7 +259,7 @@ def check_substitutability_by_generators(r, axiom_id="B3"):
     return AxiomReport(axiom_id, True)
 
 
-def _standard_members(universe):
+def standard_members(universe):
     """(member, best weight, worst weight) of each standard lottery, in
     member order: the members at level 0 on every prize but the best and
     the worst, with one of those two at the top."""
@@ -274,7 +274,7 @@ def _standard_members(universe):
 
 def _first_standard_mismatch(r, expected):
     """First standard pair (ia, ib), ia outer, whose entry is not ``expected``'s."""
-    std, top = _standard_members(r.universe), len(r.universe.scale) - 1
+    std, top = standard_members(r.universe), len(r.universe.scale) - 1
     for ia, la, ma in std:
         for ib, lb, mb in std:
             if r.at_least(ia, ib) != expected(la, ma, lb, mb, top):
@@ -314,11 +314,10 @@ def standard_decomposition(la, ma, lb, mb, top):
     return best_half or worst_half or (la == top and mb == top)
 
 
-def check_standard_order_decomposition(r, scan=_first_standard_mismatch):
+def check_standard_order_decomposition(r):
     """Every standard pair against the three-part union
-    (``standard_decomposition``), found by ``scan``: by default one pair at
-    a time."""
-    bad = scan(r, standard_decomposition)
+    (``standard_decomposition``), one pair at a time."""
+    bad = _first_standard_mismatch(r, standard_decomposition)
     if bad is None:
         return AxiomReport("B2-decomposition", True)
     ia, ib = bad
@@ -329,11 +328,32 @@ def check_standard_order_decomposition(r, scan=_first_standard_mismatch):
     )
 
 
-def check_standard_order_decomposition_on_chain(r):
-    """The same check on the checker's scan of the standard lotteries'
-    chain (``posdec.checker._first_standard_mismatch``), which B2 runs on
-    the pair order."""
-    return check_standard_order_decomposition(r, checker._first_standard_mismatch)
+def check_continuity(r, variant):
+    """Each source in order, the members (A4) or the point masses in label
+    order (B4), against the standard members of the variant's targets:
+    those at the top best weight (A4-/B4-), at the top worst weight
+    (A4+/B4+) or all (B4).  The first source indifferent to none fails."""
+    universe = r.universe
+    top, prizes = len(universe.scale) - 1, len(universe.outcomes.labels)
+    index_of = {t: i for i, t in enumerate(universe.value_tuples)}
+    if variant.startswith("A4"):
+        sources = range(r.size)
+    else:
+        sources = [index_of[tuple(top if q == p else 0 for q in range(prizes))]
+                   for p in range(prizes)]
+    targets = [
+        i for i, l, m in standard_members(universe)
+        if not variant.endswith("-") or l == top
+        if not variant.endswith("+") or m == top
+    ]
+    for src in sources:
+        if not any(r.indifferent(src, t) for t in targets):
+            return AxiomReport(
+                variant, False, (src,),
+                f"continuity fails: no indifferent standard lottery for "
+                f"{universe.describe(src)}",
+            )
+    return AxiomReport(variant, True)
 
 
 def search_pair_counterexample_witness(pess, opt, pairs):

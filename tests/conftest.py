@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from posdec import worked_example
-from posdec.cli import parse_scenario
+from posdec.cli import load_scenario, parse_scenario
 
 
 @pytest.fixture(scope="session")
@@ -12,4 +14,6 @@ def example_scenario():
 
 @pytest.fixture(scope="session")
 def anomaly_scenario():
-    return parse_scenario(worked_example.ANOMALY_SCENARIO)
+    """The bundled two-prize scenario whose pessimistic ranking ties the
+    sure worst prize with the both-fully-possible lottery."""
+    return load_scenario(str(Path(__file__).parents[1] / "scenarios" / "anomaly.json"))

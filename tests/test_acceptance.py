@@ -19,7 +19,7 @@ from functools import partial
 
 import pytest
 
-from axiom_oracles import check_standard_order_decomposition_on_chain
+from axiom_oracles import check_standard_order_decomposition
 from posdec.axioms import (
     canonical_outcomes,
     canonical_scale,
@@ -368,7 +368,7 @@ def test_criterion_09_reduction_uniqueness(example_scenario, example_universe):
     outcomes = example_universe.outcomes
     standard_values = [
         (i, binary_utility(example_universe.members[i], assessment))
-        for i, _, _ in example_universe.standard_info
+        for i in example_universe.standard
     ]
     assert len(example_universe) == 175
     for member in example_universe.members:
@@ -390,7 +390,7 @@ def test_criterion_10_standard_order_decomposition():
         universe = LotteryUniverse(canonical_outcomes(2), canonical_scale(size))
         assessment = enumerate_assessments(universe.outcomes, universe.scale)[0]
         rel = induced_by(universe, partial(binary_utility, a=assessment))
-        assert check_standard_order_decomposition_on_chain(rel).satisfied
+        assert check_standard_order_decomposition(rel).satisfied
     elapsed = time.perf_counter() - t0
     assert elapsed < 0.1
     report(10, f"PASS  decomposition of the standard order up to six levels ({elapsed:.3f} s)")

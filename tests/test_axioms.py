@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axiom_oracles import check_standard_order_decomposition_on_chain, standard_decomposition
+from axiom_oracles import check_standard_order_decomposition, standard_decomposition, standard_members
 from axiom_oracles import check_substitutability as oracle_substitutability
 from axiom_oracles import rows_of
 from posdec import axioms, checker
@@ -38,18 +38,22 @@ from posdec.checker import (
     AxiomReport,
     LotteryUniverse,
     PreferenceRelation,
+    binary_keys,
     check_continuity,
     check_qualitative_monotonicity,
     check_substitutability,
     check_total_preorder,
     check_uncertainty_attitude,
     induced_relation,
+    optimistic_keys,
+    pessimistic_keys,
 )
 from posdec.cli import load_scenario
 from posdec.lotteries import BoundExceededError, mixture
 from posdec.scales import Scale, ScaleMap, ScaleMismatchError, pair_ge_indices
 from posdec.search import search_pair_counterexample
 from posdec.utilities import (
+    BinaryUtilityAssessment,
     ScalarUtilityConfig,
     binary_utility,
     optimistic_utility,
@@ -314,7 +318,6 @@ class TestClassForm:
             rel = rel.with_flipped(*fault)
         for battery in FAMILIES.values():
             axioms._run_battery(rel, battery)
-        check_standard_order_decomposition_on_chain(rel)
         assert "rows" not in rel.__dict__
 
 
@@ -428,7 +431,7 @@ class TestSubstitutability:
         assert len(universe.generators) == len(set(universe.generators)) == (2 * top - 1) * shape[0]
         for k, wa, wb in universe.generators:
             f = universe.generator_map(k, wa, wb)
-            assert k in universe.point_mass_index.values()
+            assert k in universe.point_masses
             assert len(set(f)) > 1, f"map {(k, wa, wb)} is constant"
             assert f == [
                 by_value[mixture([(level(wa), m), (level(wb), members[k])]).indices]
@@ -579,12 +582,12 @@ class TestDecomposition:
     def test_binary_relation_decomposes(self, size):
         universe = LotteryUniverse(canonical_outcomes(2), canonical_scale(size))
         rel = induced_by(universe, partial(binary_utility, a=tiny_assessment(universe)))
-        assert check_standard_order_decomposition_on_chain(rel).satisfied
+        assert check_standard_order_decomposition(rel).satisfied
 
     def test_tiny_case_has_nine_pairs(self, tiny_universe):
-        assert len(tiny_universe.standard_info) == 3
+        assert len(tiny_universe.standard) == 3
         rel = induced_by(tiny_universe, partial(binary_utility, a=tiny_assessment(tiny_universe)))
-        assert check_standard_order_decomposition_on_chain(rel).satisfied
+        assert check_standard_order_decomposition(rel).satisfied
 
     def test_flipped_cross_pair_violates(self, small_universe):
         rel = induced_by(small_universe, partial(binary_utility, a=tiny_assessment(small_universe)))
@@ -592,7 +595,7 @@ class TestDecomposition:
         in_minus = by_value[(2, 1)]
         in_plus = by_value[(1, 2)]
         broken = rel.with_flipped(in_minus, in_plus)
-        report = check_standard_order_decomposition_on_chain(broken)
+        report = check_standard_order_decomposition(broken)
         assert not report.satisfied
 
 
@@ -600,10 +603,9 @@ class TestUniquenessOfStandardEquivalent:
     def test_each_lottery_matches_exactly_one(self, example_scenario, example_universe,
                                                example_binary_relation):
         assessment = example_scenario.assessment
-        std_ids = [i for i, _, _ in example_universe.standard_info]
         for i, member in enumerate(example_universe.members):
             partners = [
-                s for s in std_ids if example_binary_relation.indifferent(i, s)
+                s for s in example_universe.standard if example_binary_relation.indifferent(i, s)
             ]
             assert len(partners) == 1
             reduced = reduce_to_standard(member, assessment)
@@ -1138,16 +1140,16 @@ def replay_witness(rel, report):
         )
     if axiom in ("A4-", "A4+", "B4", "B4-", "B4+"):
         (src,) = w
-        if axiom.endswith("-"):
-            targets = universe.best_half_ids
-        elif axiom.endswith("+"):
-            targets = universe.worst_half_ids
-        else:
-            targets = [i for i, _, _ in universe.standard_info]
+        top = len(universe.scale) - 1
+        targets = [
+            i for i, l, m in standard_members(universe)
+            if not axiom.endswith("-") or l == top
+            if not axiom.endswith("+") or m == top
+        ]
         return not any(rel.indifferent(src, t) for t in targets)
     if axiom == "B2":
         ia, ib = w
-        info = {i: (l, m) for i, l, m in universe.standard_info}
+        info = {i: (l, m) for i, l, m in standard_members(universe)}
         la, ma = info[ia]
         lb, mb = info[ib]
         top = len(universe.scale) - 1
@@ -1241,19 +1243,19 @@ def test_violated_reports_always_replay(data):
 @pytest.mark.parametrize("size", range(2, 9))
 @pytest.mark.parametrize("expected", [pair_ge_indices, standard_decomposition])
 def test_standard_orders_are_chains(size, expected):
-    """B2 and its decomposition read each expected order as a chain of
-    standard lotteries: each holds of a pair iff the first's place, how
-    many it is at least as good as, is at least the second's."""
+    """The universe holds the standard member of each binary rank r, with
+    weights (min(r, top), min(2 * top - r, top)), and each expected order
+    on standard lotteries orders every standard pair as their ranks do."""
     scale = Scale(tuple(f".{v}" if 0 < v < size - 1 else str(v // (size - 1)) for v in range(size)))
     universe = LotteryUniverse(canonical_outcomes(3), scale)
-    chain, order = checker._standard_chain(universe, expected)
-    places = {i: q for i, q in chain}
-    assert sorted(places.values()) == list(range(2 * size - 1))
-    assert [places[i] for i in order] == sorted(places.values())
-    info = universe.standard_info
-    for ia, la, ma in info:
-        for ib, lb, mb in info:
-            assert expected(la, ma, lb, mb, size - 1) == (places[ia] >= places[ib])
+    top = size - 1
+    weights = {i: (l, m) for i, l, m in standard_members(universe)}
+    assert len(universe.standard) == len(weights) == 2 * size - 1
+    ranked = [(weights[i], r) for r, i in enumerate(universe.standard)]
+    assert all(w == (min(r, top), min(2 * top - r, top)) for w, r in ranked)
+    for (la, ma), ra in ranked:
+        for (lb, mb), rb in ranked:
+            assert expected(la, ma, lb, mb, top) == (ra >= rb)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1262,8 +1264,34 @@ def test_monotonicity_and_decomposition_agree(data):
     """B2 and B2-decomposition state one order on standard lotteries."""
     rel = draw_flipped_relation(data)
     b2 = check_qualitative_monotonicity(rel)
-    union = check_standard_order_decomposition_on_chain(rel)
+    union = check_standard_order_decomposition(rel)
     assert (b2.satisfied, b2.witness) == (union.satisfied, union.witness)
+
+
+def test_scalar_criteria_are_binary_on_one_half():
+    """Under the identity scale map (U = V), the pessimistic relation is the
+    binary relation of the best-half assessment <top, top - u(x)>, and the
+    optimistic one the binary relation of the worst-half assessment
+    <u(x), top>: for every such enumerated configuration on 2..5 prizes by
+    2..5 levels.  Relations with equal classes and class tables are equal."""
+    checked = 0
+    for prizes, levels in itertools.product(range(2, 6), repeat=2):
+        universe = LotteryUniverse(canonical_outcomes(prizes), canonical_scale(levels))
+        top = levels - 1
+        for cfg in enumerate_scalar_configs(universe.outcomes, universe.scale):
+            if cfg.scale_map.images != tuple(range(levels)):
+                continue
+            u = cfg.prize_indices
+            for scalar_keys, pairs in [
+                (pessimistic_keys, [(top, top - v) for v in u]),
+                (optimistic_keys, [(v, top) for v in u]),
+            ]:
+                half = BinaryUtilityAssessment(cfg.outcomes, universe.scale, tuple(pairs), False)
+                scalar = induced_relation(universe, scalar_keys(universe, cfg))
+                binary = induced_relation(universe, binary_keys(universe, half))
+                assert (scalar.class_of, scalar.table) == (binary.class_of, binary.table)
+            checked += 1
+    assert checked == 296
 
 
 class TestCounterexampleSearch:

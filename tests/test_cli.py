@@ -144,8 +144,6 @@ class TestLoadScenario:
     def test_bundled_file_matches_embedded_data(self):
         with open(WORKED, encoding="utf-8") as handle:
             assert json.load(handle) == worked_example.SCENARIO
-        with open(ANOMALY, encoding="utf-8") as handle:
-            assert json.load(handle) == worked_example.ANOMALY_SCENARIO
 
     def test_non_normalized_lottery_is_named(self, tmp_path):
         data = copy.deepcopy(worked_example.SCENARIO)
