@@ -328,13 +328,14 @@ _TWIN = {"A1-": "B1", "B1": "A1-", "A3-": "B3", "B3": "A3-"}
 
 
 def _run_battery(r: PreferenceRelation, battery: Iterable[str], done=None) -> list[AxiomReport]:
-    """r's reports in battery order; ``done`` (axiom -> report) gains the new ones."""
+    """r's reports in battery order; ``done`` (axiom -> report) gains the new
+    ones, a twin's report renamed for the axiom (``AxiomReport.named``)."""
     done = {} if done is None else done
     for axiom in battery:
         if axiom not in done:
             report = done.get(_TWIN.get(axiom)) or _CHECKS[axiom](r)
             if report.axiom != axiom:
-                report = AxiomReport(axiom, report.satisfied, report.witness, report.detail)
+                report = report.named(axiom)
             done[axiom] = report
     return [done[axiom] for axiom in battery]
 

@@ -10,8 +10,10 @@ flipped entry adds at most two.  Every axiom holds or fails for whole
 classes, so no check reads the n^2 member rows (``rows``, built only on
 request): total preorder, continuity and the standard-lottery order are
 decided on the table.  The last two read the standard members indexed by
-binary rank (``LotteryUniverse.standard``), and the order reads each
-one's class row as a bitset against the ranks below and above its own.
+binary rank (``LotteryUniverse.standard``): one table per relation
+holds the classes of the ranks up to and above each rank as bitsets
+(``standard_ranks``), the order reads each standard member's class row
+against its rank's, and continuity's targets are three of its entries.
 Uncertainty attitude and substitutability read the classes laid out over
 the full grid of level tuples.  Attitude gives each place a byte, a bit
 per class for eight classes at a time, and closes it under level shifts:
@@ -31,7 +33,9 @@ stride.  Every check stays complete and returns the first concrete
 witness, which can be replayed.
 Each check names its report by the B axiom; A1-/B1 and A3-/B3 name the
 same predicates, and the sweeps (``posdec.axioms``) relabel a report for
-the A axiom.
+the A axiom.  Only a violation builds a report: a check that holds
+returns its axiom's shared report (``HOLDS``), and a witness names each
+member by text a universe builds once, on first use (``describe``).
 A criterion's keys, one utility per member, are its per-prize term
 tables folded over the full grid of level tuples as bytes, one translate
 per level per prize (``pessimistic_keys`` and its kin).
@@ -111,12 +115,18 @@ class LotteryUniverse:
         self.standard_scan = sorted((i, r) for r, i in enumerate(self.standard))
         weights = [(top, v) for v in range(1, size)] + [(wa, top) for wa in range(1, top)]
         self.generators = [(k, *w) for k in self.point_masses for w in weights]
+        # Witness text per member, built on first use (``describe``).
+        self.descriptions = {}
 
     def __len__(self) -> int:
         return len(self.members)
 
     def describe(self, index: int) -> str:
-        return f"#{index}{self.members[index]}"
+        """Member ``index`` as witness text, built once per universe."""
+        text = self.descriptions.get(index)
+        if text is None:
+            text = self.descriptions[index] = f"#{index}{self.members[index]}"
+        return text
 
     def index(self, levels: Sequence[int]) -> int:
         """Position of the member with these levels, one per prize in label order."""
@@ -267,6 +277,15 @@ class PreferenceRelation:
     def first_members(self) -> list[int]:
         """First member of each class, ascending."""
         return [self.class_of.index(a) for a in range(len(self.table))]
+
+    @cached_property
+    def standard_ranks(self) -> tuple[list[int], list[int]]:
+        """Per binary rank q, the classes of the standard members
+        (``universe.standard``) of rank q or below, and of the ranks above
+        q, as bitsets: the prefix and suffix ORs of each rank's class bit."""
+        placed = [1 << self.class_of[i] for i in self.universe.standard]
+        below = [*itertools.accumulate(placed, operator.or_)]
+        return below, [*itertools.accumulate(placed[:0:-1], operator.or_)][::-1] + [0]
 
     @cached_property
     def grid_layouts(self) -> list[bytes]:
@@ -433,6 +452,20 @@ class AxiomReport(_Record):
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "detail", detail)
 
+    def named(self, axiom: str) -> AxiomReport:
+        """This report under another axiom's name: that axiom's shared
+        report (``HOLDS``) if it holds, else a new one with its witness."""
+        if self.satisfied:
+            return HOLDS[axiom]
+        return AxiomReport(axiom, False, self.witness, self.detail)
+
+
+CONTINUITY_VARIANTS = ("A4-", "A4+", "B4", "B4-", "B4+")
+# One shared report per axiom a check or battery names: a check that holds
+# returns its axiom's, so only a violation builds a report.
+HOLDS = {axiom: AxiomReport(axiom, True)
+         for axiom in ("B1", "A1-", "B3", "A3-", "B2", "A2-", "A2+", *CONTINUITY_VARIANTS)}
+
 
 def check_total_preorder(r: PreferenceRelation) -> AxiomReport:
     """Reflexive, transitive and complete; first failure wins, in that order.
@@ -472,7 +505,7 @@ def check_total_preorder(r: PreferenceRelation) -> AxiomReport:
                 "B1", False, (i, j),
                 f"completeness fails on {describe(i)} and {describe(j)}",
             )
-    return AxiomReport("B1", True)
+    return HOLDS["B1"]
 
 
 def check_uncertainty_attitude(r: PreferenceRelation, direction: str) -> AxiomReport:
@@ -518,7 +551,7 @@ def check_uncertainty_attitude(r: PreferenceRelation, direction: str) -> AxiomRe
             f"{direction} fails: {universe.describe(i)} must be weakly "
             f"preferred to {universe.describe(j)}",
         )
-    return AxiomReport(axiom_id, True)
+    return HOLDS[axiom_id]
 
 
 def check_substitutability(r: PreferenceRelation) -> AxiomReport:
@@ -559,7 +592,7 @@ def check_substitutability(r: PreferenceRelation) -> AxiomReport:
                 f"but weights ({labels[wa]}, {labels[wb]}) with {describe(k)} "
                 f"mix to {describe(f[i])} vs {describe(f[j])}",
             )
-    return AxiomReport("B3", True)
+    return HOLDS["B3"]
 
 
 def _suspects(r: PreferenceRelation, closed: list[int], blocks: set[int]) -> list[tuple]:
@@ -655,9 +688,6 @@ def _first_broken_pair(r: PreferenceRelation, f: list, closed: list, alone: bool
     return None
 
 
-CONTINUITY_VARIANTS = ("A4-", "A4+", "B4", "B4-", "B4+")
-
-
 def check_continuity(r: PreferenceRelation, variant: str) -> AxiomReport:
     """Existence of an indifferent standard lottery in the variant's target set.
 
@@ -670,14 +700,13 @@ def check_continuity(r: PreferenceRelation, variant: str) -> AxiomReport:
     """
     if variant not in CONTINUITY_VARIANTS:
         raise ValueError(f"unknown continuity variant {variant!r}")
-    universe = r.universe
-    std, top = universe.standard, len(universe.scale) - 1
-    targets = std[top:] if variant.endswith("-") else std[:top + 1] if variant.endswith("+") else std
+    universe, (below, above) = r.universe, r.standard_ranks
+    top = len(universe.scale) - 1
+    # The classes of the ranks from top on ("-"), up to top ("+"), or of every rank.
+    target_classes = {"-": above[top - 1], "+": below[top]}.get(variant[-1], below[-1])
     # Twins pass or fail together: the first member of each class.
     sources = r.first_members if variant.startswith("A4") else universe.point_masses
-    cls = r.class_of
-    target_classes = sum({1 << cls[t] for t in targets})
-    ind = r.indifference
+    cls, ind = r.class_of, r.indifference
     for src in sources:
         if not ind[cls[src]] & target_classes:
             return AxiomReport(
@@ -685,7 +714,7 @@ def check_continuity(r: PreferenceRelation, variant: str) -> AxiomReport:
                 f"continuity fails: no indifferent standard lottery for "
                 f"{universe.describe(src)}",
             )
-    return AxiomReport(variant, True)
+    return HOLDS[variant]
 
 
 def check_qualitative_monotonicity(r: PreferenceRelation) -> AxiomReport:
@@ -700,9 +729,7 @@ def check_qualitative_monotonicity(r: PreferenceRelation) -> AxiomReport:
     universe, cls, table = r.universe, r.class_of, r.table
     # Member ia of rank q matches iff its class row holds the class of
     # every standard member up to rank q and of none above it.
-    placed = [1 << cls[i] for i in universe.standard]
-    below = [*itertools.accumulate(placed, operator.or_)]
-    above = [*itertools.accumulate(placed[:0:-1], operator.or_)][::-1] + [0]
+    below, above = r.standard_ranks
     scan = universe.standard_scan
     for ia, q in scan:
         row = table[cls[ia]]
@@ -715,4 +742,4 @@ def check_qualitative_monotonicity(r: PreferenceRelation) -> AxiomReport:
                 f"qualitative monotonicity fails: {universe.describe(ia)} >= "
                 f"{universe.describe(ib)} {direction}",
             )
-    return AxiomReport("B2", True)
+    return HOLDS["B2"]

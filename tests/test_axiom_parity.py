@@ -135,6 +135,61 @@ def test_checks_match_oracles(case):
     assert_standard_orders_match_oracles(rel)
 
 
+def check_reports(rel):
+    """The report of every check of the batteries on ``rel``."""
+    return [
+        check_total_preorder(rel),
+        check_substitutability(rel),
+        check_qualitative_monotonicity(rel),
+        *(check_uncertainty_attitude(rel, d) for d in ("aversion", "attraction")),
+        *(check_continuity(rel, v) for v in CONTINUITY_VARIANTS),
+    ]
+
+
+def assert_holding_reports_are_shared(rel):
+    """Each check that holds on ``rel`` returns its axiom's report from
+    ``checker.HOLDS``, equal field for field to a fresh one; returns the
+    axioms that hold."""
+    held = [report for report in check_reports(rel) if report.satisfied]
+    for report in held:
+        assert report is checker.HOLDS[report.axiom]
+        assert fields(report) == fields(AxiomReport(report.axiom, True))
+    return {report.axiom for report in held}
+
+
+@settings(max_examples=150, deadline=None)
+@given(relations())
+def test_holding_reports_are_shared(case):
+    """On the oracle cases, a check that holds returns its axiom's shared
+    report.  A battery renames a twin's holding report to the shared one,
+    and a violated one to a fresh report."""
+    rel = case[0]
+    assert_holding_reports_are_shared(rel)
+    for battery in (("B1", "A1-", "B3", "A3-"), ("A1-", "B1", "A3-", "B3")):
+        done = axioms._run_battery(rel, battery)
+        for checked, renamed, axiom in zip(done[::2], done[1::2], battery[1::2]):
+            assert fields(renamed) == fields(relabelled(checked, axiom))
+            assert (renamed is checker.HOLDS[axiom]) == checked.satisfied
+            assert renamed is not checked
+
+
+def test_family_relations_share_every_holding_report():
+    """On the relations of every family to 3 prizes by 3 levels, where
+    each check holds somewhere, a check that holds returns its axiom's
+    shared report."""
+    universe = UNIVERSES[(3, 3)]
+    space = universe.outcomes, universe.scale
+    keys = [
+        *(fold(universe, cfg) for cfg in enumerate_scalar_configs(*space)
+          for fold in (pessimistic_keys, optimistic_keys)),
+        *(binary_keys(universe, a) for half in (None, "best", "worst")
+          for a in enumerate_assessments(*space, half)),
+    ]
+    held = set().union(*(assert_holding_reports_are_shared(induced_relation(universe, k))
+                         for k in keys))
+    assert held == set(checker.HOLDS) - {"A1-", "A3-"}
+
+
 def assert_standard_orders_match_oracles(rel):
     """B2 reports as the oracle's scan of every standard pair, and its
     decomposition fails on the same pair; every continuity variant reports

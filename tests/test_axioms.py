@@ -247,6 +247,22 @@ class TestLotteryUniverse:
             universe.index(levels)
 
 
+    @pytest.mark.parametrize(
+        "nx, nv", [*itertools.product(range(2, 5), range(2, 6)), (6, 6)]
+    )
+    def test_each_member_is_described_once(self, nx, nv):
+        """``describe`` gives member i's text as ``#i`` and the member, and a
+        second call the same text; the memo holds only the members
+        described.  On 6x6 (31,031 members), the first and last alone."""
+        universe = LotteryUniverse(canonical_outcomes(nx), canonical_scale(nv))
+        described = range(len(universe)) if nx < 6 else (0, len(universe) - 1)
+        for i in described:
+            text = universe.describe(i)
+            assert text == f"#{i}{universe.members[i]}"
+            assert universe.describe(i) is text
+        assert sorted(universe.descriptions) == list(described)
+
+
 class TestPreferenceRelation:
     def test_rows_are_the_relation(self, tiny_universe):
         rel = PreferenceRelation(tiny_universe, (0b111, 0b110, 0b110))
