@@ -12,14 +12,13 @@ universe once, before any relation.  The enumerated and sampled families
 come from draw streams, the image tables and integer keys the public
 generators build their configurations from, in their order; the sweep
 builds no configuration from them, only its per-prize term tables, once
-per distinct draw.  The public generators share objects within a call
-through one builder of cached closures (``_shared``): one outcome set
-per class tuple, one ``ScaleMap`` per image table, and in the sampler
-one entry per repeated draw.  Draws are valid by construction: images
-are anchored, monotone and onto, keys put the best prize at the top and
-the worst at 0, and an outcome set's classes would come from the keys.
-Reports are reused by (family, universe, term tables).  A relation is
-the term tables folded over the full grid of level tuples as bytes, one
+per distinct draw.  The public generators build each configuration's
+outcome set and scale map from its draw.  Draws are valid by
+construction: images are anchored, monotone and onto, keys put the best
+prize at the top and the worst at 0, and an outcome set's classes would
+come from the keys.  Reports are reused by (family, universe, term
+tables and the map the scalar keys are read through).  A relation is the
+term tables max-folded over the full grid of level tuples as bytes, one
 translate per level per prize, and each check runs once per distinct
 relation.
 """
@@ -71,34 +70,20 @@ def canonical_outcomes(count: int) -> OutcomeSet:
     return OutcomeSet(labels, best=labels[0], worst=labels[-1])
 
 
-def _shared() -> tuple:
-    """Builders of the objects one generator call shares, each cached for
-    that call: ``ranked(base, keys)``, the outcome set whose classes follow
-    the keys, one per class tuple, and ``scalar(base, source, images,
-    keys)``, the configuration of a scalar draw, with one ``ScaleMap`` per
-    image table.
+def _ranked(base: OutcomeSet, keys: tuple[int, ...]) -> OutcomeSet:
+    """The outcome set whose classes follow the keys, one per label in
+    label order, larger keys better: the best prize must carry the largest
+    key and the worst the smallest, and the generators arrange that."""
+    return OutcomeSet(base.labels, base.best, base.worst, tuple(
+        tuple(label for label, k in zip(base.labels, keys) if k == key)
+        for key in sorted(set(keys), reverse=True)
+    ))
 
-    Keys are one per label in label order, and larger keys are better: the
-    best prize must carry the largest key and the worst the smallest, and
-    the generators arrange that.
-    """
-    with_classes = cache(OutcomeSet)
 
-    @cache
-    def ranked(base: OutcomeSet, keys: tuple[int, ...]) -> OutcomeSet:
-        return with_classes(base.labels, base.best, base.worst, tuple(
-            tuple(label for label, k in zip(base.labels, keys) if k == key)
-            for key in sorted(set(keys), reverse=True)
-        ))
-
-    @cache
-    def scale_map(source: Scale, images: tuple[int, ...]) -> ScaleMap:
-        return ScaleMap(source, canonical_scale(images[-1] + 1, name="U"), images)
-
-    def scalar(base: OutcomeSet, source: Scale, images: tuple, keys: tuple) -> ScalarUtilityConfig:
-        return ScalarUtilityConfig(ranked(base, keys), scale_map(source, images), keys)
-
-    return ranked, scalar
+def _scalar(base: OutcomeSet, source: Scale, images: tuple, keys: tuple) -> ScalarUtilityConfig:
+    """The configuration of a scalar draw over ``base`` and ``source``."""
+    scale_map = ScaleMap(source, canonical_scale(images[-1] + 1, name="U"), images)
+    return ScalarUtilityConfig(_ranked(base, keys), scale_map, keys)
 
 
 def _anchored(outcomes: OutcomeSet, top: int) -> Iterable[tuple[int, ...]]:
@@ -140,8 +125,7 @@ def enumerate_scalar_configs(
     valid onto map, and every anchored prize assignment.  Each utility
     scale has one order-reversing involution, so there is none to range over.
     """
-    scalar = _shared()[1]
-    return [scalar(outcomes, scale, *draw) for draw in _scalar_draws(outcomes, len(scale))]
+    return [_scalar(outcomes, scale, *draw) for draw in _scalar_draws(outcomes, len(scale))]
 
 
 def _sample_draws(seed: int, count: int, max_outcomes: int, max_levels: int) -> Iterable[tuple]:
@@ -173,16 +157,12 @@ def sample_scalar_configs(
 
     Dimensions, utility scale, onto map and prize assignment are all drawn
     from one seeded generator, so a fixed seed pins the whole family.
-    Repeated draws share one entry.
     """
-    scalar = _shared()[1]
-
-    @cache
-    def entry(images: tuple[int, ...], keys: tuple[int, ...]) -> tuple:
+    sample = []
+    for images, keys in _sample_draws(seed, count, max_outcomes, max_levels):
         base, v_scale = canonical_outcomes(len(keys)), canonical_scale(len(images))
-        return base, v_scale, scalar(base, v_scale, images, keys)
-
-    return [entry(*draw) for draw in _sample_draws(seed, count, max_outcomes, max_levels)]
+        sample.append((base, v_scale, _scalar(base, v_scale, images, keys)))
+    return sample
 
 
 def _assessment_draws(outcomes: OutcomeSet, top: int, half: str | None) -> Iterable[tuple]:
@@ -218,10 +198,8 @@ def enumerate_assessments(
     (anchors relaxed), best prize highest and worst prize lowest.  Prizes
     range over ``binary_rank`` keys, each read back as its index pair.
     """
-    # Draws never repeat a key tuple, so only the class-tuple level is cached.
-    ranked = _shared()[0].__wrapped__
     return [
-        BinaryUtilityAssessment(ranked(outcomes, keys), scale, pairs, half is None)
+        BinaryUtilityAssessment(_ranked(outcomes, keys), scale, pairs, half is None)
         for keys, pairs in _assessment_draws(outcomes, scale.top_index, half)
     ]
 
@@ -404,21 +382,24 @@ def verify_entailments(
     # universe stands for the public evaluators' check per member.  Drawn
     # configurations fit their canonical universe by construction, and equal
     # draws share tables.  Reports are reused by family, universe and the
-    # arguments of the ``_keys`` fold, which are the term tables.
+    # arguments of the ``_keys`` fold: the term tables, and for the scalar
+    # families the map their fold is read through.
     scalar_tables = cache(scalar_term_tables)
 
     def scalar(tag: str, uni: LotteryUniverse, draw: tuple):
-        _, pessimistic, optimistic = scalar_tables(*draw)
-        yield f"pess-{tag}", "pessimistic", uni, (pessimistic, (), True)
-        yield f"opt-{tag}", "optimistic", uni, (optimistic,)
+        reversed_map, pessimistic, optimistic = scalar_tables(*draw)
+        yield f"pess-{tag}", "pessimistic", uni, (pessimistic, (), reversed_map)
+        yield f"opt-{tag}", "optimistic", uni, (optimistic, (), draw[0])
 
     def configs():
         """(config id, family, universe, ``_keys`` arguments), in report order."""
         if scalar_config is not None:
             yield "scenario-pessimistic", "pessimistic", universe, (
-                scalar_config.pessimistic_terms, (), True
+                scalar_config.pessimistic_terms, (), scalar_config.reversed_map
             )
-            yield "scenario-optimistic", "optimistic", universe, (scalar_config.optimistic_terms,)
+            yield "scenario-optimistic", "optimistic", universe, (
+                scalar_config.optimistic_terms, (), scalar_config.scale_map.images
+            )
         if assessment is not None:
             tables = assessment.first_terms, assessment.second_terms
             yield "scenario-binary", "binary", universe, tables

@@ -37,8 +37,13 @@ the A axiom.  Only a violation builds a report: a check that holds
 returns its axiom's shared report (``HOLDS``), and a witness names each
 member by text a universe builds once, on first use (``describe``).
 A criterion's keys, one utility per member, are its per-prize term
-tables folded over the full grid of level tuples as bytes, one translate
-per level per prize (``pessimistic_keys`` and its kin).
+tables, each a level cut min(v, cap), max-folded over the full grid of
+level tuples as bytes, one translate per level per prize
+(``pessimistic_keys`` and its kin).  The scalar criteria read their
+fold through a map, n∘h or h, by one more translate, since n∘h and h
+of the max fold are the pessimistic and optimistic utilities
+(``posdec.utilities``); the binary criterion joins two folds as
+f + top - s.
 The classes come from the keys by one translate, which is the relation's
 grid layout, with no per-member loop.  Keys fit a byte, with 0xff left
 to mark places that hold no member, up to |V| = 128
@@ -330,62 +335,62 @@ class PreferenceRelation:
 # hold no member: binary keys run to 2 * top, so scales of up to 128 levels.
 BYTE_KEY_LEVELS = 128
 _IDENTITY = bytes(range(256))
-# Per table entry t, which is a level below BYTE_KEY_LEVELS, the byte tables
-# that take each byte b to min(b, t) and to max(b, t).
-_MIN_WITH = [_IDENTITY[:t] + bytes([t]) * (256 - t) for t in range(BYTE_KEY_LEVELS)]
+# Per table entry t, which is a level below BYTE_KEY_LEVELS, the byte table
+# that takes each byte b to max(b, t).
 _MAX_WITH = [bytes([t]) * t + _IDENTITY[t:] for t in range(BYTE_KEY_LEVELS)]
 
 
-def _fold(tables: Sequence[Sequence[int]], lowest: bool) -> int:
-    """The min (``lowest``) else the max over prizes of each prize's term
-    at its level, a term table per prize in label order, on scales of up
-    to ``BYTE_KEY_LEVELS`` levels: a byte per place of the full level grid,
-    first place highest, as one int.  The grid of the last prizes gains the
-    prize before them as its outermost, one translate per level through the
-    byte table of that level's term."""
-    by_term = _MIN_WITH if lowest else _MAX_WITH
+def _fold(tables: Sequence[Sequence[int]], through: bytes | None = None) -> int:
+    """The max over prizes of each prize's term at its level, a term table
+    per prize in label order, read through the byte table ``through`` if
+    given, on scales of up to ``BYTE_KEY_LEVELS`` levels: a byte per place
+    of the full level grid, first place highest, as one int.  The grid of
+    the last prizes gains the prize before them as its outermost, one
+    translate per level through the byte table of that level's term."""
     grid = bytes(tables[-1])
     for table in reversed(tables[:-1]):
-        grid = b"".join([grid.translate(by_term[t]) for t in table])
-    return int.from_bytes(grid, "big")
+        grid = b"".join([grid.translate(_MAX_WITH[t]) for t in table])
+    return int.from_bytes(grid.translate(through), "big")
 
 
 def _keys(
-    universe: LotteryUniverse, tables: Sequence, second: Sequence = (), lowest: bool = False
+    universe: LotteryUniverse, tables: Sequence, second: Sequence = (), through: Sequence = ()
 ) -> bytes | list[int]:
-    """Every member's key from per-prize term tables: the min (``lowest``)
-    else the max fold of ``tables``, or given ``second`` tables, the max
-    folds f of ``tables`` and s of ``second`` joined as f + top - s.  On
-    scales of up to ``BYTE_KEY_LEVELS`` levels, the ``_fold`` bytes with
-    0xff at each place that holds no member; past that, a list in member
-    order, each member's terms at its levels (``universe.value_tuples``)."""
+    """Every member's key from per-prize term tables: the max fold of
+    ``tables``, read through ``through`` (a key per fold value) if given,
+    or given ``second`` tables, the max folds f of ``tables`` and s of
+    ``second`` joined as f + top - s.  On scales of up to
+    ``BYTE_KEY_LEVELS`` levels, the ``_fold`` bytes with 0xff at each place
+    that holds no member; past that, a list in member order, each member's
+    terms at its levels (``universe.value_tuples``)."""
     top = len(universe.scale) - 1
     if len(universe.scale) > BYTE_KEY_LEVELS:
-        fold, terms = min if lowest else max, operator.getitem
-        # With no ``second`` tables, s is top and the join is f.
-        return [fold(map(terms, tables, v)) + top - max(map(terms, second, v), default=top)
+        # With no map, keys are read as they are; with no ``second``
+        # tables, s is top and the join is f.
+        terms, through = operator.getitem, through or range(2 * top + 1)
+        return [through[max(map(terms, tables, v)) + top - max(map(terms, second, v), default=top)]
                 for v in universe.value_tuples]
-    folded = _fold(tables, lowest)
+    folded = _fold(tables, bytes(through).ljust(256) if through else None)
     if second:
         # No byte borrows: at every place, f + top - s is at least 0.
-        folded += int.from_bytes(bytes([top]) * universe.grid_size, "big") - _fold(second, False)
+        folded += int.from_bytes(bytes([top]) * universe.grid_size, "big") - _fold(second)
     return (folded | int.from_bytes(universe.grid_holes, "big")).to_bytes(universe.grid_size, "big")
 
 
 def pessimistic_keys(universe: LotteryUniverse, cfg: ScalarUtilityConfig) -> bytes | list[int]:
-    """The pessimistic utility's index for every member: the min fold of
-    ``cfg.pessimistic_terms`` (``_keys``).  On scales of up to
-    ``BYTE_KEY_LEVELS`` levels, a byte per place of the full level grid,
-    0xff where no member is; past that, a list in member order.  No domain
-    check."""
-    return _keys(universe, cfg.pessimistic_terms, lowest=True)
+    """The pessimistic utility's index for every member: the max fold of
+    ``cfg.pessimistic_terms`` read through n∘h (``_keys``).  On scales of
+    up to ``BYTE_KEY_LEVELS`` levels, a byte per place of the full level
+    grid, 0xff where no member is; past that, a list in member order.  No
+    domain check."""
+    return _keys(universe, cfg.pessimistic_terms, through=cfg.reversed_map)
 
 
 def optimistic_keys(universe: LotteryUniverse, cfg: ScalarUtilityConfig) -> bytes | list[int]:
     """The optimistic utility's index for every member, laid out as
-    ``pessimistic_keys`` lays them: the max fold of ``cfg.optimistic_terms``.
-    No domain check."""
-    return _keys(universe, cfg.optimistic_terms)
+    ``pessimistic_keys`` lays them: the max fold of ``cfg.optimistic_terms``
+    read through h.  No domain check."""
+    return _keys(universe, cfg.optimistic_terms, through=cfg.scale_map.images)
 
 
 def binary_keys(universe: LotteryUniverse, a: BinaryUtilityAssessment) -> bytes | list[int]:

@@ -6,14 +6,25 @@ criterion is its max-min dual; the pair-valued criterion folds the
 extended max of extended mins into the binary utility scale and needs no
 auxiliary maps at all.
 
-All three are ordinal and fold one term per prize, so each is defined by
-per-prize term tables: one integer term per possibility level, the
-prize's tables in label order.  A lottery's key is the min or max over
-its prizes of the table entry at the prize's level: a position on the
-utility scale for ``ScalarUtilityConfig.pessimistic_terms`` and
-``optimistic_terms``, and for ``BinaryUtilityAssessment.first_terms``
-and ``second_terms`` the two components f and s of the pair, whose
-``binary_rank`` is f + top - s.  ``scalar_term_tables`` and
+All three are ordinal, and all three are one fold: the max over prizes
+of a level cut min(v, cap) of the prize's possibility level v.  Since
+the scale map h is monotone and onto, min(h(v), w) = h(min(v, h⁻(w)))
+with h⁻(w) the highest level h sends to at most w: up to that level
+both sides are h(v), and above it both are w, since h(h⁻(w)) = w.  The
+order reversal n of the utility scale turns max(n∘h(v), u) into
+n∘h(min(v, h⁻(top - u))), and n∘h is antitone, so its min over prizes
+is n∘h of the max.  So the pessimistic utility is n∘h of the fold with
+caps h⁻(top - u(x)), the optimistic one h of the fold with caps
+h⁻(u(x)), and the pair-valued criterion folds twice, with caps the
+prize pair's components f and s, whose ``binary_rank`` is f + top - s.
+
+Each criterion is thus defined by per-prize term tables: the level cut
+at each possibility level, the prize's tables in label order, on
+``ScalarUtilityConfig.pessimistic_terms`` and ``optimistic_terms`` and
+on ``BinaryUtilityAssessment.first_terms`` and ``second_terms``.  A
+lottery's key is the max over its prizes of the table entry at the
+prize's level, read through ``reversed_map`` (n∘h) or the map's
+``images`` (h) for the scalar criteria.  ``scalar_term_tables`` and
 ``binary_term_tables`` are their one definition: the configurations build
 them once validated, and the checker's sweep builds them for the
 configurations it draws without building those.  The public evaluators
@@ -24,7 +35,7 @@ directly, and the checker's sweep folds them over the whole level grid.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import partial
@@ -80,12 +91,9 @@ def _check_preference_order(outcomes: OutcomeSet, keys: Sequence[int], noun: str
             raise ValueError(f"{noun} is inconsistent with the preference order on {x!r} and {y!r}")
 
 
-def _term_tables(images: tuple[int, ...], cuts: Iterable[int], caps: Iterable[int]) -> tuple:
-    """Per prize, ``images`` (one per possibility level) before the prize's
-    cut, then its cap from there on: the images are monotone, so clipping
-    them at the cap changes a suffix."""
-    size = len(images)
-    return tuple([images[:cut] + (cap,) * (size - cut) for cut, cap in zip(cuts, caps)])
+def _term_tables(size: int, caps: Iterable[int]) -> tuple:
+    """Per prize, the level cut min(v, cap) at each of ``size`` levels v."""
+    return tuple([tuple(range(cap)) + (cap,) * (size - cap) for cap in caps])
 
 
 def scalar_term_tables(images: tuple[int, ...], prizes: Sequence[int]) -> tuple:
@@ -93,27 +101,26 @@ def scalar_term_tables(images: tuple[int, ...], prizes: Sequence[int]) -> tuple:
     valid scale map's ``images`` (utility-scale indices per uncertainty
     level, monotone, anchored and onto) and the prizes' utility indices in
     label order.  n is the order reversal of the utility scale.  Per prize,
-    one term per uncertainty level v: max(n∘h(v), u(x)), whose min over the
-    prizes at their levels is the pessimistic utility, and min(h(v), u(x)),
-    whose max is the optimistic one."""
-    # h rises with v, so each term is u(x) from a cut on: n∘h(v) is at most
-    # u(x) once h(v) reaches top - u(x), and h(v) at least u(x) once it
-    # reaches u(x).
-    top = images[-1]
+    the level cuts with caps h⁻(top - u(x)), whose max over the prizes at
+    their levels n∘h reads as the pessimistic utility, and with caps
+    h⁻(u(x)), whose max h reads as the optimistic one.  h⁻(w), the
+    highest level whose image is at most w, exists for every w on the
+    utility scale, since the images start at 0."""
+    top, size = images[-1], len(images)
     reversed_map = tuple([top - i for i in images])
-    pessimistic = _term_tables(reversed_map, [bisect_left(images, top - u) for u in prizes], prizes)
-    optimistic = _term_tables(images, [bisect_left(images, u) for u in prizes], prizes)
+    pessimistic = _term_tables(size, [bisect_right(images, top - u) - 1 for u in prizes])
+    optimistic = _term_tables(size, [bisect_right(images, u) - 1 for u in prizes])
     return reversed_map, pessimistic, optimistic
 
 
 def binary_term_tables(pairs: Sequence[tuple[int, int]], top: int) -> tuple:
     """The pair-valued criterion's term tables, from the prizes' index pairs
-    in label order on a scale whose top index is ``top``: per prize, one
-    term per level v, min(v, first) and min(v, second), whose maxes over
-    the prizes at their levels are the components f and s of the binary
+    in label order on a scale whose top index is ``top``: per prize, the
+    level cuts min(v, first) and min(v, second), whose maxes over the
+    prizes at their levels are the components f and s of the binary
     utility."""
-    levels, (firsts, seconds) = tuple(range(top + 1)), zip(*pairs)
-    return _term_tables(levels, firsts, firsts), _term_tables(levels, seconds, seconds)
+    firsts, seconds = zip(*pairs)
+    return _term_tables(top + 1, firsts), _term_tables(top + 1, seconds)
 
 
 class ScalarUtilityConfig(_Record):
@@ -174,15 +181,19 @@ class ScalarUtilityConfig(_Record):
 
 
 def pessimistic_utility(pi: PossibilityDistribution, cfg: ScalarUtilityConfig) -> Level:
-    """Min over prizes of max(reversed mapped possibility, prize utility)."""
+    """Min over prizes of max(reversed mapped possibility, prize utility):
+    n∘h of the max of the prizes' level cuts."""
     check_domain(pi.domain, pi.scale, cfg.outcomes, cfg.uncertainty_scale)
-    return cfg.utility_scale.level_values[min(map(getitem, cfg.pessimistic_terms, pi.indices))]
+    key = cfg.reversed_map[max(map(getitem, cfg.pessimistic_terms, pi.indices))]
+    return cfg.utility_scale.level_values[key]
 
 
 def optimistic_utility(pi: PossibilityDistribution, cfg: ScalarUtilityConfig) -> Level:
-    """Max over prizes of min(mapped possibility, prize utility)."""
+    """Max over prizes of min(mapped possibility, prize utility): h of the
+    max of the prizes' level cuts."""
     check_domain(pi.domain, pi.scale, cfg.outcomes, cfg.uncertainty_scale)
-    return cfg.utility_scale.level_values[max(map(getitem, cfg.optimistic_terms, pi.indices))]
+    key = cfg.scale_map.images[max(map(getitem, cfg.optimistic_terms, pi.indices))]
+    return cfg.utility_scale.level_values[key]
 
 
 def pessimistic_utility_decomposed(
@@ -347,10 +358,11 @@ def _table_keys(items: Items, evaluate: Evaluator) -> tuple[list[int], Sequence]
         keys = [max(map(getitem, f, ix)) + top - max(map(getitem, s, ix)) for ix in indices]
         return keys, scale.binary_values
     if func is pessimistic_utility:
-        fold, tables = min, config.pessimistic_terms
+        tables, through = config.pessimistic_terms, config.reversed_map
     else:
-        fold, tables = max, config.optimistic_terms
-    return [fold(map(getitem, tables, ix)) for ix in indices], config.utility_scale.level_values
+        tables, through = config.optimistic_terms, config.scale_map.images
+    keys = [through[max(map(getitem, tables, ix))] for ix in indices]
+    return keys, config.utility_scale.level_values
 
 
 def rank_decisions(items: Items, evaluate: Evaluator) -> Ranking:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from axiom_oracles import check_standard_order_decomposition, standard_decomposition, standard_members
 from axiom_oracles import check_substitutability as oracle_substitutability
 from axiom_oracles import rows_of
+from test_utilities import optimistic_key, pessimistic_key
 from posdec import axioms, checker
 from posdec.axioms import (
     FAMILIES,
@@ -45,8 +46,7 @@ from posdec.checker import (
     check_total_preorder,
     check_uncertainty_attitude,
     induced_relation,
-    optimistic_keys,
-    pessimistic_keys,
+    member_keys,
 )
 from posdec.cli import load_scenario
 from posdec.lotteries import BoundExceededError, mixture
@@ -708,25 +708,6 @@ class TestVerifyEntailments:
             cfg.scale_map.images for _, _, cfg in b
         ]
 
-    def test_generators_build_each_configuration_and_outcome_set_once(self):
-        sample = sample_scalar_configs(3, 100)
-        first = {}
-        for entry in sample:
-            assert first.setdefault(entry, entry) is entry
-        assert len(first) < len(sample)
-        outcomes, scale = canonical_outcomes(3), canonical_scale(4)
-        for configs in (
-            [cfg for _, _, cfg in sample],
-            enumerate_scalar_configs(outcomes, scale),
-            enumerate_assessments(outcomes, scale),
-        ):
-            sets = [c.outcomes for c in configs]
-            assert len({id(o) for o in sets}) == len(set(sets)) < len(sets)
-        # One ScaleMap object per image table within a call.
-        for configs in ([cfg for _, _, cfg in sample], enumerate_scalar_configs(outcomes, scale)):
-            maps = [c.scale_map for c in configs]
-            assert len({id(m) for m in maps}) == len({m.images for m in maps}) < len(maps)
-
     @pytest.mark.parametrize(
         "given, named", [("scalar_config", "config"), ("assessment", "assessment")]
     )
@@ -977,8 +958,8 @@ class TestVerifyEntailments:
 
         # The sweep folds every family's keys here; only the binary fold
         # joins a second set of tables.
-        def binary_reversed(universe, tables, second=(), lowest=False):
-            return reversed_keys if second else fold(universe, tables, lowest=lowest)
+        def binary_reversed(universe, tables, second=(), through=()):
+            return reversed_keys if second else fold(universe, tables, through=through)
 
         monkeypatch.setattr(axioms, "_keys", binary_reversed)
         run = verify_entailments(
@@ -1285,29 +1266,33 @@ def test_monotonicity_and_decomposition_agree(data):
 
 
 def test_scalar_criteria_are_binary_on_one_half():
-    """Under the identity scale map (U = V), the pessimistic relation is the
-    binary relation of the best-half assessment <top, top - u(x)>, and the
-    optimistic one the binary relation of the worst-half assessment
-    <u(x), top>: for every such enumerated configuration on 2..5 prizes by
-    2..5 levels.  Relations with equal classes and class tables are equal."""
+    """The pessimistic key is n∘h[2 top - r], r the binary rank under the
+    best-half assessment <top, h⁻(n(u(x)))>, and the optimistic key is
+    h[r], r the rank under the worst-half assessment <h⁻(u(x)), top>, where
+    h⁻(w) is the highest level h sends to at most w: on every member, for
+    every enumerated configuration on 2..5 prizes by 2..5 levels.  The
+    scalar keys come from the plain-loop oracles."""
     checked = 0
     for prizes, levels in itertools.product(range(2, 6), repeat=2):
         universe = LotteryUniverse(canonical_outcomes(prizes), canonical_scale(levels))
         top = levels - 1
         for cfg in enumerate_scalar_configs(universe.outcomes, universe.scale):
-            if cfg.scale_map.images != tuple(range(levels)):
-                continue
+            h, u_top = cfg.scale_map.images, cfg.utility_scale.top_index
+            nh = [u_top - w for w in h]
+
+            def below(w):
+                return max(v for v in range(levels) if h[v] <= w)
+
             u = cfg.prize_indices
-            for scalar_keys, pairs in [
-                (pessimistic_keys, [(top, top - v) for v in u]),
-                (optimistic_keys, [(v, top) for v in u]),
+            for oracle, pairs, read in [
+                (pessimistic_key, [(top, below(u_top - w)) for w in u], lambda r: nh[2 * top - r]),
+                (optimistic_key, [(below(w), top) for w in u], lambda r: h[r]),
             ]:
                 half = BinaryUtilityAssessment(cfg.outcomes, universe.scale, tuple(pairs), False)
-                scalar = induced_relation(universe, scalar_keys(universe, cfg))
-                binary = induced_relation(universe, binary_keys(universe, half))
-                assert (scalar.class_of, scalar.table) == (binary.class_of, binary.table)
+                ranks = member_keys(binary_keys(universe, half))
+                assert [read(r) for r in ranks] == [oracle(m, cfg) for m in universe.members]
             checked += 1
-    assert checked == 296
+    assert checked == 1131
 
 
 class TestCounterexampleSearch:
