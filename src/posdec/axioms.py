@@ -103,11 +103,6 @@ def _onto_images(n: int, m: int) -> Iterable[tuple[int, ...]]:
     )
 
 
-def enumerate_scale_maps(source: Scale, target: Scale) -> list[ScaleMap]:
-    """All order-preserving onto maps with the 0/1 anchors fixed."""
-    return [ScaleMap(source, target, images) for images in _onto_images(len(source), len(target))]
-
-
 def _scalar_draws(outcomes: OutcomeSet, size: int) -> Iterable[tuple]:
     """(images, keys) per scalar configuration over ``size`` uncertainty
     levels: per utility-scale size, per onto map, per anchored prize

@@ -58,8 +58,7 @@ import operator
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, reduce
 
-from . import lotteries
-from .lotteries import OutcomeSet
+from .lotteries import OutcomeSet, PossibilityDistribution, enumerate_distributions, level_tuples
 from .scales import Scale, _Record
 from .utilities import BinaryUtilityAssessment, ScalarUtilityConfig
 
@@ -92,10 +91,9 @@ class LotteryUniverse:
     def __init__(self, outcomes: OutcomeSet, scale: Scale):
         self.outcomes = outcomes
         self.scale = scale
-        # Looked up on the module at call time, so a wrapper set there is reached.
-        self.members = lotteries.enumerate_distributions(outcomes, scale)
-        self.value_tuples = tuple(m.indices for m in self.members)
         labels, size, top = outcomes.labels, len(scale), len(scale) - 1
+        # Each member's levels, one per prize in label order; no lottery objects.
+        self.value_tuples = level_tuples(len(labels), size)
         self.grid_size = size ** len(labels)
         prefixes = itertools.product(range(size), repeat=len(labels) - 1)
         lasts = [range(size) if top in prefix else (top,) for prefix in prefixes]
@@ -124,13 +122,21 @@ class LotteryUniverse:
         self.descriptions = {}
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.value_tuples)
+
+    @cached_property
+    def members(self) -> tuple[PossibilityDistribution, ...]:
+        """Every member as a lottery, in member order, built on first read;
+        no check reads it."""
+        return enumerate_distributions(self.outcomes, self.scale)
 
     def describe(self, index: int) -> str:
-        """Member ``index`` as witness text, built once per universe."""
+        """Member ``index`` as witness text, built once per universe from
+        that member's lottery alone."""
         text = self.descriptions.get(index)
         if text is None:
-            text = self.descriptions[index] = f"#{index}{self.members[index]}"
+            member = PossibilityDistribution(self.outcomes, self.scale, self.value_tuples[index])
+            text = self.descriptions[index] = f"#{index}{member}"
         return text
 
     def index(self, levels: Sequence[int]) -> int:
@@ -233,30 +239,9 @@ class PreferenceRelation:
     member j) is built on first read; no check reads it.
     """
 
-    def __init__(self, universe: LotteryUniverse, rows: Sequence[int]):
-        rows = list(rows)
-        if len(rows) != len(universe):
-            raise ValueError("relation size does not match the universe")
-        if any(row >> len(rows) for row in rows):
-            raise ValueError("relation row has bits past the universe")
-        self.universe, self.size, self.rows = universe, len(rows), rows
-        # Twins share a row and a column, a member's column read as its bit
-        # in each distinct row; a member not at least as good as itself is
-        # keyed apart.
-        distinct = list(dict.fromkeys(rows))
-        self.class_of, classes = _dense(
-            (row, tuple(d >> i & 1 for d in distinct)) if row >> i & 1 else i
-            for i, row in enumerate(rows)
-        )
-        firsts = [self.class_of.index(a) for a in range(len(classes))]
-        self.table = [sum((rows[f] >> g & 1) << b for b, g in enumerate(firsts)) for f in firsts]
-
-    @classmethod
-    def _of_classes(cls, universe: LotteryUniverse, class_of: list[int], table: list[int]):
+    def __init__(self, universe: LotteryUniverse, class_of: list[int], table: list[int]):
         """The relation with these classes, numbered in order of their first member."""
-        r = cls.__new__(cls)
-        r.universe, r.size, r.class_of, r.table = universe, len(class_of), class_of, table
-        return r
+        self.universe, self.size, self.class_of, self.table = universe, len(class_of), class_of, table
 
     @cached_property
     def rows(self) -> list[int]:
@@ -302,13 +287,6 @@ class PreferenceRelation:
         return [bytes(scatter([c - lo if lo <= c < lo + 248 else 255 for c in cls] + [255]))
                 for lo in range(0, count, 248)]
 
-    def at_least(self, i: int, j: int) -> bool:
-        return bool(self.table[self.class_of[i]] >> self.class_of[j] & 1)
-
-    def indifferent(self, i: int, j: int) -> bool:
-        a, b = self.class_of[i], self.class_of[j]
-        return bool(self.table[a] >> b & self.table[b] >> a & 1)
-
     def with_flipped(self, i: int, j: int) -> "PreferenceRelation":
         """Copy with one entry negated; used for fault injection.
 
@@ -328,7 +306,7 @@ class PreferenceRelation:
         origin = [origin[c] for c in kept]
         table = [sum((self.table[a] >> b & 1) << c for c, b in enumerate(origin)) for a in origin]
         table[class_of[i]] ^= 1 << class_of[j]
-        return PreferenceRelation._of_classes(self.universe, class_of, table)
+        return PreferenceRelation(self.universe, class_of, table)
 
 
 # A key below 255 fits a byte and leaves 0xff to mark the grid places that
@@ -435,7 +413,7 @@ def induced_relation(universe: LotteryUniverse, keys: Iterable) -> PreferenceRel
     for c in sorted(range(len(values)), key=values.__getitem__):
         below |= 1 << c
         table[c], columns[c] = below, full ^ below | 1 << c
-    r = PreferenceRelation._of_classes(universe, class_of, table)
+    r = PreferenceRelation(universe, class_of, table)
     r.columns = columns
     if layout is not None and len(values) <= 248:
         r.grid_layouts = [layout]

@@ -77,10 +77,6 @@ class Scenario(_Record, frozen=False):
         self.decisions, self.lotteries = decisions, lotteries
         self.assessment, self.pessimistic_config = assessment, pessimistic_config
 
-    @property
-    def utility_scale(self) -> Scale:
-        return self.scale_u if self.scale_u is not None else self.scale_v
-
 
 def _load_json(path: str):
     try:

@@ -74,17 +74,6 @@ class OutcomeSet(_Record):
     def labels(self) -> tuple[str, ...]:
         return self.outcomes
 
-    def rank(self, label: str) -> int:
-        """Class index of a label; smaller is better."""
-        try:
-            return self.class_of[label]
-        except (KeyError, TypeError):
-            raise KeyError(f"unknown outcome {label!r}") from None
-
-    def prefers(self, x: str, y: str) -> bool:
-        """True if x is weakly preferred to y."""
-        return self.rank(x) <= self.rank(y)
-
 
 class StateSpace(_Record):
     """The possible situations a decision can face."""
@@ -198,16 +187,6 @@ def distribution_from_indices(
     )
 
 
-def make_distribution(domain: Domain, values: Mapping[str, Level]) -> PossibilityDistribution:
-    """Build a distribution from a label-to-level mapping, whose levels
-    must share one scale."""
-    scales = [level.scale for level in values.values()]
-    for scale in scales[1:]:
-        check_same_scale(scales[0], scale)
-    table = {label: level.index for label, level in values.items()}
-    return distribution_from_indices(domain, scales[0] if scales else None, table)
-
-
 def point_mass(domain: Domain, label: str, scale: Scale) -> PossibilityDistribution:
     """The distribution fully possible at one label and impossible elsewhere."""
     labels = domain.labels
@@ -277,17 +256,6 @@ def mixture(
     return result
 
 
-def event_possibility(pi: PossibilityDistribution, event: Sequence[str]) -> Level:
-    """Possibility of a set of labels: the max over members, bottom if empty."""
-    labels = pi.domain.labels
-    best = 0
-    for label in event:
-        if label not in labels:
-            raise ValueError(f"unknown label {label!r}")
-        best = max(best, pi.indices[labels.index(label)])
-    return pi.scale.level(best)
-
-
 class Decision(_Record):
     """A total assignment of an outcome to every state."""
 
@@ -348,22 +316,30 @@ def check_enumerable(
         )
 
 
-def enumerate_distributions(
-    domain: Domain, scale: Scale, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> tuple[PossibilityDistribution, ...]:
-    """Every normalized distribution over (domain, scale), in a fixed order.
+def level_tuples(
+    domain_size: int, scale_size: int, limit: int = DEFAULT_ENUMERATION_LIMIT
+) -> tuple[tuple[int, ...], ...]:
+    """The levels of every normalized distribution over a domain and scale
+    of these sizes, one per label, in lexicographic order, first label
+    outermost.
 
     Raises, naming the space and its count, if the count would exceed ``limit``.
     """
-    n = len(domain.labels)
-    m = len(scale)
+    n, m = domain_size, scale_size
     check_enumerable(f"a universe of {enumeration_count(n, m)} lotteries", n, m, limit)
     top = m - 1
-    out = []
-    for combo in itertools.product(range(m), repeat=n):
-        if max(combo) == top:
-            out.append(PossibilityDistribution(domain, scale, combo))
-    return tuple(out)
+    return tuple(levels for levels in itertools.product(range(m), repeat=n) if top in levels)
+
+
+def enumerate_distributions(
+    domain: Domain, scale: Scale, limit: int = DEFAULT_ENUMERATION_LIMIT
+) -> tuple[PossibilityDistribution, ...]:
+    """Every normalized distribution over (domain, scale), in the order of
+    ``level_tuples``, which checks the count against ``limit``."""
+    return tuple(
+        PossibilityDistribution(domain, scale, levels)
+        for levels in level_tuples(len(domain.labels), len(scale), limit)
+    )
 
 
 class StandardLottery(_Record):
@@ -390,19 +366,6 @@ class StandardLottery(_Record):
     def scale(self) -> Scale:
         return self.best_weight.scale
 
-    def as_distribution(self, outcomes: OutcomeSet) -> PossibilityDistribution:
-        values = {label: self.scale.bottom for label in outcomes.outcomes}
-        values[outcomes.best] = self.best_weight
-        values[outcomes.worst] = self.worst_weight
-        return make_distribution(outcomes, values)
-
     def __str__(self) -> str:
         return f"({self.best_weight}/best, {self.worst_weight}/worst)"
 
-
-def standard_lotteries(scale: Scale) -> tuple[StandardLottery, ...]:
-    """All standard lotteries over ``scale``, worst-first.  There are 2|V|-1."""
-    top = len(scale) - 1
-    out = [StandardLottery(scale.level(i), scale.top) for i in range(top + 1)]
-    out.extend(StandardLottery(scale.top, scale.level(j)) for j in range(top - 1, -1, -1))
-    return tuple(out)

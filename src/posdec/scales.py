@@ -410,14 +410,6 @@ class ScaleMap(_Record):
             raise ValueError(f"scale map table maps unknown levels: {sorted(extra)}")
         return cls(source, target, tuple(target.index(table[label]) for label in source.levels))
 
-    @classmethod
-    def identity(cls, scale: Scale) -> "ScaleMap":
-        return cls(scale, scale, tuple(range(len(scale))))
-
-    def apply(self, level: Level) -> Level:
-        check_same_scale(level.scale, self.source)
-        return self.target.level(self.images[level.index])
-
 
 def validate_scale_map(h: ScaleMap) -> str | None:
     """Return None if valid, else a report naming the first violation.

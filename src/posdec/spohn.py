@@ -68,9 +68,6 @@ class DisbeliefFunction(_Record):
         labels = tuple(table)
         return cls(labels, tuple(table[label] for label in labels))
 
-    def value(self, label: str) -> int | float:
-        return self.values[self.labels.index(label)]
-
 
 def _as_base(c: int | str | Fraction) -> Fraction:
     base = parse_rational(c, f"conversion base {c!r}")

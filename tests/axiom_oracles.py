@@ -2,8 +2,8 @@
 
 These are matrix-scanning implementations of the checks that run on twin
 classes, class tables and level-grid places.  They read the relation one
-entry at a time through ``at_least`` and ``indifferent`` (the transitivity
-witness alone takes a row), and the universe's value tuples through a
+entry at a time through ``at_least`` and ``indifferent`` here (the
+transitivity witness alone takes a row), and the universe's value tuples through a
 lookup of their own built from them, never the universe's grid
 arithmetic, so they share no code with the class-table paths they are
 compared against.  ``check_uncertainty_attitude_by_steps`` and
@@ -18,15 +18,20 @@ The standard lotteries are found here by their levels
 (``standard_members``), never read from the universe.  No battery checks
 the decomposition of the standard-lottery order into its two halves, so
 that check lives here alone, on the plain pair scan.
+
+The library keeps no helper that only tests call, so the reference
+builders tests share live here too: a relation from bitset rows
+(``relation_of_rows``), the standard lotteries and their distributions,
+the onto scale maps and the identity map.
 """
 
 import itertools
 import random
 
-from posdec.axioms import canonical_outcomes, canonical_scale, enumerate_scale_maps
+from posdec.axioms import canonical_outcomes, canonical_scale
 from posdec.checker import AxiomReport, PreferenceRelation
-from posdec.lotteries import OutcomeSet, standard_lotteries
-from posdec.scales import binary_rank
+from posdec.lotteries import OutcomeSet, StandardLottery, distribution_from_indices
+from posdec.scales import ScaleMap, binary_rank
 from posdec.utilities import BinaryUtilityAssessment, ScalarUtilityConfig
 
 
@@ -35,23 +40,84 @@ def rows_of(matrix):
     return [sum(1 << j for j, v in enumerate(row) if v) for row in matrix]
 
 
+def relation_of_rows(universe, rows):
+    """The relation whose bit j of ``rows[i]`` is set iff member i is at
+    least as good as member j, as twin classes: members with the same row
+    and the same column share a class, and a member not at least as good
+    as itself has a class of its own."""
+    rows = list(rows)
+    if len(rows) != len(universe):
+        raise ValueError("relation size does not match the universe")
+    if any(row >> len(rows) for row in rows):
+        raise ValueError("relation row has bits past the universe")
+    distinct = list(dict.fromkeys(rows))
+    ids = {}
+    class_of = [
+        ids.setdefault((row, tuple(d >> i & 1 for d in distinct)) if row >> i & 1 else i, len(ids))
+        for i, row in enumerate(rows)
+    ]
+    firsts = [class_of.index(a) for a in range(len(ids))]
+    table = [sum((rows[f] >> g & 1) << b for b, g in enumerate(firsts)) for f in firsts]
+    return PreferenceRelation(universe, class_of, table)
+
+
+def at_least(r, i, j):
+    """Whether member i is at least as good as member j."""
+    return bool(r.table[r.class_of[i]] >> r.class_of[j] & 1)
+
+
+def indifferent(r, i, j):
+    return at_least(r, i, j) and at_least(r, j, i)
+
+
 def matrix_of(r):
     """The relation as a boolean matrix, read entry by entry."""
-    return [[r.at_least(i, j) for j in range(r.size)] for i in range(r.size)]
+    return [[at_least(r, i, j) for j in range(r.size)] for i in range(r.size)]
 
 
 def induced_relation(universe, evaluate):
     """Member i is at least as good as member j iff its utility is at least j's."""
     values = [evaluate(m) for m in universe.members]
     holds = [[values[i] >= values[j] for j in range(len(values))] for i in range(len(values))]
-    return PreferenceRelation(universe, rows_of(holds))
+    return relation_of_rows(universe, rows_of(holds))
+
+
+def standard_lotteries(scale):
+    """All standard lotteries over ``scale``, worst-first.  There are 2|V|-1."""
+    top = len(scale) - 1
+    out = [StandardLottery(scale.level(i), scale.top) for i in range(top + 1)]
+    out.extend(StandardLottery(scale.top, scale.level(j)) for j in range(top - 1, -1, -1))
+    return tuple(out)
+
+
+def standard_distribution(lottery, outcomes):
+    """A standard lottery as a distribution over ``outcomes``: its weights
+    at the best and worst prizes, and 0 at every other."""
+    table = dict.fromkeys(outcomes.labels, 0)
+    table[outcomes.best] = lottery.best_weight.index
+    table[outcomes.worst] = lottery.worst_weight.index
+    return distribution_from_indices(outcomes, lottery.scale, table)
+
+
+def enumerate_scale_maps(source, target):
+    """All order-preserving onto maps with the 0/1 anchors fixed, image
+    tables in lexicographic order."""
+    n, m = len(source), len(target)
+    return [
+        ScaleMap(source, target, (0, *mid, m - 1))
+        for mid in itertools.combinations_with_replacement(range(m), n - 2)
+        if {0, *mid, m - 1} == set(range(m))
+    ]
+
+
+def identity_map(scale):
+    return ScaleMap(scale, scale, tuple(range(len(scale))))
 
 
 def check_total_preorder(r, axiom_id="B1"):
     n = r.size
-    at_least = r.at_least
     for i in range(n):
-        if not at_least(i, i):
+        if not at_least(r, i, i):
             return AxiomReport(
                 axiom_id, False, (i, i),
                 f"reflexivity fails at {r.universe.describe(i)}",
@@ -60,7 +126,7 @@ def check_total_preorder(r, axiom_id="B1"):
     for i in range(n):
         row_i = rows[i]
         for j in range(n):
-            if at_least(i, j):
+            if at_least(r, i, j):
                 extra = rows[j] & ~row_i
                 if extra:
                     k = (extra & -extra).bit_length() - 1
@@ -72,7 +138,7 @@ def check_total_preorder(r, axiom_id="B1"):
                     )
     for i in range(n):
         for j in range(i + 1, n):
-            if not at_least(i, j) and not at_least(j, i):
+            if not at_least(r, i, j) and not at_least(r, j, i):
                 return AxiomReport(
                     axiom_id, False, (i, j),
                     f"completeness fails on {r.universe.describe(i)} and "
@@ -95,7 +161,7 @@ def check_uncertainty_attitude(r, direction):
                 premise = all(x <= y for x, y in zip(a, b))
             else:
                 premise = all(x >= y for x, y in zip(a, b))
-            if premise and not r.at_least(i, j):
+            if premise and not at_least(r, i, j):
                 return AxiomReport(
                     axiom_id, False, (i, j),
                     f"{direction} fails: {r.universe.describe(i)} must be weakly "
@@ -126,8 +192,8 @@ def check_substitutability(r, axiom_id="B3"):
             out.append(a if a >= b else b)
         return index_of[tuple(out)]
 
-    indifferent = [[r.indifferent(i, j) for j in range(n)] for i in range(n)]
-    later = [[j for j in range(i + 1, n) if indifferent[i][j]] for i in range(n)]
+    indifference = [[indifferent(r, i, j) for j in range(n)] for i in range(n)]
+    later = [[j for j in range(i + 1, n) if indifference[i][j]] for i in range(n)]
     point_masses = [
         index_of[tuple(top if p == q else 0 for q in range(len(vt[0])))]
         for p in range(len(vt[0]))
@@ -150,7 +216,7 @@ def check_substitutability(r, axiom_id="B3"):
             m1 = mixed[i]
             for j in js:
                 m2 = mixed[j]
-                if m1 != m2 and not indifferent[m1][m2]:
+                if m1 != m2 and not indifference[m1][m2]:
                     return _substitution_violation(r, axiom_id, i, j, k, wa, wb, mix)
     return AxiomReport(axiom_id, True)
 
@@ -193,7 +259,7 @@ def check_uncertainty_attitude_by_steps(r, direction):
                 beyond[i] |= beyond[j] | 1 << cls[j]
     for i in range(n):
         if cls[i] not in rows:
-            rows[cls[i]] = sum(1 << b for b in first if r.at_least(i, first[b]))
+            rows[cls[i]] = sum(1 << b for b in first if at_least(r, i, first[b]))
         bad = beyond[i] & ~rows[cls[i]]
         if bad:
             for j in range(n):
@@ -228,10 +294,10 @@ def check_substitutability_by_generators(r, axiom_id="B3"):
     n, cls, top = r.size, r.class_of, len(universe.scale) - 1
     first = {c: i for i, c in reversed(list(enumerate(cls)))}
     members = {c: [i for i in range(n) if cls[i] == c] for c in first}
-    near = {a: [b for b in first if r.indifferent(first[a], first[b])] for a in first}
+    near = {a: [b for b in first if indifferent(r, first[a], first[b])] for a in first}
 
     def equal_or_indifferent(i, j):
-        return i == j or r.indifferent(i, j)
+        return i == j or indifferent(r, i, j)
 
     weights = [(top, v) for v in range(1, top + 1)] + [(wa, top) for wa in range(1, top)]
     for p in range(len(vt[0])):
@@ -277,7 +343,7 @@ def _first_standard_mismatch(r, expected):
     std, top = standard_members(r.universe), len(r.universe.scale) - 1
     for ia, la, ma in std:
         for ib, lb, mb in std:
-            if r.at_least(ia, ib) != expected(la, ma, lb, mb, top):
+            if at_least(r, ia, ib) != expected(la, ma, lb, mb, top):
                 return ia, ib
     return None
 
@@ -297,7 +363,7 @@ def check_qualitative_monotonicity(r):
         return AxiomReport("B2", True)
     ia, ib = bad
     describe = r.universe.describe
-    direction = "holds but the pair order denies it" if r.at_least(ia, ib) \
+    direction = "holds but the pair order denies it" if at_least(r, ia, ib) \
         else "fails but the pair order requires it"
     return AxiomReport(
         "B2", False, bad,
@@ -347,7 +413,7 @@ def check_continuity(r, variant):
         if not variant.endswith("+") or m == top
     ]
     for src in sources:
-        if not any(r.indifferent(src, t) for t in targets):
+        if not any(indifferent(r, src, t) for t in targets):
             return AxiomReport(
                 variant, False, (src,),
                 f"continuity fails: no indifferent standard lottery for "

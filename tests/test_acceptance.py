@@ -19,7 +19,12 @@ from functools import partial
 
 import pytest
 
-from axiom_oracles import check_standard_order_decomposition
+from axiom_oracles import (
+    at_least,
+    check_standard_order_decomposition,
+    standard_distribution,
+    standard_lotteries,
+)
 from posdec.axioms import (
     canonical_outcomes,
     canonical_scale,
@@ -40,7 +45,6 @@ from posdec.lotteries import (
     enumerate_distributions,
     mixture,
     point_mass,
-    standard_lotteries,
 )
 from posdec.scales import BinaryUtility, Scale, ScaleMap
 from posdec.search import search_pair_counterexample
@@ -164,7 +168,7 @@ def test_criterion_02_standard_lottery_identity():
         outcomes = canonical_outcomes(2)
         assessment = enumerate_assessments(outcomes, scale)[0]
         for sl in standard_lotteries(scale):
-            value = binary_utility(sl.as_distribution(outcomes), assessment)
+            value = binary_utility(standard_distribution(sl, outcomes), assessment)
             assert value.first == sl.best_weight
             assert value.second == sl.worst_weight
             checked += 1
@@ -347,12 +351,12 @@ def test_criterion_08_half_encoded_and_mixed(example_scenario, example_universe)
     lo = example_universe.value_tuples[worst_pm]
     hi = example_universe.value_tuples[both_id]
     assert all(x <= y for x, y in zip(lo, hi))
-    assert not rel.at_least(worst_pm, both_id)
+    assert not at_least(rel, worst_pm, both_id)
     assert all(
         x >= y
         for x, y in zip(hi, example_universe.value_tuples[best_pm])
     )
-    assert not rel.at_least(both_id, best_pm)
+    assert not at_least(rel, both_id, best_pm)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     report(
@@ -374,11 +378,11 @@ def test_criterion_09_reduction_uniqueness(example_scenario, example_universe):
     for member in example_universe.members:
         value = binary_utility(member, assessment)
         reduced = reduce_to_standard(member, assessment)
-        assert binary_utility(reduced.as_distribution(outcomes), assessment) == value
+        assert binary_utility(standard_distribution(reduced, outcomes), assessment) == value
         partners = [i for i, sv in standard_values if sv == value]
         assert len(partners) == 1
         assert example_universe.value_tuples[partners[0]] == \
-            reduced.as_distribution(outcomes).indices
+            standard_distribution(reduced, outcomes).indices
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     report(9, f"PASS  175 lotteries reduce to a unique standard equivalent ({elapsed:.3f} s)")

@@ -37,7 +37,6 @@ from posdec.checker import (
     CONTINUITY_VARIANTS,
     AxiomReport,
     LotteryUniverse,
-    PreferenceRelation,
     binary_keys,
     check_continuity,
     check_qualitative_monotonicity,
@@ -230,7 +229,7 @@ def test_split_classes_give_the_same_reports(case, data):
     for i, j in entries:
         # Flipped twice, an entry is as it was, with i and j split off.
         split = split.with_flipped(i, j).with_flipped(i, j)
-    from_rows = PreferenceRelation(rel.universe, rel.rows)
+    from_rows = oracle.relation_of_rows(rel.universe, rel.rows)
     assert len(from_rows.table) <= len(rel.table) <= len(split.table)
     assert split.rows == rel.rows
     expected = every_report(rel)
@@ -247,7 +246,7 @@ def test_product_orders_match_oracles(data):
     keys = st.lists(st.integers(0, 3), min_size=n, max_size=n)
     a, b = data.draw(keys), data.draw(keys)
     holds = [[a[i] >= a[j] and b[i] >= b[j] for j in range(n)] for i in range(n)]
-    rel = PreferenceRelation(universe, oracle.rows_of(holds))
+    rel = oracle.relation_of_rows(universe, oracle.rows_of(holds))
     assert fields(check_total_preorder(rel)) == fields(oracle.check_total_preorder(rel))
     assert fields(check_substitutability(rel)) == fields(oracle.check_substitutability(rel))
 
@@ -338,8 +337,8 @@ def test_twins_not_indifferent_to_each_other(top_key):
     rel = induced_relation(universe, keys)
     for entry in itertools.product((4, 9), repeat=2):
         rel = rel.with_flipped(*entry)
-    rel = PreferenceRelation(universe, rel.rows)
-    assert rel.rows[4] == rel.rows[9] and not rel.at_least(4, 9)
+    rel = oracle.relation_of_rows(universe, rel.rows)
+    assert rel.rows[4] == rel.rows[9] and not oracle.at_least(rel, 4, 9)
     assert rel.class_of[4] != rel.class_of[9]
     assert fields(check_substitutability(rel)) == fields(oracle.check_substitutability(rel))
     assert fields(check_total_preorder(rel)) == fields(oracle.check_total_preorder(rel))
@@ -633,7 +632,7 @@ def test_key_tables_match_the_relation_rebuilt_from_rows(shape):
         keys = bytes(255 if hole else rng.randrange(distinct) for hole in universe.grid_holes)
         values = member_keys(keys)
         rows = [sum(1 << j for j, b in enumerate(values) if a >= b) for a in values]
-        expected = PreferenceRelation(universe, rows)
+        expected = oracle.relation_of_rows(universe, rows)
         for given in (keys, list(values)):
             rel = induced_relation(universe, given)
             assert list(rel.class_of) == expected.class_of

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from axiom_oracles import check_standard_order_decomposition, standard_decomposition, standard_members
 from axiom_oracles import check_substitutability as oracle_substitutability
-from axiom_oracles import rows_of
+import axiom_oracles as oracle
+from axiom_oracles import at_least, indifferent, relation_of_rows, rows_of, standard_distribution
 from test_utilities import optimistic_key, pessimistic_key
 from posdec import axioms, checker
 from posdec.axioms import (
@@ -38,7 +39,6 @@ from posdec.checker import (
     CONTINUITY_VARIANTS,
     AxiomReport,
     LotteryUniverse,
-    PreferenceRelation,
     binary_keys,
     check_continuity,
     check_qualitative_monotonicity,
@@ -49,7 +49,7 @@ from posdec.checker import (
     member_keys,
 )
 from posdec.cli import load_scenario
-from posdec.lotteries import BoundExceededError, mixture
+from posdec.lotteries import BoundExceededError, PossibilityDistribution, mixture
 from posdec.scales import Scale, ScaleMap, ScaleMismatchError, pair_ge_indices
 from posdec.search import search_pair_counterexample
 from posdec.utilities import (
@@ -176,9 +176,9 @@ class TestInducedRelation:
         best = by_value[(1, 0)]
         both = by_value[(1, 1)]
         worst = by_value[(0, 1)]
-        assert rel.at_least(best, both) and not rel.at_least(both, best)
-        assert rel.at_least(both, worst) and not rel.at_least(worst, both)
-        assert rel.at_least(best, worst) and not rel.at_least(worst, best)
+        assert at_least(rel, best, both) and not at_least(rel, both, best)
+        assert at_least(rel, both, worst) and not at_least(rel, worst, both)
+        assert at_least(rel, best, worst) and not at_least(rel, worst, best)
 
     @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
     def test_one_key_per_member(self, tiny_universe, extra):
@@ -187,18 +187,64 @@ class TestInducedRelation:
 
     def test_reflexive(self, example_binary_relation):
         for i in range(example_binary_relation.size):
-            assert example_binary_relation.at_least(i, i)
+            assert at_least(example_binary_relation, i, i)
 
     def test_worked_example_strict_preference(
         self, example_scenario, example_universe, example_binary_relation
     ):
         i = example_universe.index(example_scenario.lotteries["pi1"].indices)
         j = example_universe.index(example_scenario.lotteries["pi2"].indices)
-        assert example_binary_relation.at_least(i, j)
-        assert not example_binary_relation.at_least(j, i)
+        assert at_least(example_binary_relation, i, j)
+        assert not at_least(example_binary_relation, j, i)
 
 
 class TestLotteryUniverse:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The levels of every ``PossibilityDistribution`` built from here on."""
+        built, init = [], PossibilityDistribution.__init__
+
+        def counting(self, domain, scale, indices):
+            built.append(tuple(indices))
+            init(self, domain, scale, indices)
+
+        monkeypatch.setattr(PossibilityDistribution, "__init__", counting)
+        return built
+
+    def test_members_are_lotteries_built_only_on_request(self, built):
+        """A universe holds each member as its level tuple: constructing one
+        builds no lottery, ``describe(i)`` builds the one it names, and
+        ``members`` builds them all, in lexicographic order of levels."""
+        universe = LotteryUniverse(canonical_outcomes(3), canonical_scale(3))
+        assert built == [] and len(universe) == 19
+        assert universe.describe(5) == "#5(x1:.5, x2:0, x3:1)"
+        assert universe.describe(18) == "#18(x1:1, x2:1, x3:1)"
+        assert built == [(1, 0, 2), (2, 2, 2)]
+        members = universe.members
+        levels = [t for t in itertools.product(range(3), repeat=3) if 2 in t]
+        assert [m.indices for m in members] == levels == list(universe.value_tuples)
+        assert all(m.domain is universe.outcomes and m.scale is universe.scale for m in members)
+        assert members[5] == PossibilityDistribution(universe.outcomes, universe.scale, (1, 0, 2))
+        assert universe.members is members
+
+    @pytest.mark.parametrize("nx, nv", [(7, 6), (40, 6)])
+    def test_over_the_limit_raises_before_building(self, built, nx, nv):
+        """Over the enumeration limit, construction raises naming the
+        universe, with no lottery and no level tuple built: 6^40 tuples
+        could never be listed."""
+        count = nv**nx - (nv - 1) ** nx
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundExceededError, match=(
+                rf"^a universe of {count} lotteries: {nx} outcomes by {nv} levels are over "
+                r"the enumeration limit of 200000 lotteries$"
+            )):
+                LotteryUniverse(canonical_outcomes(nx), canonical_scale(nv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built == [] and peak < 1_000_000
+
     @pytest.mark.parametrize(
         "nx, nv", [*itertools.product(range(2, 7), range(2, 7)), (2, 50)]
     )
@@ -265,22 +311,22 @@ class TestLotteryUniverse:
 
 class TestPreferenceRelation:
     def test_rows_are_the_relation(self, tiny_universe):
-        rel = PreferenceRelation(tiny_universe, (0b111, 0b110, 0b110))
+        rel = relation_of_rows(tiny_universe, (0b111, 0b110, 0b110))
         assert rel.rows == [0b111, 0b110, 0b110]
-        assert rel.at_least(0, 2) and not rel.at_least(1, 0)
-        assert rel.indifferent(1, 2) and not rel.indifferent(0, 1)
+        assert at_least(rel, 0, 2) and not at_least(rel, 1, 0)
+        assert indifferent(rel, 1, 2) and not indifferent(rel, 0, 1)
 
     def test_size_must_match_the_universe(self, tiny_universe):
         with pytest.raises(ValueError, match="size"):
-            PreferenceRelation(tiny_universe, [0b111, 0b111])
+            relation_of_rows(tiny_universe, [0b111, 0b111])
 
     @pytest.mark.parametrize("row", [0b1000, 0b1111, -1])
     def test_no_bits_past_the_universe(self, tiny_universe, row):
         with pytest.raises(ValueError, match="past the universe"):
-            PreferenceRelation(tiny_universe, [0b111, row, 0b111])
+            relation_of_rows(tiny_universe, [0b111, row, 0b111])
 
     def test_with_flipped_negates_one_entry(self, tiny_universe):
-        rel = PreferenceRelation(tiny_universe, [0b111, 0b110, 0b110])
+        rel = relation_of_rows(tiny_universe, [0b111, 0b110, 0b110])
         flipped = rel.with_flipped(1, 0)
         assert flipped.rows == [0b111, 0b111, 0b110]
         assert rel.rows == [0b111, 0b110, 0b110]
@@ -289,7 +335,7 @@ class TestPreferenceRelation:
 
     @pytest.mark.parametrize("entry", [(-1, 0), (0, -1), (-3, -3), (3, 0)])
     def test_with_flipped_rejects_indices_outside_the_relation(self, tiny_universe, entry):
-        rel = PreferenceRelation(tiny_universe, [0b111, 0b110, 0b110])
+        rel = relation_of_rows(tiny_universe, [0b111, 0b110, 0b110])
         with pytest.raises(ValueError, match="outside a relation of 3 members"):
             rel.with_flipped(*entry)
 
@@ -302,7 +348,7 @@ class TestPreferenceRelation:
         i, j = [m for m in range(rel.size) if rel.class_of[m] == big][:2]
         assert rel.class_of.count(big) >= 3
         flipped = rel.with_flipped(i, j)
-        assert not flipped.at_least(i, j) and flipped.at_least(j, i)
+        assert not at_least(flipped, i, j) and at_least(flipped, j, i)
         assert len(flipped.table) == len(rel.table) + 2
         assert all(
             flipped.class_of.count(flipped.class_of[m]) == 1 for m in (i, j)
@@ -343,7 +389,7 @@ class TestTotalPreorder:
         assert check_total_preorder(example_pessimistic_relation).satisfied
 
     def test_empty_relation_fails_reflexivity(self, tiny_universe):
-        rel = PreferenceRelation(tiny_universe, rows_of([[False] * 3 for _ in range(3)]))
+        rel = relation_of_rows(tiny_universe, rows_of([[False] * 3 for _ in range(3)]))
         report = check_total_preorder(rel)
         assert not report.satisfied
         assert report.witness == (0, 0)
@@ -355,7 +401,7 @@ class TestTotalPreorder:
             [False, True, True],
             [True, False, True],
         ]
-        report = check_total_preorder(PreferenceRelation(tiny_universe, rows_of(holds)))
+        report = check_total_preorder(relation_of_rows(tiny_universe, rows_of(holds)))
         assert not report.satisfied
         assert "transitivity" in report.detail
         i, j, k = report.witness
@@ -367,7 +413,7 @@ class TestTotalPreorder:
             [False, True, True],
             [False, True, True],
         ]
-        report = check_total_preorder(PreferenceRelation(tiny_universe, rows_of(holds)))
+        report = check_total_preorder(relation_of_rows(tiny_universe, rows_of(holds)))
         assert not report.satisfied
         assert "completeness" in report.detail
 
@@ -399,7 +445,7 @@ class TestUncertaintyAttitude:
         i, j = report.witness
         a, b = example_universe.value_tuples[i], example_universe.value_tuples[j]
         assert all(x <= y for x, y in zip(a, b))
-        assert not rel.at_least(i, j)
+        assert not at_least(rel, i, j)
 
     def test_unknown_direction_is_rejected(self, example_pessimistic_relation):
         with pytest.raises(ValueError, match="^unknown direction 'neutral'$"):
@@ -432,8 +478,8 @@ class TestSubstitutability:
         report = check_substitutability(broken)
         assert not report.satisfied
         i, j, k, wa, wb, m1, m2 = report.witness
-        assert broken.indifferent(i, j)
-        assert not broken.indifferent(m1, m2)
+        assert indifferent(broken, i, j)
+        assert not indifferent(broken, m1, m2)
 
     @pytest.mark.parametrize(
         "shape", [(2, 3), (3, 4), (4, 5), (6, 6)], ids=["2x3", "3x4", "4x5", "6x6"]
@@ -495,8 +541,8 @@ class TestSubstitutability:
         assert time.perf_counter() - start < 1
         assert not report.satisfied
         i, j, k, wa, wb, m1, m2 = report.witness
-        assert broken.indifferent(i, j)
-        assert m1 != m2 and not broken.indifferent(m1, m2)
+        assert indifferent(broken, i, j)
+        assert m1 != m2 and not indifferent(broken, m1, m2)
         universe = rel.universe
         level, members = universe.scale.level, universe.members
         for x, m in ((i, m1), (j, m2)):
@@ -581,7 +627,7 @@ class TestQualitativeMonotonicity:
         report = check_qualitative_monotonicity(example_pessimistic_relation)
         assert not report.satisfied
         ia, ib = report.witness
-        assert example_pessimistic_relation.at_least(ia, ib)
+        assert at_least(example_pessimistic_relation, ia, ib)
 
     def test_flipped_standard_pair_violates(self, tiny_universe):
         rel = induced_by(tiny_universe, partial(binary_utility, a=tiny_assessment(tiny_universe)))
@@ -621,11 +667,11 @@ class TestUniquenessOfStandardEquivalent:
         assessment = example_scenario.assessment
         for i, member in enumerate(example_universe.members):
             partners = [
-                s for s in example_universe.standard if example_binary_relation.indifferent(i, s)
+                s for s in example_universe.standard if indifferent(example_binary_relation, i, s)
             ]
             assert len(partners) == 1
             reduced = reduce_to_standard(member, assessment)
-            expected = reduced.as_distribution(example_universe.outcomes).indices
+            expected = standard_distribution(reduced, example_universe.outcomes).indices
             assert example_universe.value_tuples[partners[0]] == expected
 
 
@@ -1101,7 +1147,7 @@ class TestVerifyEntailments:
 def replay_witness(rel, report):
     """Re-evaluate a violated report's witness against the raw relation."""
     universe = rel.universe
-    at_least = rel.at_least
+    at_least = partial(oracle.at_least, rel)
     axiom = report.axiom
     w = report.witness
     if axiom in ("A1-", "B1"):
@@ -1130,10 +1176,10 @@ def replay_witness(rel, report):
             return by_value[tuple(max(min(w1, x), min(w2, y)) for x, y in zip(t1, t2))]
 
         return (
-            rel.indifferent(i, j)
+            indifferent(rel, i, j)
             and mix(wa, vt[i], wb, vt[k]) == m1
             and mix(wa, vt[j], wb, vt[k]) == m2
-            and not rel.indifferent(m1, m2)
+            and not indifferent(rel, m1, m2)
         )
     if axiom in ("A4-", "A4+", "B4", "B4-", "B4+"):
         (src,) = w
@@ -1143,7 +1189,7 @@ def replay_witness(rel, report):
             if not axiom.endswith("-") or l == top
             if not axiom.endswith("+") or m == top
         ]
-        return not any(rel.indifferent(src, t) for t in targets)
+        return not any(indifferent(rel, src, t) for t in targets)
     if axiom == "B2":
         ia, ib = w
         info = {i: (l, m) for i, l, m in standard_members(universe)}
@@ -1165,7 +1211,7 @@ def naive_substitutability_holds(rel):
     pairs.extend((scale_top, j) for j in range(scale_top - 1, -1, -1))
     for i in range(n):
         for j in range(i + 1, n):
-            if not rel.indifferent(i, j):
+            if not indifferent(rel, i, j):
                 continue
             for wa, wb in pairs:
                 for k in range(n):
@@ -1175,7 +1221,7 @@ def naive_substitutability_holds(rel):
                     m2 = by_value[
                         tuple(max(min(wa, x), min(wb, y)) for x, y in zip(vt[j], vt[k]))
                     ]
-                    if m1 != m2 and not rel.indifferent(m1, m2):
+                    if m1 != m2 and not indifferent(rel, m1, m2):
                         return False
     return True
 

@@ -827,7 +827,7 @@ class TestScenarioParsing:
 
     def test_scale_u_defaults_to_scale_v(self, anomaly_scenario):
         assert anomaly_scenario.scale_u is None
-        assert anomaly_scenario.utility_scale == anomaly_scenario.scale_v
+        assert anomaly_scenario.pessimistic_config.utility_scale == anomaly_scenario.scale_v
 
 
 def _set(path, value):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from axiom_oracles import standard_distribution, standard_lotteries
 from posdec.checker import LotteryUniverse
 from posdec.lotteries import (
     BoundExceededError,
@@ -14,14 +15,12 @@ from posdec.lotteries import (
     OutcomeSet,
     StandardLottery,
     StateSpace,
+    distribution_from_indices,
     enumerate_distributions,
     enumeration_count,
-    event_possibility,
     induced_distribution,
-    make_distribution,
     mixture,
     point_mass,
-    standard_lotteries,
 )
 from posdec.scales import Scale
 from posdec.spohn import (
@@ -40,8 +39,8 @@ X2 = OutcomeSet(("good", "bad"), best="good", worst="bad")
 
 
 def dist(domain, scale, *labels):
-    return make_distribution(
-        domain, {l: scale[v] for l, v in zip(domain.labels, labels)}
+    return distribution_from_indices(
+        domain, scale, {l: scale.index(v) for l, v in zip(domain.labels, labels)}
     )
 
 
@@ -55,8 +54,8 @@ class TestOutcomeSet:
             OutcomeSet(("a", "b"), best="a", worst="a")
 
     def test_default_preference_is_declaration_order(self):
-        assert X4.prefers("x1", "x3")
-        assert not X4.prefers("x3", "x1")
+        assert X4.class_of["x1"] < X4.class_of["x3"]
+        assert X4.preference_classes == (("x1",), ("x2",), ("x3",), ("x4",))
 
     def test_classes_must_partition(self):
         with pytest.raises(ValueError, match="partition"):
@@ -83,13 +82,13 @@ class TestMakeDistribution:
 
     def test_missing_label(self):
         with pytest.raises(ValueError, match="missing value for label 'x4'"):
-            make_distribution(X4, {"x1": V4["1"], "x2": V4["0"], "x3": V4["0"]})
+            distribution_from_indices(X4, V4, {"x1": 3, "x2": 0, "x3": 0})
 
     def test_unknown_label(self):
-        values = {l: V4["1"] for l in X4.labels}
-        values["x9"] = V4["0"]
+        values = dict.fromkeys(X4.labels, 3)
+        values["x9"] = 0
         with pytest.raises(ValueError, match="unknown label 'x9'"):
-            make_distribution(X4, values)
+            distribution_from_indices(X4, V4, values)
 
     def test_under_normalized_reports_actual_max(self):
         with pytest.raises(NormalizationError, match="'.7'"):
@@ -212,26 +211,6 @@ def test_mixture_commutative_and_normalized(case):
     assert max(left.indices) == len(scale) - 1
 
 
-class TestEventPossibility:
-    def test_empty_event(self):
-        pi = dist(X4, V4, ".7", "1", ".5", ".5")
-        assert event_possibility(pi, []).label == "0"
-
-    def test_whole_domain(self):
-        pi = dist(X4, V4, ".7", "1", ".5", ".5")
-        assert event_possibility(pi, list(X4.labels)).label == "1"
-
-    def test_subset(self):
-        states = StateSpace(("s1", "s2", "s3"))
-        pi = dist(states, V4, "1", ".7", ".5")
-        assert event_possibility(pi, ["s2", "s3"]).label == ".7"
-
-    def test_unknown_member(self):
-        pi = dist(X4, V4, ".7", "1", ".5", ".5")
-        with pytest.raises(ValueError, match="unknown label"):
-            event_possibility(pi, ["nope"])
-
-
 class TestInducedDistribution:
     STATES = StateSpace(("s1", "s2", "s3"))
 
@@ -327,7 +306,7 @@ class TestStandardLotteries:
 
     def test_as_distribution(self):
         sl = StandardLottery(V4["1"], V4[".5"])
-        d = sl.as_distribution(X4)
+        d = standard_distribution(sl, X4)
         assert d.value("x1").label == "1"
         assert d.value("x4").label == ".5"
         assert d.value("x2").label == "0"

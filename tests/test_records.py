@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import posdec
+from axiom_oracles import identity_map
 from posdec.axioms import ConfigOutcome, EntailmentRun
 from posdec.checker import AxiomReport
 from posdec.cli import parse_scenario
@@ -39,7 +40,7 @@ def frozen_records():
     v = Scale(("0", ".5", "1"), name="V")
     outcomes = OutcomeSet(("x1", "x2", "x3"), "x1", "x3", (("x1",), ("x2", "x3")))
     states = StateSpace(("s1", "s2"))
-    scale_map = ScaleMap.identity(v)
+    scale_map = identity_map(v)
     return [
         (v, "levels"),
         (Level(v, 1), "index"),
@@ -81,7 +82,7 @@ def mutable_records():
         "preference_classes=(('x1',), ('x2', 'x3')))",
     ),
     (
-        ScaleMap.identity(Scale(("0", ".5", "1"), name="V")),
+        identity_map(Scale(("0", ".5", "1"), name="V")),
         f"ScaleMap(source={V_REPR}, target={V_REPR}, images=(0, 1, 2))",
     ),
     (

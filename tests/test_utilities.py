@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axiom_oracles import enumerate_scale_maps, identity_map, standard_distribution, standard_lotteries
 from posdec import axioms, checker, utilities
 from posdec.axioms import (
     canonical_outcomes,
     canonical_scale,
     enumerate_assessments,
     enumerate_scalar_configs,
-    enumerate_scale_maps,
 )
 from posdec.checker import (
     LotteryUniverse,
@@ -31,7 +31,6 @@ from posdec.lotteries import (
     enumerate_distributions,
     mixture,
     point_mass,
-    standard_lotteries,
 )
 from posdec.scales import (
     BinaryUtility,
@@ -150,7 +149,7 @@ class TestPessimistic:
         for sl in standard_lotteries(s.scale_v):
             if not sl.worst_weight.is_top():
                 continue
-            value = pessimistic_utility(sl.as_distribution(s.outcomes), cfg)
+            value = pessimistic_utility(standard_distribution(sl, s.outcomes), cfg)
             assert value == pessimistic_utility(worst, cfg)
             assert value.label == "0"
 
@@ -190,13 +189,13 @@ class TestOptimistic:
         for sl in standard_lotteries(s.scale_v):
             if not sl.best_weight.is_top():
                 continue
-            value = optimistic_utility(sl.as_distribution(s.outcomes), s.pessimistic_config)
+            value = optimistic_utility(standard_distribution(sl, s.outcomes), s.pessimistic_config)
             assert value.label == "1"
 
     def test_partial_hope(self, example_scenario):
         s = example_scenario
         sl = StandardLottery(s.scale_v[".7"], s.scale_v["1"])
-        value = optimistic_utility(sl.as_distribution(s.outcomes), s.pessimistic_config)
+        value = optimistic_utility(standard_distribution(sl, s.outcomes), s.pessimistic_config)
         assert value.label == ".5"
 
 
@@ -268,7 +267,7 @@ class TestBinaryUtility:
         outcomes = canonical_outcomes(2)
         assessment = anchors_only_assessment(outcomes, scale)
         for sl in standard_lotteries(scale):
-            value = binary_utility(sl.as_distribution(outcomes), assessment)
+            value = binary_utility(standard_distribution(sl, outcomes), assessment)
             assert value.first == sl.best_weight
             assert value.second == sl.worst_weight
 
@@ -337,7 +336,7 @@ class TestReduceToStandard:
         s = example_scenario
         for pi in enumerate_distributions(s.outcomes, s.scale_v):
             sl = reduce_to_standard(pi, s.assessment)
-            assert binary_utility(sl.as_distribution(s.outcomes), s.assessment) == \
+            assert binary_utility(standard_distribution(sl, s.outcomes), s.assessment) == \
                 binary_utility(pi, s.assessment)
 
 
@@ -446,7 +445,7 @@ class TestRestrictedAgreement:
         outcomes = canonical_outcomes(nx)
         scale = canonical_scale(nv)
         members = enumerate_distributions(outcomes, scale)
-        identity = ScaleMap.identity(scale)
+        identity = identity_map(scale)
         interior = outcomes.labels[1:-1]
         for combo in itertools.product(range(len(scale)), repeat=len(interior)):
             worst_weights = {outcomes.best: 0, outcomes.worst: len(scale) - 1}
@@ -478,7 +477,7 @@ class TestRestrictedAgreement:
         outcomes = canonical_outcomes(nx)
         scale = canonical_scale(nv)
         members = enumerate_distributions(outcomes, scale)
-        identity = ScaleMap.identity(scale)
+        identity = identity_map(scale)
         interior = outcomes.labels[1:-1]
         for combo in itertools.product(range(len(scale)), repeat=len(interior)):
             best_weights = {outcomes.best: len(scale) - 1, outcomes.worst: 0}
