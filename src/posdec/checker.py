@@ -17,16 +17,19 @@ against its rank's, and continuity's targets are three of its entries.
 Uncertainty attitude and substitutability read the classes laid out over
 the full grid of level tuples.  Attitude gives each place a byte, a bit
 per class for eight classes at a time, and closes it under level shifts:
-every place then sees the classes above (or below) it.  Substitutability builds each class's "equal or
-indifferent" set once and tries each mixture with a point mass, which
-generate every other, once: where those sets are the blocks of an
-equivalence on one layout, it tests the mixtures in order, each on the
-rows of the blocks' layout that it moves once the mixtures before it
-keep the sets.  Their image, cut by slicing and translates with 0xff
-left at the places that hold no member, must follow from one map of
-blocks, which one maketrans and a translate or two decide; otherwise it
-tries every mixture's member map.  One pair finder, reading the same
-sets, names the witness from the first mixture that breaks it.
+every place then sees the classes above (or below) it.
+Substitutability builds each class's "equal or indifferent" set once
+and tests each mixture with a point mass, which generate every other,
+in order, each on the grid rows it moves once the mixtures before it
+keep the sets; their image is cut by slicing and translates, with 0xff
+left at the places that hold no member.  Where the sets are the blocks
+of an equivalence on one layout, the image must follow from one map of
+blocks, which one maketrans and a translate or two decide; on any other
+relation, the distinct (class, image class) pairs of the moved rows,
+read as one int per place from one byte plane of class ids or two, must
+keep the sets with each other and with the classes of the rows kept.
+Only the first mixture that breaks them has its member map built, and
+it names the witness.
 Members are addressed by their place in the level grid: a mixture with
 a point mass folds per-prize image tables over it, and a raise is one
 stride.  Every check stays complete and returns the first concrete
@@ -55,6 +58,8 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
+from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, reduce
 
@@ -546,42 +551,38 @@ def check_substitutability(r: PreferenceRelation) -> AxiomReport:
     mixture's member map must keep "equal or indifferent", and maps that
     keep it compose.  Every mixture is a chain of the universe's
     ``generators``, each a mixture too, so the axiom holds iff each
-    generator keeps it.  Where "equal or indifferent" is an equivalence on
-    one grid layout, the grid test (``_suspects``) finds the first
-    generator that breaks it; otherwise every generator is tried.  The
-    first that breaks it, in key order (point mass, then weights), gives
-    the witness: its first broken pair (i, j), mixed with point mass k
-    under weights (wa, wb).
+    generator keeps it.  The level grid names the first generator, in key
+    order (point mass, then weights), that breaks it: by one map of blocks
+    (``_blocks_break``) where "equal or indifferent" is an equivalence on
+    one layout, else by the class pairs it moves (``_pairs_break``).  Only
+    that generator's member map is built, and it gives the witness: its
+    first broken pair (i, j), mixed with point mass k under weights
+    (wa, wb).
     """
     universe = r.universe
     # A class not indifferent to itself has one member: equal images.
     closed = [row | 1 << a for a, row in enumerate(r.indifference)]
-    # Each class is in its own set, so the sets are blocks iff they are
-    # disjoint; blocks of one class each are classes indifferent to no other.
-    blocks = set(closed)
-    covered = sum(map(int.bit_count, blocks))
-    suspects = universe.generators
-    if len(r.grid_layouts) == 1 and covered == len(closed):
-        suspects = _suspects(r, closed, blocks)
-    for k, wa, wb in suspects:
-        f = universe.generator_map(k, wa, wb)
-        pair = _first_broken_pair(r, f, closed, covered == len(blocks))
-        if pair is not None:
-            i, j = pair
-            describe, labels = universe.describe, universe.scale.levels
-            return AxiomReport(
-                "B3", False, (i, j, k, wa, wb, f[i], f[j]),
-                f"substitutability fails: {describe(i)} ~ {describe(j)} "
-                f"but weights ({labels[wa]}, {labels[wb]}) with {describe(k)} "
-                f"mix to {describe(f[i])} vs {describe(f[j])}",
-            )
-    return HOLDS["B3"]
+    # Each class is in its own set, so the sets are blocks iff they are disjoint.
+    blocks = len(r.grid_layouts) == 1 and sum(map(int.bit_count, set(closed))) == len(closed)
+    generator = (_blocks_break if blocks else _pairs_break)(r, closed)
+    if generator is None:
+        return HOLDS["B3"]
+    k, wa, wb = generator
+    f = universe.generator_map(k, wa, wb)
+    i, j = _first_broken_pair(r, f, closed)
+    describe, labels = universe.describe, universe.scale.levels
+    return AxiomReport(
+        "B3", False, (i, j, k, wa, wb, f[i], f[j]),
+        f"substitutability fails: {describe(i)} ~ {describe(j)} "
+        f"but weights ({labels[wa]}, {labels[wb]}) with {describe(k)} "
+        f"mix to {describe(f[i])} vs {describe(f[j])}",
+    )
 
 
-def _suspects(r: PreferenceRelation, closed: list[int], blocks: set[int]) -> list[tuple]:
+def _blocks_break(r: PreferenceRelation, closed: list[int]) -> tuple | None:
     """The first generator, in key order, that breaks "equal or
-    indifferent", if any, where it is an equivalence whose ``blocks`` are
-    the distinct ``closed`` sets and r's classes fill one layout: the first
+    indifferent", or None, where it is an equivalence whose blocks are the
+    distinct ``closed`` sets and r's classes fill one layout: the first
     whose moved rows (``_moves``) go to their image by no one map of
     blocks that also sends each block of the rows it keeps to itself.
     0xff marks the places that hold no member in the rows and the images
@@ -589,14 +590,83 @@ def _suspects(r: PreferenceRelation, closed: list[int], blocks: set[int]) -> lis
     members, so 0xff goes to itself and the test is exact.
     """
     layout = r.grid_layouts[0]
-    if len(blocks) < len(closed):
+    if len(set(closed)) < len(closed):
         # Classes indifferent to others: each block is numbered by its first class.
         layout = layout.translate(bytes(map(closed.index, closed)).ljust(256, b"\xff"))
     for generator, (head, image, tail) in zip(r.universe.generators, _moves(r.universe, layout)):
         moved = bytes.maketrans(head, image)
         if head.translate(moved) != image or tail.translate(moved) != tail:
-            return [generator]
-    return []
+            return generator
+    return None
+
+
+def _pairs_break(r: PreferenceRelation, closed: list[int]) -> tuple | None:
+    """The first generator, in key order, that breaks "equal or
+    indifferent", or None, on any relation: the first whose moved rows
+    (``_moves``) and their image hold a (class, image class) pair that
+    breaks it with another such pair (``_breaks``) or with a class of the
+    rows it keeps, each of which goes to itself.  That needs no
+    transitivity.  Class ids fill one byte plane up to 248 classes, else
+    two, each place's id its bytes in native order, all 0xff where no
+    member is; every plane moves alike, so a place's pair is its bytes in
+    the rows and the image, read as one int.  A prize's first raise,
+    weights (top, 1), keeps rows 1 .. top, so each row's classes are read
+    once per prize.  Where each class moved has one image and is
+    indifferent to no other class, no two pairs break it.
+    """
+    universe, ind, top = r.universe, r.indifference, len(r.universe.scale) - 1
+    planes = r.grid_layouts
+    if len(planes) > 1:
+        wide = array("H", universe.grid_scatter([*r.class_of, 0xFFFF])).tobytes()
+        planes = [wide[::2], wide[1::2]]
+    shift = 8 * len(planes)
+    hole = (1 << shift) - 1
+    linked = {a for a, row in enumerate(ind) if row & ~(1 << a)}
+    moves = zip(*[_moves(universe, plane) for plane in planes])
+    for generator, (heads, images, tails) in zip(universe.generators, (zip(*m) for m in moves)):
+        _, wa, wb = generator
+        if wb == 1:
+            level = len(tails[0]) // top
+            rows = [_joined([t[v * level:][:level] for t in tails]) for v in range(top)]
+            # Per raise to v, the classes of the rows v .. top that it keeps.
+            bits = [sum(1 << a for a in set(row) - {hole}) for row in reversed(rows)]
+            kept = [*itertools.accumulate(bits, operator.or_)]
+        # The head in the low half of each pair's int, whatever the byte order.
+        pairs = set(_joined(heads + images if sys.byteorder == "little" else images + heads))
+        ids = set(_joined(heads))
+        groups = [(p & hole, p >> shift) for p in pairs if p & hole != hole]
+        if len(pairs) > len(ids) or not ids.isdisjoint(linked):
+            if next(_breaks(groups, ind, closed), None):
+                return generator
+        if wa < top:
+            continue
+        # No class indifferent to a pair's class and not to its image may be kept.
+        if kept[top - wb] & reduce(operator.or_, [ind[a] & ~closed[c] for a, c in groups], 0):
+            return generator
+    return None
+
+
+def _joined(planes: Sequence[bytes]) -> memoryview:
+    """The planes interleaved byte by byte, read as one unsigned int per place."""
+    joined = bytearray(len(planes) * len(planes[0]))
+    for p, plane in enumerate(planes):
+        joined[p::len(planes)] = plane
+    return memoryview(joined).cast({1: "B", 2: "H", 4: "I"}[len(planes)])
+
+
+def _breaks(groups: list[tuple], ind: list[int], closed: list[int]) -> Iterator[tuple]:
+    """The (class, image class) groups, in order, that break "equal or
+    indifferent" with one of ``groups``: some class indifferent to the
+    group's class has an image neither equal nor indifferent to its image.
+    """
+    images = {}
+    for a, c in groups:
+        images[a] = images.get(a, 0) | 1 << c
+    for a, c in groups:
+        # A class indifferent to no other reaches only its own images.
+        near = [images[a]] if ind[a] == 1 << a else [images[b] for b in images if ind[a] >> b & 1]
+        if reduce(operator.or_, near, 0) & ~closed[c]:
+            yield a, c
 
 
 def _moves(universe: LotteryUniverse, layout: bytes) -> Iterator[tuple]:
@@ -642,33 +712,20 @@ def _capped(part: bytes, block: bytes, size: int, wa: int) -> bytes:
     return head + (head[-sub:] * (top - wa) if wa < top else part[-sub:])
 
 
-def _first_broken_pair(r: PreferenceRelation, f: list, closed: list, alone: bool) -> tuple | None:
+def _first_broken_pair(r: PreferenceRelation, f: list, closed: list) -> tuple:
     """First (i, j), i < j, of members indifferent to each other whose
-    images under f are neither equal nor indifferent; None if f keeps
-    "equal or indifferent".  ``closed`` is each class with the classes
-    indifferent to it, and ``alone`` says that none is indifferent to
-    another class.
-
-    Members sharing a class and an image class form a group, numbered in
-    order of its first member.  Two groups break f iff their classes are
-    indifferent and their image classes are neither equal nor indifferent.
-    That is symmetric, so the first broken pair is the first members of the
-    first group that breaks with a later one and of the first such later
-    group.
+    images under f, a map that breaks "equal or indifferent", are neither
+    equal nor indifferent.  ``closed`` is each class with the classes
+    indifferent to it.  Breaking is symmetric, so i is the first member of
+    the first (class, image class) group that breaks (``_breaks``), and j
+    the first member that breaks with it.
     """
     cls, ind = r.class_of, r.indifference
-    images = operator.itemgetter(*f)(cls)
-    groups = list(dict.fromkeys(zip(cls, images)))
-    # One group per class, and no class indifferent to another (as in a
-    # total preorder): no two groups can break f.
-    if alone and len(groups) == len(closed):
-        return None
-    for g, (a, c) in enumerate(groups):
-        for b, d in groups[g + 1:]:
-            if ind[a] >> b & 1 and not closed[c] >> d & 1:
-                pairs = list(zip(cls, images))
-                return pairs.index((a, c)), pairs.index((b, d))
-    return None
+    pairs = [*zip(cls, operator.itemgetter(*f)(cls))]
+    a, c = next(_breaks([*dict.fromkeys(pairs)], ind, closed))
+    return pairs.index((a, c)), next(
+        j for j, (b, d) in enumerate(pairs) if ind[a] >> b & 1 and not closed[c] >> d & 1
+    )
 
 
 def check_continuity(r: PreferenceRelation, variant: str) -> AxiomReport:

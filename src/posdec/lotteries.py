@@ -138,13 +138,6 @@ class PossibilityDistribution:
     def __hash__(self) -> int:
         return hash((self.domain, self.scale, self.indices))
 
-    def value(self, label: str) -> Level:
-        try:
-            pos = self.domain.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown label {label!r}") from None
-        return self.scale.level(self.indices[pos])
-
     def items(self) -> Iterator[tuple[str, Level]]:
         for label, idx in zip(self.domain.labels, self.indices):
             yield label, self.scale.level(idx)
@@ -184,17 +177,6 @@ def distribution_from_indices(
     """
     return PossibilityDistribution(
         domain, scale, aligned(domain.labels, table, "missing value for label", "unknown label")
-    )
-
-
-def point_mass(domain: Domain, label: str, scale: Scale) -> PossibilityDistribution:
-    """The distribution fully possible at one label and impossible elsewhere."""
-    labels = domain.labels
-    if label not in labels:
-        raise ValueError(f"unknown label {label!r}")
-    top = len(scale) - 1
-    return PossibilityDistribution(
-        domain, scale, tuple(top if l == label else 0 for l in labels)
     )
 
 

@@ -166,14 +166,6 @@ class Scale(_Record):
     def level(self, index: int) -> "Level":
         return Level(self, index)
 
-    @property
-    def bottom(self) -> "Level":
-        return self.level_values[0]
-
-    @property
-    def top(self) -> "Level":
-        return self.level_values[-1]
-
     def numeric(self, index: int) -> Fraction:
         """Exact rational value of the level at ``index``."""
         return parse_label(self.levels[index])
@@ -297,14 +289,6 @@ class BinaryUtility(UtilityPair):
     def __init__(self, first: Level, second: Level) -> None:
         super().__init__(first, second)
         check_binary_pair(self.scale, first.index, second.index)
-
-    @classmethod
-    def of(cls, first: Level, second: Level) -> "BinaryUtility":
-        """The binary utility with these components, as its scale caches it."""
-        scale = first.scale
-        check_same_scale(scale, second.scale)
-        check_binary_pair(scale, first.index, second.index)
-        return scale.binary_values[pair_rank(first.index, second.index, scale.top_index)]
 
     def __lt__(self, other: "BinaryUtility") -> bool:
         return compare_binary(self, other) < 0

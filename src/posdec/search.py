@@ -29,16 +29,6 @@ class SearchResult(_Record):
     def found(self) -> bool:
         return self.witness is not None
 
-    def summary(self) -> str:
-        scope = f"|X|={self.outcome_count}, |V|={self.scale_size}"
-        if self.witness is None:
-            return (
-                f"no witness found at scale ({scope}); "
-                f"{self.pairs_checked} pairs checked"
-            )
-        i, j = self.witness
-        return f"witness found at scale ({scope}): members {i} and {j}"
-
 
 def search_pair_counterexample(
     universe: LotteryUniverse,

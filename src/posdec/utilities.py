@@ -269,20 +269,6 @@ class BinaryUtilityAssessment(_Record):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def from_mapping(
-        cls,
-        outcomes: OutcomeSet,
-        scale: Scale,
-        table: Mapping[str, BinaryUtility],
-        require_anchors: bool = True,
-    ) -> "BinaryUtilityAssessment":
-        """The assessment with these binary utilities, values on ``scale``."""
-        for value in table.values():
-            check_same_scale(value.scale, scale)
-        pairs = {label: (value.first.index, value.second.index) for label, value in table.items()}
-        return cls.from_indices(outcomes, scale, pairs, require_anchors)
-
-    @classmethod
     def from_indices(
         cls, outcomes: OutcomeSet, scale: Scale, table: Mapping[str, tuple[int, int]],
         require_anchors: bool = True,

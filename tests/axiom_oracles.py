@@ -22,7 +22,9 @@ that check lives here alone, on the plain pair scan.
 The library keeps no helper that only tests call, so the reference
 builders tests share live here too: a relation from bitset rows
 (``relation_of_rows``), the standard lotteries and their distributions,
-the onto scale maps and the identity map.
+the onto scale maps and the identity map, point masses and the level a
+distribution gives a label, an assessment from ``BinaryUtility`` values,
+and the search's one-line summary.
 """
 
 import itertools
@@ -31,7 +33,7 @@ import random
 from posdec.axioms import canonical_outcomes, canonical_scale
 from posdec.checker import AxiomReport, PreferenceRelation
 from posdec.lotteries import OutcomeSet, StandardLottery, distribution_from_indices
-from posdec.scales import ScaleMap, binary_rank
+from posdec.scales import ScaleMap, binary_rank, check_same_scale
 from posdec.utilities import BinaryUtilityAssessment, ScalarUtilityConfig
 
 
@@ -85,8 +87,8 @@ def induced_relation(universe, evaluate):
 def standard_lotteries(scale):
     """All standard lotteries over ``scale``, worst-first.  There are 2|V|-1."""
     top = len(scale) - 1
-    out = [StandardLottery(scale.level(i), scale.top) for i in range(top + 1)]
-    out.extend(StandardLottery(scale.top, scale.level(j)) for j in range(top - 1, -1, -1))
+    out = [StandardLottery(scale.level(i), scale["1"]) for i in range(top + 1)]
+    out.extend(StandardLottery(scale["1"], scale.level(j)) for j in range(top - 1, -1, -1))
     return tuple(out)
 
 
@@ -97,6 +99,38 @@ def standard_distribution(lottery, outcomes):
     table[outcomes.best] = lottery.best_weight.index
     table[outcomes.worst] = lottery.worst_weight.index
     return distribution_from_indices(outcomes, lottery.scale, table)
+
+
+def point_mass(domain, label, scale):
+    """The distribution fully possible at ``label`` and impossible elsewhere."""
+    if label not in domain.labels:
+        raise ValueError(f"unknown label {label!r}")
+    return distribution_from_indices(
+        domain, scale, {x: len(scale) - 1 if x == label else 0 for x in domain.labels}
+    )
+
+
+def level_at(distribution, label):
+    """The level ``distribution`` gives ``label``."""
+    return dict(distribution.items())[label]
+
+
+def assessment_of(outcomes, scale, table, require_anchors=True):
+    """The assessment giving each label in ``table`` its ``BinaryUtility``
+    value on ``scale``."""
+    for value in table.values():
+        check_same_scale(value.scale, scale)
+    pairs = {label: (value.first.index, value.second.index) for label, value in table.items()}
+    return BinaryUtilityAssessment.from_indices(outcomes, scale, pairs, require_anchors)
+
+
+def search_summary(result):
+    """One line naming a pair search's scale and what it found."""
+    scope = f"|X|={result.outcome_count}, |V|={result.scale_size}"
+    if result.witness is None:
+        return f"no witness found at scale ({scope}); {result.pairs_checked} pairs checked"
+    i, j = result.witness
+    return f"witness found at scale ({scope}): members {i} and {j}"
 
 
 def enumerate_scale_maps(source, target):
@@ -499,7 +533,7 @@ def enumerate_assessments(outcomes, scale, half=None):
     result = []
     for table in tables:
         rank_key = {label: binary_rank(table[label]) for label in outcomes.labels}
-        result.append(BinaryUtilityAssessment.from_mapping(
+        result.append(assessment_of(
             outcomes_with_ranks(outcomes, rank_key), scale, table, require_anchors=half is None
         ))
     return result

@@ -20,8 +20,11 @@ from functools import partial
 import pytest
 
 from axiom_oracles import (
+    assessment_of,
     at_least,
     check_standard_order_decomposition,
+    point_mass,
+    search_summary,
     standard_distribution,
     standard_lotteries,
 )
@@ -44,13 +47,11 @@ from posdec.lotteries import (
     OutcomeSet,
     enumerate_distributions,
     mixture,
-    point_mass,
 )
 from posdec.scales import BinaryUtility, Scale, ScaleMap
 from posdec.search import search_pair_counterexample
 from posdec.spohn import INFINITY, DisbeliefFunction, from_disbelief, to_disbelief
 from posdec.utilities import (
-    BinaryUtilityAssessment,
     ScalarUtilityConfig,
     binary_utility,
     optimistic_utility,
@@ -342,8 +343,8 @@ def test_criterion_08_half_encoded_and_mixed(example_scenario, example_universe)
     worst_pm = example_universe.index(point_mass(outcomes, outcomes.worst, scale).indices)
     both = mixture(
         [
-            (scale.top, point_mass(outcomes, outcomes.best, scale)),
-            (scale.top, point_mass(outcomes, outcomes.worst, scale)),
+            (scale["1"], point_mass(outcomes, outcomes.best, scale)),
+            (scale["1"], point_mass(outcomes, outcomes.worst, scale)),
         ]
     )
     both_id = example_universe.index(both.indices)
@@ -412,7 +413,7 @@ def test_criterion_11_mixture_absorption_rules():
         members = universe.members
         scale = universe.scale
         levels = scale.level_values
-        top_level = scale.top
+        top_level = scale["1"]
         top = len(scale) - 1
         pess = {m: pessimistic_utility(m, cfg) for m in members}
         opt = {m: optimistic_utility(m, cfg) for m in members}
@@ -474,13 +475,13 @@ def test_criterion_13_pair_search_completes_and_is_deterministic():
     t0 = time.perf_counter()
     universe, cfg = worked_style_config(nx=3, nv=3)
     scale = universe.scale
-    assessment = BinaryUtilityAssessment.from_mapping(
+    assessment = assessment_of(
         worked_style_config(nx=3, nv=3)[1].outcomes,
         scale,
         {
-            "x1": BinaryUtility.of(scale.top, scale.bottom),
-            "x2": BinaryUtility.of(scale.top, scale[".5"]),
-            "x3": BinaryUtility.of(scale.bottom, scale.top),
+            "x1": BinaryUtility(scale["1"], scale["0"]),
+            "x2": BinaryUtility(scale["1"], scale[".5"]),
+            "x3": BinaryUtility(scale["0"], scale["1"]),
         },
     )
     first = search_pair_counterexample(universe, cfg, assessment)
@@ -488,7 +489,7 @@ def test_criterion_13_pair_search_completes_and_is_deterministic():
     elapsed = time.perf_counter() - t0
     assert first == second
     assert first.found or first.pairs_checked == 19 * 18 // 2
-    summary = first.summary()
+    summary = search_summary(first)
     assert "witness found" in summary or "no witness found" in summary
     assert elapsed < 5.0
     report(13, f"PASS  search deterministic; {summary} ({elapsed:.3f} s)")

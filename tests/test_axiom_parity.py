@@ -2,22 +2,25 @@
 
 Every check must return the same report as its oracle, witness and detail
 included, on total preorders, product orders and relations with a few
-entries flipped.  Together these reach both substitutability paths (the
-block test where "equal or indifferent" is an equivalence, the pair finder
-alone where it is not) and compare their decision and witness with the
-oracle's, which tries the mixtures with a point mass first and then every
-weight pair and companion.  Substitutability is also compared on faulted
-relations over the 4x4 and 4x5 universes.  A check names its report by
-the B axiom; relabeled for the A axiom, as the entailment battery does,
-it must match the oracle asked for that axiom.  Relations whose twins are
-split into classes of their own, or rebuilt from their rows, must report
-exactly as the relation they came from.
+entries flipped.  Together these reach both of substitutability's grid
+tests (one map of blocks where "equal or indifferent" is an equivalence on
+one byte layout, the class pairs each mixture moves otherwise) and compare
+their decision and witness with the oracle's, which tries the mixtures
+with a point mass first and then every weight pair and companion.
+Substitutability is also compared on faulted relations over the 4x4 and
+4x5 universes.  A check names its report by the B axiom; relabeled for
+the A axiom, as the entailment battery does, it must match the oracle
+asked for that axiom.  Relations whose twins are split into classes of
+their own, or rebuilt from their rows, must report exactly as the
+relation they came from.
 """
 
+import hashlib
 import itertools
 import operator
 import random
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +51,7 @@ from posdec.checker import (
     optimistic_keys,
     pessimistic_keys,
 )
+from posdec.cli import load_scenario
 from posdec.lotteries import OutcomeSet
 from posdec.scales import Scale
 from posdec.search import search_pair_counterexample
@@ -81,10 +85,27 @@ def closed_sets(rel):
 
 
 def grid_suspects(rel):
-    """B3's grid test on a relation whose "equal or indifferent" is an
+    """B3's block test on a relation whose "equal or indifferent" is an
     equivalence on one layout: the first generator that breaks it, if any."""
     closed = closed_sets(rel)
-    return checker._suspects(rel, closed, set(closed))
+    generator = checker._blocks_break(rel, closed)
+    return [] if generator is None else [generator]
+
+
+def pair_suspects(rel):
+    """B3's pair test, on any relation: the first generator that breaks
+    "equal or indifferent", if any."""
+    generator = checker._pairs_break(rel, closed_sets(rel))
+    return [] if generator is None else [generator]
+
+
+def map_breaks(rel, f, closed):
+    """Whether the member map f sends two indifferent members to members
+    neither equal nor indifferent, tried on every two of its (class, image
+    class) pairs."""
+    cls, ind = rel.class_of, rel.indifference
+    groups = set(zip(cls, map(cls.__getitem__, f)))
+    return any(ind[a] >> b & 1 and not closed[c] >> d & 1 for a, c in groups for b, d in groups)
 
 
 def naive_matrix(universe, evaluate):
@@ -309,19 +330,18 @@ def test_mixtures_onto_two_members_indifferent_to_nothing():
     report = check_substitutability(rel)
     assert fields(report) == fields(oracle.check_substitutability(rel))
     assert report.witness == (0, 2, 2, 2, 2, 4, 2)
-    # The grid test names the generator that breaks it first.  Member 0
+    # Both grid tests name the generator that breaks it first.  Member 0
     # goes to 4, the rest of its class to 9, every other member stays put:
-    # the pair finder flags (0, 1).  No class is indifferent to another, and
-    # the pair is found whether or not the finder is told so.
-    assert grid_suspects(rel) == [(2, 2, 2)]
+    # the pair finder flags (0, 1).  No class is indifferent to another.
+    assert grid_suspects(rel) == pair_suspects(rel) == [(2, 2, 2)]
     onto = [9 if c == rel.class_of[0] else i for i, c in enumerate(rel.class_of)]
     onto[0] = 4
     closed = closed_sets(rel)
     assert all(c.bit_count() == 1 for c in closed)
-    for alone in (True, False):
-        assert checker._first_broken_pair(rel, onto, closed, alone) == (0, 1)
+    assert checker._first_broken_pair(rel, onto, closed) == (0, 1)
     # A map that leaves each class in one group breaks nothing.
-    assert checker._first_broken_pair(rel, list(range(rel.size)), closed, True) is None
+    groups = [*dict.fromkeys(zip(rel.class_of, rel.class_of))]
+    assert next(checker._breaks(groups, rel.indifference, closed), None) is None
 
 
 @pytest.mark.parametrize("top_key", [0, 1], ids=["indifferent-to-the-rest", "above-the-rest"])
@@ -392,7 +412,7 @@ def wide_relations(shape):
     """Relations over a wide universe, by kind: induced by each criterion,
     induced by random keys, those with an entry flipped, and one with more
     classes than a byte layout holds (aversion holding on 4x5, random keys
-    on 5x5)."""
+    on 5x5), also with an entry flipped."""
     universe = LotteryUniverse(canonical_outcomes(shape[0]), canonical_scale(shape[1]))
     rng, n = random.Random(f"wide-{shape}"), len(universe)
     configs = enumerate_scalar_configs(universe.outcomes, universe.scale)
@@ -411,9 +431,10 @@ def wide_relations(shape):
         many = [-1000 * sum(vt) + rng.randrange(1000) for vt in universe.value_tuples]
     else:
         many = [rng.randrange(300) for _ in range(n)]
+    many = induced_relation(universe, many)
     return {
         "induced": induced, "random-key": random_keys, "flipped": flipped,
-        "many-classes": [induced_relation(universe, many)],
+        "many-classes": [many, many.with_flipped(*rng.sample(range(n), 2))],
     }
 
 
@@ -439,6 +460,33 @@ def test_grid_decisions_match_the_stepwise_oracles(shape):
             outcomes.add(("B2", assert_standard_orders_match_oracles(rel)))
     checks = ("A2", "B3", "B2")
     assert outcomes == {(check, sat) for check in checks for sat in (True, False)}
+
+
+@pytest.mark.parametrize(
+    "end, witness, digest",
+    [
+        ("first", (55, 57, 55, 1, 5, 55, 56),
+         "89805f6024042b7bc11412534b5375d799c39e087ece0487637cbae9e85b3b2b"),
+        ("last", (4649, 4650, 23255, 5, 5, 31029, 31030),
+         "50710c399a326e74ae093c68ddb3549de1382ec110cdc5a84eeead6b0f2e789d"),
+    ],
+    ids=["first", "last"],
+)
+def test_flipped_6x6_substitutability_is_pinned(end, witness, digest):
+    """The scenario's 6x6 binary relation with an entry flipped between the
+    first, or the last, two members of its largest class: "equal or
+    indifferent" is no equivalence, and B3 gives the generator oracle's
+    report, pinned here since the oracle takes seconds on 6x6: its
+    witness, and its detail byte for byte."""
+    scenario = load_scenario(str(Path(__file__).parents[1] / "scenarios" / "wide_6x6.json"))
+    universe = LotteryUniverse(scenario.outcomes, scenario.scale_v)
+    rel = induced_relation(universe, binary_keys(universe, scenario.assessment))
+    largest = max(set(rel.class_of), key=rel.class_of.count)
+    in_class = [i for i, c in enumerate(rel.class_of) if c == largest]
+    flipped = rel.with_flipped(*(in_class[:2] if end == "first" else in_class[-2:]))
+    report = check_substitutability(flipped)
+    assert report.witness == witness
+    assert hashlib.sha256(report.detail.encode("utf-8")).hexdigest() == digest
 
 
 def cap_universe(shape):
@@ -571,11 +619,10 @@ def test_moved_rows_are_the_generator_gathers(shape):
 
 def first_breaking_generator(rel, maps):
     """The first generator, in key order, whose member map in ``maps``
-    breaks "equal or indifferent", found by trying each with the pair
-    finder."""
+    breaks "equal or indifferent", found by trying each."""
     closed = closed_sets(rel)
     for generator, f in zip(rel.universe.generators, maps):
-        if checker._first_broken_pair(rel, f, closed, False) is not None:
+        if map_breaks(rel, f, closed):
             return [generator]
     return []
 
@@ -600,25 +647,28 @@ def enumerated_relations(universe):
     ids=lambda v: f"{v[0]}x{v[1]}" if isinstance(v, tuple) else ("flips" if v else "no-flips"),
 )
 def test_grid_suspect_is_the_first_generator_that_breaks(shape, flips):
-    """The grid test names the generator that trying every generator's
+    """Both grid tests name the generator that trying every generator's
     member map names first, or none when none breaks, on every relation
     the enumerated configurations induce and, up to 3x4, on every one-entry
-    flip of them that leaves "equal or indifferent" an equivalence."""
+    flip of them: the pair test on each, the block test on those that
+    leave "equal or indifferent" an equivalence."""
     universe = cap_universe(shape)
     maps = [universe.generator_map(*generator) for generator in universe.generators]
     relations = enumerated_relations(universe)
     if flips:
         relations += [rel.with_flipped(i, j) for rel in relations
                       for i, j in itertools.product(range(len(universe)), repeat=2)]
-    decided = broken = 0
+    decided, broken = [0, 0], [0, 0]
     for rel in relations:
         closed = closed_sets(rel)
-        if len(rel.grid_layouts) > 1 or sum(map(int.bit_count, set(closed))) != len(closed):
-            continue
-        suspects = grid_suspects(rel)
-        assert suspects == first_breaking_generator(rel, maps)
-        decided, broken = decided + 1, broken + bool(suspects)
-    assert decided and (broken or not flips)
+        first = first_breaking_generator(rel, maps)
+        assert pair_suspects(rel) == first
+        blocks = len(rel.grid_layouts) == 1 and sum(map(int.bit_count, set(closed))) == len(closed)
+        if blocks:
+            assert grid_suspects(rel) == first
+        for test in {0, blocks}:
+            decided[test], broken[test] = decided[test] + 1, broken[test] + bool(first)
+    assert all(decided) and (all(broken) or not flips)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 4), (4, 5)], ids=lambda s: f"{s[0]}x{s[1]}")

@@ -21,6 +21,7 @@ from axiom_oracles import check_standard_order_decomposition, standard_decomposi
 from axiom_oracles import check_substitutability as oracle_substitutability
 import axiom_oracles as oracle
 from axiom_oracles import at_least, indifferent, relation_of_rows, rows_of, standard_distribution
+from axiom_oracles import search_summary
 from test_utilities import optimistic_key, pessimistic_key
 from posdec import axioms, checker
 from posdec.axioms import (
@@ -529,17 +530,24 @@ class TestSubstitutability:
         return rel
 
     @pytest.mark.parametrize("end", ["first", "last"])
-    def test_violated_6x6_stays_fast(self, wide_binary_relation, end):
+    def test_violated_6x6_stays_fast(self, monkeypatch, wide_binary_relation, end):
         """One entry flipped between two members of the largest class: a
-        violation, named and replayable, in well under a second."""
+        violation, named and replayable, in well under a second, that
+        builds the witness generator's member map alone, where the sound
+        relation builds none."""
         rel = wide_binary_relation
         largest = max(set(rel.class_of), key=rel.class_of.count)
         in_class = [i for i, c in enumerate(rel.class_of) if c == largest]
         broken = rel.with_flipped(*(in_class[:2] if end == "first" else in_class[-2:]))
+        built, generator_map = [], rel.universe.generator_map
+        monkeypatch.setattr(
+            rel.universe, "generator_map", lambda *g: built.append(g) or generator_map(*g)
+        )
+        assert check_substitutability(rel).satisfied and built == []
         start = time.perf_counter()
         report = check_substitutability(broken)
         assert time.perf_counter() - start < 1
-        assert not report.satisfied
+        assert not report.satisfied and built == [report.witness[2:5]]
         i, j, k, wa, wb, m1, m2 = report.witness
         assert indifferent(broken, i, j)
         assert m1 != m2 and not indifferent(broken, m1, m2)
@@ -547,6 +555,19 @@ class TestSubstitutability:
         level, members = universe.scale.level, universe.members
         for x, m in ((i, m1), (j, m2)):
             assert mixture([(level(wa), members[x]), (level(wb), members[k])]) == members[m]
+
+    def test_relation_past_a_byte_plane_builds_no_member_map(self, monkeypatch):
+        """The anchored binary relation on 2 prizes x 300 levels ranks each
+        of its 599 members apart, more classes than one byte plane holds:
+        B3 holds, decided on the grid with no member map built."""
+        scale = Scale(("0", *(f".{v:03d}" for v in range(1, 299)), "1"))
+        universe = LotteryUniverse(canonical_outcomes(2), scale)
+        assessment = BinaryUtilityAssessment(universe.outcomes, scale, ((299, 0), (0, 299)))
+        rel = induced_relation(universe, binary_keys(universe, assessment))
+        assert len(rel.table) == len(universe) == 599
+        built = []
+        monkeypatch.setattr(universe, "generator_map", lambda *g: built.append(g))
+        assert check_substitutability(rel).satisfied and built == []
 
     def test_grid_tables_stay_within_the_maps_they_replace(self):
         """2 prizes x 300 levels, whose full grid is 150 times the universe:
@@ -565,7 +586,7 @@ class TestSubstitutability:
         finally:
             tracemalloc.stop()
         closed = [row | 1 << a for a, row in enumerate(rel.indifference)]
-        assert len(rel.grid_layouts) == 1 and checker._suspects(rel, closed, set(closed)) == []
+        assert len(rel.grid_layouts) == 1 and checker._blocks_break(rel, closed) is None
         assert peak < 8 * len(universe) * len(universe.generators)
 
 
@@ -921,10 +942,10 @@ class TestVerifyEntailments:
     @pytest.mark.parametrize("flip", [(5, 6), (6, 5)])
     def test_off_diagonal_fault_is_reported_with_the_oracle_witness(self, monkeypatch, flip):
         """A flipped entry between two members of one class of the first
-        relation: "equal or indifferent" is no equivalence, so B3 walks the
-        member maps, one per generator in key order up to the one that breaks
-        it, where the sound relation's grid test builds none; its lines name
-        the plain-loop oracle's witness."""
+        relation: "equal or indifferent" is no equivalence, so B3 reads the
+        class pairs each generator moves on the grid, and builds the member
+        map of the witness generator alone, where the sound relation builds
+        none; its lines name the plain-loop oracle's witness."""
         scenario = load_scenario(str(Path(__file__).parents[1] / "scenarios" / "wide_4x5.json"))
         universe = LotteryUniverse(scenario.outcomes, scenario.scale_v)
         cfg = scenario.pessimistic_config
@@ -940,8 +961,7 @@ class TestVerifyEntailments:
         assert check_substitutability(first).satisfied and built == []
         want = oracle_substitutability(faulted)
         assert not want.satisfied and check_substitutability(faulted) == want
-        generators = universe.generators
-        assert len(built) > 1 and built == generators[:generators.index(want.witness[2:5]) + 1]
+        assert built == [want.witness[2:5]]
         run = verify_entailments(universe, fault=flip, **kwargs)
         head, *rest = run.configs
         assert head.config_id == "scenario-pessimistic"
@@ -1347,7 +1367,8 @@ class TestCounterexampleSearch:
         assessment = tiny_assessment(tiny_universe)
         result = search_pair_counterexample(tiny_universe, cfg, assessment)
         assert result.pairs_checked == 3
-        assert "no witness found" in result.summary() or "witness found" in result.summary()
+        summary = search_summary(result)
+        assert "no witness found" in summary or "witness found" in summary
 
     def test_three_outcome_search_is_deterministic(self):
         universe = LotteryUniverse(canonical_outcomes(3), canonical_scale(3))
@@ -1357,4 +1378,4 @@ class TestCounterexampleSearch:
         second = search_pair_counterexample(universe, cfg, assessment)
         assert first == second
         assert first.pairs_checked == 19 * 18 // 2 or first.found
-        assert "scale (|X|=3, |V|=3)" in first.summary()
+        assert "scale (|X|=3, |V|=3)" in search_summary(first)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from axiom_oracles import standard_distribution, standard_lotteries
+from axiom_oracles import level_at, point_mass, standard_distribution, standard_lotteries
 from posdec.checker import LotteryUniverse
 from posdec.lotteries import (
     BoundExceededError,
@@ -20,7 +20,6 @@ from posdec.lotteries import (
     enumeration_count,
     induced_distribution,
     mixture,
-    point_mass,
 )
 from posdec.scales import Scale
 from posdec.spohn import (
@@ -69,7 +68,7 @@ class TestOutcomeSet:
 class TestMakeDistribution:
     def test_worked_example_lottery(self):
         pi1 = dist(X4, V4, ".7", "1", ".5", ".5")
-        assert pi1.value("x2").label == "1"
+        assert level_at(pi1, "x2").label == "1"
 
     def test_all_zero_rejected(self):
         with pytest.raises(NormalizationError, match="max level is '0'"):
@@ -77,8 +76,8 @@ class TestMakeDistribution:
 
     def test_point_mass_at_worst(self):
         pi2 = point_mass(X4, "x4", V4)
-        assert pi2.value("x4").label == "1"
-        assert pi2.value("x1").label == "0"
+        assert level_at(pi2, "x4").label == "1"
+        assert level_at(pi2, "x1").label == "0"
 
     def test_missing_label(self):
         with pytest.raises(ValueError, match="missing value for label 'x4'"):
@@ -104,15 +103,15 @@ class TestMixture:
         best = point_mass(X2, "good", V4)
         worst = point_mass(X2, "bad", V4)
         blended = mixture([(V4["1"], best), (V4[".5"], worst)])
-        assert blended.value("good").label == "1"
-        assert blended.value("bad").label == ".5"
+        assert level_at(blended, "good").label == "1"
+        assert level_at(blended, "bad").label == ".5"
 
     def test_both_fully_possible(self):
         best = point_mass(X2, "good", V4)
         worst = point_mass(X2, "bad", V4)
         blended = mixture([(V4["1"], best), (V4["1"], worst)])
-        assert blended.value("good").label == "1"
-        assert blended.value("bad").label == "1"
+        assert level_at(blended, "good").label == "1"
+        assert level_at(blended, "bad").label == "1"
 
     def test_weights_must_normalize(self):
         pi = point_mass(X2, "good", V4)
@@ -223,16 +222,16 @@ class TestInducedDistribution:
         pi = dist(self.STATES, V4, "1", ".7", ".5")
         d = Decision.from_mapping(self.STATES, {"s1": "x2", "s2": "x2", "s3": "x4"})
         induced = induced_distribution(pi, d, X4)
-        assert induced.value("x2").label == "1"
-        assert induced.value("x4").label == ".5"
-        assert induced.value("x1").label == "0"
-        assert induced.value("x3").label == "0"
+        assert level_at(induced, "x2").label == "1"
+        assert level_at(induced, "x4").label == ".5"
+        assert level_at(induced, "x1").label == "0"
+        assert level_at(induced, "x3").label == "0"
 
     def test_injective_decision_relabels(self):
         pi = dist(self.STATES, V4, "1", ".7", ".5")
         d = Decision.from_mapping(self.STATES, {"s1": "x1", "s2": "x2", "s3": "x3"})
         induced = induced_distribution(pi, d, X4)
-        assert [induced.value(x).label for x in ("x1", "x2", "x3", "x4")] == [
+        assert [level_at(induced, x).label for x in ("x1", "x2", "x3", "x4")] == [
             "1", ".7", ".5", "0",
         ]
 
@@ -307,9 +306,9 @@ class TestStandardLotteries:
     def test_as_distribution(self):
         sl = StandardLottery(V4["1"], V4[".5"])
         d = standard_distribution(sl, X4)
-        assert d.value("x1").label == "1"
-        assert d.value("x4").label == ".5"
-        assert d.value("x2").label == "0"
+        assert level_at(d, "x1").label == "1"
+        assert level_at(d, "x4").label == ".5"
+        assert level_at(d, "x2").label == "0"
 
 
 class TestDisbeliefBridge:
@@ -326,7 +325,7 @@ class TestDisbeliefBridge:
     def test_base_two_squared(self):
         delta = DisbeliefFunction.from_mapping({"s1": 0, "s2": 2})
         pi = from_disbelief(delta, 2)
-        assert pi.value("s2").label == ".25"
+        assert level_at(pi, "s2").label == ".25"
 
     def test_to_disbelief(self):
         scale = Scale(("0", ".5", "1"))
@@ -370,7 +369,7 @@ class TestDisbeliefBridge:
         # Base 3 yields 1/3 and 1/9, which have no finite decimal form.
         delta = DisbeliefFunction.from_mapping({"s1": 0, "s2": 1, "s3": 2})
         pi = from_disbelief(delta, 3)
-        assert pi.value("s2").label == "1/3"
+        assert level_at(pi, "s2").label == "1/3"
         assert to_disbelief(pi, 3) == delta
 
     @given(

@@ -44,17 +44,17 @@ def frozen_records():
     return [
         (v, "levels"),
         (Level(v, 1), "index"),
-        (UtilityPair(v.bottom, v.bottom), "first"),
-        (BinaryUtility(Level(v, 1), v.top), "second"),
+        (UtilityPair(v["0"], v["0"]), "first"),
+        (BinaryUtility(Level(v, 1), v["1"]), "second"),
         (scale_map, "images"),
         (outcomes, "best"),
         (states, "states"),
         (Decision(states, ("x1", "x3")), "moves"),
-        (StandardLottery(v.top, Level(v, 1)), "worst_weight"),
+        (StandardLottery(v["1"], Level(v, 1)), "worst_weight"),
         (DisbeliefFunction(("a", "b"), (0, INFINITY)), "values"),
         (ScalarUtilityConfig(outcomes, scale_map, (2, 0, 0)), "prize_indices"),
         (BinaryUtilityAssessment(outcomes, v, ((2, 0), (0, 2), (0, 2))), "require_anchors"),
-        (Ranking((("a",), ("b", "c")), (v.top, v.bottom)), "classes"),
+        (Ranking((("a",), ("b", "c")), (v["1"], v["0"])), "classes"),
         (AxiomReport("B3", False, (0, 1), "detail"), "witness"),
         (SearchResult(None, 3, 2, 3), "pairs_checked"),
     ]
@@ -119,7 +119,7 @@ def test_equal_records_hash_alike_and_survive_copy_and_pickle():
 
 def test_records_equal_only_within_their_class():
     v = Scale(("0", ".5", "1"))
-    pair, binary = UtilityPair(Level(v, 1), v.top), BinaryUtility(Level(v, 1), v.top)
+    pair, binary = UtilityPair(Level(v, 1), v["1"]), BinaryUtility(Level(v, 1), v["1"])
     assert pair != binary and binary != pair
     assert not pair == binary
     assert Level(v, 1) != Level(Scale(("0", ".5", "1"), name="W"), 1)

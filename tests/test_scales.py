@@ -44,8 +44,8 @@ def scale_of_size(size: int, name: str = "V") -> Scale:
 class TestScaleConstruction:
     def test_valid_scale(self):
         assert len(V4) == 4
-        assert V4.bottom.label == "0"
-        assert V4.top.label == "1"
+        assert V4.level_values[0].label == "0"
+        assert V4.level_values[-1].label == "1"
 
     def test_too_few_levels(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -135,33 +135,33 @@ def test_level_lattice_laws(pair):
 
 class TestBinaryOrder:
     def test_top_vs_bottom(self):
-        top = BinaryUtility.of(V4["1"], V4["0"])
-        bottom = BinaryUtility.of(V4["0"], V4["1"])
+        top = BinaryUtility(V4["1"], V4["0"])
+        bottom = BinaryUtility(V4["0"], V4["1"])
         assert compare_binary(top, bottom) == 1
 
     def test_within_best_half(self):
-        a = BinaryUtility.of(V4["1"], V4[".5"])
-        b = BinaryUtility.of(V4["1"], V4["1"])
+        a = BinaryUtility(V4["1"], V4[".5"])
+        b = BinaryUtility(V4["1"], V4["1"])
         assert compare_binary(a, b) == 1
 
     def test_across_halves(self):
-        a = BinaryUtility.of(V4["1"], V4[".7"])
-        b = BinaryUtility.of(V4[".7"], V4["1"])
+        a = BinaryUtility(V4["1"], V4[".7"])
+        b = BinaryUtility(V4[".7"], V4["1"])
         assert compare_binary(a, b) == 1
 
     def test_within_worst_half(self):
-        a = BinaryUtility.of(V4[".5"], V4["1"])
-        b = BinaryUtility.of(V4[".7"], V4["1"])
+        a = BinaryUtility(V4[".5"], V4["1"])
+        b = BinaryUtility(V4[".7"], V4["1"])
         assert compare_binary(a, b) == -1
 
     def test_pair_needs_top_component(self):
         with pytest.raises(ValueError, match="binary utility"):
-            BinaryUtility.of(V4[".5"], V4[".7"])
+            BinaryUtility(V4[".5"], V4[".7"])
 
     def test_scale_mismatch(self):
         with pytest.raises(ScaleMismatchError):
             compare_binary(
-                BinaryUtility.of(V4["1"], V4["0"]), BinaryUtility.of(U4["1"], U4["0"])
+                BinaryUtility(V4["1"], V4["0"]), BinaryUtility(U4["1"], U4["0"])
             )
 
     @pytest.mark.parametrize("size", range(2, 7))
@@ -182,8 +182,8 @@ class TestBinaryOrder:
     def test_extremes(self, size):
         scale = scale_of_size(size)
         elements = scale.binary_values
-        top = BinaryUtility.of(scale.top, scale.bottom)
-        bottom = BinaryUtility.of(scale.bottom, scale.top)
+        top = BinaryUtility(scale["1"], scale["0"])
+        bottom = BinaryUtility(scale["0"], scale["1"])
         assert all(compare_binary(top, e) >= 0 for e in elements)
         assert all(compare_binary(e, bottom) >= 0 for e in elements)
 

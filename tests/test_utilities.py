@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axiom_oracles import enumerate_scale_maps, identity_map, standard_distribution, standard_lotteries
+from axiom_oracles import (
+    assessment_of,
+    enumerate_scale_maps,
+    identity_map,
+    point_mass,
+    standard_distribution,
+    standard_lotteries,
+)
 from posdec import axioms, checker, utilities
 from posdec.axioms import (
     canonical_outcomes,
@@ -30,7 +37,6 @@ from posdec.lotteries import (
     StandardLottery,
     enumerate_distributions,
     mixture,
-    point_mass,
 )
 from posdec.scales import (
     BinaryUtility,
@@ -55,14 +61,14 @@ from posdec.utilities import (
 
 
 def anchors_only_assessment(outcomes: OutcomeSet, scale: Scale) -> BinaryUtilityAssessment:
-    table = {label: BinaryUtility.of(scale.bottom, scale.top) for label in outcomes.labels}
-    table[outcomes.best] = BinaryUtility.of(scale.top, scale.bottom)
+    table = {label: BinaryUtility(scale["0"], scale["1"]) for label in outcomes.labels}
+    table[outcomes.best] = BinaryUtility(scale["1"], scale["0"])
     classes = (
         (outcomes.best,),
         tuple(l for l in outcomes.labels if l != outcomes.best),
     )
     ranked = OutcomeSet(outcomes.labels, outcomes.best, outcomes.worst, classes)
-    return BinaryUtilityAssessment.from_mapping(ranked, scale, table)
+    return assessment_of(ranked, scale, table)
 
 
 # Plain-loop oracles for each criterion's key: one pass over the prizes,
@@ -274,7 +280,7 @@ class TestBinaryUtility:
     def test_closure_under_fold(self, example_scenario):
         s = example_scenario
         members = enumerate_distributions(s.outcomes, s.scale_v)
-        top = s.scale_v.top
+        top = s.scale_v["1"]
         for pi in members:
             value = binary_utility(pi, s.assessment)
             assert value.first == top or value.second == top
@@ -296,11 +302,11 @@ class TestBinaryUtility:
         table = {
             label: s.assessment.utility_for(label) for label in s.outcomes.labels
         }
-        table["x4"] = BinaryUtility.of(s.scale_v["1"], s.scale_v["1"])
+        table["x4"] = BinaryUtility(s.scale_v["1"], s.scale_v["1"])
         with pytest.raises(ValueError, match="worst outcome"):
-            BinaryUtilityAssessment.from_mapping(s.outcomes, s.scale_v, table)
+            assessment_of(s.outcomes, s.scale_v, table)
         # The same table is a legitimate half-encoded assessment.
-        relaxed = BinaryUtilityAssessment.from_mapping(
+        relaxed = assessment_of(
             s.outcomes, s.scale_v, table, require_anchors=False
         )
         top = len(s.scale_v) - 1
@@ -414,7 +420,7 @@ class TestMixtureAbsorption:
         scale = canonical_scale(nv)
         cfg = enumerate_scalar_configs(outcomes, scale)[-1]
         members = enumerate_distributions(outcomes, scale)
-        top = scale.top
+        top = scale["1"]
         for p1, p2 in itertools.product(members, repeat=2):
             if not pessimistic_utility(p1, cfg) >= pessimistic_utility(p2, cfg):
                 continue
@@ -428,7 +434,7 @@ class TestMixtureAbsorption:
         scale = canonical_scale(nv)
         cfg = enumerate_scalar_configs(outcomes, scale)[-1]
         members = enumerate_distributions(outcomes, scale)
-        top = scale.top
+        top = scale["1"]
         for p1, p2 in itertools.product(members, repeat=2):
             if not optimistic_utility(p1, cfg) >= optimistic_utility(p2, cfg):
                 continue
@@ -452,11 +458,11 @@ class TestRestrictedAgreement:
             worst_weights.update(dict(zip(interior, combo)))
             classes = _classes_from_keys(outcomes, {l: -w for l, w in worst_weights.items()})
             ranked = OutcomeSet(outcomes.labels, outcomes.best, outcomes.worst, classes)
-            assessment = BinaryUtilityAssessment.from_mapping(
+            assessment = assessment_of(
                 ranked,
                 scale,
                 {
-                    label: BinaryUtility.of(scale.top, scale.level(w))
+                    label: BinaryUtility(scale["1"], scale.level(w))
                     for label, w in worst_weights.items()
                 },
                 require_anchors=False,
@@ -484,11 +490,11 @@ class TestRestrictedAgreement:
             best_weights.update(dict(zip(interior, combo)))
             classes = _classes_from_keys(outcomes, best_weights)
             ranked = OutcomeSet(outcomes.labels, outcomes.best, outcomes.worst, classes)
-            assessment = BinaryUtilityAssessment.from_mapping(
+            assessment = assessment_of(
                 ranked,
                 scale,
                 {
-                    label: BinaryUtility.of(scale.level(w), scale.top)
+                    label: BinaryUtility(scale.level(w), scale["1"])
                     for label, w in best_weights.items()
                 },
                 require_anchors=False,
